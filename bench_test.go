@@ -12,6 +12,7 @@
 //	BenchmarkFig5Scalability    — runtime vs batch size
 //	BenchmarkFig6Stability      — successive disjoint batches
 //	BenchmarkAblation*          — design-choice ablations (DESIGN.md)
+//	BenchmarkSmallBatchApply    — small-batch apply, ParallelOrder w=1 vs SequentialOrder
 package repro
 
 import (
@@ -423,5 +424,34 @@ func BenchmarkWorkerScaling(b *testing.B) {
 			w := expr.Workload{Base: base, Batch: batch}
 			runBatchBench(b, w, kcore.ParallelOrder, workers, false)
 		})
+	}
+}
+
+// BenchmarkSmallBatchApply is the engine's ledger row: the library loop of a
+// writer that applies small batches — remove a slice of real edges, insert it
+// back — on the heavy-tailed social stand-in, where one low-core vertex sits
+// next to a hub with tens of thousands of neighbors. Parallel-Order on one
+// worker is meant to cost what sequential Order costs (Fig. 4) at every batch
+// size (Fig. 5); edges/s is the figure to compare across the two engines.
+func BenchmarkSmallBatchApply(b *testing.B) {
+	const n, pool = 50_000, 1 << 14
+	base := gen.PowerLawCluster(n, 14.2, 2.4, benchSeed)
+	churn := gen.SampleEdges(base, pool, benchSeed+1)
+	for _, alg := range []kcore.Algorithm{kcore.ParallelOrder, kcore.SequentialOrder} {
+		for _, batch := range []int{1, 16, 1024} {
+			b.Run(fmt.Sprintf("%s/batch%d", alg, batch), func(b *testing.B) {
+				m := kcore.New(base.Clone(), kcore.WithAlgorithm(alg), kcore.WithWorkers(1))
+				defer m.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo := (i * batch) % pool
+					s := churn[lo : lo+batch]
+					m.RemoveEdges(s)
+					m.InsertEdges(s)
+				}
+				b.ReportMetric(float64(2*batch*b.N)/b.Elapsed().Seconds(), "edges/s")
+			})
+		}
 	}
 }

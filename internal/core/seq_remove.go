@@ -85,7 +85,7 @@ func (r *removeRun) doMCD(x int32) {
 	// Publish t before the core drop: concurrent CheckMCD readers (in
 	// the parallel version) must never observe core = k-1 with t = 0 for
 	// an in-flight vertex.
-	st.T[x].Store(2)
+	st.T[x].Store(DropStatus(r.k, 2))
 	st.Core[x].Store(r.k - 1)
 	st.Mcd[x].Store(McdEmpty)
 	r.starIdx[x] = len(r.vstar)
@@ -108,13 +108,14 @@ func (r *removeRun) propagate() {
 			}
 			if st.Mcd[x].Load() == McdEmpty {
 				// ComputeMCD counts w via the in-flight rule
-				// (core = k-1, t > 0), so the decrement below
-				// is always backed by a counted neighbor.
+				// (core = k-1, dropping from k), so the
+				// decrement below is always backed by a
+				// counted neighbor.
 				st.Mcd[x].Store(st.ComputeMCD(x))
 			}
 			r.doMCD(x)
 		}
-		st.T[w].Add(-1) // 1 -> 0: done
+		st.T[w].Store(0) // 1 -> idle: done
 	}
 }
 

@@ -56,8 +56,11 @@ type State struct {
 	// S[v] is the order-change status: odd while v's k-order position is
 	// being updated (Algorithm 6).
 	S []atomic.Uint32
-	// T[v] is the removal propagation status: 0 idle, 2 queued, 1
-	// propagating, 3 propagation must be redone (Algorithm 8).
+	// T[v] is the removal propagation status (Algorithm 8), tagged with
+	// the level v is dropping from: 0 when idle, otherwise
+	// DropStatus(level, s) with s = 2 queued, 1 propagating, 3 propagation
+	// must be redone. The tag lets an mcd count at one level ignore a
+	// vertex that is in flight at another (see DroppingFrom).
 	T []atomic.Int32
 	// Locks[v] is the per-vertex CAS spin lock.
 	Locks []spin.Lock
@@ -314,17 +317,34 @@ func (st *State) BeginOrderChange(v int32) { st.S[v].Add(1) }
 // EndOrderChange completes a BeginOrderChange.
 func (st *State) EndOrderChange(v int32) { st.S[v].Add(1) }
 
+// tStatusBits is the width of the propagation status in a packed T value;
+// the level a vertex is dropping from sits above it.
+const tStatusBits = 2
+
+// DropStatus packs the propagation status s (1, 2 or 3) of a vertex that is
+// dropping from core `level` to level-1 into one T value.
+func DropStatus(level, s int32) int32 { return level<<tStatusBits | s }
+
+// DroppingFrom reports whether the T value t belongs to a vertex in flight
+// from core `level`. A drop publishes T before the lowered core number, so
+// for a moment a vertex leaving level k reads "core k, t in flight" — which,
+// without the tag, a recount at level k+1 cannot tell from a vertex that has
+// just arrived from k+1 and still owes its decrement.
+func DroppingFrom(t, level int32) bool {
+	return t&(1<<tStatusBits-1) != 0 && t>>tStatusBits == level
+}
+
 // ComputeMCD returns the max-core degree of u per Definition 3.8 evaluated
 // against current core numbers plus the in-flight rule of Algorithm 8
 // (CheckMCD): a neighbor with core = core(u)−1 that is still propagating
-// (t > 0) is counted because it has not yet delivered its decrement to u.
-// Pure computation; the caller decides where to store it.
+// its drop from core(u) is counted because it has not yet delivered its
+// decrement to u. Pure computation; the caller decides where to store it.
 func (st *State) ComputeMCD(u int32) int32 {
 	cu := st.Core[u].Load()
 	mcd := int32(0)
 	for _, v := range st.G.Adj(u) {
 		cv := st.Core[v].Load()
-		if cv >= cu || (cv == cu-1 && st.T[v].Load() > 0) {
+		if cv >= cu || (cv == cu-1 && DroppingFrom(st.T[v].Load(), cu)) {
 			mcd++
 		}
 	}
@@ -335,10 +355,9 @@ func (st *State) ComputeMCD(u int32) int32 {
 // the store is atomic and writing the empty sentinel is always safe.
 func (st *State) InvalidateMcd(v int32) { st.Mcd[v].Store(McdEmpty) }
 
-// RecomputeDout recomputes and stores d⁺out(v) from the current k-order.
-// Must run at quiescence (batch end) or while every neighbor position that
-// can move is stable; used to repair the Dout of vertices whose list
-// position changed with cross-worker interleaving.
+// RecomputeDout recomputes and stores d⁺out(v) from the current k-order, in
+// O(deg(v)) order comparisons. Must run at quiescence (batch end) or while
+// every neighbor position that can move is stable.
 func (st *State) RecomputeDout(v int32) {
 	dout := int32(0)
 	for _, x := range st.G.Adj(v) {

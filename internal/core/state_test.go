@@ -189,8 +189,9 @@ func TestComputeMCDDefinition(t *testing.T) {
 	if got := st.ComputeMCD(3); got != 2 {
 		t.Fatalf("mcd(3) = %d, want 2", got)
 	}
-	// In-flight rule: a neighbor mid-drop (core = cu-1, t > 0) counts.
-	st.T[1].Store(2)
+	// In-flight rule: a neighbor mid-drop from cu (core = cu-1, t in
+	// flight from cu) counts.
+	st.T[1].Store(DropStatus(2, 2))
 	st.Core[1].Store(1)
 	if got := st.ComputeMCD(0); got != 2 {
 		t.Fatalf("mcd(0) with in-flight neighbor = %d, want 2", got)
@@ -198,6 +199,38 @@ func TestComputeMCDDefinition(t *testing.T) {
 	st.T[1].Store(0)
 	if got := st.ComputeMCD(0); got != 1 {
 		t.Fatalf("mcd(0) after neighbor settled = %d, want 1", got)
+	}
+}
+
+// A drop publishes t before the lowered core number (so that no observer
+// sees a dropped-but-untracked vertex). In that window the vertex still reads
+// its old core k: a recount at level k+1 must not mistake it for a vertex
+// that has just arrived from k+1 — it never was in the (k+1)-core — while a
+// recount at level k must count it before and after the core store.
+func TestComputeMCDDropStatusWindow(t *testing.T) {
+	g := graph.MustFromEdges(5, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, // triangle: cores 2
+		{U: 0, V: 3}, {U: 3, V: 4}, // tail: cores 1
+	})
+	st := NewState(g)
+	// Vertex 3 (core 1) begins to drop to core 0: t first.
+	st.T[3].Store(DropStatus(1, 2))
+	if got := st.ComputeMCD(0); got != 2 {
+		t.Fatalf("level-2 recount in the window of a 1->0 drop: mcd(0) = %d, want 2", got)
+	}
+	if got := st.ComputeMCD(4); got != 1 {
+		t.Fatalf("level-1 recount in the window: mcd(4) = %d, want 1", got)
+	}
+	st.Core[3].Store(0)
+	if got := st.ComputeMCD(0); got != 2 {
+		t.Fatalf("level-2 recount after the core store: mcd(0) = %d, want 2", got)
+	}
+	if got := st.ComputeMCD(4); got != 1 {
+		t.Fatalf("level-1 recount of a neighbor in flight from level 1: mcd(4) = %d, want 1", got)
+	}
+	st.T[3].Store(0)
+	if got := st.ComputeMCD(4); got != 0 {
+		t.Fatalf("mcd(4) after neighbor settled = %d, want 0", got)
 	}
 }
 

@@ -26,10 +26,10 @@ func RunContention(cfg Config) {
 		per := func(x int64) float64 { return float64(x) / float64(len(w.Batch)) }
 
 		stIns := core.NewState(w.WithoutBatch())
-		_, ins := pcore.InsertEdgesMetered(stIns, w.Batch, workers, nil)
+		ins := pcore.New(stIns, workers).InsertEdges(w.Batch).Metrics
 
 		stRem := core.NewState(w.Base.Clone())
-		_, rem := pcore.RemoveEdgesMetered(stRem, w.Batch, workers, nil)
+		rem := pcore.New(stRem, workers).RemoveEdges(w.Batch).Metrics
 
 		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\n", sg.Name,
 			per(ins.LockAborts), per(ins.QueueRebuilds), per(ins.Evictions),

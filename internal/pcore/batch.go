@@ -1,132 +1,290 @@
+// Package pcore implements the paper's contribution: the Parallel-Order
+// core maintenance algorithms — batch edge insertion (Algorithm 7) and batch
+// edge removal (Algorithm 8) driven by per-worker goroutines (Algorithm 5),
+// synchronized with per-vertex CAS spin locks, the order-change status
+// protocol (Algorithm 6) and the versioned priority queue (Algorithms 9-11).
 package pcore
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/graph"
 	"repro/internal/core"
 )
 
-// InsertEdges inserts a batch of edges with the Parallel-Order insertion
-// algorithm using `workers` goroutines (Algorithm 5: the batch is
-// partitioned statically and each worker processes its share one edge at a
-// time, no preprocessing). It returns per-edge statistics aligned with
-// edges; stats[i].VPlus feeds the Fig. 1 histogram.
+// Engine runs Parallel-Order batches over one State with a fixed set of
+// workers (Algorithm 5: a batch is partitioned statically and each worker
+// processes its share one edge at a time, no preprocessing). The workers and
+// all their scratch live here across batches, so a batch allocates nothing
+// per edge; every buffer but the repair pass's bit set is sized by what
+// operations touched (|V+|, moves, batch length), not by the number of
+// vertices, and none of those outlives its operation above scratchKeep
+// entries.
 //
-// Callers must not run InsertEdges and RemoveEdges concurrently on one
-// State — the paper's algorithms assume insertion and removal phases never
-// overlap (§4), and the kcore façade enforces it.
-func InsertEdges(st *core.State, edges []graph.Edge, workers int) []core.InsertStats {
-	stats, _ := InsertEdgesMetered(st, edges, workers, nil)
-	return stats
+// One goroutine drives an Engine at a time, and insertion and removal
+// batches never overlap — the paper's algorithms assume it (§4) and the
+// kcore façade enforces it.
+type Engine struct {
+	ws      []*worker
+	wg      sync.WaitGroup
+	sizes   []int32
+	changed [][]int32
+	// seen is the repair pass's set of vertices already taken as targets,
+	// one bit per vertex, all clear between batches. It is the engine's
+	// one per-vertex buffer (n/8 bytes); run sizes it to the State.
+	seen []uint64
 }
 
-// InsertEdgesMetered is InsertEdges with contention counters: when m is
-// non-nil, the workers record lock aborts, queue rebuilds, evictions and
-// promotions into it.
-func InsertEdgesMetered(st *core.State, edges []graph.Edge, workers int, m *Metrics) ([]core.InsertStats, MetricsSnapshot) {
+// New returns an engine over st with max(workers, 1) workers.
+func New(st *core.State, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	if m == nil {
-		m = &Metrics{}
+	e := &Engine{ws: make([]*worker, workers), changed: make([][]int32, workers)}
+	for i := range e.ws {
+		e.ws[i] = newWorker(st)
 	}
-	stats := make([]core.InsertStats, len(edges))
-	ws := make([]*insertWorker, workers)
-	var wg sync.WaitGroup
-	for pi := 0; pi < workers; pi++ {
-		ws[pi] = &insertWorker{st: st, m: m}
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			w := ws[pi]
-			for i := pi; i < len(edges); i += workers {
-				stats[i] = w.insertEdge(edges[i].U, edges[i].V)
-			}
-		}(pi)
+	return e
+}
+
+// Batch reports what one batch did. Its slices alias buffers the engine
+// reuses: they are valid until the engine's next batch.
+type Batch struct {
+	// Sizes is aligned with the batch's edges: -1 where the edge changed
+	// nothing (self-loop, duplicate insertion, absent removal), otherwise
+	// the size of the operation's searching set — |V+| for an insertion
+	// (the Fig. 1 histogram), |V*| for a removal (where V+ = V*, §6.5).
+	Sizes []int32
+	// Changed holds, per worker, the V* of every edge that worker applied,
+	// concatenated: the vertices whose core number the batch moved (one
+	// entry per move, so a vertex moved twice appears twice) — the input
+	// to delta snapshot publication.
+	Changed [][]int32
+	// Metrics are this batch's contention and work counters.
+	Metrics Metrics
+}
+
+// Applied counts the edges of the batch that changed the graph.
+func (b Batch) Applied() int {
+	n := 0
+	for _, s := range b.Sizes {
+		if s >= 0 {
+			n++
+		}
 	}
-	wg.Wait()
-	repairDout(st, ws, nil, workers)
-	return stats, m.Snapshot()
+	return n
+}
+
+// InsertEdges inserts a batch of edges with the Parallel-Order insertion
+// algorithm (Algorithm 7 per edge).
+func (e *Engine) InsertEdges(edges []graph.Edge) Batch {
+	return e.run(edges, (*worker).insertEdge)
 }
 
 // RemoveEdges removes a batch of edges with the Parallel-Order removal
-// algorithm using `workers` goroutines. It returns per-edge statistics
-// aligned with edges.
-func RemoveEdges(st *core.State, edges []graph.Edge, workers int) []core.RemoveStats {
-	stats, _ := RemoveEdgesMetered(st, edges, workers, nil)
-	return stats
+// algorithm (Algorithm 8 per edge).
+func (e *Engine) RemoveEdges(edges []graph.Edge) Batch {
+	return e.run(edges, (*worker).removeEdge)
 }
 
-// RemoveEdgesMetered is RemoveEdges with contention counters.
-func RemoveEdgesMetered(st *core.State, edges []graph.Edge, workers int, m *Metrics) ([]core.RemoveStats, MetricsSnapshot) {
-	if workers < 1 {
-		workers = 1
+// run executes one batch in two fork-join phases: every worker applies its
+// share of the edges, and once all have quiesced every worker repairs the
+// d⁺out of its share of what was repositioned. The calling goroutine is
+// worker 0, so a one-worker engine starts no goroutine at all.
+func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32) Batch {
+	if e.sizes = keep(e.sizes); cap(e.sizes) < len(edges) {
+		e.sizes = make([]int32, len(edges))
 	}
-	if m == nil {
-		m = &Metrics{}
-	}
-	stats := make([]core.RemoveStats, len(edges))
-	ws := make([]*removeWorker, workers)
-	var wg sync.WaitGroup
-	for pi := 0; pi < workers; pi++ {
-		ws[pi] = &removeWorker{st: st, m: m}
-		wg.Add(1)
+	sizes := e.sizes[:len(edges)]
+	for pi := 1; pi < len(e.ws); pi++ {
+		e.wg.Add(1)
 		go func(pi int) {
-			defer wg.Done()
-			w := ws[pi]
-			for i := pi; i < len(edges); i += workers {
-				stats[i] = w.removeEdge(edges[i].U, edges[i].V)
-			}
+			defer e.wg.Done()
+			e.ws[pi].applyShare(edges, sizes, pi, len(e.ws), apply)
 		}(pi)
 	}
-	wg.Wait()
-	repairDout(st, nil, ws, workers)
-	return stats, m.Snapshot()
+	e.ws[0].applyShare(edges, sizes, 0, len(e.ws), apply)
+	e.wg.Wait()
+
+	// A batch is one long computation on the caller's goroutine, which a
+	// one-worker engine never leaves (wg.Wait has nothing to wait for).
+	// Yield between the phases so that whatever is queued behind it on
+	// this P — a connection's reads beside a serving node's applier —
+	// runs now, not a whole repair pass later.
+	runtime.Gosched()
+	if n := e.ws[0].st.N(); len(e.seen)*64 < n {
+		e.seen = make([]uint64, (n+63)/64)
+	}
+	for pi := 1; pi < len(e.ws); pi++ {
+		e.wg.Add(1)
+		go func(pi int) {
+			defer e.wg.Done()
+			e.ws[pi].repairDout(e, pi)
+		}(pi)
+	}
+	e.ws[0].repairDout(e, 0)
+	e.wg.Wait()
+	for _, w := range e.ws {
+		w.repair, w.targets = keep(w.repair), keep(w.targets)
+	}
+
+	b := Batch{Sizes: sizes, Changed: e.changed}
+	for i, w := range e.ws {
+		b.Changed[i] = w.changed
+		b.Metrics.add(w.m)
+	}
+	return b
 }
 
-// repairDout recomputes d⁺out for every vertex whose k-order position
-// changed during the batch and for the neighbors it had at move time, in
-// parallel, once every worker has quiesced. An edge's orientation changes
-// only if one of its endpoints moved, so this set covers every stale Dout.
-// Within a batch each worker maintains Dout incrementally exactly as
-// Algorithm 7 prescribes; what this pass settles is the orientation of edges
-// whose BOTH endpoints were repositioned by different workers — their
-// relative order at the head of O_{k+1} (or tail of O_{k-1}) is decided by
-// lock interleaving and is only observable now. Cost: O(Σ_{v moved} deg(v)),
-// the same order as the traversal work itself.
-func repairDout(st *core.State, iws []*insertWorker, rws []*removeWorker, workers int) {
-	mark := make([]bool, st.N())
-	var targets []int32
-	add := func(v int32) {
-		if !mark[v] {
-			mark[v] = true
-			targets = append(targets, v)
-		}
+// scratchKeep is the largest capacity, in entries, at which a scratch buffer
+// is carried over to the next operation or batch. What the common case needs
+// (Fig. 1: |V+| ≤ 10 for almost every edge) is then never reallocated, while
+// the buffers of the rare huge traversal or batch — which amortize their own
+// allocation — are garbage once it is over, so a worker's footprint does not
+// ratchet up to its high-water mark.
+const scratchKeep = 1024
+
+// keep returns buf emptied for reuse, or nil if it has outgrown scratchKeep.
+func keep[T any](buf []T) []T {
+	if cap(buf) > scratchKeep {
+		return nil
 	}
-	collect := func(repair []int32) {
-		for _, v := range repair {
-			add(v)
-		}
+	return buf[:0]
+}
+
+// worker is one of the engine's workers: it executes InsertEdge_p
+// (Algorithm 7) and RemoveEdge_p (Algorithm 8) for its share of each batch.
+// All of it is private to the worker — shared state is reached through st
+// under the locking protocol — and all of it is kept from one edge and one
+// batch to the next: an operation resets what the previous one left, it
+// never reallocates (DESIGN.md, "Worker scratch").
+type worker struct {
+	st *core.State
+
+	// per batch
+	m Metrics
+	// repair collects every vertex this worker repositioned — promoted
+	// into O_{k+1}, dropped into O_{k-1}, evicted within O_k — and the
+	// neighbors recordMove's rule selects; repairDout recomputes their
+	// d⁺out when the batch is quiescent. Neighbors are recorded at the
+	// move because edges can be removed later in the batch, hiding an
+	// affected neighbor from a batch-end adjacency scan.
+	repair []int32
+	// targets is the share of all workers' repair sets that this worker
+	// recomputes (repairDout), each vertex once.
+	targets []int32
+	// sameLevel narrows recordMove to the neighbors at the level of the
+	// move. No engine sets it yet: see recordMove.
+	sameLevel bool
+	// changed is the concatenated V* of the edges this worker applied.
+	changed []int32
+
+	// per edge
+	k         int32
+	q         pqueue
+	mk        marks
+	vstar     []int32 // V* in discovery (= k-) order, evicted members included
+	confirmed []int32 // Backward triggers: V+ \ V* members that never joined V*
+	rq        []int32 // R: Backward's eviction queue / removal's propagation queue
+}
+
+func newWorker(st *core.State) *worker {
+	p := &worker{st: st}
+	p.q = pqueue{st: st, m: &p.m, mk: &p.mk}
+	return p
+}
+
+// applyShare runs the worker's static share of the batch: edges pi,
+// pi+stride, and so on.
+func (p *worker) applyShare(edges []graph.Edge, sizes []int32, pi, stride int, apply func(*worker, int32, int32) int32) {
+	p.m = Metrics{}
+	p.changed = keep(p.changed)
+	for i := pi; i < len(edges); i += stride {
+		sizes[i] = apply(p, edges[i].U, edges[i].V)
 	}
-	for _, w := range iws {
-		collect(w.repair)
-	}
-	for _, w := range rws {
-		collect(w.repair)
-	}
-	if len(targets) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for pi := 0; pi < workers; pi++ {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			for i := pi; i < len(targets); i += workers {
-				st.RecomputeDout(targets[i])
+}
+
+// resetScratch empties the per-edge scratch for the next searching operation.
+func (p *worker) resetScratch() {
+	p.mk.reset()
+	p.vstar = keep(p.vstar)
+	p.confirmed = keep(p.confirmed)
+	p.rq = keep(p.rq)
+}
+
+// recordMove adds w, which this worker has just repositioned at level k and
+// still holds locked (so its adjacency is stable), to the repair set together
+// with its neighbors — all of them, or with sameLevel only those whose core
+// number is k.
+//
+// Only the level-k neighbors can have flipped. A move at level k is a promotion from O_k to
+// the head of O_{k+1}, a drop from O_k to the tail of O_{k-1}, or an eviction
+// to a later place inside O_k. A neighbor x that never moves during the batch
+// keeps one core number c throughout, so whenever it is read here it reads c:
+// if c < k-1 or c > k+1, x is on the same side of w before and after; if
+// c = k+1, w either stays below O_{k+1} or enters it at the head, in front of
+// every vertex that does not move; if c = k-1, w either stays above O_{k-1}
+// or enters it at the tail, behind every vertex that does not move. That
+// leaves c = k, which is recorded. A neighbor that does move during the
+// batch, before or after this read, is recorded by its own mover. And d⁺out
+// of a vertex recorded by nobody is only ever changed by the insertion or
+// removal of one of its own edges, under both endpoint locks, which is exact.
+//
+// The whole neighborhood is a superset of that, so both settings are exact;
+// it is also what makes one low-core vertex beside a hub cost the hub's
+// adjacency scan. This package's tests run with sameLevel on; New leaves it
+// off, because switching it on multiplies write throughput by 2 to 7 and the
+// benchmark's spread check, an absolute band around the parent's median,
+// cannot judge a change of that size (CHANGES.md, PR 12, says how to land it).
+func (p *worker) recordMove(w, k int32) {
+	st := p.st
+	p.repair = append(p.repair, w)
+	if p.sameLevel {
+		for _, x := range st.G.Adj(w) {
+			if st.Core[x].Load() == k {
+				p.repair = append(p.repair, x)
 			}
-		}(pi)
+		}
+	} else {
+		p.repair = append(p.repair, st.G.Adj(w)...)
 	}
-	wg.Wait()
+}
+
+// repairDout recomputes d⁺out for worker pi's share of the repair sets, once
+// every worker has quiesced. Within a batch each worker maintains d⁺out
+// incrementally as Algorithm 7 prescribes; what this pass settles is the
+// orientation of edges whose endpoints were repositioned by different
+// workers — their relative order at the head of O_{k+1} (or the tail of
+// O_{k-1}) is decided by lock interleaving and is only observable now — and
+// of the edges a drop flips, which removal leaves to this pass altogether.
+//
+// Worker pi takes, out of every worker's set, the vertices whose word of the
+// engine's bit set has index congruent to pi modulo the number of workers:
+// no two workers touch one word, and a vertex is recomputed once however
+// often and by however many workers it was recorded. Cost: one pass over the
+// recorded entries plus Σ deg(t) order comparisons over the distinct targets
+// t — the moved vertices and their neighborhoods; with sameLevel, |targets| ≤
+// Σ_{w moved} (1 + |{x ∈ N(w) : core(x) = level of the move}|) and a neighbor
+// at another level — the hub next to a low-core vertex — is never scanned.
+func (p *worker) repairDout(e *Engine, pi int) {
+	targets := p.targets[:0]
+	for _, w := range e.ws {
+		for _, v := range w.repair {
+			word, bit := int(v>>6), uint64(1)<<(v&63)
+			if word%len(e.ws) == pi && e.seen[word]&bit == 0 {
+				e.seen[word] |= bit
+				targets = append(targets, v)
+			}
+		}
+	}
+	for _, v := range targets {
+		if traceFn != nil {
+			traceFn(traceRepair, v)
+		}
+		p.st.RecomputeDout(v)
+		e.seen[v>>6] = 0
+	}
+	p.targets = targets
+	p.m.RepairTargets = int64(len(targets))
 }

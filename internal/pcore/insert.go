@@ -6,44 +6,13 @@ import (
 	"repro/internal/spin"
 )
 
-// insertWorker executes InsertEdge_p (Algorithm 7) for one worker p. All
-// scratch state (V*, V+, Q_p, R_p) is private; shared state is reached
-// through st under the locking protocol.
-type insertWorker struct {
-	st *core.State
-	m  *Metrics
-	// repair records every vertex this worker repositioned (promoted into
-	// O_{k+1} or evicted within O_k) plus the neighbors it had at move
-	// time; the batch runner recomputes their Dout once the batch is
-	// quiescent. Neighborhoods are snapshotted at the move because edges
-	// can be added or removed later in the batch, hiding the affected
-	// neighbor from a batch-end adjacency scan.
-	repair []int32
-
-	// per-edge scratch, reset by insertEdge
-	k      int32
-	q      *pqueue
-	vstar  []int32
-	inStar map[int32]bool
-	done   map[int32]bool
-	vplus  int
-}
-
-func (p *insertWorker) own(v int32) bool { return p.inStar[v] || p.done[v] }
-
-// recordMove snapshots w and its current neighborhood into the batch-end
-// Dout repair set. w is locked by this worker, so its adjacency is stable.
-func (p *insertWorker) recordMove(w int32) {
-	p.repair = append(p.repair, w)
-	p.repair = append(p.repair, p.st.G.Adj(w)...)
-}
-
 // insertEdge inserts one edge and restores the maintenance invariants,
-// locking only the traversed vertices in V+ (Algorithm 7).
-func (p *insertWorker) insertEdge(u, v int32) core.InsertStats {
+// locking only the traversed vertices in V+ (Algorithm 7). It returns |V+|,
+// or -1 if the edge changed nothing; V* is appended to p.changed.
+func (p *worker) insertEdge(u, v int32) int32 {
 	st := p.st
 	if u == v {
-		return core.InsertStats{}
+		return -1
 	}
 	// Lock both endpoints together (line 1); with both held their k-order
 	// is frozen, so orienting the edge by one comparison replaces the
@@ -60,7 +29,7 @@ func (p *insertWorker) insertEdge(u, v int32) core.InsertStats {
 		// earlier in the batch): nothing to do.
 		st.Locks[u].Unlock()
 		st.Locks[v].Unlock()
-		return core.InsertStats{}
+		return -1
 	}
 	k := st.Core[u].Load()
 	st.Dout[u].Add(1)
@@ -69,16 +38,12 @@ func (p *insertWorker) insertEdge(u, v int32) core.InsertStats {
 	st.Locks[v].Unlock() // line 5
 	if st.Dout[u].Load() <= k {
 		st.Locks[u].Unlock() // line 6
-		return core.InsertStats{Applied: true}
+		return 0
 	}
 
 	p.k = k
-	p.q = newPQueue(st, k)
-	p.q.m = p.m
-	p.vstar = p.vstar[:0]
-	p.inStar = map[int32]bool{}
-	p.done = map[int32]bool{}
-	p.vplus = 0
+	p.q.reset(k)
+	p.resetScratch()
 
 	w := u
 	for {
@@ -86,7 +51,7 @@ func (p *insertWorker) insertEdge(u, v int32) core.InsertStats {
 		// locked by us, w is locked by us: the comparison is stable.
 		din := int32(0)
 		for _, x := range st.G.Adj(w) {
-			if p.inStar[x] && st.Before(x, w) {
+			if p.mk.has(x, mStar) && st.Before(x, w) {
 				din++
 			}
 		}
@@ -102,38 +67,28 @@ func (p *insertWorker) insertEdge(u, v int32) core.InsertStats {
 		default:
 			st.Locks[w].Unlock() // line 11: w ∉ V+
 		}
-		next, ok := p.q.dequeue(p.own) // line 12: returns w locked
+		next, ok := p.q.dequeue() // line 12: returns w locked
 		if !ok {
 			break
 		}
 		w = next
 	}
-	p.commit()
-	// p.vstar is reused scratch; the surviving candidates are copied out
-	// so the changed set stays valid after the next edge resets it.
-	stats := core.InsertStats{Applied: true, VPlus: p.vplus}
-	for _, w := range p.vstar {
-		if p.inStar[w] {
-			stats.Changed = append(stats.Changed, w)
-		}
-	}
-	stats.VStar = len(stats.Changed)
-	return stats
+	p.promote()
+	return int32(len(p.vstar) + len(p.confirmed)) // |V+|
 }
 
 // forward adds the locked vertex w to V* and schedules its same-core
 // successors (Algorithm 7 lines 18-21). Successors are examined without
 // locking them — only V+ is locked.
-func (p *insertWorker) forward(w int32) {
+func (p *worker) forward(w int32) {
 	st := p.st
 	p.vstar = append(p.vstar, w)
-	p.inStar[w] = true
-	p.vplus++
+	p.mk.set(w, mStar)
 	if traceFn != nil {
 		traceFn("p=%p forward %d (k=%d)", p, w, p.k)
 	}
 	for _, x := range st.G.Adj(w) {
-		if st.Core[x].Load() == p.k && !p.q.contains(x) && !p.inStar[x] && !p.done[x] && st.Before(w, x) {
+		if st.Core[x].Load() == p.k && !p.mk.has(x, mQueued|mStar|mDone) && st.Before(w, x) {
 			if traceFn != nil {
 				traceFn("p=%p   enqueue %d", p, x)
 			}
@@ -146,27 +101,25 @@ func (p *insertWorker) forward(w int32) {
 // member whose potential degree fell to k, moving evicted vertices after the
 // advancing anchor `pre` inside O_k (Algorithm 7 lines 22-31). All touched
 // vertices are members of V+ and therefore already locked by this worker.
-func (p *insertWorker) backward(w int32) {
+func (p *worker) backward(w int32) {
 	st := p.st
 	list := st.List(p.k)
-	p.vplus++
-	p.done[w] = true
+	p.mk.set(w, mDone)
+	p.confirmed = append(p.confirmed, w)
 	if traceFn != nil {
 		traceFn("p=%p backward %d (k=%d)", p, w, p.k)
 	}
 	pre := w
-	var rq []int32
-	inR := map[int32]bool{}
-	p.doPre(w, &rq, inR)
+	p.rq = p.rq[:0]
+	p.doPre(w)
 	st.Dout[w].Add(st.Din[w])
 	st.Din[w] = 0
-	for len(rq) > 0 {
-		u := rq[0]
-		rq = rq[1:]
-		delete(p.inStar, u)
-		p.done[u] = true
-		p.doPre(u, &rq, inR)
-		p.doPost(u, &rq, inR)
+	for head := 0; head < len(p.rq); head++ {
+		u := p.rq[head]
+		p.mk.unset(u, mStar)
+		p.mk.set(u, mDone)
+		p.doPre(u)
+		p.doPost(u)
 		if traceFn != nil {
 			traceFn("p=%p   evict %d after %d", p, u, pre)
 		}
@@ -174,10 +127,8 @@ func (p *insertWorker) backward(w int32) {
 		list.Delete(st.Items[u])
 		list.InsertAfter(st.Items[pre], st.Items[u])
 		st.EndOrderChange(u)
-		p.recordMove(u)
-		if p.m != nil {
-			p.m.Evictions.Add(1)
-		}
+		p.recordMove(u, p.k)
+		p.m.Evictions++
 		pre = u
 		st.Dout[u].Add(st.Din[u])
 		st.Din[u] = 0
@@ -186,46 +137,51 @@ func (p *insertWorker) backward(w int32) {
 
 // doPre: u is confirmed outside V*; its V* predecessors lose one remaining
 // out-degree (Algorithm 7 lines 32-35).
-func (p *insertWorker) doPre(u int32, rq *[]int32, inR map[int32]bool) {
+func (p *worker) doPre(u int32) {
 	st := p.st
 	for _, x := range st.G.Adj(u) {
-		if p.inStar[x] && st.Before(x, u) {
+		if p.mk.has(x, mStar) && st.Before(x, u) {
 			st.Dout[x].Add(-1)
-			if st.Din[x]+st.Dout[x].Load() <= p.k && !inR[x] {
-				inR[x] = true
-				*rq = append(*rq, x)
-			}
+			p.evictIfSpent(x)
 		}
+	}
+}
+
+// evictIfSpent schedules the V* member x for eviction, once, when its
+// potential degree d*in + d⁺out no longer exceeds k. An evicted vertex
+// leaves V* for good, so mInR never needs clearing within the operation.
+func (p *worker) evictIfSpent(x int32) {
+	st := p.st
+	if st.Din[x]+st.Dout[x].Load() <= p.k && !p.mk.has(x, mInR) {
+		p.mk.set(x, mInR)
+		p.rq = append(p.rq, x)
 	}
 }
 
 // doPost: u left V*; its V* successors lose one candidate in-degree
 // (Algorithm 7 lines 36-40).
-func (p *insertWorker) doPost(u int32, rq *[]int32, inR map[int32]bool) {
+func (p *worker) doPost(u int32) {
 	st := p.st
 	for _, x := range st.G.Adj(u) {
-		if p.inStar[x] && st.Din[x] > 0 && st.Before(u, x) {
+		if p.mk.has(x, mStar) && st.Din[x] > 0 && st.Before(u, x) {
 			st.Din[x]--
-			if st.Din[x]+st.Dout[x].Load() <= p.k && !inR[x] {
-				inR[x] = true
-				*rq = append(*rq, x)
-			}
+			p.evictIfSpent(x)
 		}
 	}
 }
 
-// commit promotes the surviving candidates (Algorithm 7 lines 14-17): each
+// promote commits the surviving candidates (Algorithm 7 lines 14-17): each
 // moves to the head of O_{k+1} preserving V*'s relative order (anchor
 // chaining), with core number and position published atomically under the
 // order-change status. Every lock this worker still holds is released.
-func (p *insertWorker) commit() {
+func (p *worker) promote() {
 	st := p.st
 	from := st.List(p.k)
 	to := st.List(p.k + 1)
 	var anchor *om.Item
 	for _, w := range p.vstar {
-		if !p.inStar[w] {
-			continue
+		if !p.mk.has(w, mStar) {
+			continue // evicted by backward
 		}
 		st.Mcd[w].Store(core.McdEmpty)
 		for _, x := range st.G.Adj(w) {
@@ -251,19 +207,16 @@ func (p *insertWorker) commit() {
 		anchor = st.Items[w]
 		st.EndOrderChange(w)
 		st.CommitMu.Unlock()
-		p.recordMove(w)
-		if p.m != nil {
-			p.m.Promotions.Add(1)
-		}
+		p.recordMove(w, p.k)
+		p.changed = append(p.changed, w)
+		p.m.Promotions++
 	}
-	// Unlock all of V+ (line 17): V* members and confirmed
-	// non-candidates alike.
+	// Unlock all of V+ (line 17): V* members, evicted ones, and the
+	// confirmed non-candidates that triggered a Backward.
 	for _, w := range p.vstar {
-		if p.inStar[w] {
-			st.Locks[w].Unlock()
-		}
+		st.Locks[w].Unlock()
 	}
-	for w := range p.done {
+	for _, w := range p.confirmed {
 		st.Locks[w].Unlock()
 	}
 }

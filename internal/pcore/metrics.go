@@ -2,52 +2,45 @@ package pcore
 
 import "sync/atomic"
 
-// Metrics aggregates contention and work counters across one batch. The
-// paper's work-depth analysis (§4.1.3, §4.2.3) argues that blocking is rare
-// because V+ and V* are almost always tiny (Fig. 1); these counters expose
-// the mechanism directly: how often a conditional lock aborted because
-// another worker changed a core number, how often a priority queue had to
-// rebuild its label snapshot, and how often a removal propagation was forced
-// to redo by a concurrent CheckMCD.
+// Metrics holds the contention and work counters of one batch. The paper's
+// work-depth analysis (§4.1.3, §4.2.3) argues that blocking is rare because
+// V+ and V* are almost always tiny (Fig. 1); these counters expose the
+// mechanism directly: how often a conditional lock aborted because another
+// worker changed a core number, how often a priority queue had to rebuild
+// its label snapshot, and how often a removal propagation was forced to redo
+// by a concurrent CheckMCD. Every worker counts into its own Metrics (plain
+// fields, one writer) and the engine sums them when the batch is quiescent.
 type Metrics struct {
 	// LockAborts counts conditional-lock acquisitions abandoned because
 	// the target's core number left the operation's level (insertion
 	// dequeues and removal neighbor visits).
-	LockAborts atomic.Int64
+	LockAborts int64
 	// QueueRebuilds counts full label re-snapshots of insertion priority
 	// queues (Algorithm 9 update_version executions).
-	QueueRebuilds atomic.Int64
+	QueueRebuilds int64
 	// RemovalRedos counts propagation rounds re-run because a neighbor's
 	// CheckMCD CASed the t status from 1 to 3 (Algorithm 8 line 16).
-	RemovalRedos atomic.Int64
+	RemovalRedos int64
 	// Evictions counts Backward repositionings (insertion candidates
 	// confirmed out after having joined V*).
-	Evictions atomic.Int64
+	Evictions int64
 	// Promotions and Drops count core-number changes applied.
-	Promotions atomic.Int64
-	Drops      atomic.Int64
+	Promotions int64
+	Drops      int64
+	// RepairTargets counts the d⁺out recomputations of the batch-end
+	// repair: every repositioned vertex plus the neighbors recordMove
+	// selected, each counted once.
+	RepairTargets int64
 }
 
-// Snapshot returns a plain-value copy for reporting.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		LockAborts:    m.LockAborts.Load(),
-		QueueRebuilds: m.QueueRebuilds.Load(),
-		RemovalRedos:  m.RemovalRedos.Load(),
-		Evictions:     m.Evictions.Load(),
-		Promotions:    m.Promotions.Load(),
-		Drops:         m.Drops.Load(),
-	}
-}
-
-// MetricsSnapshot is the plain-value form of Metrics.
-type MetricsSnapshot struct {
-	LockAborts    int64
-	QueueRebuilds int64
-	RemovalRedos  int64
-	Evictions     int64
-	Promotions    int64
-	Drops         int64
+func (m *Metrics) add(o Metrics) {
+	m.LockAborts += o.LockAborts
+	m.QueueRebuilds += o.QueueRebuilds
+	m.RemovalRedos += o.RemovalRedos
+	m.Evictions += o.Evictions
+	m.Promotions += o.Promotions
+	m.Drops += o.Drops
+	m.RepairTargets += o.RepairTargets
 }
 
 // ServeMetrics instruments the serving-layer update pipeline that feeds

@@ -62,13 +62,7 @@ func TestParallelInsertManyWorkers(t *testing.T) {
 		st := core.NewState(base.Clone())
 		stats := InsertEdges(st, batch, workers)
 		mustCheck(t, st, "insert")
-		applied := 0
-		for _, s := range stats {
-			if s.Applied {
-				applied++
-			}
-		}
-		if applied != len(batch) {
+		if applied := stats.Applied(); applied != len(batch) {
 			t.Fatalf("%d workers: applied %d of %d", workers, applied, len(batch))
 		}
 	}
@@ -81,13 +75,7 @@ func TestParallelRemoveManyWorkers(t *testing.T) {
 		st := core.NewState(base.Clone())
 		stats := RemoveEdges(st, batch, workers)
 		mustCheck(t, st, "remove")
-		applied := 0
-		for _, s := range stats {
-			if s.Applied {
-				applied++
-			}
-		}
-		if applied != len(batch) {
+		if applied := stats.Applied(); applied != len(batch) {
 			t.Fatalf("%d workers: applied %d of %d", workers, applied, len(batch))
 		}
 	}
@@ -120,13 +108,7 @@ func TestParallelInsertDuplicatesInBatch(t *testing.T) {
 	st := core.NewState(base.Clone())
 	stats := InsertEdges(st, batch, 4)
 	mustCheck(t, st, "dup insert")
-	applied := 0
-	for _, s := range stats {
-		if s.Applied {
-			applied++
-		}
-	}
-	if applied != len(fresh) {
+	if applied := stats.Applied(); applied != len(fresh) {
 		t.Fatalf("applied %d, want %d", applied, len(fresh))
 	}
 }
@@ -138,13 +120,7 @@ func TestParallelRemoveDuplicatesInBatch(t *testing.T) {
 	st := core.NewState(base.Clone())
 	stats := RemoveEdges(st, batch, 4)
 	mustCheck(t, st, "dup remove")
-	applied := 0
-	for _, s := range stats {
-		if s.Applied {
-			applied++
-		}
-	}
-	if applied != len(chosen) {
+	if applied := stats.Applied(); applied != len(chosen) {
 		t.Fatalf("applied %d, want %d", applied, len(chosen))
 	}
 }
@@ -165,20 +141,24 @@ func TestInsertThenRemoveRoundTripParallel(t *testing.T) {
 	}
 }
 
+// Alternating batches on one engine per repair rule: the same-level rule and
+// the whole-neighborhood rule New ships with must both leave I2 exact.
 func TestAlternatingBatches(t *testing.T) {
 	base := gen.RMAT(9, 1500, 15)
-	st := core.NewState(base.Clone())
-	g := base // track edges for sampling; st.G is the live graph
-	rng := rand.New(rand.NewSource(16))
-	for round := 0; round < 6; round++ {
-		ins := gen.SampleNonEdges(st.G, 60, rng.Int63())
-		InsertEdges(st, ins, 4)
-		mustCheck(t, st, "alternating insert round")
-		rem := gen.SampleEdges(st.G, 60, rng.Int63())
-		RemoveEdges(st, rem, 4)
-		mustCheck(t, st, "alternating remove round")
+	for _, rule := range []struct {
+		name string
+		new  func(*core.State, int) *Engine
+	}{{"same-level", newSameLevel}, {"neighborhood", New}} {
+		st := core.NewState(base.Clone())
+		e := rule.new(st, 4)
+		rng := rand.New(rand.NewSource(16))
+		for round := 0; round < 6; round++ {
+			e.InsertEdges(gen.SampleNonEdges(st.G, 60, rng.Int63()))
+			mustCheck(t, st, rule.name+": alternating insert round")
+			e.RemoveEdges(gen.SampleEdges(st.G, 60, rng.Int63()))
+			mustCheck(t, st, rule.name+": alternating remove round")
+		}
 	}
-	_ = g
 }
 
 // Property: for random graphs and batches, 8-worker parallel maintenance
@@ -250,10 +230,10 @@ func TestHighContentionClique(t *testing.T) {
 
 func TestEmptyBatches(t *testing.T) {
 	st := core.NewState(gen.ErdosRenyi(30, 60, 1))
-	if got := InsertEdges(st, nil, 4); len(got) != 0 {
+	if got := InsertEdges(st, nil, 4); len(got.Sizes) != 0 {
 		t.Fatal("empty insert batch must return empty stats")
 	}
-	if got := RemoveEdges(st, nil, 4); len(got) != 0 {
+	if got := RemoveEdges(st, nil, 4); len(got.Sizes) != 0 {
 		t.Fatal("empty remove batch must return empty stats")
 	}
 	mustCheck(t, st, "empty batches")
@@ -276,21 +256,21 @@ func TestMetricsReported(t *testing.T) {
 	base := gen.BarabasiAlbert(300, 4, 31)
 	ins := gen.SampleNonEdges(base, 200, 32)
 	st := core.NewState(base.Clone())
-	var m Metrics
-	_, snap := InsertEdgesMetered(st, ins, 8, &m)
+	e := New(st, 8)
+	snap := e.InsertEdges(ins).Metrics
 	mustCheck(t, st, "metered insert")
-	if snap.Promotions == 0 {
-		t.Fatal("a 200-edge BA batch must promote someone")
+	if snap.Promotions == 0 || snap.RepairTargets == 0 {
+		t.Fatalf("a 200-edge BA batch must promote someone and repair it: %+v", snap)
 	}
 	rem := gen.SampleEdges(st.G, 200, 33)
-	_, snap2 := RemoveEdgesMetered(st, rem, 8, &m)
+	snap2 := e.RemoveEdges(rem).Metrics
 	mustCheck(t, st, "metered remove")
 	if snap2.Drops == 0 {
 		t.Fatal("a 200-edge BA removal must drop someone")
 	}
-	// Counters accumulate in the shared Metrics across both batches.
-	if snap2.Promotions != snap.Promotions {
-		t.Fatalf("promotions changed during removal: %d -> %d", snap.Promotions, snap2.Promotions)
+	// Counters are per batch: the removal promoted nobody.
+	if snap2.Promotions != 0 {
+		t.Fatalf("removal batch reports %d promotions", snap2.Promotions)
 	}
 }
 
@@ -306,13 +286,13 @@ func TestMetricsHighContention(t *testing.T) {
 		}
 	}
 	st := core.NewState(graph.New(n))
-	var m Metrics
-	_, snap := InsertEdgesMetered(st, all, 8, &m)
+	e := New(st, 8)
+	snap := e.InsertEdges(all).Metrics
 	mustCheck(t, st, "contended insert")
 	if snap.Promotions == 0 {
 		t.Fatal("clique build must promote")
 	}
-	_, snap = RemoveEdgesMetered(st, all, 8, &m)
+	snap = e.RemoveEdges(all).Metrics
 	mustCheck(t, st, "contended remove")
 	if snap.Drops == 0 {
 		t.Fatal("clique dismantle must drop")

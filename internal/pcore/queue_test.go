@@ -25,7 +25,7 @@ func drain(t *testing.T, st *core.State, q *pqueue) []int32 {
 	t.Helper()
 	var out []int32
 	for {
-		v, ok := q.dequeue(func(int32) bool { return false })
+		v, ok := q.dequeue()
 		if !ok {
 			return out
 		}
@@ -123,8 +123,8 @@ func TestPQueueOwnVerticesSkipped(t *testing.T) {
 	q := newPQueue(st, 1)
 	q.enqueue(1)
 	q.enqueue(2)
-	own := func(v int32) bool { return v == 1 }
-	v, ok := q.dequeue(own)
+	q.mk.set(1, mDone) // the worker already holds 1
+	v, ok := q.dequeue()
 	if !ok || v != 2 {
 		t.Fatalf("got %d, want 2 (1 is own)", v)
 	}
@@ -134,7 +134,7 @@ func TestPQueueOwnVerticesSkipped(t *testing.T) {
 func TestPQueueEmpty(t *testing.T) {
 	st := queueState(t, 3)
 	q := newPQueue(st, 1)
-	if _, ok := q.dequeue(func(int32) bool { return false }); ok {
+	if _, ok := q.dequeue(); ok {
 		t.Fatal("empty queue must report !ok")
 	}
 }
@@ -162,7 +162,7 @@ func TestPQueueStressAgainstOrder(t *testing.T) {
 	}
 	var prev int32 = -1
 	for {
-		v, ok := q.dequeue(func(int32) bool { return false })
+		v, ok := q.dequeue()
 		if !ok {
 			break
 		}

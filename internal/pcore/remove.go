@@ -5,36 +5,26 @@ import (
 	"repro/internal/spin"
 )
 
-// removeWorker executes RemoveEdge_p (Algorithm 8) for one worker p. Only
-// vertices entering V* are kept locked; every other examined neighbor is
-// locked conditionally and released immediately, and blocking cycles are
-// impossible because a conditional lock aborts as soon as the target's core
-// number leaves the removal level (§4.2.2).
-type removeWorker struct {
-	st *core.State
-	m  *Metrics
-	// repair holds every dropped vertex plus its move-time neighborhood,
-	// for the batch-end Dout recomputation (see insertWorker.repair).
-	repair []int32
+// Removal (Algorithm 8, RemoveEdge_p). Only vertices entering V* are kept
+// locked; every other examined neighbor is locked conditionally and released
+// immediately, and blocking cycles are impossible because a conditional lock
+// aborts as soon as the target's core number leaves the removal level
+// (§4.2.2).
 
-	// per-edge scratch
-	k     int32
-	rq    []int32
-	vstar []int32
-}
-
-// removeEdge removes one edge and restores the maintenance invariants.
-func (p *removeWorker) removeEdge(u, v int32) core.RemoveStats {
+// removeEdge removes one edge and restores the maintenance invariants. It
+// returns |V*|, or -1 if the edge changed nothing; V* is appended to
+// p.changed.
+func (p *worker) removeEdge(u, v int32) int32 {
 	st := p.st
 	if u == v {
-		return core.RemoveStats{}
+		return -1
 	}
 	spin.LockPair(&st.Locks[u], &st.Locks[v]) // line 1
 	if !st.G.HasEdge(u, v) {
 		// Already removed (duplicate within the batch).
 		st.Locks[u].Unlock()
 		st.Locks[v].Unlock()
-		return core.RemoveStats{}
+		return -1
 	}
 	cu, cv := st.Core[u].Load(), st.Core[v].Load()
 	k := cu
@@ -42,8 +32,7 @@ func (p *removeWorker) removeEdge(u, v int32) core.RemoveStats {
 		k = cv
 	}
 	p.k = k
-	p.rq = p.rq[:0]
-	p.vstar = p.vstar[:0]
+	p.resetScratch()
 
 	// Line 3: make sure both endpoints have a concrete mcd while the edge
 	// still exists, then account the removal.
@@ -71,15 +60,15 @@ func (p *removeWorker) removeEdge(u, v int32) core.RemoveStats {
 	}
 
 	// Lines 8-16: propagate. Dequeued vertices are locked, core k-1,
-	// t = 2.
-	for len(p.rq) > 0 {
-		w := p.rq[0]
-		p.rq = p.rq[1:]
-		ap := map[int32]bool{} // A_p: persists across redo rounds (line 16)
+	// t = 2 (dropping from k).
+	propagating := core.DropStatus(k, 1)
+	for head := 0; head < len(p.rq); head++ {
+		w := p.rq[head]
+		p.mk.reset() // A_p (mSeen): per vertex, persists across its redo rounds (line 16)
 		for {
-			st.T[w].Add(-1) // line 10: 2 -> 1 (or 3 -> 2 -> ... on redo)
+			st.T[w].Add(-1) // line 10: 2 -> 1
 			for _, x := range st.G.Adj(w) {
-				if ap[x] || st.Core[x].Load() != k {
+				if st.Core[x].Load() != k || p.mk.has(x, mSeen) {
 					continue
 				}
 				// Conditional lock (line 12): give up as soon
@@ -90,29 +79,29 @@ func (p *removeWorker) removeEdge(u, v int32) core.RemoveStats {
 					if !p.doMCD(x) {
 						st.Locks[x].Unlock() // line 25
 					}
-					ap[x] = true // line 14
-				} else if p.m != nil {
-					p.m.LockAborts.Add(1)
+					p.mk.set(x, mSeen) // line 14
+				} else {
+					p.m.LockAborts++
 				}
 			}
-			st.T[w].Add(-1) // line 15
-			if st.T[w].Load() <= 0 {
+			// line 15: 1 -> idle, which also sheds the level tag.
+			if st.T[w].CompareAndSwap(propagating, 0) {
 				break
 			}
 			// line 16: a neighbor's CheckMCD CASed t from 1 to 3
-			// while recounting us — redo with A_p intact.
-			if p.m != nil {
-				p.m.RemovalRedos.Add(1)
-			}
+			// while recounting us — 3 -> 2 and redo with A_p intact.
+			st.T[w].Add(-1)
+			p.m.RemovalRedos++
 		}
 	}
-	p.commit()
-	// p.vstar is reused scratch; copy the dropped set out for the caller.
-	return core.RemoveStats{
-		Applied: true,
-		VStar:   len(p.vstar),
-		Changed: append([]int32(nil), p.vstar...),
+	// Propagation has quiesced: release the dropped set (line 18). The OM
+	// relocations happened at drop time (doMCD), atomically with each core
+	// store; d⁺out is left to the batch-end repair.
+	for _, w := range p.vstar {
+		st.Locks[w].Unlock()
 	}
+	p.changed = append(p.changed, p.vstar...)
+	return int32(len(p.vstar))
 }
 
 // checkMCD materializes x's mcd if empty (Algorithm 8, CheckMCD). x is
@@ -120,7 +109,7 @@ func (p *removeWorker) removeEdge(u, v int32) core.RemoveStats {
 // vertex whose propagation loop invoked us (or -1 at the endpoints): the
 // redo CAS is skipped for it because it is about to deliver its own
 // decrement (line 32).
-func (p *removeWorker) checkMCD(x, caller int32) {
+func (p *worker) checkMCD(x, caller int32) {
 	st := p.st
 	if st.Mcd[x].Load() != core.McdEmpty {
 		return
@@ -132,16 +121,20 @@ func (p *removeWorker) checkMCD(x, caller int32) {
 		switch {
 		case cvv >= cx:
 			mcd++
-		case cvv == cx-1 && st.T[v].Load() > 0:
+		case cvv == cx-1 && core.DroppingFrom(st.T[v].Load(), cx):
 			// v is mid-drop from x's level and has not delivered
 			// its decrement to us yet: count it, and force its
 			// propagation to run again so the decrement arrives
-			// even if v's visit raced past us (lines 29-33).
+			// even if v's visit raced past us (lines 29-33). The
+			// level tag matters: a vertex leaving level cx-1
+			// publishes t before its lowered core number, reads
+			// "core cx-1, in flight" for a moment, and must not be
+			// counted here (DESIGN.md, "The t status").
 			mcd++
-			if v != caller && st.T[v].Load() == 1 {
-				st.T[v].CompareAndSwap(1, 3)
+			if v != caller {
+				st.T[v].CompareAndSwap(core.DropStatus(cx, 1), core.DropStatus(cx, 3))
 			}
-			if st.T[v].Load() == 0 {
+			if !core.DroppingFrom(st.T[v].Load(), cx) {
 				mcd-- // v finished while we counted
 			}
 		}
@@ -153,7 +146,7 @@ func (p *removeWorker) checkMCD(x, caller int32) {
 // drops x when its mcd sinks below its core number (Algorithm 8, DoMCD).
 // On a drop x joins V* and the propagation queue and stays locked. Reports
 // whether x dropped; the caller releases the lock otherwise.
-func (p *removeWorker) doMCD(x int32) bool {
+func (p *worker) doMCD(x int32) bool {
 	st := p.st
 	mcd := st.Mcd[x].Add(-1)
 	cx := st.Core[x].Load()
@@ -173,7 +166,7 @@ func (p *removeWorker) doMCD(x int32) bool {
 	// that happens. (The drop cascade order is the peeling order; the
 	// old deferred-to-commit move let a later observer reach the tail
 	// first, inverting it.)
-	st.T[x].Store(2)
+	st.T[x].Store(core.DropStatus(p.k, 2))
 	st.CommitMu.Lock()
 	st.BeginOrderChange(x)
 	st.Core[x].Store(p.k - 1)
@@ -184,24 +177,7 @@ func (p *removeWorker) doMCD(x int32) bool {
 	st.Mcd[x].Store(core.McdEmpty) // line 23
 	p.vstar = append(p.vstar, x)   // line 24
 	p.rq = append(p.rq, x)
-	// x is locked by us, so its adjacency is stable: snapshot it for the
-	// batch-end Dout repair now that the move is done.
-	p.repair = append(p.repair, x)
-	p.repair = append(p.repair, st.G.Adj(x)...)
-	if p.m != nil {
-		p.m.Drops.Add(1)
-	}
+	p.recordMove(x, p.k)
+	p.m.Drops++
 	return true
-}
-
-// commit releases the locks of the dropped set once propagation has
-// quiesced. The OM relocations happened at drop time (doMCD), atomically
-// with each core store; Dout repair is deferred to the batch-end pass,
-// which recomputes the dropped vertices and all their neighbors once
-// every worker has quiesced.
-func (p *removeWorker) commit() {
-	st := p.st
-	for _, w := range p.vstar {
-		st.Locks[w].Unlock() // line 18
-	}
 }

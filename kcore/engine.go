@@ -170,51 +170,55 @@ func dedupVertices(changed []int32) []int32 { return snapshot.Dedup(changed) }
 
 type parallelOrderEngine struct {
 	stateEngine
-	st      *core.State
-	workers int
+	eng *pcore.Engine
+	// changed is the buffer the workers' V* reports are concatenated
+	// into; reused, so Stats.Changed is valid until the next Apply (the
+	// pipeline copies it into its BatchResult at once). A buffer grown
+	// past changedKeep entries by one huge batch is not carried over.
+	changed []int32
 }
+
+const changedKeep = 1024
 
 func newParallelOrderEngine(g *graph.Graph, workers int) Engine {
 	st := core.NewState(g)
-	return &parallelOrderEngine{stateEngine{st}, st, workers}
+	return &parallelOrderEngine{stateEngine: stateEngine{st}, eng: pcore.New(st, workers)}
 }
 
 func (e *parallelOrderEngine) ApplyInsert(edges []graph.Edge) Stats {
-	per, snap := pcore.InsertEdgesMetered(e.st, edges, e.workers, nil)
-	s := Stats{VPlusSizes: make([]int, 0, len(per)), Contention: contentionOf(snap)}
-	for _, es := range per {
-		if es.Applied {
-			s.Applied++
-			s.ChangedVertices += es.VStar
-			s.VPlusSizes = append(s.VPlusSizes, es.VPlus)
-			s.Changed = append(s.Changed, es.Changed...)
-		}
-	}
-	s.Changed = dedupVertices(s.Changed)
-	return s
+	return e.stats(e.eng.InsertEdges(edges))
 }
 
 func (e *parallelOrderEngine) ApplyRemove(edges []graph.Edge) Stats {
-	per, snap := pcore.RemoveEdgesMetered(e.st, edges, e.workers, nil)
-	s := Stats{VPlusSizes: make([]int, 0, len(per)), Contention: contentionOf(snap)}
-	for _, es := range per {
-		if es.Applied {
-			s.Applied++
-			s.ChangedVertices += es.VStar
-			s.VPlusSizes = append(s.VPlusSizes, es.VStar)
-			s.Changed = append(s.Changed, es.Changed...)
+	return e.stats(e.eng.RemoveEdges(edges))
+}
+
+func (e *parallelOrderEngine) stats(b pcore.Batch) Stats {
+	s := Stats{VPlusSizes: make([]int, 0, len(b.Sizes)), Contention: contentionOf(b.Metrics)}
+	for _, size := range b.Sizes {
+		if size >= 0 {
+			s.VPlusSizes = append(s.VPlusSizes, int(size))
 		}
 	}
-	s.Changed = dedupVertices(s.Changed)
+	s.Applied = len(s.VPlusSizes)
+	if cap(e.changed) > changedKeep {
+		e.changed = nil
+	}
+	e.changed = e.changed[:0]
+	for _, ch := range b.Changed {
+		e.changed = append(e.changed, ch...)
+	}
+	s.ChangedVertices = len(e.changed)
+	s.Changed = dedupVertices(e.changed)
 	return s
 }
 
-func contentionOf(s pcore.MetricsSnapshot) Contention {
+func contentionOf(m pcore.Metrics) Contention {
 	return Contention{
-		LockAborts:    s.LockAborts,
-		QueueRebuilds: s.QueueRebuilds,
-		RemovalRedos:  s.RemovalRedos,
-		Evictions:     s.Evictions,
+		LockAborts:    m.LockAborts,
+		QueueRebuilds: m.QueueRebuilds,
+		RemovalRedos:  m.RemovalRedos,
+		Evictions:     m.Evictions,
 	}
 }
 

@@ -118,9 +118,13 @@ type config struct {
 // beyond-ceiling ids already dropped, removals of unseen vertices already
 // dropped) and BEFORE the batch is applied or any caller future
 // completes — a durable OpLog that syncs in AppendBatch therefore makes
-// every acknowledged write crash-safe. AppendGrow is called for explicit
-// AddVertices growth (implicit growth is derivable from insert
-// endpoints, so it is not logged separately).
+// every acknowledged write crash-safe. The removes and inserts slices are
+// valid only for the duration of the call: the applier reuses their backing
+// arrays for the next batch, so an implementation that needs the edges
+// later must encode or copy them before returning (persist.Manager encodes
+// them into its own buffer). AppendGrow is called for explicit AddVertices
+// growth (implicit growth is derivable from insert endpoints, so it is not
+// logged separately).
 type OpLog interface {
 	AppendBatch(removes, inserts []graph.Edge)
 	AppendGrow(n int)

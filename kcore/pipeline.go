@@ -59,6 +59,8 @@ type pipeline struct {
 	metrics pcore.ServeMetrics
 	updLat  stats.LatencyRecorder
 	pm      *PipelineMetrics
+
+	co coalescer // applier-only
 }
 
 func newPipeline(pm *PipelineMetrics) *pipeline {
@@ -200,7 +202,7 @@ func (p *pipeline) process(eng *engine, pending []*updateOp) {
 // the post-batch snapshot, and completes every future with the shared
 // result of the coalesced batch.
 func (p *pipeline) applySegment(eng *engine, seg []*updateOp) {
-	removes, inserts, canceled := coalesce(seg)
+	removes, inserts, canceled := p.co.coalesce(seg)
 	start := time.Now()
 	// The segment's oldest op has waited longest; its queue time is the
 	// batch's coalesce wait (ops applied directly after Close carry no
@@ -240,6 +242,22 @@ func (p *pipeline) finish(op *updateOp, res BatchResult) {
 	op.done <- res
 }
 
+// coalescer is the applier's coalescing scratch: the last-op-per-edge map,
+// the first-seen order and the two result batches, cleared and reused from
+// one segment to the next (one goroutine, the applier, owns it). The batches
+// it returns are valid until its next call — which is why OpLog.AppendBatch
+// may not retain its arguments.
+type coalescer struct {
+	last             map[graph.Edge]opKind
+	order            []graph.Edge // first-seen order keeps batches deterministic
+	removes, inserts []graph.Edge
+}
+
+// coalesceKeep is the largest segment, in distinct edges, whose scratch is
+// carried over: clearing a map costs its capacity, so the map one huge drain
+// grew must not tax every small one after it.
+const coalesceKeep = 1024
+
 // coalesce flattens a segment of update ops into disjoint remove/insert
 // batches. For every canonical edge the last enqueued op wins — a valid
 // linearization, since callers in the same drain are concurrent and the
@@ -247,7 +265,10 @@ func (p *pipeline) finish(op *updateOp, res BatchResult) {
 // the final op per edge reaches the same quiescent state. canceled counts
 // ops superseded by an opposite-kind op (insert+remove pairs that
 // annihilated within the drain).
-func coalesce(seg []*updateOp) (removes, inserts []graph.Edge, canceled int) {
+func (c *coalescer) coalesce(seg []*updateOp) (removes, inserts []graph.Edge, canceled int) {
+	if len(c.order) > coalesceKeep {
+		*c = coalescer{}
+	}
 	if len(seg) == 1 {
 		// Fast path: a lone op keeps its batch verbatim (exact seed
 		// semantics, including caller-chosen edge order).
@@ -256,26 +277,29 @@ func coalesce(seg []*updateOp) (removes, inserts []graph.Edge, canceled int) {
 		}
 		return nil, seg[0].edges, 0
 	}
-	last := make(map[graph.Edge]opKind)
-	var order []graph.Edge // first-seen order keeps batches deterministic
+	if c.last == nil {
+		c.last = make(map[graph.Edge]opKind)
+	}
+	clear(c.last)
+	c.order, c.removes, c.inserts = c.order[:0], c.removes[:0], c.inserts[:0]
 	for _, op := range seg {
 		for _, e := range op.edges {
 			ne := e.Norm()
-			prev, seen := last[ne]
+			prev, seen := c.last[ne]
 			if !seen {
-				order = append(order, ne)
+				c.order = append(c.order, ne)
 			} else if prev != op.kind {
 				canceled++
 			}
-			last[ne] = op.kind
+			c.last[ne] = op.kind
 		}
 	}
-	for _, e := range order {
-		if last[e] == opRemove {
-			removes = append(removes, e)
+	for _, e := range c.order {
+		if c.last[e] == opRemove {
+			c.removes = append(c.removes, e)
 		} else {
-			inserts = append(inserts, e)
+			c.inserts = append(c.inserts, e)
 		}
 	}
-	return removes, inserts, canceled
+	return c.removes, c.inserts, canceled
 }

@@ -19,6 +19,11 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	}
 	e := func(u, v int32) graph.Edge { return graph.Edge{U: u, V: v} }
 
+	// One coalescer throughout, as on the applier: each call must start
+	// from cleared scratch.
+	var co coalescer
+	coalesce := co.coalesce
+
 	// Single op: verbatim, including non-canonical edge order.
 	rem, ins, canceled := coalesce([]*updateOp{mk(opInsert, e(3, 1), e(1, 2))})
 	if len(rem) != 0 || len(ins) != 2 || canceled != 0 || ins[0] != e(3, 1) {
@@ -47,6 +52,18 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	}
 	if ins[0] != e(5, 6) || ins[1] != e(7, 8) {
 		t.Fatalf("first-seen order lost: %v", ins)
+	}
+
+	// The scratch of a huge segment is not carried over — not even when
+	// every later segment takes the single-op fast path.
+	var big []graph.Edge
+	for i := int32(0); i <= coalesceKeep; i++ {
+		big = append(big, e(i, i+1))
+	}
+	coalesce([]*updateOp{mk(opInsert, big...), mk(opInsert, e(0, 2))})
+	coalesce([]*updateOp{mk(opInsert, e(1, 3))})
+	if co.last != nil || co.order != nil {
+		t.Fatalf("scratch of a %d-edge segment survived the next call", len(big)+1)
 	}
 }
 
