@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race engine-flake bench bench-json fuzz-smoke loadserve crash cluster-check metrics-check examples
+.PHONY: all build vet test race engine-flake bench fuzz-smoke loadserve crash cluster-check metrics-check examples
 
 all: build vet test
 
@@ -25,17 +25,6 @@ engine-flake:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Serving perf trajectory, recorded as go test -json output: the
-# snapshot-publication families (full rebuild vs copy-on-write delta vs
-# JES dedup+delta vs grow, across n and |V*|), the networked RESP stack
-# (pipelined vs unpipelined reads and writes over loopback TCP), and the
-# AOF hot path (per fsync policy). -benchmem records allocs/op and B/op
-# so the zero-allocation command and append paths are tracked alongside
-# throughput. BenchmarkMetricsOverhead prices the observability layer
-# (instrumented vs bare hot path) in the same file.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPublish|BenchmarkServeRESP|BenchmarkAOFAppend|BenchmarkClusterScaling|BenchmarkMetricsOverhead' -benchmem -json ./internal/snapshot ./server ./persist ./cluster > BENCH_serve.json
 
 # Crash-recovery drills: the in-repo kill -9 harness (cmd/kcored's crash
 # test spawns real server processes, so it skips itself under -short),

@@ -27,19 +27,17 @@ type Session struct {
 	// endpoint catches up or disconnects).
 	WaitTimeout time.Duration
 
-	epochs []uint64 // per shard: highest epoch covering this session's writes
-	waited []uint64 // per shard: highest epoch the read endpoint proved applied
-	reads  []*client.Conn
+	gates []client.WaitGate // per shard: the read endpoint's epoch gate
+	reads []*client.Conn
 }
 
 // NewSession starts a read-your-writes session over the cluster.
 func (c *Cluster) NewSession() *Session {
 	n := c.m.NumShards()
 	return &Session{
-		c:      c,
-		epochs: make([]uint64, n),
-		waited: make([]uint64, n),
-		reads:  make([]*client.Conn, n),
+		c:     c,
+		gates: make([]client.WaitGate, n),
+		reads: make([]*client.Conn, n),
 	}
 }
 
@@ -70,7 +68,7 @@ func (s *Session) readConn(i int) (*client.Conn, error) {
 	if s.reads[i] != nil {
 		s.reads[i].Close()
 		// Re-dialing resets the connection, not the session's epoch
-		// bookkeeping: waited[i] tracks the *server's* applied watermark,
+		// bookkeeping: gates[i] tracks the *server's* applied watermark,
 		// which survives our reconnect.
 	}
 	conn, err := client.Dial(s.ReadAddr(i), client.WithDialTimeout(5*time.Second))
@@ -84,16 +82,14 @@ func (s *Session) readConn(i int) (*client.Conn, error) {
 
 func (s *Session) recordEpochs(ev []uint64) {
 	for i, e := range ev {
-		if e > s.epochs[i] {
-			s.epochs[i] = e
-		}
+		s.gates[i].Cover(e)
 	}
 }
 
 // InsertEdges routes a write burst and records each touched shard's
 // covering epoch.
 func (s *Session) InsertEdges(edges []graph.Edge) error {
-	ev := make([]uint64, len(s.epochs))
+	ev := make([]uint64, len(s.gates))
 	err := s.c.InsertEdges(edges, ev)
 	s.recordEpochs(ev)
 	return err
@@ -101,30 +97,10 @@ func (s *Session) InsertEdges(edges []graph.Edge) error {
 
 // RemoveEdges routes a removal burst and records covering epochs.
 func (s *Session) RemoveEdges(edges []graph.Edge) error {
-	ev := make([]uint64, len(s.epochs))
+	ev := make([]uint64, len(s.gates))
 	err := s.c.RemoveEdges(edges, ev)
 	s.recordEpochs(ev)
 	return err
-}
-
-// sendGate pipelines the CORE.WAIT gate for shard i if its read
-// endpoint has not yet proved it applied this session's writes there.
-// Returns whether a gate reply is owed.
-func (s *Session) sendGate(i int, conn *client.Conn) (bool, error) {
-	if s.epochs[i] <= s.waited[i] {
-		return false, nil
-	}
-	var err error
-	if s.WaitTimeout > 0 {
-		ms := max(int64(s.WaitTimeout/time.Millisecond), 1)
-		err = conn.Send("CORE.WAIT", s.epochs[i], ms)
-	} else {
-		err = conn.Send("CORE.WAIT", s.epochs[i])
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // Get reads global vertex g's core number from the owning shard's
@@ -176,7 +152,7 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 	if err != nil {
 		return s.c.wrapShardErr(i, err)
 	}
-	gated, err := s.sendGate(i, conn)
+	gated, err := s.gates[i].Send(conn, s.WaitTimeout)
 	if err != nil {
 		return s.c.wrapShardErr(i, err)
 	}
@@ -188,14 +164,13 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 		return s.c.wrapShardErr(i, err)
 	}
 	if gated {
-		if _, err := client.Int(conn.Receive()); err != nil {
+		if err := s.gates[i].Receive(conn); err != nil {
 			// Timed-out WAIT: the MGET replies behind it may be stale, and
 			// the client poisons the conn only on transport errors — drop
 			// the connection so the next read starts clean.
 			conn.Close()
 			return s.c.wrapShardErr(i, err)
 		}
-		s.waited[i] = s.epochs[i]
 	}
 	if err := mgetRecv(conn, sent, len(locals), sink); err != nil {
 		return s.c.wrapShardErr(i, err)
@@ -209,29 +184,24 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 // any connection to the session's read endpoints — not just this
 // session's — observes the writes.
 func (s *Session) Wait() error {
-	for i := range s.epochs {
-		if s.epochs[i] <= s.waited[i] {
+	for i := range s.gates {
+		if !s.gates[i].Owed() {
 			continue
 		}
 		conn, err := s.readConn(i)
 		if err != nil {
 			return s.c.wrapShardErr(i, err)
 		}
-		gated, err := s.sendGate(i, conn)
-		if err != nil {
+		if _, err := s.gates[i].Send(conn, s.WaitTimeout); err != nil {
 			return s.c.wrapShardErr(i, err)
-		}
-		if !gated {
-			continue
 		}
 		if err := conn.Flush(); err != nil {
 			return s.c.wrapShardErr(i, err)
 		}
-		if _, err := client.Int(conn.Receive()); err != nil {
+		if err := s.gates[i].Receive(conn); err != nil {
 			conn.Close()
 			return s.c.wrapShardErr(i, err)
 		}
-		s.waited[i] = s.epochs[i]
 	}
 	return nil
 }

@@ -46,7 +46,6 @@ func main() {
 		maxVertices = flag.Int("maxvertices", kcore.DefaultMaxVertices, "vertex-universe growth ceiling")
 		n           = flag.Int("n", 0, "initial (empty) vertex universe when -load is absent")
 		load        = flag.String("load", "", "preload graph from a whitespace edge-list file")
-		connShards  = flag.Int("conn-shards", -1, "event-loop connection shards (Linux; -1 = GOMAXPROCS, 0 = goroutine per conn)")
 		dir         = flag.String("dir", "", "durability directory (AOF + checkpoints); empty = no persistence")
 		fsyncName   = flag.String("aof-fsync", "everysec", "AOF sync policy: always|everysec|no")
 		ckptOps     = flag.Int64("checkpoint-ops", 0, "checkpoint after this many logged ops (0 = default, <0 = never)")
@@ -66,7 +65,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kcored: -replica-of is mutually exclusive with -dir and -load")
 			os.Exit(2)
 		}
-		runReplica(*replicaOf, *addr, *algName, *workers, *maxVertices, *connShards,
+		runReplica(*replicaOf, *addr, *algName, *workers, *maxVertices,
 			*metricsAddr, *slowlogMs, *quiet)
 		return
 	}
@@ -150,7 +149,6 @@ func main() {
 	}
 
 	srvOpts := []server.Option{
-		server.WithConnShards(*connShards),
 		server.WithSlowlog(time.Duration(*slowlogMs)*time.Millisecond, 0),
 	}
 	if mgr != nil {

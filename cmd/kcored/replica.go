@@ -27,7 +27,7 @@ func serveMetrics(srv *server.Server, addr string) (*obs.Server, error) {
 // runReplica is the -replica-of mode: serve reads from a follower that
 // streams the leader's op log, rejecting writes (READONLY) and exposing
 // CORE.WAIT on the applied-epoch watermark for read-your-writes.
-func runReplica(leaderAddr, addr, algName string, workers, maxVertices, connShards int,
+func runReplica(leaderAddr, addr, algName string, workers, maxVertices int,
 	metricsAddr string, slowlogMs int, quiet bool) {
 	alg, err := parseAlg(algName)
 	if err != nil {
@@ -41,9 +41,7 @@ func runReplica(leaderAddr, addr, algName string, workers, maxVertices, connShar
 		kcore.WithAlgorithm(alg),
 		kcore.WithWorkers(workers),
 		kcore.WithMaxVertices(maxVertices))
-	srv := server.New(m,
-		server.WithConnShards(connShards),
-		server.WithSlowlog(time.Duration(slowlogMs)*time.Millisecond, 0))
+	srv := server.New(m, server.WithSlowlog(time.Duration(slowlogMs)*time.Millisecond, 0))
 	var logger *log.Logger
 	if !quiet {
 		logger = log.Default()

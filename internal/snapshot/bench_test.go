@@ -26,8 +26,7 @@ import (
 //     growth never triggers the O(n) rebuild.
 //
 // The delta, jes and grow rows should be independent of n's linear term
-// and proportional to the dirty/new page count; `make bench-json` records
-// the numbers in BENCH_serve.json.
+// and proportional to the dirty/new page count.
 func BenchmarkSnapshotPublish(b *testing.B) {
 	for _, n := range []int{100_000, 1_000_000} {
 		rng := rand.New(rand.NewSource(int64(n)))

@@ -650,38 +650,6 @@ func (eng *engine) removeBatch(edges []graph.Edge, res *BatchResult) {
 	res.merge(eng.impl.ApplyRemove(edges))
 }
 
-// applyDirect is the post-Close path: apply one op synchronously under mu.
-func (eng *engine) applyDirect(op *updateOp) BatchResult {
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	start := time.Now()
-	var res BatchResult
-	switch op.kind {
-	case opInsert:
-		_, inserts := eng.prepareBatch(nil, op.edges)
-		eng.logBatch(nil, inserts)
-		eng.insertBatch(inserts, &res)
-	case opRemove:
-		removes, _ := eng.prepareBatch(op.edges, nil)
-		eng.logBatch(removes, nil)
-		eng.removeBatch(removes, &res)
-	case opBarrier:
-		if op.fn != nil {
-			op.fn()
-		}
-		return res
-	}
-	res.Duration = time.Since(start)
-	res.Coalesced = 1
-	eng.cfg.pm.Apply.ObserveDuration(res.Duration)
-	pubStart := time.Now()
-	eng.publishAfter(&res)
-	eng.cfg.pm.Publish.ObserveDuration(time.Since(pubStart))
-	eng.logEpoch()
-	res.changed = nil // dead after publication; don't hand it to the caller
-	return res
-}
-
 // Snapshot is an immutable, epoch-versioned view of the maintained core
 // decomposition, published at batch quiescence. All accessors are plain
 // reads; a Snapshot never changes after it is obtained, so any number of

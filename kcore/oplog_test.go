@@ -149,14 +149,14 @@ func TestOpLogReplayRebuildsGraph(t *testing.T) {
 }
 
 // TestOpLogAfterClose verifies the synchronous post-Close path
-// (applyDirect) logs ops too.
+// logs ops too.
 func TestOpLogAfterClose(t *testing.T) {
 	logd := &recordingLog{}
 	base := gen.ErdosRenyi(50, 100, 3)
 	m := New(base.Clone(), WithOpLog(logd))
 	m.InsertEdge(1, 2)
 	m.Close()
-	m.InsertEdge(3, 4) // applyDirect path
+	m.InsertEdge(3, 4) // post-Close path
 	m.RemoveEdge(1, 2)
 	assertGraphEqual(t, logd.replay(base), m.Graph())
 }

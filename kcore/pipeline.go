@@ -60,7 +60,7 @@ type pipeline struct {
 	updLat  stats.LatencyRecorder
 	pm      *PipelineMetrics
 
-	co coalescer // applier-only
+	co coalescer // process-only: the applier, then post-Close callers under eng.mu
 }
 
 func newPipeline(pm *PipelineMetrics) *pipeline {
@@ -108,9 +108,9 @@ func (pd *Pending) Wait() BatchResult {
 }
 
 // submit enqueues op without waiting and returns its future. After Close
-// the op is applied synchronously before submit returns (Wait then just
-// hands back the result), so async callers keep working once the
-// pipeline is shut down.
+// the caller runs the applier's own process on the lone op, serialized by
+// eng.mu, before submit returns (Wait then just hands back the result),
+// so async callers keep working once the pipeline is shut down.
 func (p *pipeline) submit(eng *engine, op *updateOp) *Pending {
 	pd := &Pending{p: p, op: op, start: time.Now()}
 	op.enq = pd.start
@@ -118,7 +118,10 @@ func (p *pipeline) submit(eng *engine, op *updateOp) *Pending {
 	if p.closed {
 		p.mu.RUnlock()
 		<-p.exited // the applier still owns the engine until it returns
-		op.done <- eng.applyDirect(op)
+		eng.mu.Lock()
+		p.metrics.QueueDepth.Add(1) // process takes it back when it finishes op
+		p.process(eng, []*updateOp{op})
+		eng.mu.Unlock()
 		return pd
 	}
 	p.metrics.QueueDepth.Add(1)
@@ -205,11 +208,8 @@ func (p *pipeline) applySegment(eng *engine, seg []*updateOp) {
 	removes, inserts, canceled := p.co.coalesce(seg)
 	start := time.Now()
 	// The segment's oldest op has waited longest; its queue time is the
-	// batch's coalesce wait (ops applied directly after Close carry no
-	// enqueue stamp and are skipped).
-	if enq := seg[0].enq; !enq.IsZero() {
-		p.pm.CoalesceWait.ObserveDuration(start.Sub(enq))
-	}
+	// batch's coalesce wait.
+	p.pm.CoalesceWait.ObserveDuration(start.Sub(seg[0].enq))
 	removes, inserts = eng.prepareBatch(removes, inserts)
 	eng.logBatch(removes, inserts)
 	var res BatchResult

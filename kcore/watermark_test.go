@@ -177,7 +177,7 @@ func TestEpochMarkersFollowPublications(t *testing.T) {
 	}
 }
 
-// TestEpochMarkersAfterClose pins the post-Close applyDirect path: it
+// TestEpochMarkersAfterClose pins the post-Close synchronous path: it
 // must keep emitting markers so a follower tap on a closed-but-usable
 // maintainer stays consistent.
 func TestEpochMarkersAfterClose(t *testing.T) {

@@ -10,12 +10,13 @@ import (
 // call Parse again with the extended buffer.
 var ErrIncomplete = errors.New("resp: incomplete frame")
 
-// Parser is the incremental, zero-copy sibling of Reader.ReadCommand for
-// event-driven connection handling: instead of pulling from a stream, it
-// parses commands out of a caller-owned query buffer that the event loop
-// appends socket reads to. Argument slices point straight into that
+// Parser is the incremental, zero-copy sibling of Reader.ReadCommand and
+// the server's command parser: instead of pulling from a stream, it
+// parses commands out of a caller-owned query buffer that the connection
+// loop appends socket reads to. Argument slices point straight into that
 // buffer — no arena copy — so a parsed Command is valid only until the
-// caller reuses or compacts the buffer past the frame.
+// caller reuses or compacts the buffer past the frame. (ReadCommand
+// stays as the reference FuzzRESP checks Parser against.)
 //
 // The buffer passed to Parse must always begin at the start of the
 // current (possibly partial) frame, and bytes already handed to a

@@ -7,8 +7,8 @@ import (
 )
 
 // Reader decodes RESP frames from an underlying stream through an
-// internal bufio.Reader. It is not safe for concurrent use; the serving
-// layer gives every connection its own Reader.
+// internal bufio.Reader. It is not safe for concurrent use; the client
+// gives every connection its own Reader.
 type Reader struct {
 	br *bufio.Reader
 	// lineBuf is the slow-path line accumulator: readLine normally
@@ -32,11 +32,6 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 // from r, keeping the internal buffer (the sibling of bufio.Reader.Reset,
 // for connection reuse without reallocation).
 func (r *Reader) Reset(rd io.Reader) { r.br.Reset(rd) }
-
-// Buffered reports whether undecoded bytes are already buffered — the
-// pipelining probe: a server that finds the buffer empty after a command
-// knows the pipelined burst is over and flushes its replies.
-func (r *Reader) Buffered() bool { return r.br.Buffered() > 0 }
 
 // ReadCommand reads one client command into cmd: either a multibulk frame
 // ("*2\r\n$4\r\nPING\r\n$2\r\nhi\r\n", what every real client sends) or

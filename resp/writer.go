@@ -29,16 +29,8 @@ func NewWriterSize(w io.Writer, size int) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, size)}
 }
 
-// Reset discards unflushed data and switches the Writer to write to wr,
-// keeping the internal buffer (for connection reuse without
-// reallocation).
-func (w *Writer) Reset(wr io.Writer) { w.bw.Reset(wr) }
-
 // Flush writes everything buffered to the underlying stream.
 func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Buffered returns the number of bytes not yet flushed.
-func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // WriteSimple writes a "+<s>\r\n" status reply. CR/LF in s would let the
 // payload forge extra frames (reply injection), so both are replaced

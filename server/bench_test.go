@@ -3,136 +3,13 @@ package server
 import (
 	"io"
 	"math/rand"
-	"net"
 	"strconv"
 	"testing"
 
-	"repro/client"
 	"repro/gen"
 	"repro/kcore"
 	"repro/resp"
 )
-
-// BenchmarkServeRESP measures the networked serving stack end to end —
-// RESP codec, per-connection dispatch, snapshot reads, and the
-// async-write fan-in — over real loopback TCP, pipelined and not. The
-// pipelined/unpipelined gap is the protocol's whole argument: one write
-// burst coalesces into ~one engine round and one syscall per flight.
-// `make bench-json` records the rows in BENCH_serve.json next to the
-// publication benchmarks.
-func BenchmarkServeRESP(b *testing.B) {
-	const (
-		n     = 50_000
-		m     = 200_000
-		depth = 64
-	)
-	newStack := func(b *testing.B) (*client.Conn, func()) {
-		b.Helper()
-		maint := kcore.New(gen.ErdosRenyi(n, m, 1), kcore.WithWorkers(4))
-		srv := New(maint)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatalf("listen: %v", err)
-		}
-		go srv.Serve(ln)
-		c, err := client.Dial(ln.Addr().String())
-		if err != nil {
-			b.Fatalf("dial: %v", err)
-		}
-		return c, func() {
-			c.Close()
-			srv.Close()
-			maint.Close()
-		}
-	}
-	reportOps := func(b *testing.B) {
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-	}
-
-	b.Run("read/unpipelined", func(b *testing.B) {
-		c, stop := newStack(b)
-		defer stop()
-		rng := rand.New(rand.NewSource(2))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.Int(c.Do("CORE.GET", rng.Int31n(n))); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportOps(b)
-	})
-
-	b.Run("read/pipelined", func(b *testing.B) {
-		c, stop := newStack(b)
-		defer stop()
-		rng := rand.New(rand.NewSource(3))
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			flight := min(depth, b.N-done)
-			for p := 0; p < flight; p++ {
-				c.Send("CORE.GET", rng.Int31n(n))
-			}
-			if err := c.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			for p := 0; p < flight; p++ {
-				if _, err := client.Int(c.Receive()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			done += flight
-		}
-		reportOps(b)
-	})
-
-	b.Run("write/unpipelined", func(b *testing.B) {
-		c, stop := newStack(b)
-		defer stop()
-		// Churn one private fresh-vertex chain: every op does real
-		// maintenance work, the graph stays bounded.
-		lo := int32(n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			u := lo + int32(i%1024)
-			cmd := "CORE.INSERT"
-			if (i/1024)%2 == 1 {
-				cmd = "CORE.REMOVE"
-			}
-			if _, err := client.Int(c.Do(cmd, u, u+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportOps(b)
-	})
-
-	b.Run("write/pipelined", func(b *testing.B) {
-		c, stop := newStack(b)
-		defer stop()
-		lo := int32(n)
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			flight := min(depth, b.N-done)
-			cmd := "CORE.INSERT"
-			if (done/depth)%2 == 1 {
-				cmd = "CORE.REMOVE"
-			}
-			for p := 0; p < flight; p++ {
-				u := lo + int32(p)
-				c.Send(cmd, u, u+1)
-			}
-			if err := c.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			for p := 0; p < flight; p++ {
-				if _, err := client.Int(c.Receive()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			done += flight
-		}
-		reportOps(b)
-	})
-}
 
 // appendRESPCommand serializes one multibulk command the way a client
 // sends it.
@@ -150,13 +27,28 @@ func appendRESPCommand(buf []byte, args ...string) []byte {
 	return buf
 }
 
+// runBurst is conn.serve's loop body with the socket read replaced by a
+// copy of a pre-serialized burst into the query buffer: parse and
+// dispatch every command, settle the burst, flush.
+func runBurst(b *testing.B, c *conn, burst []byte) {
+	c.in = append(c.in[:0], burst...)
+	if closed := c.parseAndDispatch(); closed || len(c.in) != 0 {
+		b.Fatalf("burst not consumed: closed=%v, %d bytes left", closed, len(c.in))
+	}
+	c.endCycle()
+	if err := c.wr.Flush(); err != nil {
+		b.Fatalf("flush: %v", err)
+	}
+}
+
 // BenchmarkHotPathAllocs asserts the zero-allocation contract of the
 // server-side command path: a pipelined burst of read commands —
 // parse, dispatch, snapshot read, reply — allocates NOTHING once the
-// connection's scratch is warm. It drives the same parse→handle→flush
-// core the conn shards run, against a pre-serialized burst, so the
-// measurement covers exactly the per-command server work (no sockets,
-// no client). CI runs it with -benchtime=1x as a regression tripwire.
+// connection's scratch is warm. It drives the parseAndDispatch→endCycle→
+// flush sequence every connection runs, against a pre-serialized burst,
+// so the measurement covers exactly the per-command server work (no
+// sockets, no client). CI runs it with -benchtime=1x as a regression
+// tripwire.
 func BenchmarkHotPathAllocs(b *testing.B) {
 	const n = 10_000
 	maint := kcore.New(gen.ErdosRenyi(n, 40_000, 1), kcore.WithWorkers(1))
@@ -173,25 +65,6 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		pingBurst = appendRESPCommand(pingBurst, "PING")
 	}
 
-	runBurst := func(burst []byte) {
-		off := 0
-		for {
-			m, err := c.par.Parse(burst[off:], &c.cmd)
-			off += m
-			if err == resp.ErrIncomplete {
-				break
-			}
-			if err != nil {
-				b.Fatalf("parse: %v", err)
-			}
-			c.handle(c.cmd.Args)
-		}
-		c.endCycle()
-		if err := c.wr.Flush(); err != nil {
-			b.Fatalf("flush: %v", err)
-		}
-	}
-
 	for _, tc := range []struct {
 		name  string
 		burst []byte
@@ -200,8 +73,8 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		{"ping", pingBurst},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			runBurst(tc.burst) // warm scratch: arena, stats ring, writer buffer
-			allocs := testing.AllocsPerRun(100, func() { runBurst(tc.burst) })
+			runBurst(b, c, tc.burst) // warm scratch: query buffer, stats ring, writer buffer
+			allocs := testing.AllocsPerRun(100, func() { runBurst(b, c, tc.burst) })
 			perOp := allocs / depth
 			b.ReportMetric(perOp, "allocs/op")
 			if perOp != 0 {
@@ -210,20 +83,19 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runBurst(tc.burst)
+				runBurst(b, c, tc.burst)
 			}
 		})
 	}
 }
 
 // BenchmarkMetricsOverhead prices the observability layer on the
-// pipelined read path: the same parse→handle→flush core as
-// BenchmarkHotPathAllocs, once with the command metrics live
-// (instrumented — one clock read plus a per-family tally per burst,
-// flushed into atomics at burst end) and once with them stripped
-// (bare, srv.metrics = nil). The instrumented arm keeps the
-// zero-allocation contract; CI records both rows in BENCH_serve.json
-// so the ns/op delta — the acceptance budget is ≤2% — stays visible.
+// pipelined read path: the same runBurst as BenchmarkHotPathAllocs, once
+// with the command metrics live (instrumented — one clock read plus a
+// per-family tally per burst, flushed into atomics at burst end) and
+// once with them stripped (bare, srv.metrics = nil). The instrumented
+// arm keeps the zero-allocation contract; the two ns/cmd rows price the
+// layer (the acceptance budget is ≤2%).
 func BenchmarkMetricsOverhead(b *testing.B) {
 	const n = 10_000
 	const depth = 64
@@ -249,35 +121,16 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			}
 			c := &conn{srv: srv, wr: resp.NewWriterSize(io.Discard, 16<<10)}
 
-			runBurst := func() {
-				off := 0
-				for {
-					m, err := c.par.Parse(getBurst[off:], &c.cmd)
-					off += m
-					if err == resp.ErrIncomplete {
-						break
-					}
-					if err != nil {
-						b.Fatalf("parse: %v", err)
-					}
-					c.handle(c.cmd.Args)
-				}
-				c.endCycle()
-				if err := c.wr.Flush(); err != nil {
-					b.Fatalf("flush: %v", err)
-				}
-			}
-
-			runBurst() // warm scratch
+			runBurst(b, c, getBurst) // warm scratch
 			if arm.instrumented {
-				allocs := testing.AllocsPerRun(100, runBurst)
+				allocs := testing.AllocsPerRun(100, func() { runBurst(b, c, getBurst) })
 				if perOp := allocs / depth; perOp != 0 {
 					b.Fatalf("instrumented hot path allocates: %.2f allocs/op, want 0", perOp)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runBurst()
+				runBurst(b, c, getBurst)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/depth, "ns/cmd")
 		})

@@ -13,9 +13,8 @@ type command struct {
 	minArgs int  // including the command name
 	maxArgs int  // -1 = unbounded
 	write   bool // fans into the update pipeline (reply deferred)
-	// blocking commands (CORE.SYNC, CORE.WAIT) may park their connection
-	// indefinitely; a conn shard detaches such a connection to its own
-	// goroutine instead of stalling the whole event loop.
+	// blocking commands (CORE.SYNC, CORE.WAIT) may park their connection's
+	// goroutine indefinitely; register exempts them from timing.
 	blocking bool
 	// denyOnReplica commands mutate the graph; a replica rejects them
 	// with READONLY — its only writer is the leader's op stream.

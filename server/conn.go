@@ -11,32 +11,35 @@ import (
 	"repro/resp"
 )
 
-// conn is one client connection: its own RESP codec state, the queue of
-// write futures whose replies are still owed, and the per-connection
-// scratch that keeps the steady-state command path allocation-free —
-// the command arena (resp.Command), the CORE.MGET id buffer, the
-// CORE.INSERT/REMOVE edge buffers, and the error-message buffer. The
-// same struct backs both connection-handling modes: the classic
-// goroutine-per-conn loop (serve) and the event-driven conn shards
-// (shard_linux.go), which reuse the dispatch core and add their own
-// read/write plumbing.
+// conn is one client connection, served by one goroutine: the query
+// buffer its socket reads land in, the resumable zero-copy parser over
+// that buffer, the reply writer, the queue of write futures whose replies
+// are still owed, and the per-connection scratch that keeps the
+// steady-state command path allocation-free — the command's argument
+// slice headers (resp.Command), the CORE.MGET id buffer, the
+// CORE.INSERT/REMOVE edge buffers, and the error-message buffer.
 //
 // The dispatch loop preserves RESP's per-connection semantics — replies
 // in command order, reads observe earlier writes — while letting a
 // pipelined write burst coalesce: CORE.INSERT/CORE.REMOVE are submitted
 // asynchronously (kcore.Pending) and their replies deferred; the queue
 // is drained (waiting each future, writing each reply, in order) the
-// moment a non-write command needs to run, the pipelined burst ends, or
-// the queue hits the server's maxPipeline bound. Because one goroutine
-// submits in command order and the maintainer's coalescer folds with
-// last-op-per-edge-wins in enqueue order, the drain-later scheme is
-// observationally identical to executing the commands one at a time —
-// just in ~one engine round instead of one per command.
+// moment a non-write command needs to run, the bytes of one socket read
+// are used up, or the queue hits the server's maxPipeline bound. Because
+// one goroutine submits in command order and the maintainer's coalescer
+// folds with last-op-per-edge-wins in enqueue order, the drain-later
+// scheme is observationally identical to executing the commands one at a
+// time — just in ~one engine round instead of one per command.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	rd  *resp.Reader // goroutine mode; nil under a conn shard
 	wr  *resp.Writer
+
+	// in holds the query bytes not yet consumed: whole commands are parsed
+	// out of it in place (a handler's args alias it, valid until it
+	// returns), and a trailing partial frame is kept for par to resume.
+	in  []byte
+	par resp.Parser
 
 	cmd     resp.Command
 	pending []owed
@@ -60,30 +63,7 @@ type conn struct {
 	hist     []int64 // range-histogram bins (CORE.HIST lo hi)
 	edgeFree [][]graph.Edge
 	errBuf   []byte
-
-	// Event-mode state (conn shards); unused in goroutine mode.
-	shard *connShard
-	fd    int
-	in    []byte      // unconsumed query bytes
-	out   []byte      // reply bytes the socket wouldn't take yet
-	par   resp.Parser // incremental parser over in
-	flags connFlags
-
-	// A blocking command (CORE.SYNC, CORE.WAIT) reached dispatch on a
-	// conn shard: the shard must detach the connection to a dedicated
-	// goroutine before running it (shard_linux.go). blockedArgs are
-	// deep copies — the originals alias c.in, which compaction reuses.
-	blocked     *command
-	blockedArgs [][]byte
 }
-
-type connFlags uint8
-
-const (
-	connWantWrite connFlags = 1 << iota // EPOLLOUT armed (out non-empty)
-	connPaused                          // input paused until out drains
-	connDead                            // fd failed; close on next touch
-)
 
 // owed pairs a deferred write reply with the edge buffer lent to the
 // pipeline for it.
@@ -93,9 +73,6 @@ type owed struct {
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	// The reader is created lazily in serve: a connection adopted by a
-	// conn shard parses from its query buffer instead and would waste the
-	// stream buffer.
 	return &conn{
 		srv: s,
 		nc:  nc,
@@ -103,36 +80,90 @@ func newConn(s *Server, nc net.Conn) *conn {
 	}
 }
 
-// serve is the goroutine-per-connection loop (the fallback mode; conn
-// shards replace it on Linux).
+const (
+	// readChunk is how much socket data one read may pull in.
+	readChunk = 16 << 10
+	// inShrinkCap bounds the query buffer kept on an idle connection.
+	inShrinkCap = 64 << 10
+)
+
+// serve is the connection loop: a blocking read (parked on the runtime's
+// netpoller) appends to the query buffer, every complete command in it is
+// dispatched, and the replies leave in one flush per read — also when the
+// read ends mid-frame, so a complete command never waits on the rest of
+// its neighbour. A peer that stops reading its replies blocks the flush,
+// and with it this connection's reads: back-pressure needs no buffer.
 func (c *conn) serve() {
 	defer c.nc.Close()
-	if c.rd == nil {
-		c.rd = resp.NewReaderSize(c.nc, 16<<10)
-	}
 	for {
-		err := c.rd.ReadCommand(&c.cmd)
+		c.ensureInSpace()
+		n, err := c.nc.Read(c.in[len(c.in):cap(c.in)])
+		if n > 0 {
+			c.in = c.in[:len(c.in)+n]
+			if closed := c.parseAndDispatch(); closed {
+				return
+			}
+			if c.cycle > 0 { // a read that completed no command settles nothing
+				c.endCycle()
+				if err := c.wr.Flush(); err != nil {
+					return
+				}
+			}
+		}
 		if err != nil {
 			c.readFailed(err)
 			return
 		}
-		if quit := c.handle(c.cmd.Args); quit {
-			c.endCycle()
-			c.wr.Flush()
-			return
-		}
-		if !c.rd.Buffered() {
-			// The pipelined burst is over (nothing left undecoded):
-			// settle the write futures and flush all replies in one write.
-			c.endCycle()
-			if err := c.wr.Flush(); err != nil {
-				return
-			}
-		}
 	}
 }
 
-// handle runs one decoded command: the shared core of both modes.
+// parseAndDispatch runs every complete command in the query buffer and
+// moves the partial frame behind them, if any, to its front. It reports
+// whether the connection is finished (QUIT, or a protocol error — both
+// already answered and flushed).
+func (c *conn) parseAndDispatch() (closed bool) {
+	off := 0
+	for {
+		n, err := c.par.Parse(c.in[off:], &c.cmd)
+		off += n
+		if err == resp.ErrIncomplete {
+			break
+		}
+		if err != nil {
+			c.readFailed(err)
+			return true
+		}
+		if quit := c.handle(c.cmd.Args); quit {
+			c.endCycle()
+			c.wr.Flush()
+			return true
+		}
+	}
+	if off > 0 {
+		c.in = append(c.in[:0], c.in[off:]...)
+	}
+	if len(c.in) == 0 && cap(c.in) > inShrinkCap {
+		c.in = nil
+	}
+	return false
+}
+
+// ensureInSpace keeps at least 4 KB free behind the unconsumed bytes,
+// doubling the buffer for a frame larger than it.
+func (c *conn) ensureInSpace() {
+	if cap(c.in)-len(c.in) >= 4<<10 {
+		return
+	}
+	newCap := 2 * cap(c.in)
+	if newCap < len(c.in)+readChunk {
+		newCap = len(c.in) + readChunk
+	}
+	nb := make([]byte, len(c.in), newCap)
+	copy(nb, c.in)
+	c.in = nb
+}
+
+// handle runs one decoded command.
 func (c *conn) handle(args [][]byte) (quit bool) {
 	c.srv.stats.commands.Add(1)
 	if c.cycle++; c.cycle == 1 && c.srv.metrics != nil {
@@ -246,20 +277,6 @@ func (c *conn) dispatch(args [][]byte) (quit bool) {
 	} else {
 		c.srv.stats.writeCmds.Add(1)
 	}
-	if cmd.blocking && c.shard != nil {
-		// Running a blocking command on the shard's event loop would
-		// stall every connection it multiplexes. Park the command; the
-		// shard detaches the connection to its own goroutine and runs it
-		// there. Blocking commands are non-write, so pending replies
-		// drained above and reply order is preserved. Args must be
-		// copied: they point into c.in, which the shard compacts.
-		c.blocked = cmd
-		c.blockedArgs = c.blockedArgs[:0]
-		for _, a := range args {
-			c.blockedArgs = append(c.blockedArgs, append([]byte(nil), a...))
-		}
-		return false
-	}
 	if cmd.timed {
 		// Aggregate and admin commands are rare and heavy enough to time
 		// individually (and are the slowlog's primary inhabitants); their
@@ -370,9 +387,8 @@ func (c *conn) writeErrBytes(msg []byte) {
 }
 
 // asciiUpper upper-cases b in place (command names are ASCII) and
-// returns it. The bytes live in the connection's own scratch (arena or
-// query buffer), already consumed past by the parser, so mutating them
-// is safe.
+// returns it. The bytes live in the connection's query buffer, already
+// consumed past by the parser, so mutating them is safe.
 func asciiUpper(b []byte) []byte {
 	for i, ch := range b {
 		if 'a' <= ch && ch <= 'z' {

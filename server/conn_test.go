@@ -1,0 +1,333 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/client"
+	"repro/gen"
+	"repro/graph"
+	"repro/internal/bz"
+	"repro/kcore"
+	"repro/resp"
+)
+
+// rawDial opens a bare TCP connection for tests that control segment
+// boundaries and read deadlines themselves.
+func rawDial(t *testing.T, addr string) (net.Conn, *resp.Reader) {
+	t.Helper()
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return nc, resp.NewReader(nc)
+}
+
+// readWithin reads one reply, failing the test if it does not arrive
+// within d.
+func readWithin(t *testing.T, nc net.Conn, rd *resp.Reader, d time.Duration, what string) resp.Value {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(d))
+	v, err := rd.ReadValue()
+	if err != nil {
+		t.Fatalf("%s: no reply within %v: %v", what, d, err)
+	}
+	return v
+}
+
+// TestReplyDoesNotWaitForNextFrame: a complete command is answered after
+// the read that delivered it, even when the same segment ends in the
+// middle of the next command.
+func TestReplyDoesNotWaitForNextFrame(t *testing.T) {
+	m := kcore.New(gen.ErdosRenyi(50, 100, 1))
+	defer m.Close()
+	_, addr := startServer(t, m)
+	nc, rd := rawDial(t, addr)
+
+	ping := "*1\r\n$4\r\nPING\r\n"
+	half := len(ping) / 2
+	if _, err := nc.Write([]byte(ping + ping[:half])); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if v := readWithin(t, nc, rd, 500*time.Millisecond, "PING before a half frame"); string(v.Str) != "PONG" {
+		t.Fatalf("first reply = %v, want PONG", v)
+	}
+	if _, err := nc.Write([]byte(ping[half:])); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if v := readWithin(t, nc, rd, 5*time.Second, "completed second PING"); string(v.Str) != "PONG" {
+		t.Fatalf("second reply = %v, want PONG", v)
+	}
+}
+
+// TestCommandLargerThanQueryBuffer: a frame several times the query
+// buffer's starting size arrives over many reads; the buffer grows, the
+// parser resumes inside the frame each time, and the commands on either
+// side of it in the pipeline are answered in order.
+func TestCommandLargerThanQueryBuffer(t *testing.T) {
+	const n = 2000
+	g := gen.ErdosRenyi(n, 8000, 13)
+	fresh, _ := bz.Decompose(g.Clone())
+	m := kcore.New(g)
+	defer m.Close()
+	_, addr := startServer(t, m)
+	c := dial(t, addr)
+
+	ids := make([]int32, 4*inShrinkCap/8) // >= 8 wire bytes per id
+	for i := range ids {
+		ids[i] = int32(i % n)
+	}
+	c.Send("PING")
+	c.SendInt32s("CORE.MGET", ids)
+	c.Send("CORE.GET", int32(n-1))
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if s, err := client.String(c.Receive()); err != nil || s != "PONG" {
+		t.Fatalf("PING = %q, %v", s, err)
+	}
+	ks, err := client.Ints(c.Receive())
+	if err != nil || len(ks) != len(ids) {
+		t.Fatalf("CORE.MGET: %d values, %v; want %d", len(ks), err, len(ids))
+	}
+	for i, v := range ids {
+		if int32(ks[i]) != fresh[v] {
+			t.Fatalf("CORE.MGET[%d] (v=%d) = %d, want %d", i, v, ks[i], fresh[v])
+		}
+	}
+	if k, err := client.Int(c.Receive()); err != nil || int32(k) != fresh[n-1] {
+		t.Fatalf("CORE.GET behind the large frame = %d, %v; want %d", k, err, fresh[n-1])
+	}
+}
+
+// heldLog is a kcore.OpLog whose AppendBatch parks the applier until the
+// test releases it: a write held inside the engine for as long as the
+// test likes.
+type heldLog struct {
+	entered chan struct{} // one token per AppendBatch call
+	release chan struct{} // closed to let every call through
+}
+
+func (l *heldLog) AppendBatch(removes, inserts []graph.Edge) {
+	l.entered <- struct{}{}
+	<-l.release
+}
+
+func (l *heldLog) AppendGrow(int) {}
+
+// TestHeldWriteDoesNotStallOtherConns: while one connection's write is
+// stuck in the engine, another connection's reads are answered at once —
+// a connection waiting on its futures holds up nobody but itself.
+func TestHeldWriteDoesNotStallOtherConns(t *testing.T) {
+	g := gen.ErdosRenyi(200, 600, 3)
+	fresh, _ := bz.Decompose(g.Clone())
+	lg := &heldLog{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(lg.release) }) }
+	m := kcore.New(g, kcore.WithOpLog(lg))
+	defer m.Close()
+	defer release() // before Close: the applier must be able to finish
+	_, addr := startServer(t, m)
+
+	w, wrd := rawDial(t, addr)
+	r, rrd := rawDial(t, addr)
+	if _, err := w.Write([]byte("CORE.INSERT 1000 1001\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	select {
+	case <-lg.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write never reached the op log")
+	}
+
+	if _, err := r.Write([]byte("PING\r\nCORE.GET 7\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if v := readWithin(t, r, rrd, 200*time.Millisecond, "PING beside a held write"); string(v.Str) != "PONG" {
+		t.Fatalf("PING = %v, want PONG", v)
+	}
+	if v := readWithin(t, r, rrd, 200*time.Millisecond, "CORE.GET beside a held write"); v.Kind != resp.Integer || int32(v.Int) != fresh[7] {
+		t.Fatalf("CORE.GET 7 = %v, want %d", v, fresh[7])
+	}
+
+	release()
+	if v := readWithin(t, w, wrd, 10*time.Second, "released write"); v.Kind != resp.Integer || v.Int != 1 {
+		t.Fatalf("CORE.INSERT ack = %v, want 1", v)
+	}
+}
+
+// TestWaitThenPipelinedReads: CORE.WAIT parks its connection until
+// another connection's write publishes; the CORE.GETs pipelined behind it
+// in the same segment then run on that connection, in order, and observe
+// the write.
+func TestWaitThenPipelinedReads(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	m := kcore.New(g)
+	defer m.Close()
+	srv, addr := startServer(t, m)
+
+	waiter, wrd := rawDial(t, addr)
+	target := m.Epoch() + 1
+	wire := fmt.Sprintf("CORE.WAIT %d 10000\r\nCORE.GET 0\r\nCORE.GET 1\r\nCORE.GET 2\r\n", target)
+	if _, err := waiter.Write([]byte(wire)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().Commands == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("CORE.WAIT never reached dispatch")
+		}
+		runtime.Gosched()
+	}
+	// Closing the triangle lifts all three vertices from core 1 to core 2.
+	if applied, err := client.Int(dial(t, addr).Do("CORE.INSERT", 0, 2)); err != nil || applied != 1 {
+		t.Fatalf("CORE.INSERT = %d, %v; want 1", applied, err)
+	}
+	if v := readWithin(t, waiter, wrd, 10*time.Second, "CORE.WAIT"); v.Kind != resp.Integer || uint64(v.Int) < target {
+		t.Fatalf("CORE.WAIT = %v, want an epoch >= %d", v, target)
+	}
+	for u := 0; u < 3; u++ {
+		if v := readWithin(t, waiter, wrd, 5*time.Second, "CORE.GET behind CORE.WAIT"); v.Kind != resp.Integer || v.Int != 2 {
+			t.Fatalf("CORE.GET %d behind CORE.WAIT = %v, want 2", u, v)
+		}
+	}
+}
+
+// TestShutdownWithIdleConns: Shutdown returns with hundreds of idle
+// connections open beside live traffic, and every connection goroutine is
+// gone afterwards.
+func TestShutdownWithIdleConns(t *testing.T) {
+	m := kcore.New(gen.ErdosRenyi(200, 600, 9))
+	defer m.Close()
+	before := runtime.NumGoroutine()
+
+	srv := New(m)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
+
+	const idle = 256
+	for i := 0; i < idle; i++ {
+		rawDial(t, addr)
+	}
+	c := dial(t, addr)
+	for i := 0; i < 50; i++ {
+		if _, err := client.Int(c.Do("CORE.INSERT", 300+i, 301+i)); err != nil {
+			t.Fatalf("CORE.INSERT: %v", err)
+		}
+		if _, err := client.Int(c.Do("CORE.GET", 300+i)); err != nil {
+			t.Fatalf("CORE.GET: %v", err)
+		}
+	}
+	if got := srv.Stats().ConnsActive; got != idle+1 {
+		t.Fatalf("conns_active = %d, want %d", got, idle+1)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveDone; err != ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	if got := srv.Stats().ConnsActive; got != 0 {
+		t.Fatalf("conns_active after Shutdown = %d, want 0", got)
+	}
+	// Shutdown's own waiter goroutine may still be returning.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after Shutdown = %d, want <= %d", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestConnScratchIsolation hammers one server with concurrent pipelining
+// clients and verifies every reply against an independently computed
+// decomposition. Each connection owns its query buffer, argument slices,
+// id scratch and reply buffer; this test (run under -race in CI) proves
+// that scratch never leaks across connections — a wrong core number or a
+// torn reply would surface here immediately.
+func TestConnScratchIsolation(t *testing.T) {
+	const n = 2000
+	g := gen.ErdosRenyi(n, 8000, 7)
+	fresh, _ := bz.Decompose(g.Clone())
+	m := kcore.New(g, kcore.WithWorkers(2))
+	defer m.Close()
+	_, addr := startServer(t, m)
+
+	const (
+		clients = 8
+		rounds  = 40
+	)
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for ci := 0; ci < clients; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			c, err := client.Dial(addr)
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(ci)))
+			for r := 0; r < rounds; r++ {
+				// One pipelined burst mixing the scratch users: PING
+				// (shared reply), CORE.GET (query-buffer arg), CORE.MGET
+				// (id scratch), and a probe unique to this client.
+				vs := []int32{rng.Int31n(n), rng.Int31n(n), rng.Int31n(n), int32(ci)}
+				c.Send("PING")
+				c.Send("CORE.GET", vs[0])
+				c.Send("CORE.MGET", vs[0], vs[1], vs[2], vs[3])
+				if err := c.Flush(); err != nil {
+					errc <- err
+					return
+				}
+				if s, err := client.String(c.Receive()); err != nil || s != "PONG" {
+					errc <- fmt.Errorf("client %d round %d: PING = %q, %v", ci, r, s, err)
+					return
+				}
+				k, err := client.Int(c.Receive())
+				if err != nil || int32(k) != fresh[vs[0]] {
+					errc <- fmt.Errorf("client %d round %d: CORE.GET %d = %d, %v; want %d",
+						ci, r, vs[0], k, err, fresh[vs[0]])
+					return
+				}
+				ks, err := client.Ints(c.Receive())
+				if err != nil {
+					errc <- fmt.Errorf("client %d round %d: CORE.MGET: %v", ci, r, err)
+					return
+				}
+				for i, v := range vs {
+					if int32(ks[i]) != fresh[v] {
+						errc <- fmt.Errorf("client %d round %d: CORE.MGET[%d] (v=%d) = %d, want %d",
+							ci, r, i, v, ks[i], fresh[v])
+						return
+					}
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}

@@ -139,7 +139,7 @@ func TestAcceptRetriesTransient(t *testing.T) {
 				t.Fatal(err)
 			}
 			fl := &flakyListener{Listener: ln, fails: 3, err: errno}
-			srv := New(m, WithConnShards(0), WithLogger(nil))
+			srv := New(m, WithLogger(nil))
 			serveDone := make(chan error, 1)
 			go func() { serveDone <- srv.Serve(fl) }()
 			t.Cleanup(func() { srv.Close(); <-serveDone })
@@ -168,7 +168,7 @@ func TestAcceptFatalError(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := &flakyListener{Listener: ln, fails: 1 << 30, err: syscall.EBADF}
-	srv := New(m, WithConnShards(0), WithLogger(nil))
+	srv := New(m, WithLogger(nil))
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(fl) }()
 	select {

@@ -5,7 +5,8 @@
 // snapshot, and fans write commands asynchronously into the maintainer's
 // coalescing pipeline, so a pipelined write burst — from one connection
 // or from many — shares engine rounds instead of paying one round per
-// command. Replies are buffered and flushed once per pipelined burst.
+// command. Commands are parsed in place out of the connection's query
+// buffer, and replies are buffered and flushed once per socket read.
 //
 // The protocol is plain RESP2, so redis-cli works for exploration:
 //
@@ -50,19 +51,10 @@ func WithMaxPipeline(n int) Option {
 	}
 }
 
-// WithConnShards sets how many event-loop conn-shard workers handle
-// connections (Linux only; see shard_linux.go). The default is
-// GOMAXPROCS. Pass 0 to disable sharding and serve every connection
-// with its own goroutine — the only mode on other platforms, and the
-// automatic fallback when shard setup fails. Negative values leave the
-// default.
-func WithConnShards(n int) Option {
-	return func(s *Server) {
-		if n >= 0 {
-			s.connShards = n
-		}
-	}
-}
+// WithConnShards is accepted and ignored: every connection is served by
+// its own goroutine. The name survives only because benchmark/ compiles
+// against it; nothing else may call it.
+func WithConnShards(int) Option { return func(*Server) {} }
 
 // WithPersistence attaches the durability manager whose OpLog already
 // feeds off this server's maintainer. The server does not own it (the
@@ -81,7 +73,6 @@ type Server struct {
 	// readers holding the old one keep serving their snapshot.
 	m           atomic.Pointer[kcore.Maintainer]
 	maxPipeline int
-	connShards  int
 	persist     *persist.Manager
 	replica     *Replica // set by NewReplica before Serve; nil on a leader
 	logger      *log.Logger
@@ -90,10 +81,9 @@ type Server struct {
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[*conn]struct{}
-	inFlight sync.WaitGroup // one per connection goroutine / shard worker
+	inFlight sync.WaitGroup // one per connection goroutine
 	closing  atomic.Bool
 	closeCh  chan struct{} // closed once by beginClose; cancels blocking commands
-	sg       *shardGroup
 
 	stats serveCounters
 
@@ -139,7 +129,6 @@ type ServeStats struct {
 func New(m *kcore.Maintainer, opts ...Option) *Server {
 	s := &Server{
 		maxPipeline:   defaultMaxPipeline,
-		connShards:    defaultConnShards(),
 		conns:         make(map[*conn]struct{}),
 		closeCh:       make(chan struct{}),
 		slowThreshold: 10 * time.Millisecond,
@@ -218,16 +207,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	if s.connShards > 0 {
-		sg := newShardGroup(s, s.connShards) // nil = unsupported; fall back
-		s.mu.Lock()
-		s.sg = sg
-		s.mu.Unlock()
-		if sg != nil && s.closing.Load() {
-			sg.wakeAll() // Shutdown raced shard startup; let the workers exit
-		}
-	}
-
 	// Transient accept failures (fd exhaustion under connection fan-in,
 	// ECONNABORTED) must not kill the listener: back off and retry, the
 	// way net/http does; only hard errors end Serve.
@@ -261,9 +240,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		s.stats.connsTotal.Add(1)
 		s.stats.connsActive.Add(1)
-		if s.sg != nil && s.sg.adopt(c) {
-			continue // a shard worker owns the connection now
-		}
 		s.inFlight.Add(1)
 		go func() {
 			defer func() {
@@ -325,11 +301,7 @@ func (s *Server) beginClose() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	sg := s.sg
 	s.mu.Unlock()
-	if sg != nil {
-		sg.wakeAll() // pop shard workers out of EpollWait
-	}
 }
 
 func (s *Server) closeConns() {

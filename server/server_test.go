@@ -389,12 +389,11 @@ func TestInlineCommands(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdown verifies Shutdown settles a connection that has
-// writes in flight: the futures drain, replies flush, and the listener
-// refuses new work. The connection is deliberately left blocked
-// mid-frame (two complete CORE.INSERTs followed by a truncated third),
-// so the shutdown nudge lands with write futures pending — the exact
-// path the drain exists for.
+// TestGracefulShutdown verifies Shutdown against a connection left
+// blocked mid-frame (two complete CORE.INSERTs followed by a truncated
+// third): both complete writes are applied and their replies delivered,
+// the nudged connection closes without waiting for the rest of the
+// frame, and the listener refuses new work.
 func TestGracefulShutdown(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(500, 1500, 5))
 	defer m.Close()
@@ -417,8 +416,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := nc.Write([]byte(wire)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// Wait until both complete commands are dispatched (their futures are
-	// pending; the reply flush is withheld while the burst looks open).
+	// Wait until both complete commands are dispatched.
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.Stats().WriteCmds < 2 {
 		if time.Now().After(deadline) {
