@@ -28,47 +28,41 @@ type Cluster struct {
 	// at the value Connect recovers from the shards' owned bands.
 	hwm atomic.Int64
 
-	chunkPairs int
-	obs        *routerMetrics
+	obs *routerMetrics
 }
 
 // Option configures Connect.
 type Option func(*config)
 
 type config struct {
-	maxIdle     int
 	dialTimeout time.Duration
-	chunkPairs  int
 }
-
-// WithMaxIdle bounds each shard pool's idle list (default 8).
-func WithMaxIdle(n int) Option { return func(c *config) { c.maxIdle = n } }
 
 // WithDialTimeout bounds each shard dial (default 5s).
 func WithDialTimeout(d time.Duration) Option { return func(c *config) { c.dialTimeout = d } }
 
-// WithChunkPairs bounds how many edge pairs (or ids) ride in one
-// multi-pair command before the router starts another in the same
-// pipeline (default 4096) — large enough to amortize dispatch, small
-// enough to bound per-command buffers on both ends.
-func WithChunkPairs(n int) Option { return func(c *config) { c.chunkPairs = n } }
+// chunkPairs bounds how many edge pairs (or ids) ride in one multi-pair
+// command before the router starts another in the same pipeline — large
+// enough to amortize dispatch, small enough to bound per-command buffers on
+// both ends.
+const chunkPairs = 4096
 
 // Connect builds a router over the map. Connections are dialed lazily
 // (first use per shard), so Connect itself does no network I/O; the
 // first operation against an unreachable shard surfaces a ShardError.
 func Connect(m *ShardMap, opts ...Option) *Cluster {
-	cfg := config{maxIdle: 8, dialTimeout: 5 * time.Second, chunkPairs: 4096}
+	cfg := config{dialTimeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &Cluster{m: m, chunkPairs: cfg.chunkPairs, obs: newRouterMetrics(m.NumShards())}
+	c := &Cluster{m: m, obs: newRouterMetrics(m.NumShards())}
 	c.pools = make([]*client.Pool, m.NumShards())
 	c.every = make([]int, m.NumShards())
 	for i := range c.pools {
 		addr := m.Shard(i).Leader
 		c.pools[i] = &client.Pool{
 			Dial:    func() (*client.Conn, error) { return client.Dial(addr, client.WithDialTimeout(cfg.dialTimeout)) },
-			MaxIdle: cfg.maxIdle,
+			MaxIdle: 8,
 		}
 		c.every[i] = i
 	}
@@ -195,7 +189,7 @@ func (c *Cluster) writeRouted(cmd string, bufs [][]int32, epochs []uint64) error
 	if len(touched) == 0 {
 		return nil
 	}
-	chunk := 2 * c.chunkPairs
+	chunk := 2 * chunkPairs
 	return c.scatter(touched, func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
 			buf := bufs[i]
@@ -305,7 +299,7 @@ func (c *Cluster) MGet(ids []int32) ([]int32, error) {
 	}
 	err := c.scatter(touched, func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
-			return mgetInto(conn, locals[i], c.chunkPairs, func(j int, k int32) {
+			return mgetInto(conn, locals[i], func(j int, k int32) {
 				out[positions[i][j]] = k
 			})
 		})
@@ -318,8 +312,8 @@ func (c *Cluster) MGet(ids []int32) ([]int32, error) {
 
 // mgetInto runs one shard's CORE.MGET share — chunked, one flush — and
 // hands each core number to sink with its index in locals.
-func mgetInto(conn *client.Conn, locals []int32, chunkIDs int, sink func(j int, k int32)) error {
-	sent, err := mgetSend(conn, locals, chunkIDs)
+func mgetInto(conn *client.Conn, locals []int32, sink func(j int, k int32)) error {
+	sent, err := mgetSend(conn, locals)
 	if err != nil {
 		return err
 	}
@@ -331,10 +325,10 @@ func mgetInto(conn *client.Conn, locals []int32, chunkIDs int, sink func(j int, 
 
 // mgetSend buffers one shard's CORE.MGET share as chunked commands
 // (no flush) and returns how many replies will be owed.
-func mgetSend(conn *client.Conn, locals []int32, chunkIDs int) (int, error) {
+func mgetSend(conn *client.Conn, locals []int32) (int, error) {
 	sent := 0
-	for off := 0; off < len(locals); off += chunkIDs {
-		end := min(off+chunkIDs, len(locals))
+	for off := 0; off < len(locals); off += chunkPairs {
+		end := min(off+chunkPairs, len(locals))
 		if err := conn.SendInt32s("CORE.MGET", locals[off:end]); err != nil {
 			return 0, err
 		}

@@ -156,7 +156,7 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 	if err != nil {
 		return s.c.wrapShardErr(i, err)
 	}
-	sent, err := mgetSend(conn, locals, s.c.chunkPairs)
+	sent, err := mgetSend(conn, locals)
 	if err != nil {
 		return s.c.wrapShardErr(i, err)
 	}

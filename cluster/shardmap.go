@@ -87,16 +87,6 @@ func EqualRanges(capacity int32, addrs [][]string) (*ShardMap, error) {
 	return NewShardMap(shards)
 }
 
-// DeriveMap parses a topology string (see ParseTopology) and splits
-// [0, capacity) evenly across its shards.
-func DeriveMap(topology string, capacity int32) (*ShardMap, error) {
-	addrs, err := ParseTopology(topology)
-	if err != nil {
-		return nil, err
-	}
-	return EqualRanges(capacity, addrs)
-}
-
 // NumShards returns the number of shards.
 func (m *ShardMap) NumShards() int { return len(m.shards) }
 

@@ -157,14 +157,6 @@ func (g *Graph) AddEdge(u, v int32) bool {
 	return true
 }
 
-// addEdgeUnchecked appends the edge without the duplicate scan; used by
-// callers that already know the edge is absent.
-func (g *Graph) addEdgeUnchecked(u, v int32) {
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-	g.m.Add(1)
-}
-
 // RemoveEdge deletes the undirected edge (u, v) with swap-removal from both
 // adjacency arrays. It returns false when the edge is absent. O(deg u +
 // deg v), matching the array storage the paper evaluates.

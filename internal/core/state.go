@@ -16,7 +16,6 @@ import (
 	"repro/internal/bz"
 	"repro/internal/grow"
 	"repro/internal/om"
-	"repro/internal/snapshot"
 	"repro/internal/spin"
 )
 
@@ -95,8 +94,6 @@ type State struct {
 
 	mu    sync.Mutex   // guards list growth
 	lists atomic.Value // []*om.List, one per core number
-
-	pub snapshot.Publisher // epoch-versioned read snapshots
 }
 
 // newItemBlock allocates Items for the vertex range [first, first+count):
@@ -115,9 +112,7 @@ func newItemBlock(first, count int) []*om.Item {
 // Grow extends the vertex universe to at least n vertices. New vertices
 // are isolated: core number 0, empty mcd, appended to the tail of the
 // k=0 order list (any position among core-0 vertices is a valid k-order
-// for a vertex with no neighbors). The grown snapshot is published
-// copy-on-write (Hist[0] bumped, fresh zero pages); views held by readers
-// keep their pre-growth N and pages. Must run at quiescence, like every
+// for a vertex with no neighbors). Must run at quiescence, like every
 // structural operation on the state.
 func (st *State) Grow(n int) {
 	old := st.N()
@@ -138,7 +133,6 @@ func (st *State) Grow(n int) {
 		st.Mcd[v].Store(McdEmpty)
 		list0.InsertAtTail(st.Items[v])
 	}
-	st.pub.PublishGrow(n, st.G.M())
 }
 
 // NewState initializes the state from g: core numbers and the initial
@@ -185,46 +179,8 @@ func NewState(g *graph.Graph) *State {
 	for _, v := range order {
 		lists[cores[v]].InsertAtTail(st.Items[v])
 	}
-	st.PublishSnapshot()
 	return st
 }
-
-// PublishSnapshot builds an epoch-versioned immutable view of the current
-// core numbers and installs it as the state's read snapshot. It must run at
-// quiescence (between batches); queries served from the snapshot then never
-// observe in-flight batch mutation.
-func (st *State) PublishSnapshot() *snapshot.View {
-	return st.pub.Publish(st.CoreNumbers(), st.G.M())
-}
-
-// PublishSnapshotUnchanged advances the snapshot epoch in O(1), reusing
-// the previous view's core data; only valid when no core number changed
-// since the last publication (the graph's edge count may have).
-func (st *State) PublishSnapshotUnchanged() *snapshot.View {
-	return st.pub.PublishUnchanged(st.G.M())
-}
-
-// PublishSnapshotDelta publishes a copy-on-write view patched from the
-// previous one: changed must cover every vertex whose core number moved
-// since the last publication (a batch's ⋃V*; duplicates are fine), and
-// their quiescent core numbers are read here. Cost is proportional to the
-// changed set and the pages it dirties, not to n; huge distinct sets fall
-// back to the full rebuild (see snapshot.BuildDelta). Must run at
-// quiescence.
-func (st *State) PublishSnapshotDelta(changed []int32) *snapshot.View {
-	delta, ok := snapshot.BuildDelta(changed, st.N(), func(v int32) int32 { return st.Core[v].Load() })
-	if !ok {
-		return st.PublishSnapshot()
-	}
-	return st.pub.PublishDelta(delta, st.G.M())
-}
-
-// PubStats reports the snapshot publication counters.
-func (st *State) PubStats() snapshot.PubStats { return st.pub.Stats() }
-
-// Snapshot returns the most recently published view. Never nil: NewState
-// publishes the initial decomposition.
-func (st *State) Snapshot() *snapshot.View { return st.pub.Current() }
 
 // N returns the number of vertices.
 func (st *State) N() int { return len(st.Core) }
@@ -375,7 +331,7 @@ type InsertStats struct {
 	VPlus   int  // |V+|: vertices traversed
 	VStar   int  // |V*|: vertices whose core number increased
 	// Changed is V* itself — the vertices whose core number this
-	// insertion raised — the input to delta snapshot publication.
+	// insertion raised.
 	Changed []int32
 }
 
@@ -385,6 +341,6 @@ type RemoveStats struct {
 	Applied bool // false: edge was absent, nothing changed
 	VStar   int  // |V*|: vertices whose core number decreased
 	// Changed is V* itself — the vertices whose core number this removal
-	// lowered — the input to delta snapshot publication.
+	// lowered.
 	Changed []int32
 }

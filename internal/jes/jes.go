@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"repro/graph"
-	"repro/internal/snapshot"
 	"repro/internal/traversal"
 )
 
@@ -44,11 +43,10 @@ type Stats struct {
 	// core-number updates the batch caused, counting a vertex once per
 	// operation that moved it.
 	VStar int
-	// Changed is the batch's ⋃V* — every vertex whose core number some
-	// operation moved — deduplicated across rounds and levels, so a
-	// vertex touched at multiple levels is reported once (a distinct-set
-	// reporting contract; the snapshot publisher dedups again on its
-	// own). It is the input to copy-on-write delta snapshot publication.
+	// Changed is the V* of every applied operation, concatenated: every
+	// vertex whose core number the batch moved, once per operation that
+	// moved it (so a vertex touched at several levels or in several rounds
+	// repeats).
 	Changed []int32
 }
 
@@ -165,9 +163,6 @@ func runBatch(st *traversal.State, edges []graph.Edge, workers int, insert bool)
 			pending = nil
 		}
 	}
-	// A vertex moved by operations at several levels (or in several
-	// rounds) reaches Changed once.
-	stats.Changed = snapshot.Dedup(stats.Changed)
 	return stats
 }
 

@@ -58,8 +58,7 @@ type Batch struct {
 	Sizes []int32
 	// Changed holds, per worker, the V* of every edge that worker applied,
 	// concatenated: the vertices whose core number the batch moved (one
-	// entry per move, so a vertex moved twice appears twice) — the input
-	// to delta snapshot publication.
+	// entry per move, so a vertex moved twice appears twice).
 	Changed [][]int32
 	// Metrics are this batch's contention and work counters.
 	Metrics Metrics

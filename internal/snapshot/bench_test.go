@@ -96,10 +96,10 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 				}
 			})
 			b.Run(name+"/jes", func(b *testing.B) {
-				// Raw changed report as the JES engine emits it before
-				// dedup landed in jes.runBatch: every vertex repeated (a
-				// touch at two levels). BuildDelta + PublishDelta is the
-				// publication work one JES batch costs the applier.
+				// Raw changed report as the JES engine emits it: every
+				// vertex repeated (a touch at two levels). BuildDelta +
+				// PublishDelta is the publication work one JES batch
+				// costs the applier.
 				raw := make([]int32, 0, 2*vstar)
 				for _, v := range verts {
 					raw = append(raw, int32(v))

@@ -72,9 +72,6 @@ func (v *View) CoresInto(dst []int32) []int32 {
 	return dst
 }
 
-// NumPages returns the page-table length (for instrumentation and tests).
-func (v *View) NumPages() int { return len(v.pages) }
-
 // ForEachPage calls fn once per page in vertex order: start is the id of
 // the page's first vertex and page its core numbers (page[i] belongs to
 // vertex start+i). The allocation-free way to scan all cores sequentially;
@@ -187,29 +184,6 @@ func BuildDelta(changed []int32, n int, coreOf func(int32) int32) (delta []Verte
 		}
 	}
 	return delta, true
-}
-
-// Dedup drops repeated vertex ids in place, keeping first-seen order.
-// BuildDelta skips duplicates on its own (and its n/4 rebuild-fallback
-// threshold already counts distinct vertices only), so engines are not
-// required to call this for correctness; it exists so batch engines that
-// touch a vertex at several levels can report a distinct Changed set —
-// a stable contract for Stats consumers — and shrink the report before
-// it crosses the publisher boundary.
-func Dedup(changed []int32) []int32 {
-	if len(changed) < 2 {
-		return changed
-	}
-	seen := make(map[int32]struct{}, len(changed))
-	out := changed[:0]
-	for _, v := range changed {
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
 }
 
 // PubStats counts publications by kind. DirtyPages accumulates the pages

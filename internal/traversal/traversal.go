@@ -23,7 +23,6 @@ import (
 	"repro/graph"
 	"repro/internal/bz"
 	"repro/internal/grow"
-	"repro/internal/snapshot"
 )
 
 // State carries the Traversal algorithm's maintenance state: current core
@@ -38,8 +37,6 @@ type State struct {
 	// isolation keeps the SEMANTICS stable; the lock keeps the slice
 	// memory safe.)
 	mu sync.RWMutex
-
-	pub snapshot.Publisher // epoch-versioned read snapshots
 }
 
 // NewState computes the initial core numbers (BZ) and all max-core degrees.
@@ -57,15 +54,13 @@ func NewState(g *graph.Graph) *State {
 	for v := int32(0); v < int32(n); v++ {
 		st.mcd[v].Store(st.computeMCD(v))
 	}
-	st.PublishSnapshot()
 	return st
 }
 
 // Grow extends the vertex universe to at least n vertices. New vertices
-// are isolated (core 0, mcd 0 — the zero values). The grown snapshot is
-// published copy-on-write; held views keep their pre-growth N. Must run
-// at quiescence (between batches / jes levels), so reallocating the
-// atomic arrays races with nothing.
+// are isolated (core 0, mcd 0 — the zero values). Must run at quiescence
+// (between batches / jes levels), so reallocating the atomic arrays races
+// with nothing.
 func (st *State) Grow(n int) {
 	old := len(st.core)
 	if n <= old {
@@ -74,42 +69,7 @@ func (st *State) Grow(n int) {
 	st.G.Grow(n)
 	st.core = grow.Slice(st.core, n)
 	st.mcd = grow.Slice(st.mcd, n)
-	st.pub.PublishGrow(n, st.G.M())
 }
-
-// PublishSnapshot builds an epoch-versioned immutable view of the current
-// core numbers and installs it as the state's read snapshot. It must run at
-// quiescence (between batches / jes levels).
-func (st *State) PublishSnapshot() *snapshot.View {
-	return st.pub.Publish(st.CoreNumbers(), st.G.M())
-}
-
-// PublishSnapshotUnchanged advances the snapshot epoch in O(1), reusing
-// the previous view's core data; only valid when no core number changed
-// since the last publication (the graph's edge count may have).
-func (st *State) PublishSnapshotUnchanged() *snapshot.View {
-	return st.pub.PublishUnchanged(st.G.M())
-}
-
-// PublishSnapshotDelta publishes a copy-on-write view patched from the
-// previous one; changed must cover every vertex whose core number moved
-// since the last publication (a batch's ⋃V*; duplicates are fine). Huge
-// distinct sets fall back to the full rebuild (see snapshot.BuildDelta).
-// Must run at quiescence.
-func (st *State) PublishSnapshotDelta(changed []int32) *snapshot.View {
-	delta, ok := snapshot.BuildDelta(changed, st.G.N(), func(v int32) int32 { return st.core[v].Load() })
-	if !ok {
-		return st.PublishSnapshot()
-	}
-	return st.pub.PublishDelta(delta, st.G.M())
-}
-
-// PubStats reports the snapshot publication counters.
-func (st *State) PubStats() snapshot.PubStats { return st.pub.Stats() }
-
-// Snapshot returns the most recently published view. Never nil: NewState
-// publishes the initial decomposition.
-func (st *State) Snapshot() *snapshot.View { return st.pub.Current() }
 
 // CoreOf returns the current core number of v.
 func (st *State) CoreOf(v int32) int32 { return st.core[v].Load() }
@@ -152,8 +112,7 @@ func (st *State) pcd(v, k int32) int32 {
 
 // Stats reports the effect of one operation; VPlus is the number of visited
 // vertices (the searching set), VStar the number of core-number changes and
-// Changed the changed vertices themselves (V*, for delta snapshot
-// publication).
+// Changed the changed vertices themselves (V*).
 type Stats struct {
 	Applied bool
 	VPlus   int

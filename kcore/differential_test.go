@@ -2,6 +2,7 @@ package kcore
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,5 +177,60 @@ func TestOldViewStableDuringPublishes(t *testing.T) {
 	}
 	if m.Epoch() == held.Epoch() {
 		t.Fatal("epoch never advanced")
+	}
+}
+
+// TestHugeDeltaFallsBackToFullPublish drives the one branch of
+// engine.publishAfter that rebuilds: a batch whose distinct changed set is
+// at least a quarter of the graph (snapshot.BuildDelta's refusal) must be
+// published as a full snapshot — one epoch, correct cores, and views held
+// from before untouched.
+func TestHugeDeltaFallsBackToFullPublish(t *testing.T) {
+	const n, k = 64, 24
+	var ring, clique []graph.Edge
+	for v := int32(0); v < n; v++ {
+		ring = append(ring, graph.Edge{U: v, V: (v + 1) % n})
+	}
+	// Turning the ring's first k vertices into a clique lifts all k of them
+	// (k ≥ n/4) from core 2 to core k−1 in one batch.
+	for u := int32(0); u < k; u++ {
+		for v := u + 2; v < k; v++ {
+			clique = append(clique, graph.Edge{U: u, V: v})
+		}
+	}
+	for _, alg := range allAlgorithms {
+		base := graph.MustFromEdges(n, ring)
+		mirror := base.Clone()
+		m := New(base, WithAlgorithm(alg), WithWorkers(2))
+		held := m.Snapshot()
+		heldCores := held.CoreNumbers()
+
+		res := m.InsertEdges(clique)
+		for _, e := range clique {
+			mirror.AddEdge(e.U, e.V)
+		}
+		if res.Applied != len(clique) || res.ChangedVertices < k {
+			t.Fatalf("%v: batch applied %d of %d edges and moved %d vertices, want at least %d",
+				alg, res.Applied, len(clique), res.ChangedVertices, k)
+		}
+		st := m.ServingStats()
+		if st.FullPublishes != 2 || st.DeltaPublishes != 0 {
+			t.Fatalf("%v: %d full and %d delta publications, want 2 (initial + fallback) and 0",
+				alg, st.FullPublishes, st.DeltaPublishes)
+		}
+		if got := m.Epoch(); got != held.Epoch()+1 {
+			t.Fatalf("%v: epoch %d after one batch on epoch %d", alg, got, held.Epoch())
+		}
+		truth, _ := bz.Decompose(mirror)
+		if got := m.CoreNumbers(); !slices.Equal(got, truth) {
+			t.Fatalf("%v: served cores %v, want %v", alg, got, truth)
+		}
+		if got := held.CoreNumbers(); !slices.Equal(got, heldCores) || held.MaxCore() != 2 {
+			t.Fatalf("%v: the rebuild changed a view held from before it: %v", alg, got)
+		}
+		if err := m.Check(); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		m.Close()
 	}
 }

@@ -13,7 +13,7 @@ import (
 // batches over a small growable graph, every registered engine applies
 // the same script through the Engine interface, and after every batch
 // each engine's cores must be byte-equal to a fresh BZ decomposition of a
-// mirror graph (and the Changed reports must cover the moved vertices —
+// mirror graph (and the engines' reports must cover the moved vertices —
 // the contract delta snapshot publication rests on). A seed corpus lives
 // in testdata/fuzz/FuzzMixedBatch; `make fuzz-smoke` runs a 10s smoke
 // pass in CI.
@@ -81,12 +81,12 @@ func FuzzMixedBatch(f *testing.F) {
 			}
 			truth, _ := bz.Decompose(mirror)
 			for i, eng := range engines {
-				var moved []int32
+				var res BatchResult
 				if len(removes) > 0 {
-					moved = append(moved, eng.ApplyRemove(removes).Changed...)
+					eng.ApplyRemove(removes, &res)
 				}
 				if len(inserts) > 0 {
-					moved = append(moved, eng.ApplyInsert(inserts).Changed...)
+					eng.ApplyInsert(inserts, &res)
 				}
 				got := eng.Cores()
 				for v := range truth {
@@ -95,15 +95,15 @@ func FuzzMixedBatch(f *testing.F) {
 							algs[i], v, got[v], truth[v], removes, inserts)
 					}
 				}
-				// A vertex whose core moved but is missing from Changed
+				// A vertex whose core moved but is missing from the report
 				// would leave a stale page after delta publication.
-				reported := make(map[int32]bool, len(moved))
-				for _, v := range moved {
+				reported := make(map[int32]bool, len(res.changed))
+				for _, v := range res.changed {
 					reported[v] = true
 				}
 				for v := range got {
 					if got[v] != prev[i][v] && !reported[int32(v)] {
-						t.Fatalf("%v: core[%d] moved %d→%d but is not in Changed",
+						t.Fatalf("%v: core[%d] moved %d→%d but was not reported",
 							algs[i], v, prev[i][v], got[v])
 					}
 				}

@@ -49,15 +49,16 @@
 // in O(1), and a batch that changed the set V* clones only the pages V*
 // dirtied and patches the histogram incrementally — publication cost
 // O(|V*| + dirtyPages·PageSize), proportional to the change, not to the
-// graph. Every engine — JoinEdgeSet included — reports its per-batch V*
-// through the shared Engine interface to feed this path.
+// graph. Every engine — JoinEdgeSet included — reports the vertices each
+// batch moved (repeats allowed); the serving layer owns the one publisher,
+// deduplicates the report once and decides how to publish it.
 //
 // The vertex universe grows on demand: the applier scans each coalesced
-// batch before the engine round and grows graph, engine state, and
-// snapshot to cover unseen insert endpoints, so streaming workloads that
-// mint vertex ids continuously need no pre-sizing (AddVertices
-// pre-allocates when the arrival rate is known). Growth is itself a
-// copy-on-write publication; snapshots held across it never change.
+// batch before the engine round, grows graph and engine state to cover
+// unseen insert endpoints and publishes the grown snapshot, so streaming
+// workloads that mint vertex ids continuously need no pre-sizing
+// (AddVertices pre-allocates when the arrival rate is known). Growth is
+// itself a copy-on-write publication; snapshots held across it never change.
 package kcore
 
 import (
@@ -192,10 +193,11 @@ type BatchResult struct {
 	// Coalesced is the number of caller ops folded into the engine batch
 	// this result describes; 1 when the op ran alone.
 	Coalesced int
-	// changed accumulates the engines' per-batch changed-vertex reports
-	// (⋃V*; distinct within one Stats report but possibly repeating
-	// across the removal/insertion halves of a coalesced batch) — the
-	// input to delta snapshot publication. Every engine populates it.
+	// changed is where the engines append every vertex whose core number
+	// the batch moved (a superset of the moved set is fine, and so are
+	// repeats) — the input to delta snapshot publication, which dedups it.
+	// It is the engine's scratch, reused from batch to batch: always nil in
+	// a result a caller receives.
 	changed []int32
 	// Contention reports the parallel engine's synchronization counters
 	// (zero value for the other engines): how often conditional locks
@@ -214,41 +216,30 @@ type Contention struct {
 	Evictions     int64 // Backward repositionings
 }
 
-func (c *Contention) merge(o Contention) {
-	c.LockAborts += o.LockAborts
-	c.QueueRebuilds += o.QueueRebuilds
-	c.RemovalRedos += o.RemovalRedos
-	c.Evictions += o.Evictions
-}
-
-// merge folds one engine Stats report (one applied sub-batch) into the
-// result handed back to callers.
-func (r *BatchResult) merge(s Stats) {
-	r.Applied += s.Applied
-	r.ChangedVertices += s.ChangedVertices
-	if s.VPlusSizes != nil {
-		if r.VPlusSizes == nil {
-			r.VPlusSizes = s.VPlusSizes
-		} else {
-			r.VPlusSizes = append(r.VPlusSizes, s.VPlusSizes...)
-		}
-	}
-	r.changed = append(r.changed, s.Changed...)
-	r.Contention.merge(s.Contention)
-}
-
-// engine owns the maintenance Engine implementation. Exactly one goroutine
-// drives it at a time: the pipeline's applier while the pipeline is open,
-// otherwise callers serialized by mu. It deliberately holds no reference
-// back to the Maintainer handle, so an abandoned Maintainer can be
-// collected (a runtime cleanup then stops the applier).
+// engine owns the maintenance Engine implementation and the snapshot
+// publisher its batches feed. Exactly one goroutine drives it at a time: the
+// pipeline's applier while the pipeline is open, otherwise callers
+// serialized by mu; queries only load pub's current view. It deliberately
+// holds no reference back to the Maintainer handle, so an abandoned
+// Maintainer can be collected (a runtime cleanup then stops the applier).
 type engine struct {
 	cfg      config
 	g        *graph.Graph
-	impl     Engine     // registered implementation for cfg.alg
-	epochlog EpochLog   // cfg.oplog when it wants epoch markers, else nil
-	mu       sync.Mutex // serializes post-Close synchronous applies
+	impl     Engine             // registered implementation for cfg.alg
+	coreOf   func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
+	pub      snapshot.Publisher // the read snapshots; see publishAfter and grow
+	epochlog EpochLog           // cfg.oplog when it wants epoch markers, else nil
+	mu       sync.Mutex         // serializes post-Close synchronous applies
+	// res is the report of the batch being applied, zero between batches
+	// but for res.changed, the scratch carried from one to the next. It
+	// lives here and not on the applier's stack because the engines take
+	// its address through an interface.
+	res BatchResult
 }
+
+// changedKeep is the largest changed-vertex scratch, in entries, carried
+// over to the next batch: the buffer one huge batch grew is dropped.
+const changedKeep = 1024
 
 // Maintainer tracks core numbers of one dynamic graph. Create it with New;
 // all methods are safe for concurrent use. Updates serialize through the
@@ -291,6 +282,8 @@ func New(g *graph.Graph, opts ...Option) *Maintainer {
 		cfg.pm = NewPipelineMetrics(cfg.alg.String())
 	}
 	eng := &engine{cfg: cfg, g: g, impl: newEngine(cfg.alg, g, cfg.workers)}
+	eng.coreOf = eng.impl.CoreOf
+	eng.pub.Publish(eng.impl.Cores(), g.M())
 	if el, ok := cfg.oplog.(EpochLog); ok {
 		eng.epochlog = el
 	}
@@ -393,8 +386,7 @@ func (m *Maintainer) AtQuiescence(fn func(QuiescentState)) {
 // every previously enqueued op. fn must not call Maintainer update
 // methods (the applier would deadlock waiting on itself).
 func (m *Maintainer) barrier(fn func()) {
-	op := &updateOp{kind: opBarrier, fn: fn, done: make(chan BatchResult, 1)}
-	m.pipe.enqueue(m.eng, op)
+	m.pipe.submit(m.eng, newOp(opBarrier, nil, fn)).Wait()
 }
 
 // ServingStats is a point-in-time view of the serving layer: pipeline
@@ -423,16 +415,15 @@ type ServingStats struct {
 
 // ServingStats reports the pipeline's instrumentation counters.
 func (m *Maintainer) ServingStats() ServingStats {
-	s := m.pipe.metrics.Snapshot()
-	p := m.eng.pubStats()
+	p := m.eng.pub.Stats()
 	return ServingStats{
 		Epoch:              m.Epoch(),
-		QueueDepth:         s.QueueDepth,
-		Enqueued:           s.Enqueued,
-		Batches:            s.Batches,
-		BatchedOps:         s.BatchedOps,
-		CanceledOps:        s.CanceledOps,
-		Flushes:            s.Flushes,
+		QueueDepth:         m.pipe.queueDepth.Load(),
+		Enqueued:           m.pipe.enqueued.Load(),
+		Batches:            m.pipe.batches.Load(),
+		BatchedOps:         m.pipe.batchedOps.Load(),
+		CanceledOps:        m.pipe.canceledOps.Load(),
+		Flushes:            m.pipe.flushes.Load(),
 		UpdateLatency:      m.pipe.updLat.Percentiles(),
 		FullPublishes:      p.Full,
 		DeltaPublishes:     p.Delta,
@@ -456,16 +447,14 @@ func (m *Maintainer) RemoveEdge(u, v int32) BatchResult {
 // Self-loops and already-present edges are skipped. The call returns after
 // the update is applied and visible to queries (read-your-writes).
 func (m *Maintainer) InsertEdges(edges []graph.Edge) BatchResult {
-	op := &updateOp{kind: opInsert, edges: edges, done: make(chan BatchResult, 1)}
-	return m.pipe.enqueue(m.eng, op)
+	return m.InsertEdgesAsync(edges).Wait()
 }
 
 // RemoveEdges removes a batch of edges and updates every core number.
 // Self-loops and absent edges are skipped. The call returns after the
 // update is applied and visible to queries (read-your-writes).
 func (m *Maintainer) RemoveEdges(edges []graph.Edge) BatchResult {
-	op := &updateOp{kind: opRemove, edges: edges, done: make(chan BatchResult, 1)}
-	return m.pipe.enqueue(m.eng, op)
+	return m.RemoveEdgesAsync(edges).Wait()
 }
 
 // InsertEdgesAsync submits an insertion batch without waiting and
@@ -477,14 +466,12 @@ func (m *Maintainer) RemoveEdges(edges []graph.Edge) BatchResult {
 // one round per op. Blocks only when the op queue is full
 // (backpressure).
 func (m *Maintainer) InsertEdgesAsync(edges []graph.Edge) *Pending {
-	op := &updateOp{kind: opInsert, edges: edges, done: make(chan BatchResult, 1)}
-	return m.pipe.submit(m.eng, op)
+	return m.pipe.submit(m.eng, newOp(opInsert, edges, nil))
 }
 
 // RemoveEdgesAsync is InsertEdgesAsync for a removal batch.
 func (m *Maintainer) RemoveEdgesAsync(edges []graph.Edge) *Pending {
-	op := &updateOp{kind: opRemove, edges: edges, done: make(chan BatchResult, 1)}
-	return m.pipe.submit(m.eng, op)
+	return m.pipe.submit(m.eng, newOp(opRemove, edges, nil))
 }
 
 // AddVertices grows the vertex universe by k fresh isolated vertices
@@ -505,7 +492,7 @@ func (m *Maintainer) AddVertices(k int) int {
 				target = m.eng.cfg.maxN // the WithMaxVertices ceiling
 			}
 			if target > m.eng.g.N() {
-				m.eng.impl.Grow(target)
+				m.eng.grow(target)
 				if lg := m.eng.cfg.oplog; lg != nil {
 					lg.AppendGrow(target)
 				}
@@ -531,26 +518,36 @@ func (m *Maintainer) Check() error {
 	return err
 }
 
-// view returns the engine's current published snapshot.
-func (eng *engine) view() *snapshot.View { return eng.impl.currentView() }
+// view returns the current published snapshot (never nil: New publishes
+// the initial decomposition).
+func (eng *engine) view() *snapshot.View { return eng.pub.Current() }
 
-// pubStats returns the engine's snapshot publication counters.
-func (eng *engine) pubStats() snapshot.PubStats { return eng.impl.publicationStats() }
+// grow extends the vertex universe — graph, engine state, then the
+// snapshot, copy-on-write — to n vertices. At quiescence, n > g.N().
+func (eng *engine) grow(n int) {
+	eng.impl.Grow(n)
+	eng.pub.PublishGrow(n, eng.g.M())
+}
 
-// publishAfter publishes the post-batch snapshot for res. Two paths,
-// cheapest first: a batch that changed no core number re-publishes the
-// previous view in O(1); a batch that changed some routes its changed
-// set through the copy-on-write delta publication, cloning only the
-// dirtied pages — O(|V*| + dirtyPages·PageSize), not O(n). Every
-// registered engine reports its per-batch V*, so no engine pays the
-// O(n) rebuild here (huge deltas still fall back to it inside the
-// publisher, where the two costs converge).
+// publishAfter publishes the post-batch snapshot for res — the one place
+// that decides how. Cheapest first: a batch that changed no core number
+// re-publishes the previous view in O(1); one that changed some goes
+// through the copy-on-write delta publication, cloning only the dirtied
+// pages — O(|V*| + dirtyPages·PageSize), not O(n); and when BuildDelta
+// finds the distinct changed set to be a quarter of the graph or more,
+// where the two costs converge, the snapshot is rebuilt in full. The report
+// is dead after publication; the buffer one huge batch grew is not kept.
 func (eng *engine) publishAfter(res *BatchResult) {
 	if res.ChangedVertices == 0 {
-		eng.impl.publishUnchanged()
-		return
+		eng.pub.PublishUnchanged(eng.g.M())
+	} else if delta, ok := snapshot.BuildDelta(res.changed, eng.g.N(), eng.coreOf); ok {
+		eng.pub.PublishDelta(delta, eng.g.M())
+	} else {
+		eng.pub.Publish(eng.impl.Cores(), eng.g.M())
 	}
-	eng.impl.publishDelta(res.changed)
+	if cap(res.changed) > changedKeep {
+		res.changed = nil
+	}
 }
 
 func (eng *engine) check() error { return eng.impl.Check() }
@@ -594,7 +591,7 @@ func (eng *engine) prepareBatch(removes, inserts []graph.Edge) ([]graph.Edge, []
 		return e.U >= 0 && e.V >= 0 && e.U < maxN && e.V < maxN
 	})
 	if target := growTarget(inserts, eng.g.N()); target > eng.g.N() {
-		eng.impl.Grow(target)
+		eng.grow(target)
 	}
 	n := int32(eng.g.N())
 	removes = filterEdges(removes, func(e graph.Edge) bool {
@@ -636,18 +633,6 @@ func filterEdges(edges []graph.Edge, keep func(graph.Edge) bool) []graph.Edge {
 		return out
 	}
 	return edges
-}
-
-// insertBatch runs one insertion batch through the configured engine,
-// accumulating into res. Applier-side (or mu-serialized after Close).
-func (eng *engine) insertBatch(edges []graph.Edge, res *BatchResult) {
-	res.merge(eng.impl.ApplyInsert(edges))
-}
-
-// removeBatch runs one removal batch through the configured engine,
-// accumulating into res. Applier-side (or mu-serialized after Close).
-func (eng *engine) removeBatch(edges []graph.Edge, res *BatchResult) {
-	res.merge(eng.impl.ApplyRemove(edges))
 }
 
 // Snapshot is an immutable, epoch-versioned view of the maintained core

@@ -2,10 +2,10 @@ package kcore
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/graph"
-	"repro/internal/pcore"
 	"repro/internal/stats"
 )
 
@@ -27,16 +27,6 @@ const (
 	opBarrier
 )
 
-// updateOp is one enqueued request; done is its future (buffered, capacity
-// 1, completed exactly once by the applier or the post-Close fallback).
-type updateOp struct {
-	kind  opKind
-	edges []graph.Edge
-	fn    func()    // opBarrier only: runs in the applier at quiescence
-	enq   time.Time // submission time; feeds the coalesce-wait histogram
-	done  chan BatchResult
-}
-
 const (
 	// opQueueCap is the channel buffer: writers beyond it block until the
 	// applier catches up (closed-loop backpressure).
@@ -47,7 +37,7 @@ const (
 )
 
 type pipeline struct {
-	ops    chan *updateOp
+	ops    chan *Pending
 	exited chan struct{} // closed when the applier has drained and returned
 
 	// mu guards closed and makes enqueue-vs-Close safe: senders hold the
@@ -56,41 +46,51 @@ type pipeline struct {
 	mu     sync.RWMutex
 	closed bool
 
-	metrics pcore.ServeMetrics
-	updLat  stats.LatencyRecorder
-	pm      *PipelineMetrics
+	// The counters ServingStats reports.
+	queueDepth  atomic.Int64 // gauge: ops enqueued or being applied right now
+	enqueued    atomic.Int64 // update ops accepted by the queue
+	batches     atomic.Int64 // coalesced engine batches applied
+	batchedOps  atomic.Int64 // caller ops those batches covered
+	canceledOps atomic.Int64 // edge ops superseded by a later op within one drain
+	flushes     atomic.Int64 // barrier ops executed (Flush, Check, AtQuiescence)
+
+	updLat stats.LatencyRecorder
+	pm     *PipelineMetrics
 
 	co coalescer // process-only: the applier, then post-Close callers under eng.mu
 }
 
 func newPipeline(pm *PipelineMetrics) *pipeline {
 	return &pipeline{
-		ops:    make(chan *updateOp, opQueueCap),
+		ops:    make(chan *Pending, opQueueCap),
 		exited: make(chan struct{}),
 		pm:     pm,
 	}
 }
 
-// enqueue submits op and blocks until the applier completes its future.
-// After Close the op is applied synchronously instead, so a Maintainer
-// keeps working (single-threaded) once its pipeline is shut down.
-func (p *pipeline) enqueue(eng *engine, op *updateOp) BatchResult {
-	return p.submit(eng, op).Wait()
-}
-
-// Pending is the future of an asynchronously submitted update: the op is
-// in the pipeline (in submission order), its result not yet claimed. A
-// caller that submits a run of Pendings before waiting on any lets the
-// applier coalesce the whole run into shared engine batches — the
-// mechanism the RESP server uses to turn one connection's pipelined
-// write burst into one engine round. Wait is not safe for concurrent
-// use; hand a Pending to at most one waiter.
+// Pending is one submitted op and the future of its result: the op is in
+// the pipeline (in submission order), its result not yet claimed. A caller
+// that submits a run of Pendings before waiting on any lets the applier
+// coalesce the whole run into shared engine batches — the mechanism the
+// RESP server uses to turn one connection's pipelined write burst into one
+// engine round. Wait is not safe for concurrent use; hand a Pending to at
+// most one waiter.
 type Pending struct {
+	kind  opKind
+	edges []graph.Edge
+	fn    func()    // opBarrier only: runs in the applier at quiescence
+	enq   time.Time // submission time: coalesce wait and update latency count from here
+	// done is completed exactly once (capacity 1), by the applier or by the
+	// post-Close path of submit.
+	done chan BatchResult
+
 	p      *pipeline
-	op     *updateOp
-	start  time.Time
 	res    BatchResult
 	waited bool
+}
+
+func newOp(kind opKind, edges []graph.Edge, fn func()) *Pending {
+	return &Pending{kind: kind, edges: edges, fn: fn, done: make(chan BatchResult, 1)}
 }
 
 // Wait blocks until the op's coalesced batch has been applied and its
@@ -98,39 +98,38 @@ type Pending struct {
 // after the first call).
 func (pd *Pending) Wait() BatchResult {
 	if !pd.waited {
-		pd.res = <-pd.op.done
+		pd.res = <-pd.done
 		pd.waited = true
-		if pd.op.kind != opBarrier {
-			pd.p.updLat.Record(time.Since(pd.start))
+		if pd.kind != opBarrier {
+			pd.p.updLat.Record(time.Since(pd.enq))
 		}
 	}
 	return pd.res
 }
 
-// submit enqueues op without waiting and returns its future. After Close
-// the caller runs the applier's own process on the lone op, serialized by
-// eng.mu, before submit returns (Wait then just hands back the result),
-// so async callers keep working once the pipeline is shut down.
-func (p *pipeline) submit(eng *engine, op *updateOp) *Pending {
-	pd := &Pending{p: p, op: op, start: time.Now()}
-	op.enq = pd.start
+// submit enqueues op without waiting and returns it. After Close the caller
+// runs the applier's own process on the lone op, serialized by eng.mu,
+// before submit returns (Wait then just hands back the result), so a
+// Maintainer keeps working, single-threaded, once its pipeline is shut down.
+func (p *pipeline) submit(eng *engine, op *Pending) *Pending {
+	op.p, op.enq = p, time.Now()
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
 		<-p.exited // the applier still owns the engine until it returns
 		eng.mu.Lock()
-		p.metrics.QueueDepth.Add(1) // process takes it back when it finishes op
-		p.process(eng, []*updateOp{op})
+		p.queueDepth.Add(1) // process takes it back when it finishes op
+		p.process(eng, []*Pending{op})
 		eng.mu.Unlock()
-		return pd
+		return op
 	}
-	p.metrics.QueueDepth.Add(1)
+	p.queueDepth.Add(1)
 	p.ops <- op
 	// Incremented after the send: once a reader of the counter observes
 	// the op it is guaranteed to be in the channel, in enqueue order.
-	p.metrics.Enqueued.Add(1)
+	p.enqueued.Add(1)
 	p.mu.RUnlock()
-	return pd
+	return op
 }
 
 // close shuts the pipeline down. The applier finishes every op already
@@ -152,7 +151,7 @@ func (p *pipeline) close(wait bool) {
 // channel drains every buffered op after close before exiting.
 func (p *pipeline) run(eng *engine) {
 	defer close(p.exited)
-	pending := make([]*updateOp, 0, 64)
+	pending := make([]*Pending, 0, 64)
 	for first := range p.ops {
 		pending = append(pending[:0], first)
 	drain:
@@ -168,6 +167,10 @@ func (p *pipeline) run(eng *engine) {
 			}
 		}
 		p.process(eng, pending)
+		// A finished op belongs to its waiter alone: the reused backing
+		// array must not keep it — and the caller's edge slice it points
+		// to — reachable until a later drain overwrites the slot.
+		clear(pending)
 	}
 }
 
@@ -175,7 +178,7 @@ func (p *pipeline) run(eng *engine) {
 // ops becomes one coalesced engine batch, and each barrier executes at the
 // quiescent point its enqueue order put it at, so Flush keeps exact
 // read-your-writes semantics.
-func (p *pipeline) process(eng *engine, pending []*updateOp) {
+func (p *pipeline) process(eng *engine, pending []*Pending) {
 	i := 0
 	for i < len(pending) {
 		if pending[i].kind == opBarrier {
@@ -184,7 +187,7 @@ func (p *pipeline) process(eng *engine, pending []*updateOp) {
 			if b.fn != nil {
 				b.fn()
 			}
-			p.metrics.Flushes.Add(1)
+			p.flushes.Add(1)
 			p.finish(b, BatchResult{})
 			continue
 		}
@@ -204,7 +207,7 @@ func (p *pipeline) process(eng *engine, pending []*updateOp) {
 // coalescing, so the order is immaterial to the final state), publishes
 // the post-batch snapshot, and completes every future with the shared
 // result of the coalesced batch.
-func (p *pipeline) applySegment(eng *engine, seg []*updateOp) {
+func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	removes, inserts, canceled := p.co.coalesce(seg)
 	start := time.Now()
 	// The segment's oldest op has waited longest; its queue time is the
@@ -212,33 +215,35 @@ func (p *pipeline) applySegment(eng *engine, seg []*updateOp) {
 	p.pm.CoalesceWait.ObserveDuration(start.Sub(seg[0].enq))
 	removes, inserts = eng.prepareBatch(removes, inserts)
 	eng.logBatch(removes, inserts)
-	var res BatchResult
+	res := &eng.res
 	if len(removes) > 0 {
-		eng.removeBatch(removes, &res)
+		eng.impl.ApplyRemove(removes, res)
 	}
 	if len(inserts) > 0 {
-		eng.insertBatch(inserts, &res)
+		eng.impl.ApplyInsert(inserts, res)
 	}
 	res.Duration = time.Since(start)
 	res.Coalesced = len(seg)
 	p.pm.Apply.ObserveDuration(res.Duration)
 	pubStart := time.Now()
-	eng.publishAfter(&res)
+	eng.publishAfter(res)
 	p.pm.Publish.ObserveDuration(time.Since(pubStart))
 	eng.logEpoch()
-	// The changed set is dead after publication; don't let callers that
-	// retain their BatchResult pin a batch's whole ⋃V* in memory.
-	res.changed = nil
-	p.metrics.Batches.Add(1)
-	p.metrics.BatchedOps.Add(int64(len(seg)))
-	p.metrics.CanceledOps.Add(int64(canceled))
+	p.batches.Add(1)
+	p.batchedOps.Add(int64(len(seg)))
+	p.canceledOps.Add(int64(canceled))
+	// Callers must neither see nor pin the engine's scratch, nor the engine
+	// their VPlusSizes.
+	shared := *res
+	shared.changed = nil
+	*res = BatchResult{changed: res.changed[:0]}
 	for _, op := range seg {
-		p.finish(op, res)
+		p.finish(op, shared)
 	}
 }
 
-func (p *pipeline) finish(op *updateOp, res BatchResult) {
-	p.metrics.QueueDepth.Add(-1)
+func (p *pipeline) finish(op *Pending, res BatchResult) {
+	p.queueDepth.Add(-1)
 	op.done <- res
 }
 
@@ -265,7 +270,7 @@ const coalesceKeep = 1024
 // the final op per edge reaches the same quiescent state. canceled counts
 // ops superseded by an opposite-kind op (insert+remove pairs that
 // annihilated within the drain).
-func (c *coalescer) coalesce(seg []*updateOp) (removes, inserts []graph.Edge, canceled int) {
+func (c *coalescer) coalesce(seg []*Pending) (removes, inserts []graph.Edge, canceled int) {
 	if len(c.order) > coalesceKeep {
 		*c = coalescer{}
 	}

@@ -1,10 +1,12 @@
 package kcore
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/gen"
 	"repro/graph"
@@ -14,8 +16,8 @@ import (
 // the last enqueued op must win, opposite-kind supersessions must count as
 // canceled, and single-op segments must pass through verbatim.
 func TestCoalesceLastOpWins(t *testing.T) {
-	mk := func(kind opKind, edges ...graph.Edge) *updateOp {
-		return &updateOp{kind: kind, edges: edges}
+	mk := func(kind opKind, edges ...graph.Edge) *Pending {
+		return &Pending{kind: kind, edges: edges}
 	}
 	e := func(u, v int32) graph.Edge { return graph.Edge{U: u, V: v} }
 
@@ -25,14 +27,14 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	coalesce := co.coalesce
 
 	// Single op: verbatim, including non-canonical edge order.
-	rem, ins, canceled := coalesce([]*updateOp{mk(opInsert, e(3, 1), e(1, 2))})
+	rem, ins, canceled := coalesce([]*Pending{mk(opInsert, e(3, 1), e(1, 2))})
 	if len(rem) != 0 || len(ins) != 2 || canceled != 0 || ins[0] != e(3, 1) {
 		t.Fatalf("single op: rem=%v ins=%v canceled=%d", rem, ins, canceled)
 	}
 
 	// insert(1,2) then remove(2,1): the pair annihilates into a removal
 	// of the canonical edge; the insert counts as canceled.
-	rem, ins, canceled = coalesce([]*updateOp{
+	rem, ins, canceled = coalesce([]*Pending{
 		mk(opInsert, e(1, 2)),
 		mk(opRemove, e(2, 1)),
 	})
@@ -42,7 +44,7 @@ func TestCoalesceLastOpWins(t *testing.T) {
 
 	// remove then insert: insert wins; same-kind duplicates dedup without
 	// counting as canceled.
-	rem, ins, canceled = coalesce([]*updateOp{
+	rem, ins, canceled = coalesce([]*Pending{
 		mk(opRemove, e(5, 6)),
 		mk(opInsert, e(6, 5), e(7, 8)),
 		mk(opInsert, e(8, 7)),
@@ -60,8 +62,8 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	for i := int32(0); i <= coalesceKeep; i++ {
 		big = append(big, e(i, i+1))
 	}
-	coalesce([]*updateOp{mk(opInsert, big...), mk(opInsert, e(0, 2))})
-	coalesce([]*updateOp{mk(opInsert, e(1, 3))})
+	coalesce([]*Pending{mk(opInsert, big...), mk(opInsert, e(0, 2))})
+	coalesce([]*Pending{mk(opInsert, e(1, 3))})
 	if co.last != nil || co.order != nil {
 		t.Fatalf("scratch of a %d-edge segment survived the next call", len(big)+1)
 	}
@@ -345,5 +347,81 @@ func TestServingStatsCounters(t *testing.T) {
 	}
 	if st.Batches < 2 || st.Epoch == 0 {
 		t.Fatalf("stats %+v: want >= 2 batches and nonzero epoch", st)
+	}
+}
+
+// TestFinishedOpIsGarbage: once an op's waiter has returned, nothing in the
+// pipeline may keep the op — or the caller's edge slice it points to —
+// reachable. The applier reuses its drain buffer, so a slot it does not
+// clear pins the last drain's ops until some later drain is long enough to
+// overwrite it.
+func TestFinishedOpIsGarbage(t *testing.T) {
+	m := New(gen.ErdosRenyi(64, 128, 31))
+	defer m.Close()
+	submit := func() weak.Pointer[graph.Edge] {
+		es := []graph.Edge{{U: 1, V: 40}, {U: 2, V: 41}, {U: 3, V: 42}}
+		m.InsertEdgesAsync(es).Wait()
+		return weak.Make(&es[0])
+	}
+	wp := submit()
+	for deadline := time.Now().Add(time.Second); wp.Value() != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a finished op's edge slice is still reachable 1 s after its waiter returned")
+		}
+		runtime.GC()
+	}
+}
+
+// TestWriteFlightAllocs pins what one coalesced write flight allocates, the
+// way server's BenchmarkHotPathAllocs pins reads: 8 single-edge ops queued
+// behind a parked applier, so the flight is exactly one 8-edge engine batch
+// whose vertices all move (a delta publication), inserting and removing in
+// turn. ParallelOrder, one worker.
+func TestWriteFlightAllocs(t *testing.T) {
+	// Eight disjoint paths a–b–c: closing a path into a triangle lifts its
+	// three vertices from core 1 to core 2, reopening it drops them again.
+	var base, closing []graph.Edge
+	for i := int32(0); i < 8; i++ {
+		a, b, c := 3*i, 3*i+1, 3*i+2
+		base = append(base, graph.Edge{U: a, V: b}, graph.Edge{U: b, V: c})
+		closing = append(closing, graph.Edge{U: a, V: c})
+	}
+	// 24 moving vertices must stay under a quarter of the graph, or the
+	// publication is a full rebuild (TestHugeDeltaFallsBackToFullPublish).
+	m := New(graph.MustFromEdges(128, base))
+	defer m.Close()
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	park := func() { entered <- struct{}{}; <-gate }
+	pend := make([]*Pending, len(closing))
+	flight := func(async func([]graph.Edge) *Pending) {
+		m.pipe.submit(m.eng, newOp(opBarrier, nil, park))
+		<-entered // the applier's drain holds the barrier alone; the next one takes all 8
+		for i := range closing {
+			pend[i] = async(closing[i : i+1])
+		}
+		gate <- struct{}{}
+		for _, pd := range pend {
+			if res := pd.Wait(); res.Coalesced != len(closing) || res.Applied != len(closing) || res.ChangedVertices != 3*len(closing) {
+				t.Fatalf("flight was not one all-moving 8-edge batch: %+v", res)
+			}
+		}
+	}
+	before := m.ServingStats()
+	perRun := testing.AllocsPerRun(50, func() {
+		flight(m.InsertEdgesAsync)
+		flight(m.RemoveEdgesAsync)
+	})
+	after := m.ServingStats()
+	if d, b := after.DeltaPublishes-before.DeltaPublishes, after.Batches-before.Batches; d != b || d != 2*51 {
+		t.Fatalf("%d delta publications in %d batches, want 102 in 102", d, b)
+	}
+	// Per flight: 9 ops (the barrier and the 8 writes) × 3 — the Pending,
+	// its channel and the channel's one-result buffer — = 27; the result's
+	// VPlusSizes 1; BuildDelta's map 3 and delta 1; PublishDelta's page
+	// table, dirty flags, cloned page, histogram and View 5.
+	const perFlight = 37
+	if got := perRun / 2; got > perFlight {
+		t.Fatalf("%.1f allocations per 8-op write flight, want at most %d", got, perFlight)
 	}
 }

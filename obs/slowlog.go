@@ -16,12 +16,11 @@ type SlowEntry struct {
 }
 
 // SlowLog is a fixed-size ring of the slowest commands, in the style of
-// redis SLOWLOG. The hot-path gate is Eligible — one atomic load and a
-// compare; Add itself takes a mutex but only runs for commands already
-// past the threshold.
+// redis SLOWLOG. The hot-path gate is Eligible — one compare; Add itself
+// takes a mutex but only runs for commands already past the threshold.
 type SlowLog struct {
-	threshold atomic.Int64 // ns; negative disables the log entirely
-	total     atomic.Int64 // entries ever recorded (survives Reset)
+	threshold time.Duration // fixed at construction; negative disables the log entirely
+	total     atomic.Int64  // entries ever recorded (survives Reset)
 
 	mu   sync.Mutex
 	ring []SlowEntry
@@ -37,25 +36,12 @@ func NewSlowLog(size int, threshold time.Duration) *SlowLog {
 	if size <= 0 {
 		size = 128
 	}
-	l := &SlowLog{ring: make([]SlowEntry, size)}
-	l.threshold.Store(int64(threshold))
-	return l
-}
-
-// Threshold returns the current threshold (negative = disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	return time.Duration(l.threshold.Load())
-}
-
-// SetThreshold changes the threshold at runtime.
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	l.threshold.Store(int64(d))
+	return &SlowLog{threshold: threshold, ring: make([]SlowEntry, size)}
 }
 
 // Eligible reports whether a command of duration d should be recorded.
 func (l *SlowLog) Eligible(d time.Duration) bool {
-	t := l.threshold.Load()
-	return t >= 0 && int64(d) >= t
+	return l.threshold >= 0 && d >= l.threshold
 }
 
 // Add records one slow command.

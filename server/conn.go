@@ -25,7 +25,7 @@ import (
 // asynchronously (kcore.Pending) and their replies deferred; the queue
 // is drained (waiting each future, writing each reply, in order) the
 // moment a non-write command needs to run, the bytes of one socket read
-// are used up, or the queue hits the server's maxPipeline bound. Because
+// are used up, or the queue hits the defaultMaxPipeline bound. Because
 // one goroutine submits in command order and the maintainer's coalescer
 // folds with last-op-per-edge-wins in enqueue order, the drain-later
 // scheme is observationally identical to executing the commands one at a
@@ -175,7 +175,7 @@ func (c *conn) handle(args [][]byte) (quit bool) {
 	if quit := c.dispatch(args); quit {
 		return true
 	}
-	if len(c.pending) >= c.srv.maxPipeline {
+	if len(c.pending) >= defaultMaxPipeline {
 		c.drainPending()
 	}
 	return false

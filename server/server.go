@@ -39,18 +39,6 @@ type Option func(*Server)
 // the standard library's default logger. Pass nil to silence.
 func WithLogger(l *log.Logger) Option { return func(s *Server) { s.logger = l; s.logSet = true } }
 
-// WithMaxPipeline bounds how many commands one connection may have
-// in flight before the server forces a drain of its pending write
-// futures (default defaultMaxPipeline). It bounds per-connection memory,
-// not protocol depth — clients may pipeline arbitrarily deep.
-func WithMaxPipeline(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxPipeline = n
-		}
-	}
-}
-
 // WithConnShards is accepted and ignored: every connection is served by
 // its own goroutine. The name survives only because benchmark/ compiles
 // against it; nothing else may call it.
@@ -63,6 +51,10 @@ func WithConnShards(int) Option { return func(*Server) {} }
 // the persist_* keys in CORE.STATS.
 func WithPersistence(p *persist.Manager) Option { return func(s *Server) { s.persist = p } }
 
+// defaultMaxPipeline bounds how many commands one connection may have in
+// flight before the server forces a drain of its pending write futures. It
+// bounds per-connection memory, not protocol depth — clients may pipeline
+// arbitrarily deep.
 const defaultMaxPipeline = 512
 
 // Server serves one Maintainer over RESP. Create with New, start with
@@ -71,12 +63,11 @@ type Server struct {
 	// m is swappable: a replica re-bootstrapping from a fresh leader
 	// snapshot builds a new maintainer and swaps it in atomically;
 	// readers holding the old one keep serving their snapshot.
-	m           atomic.Pointer[kcore.Maintainer]
-	maxPipeline int
-	persist     *persist.Manager
-	replica     *Replica // set by NewReplica before Serve; nil on a leader
-	logger      *log.Logger
-	logSet      bool
+	m       atomic.Pointer[kcore.Maintainer]
+	persist *persist.Manager
+	replica *Replica // set by NewReplica before Serve; nil on a leader
+	logger  *log.Logger
+	logSet  bool
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -128,7 +119,6 @@ type ServeStats struct {
 // the server does not close the maintainer.
 func New(m *kcore.Maintainer, opts ...Option) *Server {
 	s := &Server{
-		maxPipeline:   defaultMaxPipeline,
 		conns:         make(map[*conn]struct{}),
 		closeCh:       make(chan struct{}),
 		slowThreshold: 10 * time.Millisecond,
