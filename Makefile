@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race engine-flake bench fuzz-smoke loadserve crash cluster-check metrics-check examples
+.PHONY: all build vet test race engine-flake bench fuzz-smoke loadserve loadserve-net crash cluster-check metrics-check examples
 
 all: build vet test
 
@@ -20,8 +20,11 @@ race:
 # configuration in which the removal status window (DESIGN.md, "The t
 # status") made tier-1 red — rare interleavings need both the stress tests
 # that -short skips and a scheduler that actually preempts between two stores.
+# The second line is the same on the product path: the multi-worker engines
+# kcore builds, checked against BZ and by the repair count in their report.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -235,7 +235,8 @@ func (p *worker) resetScratch() {
 // adjacency scan. This package's tests run with sameLevel on; New leaves it
 // off, because switching it on multiplies write throughput by 2 to 7 and the
 // benchmark's spread check, an absolute band around the parent's median,
-// cannot judge a change of that size (CHANGES.md, PR 12, says how to land it).
+// cannot judge a change of that size (CHANGES.md, PRs 12 and 23, say how to
+// land it).
 func (p *worker) recordMove(w, k int32) {
 	st := p.st
 	p.repair = append(p.repair, w)

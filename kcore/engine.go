@@ -148,6 +148,7 @@ func (r *BatchResult) addBatch(b pcore.Batch) {
 	r.Contention.QueueRebuilds += b.Metrics.QueueRebuilds
 	r.Contention.RemovalRedos += b.Metrics.RemovalRedos
 	r.Contention.Evictions += b.Metrics.Evictions
+	r.Contention.RepairTargets += b.Metrics.RepairTargets
 }
 
 // wantSizes makes VPlusSizes non-nil, with room for hint more entries: the

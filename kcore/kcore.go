@@ -203,7 +203,8 @@ type BatchResult struct {
 	// (zero value for the other engines): how often conditional locks
 	// aborted, priority queues rebuilt their label snapshots, and removal
 	// propagations re-ran — the observable footprint of the paper's
-	// blocking-chain analysis (§4).
+	// blocking-chain analysis (§4) — and how many vertices the batch-end
+	// d⁺out repair recomputed.
 	Contention Contention
 }
 
@@ -214,6 +215,7 @@ type Contention struct {
 	QueueRebuilds int64 // priority-queue label re-snapshots (Algorithm 9)
 	RemovalRedos  int64 // removal propagation redo rounds (Algorithm 8)
 	Evictions     int64 // Backward repositionings
+	RepairTargets int64 // d⁺out recomputations of the batch-end repair
 }
 
 // engine owns the maintenance Engine implementation and the snapshot
