@@ -25,6 +25,7 @@ race:
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -208,17 +208,16 @@ func BenchmarkAblationOrderVsTraversal(b *testing.B) {
 // against a mutex-guarded equivalent under concurrent readers — the paper's
 // reason for adopting the lock-free comparison (§3.4).
 func BenchmarkAblationLockFreeOrder(b *testing.B) {
-	l := om.NewList(0)
-	items := make([]*om.Item, 4096)
-	for i := range items {
-		items[i] = &om.Item{ID: int32(i)}
-		l.InsertAtTail(items[i])
+	const n = 4096
+	l := om.NewList(om.NewSlab(n), 0)
+	for x := int32(0); x < n; x++ {
+		l.InsertAtTail(x)
 	}
 	b.Run("LockFree", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				l.Order(items[i%4096], items[(i*7+13)%4096])
+				l.Order(int32(i%n), int32((i*7+13)%n))
 				i++
 			}
 		})
@@ -229,7 +228,7 @@ func BenchmarkAblationLockFreeOrder(b *testing.B) {
 			i := 0
 			for pb.Next() {
 				mu.Lock()
-				l.Order(items[i%4096], items[(i*7+13)%4096])
+				l.Order(int32(i%n), int32((i*7+13)%n))
 				mu.Unlock()
 				i++
 			}

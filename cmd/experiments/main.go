@@ -5,7 +5,9 @@
 //	experiments -exp fig4 -scale medium       # one experiment, bigger graphs
 //	experiments -exp table3 -workers 1,2,4,8,16 -repeats 5
 //
-// Experiments: table2, fig1, fig4, table3, fig5, fig6, contention, all.
+// Experiments: table2, fig1, fig4, table3, fig5, fig6, contention, all, and
+// memory (the live heap by owner on the benchmark's burst-batch input; not
+// part of all).
 package main
 
 import (
@@ -19,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|fig1|fig4|table3|fig5|fig6|contention|all")
+	exp := flag.String("exp", "all", "experiment: table2|fig1|fig4|table3|fig5|fig6|contention|all|memory")
 	scale := flag.String("scale", "ci", "scale: ci|medium|full")
 	workers := flag.String("workers", "1,2,4,8,16", "comma-separated worker counts")
 	repeats := flag.Int("repeats", 3, "repetitions per measurement")
@@ -55,6 +57,8 @@ func main() {
 		expr.RunFig6(cfg)
 	case "contention":
 		expr.RunContention(cfg)
+	case "memory":
+		expr.RunMemory(cfg)
 	case "all":
 		expr.RunAll(cfg)
 	default:

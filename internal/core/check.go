@@ -39,8 +39,7 @@ func (st *State) CheckInvariants() error {
 		if err != nil {
 			return fmt.Errorf("I4: list O_%d: %w", k, err)
 		}
-		for _, it := range items {
-			v := it.ID
+		for _, v := range items {
 			if st.Core[v].Load() != k {
 				return fmt.Errorf("I4: vertex %d with core %d sits in O_%d", v, st.Core[v].Load(), k)
 			}

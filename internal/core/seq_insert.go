@@ -38,7 +38,7 @@ func (h *orderHeap) Swap(i, j int) {
 }
 func (h *orderHeap) Push(x any) {
 	v := x.(int32)
-	lt, lb, _, _ := h.list.Labels(h.st.Items[v])
+	lt, lb, _, _ := h.list.Labels(v)
 	h.vs = append(h.vs, v)
 	h.lt = append(h.lt, lt)
 	h.lb = append(h.lb, lb)
@@ -70,7 +70,7 @@ func (h *orderHeap) refreshIfStale() {
 	}
 	h.ver = v
 	for i, vtx := range h.vs {
-		lt, lb, _, _ := h.list.Labels(h.st.Items[vtx])
+		lt, lb, _, _ := h.list.Labels(vtx)
 		h.lt[i], h.lb[i] = lt, lb
 	}
 	heap.Init(h)
@@ -219,8 +219,8 @@ func (r *insertRun) backward(w int32) {
 		r.doPre(u, &rq, inR)
 		r.doPost(u, &rq, inR)
 		st.BeginOrderChange(u)
-		list.Delete(st.Items[u])
-		list.InsertAfter(st.Items[pre], st.Items[u])
+		list.Delete(u)
+		list.InsertAfter(pre, u)
 		st.EndOrderChange(u)
 		pre = u
 		st.Dout[u].Add(st.Din[u])
@@ -266,7 +266,7 @@ func (r *insertRun) commit() {
 	st := r.st
 	from := st.List(r.k)
 	to := st.List(r.k + 1)
-	var anchor *om.Item
+	anchor := int32(-1) // none yet: the first survivor goes to the head
 	for _, w := range r.vstar {
 		if !r.inStar[w] {
 			continue // evicted by backward
@@ -280,13 +280,13 @@ func (r *insertRun) commit() {
 		st.BeginOrderChange(w)
 		st.Core[w].Store(r.k + 1)
 		st.Din[w] = 0
-		from.Delete(st.Items[w])
-		if anchor == nil {
-			to.InsertAtHead(st.Items[w])
+		from.Delete(w)
+		if anchor < 0 {
+			to.InsertAtHead(w)
 		} else {
-			to.InsertAfter(anchor, st.Items[w])
+			to.InsertAfter(anchor, w)
 		}
-		anchor = st.Items[w]
+		anchor = w
 		st.EndOrderChange(w)
 	}
 }

@@ -138,13 +138,13 @@ func (r *removeRun) commit() {
 	for _, w := range r.vstar {
 		for _, x := range st.G.Adj(w) {
 			if st.Core[x].Load() == r.k && !r.inStar(x) &&
-				from.Order(st.Items[x], st.Items[w]) {
+				from.Order(x, w) {
 				st.Dout[x].Add(-1)
 			}
 		}
 		st.BeginOrderChange(w)
-		from.Delete(st.Items[w])
-		to.InsertAtTail(st.Items[w])
+		from.Delete(w)
+		to.InsertAtTail(w)
 		st.EndOrderChange(w)
 	}
 }

@@ -34,11 +34,9 @@ const McdEmpty int32 = -1
 // touched while holding the vertex's entry in Locks.
 //
 // The vertex universe is growable: Grow appends fresh vertices at
-// quiescence. The per-vertex slices are re-sliced or reallocated then —
-// safe, because no pointer into them outlives a batch — except Items,
-// whose om.Item nodes are linked into the k-order lists permanently;
-// Items therefore holds pointers into separately allocated blocks that
-// never move.
+// quiescence. The per-vertex slices, the OM slab included, are re-sliced or
+// reallocated then — safe, because no pointer into them outlives a batch
+// and the k-order lists link vertices by id.
 type State struct {
 	G *graph.Graph
 
@@ -63,11 +61,6 @@ type State struct {
 	T []atomic.Int32
 	// Locks[v] is the per-vertex CAS spin lock.
 	Locks []spin.Lock
-	// Items[v] is v's node in whichever k-order list currently holds it.
-	// The pointed-to Items live in block allocations that are never
-	// moved: the OM lists link them by address, so growth must not
-	// relocate existing nodes.
-	Items []*om.Item
 
 	// CommitMu serializes cross-worker core-level moves: every transfer
 	// of a vertex between k-order lists that changes its core number
@@ -88,25 +81,15 @@ type State struct {
 	// linearization and the final k-order is invalid — dout exceeds the
 	// core number — which later in-batch decisions then build on,
 	// over-promoting vertices (the TestLargerScaleInsert I1/I2 failures).
-	// The section is a handful of pointer updates; commits into the same
+	// The section is a handful of index updates; commits into the same
 	// level at the same instant are rare, so contention is negligible.
 	CommitMu sync.Mutex
 
+	// slab holds every vertex's k-order record, in whichever list O_k
+	// currently links it; the lists name vertices by id.
+	slab  *om.Slab
 	mu    sync.Mutex   // guards list growth
 	lists atomic.Value // []*om.List, one per core number
-}
-
-// newItemBlock allocates Items for the vertex range [first, first+count):
-// one block of om.Item nodes (which must never move once linked into a
-// list) plus the pointer slice addressing them.
-func newItemBlock(first, count int) []*om.Item {
-	block := make([]om.Item, count)
-	ptrs := make([]*om.Item, count)
-	for i := range block {
-		block[i].ID = int32(first + i)
-		ptrs[i] = &block[i]
-	}
-	return ptrs
 }
 
 // Grow extends the vertex universe to at least n vertices. New vertices
@@ -127,11 +110,11 @@ func (st *State) Grow(n int) {
 	st.S = grow.Slice(st.S, n)
 	st.T = grow.Slice(st.T, n)
 	st.Locks = grow.Slice(st.Locks, n)
-	st.Items = append(st.Items, newItemBlock(old, n-old)...)
+	st.slab.Grow(n)
 	list0 := st.List(0)
 	for v := old; v < n; v++ {
 		st.Mcd[v].Store(McdEmpty)
-		list0.InsertAtTail(st.Items[v])
+		list0.InsertAtTail(int32(v))
 	}
 }
 
@@ -150,13 +133,13 @@ func NewState(g *graph.Graph) *State {
 		S:     make([]atomic.Uint32, n),
 		T:     make([]atomic.Int32, n),
 		Locks: make([]spin.Lock, n),
-		Items: newItemBlock(0, n),
+		slab:  om.NewSlab(n),
 	}
 	cores, order := bz.Decompose(g)
 	maxCore := bz.MaxCore(cores)
 	lists := make([]*om.List, maxCore+1)
 	for k := range lists {
-		lists[k] = om.NewList(0)
+		lists[k] = om.NewList(st.slab, 0)
 	}
 	st.lists.Store(lists)
 	pos := make([]int32, n)
@@ -177,7 +160,7 @@ func NewState(g *graph.Graph) *State {
 	// Append vertices to their core's list in peeling order; within one
 	// core value the peeling order is the k-order O_k.
 	for _, v := range order {
-		lists[cores[v]].InsertAtTail(st.Items[v])
+		lists[cores[v]].InsertAtTail(v)
 	}
 	return st
 }
@@ -217,7 +200,7 @@ func (st *State) growLists(k int32) *om.List {
 	grown := make([]*om.List, k+1)
 	copy(grown, ls)
 	for i := len(ls); i < len(grown); i++ {
-		grown[i] = om.NewList(0)
+		grown[i] = om.NewList(st.slab, 0)
 	}
 	st.lists.Store(grown)
 	return grown[k]
@@ -235,7 +218,7 @@ func (st *State) BeforeSeq(u, v int32) bool {
 	if cu != cv {
 		return cu < cv
 	}
-	return st.List(cu).Order(st.Items[u], st.Items[v])
+	return st.List(cu).Order(u, v)
 }
 
 // Before is the Parallel-Order comparison of Algorithm 6: it retries until
@@ -255,7 +238,7 @@ func (st *State) Before(u, v int32) bool {
 		if cu != cv {
 			r = cu < cv
 		} else {
-			r = st.List(cu).Order(st.Items[u], st.Items[v])
+			r = st.List(cu).Order(u, v)
 		}
 		if st.S[u].Load() == su && st.S[v].Load() == sv {
 			return r

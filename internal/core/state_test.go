@@ -1,12 +1,13 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
-	"repro/internal/om"
 )
 
 func TestNewStateInitialDout(t *testing.T) {
@@ -25,7 +26,7 @@ func TestNewStateInitialDout(t *testing.T) {
 func TestGrowMintsIsolatedVertices(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	st := NewState(g)
-	items := append([]*om.Item(nil), st.Items...) // pre-growth node addresses
+	walk, labels := kOrder(t, st, 3)
 
 	st.Grow(8)
 	if st.N() != 8 || st.G.N() != 8 {
@@ -42,16 +43,18 @@ func TestGrowMintsIsolatedVertices(t *testing.T) {
 		if m := st.Mcd[v].Load(); m != McdEmpty {
 			t.Fatalf("new vertex %d has mcd %d, want empty", v, m)
 		}
-		if !st.Items[v].InList() {
+		if !st.slab.InList(v) {
 			t.Fatalf("new vertex %d not linked into O_0", v)
 		}
 	}
-	// Growth must not relocate existing OM nodes: the lists link them by
-	// address.
-	for v, it := range items {
-		if st.Items[v] != it {
-			t.Fatalf("Grow moved the om.Item of vertex %d", v)
-		}
+	// Growth may move the OM slab, but not the k-order: the pre-growth
+	// vertices keep their walk and their labels.
+	walk2, labels2 := kOrder(t, st, 3)
+	if !slices.Equal(walk, walk2) {
+		t.Fatalf("Grow changed the k-order of the old vertices: %v, was %v", walk2, walk)
+	}
+	if !slices.Equal(labels, labels2) {
+		t.Fatalf("Grow relabeled the old vertices: %v, was %v", labels2, labels)
 	}
 	mustCheck(t, st, "after growth")
 
@@ -63,6 +66,59 @@ func TestGrowMintsIsolatedVertices(t *testing.T) {
 	mustCheck(t, st, "edges into grown range")
 	st.RemoveEdgeSeq(5, 6)
 	mustCheck(t, st, "removal in grown range")
+}
+
+// kOrder walks O_0, O_1, … and returns the vertices below n in k-order,
+// each with its (top, bottom) labels.
+func kOrder(t *testing.T, st *State, n int32) ([]int32, [][2]uint64) {
+	t.Helper()
+	var walk []int32
+	var labels [][2]uint64
+	for k := int32(0); k <= st.MaxCoreValue(); k++ {
+		items, err := st.List(k).Check()
+		if err != nil {
+			t.Fatalf("O_%d: %v", k, err)
+		}
+		for _, v := range items {
+			if v < n {
+				lt, lb, _, _ := st.List(k).Labels(v)
+				walk = append(walk, v)
+				labels = append(labels, [2]uint64{lt, lb})
+			}
+		}
+	}
+	return walk, labels
+}
+
+// TestStateFootprint prices what NewState keeps per vertex on a ring, where
+// every vertex sits in O_2: seven 4-byte scalar arrays, a 20-byte OM slab
+// record and about a byte of OM groups. It reads the process's live heap,
+// so it must not run beside other tests.
+func TestStateFootprint(t *testing.T) {
+	const n = 1 << 17
+	edges := make([]graph.Edge, n)
+	for v := range edges {
+		edges[v] = graph.Edge{U: int32(v), V: int32((v + 1) % n)}
+	}
+	g := graph.MustFromEdges(n, edges)
+	before := liveHeap()
+	st := NewState(g)
+	after := liveHeap()
+	runtime.KeepAlive(st)
+	perVertex := float64(int64(after)-int64(before)) / n
+	t.Logf("NewState keeps %.1f B per vertex", perVertex)
+	if perVertex > 52 {
+		t.Fatalf("NewState keeps %.1f B per vertex, want <= 52", perVertex)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 func TestGrowAmortizedReallocation(t *testing.T) {

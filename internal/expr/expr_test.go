@@ -162,3 +162,15 @@ func TestRunContentionOutput(t *testing.T) {
 		t.Fatalf("contention output malformed:\n%s", out)
 	}
 }
+
+func TestRunMemoryOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness smoke test")
+	}
+	var buf bytes.Buffer
+	RunMemory(tinyConfig(&buf))
+	out := buf.String()
+	if !strings.Contains(out, "core.State OM") || !strings.Contains(out, "kcore.New total") {
+		t.Fatalf("memory output malformed:\n%s", out)
+	}
+}

@@ -1,7 +1,7 @@
 // Package grow holds the quiescent-time slice-growth helper shared by
-// the maintenance states (core.State, traversal.State): per-vertex
-// arrays are extended with zero-valued tails when the vertex universe
-// grows.
+// the maintenance states (core.State and its om.Slab, traversal.State):
+// per-vertex arrays are extended with zero-valued tails when the vertex
+// universe grows.
 package grow
 
 // Slice returns s extended to n elements (zero-valued tail),

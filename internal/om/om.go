@@ -8,13 +8,20 @@
 //   - InsertAfter(x, y): insert y right after x. Amortized O(1), locked.
 //   - Delete(x): remove x. O(1), locked.
 //
+// Items are int32 ids. Their records live in a Slab shared by every List
+// built on it — four parallel arrays indexed by id, no pointers — and an id
+// sits in at most one of those lists at a time: moving an item between lists
+// is Delete from one and InsertAfter into the other. Each List keeps its own
+// sentinel under a reserved id.
+//
 // Items are stored in bottom-level groups; groups form the top-level list.
 // Every item carries a bottom label (its position inside its group) and every
 // group carries a top label. x precedes y iff (Lt(x), Lb(x)) < (Lt(y), Lb(y))
 // lexicographically. When an insertion finds no label space, a relabel is
 // triggered: a full group splits in two, and when there is no top-label gap
 // for the new group, successor group labels are rebalanced with the j²
-// threshold walk described in the paper.
+// threshold walk described in the paper. Groups are per-list records
+// addressed by int32 index, kept in fixed-size pages that never move.
 //
 // Concurrency contract (matching the parallel OM of [26] at the granularity
 // discussed in DESIGN.md): structural operations (InsertAfter, Delete, and
@@ -23,7 +30,7 @@
 // counter that relabels bump (odd while a relabel is in flight). Callers that
 // move an item between lists must prevent concurrent Order calls on that item
 // via their own protocol — the core maintenance algorithms do this with the
-// per-vertex status counter s (Algorithm 6).
+// per-vertex status counter s (Algorithm 6). Slab.Grow runs alone.
 package om
 
 import (
@@ -31,6 +38,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/grow"
 )
 
 const (
@@ -42,58 +51,156 @@ const (
 	// The paper sizes groups at Θ(log N); 48 covers N well beyond 10^9
 	// while keeping splits cheap.
 	DefaultGroupCap = 48
+
+	// none is the null item and group index; a free id's group reads none.
+	none int32 = -1
+	// sentinel is the reserved id of each list's own head anchor. It is
+	// the first item of group 0 for the list's whole life.
+	sentinel int32 = -2
+
+	// A group page holds 1<<pageBits group records of 24 bytes.
+	pageBits = 5
+	pageMask = 1<<pageBits - 1
 )
 
-// Item is an element of a List. A zero-value Item is free (in no list).
-// The same Item is intended to be reused as its payload moves between
-// k-order lists: Delete from one list, InsertAfter into another.
-type Item struct {
-	// ID is an opaque payload identifier (the vertex id in core
-	// maintenance). Sentinels use -1.
-	ID int32
-
-	prev, next *Item
-	group      atomic.Pointer[group]
-	label      atomic.Uint64
+// Slab holds the item records of every List built on it: id x's bottom
+// label, list neighbours and group index, 20 bytes in four parallel arrays.
+type Slab struct {
+	label      []atomic.Uint64
+	prev, next []int32
+	group      []atomic.Int32 // index into the holding list's groups, or none
 }
 
-// InList reports whether the item is currently linked into a list.
-func (it *Item) InList() bool { return it.group.Load() != nil }
+// NewSlab returns a slab of n free ids, 0..n-1.
+func NewSlab(n int) *Slab {
+	s := &Slab{}
+	s.Grow(n)
+	return s
+}
+
+// Grow extends the slab to at least n ids; the new ones are free. The
+// arrays may move, so no List built on the slab may be in use.
+func (s *Slab) Grow(n int) {
+	old := len(s.group)
+	if n <= old {
+		return
+	}
+	s.label = grow.Slice(s.label, n)
+	s.prev = grow.Slice(s.prev, n)
+	s.next = grow.Slice(s.next, n)
+	s.group = grow.Slice(s.group, n)
+	for x := old; x < n; x++ {
+		s.group[x].Store(none)
+	}
+}
+
+// InList reports whether id x is currently linked into a list.
+func (s *Slab) InList(x int32) bool { return s.group[x].Load() != none }
 
 type group struct {
 	label      atomic.Uint64
-	prev, next *group
-	first      *Item // first item of the group in list order
-	count      int
+	prev, next int32 // top-level neighbours; next also chains the free groups
+	first      int32 // first item of the group in list order
+	count      int32
 }
 
-// List is an order-maintenance list. Use NewList to create one.
+type groupPage [1 << pageBits]group
+
+// List is an order-maintenance list over a Slab. Use NewList to create one.
 type List struct {
-	mu       sync.Mutex
-	ver      atomic.Uint64 // seqlock: odd while a relabel is in progress
-	sentinel Item          // immortal first item, anchors the head group
-	last     *Item         // last item in list order (the sentinel if empty)
-	groupCap int
-	size     int // number of user items (sentinel excluded)
-	relabels uint64
+	s   *Slab
+	mu  sync.Mutex
+	ver atomic.Uint64 // seqlock: odd while a relabel is in progress
+
+	// pages is the group table. A split may append a page; pages never
+	// move, so a lock-free reader holding an older table reads live groups.
+	pages  atomic.Pointer[[]*groupPage]
+	groups int32 // group records handed out so far
+	free   int32 // first emptied group awaiting reuse by split, or none
+
+	headLabel atomic.Uint64 // the sentinel's bottom label
+	head      int32         // the sentinel's successor
+	last      int32         // last item in list order (the sentinel if empty)
+	groupCap  int32
+	size      int // number of user items (sentinel excluded)
+	relabels  uint64
+	walked    []int32 // rebalance scratch
 }
 
-// NewList returns an empty list whose groups hold at most groupCap items;
-// groupCap <= 0 selects DefaultGroupCap.
-func NewList(groupCap int) *List {
+// NewList returns an empty list over s whose groups hold at most groupCap
+// items; groupCap <= 0 selects DefaultGroupCap.
+func NewList(s *Slab, groupCap int) *List {
 	if groupCap <= 0 {
 		groupCap = DefaultGroupCap
 	}
 	if groupCap < 4 {
 		groupCap = 4
 	}
-	l := &List{groupCap: groupCap}
-	g := &group{count: 1}
-	g.first = &l.sentinel
-	l.sentinel.ID = -1
-	l.sentinel.group.Store(g)
-	l.last = &l.sentinel
+	l := &List{s: s, groupCap: int32(groupCap), free: none, head: none, last: sentinel}
+	l.pages.Store(&[]*groupPage{})
+	g := l.grp(l.newGroup()) // group 0
+	g.prev, g.next = none, none
+	g.first, g.count = sentinel, 1
 	return l
+}
+
+// grp returns group g's record; for holders of l.mu, whose g is always
+// one of this list's.
+func (l *List) grp(g int32) *group {
+	return &(*l.pages.Load())[g>>pageBits][g&pageMask]
+}
+
+// newGroup hands out an unlinked group record: an emptied one if any,
+// else a fresh one, appending a page when the table is full. Caller holds
+// l.mu and, once the list exists, an odd seqlock — a lock-free reader may
+// still hold the index of an emptied group.
+func (l *List) newGroup() int32 {
+	if g := l.free; g != none {
+		l.free = l.grp(g).next
+		return g
+	}
+	if pages := *l.pages.Load(); int(l.groups) == len(pages)<<pageBits {
+		pages = append(pages, new(groupPage))
+		l.pages.Store(&pages)
+	}
+	l.groups++
+	return l.groups - 1
+}
+
+// groupLabel reads group g's top label in the table pages for a lock-free
+// reader. g may come from an item that has meanwhile moved to another list,
+// whose group indices mean nothing here and may lie past this table; the
+// answer is then garbage (0 past the table), which the caller's status
+// protocol discards.
+func groupLabel(pages []*groupPage, g int32) uint64 {
+	if p := int(g >> pageBits); p < len(pages) {
+		return pages[p][g&pageMask].label.Load()
+	}
+	return 0
+}
+
+// label returns x's bottom label.
+func (l *List) label(x int32) *atomic.Uint64 {
+	if x == sentinel {
+		return &l.headLabel
+	}
+	return &l.s.label[x]
+}
+
+// nextp returns the cell holding x's successor.
+func (l *List) nextp(x int32) *int32 {
+	if x == sentinel {
+		return &l.head
+	}
+	return &l.s.next[x]
+}
+
+// groupOf returns the group index x reads, none while x is free.
+func (l *List) groupOf(x int32) int32 {
+	if x == sentinel {
+		return 0
+	}
+	return l.s.group[x].Load()
 }
 
 // Len returns the number of items in the list (sentinel excluded).
@@ -102,10 +209,6 @@ func (l *List) Len() int {
 	defer l.mu.Unlock()
 	return l.size
 }
-
-// Sentinel returns the immortal anchor item that precedes every user item.
-// Use it with InsertAfter to insert at the head of the list.
-func (l *List) Sentinel() *Item { return &l.sentinel }
 
 // Version returns the current relabel version. Odd values mean a relabel is
 // in progress. The versioned priority queue of Algorithm 9 uses this to keep
@@ -124,19 +227,20 @@ func (l *List) Relabels() uint64 {
 // linked into this list for the duration of the call (enforced by the
 // caller's status protocol). Order is lock-free: it validates label reads
 // against the relabel version and retries on interference.
-func (l *List) Order(x, y *Item) bool {
+func (l *List) Order(x, y int32) bool {
 	if x == y {
 		return false
 	}
+	// x and y are user ids: the sentinel's id is not exported.
+	s := l.s
 	for {
 		v := l.ver.Load()
 		if v&1 == 1 {
 			runtime.Gosched()
 			continue
 		}
-		gx := x.group.Load()
-		gy := y.group.Load()
-		if gx == nil || gy == nil {
+		gx, gy := s.group[x].Load(), s.group[y].Load()
+		if gx == none || gy == none {
 			// The item is mid-move between lists; wait for the
 			// caller protocol to finish reinserting it.
 			runtime.Gosched()
@@ -144,9 +248,10 @@ func (l *List) Order(x, y *Item) bool {
 		}
 		var r bool
 		if gx == gy {
-			r = x.label.Load() < y.label.Load()
+			r = s.label[x].Load() < s.label[y].Load()
 		} else {
-			r = gx.label.Load() < gy.label.Load()
+			pages := *l.pages.Load()
+			r = groupLabel(pages, gx) < groupLabel(pages, gy)
 		}
 		if l.ver.Load() == v {
 			return r
@@ -158,17 +263,17 @@ func (l *List) Order(x, y *Item) bool {
 // version the snapshot was taken at. ok is false when the snapshot raced
 // with a relabel or the item is not in a list; callers should retry or mark
 // their cache dirty (Algorithm 10).
-func (l *List) Labels(x *Item) (lt, lb, ver uint64, ok bool) {
+func (l *List) Labels(x int32) (lt, lb, ver uint64, ok bool) {
 	v := l.ver.Load()
 	if v&1 == 1 {
 		return 0, 0, v, false
 	}
-	g := x.group.Load()
-	if g == nil {
+	g := l.s.group[x].Load()
+	if g == none {
 		return 0, 0, v, false
 	}
-	lt = g.label.Load()
-	lb = x.label.Load()
+	lt = groupLabel(*l.pages.Load(), g)
+	lb = l.s.label[x].Load()
 	if l.ver.Load() != v {
 		return 0, 0, v, false
 	}
@@ -176,109 +281,115 @@ func (l *List) Labels(x *Item) (lt, lb, ver uint64, ok bool) {
 }
 
 // InsertAfter inserts the free item y immediately after x, which must be in
-// this list (the sentinel is allowed). Amortized O(1); may trigger a split
-// and a top-label rebalance.
-func (l *List) InsertAfter(x, y *Item) {
+// this list. Amortized O(1); may trigger a split and a top-label rebalance.
+func (l *List) InsertAfter(x, y int32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.insertAfterLocked(x, y)
 }
 
-func (l *List) insertAfterLocked(x, y *Item) {
-	if y.group.Load() != nil {
+func (l *List) insertAfterLocked(x, y int32) {
+	s := l.s
+	if s.group[y].Load() != none {
 		panic("om: InsertAfter of item already in a list")
 	}
-	g := x.group.Load()
-	if g == nil {
+	g := l.groupOf(x)
+	if g == none {
 		panic("om: InsertAfter anchor not in a list")
 	}
-	if g.count >= l.groupCap {
+	if l.grp(g).count >= l.groupCap {
 		l.split(g)
-		g = x.group.Load()
+		g = l.groupOf(x)
 	}
 	// Bottom-label space between x and its successor within the group.
+	nx := *l.nextp(x)
 	bound := labelSpan
-	if x.next != nil && x.next.group.Load() == g {
-		bound = x.next.label.Load()
+	if nx != none && s.group[nx].Load() == g {
+		bound = s.label[nx].Load()
 	}
-	if bound-x.label.Load() < 2 {
+	if bound-l.label(x).Load() < 2 {
 		l.renumberGroup(g)
-		if x.next != nil && x.next.group.Load() == g {
-			bound = x.next.label.Load()
+		if nx != none && s.group[nx].Load() == g {
+			bound = s.label[nx].Load()
 		} else {
 			bound = labelSpan
 		}
 	}
-	xl := x.label.Load()
-	y.label.Store(xl + (bound-xl)/2)
-	y.group.Store(g)
-	y.prev = x
-	y.next = x.next
-	if x.next != nil {
-		x.next.prev = y
+	xl := l.label(x).Load()
+	s.label[y].Store(xl + (bound-xl)/2)
+	s.group[y].Store(g)
+	s.prev[y] = x
+	s.next[y] = nx
+	if nx != none {
+		s.prev[nx] = y
 	}
-	x.next = y
+	*l.nextp(x) = y
 	if l.last == x {
 		l.last = y
 	}
-	g.count++
+	l.grp(g).count++
 	l.size++
 }
 
-// InsertAtHead inserts y as the first user item of the list.
-func (l *List) InsertAtHead(y *Item) { l.InsertAfter(&l.sentinel, y) }
+// InsertAtHead inserts y as the first item of the list.
+func (l *List) InsertAtHead(y int32) { l.InsertAfter(sentinel, y) }
 
 // InsertAtTail appends y as the last item of the list.
-func (l *List) InsertAtTail(y *Item) {
+func (l *List) InsertAtTail(y int32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.insertAfterLocked(l.last, y)
 }
 
 // Delete unlinks x from the list. x becomes free and may be reinserted into
-// any list. O(1). Deleting the sentinel panics.
-func (l *List) Delete(x *Item) {
+// any list on the same slab. O(1). Deleting the sentinel panics.
+func (l *List) Delete(x int32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if x == &l.sentinel {
+	if x == sentinel {
 		panic("om: Delete of sentinel")
 	}
-	g := x.group.Load()
-	if g == nil {
+	s := l.s
+	g := s.group[x].Load()
+	if g == none {
 		panic("om: Delete of item not in a list")
 	}
-	if g.first == x {
-		if x.next != nil && x.next.group.Load() == g {
-			g.first = x.next
+	gr := l.grp(g)
+	px, nx := s.prev[x], s.next[x]
+	if gr.first == x {
+		if nx != none && s.group[nx].Load() == g {
+			gr.first = nx
 		} else {
-			g.first = nil
+			gr.first = none
 		}
 	}
-	x.prev.next = x.next
-	if x.next != nil {
-		x.next.prev = x.prev
+	*l.nextp(px) = nx
+	if nx != none {
+		s.prev[nx] = px
 	}
 	if l.last == x {
-		l.last = x.prev
+		l.last = px
 	}
-	g.count--
-	if g.count == 0 {
-		// Unlink the now-empty group (the head group always retains
-		// the sentinel, so g has a predecessor).
-		g.prev.next = g.next
-		if g.next != nil {
-			g.next.prev = g.prev
+	gr.count--
+	if gr.count == 0 {
+		// Unlink the now-empty group (group 0 always retains the
+		// sentinel, so g has a predecessor) and keep it for split.
+		l.grp(gr.prev).next = gr.next
+		if gr.next != none {
+			l.grp(gr.next).prev = gr.prev
 		}
+		gr.next = l.free
+		l.free = g
 	}
-	x.prev, x.next = nil, nil
-	x.group.Store(nil)
+	s.prev[x], s.next[x] = none, none
+	s.group[x].Store(none)
 	l.size--
 }
 
 // split divides the full group g in two, moving its upper half into a fresh
 // group inserted right after g, then renumbers bottom labels of both halves.
 // Caller holds l.mu.
-func (l *List) split(g *group) {
+func (l *List) split(g int32) {
 	l.ver.Add(1) // seqlock: enter relabel
 	defer l.ver.Add(1)
 	l.relabels++
@@ -288,77 +399,73 @@ func (l *List) split(g *group) {
 	// space (repeated tail splits halve the headroom until it is gone,
 	// and the walk finds no successors to spread) fall back to an even
 	// renumbering of every group.
-	bound := labelSpan
-	if g.next != nil {
-		bound = g.next.label.Load()
-	}
-	if bound-g.label.Load() < 2 {
+	gr := l.grp(g)
+	bound := l.boundAfter(gr)
+	if bound-gr.label.Load() < 2 {
 		l.rebalance(g)
-		if g.next != nil {
-			bound = g.next.label.Load()
-		} else {
-			bound = labelSpan
-		}
-		if bound-g.label.Load() < 2 {
+		bound = l.boundAfter(gr)
+		if bound-gr.label.Load() < 2 {
 			l.renumberAllGroups()
-			if g.next != nil {
-				bound = g.next.label.Load()
-			} else {
-				bound = labelSpan
-			}
+			bound = l.boundAfter(gr)
 		}
 	}
-	gl := g.label.Load()
-	ng := &group{}
+	gl := gr.label.Load()
+	n := l.newGroup()
+	ng := l.grp(n)
 	ng.label.Store(gl + (bound-gl)/2)
 	ng.prev = g
-	ng.next = g.next
-	if g.next != nil {
-		g.next.prev = ng
+	ng.next = gr.next
+	if gr.next != none {
+		l.grp(gr.next).prev = n
 	}
-	g.next = ng
+	gr.next = n
 
 	// Move the upper half of g's items into ng.
-	keep := g.count / 2
-	if keep < 1 {
-		keep = 1
+	keep := max(gr.count/2, 1)
+	it := gr.first
+	for i := int32(1); i < keep; i++ {
+		it = *l.nextp(it)
 	}
-	it := g.first
-	for i := 1; i < keep; i++ {
-		it = it.next
-	}
-	moved := g.count - keep
-	first := it.next
+	moved := gr.count - keep
+	first := *l.nextp(it)
 	ng.first = first
 	ng.count = moved
-	g.count = keep
-	for m, i := first, 0; i < moved; m, i = m.next, i+1 {
-		m.group.Store(ng)
+	gr.count = keep
+	for m, i := first, int32(0); i < moved; m, i = l.s.next[m], i+1 {
+		l.s.group[m].Store(n)
 	}
-	l.renumberGroupLocked(g)
+	l.renumberGroupLocked(gr)
 	l.renumberGroupLocked(ng)
+}
+
+// boundAfter returns the top label of gr's successor, or labelSpan.
+func (l *List) boundAfter(gr *group) uint64 {
+	if gr.next == none {
+		return labelSpan
+	}
+	return l.grp(gr.next).label.Load()
 }
 
 // renumberGroup evenly redistributes the bottom labels of g's items. Caller
 // holds l.mu; wraps the seqlock for callers outside a relabel.
-func (l *List) renumberGroup(g *group) {
+func (l *List) renumberGroup(g int32) {
 	l.ver.Add(1)
 	defer l.ver.Add(1)
 	l.relabels++
-	l.renumberGroupLocked(g)
+	l.renumberGroupLocked(l.grp(g))
 }
 
-func (l *List) renumberGroupLocked(g *group) {
-	if g.count == 0 {
+func (l *List) renumberGroupLocked(gr *group) {
+	if gr.count == 0 {
 		return
 	}
-	gap := labelSpan / uint64(g.count+1)
+	gap := labelSpan / uint64(gr.count+1)
 	lb := gap
 	// The sentinel must keep the smallest label in its group; even
 	// distribution starting at `gap` preserves relative order, and the
 	// sentinel, being first, receives the smallest label anyway.
-	for it, i := g.first, 0; i < g.count; it, i = it.next, i+1 {
-		it.label.Store(lb)
+	for it, i := gr.first, int32(0); i < gr.count; it, i = *l.nextp(it), i+1 {
+		l.label(it).Store(lb)
 		lb += gap
 	}
 }
@@ -367,20 +474,21 @@ func (l *List) renumberGroupLocked(g *group) {
 // successors g' until L(g') − L(g) > j² (j groups walked), then spread the
 // walked groups' labels evenly in the opened range. Caller holds l.mu and
 // the seqlock is already odd.
-func (l *List) rebalance(g *group) {
-	base := g.label.Load()
-	var walked []*group
-	cur := g.next
+func (l *List) rebalance(g int32) {
+	base := l.grp(g).label.Load()
+	walked := l.walked[:0]
+	cur := l.grp(g).next
 	bound := labelSpan
-	for cur != nil {
+	for cur != none {
 		j := uint64(len(walked) + 1)
-		if cur.label.Load()-base > j*j {
-			bound = cur.label.Load()
+		if lc := l.grp(cur).label.Load(); lc-base > j*j {
+			bound = lc
 			break
 		}
 		walked = append(walked, cur)
-		cur = cur.next
+		cur = l.grp(cur).next
 	}
+	l.walked = walked
 	if len(walked) == 0 {
 		// Immediate successor already has a j²-sized gap; nothing to
 		// move (the caller re-reads labels).
@@ -395,7 +503,7 @@ func (l *List) rebalance(g *group) {
 	}
 	lb := base + gap
 	for _, w := range walked {
-		w.label.Store(lb)
+		l.grp(w).label.Store(lb)
 		lb += gap
 	}
 }
@@ -404,68 +512,69 @@ func (l *List) rebalance(g *group) {
 // span. O(#groups); only reached when local rebalancing has no room.
 func (l *List) renumberAllGroups() {
 	n := 0
-	head := l.sentinel.group.Load()
-	for g := head; g != nil; g = g.next {
+	for g := int32(0); g != none; g = l.grp(g).next {
 		n++
 	}
 	gap := labelSpan / uint64(n+1)
 	lb := uint64(0)
-	for g := head; g != nil; g = g.next {
-		g.label.Store(lb)
+	for g := int32(0); g != none; g = l.grp(g).next {
+		l.grp(g).label.Store(lb)
 		lb += gap
 	}
 }
 
 // Check validates every structural invariant of the list and returns the
 // items in order (sentinel excluded). For tests.
-func (l *List) Check() ([]*Item, error) {
+func (l *List) Check() ([]int32, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	head := l.sentinel.group.Load()
-	if head == nil || head.first != &l.sentinel {
+	s := l.s
+	if l.grp(0).first != sentinel {
 		return nil, fmt.Errorf("om: head group does not anchor sentinel")
 	}
-	var items []*Item
+	var items []int32
 	seenItems := 0
+	linked := int32(0)
 	var prevGroupLabel uint64
-	firstGroup := true
-	var lastItem *Item
-	for g := head; g != nil; g = g.next {
-		if !firstGroup && g.label.Load() <= prevGroupLabel {
-			return nil, fmt.Errorf("om: group labels not increasing (%d after %d)", g.label.Load(), prevGroupLabel)
+	lastItem := none
+	for g := int32(0); g != none; g = l.grp(g).next {
+		gr := l.grp(g)
+		linked++
+		if g != 0 && gr.label.Load() <= prevGroupLabel {
+			return nil, fmt.Errorf("om: group labels not increasing (%d after %d)", gr.label.Load(), prevGroupLabel)
 		}
-		firstGroup = false
-		prevGroupLabel = g.label.Load()
-		if g.count <= 0 {
+		prevGroupLabel = gr.label.Load()
+		if gr.count <= 0 {
 			return nil, fmt.Errorf("om: empty group linked in list")
 		}
-		if g.next != nil && g.next.prev != g {
+		if gr.next != none && l.grp(gr.next).prev != g {
 			return nil, fmt.Errorf("om: broken group back-link")
 		}
-		it := g.first
+		it := gr.first
 		var prevLabel uint64
-		for i := 0; i < g.count; i++ {
-			if it == nil {
+		for i := int32(0); i < gr.count; i++ {
+			if it == none {
 				return nil, fmt.Errorf("om: group count exceeds items")
 			}
-			if it.group.Load() != g {
-				return nil, fmt.Errorf("om: item %d has wrong group pointer", it.ID)
+			if l.groupOf(it) != g {
+				return nil, fmt.Errorf("om: item %d has wrong group index", it)
 			}
-			if i > 0 && it.label.Load() <= prevLabel {
-				return nil, fmt.Errorf("om: bottom labels not increasing at item %d", it.ID)
+			if i > 0 && l.label(it).Load() <= prevLabel {
+				return nil, fmt.Errorf("om: bottom labels not increasing at item %d", it)
 			}
-			prevLabel = it.label.Load()
-			if it != &l.sentinel {
+			prevLabel = l.label(it).Load()
+			if it != sentinel {
 				items = append(items, it)
 			}
 			seenItems++
 			lastItem = it
-			if it.next != nil && it.next.prev != it {
-				return nil, fmt.Errorf("om: broken item back-link at %d", it.ID)
+			nx := *l.nextp(it)
+			if nx != none && s.prev[nx] != it {
+				return nil, fmt.Errorf("om: broken item back-link at %d", it)
 			}
-			it = it.next
+			it = nx
 		}
-		if it != nil && it.group.Load() == g {
+		if it != none && s.group[it].Load() == g {
 			return nil, fmt.Errorf("om: group count smaller than items")
 		}
 	}
@@ -473,7 +582,13 @@ func (l *List) Check() ([]*Item, error) {
 		return nil, fmt.Errorf("om: size %d does not match walked %d", l.size, seenItems-1)
 	}
 	if l.last != lastItem {
-		return nil, fmt.Errorf("om: stale last pointer")
+		return nil, fmt.Errorf("om: stale last item")
+	}
+	for g := l.free; g != none; g = l.grp(g).next {
+		linked++
+	}
+	if linked != l.groups {
+		return nil, fmt.Errorf("om: %d groups linked or free, %d handed out", linked, l.groups)
 	}
 	return items, nil
 }

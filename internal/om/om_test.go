@@ -3,15 +3,17 @@ package om
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func newItem(id int32) *Item { return &Item{ID: id} }
+// newList returns a list with group cap c over a fresh slab of ids 0..n-1.
+func newList(c, n int) *List { return NewList(NewSlab(n), c) }
 
 func TestEmptyList(t *testing.T) {
-	l := NewList(0)
+	l := newList(0, 0)
 	if l.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", l.Len())
 	}
@@ -21,13 +23,13 @@ func TestEmptyList(t *testing.T) {
 }
 
 func TestInsertAfterSentinelOrders(t *testing.T) {
-	l := NewList(0)
-	a, b, c := newItem(0), newItem(1), newItem(2)
+	l := newList(0, 3)
+	a, b, c := int32(0), int32(1), int32(2)
 	l.InsertAtHead(a)   // a
 	l.InsertAfter(a, c) // a c
 	l.InsertAfter(a, b) // a b c
 	for _, tc := range []struct {
-		x, y *Item
+		x, y int32
 		want bool
 	}{
 		{a, b, true}, {b, c, true}, {a, c, true},
@@ -35,7 +37,7 @@ func TestInsertAfterSentinelOrders(t *testing.T) {
 		{a, a, false},
 	} {
 		if got := l.Order(tc.x, tc.y); got != tc.want {
-			t.Fatalf("Order(%d,%d) = %v, want %v", tc.x.ID, tc.y.ID, got, tc.want)
+			t.Fatalf("Order(%d,%d) = %v, want %v", tc.x, tc.y, got, tc.want)
 		}
 	}
 	if _, err := l.Check(); err != nil {
@@ -44,48 +46,42 @@ func TestInsertAfterSentinelOrders(t *testing.T) {
 }
 
 func TestInsertAtHeadPrependsBeforeAll(t *testing.T) {
-	l := NewList(0)
-	var prev *Item
-	for i := int32(0); i < 20; i++ {
-		it := newItem(i)
+	l := newList(0, 20)
+	for it := int32(0); it < 20; it++ {
 		l.InsertAtHead(it)
-		if prev != nil && !l.Order(it, prev) {
-			t.Fatalf("item %d must precede previously inserted head %d", it.ID, prev.ID)
+		if it > 0 && !l.Order(it, it-1) {
+			t.Fatalf("item %d must precede previously inserted head %d", it, it-1)
 		}
-		prev = it
 	}
 }
 
 func TestInsertAtTailAppendsAfterAll(t *testing.T) {
-	l := NewList(0)
-	var prev *Item
-	for i := int32(0); i < 20; i++ {
-		it := newItem(i)
+	l := newList(0, 20)
+	for it := int32(0); it < 20; it++ {
 		l.InsertAtTail(it)
-		if prev != nil && !l.Order(prev, it) {
-			t.Fatalf("tail item %d must follow %d", it.ID, prev.ID)
+		if it > 0 && !l.Order(it-1, it) {
+			t.Fatalf("tail item %d must follow %d", it, it-1)
 		}
-		prev = it
 	}
 	items, err := l.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, it := range items {
-		if it.ID != int32(i) {
-			t.Fatalf("position %d holds %d", i, it.ID)
+		if it != int32(i) {
+			t.Fatalf("position %d holds %d", i, it)
 		}
 	}
 }
 
 func TestDeleteUnlinksAndFrees(t *testing.T) {
-	l := NewList(0)
-	a, b, c := newItem(0), newItem(1), newItem(2)
+	l := newList(0, 3)
+	a, b, c := int32(0), int32(1), int32(2)
 	l.InsertAtTail(a)
 	l.InsertAtTail(b)
 	l.InsertAtTail(c)
 	l.Delete(b)
-	if b.InList() {
+	if l.s.InList(b) {
 		t.Fatal("deleted item still reports InList")
 	}
 	if !l.Order(a, c) {
@@ -95,9 +91,9 @@ func TestDeleteUnlinksAndFrees(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}
 	// b is free and can be reinserted, even into another list.
-	l2 := NewList(0)
+	l2 := NewList(l.s, 0)
 	l2.InsertAtHead(b)
-	if !b.InList() {
+	if !l.s.InList(b) {
 		t.Fatal("reinserted item must report InList")
 	}
 	if _, err := l.Check(); err != nil {
@@ -114,8 +110,8 @@ func TestDeleteSentinelPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l := NewList(0)
-	l.Delete(l.Sentinel())
+	l := newList(0, 0)
+	l.Delete(sentinel)
 }
 
 func TestDoubleInsertPanics(t *testing.T) {
@@ -124,10 +120,9 @@ func TestDoubleInsertPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l := NewList(0)
-	a := newItem(0)
-	l.InsertAtHead(a)
-	l.InsertAtHead(a)
+	l := newList(0, 1)
+	l.InsertAtHead(0)
+	l.InsertAtHead(0)
 }
 
 func TestDeleteFreeItemPanics(t *testing.T) {
@@ -136,19 +131,17 @@ func TestDeleteFreeItemPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l := NewList(0)
-	l.Delete(newItem(0))
+	l := newList(0, 1)
+	l.Delete(0)
 }
 
 // Dense head insertion forces repeated splits and bottom renumbering with a
 // tiny group cap; the order must match LIFO insertion order.
 func TestManyHeadInsertsForcesSplits(t *testing.T) {
-	l := NewList(4)
 	const n = 1000
-	items := make([]*Item, n)
+	l := newList(4, n)
 	for i := int32(0); i < n; i++ {
-		items[i] = newItem(i)
-		l.InsertAtHead(items[i])
+		l.InsertAtHead(i)
 	}
 	got, err := l.Check()
 	if err != nil {
@@ -158,8 +151,8 @@ func TestManyHeadInsertsForcesSplits(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(got), n)
 	}
 	for i, it := range got {
-		if it.ID != int32(n-1-i) {
-			t.Fatalf("position %d holds %d, want %d", i, it.ID, n-1-i)
+		if it != int32(n-1-i) {
+			t.Fatalf("position %d holds %d, want %d", i, it, n-1-i)
 		}
 	}
 	if l.Relabels() == 0 {
@@ -170,21 +163,18 @@ func TestManyHeadInsertsForcesSplits(t *testing.T) {
 // Always inserting after the same anchor exhausts the local bottom-label gap
 // quickly and stresses renumber/split interplay.
 func TestHotspotInsertAfterSameAnchor(t *testing.T) {
-	l := NewList(8)
-	anchor := newItem(0)
-	l.InsertAtHead(anchor)
 	const n = 2000
-	var prev *Item
-	for i := int32(1); i <= n; i++ {
-		it := newItem(i)
+	l := newList(8, n+1)
+	anchor := int32(0)
+	l.InsertAtHead(anchor)
+	for it := int32(1); it <= n; it++ {
 		l.InsertAfter(anchor, it)
 		if !l.Order(anchor, it) {
-			t.Fatalf("anchor must precede %d", i)
+			t.Fatalf("anchor must precede %d", it)
 		}
-		if prev != nil && !l.Order(it, prev) {
-			t.Fatalf("later hotspot insert %d must precede earlier %d", it.ID, prev.ID)
+		if it > 1 && !l.Order(it, it-1) {
+			t.Fatalf("later hotspot insert %d must precede earlier %d", it, it-1)
 		}
-		prev = it
 	}
 	if _, err := l.Check(); err != nil {
 		t.Fatal(err)
@@ -221,37 +211,34 @@ func (r *refList) delete(x int32) {
 // Property: under a random sequence of InsertAfter/InsertAtTail/Delete, the
 // OM list agrees with a reference slice, and Order agrees for random pairs.
 func TestQuickAgainstReference(t *testing.T) {
+	const steps = 400
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewList(4 + rng.Intn(12))
+		l := newList(4+rng.Intn(12), steps)
 		ref := &refList{}
-		live := map[int32]*Item{}
 		next := int32(0)
-		for step := 0; step < 400; step++ {
+		for step := 0; step < steps; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5 || len(ref.ids) == 0: // insert after random live item or head
-				y := newItem(next)
+				y := next
 				next++
 				if len(ref.ids) == 0 || rng.Intn(4) == 0 {
 					l.InsertAtHead(y)
-					ref.insertAfter(-1, y.ID)
+					ref.insertAfter(-1, y)
 				} else {
 					x := ref.ids[rng.Intn(len(ref.ids))]
-					l.InsertAfter(live[x], y)
-					ref.insertAfter(x, y.ID)
+					l.InsertAfter(x, y)
+					ref.insertAfter(x, y)
 				}
-				live[y.ID] = y
 			case op < 7: // tail append
-				y := newItem(next)
+				y := next
 				next++
 				l.InsertAtTail(y)
-				ref.ids = append(ref.ids, y.ID)
-				live[y.ID] = y
+				ref.ids = append(ref.ids, y)
 			default: // delete
 				x := ref.ids[rng.Intn(len(ref.ids))]
-				l.Delete(live[x])
+				l.Delete(x)
 				ref.delete(x)
-				delete(live, x)
 			}
 		}
 		got, err := l.Check()
@@ -263,8 +250,8 @@ func TestQuickAgainstReference(t *testing.T) {
 			return false
 		}
 		for i, it := range got {
-			if it.ID != ref.ids[i] {
-				t.Logf("seed %d: position %d = %d, want %d", seed, i, it.ID, ref.ids[i])
+			if it != ref.ids[i] {
+				t.Logf("seed %d: position %d = %d, want %d", seed, i, it, ref.ids[i])
 				return false
 			}
 		}
@@ -279,7 +266,7 @@ func TestQuickAgainstReference(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if l.Order(live[a], live[b]) != (pos[a] < pos[b]) {
+			if l.Order(a, b) != (pos[a] < pos[b]) {
 				t.Logf("seed %d: Order(%d,%d) disagrees", seed, a, b)
 				return false
 			}
@@ -294,18 +281,16 @@ func TestQuickAgainstReference(t *testing.T) {
 // Property: labels exposed via Labels are lexicographically consistent with
 // Order for every adjacent pair after arbitrary churn.
 func TestQuickLabelMonotonicity(t *testing.T) {
+	const n = 300
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewList(4)
-		var items []*Item
-		for i := int32(0); i < 300; i++ {
-			it := newItem(i)
-			if len(items) == 0 || rng.Intn(2) == 0 {
+		l := newList(4, n)
+		for it := int32(0); it < n; it++ {
+			if it == 0 || rng.Intn(2) == 0 {
 				l.InsertAtHead(it)
 			} else {
-				l.InsertAfter(items[rng.Intn(len(items))], it)
+				l.InsertAfter(rng.Int31n(it), it)
 			}
-			items = append(items, it)
 		}
 		ordered, err := l.Check()
 		if err != nil {
@@ -330,16 +315,37 @@ func TestQuickLabelMonotonicity(t *testing.T) {
 	}
 }
 
+// idPool hands out free ids of a slab and takes them back.
+type idPool struct{ free []int32 }
+
+func newIDPool(first, n int32) *idPool {
+	p := &idPool{}
+	for x := first + n - 1; x >= first; x-- {
+		p.free = append(p.free, x)
+	}
+	return p
+}
+
+func (p *idPool) get() int32 {
+	x := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return x
+}
+
+func (p *idPool) put(x int32) { p.free = append(p.free, x) }
+
 // Concurrent readers calling Order while one writer churns inserts/deletes:
 // the lock-free Order must never return results that contradict a pair whose
 // relative position is pinned for the whole test.
 func TestConcurrentOrderDuringChurn(t *testing.T) {
-	l := NewList(4)
-	lo, hi := newItem(-10), newItem(-20)
+	const n = 4096
+	l := newList(4, n)
+	lo, hi := int32(0), int32(1)
 	l.InsertAtHead(hi)
 	l.InsertAtHead(lo) // lo before hi, forever
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var violated atomic.Bool
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -351,50 +357,229 @@ func TestConcurrentOrderDuringChurn(t *testing.T) {
 				default:
 				}
 				if !l.Order(lo, hi) || l.Order(hi, lo) {
-					panic("order of pinned pair violated")
+					violated.Store(true)
 				}
 			}
 		}()
 	}
 	// Writer: churn items between lo and hi, forcing relabels.
 	rng := rand.New(rand.NewSource(1))
-	var churn []*Item
+	ids := newIDPool(2, n-2)
+	var churn []int32
 	deadline := time.Now().Add(500 * time.Millisecond)
-	next := int32(0)
 	for time.Now().Before(deadline) {
-		if len(churn) < 200 || rng.Intn(2) == 0 {
-			it := newItem(next)
-			next++
+		if (len(churn) < 200 || rng.Intn(2) == 0) && len(ids.free) > 0 {
+			it := ids.get()
 			l.InsertAfter(lo, it)
 			churn = append(churn, it)
 		} else {
 			i := rng.Intn(len(churn))
 			l.Delete(churn[i])
+			ids.put(churn[i])
 			churn[i] = churn[len(churn)-1]
 			churn = churn[:len(churn)-1]
 		}
 	}
 	close(stop)
 	wg.Wait()
+	if violated.Load() {
+		t.Fatal("order of pinned pair violated")
+	}
 	if _, err := l.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// A split may append a group page, or reuse a group that Delete emptied,
+// while lock-free readers hold group indices of the older table. Readers
+// loop Order/Labels over stable items, which never change places; one writer
+// inserts right behind them (the hotspot), so splits keep carrying stable
+// items into new groups, until the page table has been replaced at least
+// three times. It then deletes the inserted items, emptying groups onto the
+// free list, and inserts them again, splitting into the emptied groups.
+// Every answer on the stable items must agree with the final walk.
+func TestConcurrentOrderDuringGroupGrowth(t *testing.T) {
+	const stable, hot = 16, 4096
+	l := newList(4, stable+hot)
+	for x := int32(0); x < stable; x++ {
+		l.InsertAtTail(x)
+	}
+	stop := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	var wrong atomic.Int64
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				if i == 1 {
+					ready.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Neighbours: a split moving both of them is where
+				// a torn read would invert an answer.
+				a := rng.Int31n(stable - 1)
+				b := a + 1
+				if !l.Order(a, b) || l.Order(b, a) {
+					wrong.Add(1)
+				}
+				at, ab, va, oka := l.Labels(a)
+				bt, bb, vb, okb := l.Labels(b)
+				if oka && okb && va == vb && !(at < bt || at == bt && ab < bb) {
+					wrong.Add(1)
+				}
+			}
+		}(r)
+	}
+	ready.Wait()
+	pages := func() int { return len(*l.pages.Load()) }
+
+	anchor := func(x int32) int32 { return x % stable }
+	next := int32(stable)
+	for pages() < 4 {
+		if next == stable+hot {
+			t.Fatalf("%d inserts grew the group table to only %d pages", hot, pages())
+		}
+		l.InsertAfter(anchor(next), next)
+		next++
+	}
+	// This goroutine is the only writer, so it may read the group
+	// counters between its own calls.
+	reused := 0
+	for round := 0; round < 20; round++ {
+		for x := int32(stable); x < next; x++ {
+			l.Delete(x)
+		}
+		if l.free == none {
+			t.Fatal("deleting the hotspot emptied no group")
+		}
+		for x := int32(stable); x < next; x++ {
+			free, minted := l.free, l.groups
+			l.InsertAfter(anchor(x), x)
+			if free != none && l.groups != minted {
+				t.Fatal("split minted a group while emptied ones were free")
+			}
+			if l.free != free {
+				reused++
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no split reused an emptied group")
+	}
+	halt()
+	if n := wrong.Load(); n > 0 {
+		t.Fatalf("%d Order/Labels answers on stable items disagreed with their order", n)
+	}
+	walk, err := l.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := int32(-1)
+	for _, x := range walk {
+		if x < stable {
+			if x != prev+1 {
+				t.Fatalf("final walk has stable item %d after %d", x, prev)
+			}
+			prev = x
+		}
+	}
+	if prev != stable-1 {
+		t.Fatalf("final walk ends its stable items at %d", prev)
+	}
+}
+
+// Growing the slab moves its arrays, not the order: items sitting in three
+// lists keep their walk and labels, and can move between lists afterwards.
+func TestSlabGrowKeepsLists(t *testing.T) {
+	s := NewSlab(300)
+	lists := []*List{NewList(s, 4), NewList(s, 4), NewList(s, 4)}
+	for x := int32(0); x < 300; x++ {
+		lists[x%3].InsertAtTail(x)
+	}
+	type labels struct{ lt, lb uint64 }
+	before := map[int32]labels{}
+	var walks [3][]int32
+	for i, l := range lists {
+		walk, err := l.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks[i] = walk
+		for _, x := range walk {
+			lt, lb, _, _ := l.Labels(x)
+			before[x] = labels{lt, lb}
+		}
+	}
+
+	s.Grow(1000)
+	for x := int32(300); x < 1000; x++ {
+		if s.InList(x) {
+			t.Fatalf("grown id %d is not free", x)
+		}
+	}
+	for i, l := range lists {
+		walk, err := l.Check()
+		if err != nil {
+			t.Fatalf("list %d after growth: %v", i, err)
+		}
+		if len(walk) != len(walks[i]) {
+			t.Fatalf("list %d: %d items after growth, %d before", i, len(walk), len(walks[i]))
+		}
+		for j, x := range walk {
+			if x != walks[i][j] {
+				t.Fatalf("list %d position %d: %d after growth, %d before", i, j, x, walks[i][j])
+			}
+			if lt, lb, _, _ := l.Labels(x); (labels{lt, lb}) != before[x] {
+				t.Fatalf("item %d relabeled by growth", x)
+			}
+		}
+	}
+
+	// Cross-list moves, old ids and new: every third item of list 0 moves
+	// to list 1's head, and the grown ids fill list 2 behind its old items.
+	for j := 0; j < len(walks[0]); j += 3 {
+		lists[0].Delete(walks[0][j])
+		lists[1].InsertAtHead(walks[0][j])
+	}
+	for x := int32(300); x < 1000; x++ {
+		lists[2].InsertAtTail(x)
+	}
+	total := 0
+	for i, l := range lists {
+		walk, err := l.Check()
+		if err != nil {
+			t.Fatalf("list %d after moves: %v", i, err)
+		}
+		total += len(walk)
+	}
+	if total != 1000 {
+		t.Fatalf("lists hold %d items, want 1000", total)
+	}
+}
+
 // Concurrent writers on the same list must serialize correctly.
 func TestConcurrentInsertDelete(t *testing.T) {
-	l := NewList(8)
 	const workers, perWorker = 8, 300
+	l := newList(8, workers*perWorker)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			var mine []*Item
+			var mine []int32
 			for i := 0; i < perWorker; i++ {
 				if len(mine) == 0 || rng.Intn(3) > 0 {
-					it := newItem(int32(w*perWorker + i))
+					it := int32(w*perWorker + i)
 					if rng.Intn(2) == 0 {
 						l.InsertAtHead(it)
 					} else {
@@ -417,9 +602,9 @@ func TestConcurrentInsertDelete(t *testing.T) {
 }
 
 func TestVersionIsEvenAtQuiescence(t *testing.T) {
-	l := NewList(4)
+	l := newList(4, 500)
 	for i := int32(0); i < 500; i++ {
-		l.InsertAtHead(newItem(i))
+		l.InsertAtHead(i)
 	}
 	if v := l.Version(); v&1 != 0 {
 		t.Fatalf("version %d is odd at quiescence", v)
@@ -427,44 +612,38 @@ func TestVersionIsEvenAtQuiescence(t *testing.T) {
 }
 
 func TestLabelsReportsNotOKForFreeItem(t *testing.T) {
-	l := NewList(0)
-	if _, _, _, ok := l.Labels(newItem(0)); ok {
+	l := newList(0, 1)
+	if _, _, _, ok := l.Labels(0); ok {
 		t.Fatal("Labels of a free item must not be ok")
 	}
 }
 
 func BenchmarkOrder(b *testing.B) {
-	l := NewList(0)
-	items := make([]*Item, 1024)
-	for i := range items {
-		items[i] = newItem(int32(i))
-		l.InsertAtTail(items[i])
+	const n = 1024
+	l := newList(0, n)
+	for i := int32(0); i < n; i++ {
+		l.InsertAtTail(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Order(items[i%1024], items[(i*7+13)%1024])
+		l.Order(int32(i%n), int32((i*7+13)%n))
 	}
 }
 
 func BenchmarkInsertDeleteHead(b *testing.B) {
-	l := NewList(0)
-	it := newItem(0)
+	l := newList(0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.InsertAtHead(it)
-		l.Delete(it)
+		l.InsertAtHead(0)
+		l.Delete(0)
 	}
 }
 
 func BenchmarkInsertTailChurn(b *testing.B) {
-	l := NewList(0)
-	items := make([]*Item, b.N)
-	for i := range items {
-		items[i] = newItem(int32(i))
-	}
+	l := newList(0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.InsertAtTail(items[i])
+		l.InsertAtTail(int32(i))
 	}
 }
 
@@ -472,12 +651,10 @@ func BenchmarkInsertTailChurn(b *testing.B) {
 // toward the top of the label space; splits there must renumber rather than
 // mint duplicate group labels (which silently corrupt Order).
 func TestTailSplitLabelExhaustion(t *testing.T) {
-	l := NewList(4)
-	var items []*Item
-	for i := int32(0); i < 2000; i++ {
-		it := newItem(i)
-		l.InsertAtTail(it)
-		items = append(items, it)
+	const n = 2000
+	l := newList(4, n)
+	for i := int32(0); i < n; i++ {
+		l.InsertAtTail(i)
 	}
 	walk, err := l.Check()
 	if err != nil {
@@ -485,7 +662,7 @@ func TestTailSplitLabelExhaustion(t *testing.T) {
 	}
 	for i := 1; i < len(walk); i++ {
 		if !l.Order(walk[i-1], walk[i]) {
-			t.Fatalf("Order disagrees with walk at position %d (%d vs %d)", i, walk[i-1].ID, walk[i].ID)
+			t.Fatalf("Order disagrees with walk at position %d (%d vs %d)", i, walk[i-1], walk[i])
 		}
 		if l.Order(walk[i], walk[i-1]) {
 			t.Fatalf("Order not antisymmetric at position %d", i)
@@ -508,14 +685,15 @@ func TestTailSplitLabelExhaustion(t *testing.T) {
 // Regression: interleaved head and tail churn with deletions must keep
 // Order consistent with the walk (exercises rebalance fallbacks).
 func TestHeadTailChurnOrderConsistency(t *testing.T) {
-	l := NewList(4)
+	const steps = 5000
+	l := newList(4, steps)
 	rng := rand.New(rand.NewSource(5))
-	var live []*Item
+	var live []int32
 	next := int32(0)
-	for step := 0; step < 5000; step++ {
+	for step := 0; step < steps; step++ {
 		switch {
 		case len(live) < 10 || rng.Intn(3) > 0:
-			it := newItem(next)
+			it := next
 			next++
 			if rng.Intn(2) == 0 {
 				l.InsertAtTail(it)

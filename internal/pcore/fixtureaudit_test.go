@@ -31,21 +31,21 @@ func TestFixtureOrderAudit(t *testing.T) {
 		for i, it := range items {
 			lt, lb, _, ok := list.Labels(it)
 			if !ok {
-				t.Fatalf("O_%d: labels not ok for %d", k, it.ID)
+				t.Fatalf("O_%d: labels not ok for %d", k, it)
 			}
 			if i > 0 {
 				if !(plt < lt || (plt == lt && plb < lb)) {
 					bad++
 					if bad < 10 {
 						fmt.Printf("O_%d pos %d: item %d labels (%d,%d) not above prev (%d,%d)\n",
-							k, i, it.ID, lt, lb, plt, plb)
+							k, i, it, lt, lb, plt, plb)
 					}
 				}
 				if !list.Order(items[i-1], it) {
 					bad++
 					if bad < 20 {
 						fmt.Printf("O_%d pos %d: Order(%d,%d) = false but walk says before\n",
-							k, i, items[i-1].ID, it.ID)
+							k, i, items[i-1], it)
 					}
 				}
 			}

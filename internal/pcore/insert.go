@@ -2,7 +2,6 @@ package pcore
 
 import (
 	"repro/internal/core"
-	"repro/internal/om"
 	"repro/internal/spin"
 )
 
@@ -124,8 +123,8 @@ func (p *worker) backward(w int32) {
 			traceFn("p=%p   evict %d after %d", p, u, pre)
 		}
 		st.BeginOrderChange(u)
-		list.Delete(st.Items[u])
-		list.InsertAfter(st.Items[pre], st.Items[u])
+		list.Delete(u)
+		list.InsertAfter(pre, u)
 		st.EndOrderChange(u)
 		p.recordMove(u, p.k)
 		p.m.Evictions++
@@ -178,7 +177,7 @@ func (p *worker) promote() {
 	st := p.st
 	from := st.List(p.k)
 	to := st.List(p.k + 1)
-	var anchor *om.Item
+	anchor := int32(-1) // none yet: the first survivor goes to the head
 	for _, w := range p.vstar {
 		if !p.mk.has(w, mStar) {
 			continue // evicted by backward
@@ -198,13 +197,13 @@ func (p *worker) promote() {
 		st.BeginOrderChange(w)
 		st.Core[w].Store(p.k + 1)
 		st.Din[w] = 0
-		from.Delete(st.Items[w])
-		if anchor == nil {
-			to.InsertAtHead(st.Items[w])
+		from.Delete(w)
+		if anchor < 0 {
+			to.InsertAtHead(w)
 		} else {
-			to.InsertAfter(anchor, st.Items[w])
+			to.InsertAfter(anchor, w)
 		}
-		anchor = st.Items[w]
+		anchor = w
 		st.EndOrderChange(w)
 		st.CommitMu.Unlock()
 		p.recordMove(w, p.k)

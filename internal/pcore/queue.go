@@ -103,7 +103,7 @@ func (q *pqueue) enqueue(v int32) {
 	}
 	q.mk.set(v, mQueued)
 	s := q.st.S[v].Load()
-	lt, lb, ver, ok := q.list.Labels(q.st.Items[v])
+	lt, lb, ver, ok := q.list.Labels(v)
 	q.push(pqEntry{v: v, lt: lt, lb: lb, s: s})
 	if !ok || ver != q.ver || s&1 == 1 || q.st.S[v].Load() != s {
 		q.dirty = true
@@ -133,7 +133,7 @@ func (q *pqueue) refresh() {
 				stable = false
 				break
 			}
-			lt, lb, lver, ok := q.list.Labels(q.st.Items[e.v])
+			lt, lb, lver, ok := q.list.Labels(e.v)
 			if !ok || lver != ver || q.st.S[e.v].Load() != s {
 				stable = false
 				break

@@ -84,8 +84,8 @@ func TestPQueueDiscardsPromotedVertices(t *testing.T) {
 	// Simulate a promotion by another worker: vertex 1 leaves level 1.
 	st.BeginOrderChange(1)
 	st.Core[1].Store(2)
-	st.List(1).Delete(st.Items[1])
-	st.List(2).InsertAtHead(st.Items[1])
+	st.List(1).Delete(1)
+	st.List(2).InsertAtHead(1)
 	st.EndOrderChange(1)
 	got := drain(t, st, q)
 	if len(got) != 1 || got[0] != 2 {
@@ -104,8 +104,8 @@ func TestPQueueRefreshAfterRelabel(t *testing.T) {
 	// Move vertex 0 back and forth within the list to churn versions.
 	for i := 0; i < 500; i++ {
 		st.BeginOrderChange(0)
-		list.Delete(st.Items[0])
-		list.InsertAtHead(st.Items[0])
+		list.Delete(0)
+		list.InsertAtHead(0)
 		st.EndOrderChange(0)
 	}
 	q.dirty = true // as Algorithm 10 would have marked it

@@ -170,8 +170,8 @@ func (p *worker) doMCD(x int32) bool {
 	st.CommitMu.Lock()
 	st.BeginOrderChange(x)
 	st.Core[x].Store(p.k - 1)
-	st.List(p.k).Delete(st.Items[x])
-	st.List(p.k - 1).InsertAtTail(st.Items[x])
+	st.List(p.k).Delete(x)
+	st.List(p.k - 1).InsertAtTail(x)
 	st.EndOrderChange(x)
 	st.CommitMu.Unlock()
 	st.Mcd[x].Store(core.McdEmpty) // line 23

@@ -48,8 +48,8 @@ func dumpState(t *testing.T, st *core.State) {
 			continue
 		}
 		line := fmt.Sprintf("O_%d:", k)
-		for _, it := range items {
-			line += fmt.Sprintf(" %d", it.ID)
+		for _, v := range items {
+			line += fmt.Sprintf(" %d", v)
 		}
 		t.Log(line)
 	}
