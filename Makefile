@@ -22,10 +22,13 @@ race:
 # that -short skips and a scheduler that actually preempts between two stores.
 # The second line is the same on the product path: the multi-worker engines
 # kcore builds, checked against BZ and by the repair count in their report.
+# The last two run the lock-free OM readers and the graph's reserved
+# concurrent AddEdge under the race detector.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
@@ -69,11 +72,13 @@ examples:
 	$(GO) test -count=1 ./examples/...
 
 # Fuzzing smoke pass: the engine differential fuzzer (every registered
-# engine against the BZ oracle on random mixed batches) and the RESP
-# codec round-trip fuzzer. CI runs both on every push.
+# engine against the BZ oracle on random mixed batches), the RESP codec
+# round-trip fuzzer and the graph's arena fuzzer (add/remove/grow/reserve/
+# clone/binary round trip against a model). CI runs all three on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMixedBatch -fuzztime 10s ./kcore
 	$(GO) test -run '^$$' -fuzz FuzzRESP -fuzztime 10s ./resp
+	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./graph
 
 loadserve:
 	$(GO) run ./cmd/loadserve -n 50000 -m 200000 -readers 8 -writers 2 -batch 64 -d 5s -check

@@ -9,10 +9,9 @@ package graph
 //	u32 degree[n]
 //	i32 targets[2m]   (adjacency of vertex 0, then 1, …)
 //
-// Decoding reconstructs every adjacency slice over one flat backing array
-// (full-capacity subslices, so a later append on one vertex reallocates
-// instead of clobbering its neighbor), which makes loading a checkpointed
-// graph one big read plus an O(n) slice walk — the reason recovery beats
+// Decoding reads the degrees into the per-vertex records and the targets
+// straight into an exact-fit arena, so loading a checkpointed graph is one
+// big read plus an O(n) pass over the degrees — the reason recovery beats
 // re-parsing a text edge list. Integrity is the caller's business: persist
 // frames the stream with a CRC; ReadBinary itself validates only structure
 // (counts, bounds), not adjacency symmetry.
@@ -48,28 +47,27 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	}
 	var buf [binaryChunk]byte
 	k := 0
-	flushIfFull := func() error {
+	put := func(x uint32) error {
 		if k+4 > len(buf) {
-			_, err := bw.Write(buf[:k])
-			k = 0
-			return err
-		}
-		return nil
-	}
-	for _, a := range g.adj {
-		if err := flushIfFull(); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(buf[k:], uint32(len(a)))
-		k += 4
-	}
-	for _, a := range g.adj {
-		for _, v := range a {
-			if err := flushIfFull(); err != nil {
+			if _, err := bw.Write(buf[:k]); err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint32(buf[k:], uint32(v))
-			k += 4
+			k = 0
+		}
+		binary.LittleEndian.PutUint32(buf[k:], x)
+		k += 4
+		return nil
+	}
+	for _, r := range g.recs {
+		if err := put(r.len); err != nil {
+			return err
+		}
+	}
+	for _, r := range g.recs {
+		for _, v := range g.arena[r.off : r.off+r.len] {
+			if err := put(uint32(v)); err != nil {
+				return err
+			}
 		}
 	}
 	if k > 0 {
@@ -108,40 +106,37 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if m > uint64(n)*uint64(MaxVertexID) { // loose sanity bound
 		return nil, fmt.Errorf("graph: binary m=%d implausible for n=%d", m, n)
 	}
-	deg := make([]int32, n)
-	if err := readInt32s(br, deg); err != nil {
-		return nil, fmt.Errorf("graph: binary degrees: %w", err)
+	if m > maxEntries/2 {
+		return nil, fmt.Errorf("graph: binary m=%d overflows the adjacency arena", m)
 	}
+	g := New(int(n))
+	var deg [binaryChunk / 4]int32
 	var total uint64
-	for _, d := range deg {
-		if d < 0 {
-			return nil, fmt.Errorf("graph: binary negative degree %d", d)
+	for v := 0; v < len(g.recs); {
+		chunk := deg[:min(len(deg), len(g.recs)-v)]
+		if err := readInt32s(br, chunk); err != nil {
+			return nil, fmt.Errorf("graph: binary degrees: %w", err)
 		}
-		total += uint64(d)
+		for _, d := range chunk {
+			if d < 0 {
+				return nil, fmt.Errorf("graph: binary negative degree %d", d)
+			}
+			total += uint64(d)
+			g.recs[v].len, g.recs[v].cap = uint32(d), uint32(d)
+			v++
+		}
 	}
 	if total != 2*m {
 		return nil, fmt.Errorf("graph: binary degree sum %d != 2m=%d", total, 2*m)
 	}
-	backing := make([]int32, total)
-	if err := readInt32s(br, backing); err != nil {
+	g.layout()
+	if err := readInt32s(br, g.arena); err != nil {
 		return nil, fmt.Errorf("graph: binary targets: %w", err)
 	}
-	for _, w := range backing {
+	for _, w := range g.arena {
 		if w < 0 || uint64(w) >= n {
 			return nil, fmt.Errorf("graph: binary neighbor id %d out of range", w)
 		}
-	}
-	g := New(int(n))
-	off := uint64(0)
-	for v := range g.adj {
-		d := uint64(deg[v])
-		if d == 0 {
-			continue
-		}
-		// Full-capacity subslice: appending to one vertex's adjacency must
-		// reallocate, never write into the next vertex's entries.
-		g.adj[v] = backing[off : off+d : off+d]
-		off += d
 	}
 	g.m.Store(int64(m))
 	return g, nil

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -46,9 +49,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryDecodedAppendSafe verifies the full-capacity subslice trick:
-// adding an edge to a decoded graph must not clobber a neighbor vertex's
-// adjacency (they share one backing array).
+// TestBinaryDecodedAppendSafe: a decoded graph's blocks are packed
+// exact-fit, so adding an edge to one must relocate it, never clobber the
+// neighbouring vertex's block.
 func TestBinaryDecodedAppendSafe(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
@@ -93,5 +96,35 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	mutate("neighbor out of range", func(b []byte) { b[len(b)-4] = 88 }) // last target id
 	if _, err := ReadBinary(bytes.NewReader(ok[:len(ok)-3])); err == nil {
 		t.Error("truncated stream decoded without error")
+	}
+}
+
+// A header whose 2m exceeds the arena's uint32 offsets must be refused
+// before anything of that size is allocated: sixteen degrees of 2^28 add
+// up to 2m = 2^32, within the loose per-vertex bound, so only the arena
+// bound stands between the stream and a 16 GiB allocation. The stream
+// ends after the degrees.
+func TestBinaryRejectsArenaOverflow(t *testing.T) {
+	const n, d = 16, 1 << 28
+	b := make([]byte, 24+4*n)
+	binary.LittleEndian.PutUint32(b[0:], binaryMagic)
+	binary.LittleEndian.PutUint32(b[4:], binaryVersion)
+	binary.LittleEndian.PutUint64(b[8:], n)
+	binary.LittleEndian.PutUint64(b[16:], n*d/2)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(b[24+4*i:], d)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decoded a graph of 2m > 2^32 entries")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("allocated %d B before refusing: %v", grew, err)
+	}
+	if !strings.Contains(err.Error(), "overflows the adjacency arena") {
+		t.Fatalf("refused for another reason: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"repro/gen"
+	"repro/graph"
 	"repro/internal/core"
 	"repro/kcore"
 )
@@ -36,7 +37,7 @@ func RunMemory(cfg Config) {
 	row := func(name string, bytes int64, perEntry bool) {
 		e := "-"
 		if perEntry {
-			e = fmt.Sprintf("%.2f", float64(bytes-24*n)/float64(entries))
+			e = fmt.Sprintf("%.2f", float64(bytes-int64(graph.RecordBytes)*n)/float64(entries))
 		}
 		fmt.Fprintf(tw, "%s\t%.2f\t%.1f\t%s\n", name, float64(bytes)/(1<<20), float64(bytes)/n, e)
 	}
@@ -48,7 +49,7 @@ func RunMemory(cfg Config) {
 	row("rest of kcore.New (engine, snapshot, pipeline)", delta(h2, h4)-delta(h2, h3), false)
 	row("kcore.New total", delta(h2, h4), false)
 	tw.Flush()
-	cfg.printf("(%d adjacency entries; B/entry is a graph's bytes beyond its 24-byte slice header per vertex)\n", entries)
+	cfg.printf("(%d adjacency entries; B/entry is a graph's bytes beyond its %d-byte record per vertex)\n", entries, graph.RecordBytes)
 	m.Close()
 	runtime.KeepAlive(g)
 }

@@ -76,8 +76,11 @@ func (b Batch) Applied() int {
 }
 
 // InsertEdges inserts a batch of edges with the Parallel-Order insertion
-// algorithm (Algorithm 7 per edge).
+// algorithm (Algorithm 7 per edge). The graph reserves room for the batch
+// before the workers fork, so their concurrent AddEdge calls never move
+// its adjacency arena.
 func (e *Engine) InsertEdges(edges []graph.Edge) Batch {
+	e.ws[0].st.G.Reserve(edges)
 	return e.run(edges, (*worker).insertEdge)
 }
 
