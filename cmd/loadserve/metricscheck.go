@@ -125,6 +125,7 @@ func metricsCheckRun(cfg metricsCheckConfig) {
 		"kcored_aof_fsync_seconds_count",
 		"kcored_aof_records_total",
 		"kcored_checkpoints_total",
+		"kcored_checkpoint_pause_seconds_count",
 		"kcored_persist_err",
 		"kcored_slow_commands_total",
 		"kcored_slowlog_entries",

@@ -1,0 +1,228 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/gen"
+	"repro/graph"
+	"repro/kcore"
+)
+
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCheckpointRetainsNoGraph pins what durability keeps resident: the
+// checkpoint is streamed into its file, so after Start and two more
+// checkpoints the live heap holds no encoded copy of the graph. Not
+// parallel: it measures the whole process's live heap.
+func TestCheckpointRetainsNoGraph(t *testing.T) {
+	const n = 1 << 17
+	rng := rand.New(rand.NewSource(1))
+	edges := make([]graph.Edge, 7*n) // average degree ≈ 14
+	for i := range edges {
+		edges[i] = graph.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
+	}
+	g := graph.MustFromEdges(n, edges)
+	edges = nil
+	encoded := 24 + 4*int64(n) + 8*g.M() // graph.WriteBinary's size
+
+	mgr, err := NewManager(t.TempDir(), Options{Fsync: FsyncNo, CheckpointOps: -1, CheckpointBytes: -1, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := kcore.New(g, kcore.WithOpLog(mgr))
+	defer m.Close()
+	m.Flush()
+	before := liveHeap()
+	if err := mgr.Start(m); err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	for i := 0; i < 2; i++ {
+		if err := mgr.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	delta := after - before
+	t.Logf("n=%d m=%d: graph encoding %.2f MiB; live heap %.2f → %.2f MiB after Start + 2 checkpoints (delta %+.3f MiB)",
+		n, g.M(), float64(encoded)/(1<<20), float64(before)/(1<<20), float64(after)/(1<<20), float64(delta)/(1<<20))
+	if delta > 1<<20 {
+		t.Fatalf("checkpoints left %d B resident (graph encoding is %d B), want <= 1 MiB", delta, encoded)
+	}
+	runtime.KeepAlive(m)
+}
+
+// TestCheckpointFileLayout rebuilds a checkpoint's bytes independently of
+// the writer — header, little-endian cores, graph.WriteBinary, trailing
+// CRC-32C — and compares them with the file on disk byte for byte.
+func TestCheckpointFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	m, mgr := startManaged(t, dir, gen.ErdosRenyi(300, 900, 7), Options{Fsync: FsyncAlways})
+	defer m.Close()
+	defer mgr.Close()
+	m.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 3, V: 310}})
+	m.RemoveEdges([]graph.Edge{{U: 1, V: 2}})
+	m.Flush()
+	if err := mgr.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(checkpointPath(dir, mgr.Stats().Gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, cores := m.Graph(), m.CoreNumbers()
+	var want bytes.Buffer
+	put := func(v any) { binary.Write(&want, binary.LittleEndian, v) }
+	put(uint32(0x4b434b50)) // "KCKP"
+	put(uint32(1))          // format version
+	put(mgr.Stats().Gen)
+	put(m.Epoch())
+	put(uint64(g.N()))
+	put(uint64(g.M()))
+	put(cores)
+	if err := g.WriteBinary(&want); err != nil {
+		t.Fatal(err)
+	}
+	put(crc32.Checksum(want.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+
+	if !bytes.Equal(got, want.Bytes()) {
+		i := 0
+		for i < min(len(got), len(want.Bytes())) && got[i] == want.Bytes()[i] {
+			i++
+		}
+		t.Fatalf("checkpoint file (%d B) differs from the rebuilt layout (%d B) at byte %d", len(got), want.Len(), i)
+	}
+}
+
+// TestCheckpointFailureIsSticky fails a checkpoint at each step that can
+// fail before the manifest flips — the checkpoint file cannot be created,
+// or the log cannot rotate after it was written — and asserts the
+// failure is sticky, leaves no tmp file of its own, keeps the manifest on
+// the previous generation, and loses no write acked before it.
+func TestCheckpointFailureIsSticky(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		obstacle func(dir string, gen uint64) string
+	}{
+		{"checkpoint tmp is a directory", func(dir string, gen uint64) string { return checkpointPath(dir, gen) + ".tmp" }},
+		{"next segment is a directory", segmentPath},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, mgr := startManaged(t, dir, gen.ErdosRenyi(200, 600, 5), Options{Fsync: FsyncAlways})
+			defer m.Close()
+			defer mgr.Close()
+			for i := int32(0); i < 20; i++ {
+				m.InsertEdge(i, i+100)
+			}
+			m.Flush()
+			acked := m.Graph().Clone()
+			prev := mgr.Stats().Gen
+			obstacle := tc.obstacle(dir, prev+1)
+			if err := os.Mkdir(obstacle, 0o755); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := mgr.CheckpointNow(); err == nil {
+				t.Fatal("CheckpointNow succeeded past the obstacle")
+			}
+			if mgr.Err() == nil {
+				t.Fatal("checkpoint failure did not set the sticky error")
+			}
+			if err := os.Remove(obstacle); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.CheckpointNow(); err == nil || mgr.Err() == nil {
+				t.Fatalf("after the obstacle is gone: CheckpointNow = %v, Err = %v; want both sticky", err, mgr.Err())
+			}
+			if g, ok, err := readManifest(dir); err != nil || !ok || g != prev {
+				t.Fatalf("manifest = %d (ok=%v, err=%v), want the previous generation %d", g, ok, err, prev)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+				t.Fatalf("failed checkpoints left tmp files: %v", tmps)
+			}
+
+			cp := t.TempDir()
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(cp, e.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertRecoverMatches(t, cp, acked)
+		})
+	}
+}
+
+// TestCorruptCheckpointHeader: a checkpoint whose header counts do not
+// match its size, or whose embedded graph header disagrees with its own,
+// is rejected before the reader allocates for those counts; a flipped
+// core byte fails the CRC.
+func TestCorruptCheckpointHeader(t *testing.T) {
+	dir := t.TempDir()
+	m, mgr := startManaged(t, dir, gen.ErdosRenyi(500, 2000, 9), Options{Fsync: FsyncAlways})
+	m.Close()
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := checkpointPath(dir, mgr.Stats().Gen)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphHdr := ckptHeaderSize + 4*500
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte) []byte
+	}{
+		{"inflated n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 1<<24); return b }},
+		{"inflated m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[32:], 1<<24); return b }},
+		{"inflated graph n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+8:], 1<<24); return b }},
+		{"inflated graph m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+16:], 1<<24); return b }},
+		{"flipped core byte", func(b []byte) []byte { b[ckptHeaderSize] ^= 0x5a; return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }},
+	} {
+		if err := os.WriteFile(path, tc.mutate(append([]byte(nil), data...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := Recover(dir)
+		runtime.ReadMemStats(&ms)
+		if err == nil {
+			t.Errorf("%s: Recover accepted a corrupt checkpoint", tc.name)
+		}
+		if alloc := ms.TotalAlloc - before; alloc > 1<<20 {
+			t.Errorf("%s: Recover allocated %d B before rejecting a %d B checkpoint", tc.name, alloc, len(data))
+		}
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+}

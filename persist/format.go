@@ -22,10 +22,10 @@ package persist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -125,109 +125,175 @@ func appendSegmentHeader(dst []byte, gen uint64) []byte {
 
 // --- checkpoint files -------------------------------------------------------
 
-const ckptHeaderSize = 40 // magic u32, version u32, gen u64, epoch u64, n u64, m u64
+const (
+	ckptHeaderSize  = 40       // magic u32, version u32, gen u64, epoch u64, n u64, m u64
+	graphHeaderSize = 24       // graph.WriteBinary's: magic u32, version u32, n u64, m u64
+	ckptChunk       = 64 << 10 // core-array staging and read buffer size
+)
 
-// writeCheckpointFile writes a checkpoint atomically: tmp file, fsync,
-// rename, directory fsync. graphBin is the pre-encoded graph.WriteBinary
-// blob (captured at quiescence); cores the matching core array.
-func writeCheckpointFile(dir string, gen, epoch uint64, m int64, cores []int32, graphBin []byte) error {
-	path := checkpointPath(dir, gen)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// checkpointSize is the exact length of a checkpoint of n vertices and m
+// edges: header, core array, graph.WriteBinary (header, degrees,
+// targets), CRC tail.
+func checkpointSize(n, m uint64) uint64 {
+	return ckptHeaderSize + 4*n + graphHeaderSize + 4*n + 8*m + 4
+}
+
+// writeCheckpointFile streams generation gen's checkpoint into its tmp
+// file — header, core array, g.WriteBinary, then a CRC-32C over all of
+// it — through one buffered writer, so no encoded copy of the graph is
+// ever held. The caller runs it at the quiescent barrier (g and cores
+// must not move while it encodes); the returned file has reached the
+// page cache but is neither synced nor renamed — commitCheckpointFile
+// does that after the barrier. On error the tmp file is removed.
+func writeCheckpointFile(dir string, gen, epoch uint64, cores []int32, g *graph.Graph) (*os.File, error) {
+	f, err := os.Create(checkpointPath(dir, gen) + ".tmp")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	crc := uint32(0)
-	bw := bufio.NewWriterSize(f, 1<<20)
-	emit := func(p []byte) {
-		crc = crc32.Update(crc, crcTable, p)
-		bw.Write(p)
+	if err := encodeCheckpoint(f, gen, epoch, cores, g); err != nil {
+		discardCheckpointFile(f)
+		return nil, err
 	}
+	return f, nil
+}
+
+// encodeCheckpoint writes the checkpoint bytes to w.
+func encodeCheckpoint(w io.Writer, gen, epoch uint64, cores []int32, g *graph.Graph) error {
+	crc := crc32.New(crcTable)
+	// 1 MiB is at least WriteBinary's own buffer size, so it writes
+	// straight into bw instead of stacking a second buffer on it.
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
 	var hdr [ckptHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], gen)
 	binary.LittleEndian.PutUint64(hdr[16:], epoch)
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(cores)))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(m))
-	emit(hdr[:])
-	var chunk [64 << 10]byte
-	k := 0
-	for _, c := range cores {
-		if k+4 > len(chunk) {
-			emit(chunk[:k])
-			k = 0
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(g.M()))
+	bw.Write(hdr[:])
+	var chunk [ckptChunk]byte
+	for len(cores) > 0 {
+		k := min(len(cores), len(chunk)/4)
+		for i, c := range cores[:k] {
+			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(c))
 		}
-		binary.LittleEndian.PutUint32(chunk[k:], uint32(c))
-		k += 4
+		bw.Write(chunk[:4*k])
+		cores = cores[k:]
 	}
-	if k > 0 {
-		emit(chunk[:k])
-	}
-	emit(graphBin)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	bw.Write(tail[:])
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	// bw keeps its first write error; WriteBinary and Flush return it.
+	if err := g.WriteBinary(bw); err != nil {
 		return err
 	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	var tail [4]byte // after the flush: crc covers everything before it
+	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
+	_, err := w.Write(tail[:])
+	return err
+}
+
+// commitCheckpointFile makes a written checkpoint durable and current:
+// fsync, close, rename over the final name, directory fsync. On error
+// the tmp file is removed.
+func commitCheckpointFile(f *os.File, dir string, gen uint64) error {
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+		discardCheckpointFile(f)
 		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(f.Name(), checkpointPath(dir, gen)); err != nil {
+		os.Remove(f.Name())
 		return err
 	}
 	return syncDir(dir)
 }
 
-// readCheckpointFile loads and verifies a checkpoint. The whole file is
-// read into memory (a checkpoint is a few bytes per vertex/edge) so the
-// trailing CRC covers exactly what is parsed.
+// discardCheckpointFile closes and removes an uncommitted tmp file.
+func discardCheckpointFile(f *os.File) {
+	f.Close()
+	os.Remove(f.Name())
+}
+
+// readCheckpointFile loads and verifies a checkpoint, streaming it into
+// the core array and the graph without a whole-file buffer. The header's
+// n and m must account for the file's size exactly before anything is
+// allocated, so a corrupt header cannot make the reader allocate beyond
+// what the file holds; the trailing CRC is checked before anything is
+// returned.
 func readCheckpointFile(path string) (g *graph.Graph, cores []int32, epoch uint64, err error) {
-	data, err := os.ReadFile(path)
+	fail := func(format string, args ...any) (*graph.Graph, []int32, uint64, error) {
+		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: "+format, append([]any{path}, args...)...)
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if len(data) < ckptHeaderSize+4 {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: truncated (%d bytes)", path, len(data))
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: CRC mismatch", path)
+	size := fi.Size()
+	if size < int64(checkpointSize(0, 0)) {
+		return fail("truncated (%d bytes)", size)
 	}
-	if m := binary.LittleEndian.Uint32(body[0:]); m != ckptMagic {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: bad magic %#x", path, m)
+	crc := crc32.New(crcTable)
+	// The limit keeps every read, ReadBinary's read-ahead included, short
+	// of the CRC tail, so crc sees exactly the bytes it covers.
+	br := bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, size-4), crc), ckptChunk)
+	var hdr [ckptHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return fail("header: %v", err)
 	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != formatVersion {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: unsupported version %d", path, v)
+	if m := binary.LittleEndian.Uint32(hdr[0:]); m != ckptMagic {
+		return fail("bad magic %#x", m)
 	}
-	epoch = binary.LittleEndian.Uint64(body[16:])
-	n := binary.LittleEndian.Uint64(body[24:])
-	if n > math.MaxInt32 {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: implausible n=%d", path, n)
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
+		return fail("unsupported version %d", v)
 	}
-	if uint64(len(body)-ckptHeaderSize) < 4*n {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: short core array", path)
+	epoch = binary.LittleEndian.Uint64(hdr[16:])
+	n := binary.LittleEndian.Uint64(hdr[24:])
+	m := binary.LittleEndian.Uint64(hdr[32:])
+	if n > math.MaxInt32 || m > uint64(size)/8 || checkpointSize(n, m) != uint64(size) {
+		return fail("header n=%d m=%d does not match the file size %d", n, m, size)
 	}
 	cores = make([]int32, n)
-	for i := range cores {
-		cores[i] = int32(binary.LittleEndian.Uint32(body[ckptHeaderSize+4*i:]))
+	var chunk [ckptChunk]byte
+	for rest := cores; len(rest) > 0; {
+		k := min(len(rest), len(chunk)/4)
+		if _, err := io.ReadFull(br, chunk[:4*k]); err != nil {
+			return fail("core array: %v", err)
+		}
+		for i := range rest[:k] {
+			rest[i] = int32(binary.LittleEndian.Uint32(chunk[4*i:]))
+		}
+		rest = rest[k:]
 	}
-	g, err = graph.ReadBinary(bytes.NewReader(body[ckptHeaderSize+4*int(n):]))
+	// The embedded graph header sizes ReadBinary's allocations: it must
+	// agree with the one checked against the file size.
+	gh, err := br.Peek(graphHeaderSize)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: %w", path, err)
+		return fail("graph header: %v", err)
 	}
-	if g.N() != int(n) {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: graph n=%d != core array n=%d", path, g.N(), n)
+	if gn, gm := binary.LittleEndian.Uint64(gh[8:]), binary.LittleEndian.Uint64(gh[16:]); gn != n || gm != m {
+		return fail("graph header n=%d m=%d != checkpoint header n=%d m=%d", gn, gm, n, m)
+	}
+	if g, err = graph.ReadBinary(br); err != nil {
+		return fail("%w", err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return fail("bytes between the graph and the CRC tail")
+	}
+	var tail [4]byte
+	if _, err := io.ReadFull(f, tail[:]); err != nil {
+		return fail("CRC tail: %v", err)
+	}
+	if crc.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
+		return fail("CRC mismatch")
 	}
 	return g, cores, epoch, nil
 }

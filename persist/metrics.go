@@ -34,11 +34,13 @@ func (p *Manager) TapStats() []TapStat {
 func (p *Manager) FsyncQuantile(q float64) float64 { return p.fsyncLat.Quantile(q) }
 
 // RegisterMetrics adds the durability subsystem's metrics to reg: the
-// fsync latency histogram plus scrape-time views of the counters Stats
-// already reports, and a per-follower buffered-bytes gauge series.
+// fsync and checkpoint-pause latency histograms plus scrape-time views of
+// the counters Stats already reports, and a per-follower buffered-bytes
+// gauge series.
 func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.MustRegister(
 		p.fsyncLat,
+		p.pauseLat,
 		obs.NewCounterFunc("kcored_aof_records_total", "AOF records appended.",
 			func() float64 { return float64(p.records.Load()) }),
 		obs.NewCounterFunc("kcored_aof_bytes_total", "AOF bytes appended.",

@@ -13,7 +13,10 @@
 // capture full state at a quiescent point and rotate the log, which is
 // also the AOF rewrite/compaction mechanism: the old generation's log is
 // deleted once the new checkpoint is durable, so the log never dwarfs
-// the graph by more than one checkpoint interval.
+// the graph by more than one checkpoint interval. The state is encoded
+// straight into the checkpoint file at the barrier — encoding and
+// page-cache writes happen there, fsync and rename after it — so no
+// encoded copy of the graph is ever held in memory.
 //
 // Recovery (see Recover) loads the manifest's checkpoint and replays the
 // log tail at graph level, tolerating a torn or truncated final record;
@@ -160,8 +163,7 @@ type Manager struct {
 
 	// ckptMu serializes checkpoints (threshold-triggered, BGSave,
 	// CheckpointNow, Start's initial one).
-	ckptMu  sync.Mutex
-	ckptBuf []byte // graph-encode scratch reused across checkpoints
+	ckptMu sync.Mutex
 
 	ckptReq chan struct{}
 	quit    chan struct{}
@@ -183,6 +185,9 @@ type Manager struct {
 	// the everysec background sync alike) — the durability subsystem's
 	// primary latency signal, exported via RegisterMetrics.
 	fsyncLat *obs.Histogram
+	// pauseLat times each checkpoint's quiescent barrier: how long the
+	// applier, and so every write, waits on a checkpoint.
+	pauseLat *obs.Histogram
 }
 
 // NewManager prepares a Manager over dir (created if absent). No files
@@ -204,6 +209,8 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 		quit:    make(chan struct{}),
 		fsyncLat: obs.NewDurationHistogram("kcored_aof_fsync_seconds",
 			"AOF fsync latency (per-batch under -aof-fsync always, background under everysec)."),
+		pauseLat: obs.NewDurationHistogram("kcored_checkpoint_pause_seconds",
+			"Quiescent-barrier part of each checkpoint: checkpoint encoding, its page-cache writes and the log rotation; writes wait for it."),
 	}, nil
 }
 
@@ -359,11 +366,11 @@ func (p *Manager) failLocked(err error) {
 
 // --- checkpoints ------------------------------------------------------------
 
-// CheckpointNow takes a checkpoint synchronously: captures state and
-// rotates the AOF at a quiescent point, writes the checkpoint file,
-// updates the manifest, and deletes the previous generation. Safe to
-// call concurrently with serving traffic; concurrent checkpoints
-// serialize.
+// CheckpointNow takes a checkpoint synchronously: writes the state into
+// the checkpoint file and rotates the AOF at a quiescent point, then
+// makes the file durable, updates the manifest, and deletes the previous
+// generation. Safe to call concurrently with serving traffic; concurrent
+// checkpoints serialize.
 func (p *Manager) CheckpointNow() error {
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
@@ -378,44 +385,47 @@ func (p *Manager) CheckpointNow() error {
 	}
 	start := time.Now()
 	var (
-		gen      uint64
-		epoch    uint64
-		m        int64
-		cores    []int32
-		graphBin []byte
-		rotErr   error
+		gen, epoch uint64
+		n          int
+		m          int64
+		f          *os.File
+		err        error
 	)
 	p.m.AtQuiescence(func(q kcore.QuiescentState) {
-		// Quiescent phase: capture state to memory and switch the op
-		// stream to the next generation's segment, atomically with
-		// respect to appends (which run on this same goroutine).
-		epoch = q.Epoch()
-		cores = q.Cores()
-		g := q.Graph()
-		m = g.M()
-		w := newSliceWriter(p.ckptBuf[:0])
-		if err := g.WriteBinary(w); err != nil {
-			rotErr = err
+		// Quiescent phase: stream the state into the next generation's
+		// checkpoint file (encoding and page-cache writes) and switch the
+		// op stream to that generation's segment, atomically with
+		// respect to appends (which run on this same goroutine). Only
+		// ckptMu's holder advances p.gen, so gen is known up front.
+		pause := time.Now()
+		defer func() { p.pauseLat.ObserveDuration(time.Since(pause)) }()
+		p.mu.Lock()
+		gen, err = p.gen+1, p.err
+		p.mu.Unlock()
+		if err != nil {
 			return
 		}
-		p.ckptBuf = w.b
-		graphBin = w.b
-		gen, rotErr = p.rotateSegment()
+		g := q.Graph()
+		epoch, n, m = q.Epoch(), g.N(), g.M()
+		if f, err = writeCheckpointFile(p.dir, gen, epoch, q.Cores(), g); err != nil {
+			return
+		}
+		if err = p.rotateSegment(gen); err != nil {
+			discardCheckpointFile(f)
+		}
 	})
-	if rotErr != nil {
-		if errors.Is(rotErr, errManagerClosed) {
+	if err == nil {
+		// After the barrier: fsync, close, rename, directory fsync.
+		err = commitCheckpointFile(f, p.dir, gen)
+	}
+	if err != nil {
+		if errors.Is(err, errManagerClosed) {
 			// Close won the race between our entry check and the
 			// quiescent point; nothing is broken — just decline.
-			return rotErr
+			return err
 		}
 		p.mu.Lock()
-		p.failLocked(fmt.Errorf("persist: checkpoint rotate: %w", rotErr))
-		p.mu.Unlock()
-		return rotErr
-	}
-	if err := writeCheckpointFile(p.dir, gen, epoch, m, cores, graphBin); err != nil {
-		p.mu.Lock()
-		p.failLocked(fmt.Errorf("persist: checkpoint write: %w", err))
+		p.failLocked(fmt.Errorf("persist: checkpoint: %w", err))
 		p.mu.Unlock()
 		return err
 	}
@@ -430,51 +440,50 @@ func (p *Manager) CheckpointNow() error {
 	p.lastSaveUnix.Store(time.Now().Unix())
 	p.lastSaveDur.Store(int64(time.Since(start)))
 	p.logf("persist: checkpoint gen %d: n=%d m=%d epoch=%d in %v",
-		gen, len(cores), m, epoch, time.Since(start).Round(time.Millisecond))
+		gen, n, m, epoch, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// rotateSegment syncs and closes the current segment and opens the next
-// generation's, at the quiescent point. From here on appends land in the
-// new generation, whose checkpoint is about to be written; until the
-// manifest flips, recovery replays the old checkpoint plus both
-// segments, so no window loses ops.
-func (p *Manager) rotateSegment() (uint64, error) {
+// rotateSegment syncs and closes the current segment and opens
+// generation gen's (p.gen+1), at the quiescent point. From here on
+// appends land in the new generation, whose checkpoint file is written
+// but not yet durable; until the manifest flips, recovery replays the old
+// checkpoint plus both segments, so no window loses ops.
+func (p *Manager) rotateSegment(gen uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
-		return 0, p.err
+		return p.err
 	}
 	if p.closed.Load() {
 		// Close sets closed before taking mu, so once it holds the lock
 		// every later rotation observes this and cannot reopen a new
 		// segment (a leaked fd and post-Close files otherwise).
-		return 0, errManagerClosed
+		return errManagerClosed
 	}
 	if p.f != nil {
 		// The old segment gets one final sync whatever the policy:
 		// recovery tolerates a torn tail only in the newest segment.
 		if err := p.f.Sync(); err != nil {
-			return 0, err
+			return err
 		}
 		if err := p.f.Close(); err != nil {
-			return 0, err
+			return err
 		}
 		p.f = nil
 	}
-	gen := p.gen + 1
 	f, err := os.OpenFile(segmentPath(p.dir, gen), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	p.buf = appendSegmentHeader(p.buf[:0], gen)
 	if _, err := f.Write(p.buf); err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
 	p.f = f
 	p.gen = gen
@@ -482,7 +491,7 @@ func (p *Manager) rotateSegment() (uint64, error) {
 	p.bytesSince = 0
 	p.dirty = false
 	p.started.Store(true)
-	return gen, nil
+	return nil
 }
 
 // BGSave requests an asynchronous checkpoint (the CORE.BGSAVE handler).
@@ -598,16 +607,4 @@ func (p *Manager) logf(format string, args ...any) {
 		return
 	}
 	log.Printf(format, args...)
-}
-
-// sliceWriter is an io.Writer over a reusable byte slice (bytes.Buffer
-// without the ownership dance: the backing array is handed back for
-// reuse across checkpoints).
-type sliceWriter struct{ b []byte }
-
-func newSliceWriter(b []byte) *sliceWriter { return &sliceWriter{b} }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

@@ -21,6 +21,7 @@ package persist
 // fresh CORE.SYNC — the leader never blocks on a follower.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -224,8 +225,10 @@ func (p *Manager) StartSync() (*SyncSession, error) {
 		encErr error
 	)
 	p.m.AtQuiescence(func(q kcore.QuiescentState) {
-		w := newSliceWriter(make([]byte, 0, 1<<20))
-		if err := q.Graph().WriteBinary(w); err != nil {
+		// The snapshot outlives the barrier: the follower reads it after.
+		var w bytes.Buffer
+		w.Grow(1 << 20)
+		if err := q.Graph().WriteBinary(&w); err != nil {
 			encErr = err
 			return
 		}
@@ -248,8 +251,8 @@ func (p *Manager) StartSync() (*SyncSession, error) {
 		sess = &SyncSession{
 			Gen:      gen,
 			Epoch:    q.Epoch(),
-			Snapshot: w.b,
-			Crc:      SnapshotCRC(w.b),
+			Snapshot: w.Bytes(),
+			Crc:      SnapshotCRC(w.Bytes()),
 			t:        t,
 			p:        p,
 		}
