@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race engine-flake bench fuzz-smoke loadserve loadserve-net crash cluster-check metrics-check examples
+.PHONY: all build vet test race engine-flake bench fuzz-smoke crash cluster-check metrics-check examples
 
 all: build vet test
 
@@ -33,38 +33,30 @@ engine-flake:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Crash-recovery drills: the in-repo kill -9 harness (cmd/kcored's crash
-# test spawns real server processes, so it skips itself under -short),
-# the CLI drill (loadserve -recover-check), and the replication drill
-# (loadserve -replica-check: durable leader + follower, kill -9 the
-# leader mid-run, promote-by-restart, verify the follower re-syncs to
-# the acked-mirror oracle) back to back.
+# The process drills are go test cases in cmd/kcored, on one fixture
+# (harness_test.go): each spawns real kcored processes, so each skips
+# under -short and runs in `make test`. These targets run one drill set.
+#
+# Crash recovery: kill -9 a durable kcored mid-burst and check that the
+# recovered edges are the acked ones plus a prefix of the in-flight
+# burst, and that a restart serves their BZ cores; SIGTERM leaves no log
+# tail; a -load import is durable before serving; and replication: kill
+# -9 the leader, promote-by-restart, the follower re-syncs to the
+# acked-mirror oracle.
 crash:
-	$(GO) test -run 'TestCrashRecovery|TestGracefulRestart|TestLoadImport' -count=1 -v ./cmd/kcored
-	$(GO) build -o /tmp/kcored ./cmd/kcored
-	$(GO) run ./cmd/loadserve -recover-check -kcored /tmp/kcored -d 3s
-	$(GO) run ./cmd/loadserve -replica-check -kcored /tmp/kcored -d 3s
+	$(GO) test -count=1 -run 'TestCrashRecovery|TestReplicaResync|TestGracefulRestart|TestLoadImport' -v ./cmd/kcored
 
-# Sharded-cluster drill: loadserve spawns real kcored shard processes
-# running each engine in turn, churns mixed cross-shard traffic through
-# the routing client, and verifies every routed read (full sweep +
-# scatter-gather aggregates) against the cluster oracle.
+# Sharded cluster: three kcored shards per engine, routed churn with
+# cross-shard edges, every routed read checked against cluster.Oracle.
 cluster-check:
-	$(GO) build -o /tmp/kcored ./cmd/kcored
-	$(GO) run ./cmd/loadserve -cluster-check -kcored /tmp/kcored -shards 3 -alg parallel -d 2s
-	$(GO) run ./cmd/loadserve -cluster-check -kcored /tmp/kcored -shards 3 -alg seq -d 2s
-	$(GO) run ./cmd/loadserve -cluster-check -kcored /tmp/kcored -shards 3 -alg traversal -d 2s
-	$(GO) run ./cmd/loadserve -cluster-check -kcored /tmp/kcored -shards 3 -alg jes -d 2s
+	$(GO) test -count=1 -run 'TestClusterRoutedChurn' -v ./cmd/kcored
 
-# Observability drill: loadserve spawns a durable kcored with
-# -metrics-addr and -slowlog-ms 0, churns mixed traffic, scrapes
-# /metrics twice, asserts every expected metric family is present and
-# parseable, that the counters moved, that each histogram's +Inf bucket
-# equals its _count, and exercises CORE.SLOWLOG GET/LEN/RESET plus the
-# pprof index.
+# Observability: a durable kcored with -metrics-addr and -slowlog-ms 0;
+# every metric family present and parseable, the counters advance, each
+# histogram's +Inf bucket equals its _count, CORE.SLOWLOG GET/LEN/RESET
+# and the pprof index.
 metrics-check:
-	$(GO) build -o /tmp/kcored ./cmd/kcored
-	$(GO) run ./cmd/loadserve -metrics-check -kcored /tmp/kcored -d 2s
+	$(GO) test -count=1 -run 'TestMetricsEndpoint' -v ./cmd/kcored
 
 # Example smoke runs: each example builds itself and runs at a small
 # scale, asserting its own verification line (skipped under -short).
@@ -79,17 +71,3 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMixedBatch -fuzztime 10s ./kcore
 	$(GO) test -run '^$$' -fuzz FuzzRESP -fuzztime 10s ./resp
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./graph
-
-loadserve:
-	$(GO) run ./cmd/loadserve -n 50000 -m 200000 -readers 8 -writers 2 -batch 64 -d 5s -check
-
-# The networked stack end to end: kcored on an ER graph, driven by
-# loadserve over TCP, invariant-checked server-side at the end. The PID
-# is captured explicitly — job-control specs like %1 are not available
-# in make's non-interactive /bin/sh.
-loadserve-net:
-	$(GO) run ./cmd/graphgen -model er -n 50000 -m 200000 > /tmp/kcored-er.txt
-	$(GO) build -o /tmp/kcored ./cmd/kcored
-	/tmp/kcored -addr 127.0.0.1:16380 -load /tmp/kcored-er.txt -quiet & pid=$$!; \
-	sleep 2 && $(GO) run ./cmd/loadserve -net 127.0.0.1:16380 -readers 8 -writers 2 -d 5s -check; \
-	status=$$?; kill -INT $$pid 2>/dev/null; wait $$pid 2>/dev/null; exit $$status

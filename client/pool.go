@@ -35,7 +35,7 @@ type Pool struct {
 
 // PoolStats is a point-in-time view of a Pool's connection health, the
 // client-side sibling of the server's CORE.STATS connection counters —
-// loadserve and the cluster router report both side by side.
+// the cluster router reports both side by side.
 type PoolStats struct {
 	Dials    int64 // connections ever dialed
 	Replaced int64 // stale idle connections dropped by test-on-borrow

@@ -68,42 +68,6 @@ func startCluster(t *testing.T, shards int, capacity int32) (*cluster.Cluster, *
 	return c, m
 }
 
-func TestParseTopology(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want [][]string
-	}{
-		{"h1:6380", [][]string{{"h1:6380"}}},
-		{"h1:6380,h2:6380", [][]string{{"h1:6380", "h2:6380"}}},
-		{"a;b;c", [][]string{{"a"}, {"b"}, {"c"}}},
-		{" a:1 , r1 ; b:2 ", [][]string{{"a:1", "r1"}, {"b:2"}}},
-		{"a,r1,r2;b;c,r3", [][]string{{"a", "r1", "r2"}, {"b"}, {"c", "r3"}}},
-	} {
-		got, err := cluster.ParseTopology(tc.in)
-		if err != nil {
-			t.Fatalf("ParseTopology(%q): %v", tc.in, err)
-		}
-		if len(got) != len(tc.want) {
-			t.Fatalf("ParseTopology(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-		for i := range got {
-			if len(got[i]) != len(tc.want[i]) {
-				t.Fatalf("ParseTopology(%q) = %v, want %v", tc.in, got, tc.want)
-			}
-			for j := range got[i] {
-				if got[i][j] != tc.want[i][j] {
-					t.Fatalf("ParseTopology(%q) = %v, want %v", tc.in, got, tc.want)
-				}
-			}
-		}
-	}
-	for _, bad := range []string{"", "a;;b", ",a", "a,;b", ";", "a;"} {
-		if _, err := cluster.ParseTopology(bad); err == nil {
-			t.Fatalf("ParseTopology(%q) accepted", bad)
-		}
-	}
-}
-
 func TestShardMapValidation(t *testing.T) {
 	if _, err := cluster.NewShardMap(nil); err == nil {
 		t.Fatal("empty shard list accepted")

@@ -10,7 +10,7 @@ import (
 // request/error counter pair per shard (which band is hot, which band
 // is dark) and the scatter-gather operation latency. Built in Connect,
 // so every routed op is counted from the router's first use; exported
-// via RegisterMetrics (the cluster driver — e.g. loadserve — owns the
+// via RegisterMetrics (the process driving the cluster owns the
 // registry and the scrape endpoint, since the router runs client-side).
 type routerMetrics struct {
 	reqs   []*obs.Counter

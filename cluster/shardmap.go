@@ -64,7 +64,7 @@ func NewShardMap(shards []Shard) (*ShardMap, error) {
 // EqualRanges builds a ShardMap splitting [0, capacity) into
 // len(addrs) near-equal contiguous ranges (the first capacity mod n
 // shards get one extra id). Each addrs[i] is a shard's address group:
-// leader first, then replicas — the shape ParseTopology returns.
+// leader first, then replicas.
 func EqualRanges(capacity int32, addrs [][]string) (*ShardMap, error) {
 	n := int32(len(addrs))
 	if n == 0 {

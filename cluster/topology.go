@@ -31,43 +31,3 @@
 // The Oracle type is the executable specification of these semantics;
 // the conformance suite holds every served value byte-equal to it.
 package cluster
-
-import (
-	"fmt"
-	"strings"
-)
-
-// ParseTopology parses the textual shard topology shared by the router,
-// loadserve, and operator tooling:
-//
-//	leader[,replica...][;leader[,replica...]]...
-//
-// Shards are ';'-separated; within a shard the first address is the
-// leader and any further ','-separated addresses are its read replicas.
-// A single "leader,replica" group (no ';') is the replication layer's
-// classic single-shard form, so one grammar serves both. Whitespace
-// around addresses is ignored; empty groups and empty addresses are
-// errors.
-func ParseTopology(s string) ([][]string, error) {
-	groups := strings.Split(s, ";")
-	out := make([][]string, 0, len(groups))
-	for gi, group := range groups {
-		parts := strings.Split(group, ",")
-		addrs := make([]string, 0, len(parts))
-		for _, p := range parts {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				return nil, fmt.Errorf("cluster: empty address in shard %d of topology %q", gi, s)
-			}
-			addrs = append(addrs, p)
-		}
-		if len(addrs) == 0 {
-			return nil, fmt.Errorf("cluster: empty shard %d in topology %q", gi, s)
-		}
-		out = append(out, addrs)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: empty topology")
-	}
-	return out, nil
-}

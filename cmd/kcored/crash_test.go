@@ -1,29 +1,16 @@
 package main
 
-// Crash-recovery harness: build the real kcored binary, run it with a
-// durability directory and -aof-fsync always, drive acked write bursts
-// over the wire, kill -9 mid-burst, and verify two things:
-//
-//  1. Recovery honesty — persist.Recover over the surviving directory
-//     yields a graph whose BZ decomposition is byte-equal to a fresh
-//     bz.Decompose of exactly the edges that were acknowledged (the
-//     in-flight tail may or may not have landed; acked writes MUST
-//     have).
-//  2. Serving honesty — a restarted kcored on the same directory
-//     serves that same decomposition over CORE.MGET and passes
-//     CORE.CHECK.
-//
-// The checkpoint-ops threshold is set low so the burst crosses at least
-// one log rotation before the kill: the crash lands on a directory with
-// real generational history, not a single pristine segment.
+// Crash and replication drills against real kcored processes: kill -9 a
+// durable node mid-burst or between bursts, recover, restart, and hold
+// every served core number to a BZ decomposition of the acked edges.
 
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -34,154 +21,76 @@ import (
 	"repro/persist"
 )
 
-// buildKcored compiles the kcored binary into a temp dir once per test.
-func buildKcored(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "kcored")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build kcored: %v\n%s", err, out)
-	}
-	return bin
-}
-
-func freePort(t *testing.T) int {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := ln.Addr().(*net.TCPAddr).Port
-	ln.Close()
-	return port
-}
-
-// startKcored launches the binary and waits until it answers PING.
-func startKcored(t *testing.T, bin, dir string, port int, extra ...string) *exec.Cmd {
-	t.Helper()
-	args := append([]string{
-		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-		"-dir", dir,
-		"-aof-fsync", "always",
-		"-checkpoint-ops", "400",
-		"-quiet",
-	}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start kcored: %v", err)
-	}
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		c, err := client.Dial(addr, client.WithDialTimeout(time.Second))
-		if err == nil {
-			if _, perr := c.Do("PING"); perr == nil {
-				c.Close()
-				return cmd
-			}
-			c.Close()
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			t.Fatalf("kcored on %s never came up: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func decomposeEdges(n int, edges map[graph.Edge]bool) []int32 {
-	g := graph.New(n)
-	for e := range edges {
-		g.AddEdge(e.U, e.V)
-	}
-	core, _ := bz.Decompose(g)
-	return core
-}
-
-// TestCrashRecoveryKillMidBurst is the headline durability test. Skipped
-// under -short (the -race CI job runs -short; process spawning plus
-// kill -9 timing is covered by the dedicated non-race crash job).
+// TestCrashRecoveryKillMidBurst drives acked bursts into a durable
+// kcored, kill -9s it with a flushed, never-awaited burst in flight, and
+// checks the surviving directory two ways:
+//
+//  1. Recovery honesty — persist.Recover yields exactly the acked edges
+//     plus a send-order prefix of the doomed burst: acked writes MUST
+//     survive, and nothing else may appear.
+//  2. Serving honesty — a kcored restarted on the directory serves a BZ
+//     decomposition of that edge set over CORE.MGET and passes
+//     CORE.CHECK.
 func TestCrashRecoveryKillMidBurst(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash harness spawns real processes; run without -short")
-	}
-	bin := buildKcored(t)
+	skipShort(t)
 	dir := filepath.Join(t.TempDir(), "data")
-	port := freePort(t)
-	proc := startKcored(t, bin, dir, port)
-	killed := false
-	defer func() {
-		if !killed {
-			proc.Process.Kill()
-			proc.Wait()
-		}
-	}()
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
+	addr := freeAddr(t)
+	srv := spawn(t, addr, durable(dir)...)
+	c := dial(t, addr)
 
-	c, err := client.Dial(addr, client.WithDialTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Single-writer acked bursts: every edge whose CORE.INSERT reply
-	// arrived is recorded in acked — with -aof-fsync always these are
-	// synced to the log BEFORE the ack, so all of them must survive the
-	// kill. sent additionally holds the in-flight tail, which may or may
-	// not have landed.
+	// 30 bursts of 40 ops cross the 400-op checkpoint threshold more
+	// than once, so the kill lands on a directory with generational
+	// history, not a single pristine segment.
 	const n = 2000
 	rng := rand.New(rand.NewSource(99))
-	acked := make(map[graph.Edge]bool)
-	sent := make(map[graph.Edge]bool)
-	randomEdge := func() graph.Edge {
-		for {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if u != v {
-				return graph.Edge{U: u, V: v}.Norm()
-			}
-		}
-	}
-	// Acked warm-up bursts — enough ops to cross the checkpoint-ops=400
-	// threshold and force at least one mid-run log rotation.
-	for burst := 0; burst < 30; burst++ {
-		var batch []graph.Edge
-		for i := 0; i < 40; i++ {
-			e := randomEdge()
-			batch = append(batch, e)
-			sent[e] = true
-			if err := c.Send("CORE.INSERT", int64(e.U), int64(e.V)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Flush(); err != nil {
+	mirror := graph.New(n)
+	ackedBursts(t, c, mirror, rng, 30, 40)
+
+	// The doomed burst: distinct inserts of edges the mirror lacks,
+	// never awaited. Its first quarter is flushed; once the log holds a
+	// record past the acked ones, the rest is flushed and the kill races
+	// the server mid-application — so some doomed inserts land and some
+	// do not.
+	probe := dial(t, addr)
+	logged := func() int64 {
+		st, err := client.StringMap(probe.Do("CORE.STATS"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range batch {
-			if _, err := c.Receive(); err != nil {
-				t.Fatalf("burst %d: %v", burst, err)
-			}
-			acked[e] = true
+		r, err := strconv.ParseInt(st["persist_records"], 10, 64)
+		if err != nil {
+			t.Fatalf("persist_records: %v", err)
 		}
+		return r
 	}
-	// The doomed burst: flushed to the socket, never awaited — the kill
-	// races the server mid-application.
-	for i := 0; i < 200; i++ {
-		e := randomEdge()
-		sent[e] = true
+	ackedRecords := logged()
+	var doomed []graph.Edge
+	isDoomed := make(map[graph.Edge]bool)
+	for len(doomed) < 200 {
+		e := graph.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}.Norm()
+		if e.U == e.V || mirror.HasEdge(e.U, e.V) || isDoomed[e] {
+			continue
+		}
+		isDoomed[e] = true
+		doomed = append(doomed, e)
 		if err := c.Send("CORE.INSERT", int64(e.U), int64(e.V)); err != nil {
 			t.Fatal(err)
 		}
+		if len(doomed) == 50 {
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); logged() == ackedRecords; {
+				if time.Now().After(deadline) {
+					t.Fatal("the first doomed inserts never reached the log")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 	c.Flush()
-	if err := proc.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatalf("kill -9: %v", err)
-	}
-	proc.Wait()
-	killed = true
+	srv.stop(syscall.SIGKILL)
 
-	// Phase 1: offline recovery over the surviving directory.
 	res, err := persist.Recover(dir)
 	if err != nil {
 		t.Fatalf("Recover after kill -9: %v", err)
@@ -189,103 +98,117 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 	if res.Graph == nil {
 		t.Fatal("no recoverable state after kill -9")
 	}
+	g := res.Graph
 	t.Logf("recovered gen=%d n=%d m=%d tail=%d records (%d edges) torn=%d segments=%d",
-		res.Gen, res.Graph.N(), res.Graph.M(), res.TailRecords, res.TailEdges, res.TornBytes, res.Segments)
+		res.Gen, g.N(), g.M(), res.TailRecords, res.TailEdges, res.TornBytes, res.Segments)
 	if res.Gen < 2 {
-		t.Errorf("gen = %d: the burst never crossed a log rotation; raise the op count", res.Gen)
+		t.Errorf("gen = %d: the bursts never crossed a log rotation; raise the op count", res.Gen)
 	}
-	for e := range acked {
-		if !res.Graph.HasEdge(e.U, e.V) {
+	has := func(e graph.Edge) bool {
+		return int(max(e.U, e.V)) < g.N() && g.HasEdge(e.U, e.V)
+	}
+	for _, e := range mirror.Edges() {
+		if !has(e) {
 			t.Fatalf("acked edge (%d,%d) lost by the crash", e.U, e.V)
 		}
 	}
-	recovered := make(map[graph.Edge]bool)
-	for _, e := range res.Graph.Edges() {
-		ne := e.Norm()
-		if !sent[ne] {
+	for _, e := range g.Edges() {
+		if !mirror.HasEdge(e.U, e.V) && !isDoomed[e] {
 			t.Fatalf("recovered edge (%d,%d) was never sent", e.U, e.V)
 		}
-		recovered[ne] = true
 	}
-
-	// The recovered graph's cores must be byte-equal to a fresh
-	// decomposition of the surviving edge set.
-	wantCore := decomposeEdges(res.Graph.N(), recovered)
-	gotCore, _ := bz.Decompose(res.Graph)
-	for v := range wantCore {
-		if gotCore[v] != wantCore[v] {
-			t.Fatalf("recovered core[%d] = %d, fresh decomposition says %d", v, gotCore[v], wantCore[v])
+	// One connection orders the op stream, and fsync=always logs every
+	// batch before it is applied, so the log holds all acked ops and
+	// then a prefix of the doomed burst: recovered = acked ∪ doomed[:j].
+	j := 0
+	for j < len(doomed) && has(doomed[j]) {
+		j++
+	}
+	for i := j; i < len(doomed); i++ {
+		if has(doomed[i]) {
+			t.Fatalf("doomed[%d] (%d,%d) recovered but doomed[%d] lost: not a prefix of the doomed burst",
+				i, doomed[i].U, doomed[i].V, j)
 		}
 	}
+	t.Logf("%d of %d doomed inserts landed before the kill", j, len(doomed))
 
-	// Phase 2: restart on the same directory and sweep the full core
-	// array over the wire.
-	proc2 := startKcored(t, bin, dir, port)
-	defer func() {
-		proc2.Process.Signal(syscall.SIGTERM)
-		proc2.Wait()
-	}()
-	c2, err := client.Dial(addr, client.WithDialTimeout(5*time.Second))
-	if err != nil {
+	want, _ := bz.Decompose(g)
+	spawn(t, addr, durable(dir)...)
+	c2 := dial(t, addr)
+	if err := sweep(c2, want); err != nil {
+		t.Fatalf("restarted node: %v", err)
+	}
+	coreCheck(t, "restarted node", c2)
+}
+
+// TestReplicaResyncAfterLeaderKill runs a durable leader and a follower,
+// kill -9s the leader between acked bursts (nothing unacked in flight,
+// so its log holds exactly the mirror), restarts it on the same
+// directory and address (promote-by-restart), drives more acked bursts,
+// and waits for the follower — which must notice the dead leader,
+// reconnect and re-bootstrap on its own — to serve a BZ decomposition
+// of the mirror. The follower must refuse writes, and both nodes must
+// pass CORE.CHECK.
+func TestReplicaResyncAfterLeaderKill(t *testing.T) {
+	skipShort(t)
+	dir := filepath.Join(t.TempDir(), "data")
+	leaderAddr, followerAddr := freeAddr(t), freeAddr(t)
+	// -n fixes the universe, so N is the mirror's on every node.
+	const n = 3000
+	leader := spawn(t, leaderAddr, append(durable(dir), "-n", fmt.Sprint(n))...)
+	spawn(t, followerAddr, "-replica-of", leaderAddr)
+
+	rng := rand.New(rand.NewSource(1))
+	mirror := graph.New(n)
+	ackedBursts(t, dial(t, leaderAddr), mirror, rng, 20, 64)
+	leader.stop(syscall.SIGKILL)
+	t.Logf("killed the leader after 20 acked bursts (mirror: n=%d m=%d)", mirror.N(), mirror.M())
+
+	spawn(t, leaderAddr, durable(dir)...)
+	lc := dial(t, leaderAddr)
+	ackedBursts(t, lc, mirror, rng, 20, 64)
+	if _, err := client.Int(lc.Do("CORE.FLUSH")); err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if _, err := c2.Do("CORE.CHECK"); err != nil {
-		t.Fatalf("CORE.CHECK after recovery: %v", err)
-	}
-	served := int(0)
-	if v, err := client.Int(c2.Do("CORE.N")); err != nil {
-		t.Fatal(err)
-	} else {
-		served = int(v)
-	}
-	if served != res.Graph.N() {
-		t.Fatalf("restarted N = %d, recovered N = %d", served, res.Graph.N())
-	}
-	const chunk = 512
-	for lo := 0; lo < served; lo += chunk {
-		hi := min(lo+chunk, served)
-		args := make([]any, 0, hi-lo)
-		for v := lo; v < hi; v++ {
-			args = append(args, int64(v))
+	want, _ := bz.Decompose(mirror)
+
+	// The follower converges on its own schedule (reconnect backoff,
+	// re-bootstrap): sweep it until it matches.
+	fc := dial(t, followerAddr)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		err := sweep(fc, want)
+		if err == nil {
+			break
 		}
-		vals, err := client.Ints(c2.Do("CORE.MGET", args...))
-		if err != nil {
-			t.Fatal(err)
+		if time.Now().After(deadline) {
+			st, _ := client.StringMap(fc.Do("CORE.STATS"))
+			t.Fatalf("follower never converged on the successor's state: %v; stats: %v", err, st)
 		}
-		for i, got := range vals {
-			if int32(got) != wantCore[lo+i] {
-				t.Fatalf("served core[%d] = %d, want %d", lo+i, got, wantCore[lo+i])
-			}
-		}
+		time.Sleep(100 * time.Millisecond)
 	}
+	if _, err := fc.Do("CORE.INSERT", 1, 2); err == nil || !strings.Contains(err.Error(), "READONLY") {
+		t.Fatalf("follower accepted a write: %v", err)
+	}
+	coreCheck(t, "leader", lc)
+	coreCheck(t, "follower", fc)
 }
 
 // TestGracefulRestartNoTail: SIGTERM takes a final checkpoint, so the
 // next recovery replays nothing.
 func TestGracefulRestartNoTail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes; run without -short")
-	}
-	bin := buildKcored(t)
+	skipShort(t)
 	dir := filepath.Join(t.TempDir(), "data")
-	port := freePort(t)
-	proc := startKcored(t, bin, dir, port)
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	c, err := client.Dial(addr, client.WithDialTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := freeAddr(t)
+	srv := spawn(t, addr, durable(dir)...)
+	c := dial(t, addr)
 	for i := 0; i < 50; i++ {
 		if _, err := client.Int(c.Do("CORE.INSERT", int64(i), int64(i+100))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Close()
-	if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := proc.Wait(); err != nil {
+	if err := srv.stop(syscall.SIGTERM); err != nil {
 		t.Fatalf("kcored exit after SIGTERM: %v", err)
 	}
 	res, err := persist.Recover(dir)
@@ -304,10 +227,7 @@ func TestGracefulRestartNoTail(t *testing.T) {
 // the edge list and checkpoints before serving; a second start with a
 // (bogus) -load must prefer the durable state.
 func TestLoadImportCheckpointsImmediately(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes; run without -short")
-	}
-	bin := buildKcored(t)
+	skipShort(t)
 	dir := filepath.Join(t.TempDir(), "data")
 	edgefile := filepath.Join(t.TempDir(), "edges.txt")
 	content := ""
@@ -317,18 +237,11 @@ func TestLoadImportCheckpointsImmediately(t *testing.T) {
 	if err := os.WriteFile(edgefile, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	port := freePort(t)
-	proc := startKcored(t, bin, dir, port, "-load", edgefile)
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	c, err := client.Dial(addr, client.WithDialTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := freeAddr(t)
+	srv := spawn(t, addr, append(durable(dir), "-load", edgefile)...)
 	// The import must already be durable — even a kill -9 right now
 	// keeps it.
-	proc.Process.Signal(syscall.SIGKILL)
-	proc.Wait()
-	c.Close()
+	srv.stop(syscall.SIGKILL)
 	res, err := persist.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -338,17 +251,9 @@ func TestLoadImportCheckpointsImmediately(t *testing.T) {
 	}
 
 	// Restart pointing -load at garbage: durable state must win.
-	proc2 := startKcored(t, bin, dir, port, "-load", filepath.Join(t.TempDir(), "missing.txt"))
-	defer func() {
-		proc2.Process.Signal(syscall.SIGTERM)
-		proc2.Wait()
-	}()
-	c2, err := client.Dial(addr, client.WithDialTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if m, err := client.Int(c2.Do("CORE.GET", int64(0))); err != nil || m != 1 {
+	spawn(t, addr, append(durable(dir), "-load", filepath.Join(t.TempDir(), "missing.txt"))...)
+	c := dial(t, addr)
+	if m, err := client.Int(c.Do("CORE.GET", int64(0))); err != nil || m != 1 {
 		t.Fatalf("recovered state not served (core[0]=%d, %v)", m, err)
 	}
 }

@@ -207,26 +207,18 @@ func (p Percentiles) String() string {
 	return fmt.Sprintf("p50=%.3g p90=%.3g p99=%.3g max=%.3g (n=%d)", p.P50, p.P90, p.P99, p.Max, p.N)
 }
 
-// defaultRecorderCap bounds a LatencyRecorder that was not sized explicitly.
+// defaultRecorderCap bounds a LatencyRecorder's ring.
 const defaultRecorderCap = 4096
 
 // LatencyRecorder collects latency samples into a bounded ring (the most
-// recent capacity samples survive) and reports tail percentiles. The zero
-// value is ready to use with a default capacity; all methods are safe for
+// recent defaultRecorderCap samples survive) and reports tail
+// percentiles. The zero value is ready to use; all methods are safe for
 // concurrent use.
 type LatencyRecorder struct {
 	mu      sync.Mutex
 	samples []float64
 	next    int
 	count   int64
-}
-
-// NewLatencyRecorder returns a recorder keeping the last capacity samples.
-func NewLatencyRecorder(capacity int) *LatencyRecorder {
-	if capacity < 1 {
-		capacity = defaultRecorderCap
-	}
-	return &LatencyRecorder{samples: make([]float64, 0, capacity)}
 }
 
 // Record adds one duration sample, stored in milliseconds.
@@ -239,17 +231,15 @@ func (r *LatencyRecorder) RecordValue(x float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.count++
-	capacity := cap(r.samples)
-	if capacity == 0 {
+	if r.samples == nil {
 		r.samples = make([]float64, 0, defaultRecorderCap)
-		capacity = defaultRecorderCap
 	}
-	if len(r.samples) < capacity {
+	if len(r.samples) < defaultRecorderCap {
 		r.samples = append(r.samples, x)
 		return
 	}
 	r.samples[r.next] = x
-	r.next = (r.next + 1) % capacity
+	r.next = (r.next + 1) % defaultRecorderCap
 }
 
 // Count returns how many samples were ever recorded (including evicted).

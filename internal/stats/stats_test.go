@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -191,20 +192,24 @@ func TestComputePercentiles(t *testing.T) {
 }
 
 func TestLatencyRecorderRing(t *testing.T) {
-	r := NewLatencyRecorder(4)
-	for i := 1; i <= 10; i++ {
+	const k = 10
+	var r LatencyRecorder
+	for i := 1; i <= defaultRecorderCap+k; i++ {
 		r.RecordValue(float64(i))
 	}
-	if r.Count() != 10 {
+	if r.Count() != defaultRecorderCap+k {
 		t.Fatalf("count = %d", r.Count())
 	}
-	p := r.Percentiles()
-	// Only the last 4 samples (7..10) survive the ring.
-	if p.N != 4 || p.Max != 10 || p.P50 < 7 {
+	// Only the last defaultRecorderCap samples, k+1 .. defaultRecorderCap+k,
+	// survive the ring.
+	if p := r.Percentiles(); p.N != defaultRecorderCap || p.Max != defaultRecorderCap+k {
 		t.Fatalf("%+v", p)
 	}
+	if lo := slices.Min(r.samples); lo != k+1 {
+		t.Fatalf("oldest retained sample = %g, want %d", lo, k+1)
+	}
 
-	// Zero value must be usable and concurrency-safe.
+	// The zero value must be concurrency-safe.
 	var z LatencyRecorder
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -12,8 +12,8 @@ import (
 // ParseText parses Prometheus text exposition format into a map from
 // series (name plus label set, verbatim as written) to value. Comment
 // and blank lines are skipped; malformed sample lines are errors. It is
-// the consumer side of WritePrometheus — loadserve uses it to scrape
-// /metrics and print deltas, and the metrics-check drill uses it to
+// the consumer side of WritePrometheus — the benchmark reads its
+// per-layer counters through it, and kcored's metrics drill uses it to
 // assert a live endpoint is parseable.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
