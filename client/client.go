@@ -39,6 +39,10 @@ type Conn struct {
 	wr      *resp.Writer
 	pending int   // commands sent, replies not yet received
 	err     error // sticky transport/protocol error; the conn is poisoned
+	// scratch formats integer arguments. A local array would escape through
+	// the buffered writer and cost one allocation per command; the Conn
+	// is on the heap already.
+	scratch [20]byte
 }
 
 // DialOption configures Dial.
@@ -123,9 +127,8 @@ func (c *Conn) SendInt32s(cmd string, ids []int32) error {
 	}
 	c.wr.WriteArrayHeader(1 + len(ids))
 	c.wr.WriteBulkString(cmd)
-	var scratch [20]byte
 	for _, id := range ids {
-		c.wr.WriteBulk(strconv.AppendInt(scratch[:0], int64(id), 10))
+		c.wr.WriteBulk(strconv.AppendInt(c.scratch[:0], int64(id), 10))
 	}
 	c.pending++
 	return nil
@@ -210,7 +213,6 @@ func (c *Conn) fatal(err error) error {
 func (c *Conn) writeCommand(cmd string, args []any) error {
 	c.wr.WriteArrayHeader(1 + len(args))
 	c.wr.WriteBulkString(cmd)
-	var scratch [20]byte
 	for _, a := range args {
 		switch v := a.(type) {
 		case string:
@@ -218,13 +220,13 @@ func (c *Conn) writeCommand(cmd string, args []any) error {
 		case []byte:
 			c.wr.WriteBulk(v)
 		case int:
-			c.wr.WriteBulk(strconv.AppendInt(scratch[:0], int64(v), 10))
+			c.wr.WriteBulk(strconv.AppendInt(c.scratch[:0], int64(v), 10))
 		case int32:
-			c.wr.WriteBulk(strconv.AppendInt(scratch[:0], int64(v), 10))
+			c.wr.WriteBulk(strconv.AppendInt(c.scratch[:0], int64(v), 10))
 		case int64:
-			c.wr.WriteBulk(strconv.AppendInt(scratch[:0], v, 10))
+			c.wr.WriteBulk(strconv.AppendInt(c.scratch[:0], v, 10))
 		case uint64:
-			c.wr.WriteBulk(strconv.AppendUint(scratch[:0], v, 10))
+			c.wr.WriteBulk(strconv.AppendUint(c.scratch[:0], v, 10))
 		default:
 			return fmt.Errorf("client: unsupported argument type %T", a)
 		}

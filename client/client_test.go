@@ -1,7 +1,9 @@
 package client_test
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"net"
 	"testing"
 
@@ -194,5 +196,48 @@ func TestSendInt32s(t *testing.T) {
 	}
 	if k, err := client.Int(c.Do("CORE.GET", 301)); err != nil || k != 1 {
 		t.Fatalf("inserted chain: CORE.GET 301 = %d, %v (want 1)", k, err)
+	}
+
+	// The exact frame, at the edges of the int32 range: ids are encoded in
+	// the connection's scratch, so one id must not leak into the next.
+	wire := &wireConn{}
+	wc := client.NewConn(wire)
+	if err := wc.SendInt32s("CORE.MGET", []int32{0, -1, math.MaxInt32, math.MinInt32, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const frame = "*6\r\n$9\r\nCORE.MGET\r\n$1\r\n0\r\n$2\r\n-1\r\n" +
+		"$10\r\n2147483647\r\n$11\r\n-2147483648\r\n$1\r\n7\r\n"
+	if got := wire.out.String(); got != frame {
+		t.Fatalf("wire bytes:\n got %q\nwant %q", got, frame)
+	}
+}
+
+// wireConn is a net.Conn that records what is written to it. Only Write is
+// implemented: the tests that use it never read or close.
+type wireConn struct {
+	net.Conn
+	out bytes.Buffer
+}
+
+func (w *wireConn) Write(p []byte) (int, error) { return w.out.Write(p) }
+
+// TestSendInt32sAllocs pins the bulk write path at zero allocations per
+// command on a warm Conn: ids are formatted in the Conn's own scratch.
+func TestSendInt32sAllocs(t *testing.T) {
+	wire := &wireConn{}
+	wire.out.Grow(64 << 10) // room for the buffered writer's spills
+	c := client.NewConn(wire)
+	pair := []int32{123456, -7}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := c.SendInt32s("CORE.INSERT", pair); err != nil {
+			t.Fatal(err)
+		}
+		wire.out.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("SendInt32s: %.2f allocations per command, want 0", allocs)
 	}
 }

@@ -109,17 +109,21 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 				}
 				var p Publisher
 				p.Publish(append([]int32(nil), cores...), int64(n))
+				// The dedup scratch the applier carries from batch to batch.
+				seen := make([]uint64, (n+63)/64)
+				side := int32(1)
+				coreOf := func(v int32) int32 { return cores[v] + side }
 				// Pre-warm onto side 1 so iteration 0 (side 0) patches
 				// real pages instead of hitting the no-op skip, exactly
 				// like the delta case above.
-				warm, _ := BuildDelta(raw, n, func(v int32) int32 { return cores[v] + 1 })
-				p.PublishDelta(warm, int64(n))
+				delta, _ := BuildDelta(nil, seen, raw, n, coreOf)
+				p.PublishDelta(delta, int64(n))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					side := int32(i % 2)
-					delta, ok := BuildDelta(raw, n, func(v int32) int32 { return cores[v] + side })
-					if !ok {
+					side = int32(i % 2)
+					var ok bool
+					if delta, ok = BuildDelta(delta, seen, raw, n, coreOf); !ok {
 						b.Fatal("unexpected rebuild fallback")
 					}
 					p.PublishDelta(delta, int64(n))

@@ -166,22 +166,38 @@ type VertexCore struct {
 // threshold is crossed, so the fallback case never pays the full dedup.
 // Centralizing this keeps the dedup and fallback policy identical across
 // the engine families.
-func BuildDelta(changed []int32, n int, coreOf func(int32) int32) (delta []VertexCore, ok bool) {
+//
+// The scratch is the caller's, so a warm call allocates nothing. seen is a
+// bit set of at least n bits, all clear; BuildDelta clears exactly the bits
+// it set before returning, on either outcome. The delta is appended to
+// dst[:0], which is replaced by a buffer of the right size when its
+// capacity is short of min(len(changed), n/4+1).
+func BuildDelta(dst []VertexCore, seen []uint64, changed []int32, n int, coreOf func(int32) int32) (delta []VertexCore, ok bool) {
 	hint := len(changed)
 	if limit := n/4 + 1; hint > limit {
 		hint = limit
 	}
-	seen := make(map[int32]struct{}, hint)
-	delta = make([]VertexCore, 0, hint)
+	if cap(dst) < hint {
+		dst = make([]VertexCore, 0, hint)
+	}
+	delta, ok = dst[:0], true
 	for _, v := range changed {
-		if _, dup := seen[v]; dup {
+		w, bit := v>>6, uint64(1)<<(v&63)
+		if seen[w]&bit != 0 {
 			continue
 		}
-		seen[v] = struct{}{}
+		seen[w] |= bit
 		delta = append(delta, VertexCore{V: v, Core: coreOf(v)})
 		if len(delta)*4 >= n {
-			return nil, false
+			ok = false
+			break
 		}
+	}
+	for _, c := range delta {
+		seen[c.V>>6] &^= 1 << (c.V & 63)
+	}
+	if !ok {
+		return nil, false
 	}
 	return delta, true
 }
@@ -325,7 +341,6 @@ func (p *Publisher) PublishDelta(changed []VertexCore, m int64) *View {
 	copy(pages, old.pages)
 	hist := old.Hist
 	histCopied := false
-	dirtied := make([]bool, len(pages))
 	dirty := 0
 	for _, c := range changed {
 		pi := c.V >> PageBits
@@ -334,8 +349,9 @@ func (p *Publisher) PublishDelta(changed []VertexCore, m int64) *View {
 		if oldCore == c.Core {
 			continue
 		}
-		if !dirtied[pi] {
-			dirtied[pi] = true
+		// A page still shared with the old View has not been cloned yet
+		// (pages are never empty, so element 0 names the backing array).
+		if &pages[pi][0] == &old.pages[pi][0] {
 			dirty++
 			pages[pi] = append(make([]int32, 0, cap(pages[pi])), pages[pi]...)
 		}

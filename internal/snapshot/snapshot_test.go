@@ -150,6 +150,85 @@ func TestPublishDeltaCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestPublishDeltaClonesPageOnce: two changed vertices on one page clone it
+// once, and the old View's copy of that page keeps its values.
+func TestPublishDeltaClonesPageOnce(t *testing.T) {
+	const n = 2*PageSize + 10
+	var p Publisher
+	old := p.Publish(make([]int32, n), 0)
+	a, b := int32(PageSize+5), int32(2*PageSize-1) // both on page 1
+	nv := p.PublishDelta([]VertexCore{{V: a, Core: 3}, {V: b, Core: 4}}, 1)
+	if st := p.Stats(); st.DirtyPages != 1 {
+		t.Fatalf("dirty pages = %d, want 1", st.DirtyPages)
+	}
+	if nv.CoreOf(a) != 3 || nv.CoreOf(b) != 4 {
+		t.Fatalf("new view: CoreOf(%d)=%d CoreOf(%d)=%d, want 3 and 4", a, nv.CoreOf(a), b, nv.CoreOf(b))
+	}
+	for i, c := range old.pages[1] {
+		if c != 0 {
+			t.Fatalf("old view's page 1 changed at offset %d: %d", i, c)
+		}
+	}
+}
+
+// TestBuildDeltaReusesScratch: one bit set serves consecutive calls, dedups
+// within each, comes back all clear (after an n/4 bail-out too, so no later
+// call sees a stale bit), and a warm call allocates nothing.
+func TestBuildDeltaReusesScratch(t *testing.T) {
+	const n = 1000
+	seen := make([]uint64, (n+63)/64)
+	coreOf := func(v int32) int32 { return v % 7 }
+	allClear := func(when string) {
+		t.Helper()
+		for w, word := range seen {
+			if word != 0 {
+				t.Fatalf("%s: bit set word %d = %#x, want 0", when, w, word)
+			}
+		}
+	}
+	var buf []VertexCore
+	for _, tc := range []struct {
+		changed []int32
+		want    []int32
+	}{
+		{[]int32{5, 9, 5, 63, 64, 9, 999}, []int32{5, 9, 63, 64, 999}},
+		{[]int32{9, 5, 9}, []int32{9, 5}}, // the same vertices again: not stale
+		{[]int32{0, 0, 0}, []int32{0}},
+	} {
+		delta, ok := BuildDelta(buf, seen, tc.changed, n, coreOf)
+		if !ok || len(delta) != len(tc.want) {
+			t.Fatalf("BuildDelta(%v) = %v, %v; want %d distinct", tc.changed, delta, ok, len(tc.want))
+		}
+		for i, v := range tc.want {
+			if delta[i] != (VertexCore{V: v, Core: coreOf(v)}) {
+				t.Fatalf("BuildDelta(%v)[%d] = %+v, want vertex %d", tc.changed, i, delta[i], v)
+			}
+		}
+		allClear("after a delta")
+		buf = delta
+	}
+
+	// n/4 distinct vertices bail out midway; every bit they set is cleared.
+	huge := make([]int32, 0, n)
+	for v := int32(0); v < n; v += 3 {
+		huge = append(huge, v)
+	}
+	if delta, ok := BuildDelta(buf, seen, huge, n, coreOf); ok || delta != nil {
+		t.Fatalf("%d distinct of %d vertices: got a %d-entry delta, want the fallback", len(huge), n, len(delta))
+	}
+	allClear("after the bail-out")
+	if delta, ok := BuildDelta(buf, seen, []int32{3, 6, 3}, n, coreOf); !ok || len(delta) != 2 {
+		t.Fatalf("after the bail-out: delta %v, ok %v; want vertices 3 and 6", delta, ok)
+	}
+
+	changed := []int32{1, 2, 3, 2, 1, 500}
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = BuildDelta(buf, seen, changed, n, coreOf)
+	}); allocs != 0 {
+		t.Fatalf("warm BuildDelta: %.1f allocations, want 0", allocs)
+	}
+}
+
 // TestPublishDeltaMaxCoreShrinks: removing the only max-core vertex must
 // trim the histogram and lower MaxCore.
 func TestPublishDeltaMaxCoreShrinks(t *testing.T) {

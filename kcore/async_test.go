@@ -38,6 +38,50 @@ func TestAsyncSubmissionOrder(t *testing.T) {
 	}
 }
 
+// TestAsyncWaitOnAnotherGoroutine hands each Pending to a goroutine other
+// than its submitter: that one waiter sees the result the applier wrote
+// before completing the op, and the applied state matches.
+func TestAsyncWaitOnAnotherGoroutine(t *testing.T) {
+	g := graph.MustFromEdges(64, nil)
+	m := New(g)
+	defer m.Close()
+
+	const rounds = 20
+	pends := make(chan *Pending, 8)
+	var results []BatchResult
+	waited := make(chan struct{})
+	go func() {
+		for pd := range pends {
+			results = append(results, pd.Wait())
+			pd.Wait() // still idempotent on the waiter's side
+		}
+		close(waited)
+	}()
+	// A triangle on each round's three fresh vertices: every insert lands.
+	for round := int32(0); round < rounds; round++ {
+		a, b, c := 3*round, 3*round+1, 3*round+2
+		pends <- m.InsertEdgesAsync([]graph.Edge{{U: a, V: b}, {U: b, V: c}, {U: a, V: c}})
+	}
+	close(pends)
+	<-waited
+	if len(results) != rounds {
+		t.Fatalf("%d results, want %d", len(results), rounds)
+	}
+	for _, res := range results {
+		if res.Coalesced < 1 || res.Applied != 3*res.Coalesced {
+			t.Fatalf("result seen by the other goroutine: %+v", res)
+		}
+	}
+	for v := int32(0); v < 3*rounds; v++ {
+		if k := m.CoreOf(v); k != 2 {
+			t.Fatalf("CoreOf(%d) = %d, want 2", v, k)
+		}
+	}
+	if err := m.Check(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
 // TestAsyncAfterClose verifies Pendings keep working once the pipeline
 // is shut down: submission applies synchronously, Wait returns the
 // result.

@@ -237,10 +237,15 @@ type engine struct {
 	// lives here and not on the applier's stack because the engines take
 	// its address through an interface.
 	res BatchResult
+	// The publish scratch snapshot.BuildDelta dedups res.changed into:
+	// one bit per vertex, all clear between batches, and the delta buffer.
+	seen  []uint64
+	delta []snapshot.VertexCore
 }
 
 // changedKeep is the largest changed-vertex scratch, in entries, carried
-// over to the next batch: the buffer one huge batch grew is dropped.
+// over to the next batch: the buffer one huge batch grew is dropped. The
+// delta buffer follows the same rule.
 const changedKeep = 1024
 
 // Maintainer tracks core numbers of one dynamic graph. Create it with New;
@@ -538,17 +543,27 @@ func (eng *engine) grow(n int) {
 // pages — O(|V*| + dirtyPages·PageSize), not O(n); and when BuildDelta
 // finds the distinct changed set to be a quarter of the graph or more,
 // where the two costs converge, the snapshot is rebuilt in full. The report
-// is dead after publication; the buffer one huge batch grew is not kept.
+// is dead after publication; the buffers one huge batch grew are not kept.
 func (eng *engine) publishAfter(res *BatchResult) {
+	n := eng.g.N()
+	if words := (n + 63) >> 6; len(eng.seen) < words {
+		// The new words are zero, as the set must be between batches;
+		// append amortizes the re-sizing as the universe grows.
+		eng.seen = append(eng.seen, make([]uint64, words-len(eng.seen))...)
+	}
 	if res.ChangedVertices == 0 {
 		eng.pub.PublishUnchanged(eng.g.M())
-	} else if delta, ok := snapshot.BuildDelta(res.changed, eng.g.N(), eng.coreOf); ok {
+	} else if delta, ok := snapshot.BuildDelta(eng.delta, eng.seen, res.changed, n, eng.coreOf); ok {
 		eng.pub.PublishDelta(delta, eng.g.M())
+		eng.delta = delta
 	} else {
 		eng.pub.Publish(eng.impl.Cores(), eng.g.M())
 	}
 	if cap(res.changed) > changedKeep {
 		res.changed = nil
+	}
+	if cap(eng.delta) > changedKeep {
+		eng.delta = nil
 	}
 }
 

@@ -73,16 +73,21 @@ func newPipeline(pm *PipelineMetrics) *pipeline {
 // that submits a run of Pendings before waiting on any lets the applier
 // coalesce the whole run into shared engine batches — the mechanism the
 // RESP server uses to turn one connection's pipelined write burst into one
-// engine round. Wait is not safe for concurrent use; hand a Pending to at
-// most one waiter.
+// engine round.
+//
+// The op completes without a channel: done is a one-count WaitGroup the
+// applier (or the post-Close path of submit) releases after writing res, so
+// submitting an op allocates the Pending and nothing else. Wait is
+// idempotent, and any one goroutine may call it, not only the submitter;
+// it is not safe for concurrent use, so hand a Pending to at most one
+// waiter.
 type Pending struct {
 	kind  opKind
 	edges []graph.Edge
 	fn    func()    // opBarrier only: runs in the applier at quiescence
 	enq   time.Time // submission time: coalesce wait and update latency count from here
-	// done is completed exactly once (capacity 1), by the applier or by the
-	// post-Close path of submit.
-	done chan BatchResult
+	// done is released exactly once, by finish, after it has written res.
+	done sync.WaitGroup
 
 	p      *pipeline
 	res    BatchResult
@@ -90,7 +95,9 @@ type Pending struct {
 }
 
 func newOp(kind opKind, edges []graph.Edge, fn func()) *Pending {
-	return &Pending{kind: kind, edges: edges, fn: fn, done: make(chan BatchResult, 1)}
+	pd := &Pending{kind: kind, edges: edges, fn: fn}
+	pd.done.Add(1)
+	return pd
 }
 
 // Wait blocks until the op's coalesced batch has been applied and its
@@ -98,7 +105,7 @@ func newOp(kind opKind, edges []graph.Edge, fn func()) *Pending {
 // after the first call).
 func (pd *Pending) Wait() BatchResult {
 	if !pd.waited {
-		pd.res = <-pd.done
+		pd.done.Wait()
 		pd.waited = true
 		if pd.kind != opBarrier {
 			pd.p.updLat.Record(time.Since(pd.enq))
@@ -242,9 +249,12 @@ func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	}
 }
 
+// finish completes op: the applier's last touch of it, since its waiter may
+// return and drop the op the moment done is released.
 func (p *pipeline) finish(op *Pending, res BatchResult) {
 	p.queueDepth.Add(-1)
-	op.done <- res
+	op.res = res
+	op.done.Done()
 }
 
 // coalescer is the applier's coalescing scratch: the last-op-per-edge map,

@@ -102,10 +102,10 @@ func NewCounter(name, help string, labels ...Label) *Counter {
 	return &Counter{fam: family{name, help, "counter"}, labels: renderLabels(labels)}
 }
 
-func (c *Counter) Inc()              { c.v.Add(1) }
-func (c *Counter) Add(n int64)       { c.v.Add(n) }
-func (c *Counter) Value() int64      { return c.v.Load() }
-func (c *Counter) familyOf() family  { return c.fam }
+func (c *Counter) Inc()             { c.v.Add(1) }
+func (c *Counter) Add(n int64)      { c.v.Add(n) }
+func (c *Counter) Value() int64     { return c.v.Load() }
+func (c *Counter) familyOf() family { return c.fam }
 func (c *Counter) seriesKeys() []string {
 	return []string{c.labels}
 }
@@ -129,10 +129,10 @@ func NewGauge(name, help string, labels ...Label) *Gauge {
 	return &Gauge{fam: family{name, help, "gauge"}, labels: renderLabels(labels)}
 }
 
-func (g *Gauge) Set(v int64)        { g.v.Store(v) }
-func (g *Gauge) Add(n int64)        { g.v.Add(n) }
-func (g *Gauge) Value() int64       { return g.v.Load() }
-func (g *Gauge) familyOf() family   { return g.fam }
+func (g *Gauge) Set(v int64)      { g.v.Store(v) }
+func (g *Gauge) Add(n int64)      { g.v.Add(n) }
+func (g *Gauge) Value() int64     { return g.v.Load() }
+func (g *Gauge) familyOf() family { return g.fam }
 func (g *Gauge) seriesKeys() []string {
 	return []string{g.labels}
 }
