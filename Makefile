@@ -54,10 +54,10 @@ crash:
 cluster-check:
 	$(GO) test -count=1 -run 'TestClusterRoutedChurn' -v ./cmd/kcored
 
-# Observability: a durable kcored with -metrics-addr and -slowlog-ms 0;
-# every metric family present and parseable, the counters advance, each
-# histogram's +Inf bucket equals its _count, CORE.SLOWLOG GET/LEN/RESET
-# and the pprof index.
+# Observability: a durable kcored with -metrics-addr and -slowlog-ms 0,
+# plus a follower; every metric family, README's included, present and
+# parseable, the counters advance, each histogram's +Inf bucket equals its
+# _count, CORE.SLOWLOG GET/LEN/RESET and the pprof index.
 metrics-check:
 	$(GO) test -count=1 -run 'TestMetricsEndpoint' -v ./cmd/kcored
 

@@ -53,30 +53,3 @@ func String(v resp.Value, err error) (string, error) {
 		return "", fmt.Errorf("client: expected string reply, got %v", v.Kind)
 	}
 }
-
-// StringMap converts a flat key/value array reply (CORE.STATS) into a
-// map.
-func StringMap(v resp.Value, err error) (map[string]string, error) {
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind != resp.Array {
-		return nil, fmt.Errorf("client: expected array reply, got %v", v.Kind)
-	}
-	if len(v.Array)%2 != 0 {
-		return nil, fmt.Errorf("client: key/value array has odd length %d", len(v.Array))
-	}
-	out := make(map[string]string, len(v.Array)/2)
-	for i := 0; i < len(v.Array); i += 2 {
-		k, err := String(v.Array[i], nil)
-		if err != nil {
-			return nil, err
-		}
-		val, err := String(v.Array[i+1], nil)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = val
-	}
-	return out, nil
-}

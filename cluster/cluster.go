@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/client"
 	"repro/graph"
+	"repro/obs"
 )
 
 // Cluster is the client-side router over a ShardMap: it owns one
@@ -523,7 +525,7 @@ func (c *Cluster) Check() error {
 type ShardStats struct {
 	Shard  int
 	Addr   string
-	Server map[string]string // CORE.STATS
+	Server map[string]float64 // CORE.STATS, series → value (obs.ParseText)
 	Pool   client.PoolStats
 }
 
@@ -533,7 +535,11 @@ func (c *Cluster) Stats() ([]ShardStats, error) {
 	out := make([]ShardStats, c.m.NumShards())
 	err := c.scatter(c.allShards(), func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
-			m, err := client.StringMap(conn.Do("CORE.STATS"))
+			text, err := client.String(conn.Do("CORE.STATS"))
+			if err != nil {
+				return err
+			}
+			m, err := obs.ParseText(strings.NewReader(text))
 			if err != nil {
 				return err
 			}

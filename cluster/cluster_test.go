@@ -297,8 +297,8 @@ func TestClusterConformance(t *testing.T) {
 					t.Fatalf("Stats has %d shards, want %d", len(stats), shards)
 				}
 				for _, st := range stats {
-					if st.Server["n"] == "" {
-						t.Fatalf("shard %d stats missing n: %v", st.Shard, st.Server)
+					if _, ok := st.Server["kcored_vertices"]; !ok {
+						t.Fatalf("shard %d stats missing kcored_vertices: %v", st.Shard, st.Server)
 					}
 					if st.Pool.Dials == 0 {
 						t.Fatalf("shard %d pool never dialed", st.Shard)

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -53,15 +52,11 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 	// do not.
 	probe := dial(t, addr)
 	logged := func() int64 {
-		st, err := client.StringMap(probe.Do("CORE.STATS"))
-		if err != nil {
-			t.Fatal(err)
+		r, ok := coreStats(t, probe)["kcored_aof_records_total"]
+		if !ok {
+			t.Fatal("CORE.STATS has no kcored_aof_records_total")
 		}
-		r, err := strconv.ParseInt(st["persist_records"], 10, 64)
-		if err != nil {
-			t.Fatalf("persist_records: %v", err)
-		}
-		return r
+		return int64(r)
 	}
 	ackedRecords := logged()
 	var doomed []graph.Edge
@@ -182,8 +177,8 @@ func TestReplicaResyncAfterLeaderKill(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			st, _ := client.StringMap(fc.Do("CORE.STATS"))
-			t.Fatalf("follower never converged on the successor's state: %v; stats: %v", err, st)
+			st, _ := client.String(fc.Do("CORE.STATS"))
+			t.Fatalf("follower never converged on the successor's state: %v; stats:\n%s", err, st)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}

@@ -13,12 +13,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/client"
 	"repro/graph"
+	"repro/obs"
 )
 
 // kcoredBin is the kcored binary TestMain builds; empty under -short,
@@ -127,6 +129,20 @@ func dial(t *testing.T, addr string) *client.Conn {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// coreStats runs CORE.STATS on c and parses the reply, series → value.
+func coreStats(t *testing.T, c *client.Conn) map[string]float64 {
+	t.Helper()
+	text, err := client.String(c.Do("CORE.STATS"))
+	if err != nil {
+		t.Fatalf("CORE.STATS: %v", err)
+	}
+	kv, err := obs.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("CORE.STATS does not parse: %v", err)
+	}
+	return kv
 }
 
 // ackedBursts sends bursts pipelined bursts of up to batch ops on c over

@@ -3,27 +3,43 @@ package main
 import (
 	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/client"
 	"repro/obs"
 )
 
 // TestMetricsEndpoint spawns a durable kcored with -metrics-addr and
-// -slowlog-ms 0, drives mixed traffic — pipelined writes and reads,
-// aggregates, CORE.STATS — and scrapes /metrics before and after: every
-// expected family is present and parses, the traffic moved the command
-// counters, and each histogram's +Inf bucket equals its _count. It then
-// exercises CORE.SLOWLOG GET/LEN/RESET (threshold 0 records every timed
-// command) and probes the pprof index on the same endpoint.
+// -slowlog-ms 0 and a follower of it, drives mixed traffic — pipelined
+// writes and reads, aggregates, CORE.STATS — and scrapes /metrics before
+// and after: every expected family, and every kcored_*/kcore_* family
+// README's Observability tables name, is present in the leader's or the
+// follower's scrape and parses, the traffic moved the command counters,
+// and each histogram's +Inf bucket equals its _count. It then exercises
+// CORE.SLOWLOG GET/LEN/RESET (threshold 0 records every timed command)
+// and probes the pprof index on the same endpoint.
 func TestMetricsEndpoint(t *testing.T) {
 	skipShort(t)
 	addr, maddr := freeAddr(t), freeAddr(t)
 	url := "http://" + maddr + "/metrics"
 	spawn(t, addr, append(durable(filepath.Join(t.TempDir(), "data")),
 		"-metrics-addr", maddr, "-slowlog-ms", "0")...)
+	// The follower makes the replica families and the leader's
+	// per-follower series live.
+	faddr, fmaddr := freeAddr(t), freeAddr(t)
+	spawn(t, faddr, "-replica-of", addr, "-metrics-addr", fmaddr)
+	fc := dial(t, faddr)
+	for deadline := time.Now().Add(20 * time.Second); coreStats(t, fc)["kcored_replica_connected"] != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never connected")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	before := scrape(t, url)
 
 	// Each burst inserts a batch of edges and removes them again, so the
@@ -70,11 +86,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	after := scrape(t, url)
-	t.Logf("scraped %s: %d series", url, len(after))
+	follower := scrape(t, "http://"+fmaddr+"/metrics")
+	t.Logf("scraped %s: %d series; the follower: %d", url, len(after), len(follower))
 	for _, fam := range []string{
 		"kcored_commands_total",
 		"kcored_command_latency_seconds_bucket",
 		"kcored_command_latency_seconds_count",
+		"kcored_pipeline_depth_bucket",
+		"kcore_update_latency_seconds_bucket",
 		"kcored_connections_total",
 		"kcored_errors_total",
 		"kcored_inflight_writes",
@@ -104,6 +123,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("metric family %q missing from %s", fam, url)
+		}
+	}
+	for _, fam := range readmeFamilies(t) {
+		if !hasFamily(after, fam) && !hasFamily(follower, fam) {
+			t.Errorf("README names %s, but neither the leader nor the follower exports it", fam)
 		}
 	}
 
@@ -170,6 +194,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index: %s", resp.Status)
 	}
+}
+
+// readmeFamilies lists the kcored_*/kcore_* families named in the tables
+// of README's Observability section, so the docs cannot name a family
+// the server does not export.
+func readmeFamilies(t *testing.T) []string {
+	t.Helper()
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "\n## Observability\n")
+	if !ok {
+		t.Fatal("README has no Observability section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	name := regexp.MustCompile("`(kcored?_[a-z0-9_]+)")
+	var fams []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(line, -1) {
+			fams = append(fams, m[1])
+		}
+	}
+	if len(fams) < 40 {
+		t.Fatalf("found only %d families in README's Observability tables: %v", len(fams), fams)
+	}
+	return fams
+}
+
+// hasFamily reports whether scr holds a series of family fam: the bare
+// name, or a histogram's _count.
+func hasFamily(scr map[string]float64, fam string) bool {
+	for k := range scr {
+		if base, _, _ := strings.Cut(k, "{"); base == fam || base == fam+"_count" {
+			return true
+		}
+	}
+	return false
 }
 
 // scrape fetches url and parses its Prometheus text exposition.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -207,52 +206,19 @@ func (p Percentiles) String() string {
 	return fmt.Sprintf("p50=%.3g p90=%.3g p99=%.3g max=%.3g (n=%d)", p.P50, p.P90, p.P99, p.Max, p.N)
 }
 
-// defaultRecorderCap bounds a LatencyRecorder's ring.
-const defaultRecorderCap = 4096
-
-// LatencyRecorder collects latency samples into a bounded ring (the most
-// recent defaultRecorderCap samples survive) and reports tail
-// percentiles. The zero value is ready to use; all methods are safe for
-// concurrent use.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []float64
-	next    int
-	count   int64
-}
-
-// Record adds one duration sample, stored in milliseconds.
-func (r *LatencyRecorder) Record(d time.Duration) {
-	r.RecordValue(float64(d) / float64(time.Millisecond))
-}
-
-// RecordValue adds one sample in the recorder's unit.
-func (r *LatencyRecorder) RecordValue(x float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.count++
-	if r.samples == nil {
-		r.samples = make([]float64, 0, defaultRecorderCap)
+// EstimatePercentiles reads Percentiles off a bucketed histogram: n is its
+// observation count and quantile its estimator, and every estimate is
+// multiplied by scale (1e3 turns seconds into milliseconds). Max is
+// quantile(1), the upper bound of the highest occupied bucket.
+func EstimatePercentiles(n int64, quantile func(q float64) float64, scale float64) Percentiles {
+	if n == 0 {
+		return Percentiles{}
 	}
-	if len(r.samples) < defaultRecorderCap {
-		r.samples = append(r.samples, x)
-		return
+	return Percentiles{
+		N:   int(n),
+		P50: scale * quantile(0.50),
+		P90: scale * quantile(0.90),
+		P99: scale * quantile(0.99),
+		Max: scale * quantile(1),
 	}
-	r.samples[r.next] = x
-	r.next = (r.next + 1) % defaultRecorderCap
-}
-
-// Count returns how many samples were ever recorded (including evicted).
-func (r *LatencyRecorder) Count() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
-// Percentiles summarizes the retained samples.
-func (r *LatencyRecorder) Percentiles() Percentiles {
-	r.mu.Lock()
-	xs := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	return ComputePercentiles(xs)
 }

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,8 +141,9 @@ func TestQuantile(t *testing.T) {
 }
 
 // TestQuantileEdgeCases pins the empty and single-sample behavior all
-// the way down to quantileSorted: an empty recorder reports 0, a
-// single-sample recorder reports the sample for every quantile.
+// the way down to quantileSorted: an empty sample reports 0, a single
+// sample is every quantile. EstimatePercentiles follows suit for an
+// empty and a one-observation histogram.
 func TestQuantileEdgeCases(t *testing.T) {
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
 		if got := Quantile(nil, q); got != 0 {
@@ -164,13 +163,12 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if p.N != 1 || p.P50 != 7 || p.P90 != 7 || p.P99 != 7 || p.Max != 7 {
 		t.Fatalf("single-sample percentiles: %+v", p)
 	}
-	var r LatencyRecorder
-	if got := r.Percentiles(); got.N != 0 || got.P50 != 0 || got.P99 != 0 {
-		t.Fatalf("empty recorder percentiles: %+v", got)
+	if got := EstimatePercentiles(0, func(float64) float64 { return 1 }, 1e3); got != (Percentiles{}) {
+		t.Fatalf("empty estimate: %+v", got)
 	}
-	r.RecordValue(3.5)
-	if got := r.Percentiles(); got.N != 1 || got.P50 != 3.5 || got.P99 != 3.5 {
-		t.Fatalf("single-sample recorder percentiles: %+v", got)
+	if got := EstimatePercentiles(1, func(float64) float64 { return 0.0035 }, 1e3); got.N != 1 ||
+		!almostEqual(got.P50, 3.5) || !almostEqual(got.P99, 3.5) || !almostEqual(got.Max, 3.5) {
+		t.Fatalf("single-sample estimate: %+v", got)
 	}
 }
 
@@ -188,41 +186,5 @@ func TestComputePercentiles(t *testing.T) {
 	}
 	if ComputePercentiles(nil).N != 0 {
 		t.Fatal("empty percentiles must be zero")
-	}
-}
-
-func TestLatencyRecorderRing(t *testing.T) {
-	const k = 10
-	var r LatencyRecorder
-	for i := 1; i <= defaultRecorderCap+k; i++ {
-		r.RecordValue(float64(i))
-	}
-	if r.Count() != defaultRecorderCap+k {
-		t.Fatalf("count = %d", r.Count())
-	}
-	// Only the last defaultRecorderCap samples, k+1 .. defaultRecorderCap+k,
-	// survive the ring.
-	if p := r.Percentiles(); p.N != defaultRecorderCap || p.Max != defaultRecorderCap+k {
-		t.Fatalf("%+v", p)
-	}
-	if lo := slices.Min(r.samples); lo != k+1 {
-		t.Fatalf("oldest retained sample = %g, want %d", lo, k+1)
-	}
-
-	// The zero value must be concurrency-safe.
-	var z LatencyRecorder
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				z.Record(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if z.Count() != 200 || z.Percentiles().N != 200 {
-		t.Fatalf("zero-value recorder: count=%d %+v", z.Count(), z.Percentiles())
 	}
 }

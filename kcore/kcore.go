@@ -398,7 +398,8 @@ func (m *Maintainer) barrier(fn func()) {
 
 // ServingStats is a point-in-time view of the serving layer: pipeline
 // counters, snapshot-publication counters, and update-latency percentiles
-// (enqueue to future completion, in milliseconds).
+// (enqueue to future completion, in milliseconds), estimated from the
+// kcore_update_latency_seconds histogram's buckets.
 type ServingStats struct {
 	Epoch         uint64
 	QueueDepth    int64
@@ -423,6 +424,7 @@ type ServingStats struct {
 // ServingStats reports the pipeline's instrumentation counters.
 func (m *Maintainer) ServingStats() ServingStats {
 	p := m.eng.pub.Stats()
+	ul := m.pipe.pm.Update
 	return ServingStats{
 		Epoch:              m.Epoch(),
 		QueueDepth:         m.pipe.queueDepth.Load(),
@@ -431,7 +433,7 @@ func (m *Maintainer) ServingStats() ServingStats {
 		BatchedOps:         m.pipe.batchedOps.Load(),
 		CanceledOps:        m.pipe.canceledOps.Load(),
 		Flushes:            m.pipe.flushes.Load(),
-		UpdateLatency:      m.pipe.updLat.Percentiles(),
+		UpdateLatency:      stats.EstimatePercentiles(ul.Count(), ul.Quantile, 1e3),
 		FullPublishes:      p.Full,
 		DeltaPublishes:     p.Delta,
 		UnchangedPublishes: p.Unchanged,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/graph"
-	"repro/internal/stats"
 )
 
 // The update pipeline is the serving layer's write path: concurrent
@@ -54,8 +53,7 @@ type pipeline struct {
 	canceledOps atomic.Int64 // edge ops superseded by a later op within one drain
 	flushes     atomic.Int64 // barrier ops executed (Flush, Check, AtQuiescence)
 
-	updLat stats.LatencyRecorder
-	pm     *PipelineMetrics
+	pm *PipelineMetrics
 
 	co coalescer // process-only: the applier, then post-Close callers under eng.mu
 }
@@ -108,7 +106,7 @@ func (pd *Pending) Wait() BatchResult {
 		pd.done.Wait()
 		pd.waited = true
 		if pd.kind != opBarrier {
-			pd.p.updLat.Record(time.Since(pd.enq))
+			pd.p.pm.Update.ObserveDuration(time.Since(pd.enq))
 		}
 	}
 	return pd.res

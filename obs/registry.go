@@ -53,6 +53,18 @@ func (r *Registry) MustRegister(ms ...Metric) {
 	}
 }
 
+// Metrics returns every registered metric, family by family in render
+// order, so the same metric objects can be registered elsewhere too.
+func (r *Registry) Metrics() []Metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ms []Metric
+	for _, g := range r.order {
+		ms = append(ms, g.metrics...)
+	}
+	return ms
+}
+
 // WritePrometheus renders every registered family to w. Callback
 // metrics (FuncMetric, SeriesFunc) are sampled during the call.
 func (r *Registry) WritePrometheus(w io.Writer) error {

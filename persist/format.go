@@ -98,15 +98,16 @@ func appendEdgeRecord(dst []byte, kind byte, edges []graph.Edge) []byte {
 	return dst
 }
 
-// appendGrowRecord appends one framed grow record to dst.
-func appendGrowRecord(dst []byte, n int) []byte {
+// appendU64Record appends one framed single-u64 record (the grow payload
+// shape, shared by the stream-only epoch and ping records) to dst.
+func appendU64Record(dst []byte, kind byte, v uint64) []byte {
 	const payloadLen = 9
 	dst = ensureCap(dst, recHeaderSize+payloadLen)
 	hdr := len(dst)
 	dst = dst[:hdr+recHeaderSize+payloadLen]
 	p := dst[hdr+recHeaderSize:]
-	p[0] = recGrow
-	binary.LittleEndian.PutUint64(p[1:], uint64(n))
+	p[0] = kind
+	binary.LittleEndian.PutUint64(p[1:], v)
 	binary.LittleEndian.PutUint32(dst[hdr:], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(p, crcTable))
 	return dst
@@ -218,24 +219,25 @@ func discardCheckpointFile(f *os.File) {
 	os.Remove(f.Name())
 }
 
-// readCheckpointFile loads and verifies a checkpoint, streaming it into
-// the core array and the graph without a whole-file buffer. The header's
-// n and m must account for the file's size exactly before anything is
-// allocated, so a corrupt header cannot make the reader allocate beyond
-// what the file holds; the trailing CRC is checked before anything is
-// returned.
-func readCheckpointFile(path string) (g *graph.Graph, cores []int32, epoch uint64, err error) {
-	fail := func(format string, args ...any) (*graph.Graph, []int32, uint64, error) {
-		return nil, nil, 0, fmt.Errorf("persist: checkpoint %s: "+format, append([]any{path}, args...)...)
+// readCheckpointFile loads and verifies a checkpoint, streaming the graph
+// out of it without a whole-file buffer. The core array only passes
+// through the CRC: recovery recomputes cores after replaying the log. The
+// header's n and m must account for the file's size exactly before
+// anything is allocated, so a corrupt header cannot make the reader
+// allocate beyond what the file holds; the trailing CRC is checked before
+// anything is returned.
+func readCheckpointFile(path string) (g *graph.Graph, epoch uint64, err error) {
+	fail := func(format string, args ...any) (*graph.Graph, uint64, error) {
+		return nil, 0, fmt.Errorf("persist: checkpoint %s: "+format, append([]any{path}, args...)...)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	size := fi.Size()
 	if size < int64(checkpointSize(0, 0)) {
@@ -261,17 +263,8 @@ func readCheckpointFile(path string) (g *graph.Graph, cores []int32, epoch uint6
 	if n > math.MaxInt32 || m > uint64(size)/8 || checkpointSize(n, m) != uint64(size) {
 		return fail("header n=%d m=%d does not match the file size %d", n, m, size)
 	}
-	cores = make([]int32, n)
-	var chunk [ckptChunk]byte
-	for rest := cores; len(rest) > 0; {
-		k := min(len(rest), len(chunk)/4)
-		if _, err := io.ReadFull(br, chunk[:4*k]); err != nil {
-			return fail("core array: %v", err)
-		}
-		for i := range rest[:k] {
-			rest[i] = int32(binary.LittleEndian.Uint32(chunk[4*i:]))
-		}
-		rest = rest[k:]
+	if _, err := io.CopyN(io.Discard, br, 4*int64(n)); err != nil {
+		return fail("core array: %v", err)
 	}
 	// The embedded graph header sizes ReadBinary's allocations: it must
 	// agree with the one checked against the file size.
@@ -295,7 +288,7 @@ func readCheckpointFile(path string) (g *graph.Graph, cores []int32, epoch uint6
 	if crc.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
 		return fail("CRC mismatch")
 	}
-	return g, cores, epoch, nil
+	return g, epoch, nil
 }
 
 // --- manifest ---------------------------------------------------------------

@@ -28,15 +28,10 @@ func (p *Manager) TapStats() []TapStat {
 	return out
 }
 
-// FsyncQuantile estimates the q-quantile of AOF fsync latency in
-// seconds (0 when no fsync has been timed yet) — the CORE.STATS view of
-// the exported histogram.
-func (p *Manager) FsyncQuantile(q float64) float64 { return p.fsyncLat.Quantile(q) }
-
 // RegisterMetrics adds the durability subsystem's metrics to reg: the
-// fsync and checkpoint-pause latency histograms plus scrape-time views of
-// the counters Stats already reports, and a per-follower buffered-bytes
-// gauge series.
+// fsync (labeled with the fsync policy) and checkpoint-pause latency
+// histograms plus scrape-time views of the counters Stats already
+// reports, and a per-follower buffered-bytes gauge series.
 func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.MustRegister(
 		p.fsyncLat,
@@ -57,12 +52,19 @@ func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 			func() float64 { return time.Duration(p.lastSaveDur.Load()).Seconds() }),
 		obs.NewGaugeFunc("kcored_checkpoint_last_unix", "Completion time of the last checkpoint (unix seconds, 0 before the first).",
 			func() float64 { return float64(p.lastSaveUnix.Load()) }),
-		obs.NewGaugeFunc("kcored_persist_err", "1 when the sticky persistence error has tripped, else 0.",
+		obs.NewGaugeFunc("kcored_aof_ops_since_checkpoint", "Edge ops logged since the last checkpoint rotated the log.",
 			func() float64 {
-				if p.errStr.Load() != nil {
-					return 1
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				return float64(p.opsSince)
+			}),
+		obs.NewGaugeSeriesFunc("kcored_persist_err", "1 when the sticky persistence error has tripped, else 0; the error label carries its message.",
+			func() []obs.Sample {
+				s := obs.Sample{Labels: []obs.Label{obs.L("error", "")}}
+				if e := p.errStr.Load(); e != nil {
+					s = obs.Sample{Labels: []obs.Label{obs.L("error", *e)}, Value: 1}
 				}
-				return 0
+				return []obs.Sample{s}
 			}),
 		obs.NewGaugeFunc("kcored_sync_followers", "Live replication follower taps.",
 			func() float64 {

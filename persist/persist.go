@@ -123,8 +123,8 @@ const (
 // a persistence failure, so it never trips the sticky error.
 var errManagerClosed = errors.New("persist: manager closed")
 
-// Stats is a point-in-time view of the durability subsystem, surfaced
-// over the wire in CORE.STATS.
+// Stats is a point-in-time view of the durability subsystem; the same
+// numbers are surfaced over the wire by RegisterMetrics' series.
 type Stats struct {
 	Gen                uint64        // current generation
 	Records            int64         // AOF records appended (lifetime)
@@ -208,7 +208,8 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 		ckptReq: make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		fsyncLat: obs.NewDurationHistogram("kcored_aof_fsync_seconds",
-			"AOF fsync latency (per-batch under -aof-fsync always, background under everysec)."),
+			"AOF fsync latency (per-batch under -aof-fsync always, background under everysec).",
+			obs.L("policy", opts.Fsync.String())),
 		pauseLat: obs.NewDurationHistogram("kcored_checkpoint_pause_seconds",
 			"Quiescent-barrier part of each checkpoint: checkpoint encoding, its page-cache writes and the log rotation; writes wait for it."),
 	}, nil
@@ -304,7 +305,7 @@ func (p *Manager) AppendGrow(n int) {
 	if p.f == nil || p.err != nil {
 		return
 	}
-	p.buf = appendGrowRecord(p.buf[:0], n)
+	p.buf = appendU64Record(p.buf[:0], recGrow, uint64(n))
 	if !p.writeLocked() {
 		return
 	}

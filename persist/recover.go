@@ -18,10 +18,6 @@ type Result struct {
 	// decomposition recomputes the cores — byte-equal to a fresh
 	// decomposition of the same edges by construction.
 	Graph *graph.Graph
-	// Cores is the checkpoint's core array (the state *before* the log
-	// tail). Informational: after replay the cores must be recomputed,
-	// which kcore.New does.
-	Cores []int32
 	// Gen is the generation recovered from; Epoch the checkpoint's
 	// snapshot epoch.
 	Gen   uint64
@@ -63,11 +59,11 @@ func Recover(dir string) (*Result, error) {
 	if !ok {
 		return &Result{}, nil
 	}
-	g, cores, epoch, err := readCheckpointFile(checkpointPath(dir, gen))
+	g, epoch, err := readCheckpointFile(checkpointPath(dir, gen))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Graph: g, Cores: cores, Gen: gen, Epoch: epoch}
+	res := &Result{Graph: g, Gen: gen, Epoch: epoch}
 
 	// Which segments exist above gen? Replay stops at the first gap:
 	// generations are consecutive, so a missing segment means the later

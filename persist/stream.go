@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -51,21 +52,6 @@ var (
 	// failed while a sync session was live.
 	ErrSyncClosed = errors.New("persist: sync session closed")
 )
-
-// appendU64Record appends one framed single-u64 record (grow / epoch /
-// ping payload shape) to dst.
-func appendU64Record(dst []byte, kind byte, v uint64) []byte {
-	const payloadLen = 9
-	dst = ensureCap(dst, recHeaderSize+payloadLen)
-	hdr := len(dst)
-	dst = dst[:hdr+recHeaderSize+payloadLen]
-	p := dst[hdr+recHeaderSize:]
-	p[0] = kind
-	binary.LittleEndian.PutUint64(p[1:], v)
-	binary.LittleEndian.PutUint32(dst[hdr:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(p, crcTable))
-	return dst
-}
 
 // SnapshotCRC returns the checksum a follower verifies a received sync
 // snapshot against (the CRC the FULLSYNC header advertises).
@@ -423,7 +409,7 @@ func (sr *StreamReader) decode(p []byte) (StreamRecord, error) {
 		v := binary.LittleEndian.Uint64(p[1:])
 		switch kind {
 		case recGrow:
-			if v > uint64(1)<<31 {
+			if v > math.MaxInt32 {
 				return StreamRecord{}, fmt.Errorf("persist: grow to implausible n=%d", v)
 			}
 			return StreamRecord{Op: OpGrow, N: int(v)}, nil

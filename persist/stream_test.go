@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +156,37 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 	}
 	if epoch != sess.Epoch {
 		t.Fatalf("idle epoch = %d, want sync epoch %d", epoch, sess.Epoch)
+	}
+}
+
+// TestGrowBeyondIDRangeRejected: vertex ids are int32, so a grow record
+// past MaxInt32 vertices is a history no leader wrote, CRC or not. Crash
+// recovery refuses it, and so does a follower's StreamReader, which still
+// takes a grow to exactly MaxInt32.
+func TestGrowBeyondIDRangeRejected(t *testing.T) {
+	rec := appendU64Record(nil, recGrow, 1<<31)
+
+	dir, _, seg := buildDirWithTail(t)
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("Recover with a grow to 1<<31 logged = %v, want an implausible-grow error", err)
+	}
+
+	if got, err := NewStreamReader(bytes.NewReader(rec)).Next(); err == nil {
+		t.Fatalf("StreamReader took a grow to 1<<31: %+v", got)
+	}
+	got, err := NewStreamReader(bytes.NewReader(appendU64Record(nil, recGrow, math.MaxInt32))).Next()
+	if err != nil || got.Op != OpGrow || got.N != math.MaxInt32 {
+		t.Fatalf("grow to MaxInt32 = %+v, %v", got, err)
 	}
 }
 

@@ -42,13 +42,13 @@ func runBurst(b *testing.B, c *conn, burst []byte) {
 }
 
 // BenchmarkHotPathAllocs asserts the zero-allocation contract of the
-// server-side command path: a pipelined burst of read commands —
-// parse, dispatch, snapshot read, reply — allocates NOTHING once the
-// connection's scratch is warm. It drives the parseAndDispatch→endCycle→
-// flush sequence every connection runs, against a pre-serialized burst,
-// so the measurement covers exactly the per-command server work (no
-// sockets, no client). CI runs it with -benchtime=1x as a regression
-// tripwire.
+// server-side command path, metrics included: a pipelined burst of read
+// commands — parse, dispatch, snapshot read, reply — allocates NOTHING
+// once the connection's scratch is warm. It drives the
+// parseAndDispatch→endCycle→flush sequence every connection runs, against
+// a pre-serialized burst, so the measurement covers exactly the
+// per-command server work (no sockets, no client). CI runs it with
+// -benchtime=1x as a regression tripwire.
 func BenchmarkHotPathAllocs(b *testing.B) {
 	const n = 10_000
 	maint := kcore.New(gen.ErdosRenyi(n, 40_000, 1), kcore.WithWorkers(1))
@@ -73,7 +73,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		{"ping", pingBurst},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			runBurst(b, c, tc.burst) // warm scratch: query buffer, stats ring, writer buffer
+			runBurst(b, c, tc.burst) // warm scratch: query buffer, writer buffer
 			allocs := testing.AllocsPerRun(100, func() { runBurst(b, c, tc.burst) })
 			perOp := allocs / depth
 			b.ReportMetric(perOp, "allocs/op")
@@ -85,54 +85,6 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runBurst(b, c, tc.burst)
 			}
-		})
-	}
-}
-
-// BenchmarkMetricsOverhead prices the observability layer on the
-// pipelined read path: the same runBurst as BenchmarkHotPathAllocs, once
-// with the command metrics live (instrumented — one clock read plus a
-// per-family tally per burst, flushed into atomics at burst end) and
-// once with them stripped (bare, srv.metrics = nil). The instrumented
-// arm keeps the zero-allocation contract; the two ns/cmd rows price the
-// layer (the acceptance budget is ≤2%).
-func BenchmarkMetricsOverhead(b *testing.B) {
-	const n = 10_000
-	const depth = 64
-	rng := rand.New(rand.NewSource(7))
-	var getBurst []byte
-	for i := 0; i < depth; i++ {
-		getBurst = appendRESPCommand(getBurst, "CORE.GET", strconv.Itoa(int(rng.Int31n(n))))
-	}
-
-	for _, arm := range []struct {
-		name         string
-		instrumented bool
-	}{
-		{"instrumented", true},
-		{"bare", false},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			maint := kcore.New(gen.ErdosRenyi(n, 40_000, 1), kcore.WithWorkers(1))
-			defer maint.Close()
-			srv := New(maint)
-			if !arm.instrumented {
-				srv.metrics = nil
-			}
-			c := &conn{srv: srv, wr: resp.NewWriterSize(io.Discard, 16<<10)}
-
-			runBurst(b, c, getBurst) // warm scratch
-			if arm.instrumented {
-				allocs := testing.AllocsPerRun(100, func() { runBurst(b, c, getBurst) })
-				if perOp := allocs / depth; perOp != 0 {
-					b.Fatalf("instrumented hot path allocates: %.2f allocs/op, want 0", perOp)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runBurst(b, c, getBurst)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/depth, "ns/cmd")
 		})
 	}
 }

@@ -1,8 +1,7 @@
 package server
 
 import (
-	"strconv"
-	"time"
+	"bytes"
 
 	"repro/graph"
 )
@@ -142,9 +141,7 @@ func cmdInsert(c *conn, args [][]byte) bool {
 		return false
 	}
 	c.pending = append(c.pending, owed{pd: c.srv.mnt().InsertEdgesAsync(edges), edges: edges})
-	if m := c.srv.metrics; m != nil {
-		m.inflightWrites.Add(1)
-	}
+	c.srv.metrics.inflightWrites.Add(1)
 	return false
 }
 
@@ -156,9 +153,7 @@ func cmdRemove(c *conn, args [][]byte) bool {
 		return false
 	}
 	c.pending = append(c.pending, owed{pd: c.srv.mnt().RemoveEdgesAsync(edges), edges: edges})
-	if m := c.srv.metrics; m != nil {
-		m.inflightWrites.Add(1)
-	}
+	c.srv.metrics.inflightWrites.Add(1)
 	return false
 }
 
@@ -291,10 +286,6 @@ func cmdCheck(c *conn, args [][]byte) bool {
 // for all), RESET clears the ring, LEN reports its current size.
 func cmdSlowlog(c *conn, args [][]byte) bool {
 	m := c.srv.metrics
-	if m == nil {
-		c.writeError("ERR slowlog not available")
-		return false
-	}
 	switch string(asciiUpper(args[1])) {
 	case "GET":
 		limit := int64(10)
@@ -327,113 +318,14 @@ func cmdSlowlog(c *conn, args [][]byte) bool {
 	return false
 }
 
-// cmdStats serves CORE.STATS: a flat key/value array (CONFIG GET style)
-// of the server's network counters followed by the maintainer's serving
-// counters, so one round trip captures the whole stack's health.
+// cmdStats serves CORE.STATS: one bulk string holding the server's whole
+// metric registry in the Prometheus text format /metrics serves (a bulk
+// string, like Redis's INFO), so one round trip captures the stack's
+// health and obs.ParseText reads it back.
 func cmdStats(c *conn, args [][]byte) bool {
-	ss := c.srv.Stats()
-	ms := c.srv.mnt().ServingStats()
-	role := "leader"
-	if c.srv.replica != nil {
-		role = "replica"
-	}
-	alg := c.srv.mnt().Algorithm().String()
-	kv := [][2]string{
-		{"role", role},
-		{"version", Version},
-		{"alg", alg},
-		{"engine", alg}, // alias of alg, matching the metric label name
-		{"workers", itoa(int64(c.srv.mnt().Workers()))},
-		{"n", itoa(int64(c.srv.mnt().N()))},
-		{"epoch", itoa(int64(ms.Epoch))},
-		// Network side.
-		{"conns_total", itoa(ss.ConnsTotal)},
-		{"conns_active", itoa(ss.ConnsActive)},
-		{"commands", itoa(ss.Commands)},
-		{"write_cmds", itoa(ss.WriteCmds)},
-		{"errors_sent", itoa(ss.ErrorsSent)},
-		{"proto_errors", itoa(ss.ProtoErrors)},
-		{"pipeline_p50", ftoa(ss.PipelineDepth.P50)},
-		{"pipeline_p99", ftoa(ss.PipelineDepth.P99)},
-		// Pipeline / publication side (kcore.ServingStats).
-		{"queue_depth", itoa(ms.QueueDepth)},
-		{"enqueued", itoa(ms.Enqueued)},
-		{"batches", itoa(ms.Batches)},
-		{"batched_ops", itoa(ms.BatchedOps)},
-		{"canceled_ops", itoa(ms.CanceledOps)},
-		{"flushes", itoa(ms.Flushes)},
-		{"update_p50_ms", ftoa(ms.UpdateLatency.P50)},
-		{"update_p99_ms", ftoa(ms.UpdateLatency.P99)},
-		{"full_publishes", itoa(ms.FullPublishes)},
-		{"delta_publishes", itoa(ms.DeltaPublishes)},
-		{"unchanged_publishes", itoa(ms.UnchangedPublishes)},
-		{"grow_publishes", itoa(ms.GrowPublishes)},
-		{"dirty_pages", itoa(ms.DirtyPages)},
-	}
-	if m := c.srv.metrics; m != nil {
-		kv = append(kv,
-			[2]string{"uptime_sec", itoa(int64(time.Since(m.start).Seconds()))},
-			[2]string{"inflight_writes", itoa(m.inflightWrites.Load())},
-			[2]string{"slowlog_len", itoa(int64(m.slow.Len()))},
-			[2]string{"slow_total", itoa(m.slow.Total())},
-		)
-		for f := famRead; f < numFamilies; f++ {
-			name := familyNames[f]
-			kv = append(kv,
-				[2]string{"cmds_" + name, itoa(m.famCount[f].Value())},
-				[2]string{name + "_p50_ms", ftoa(m.famLat[f].Quantile(0.5) * 1000)},
-				[2]string{name + "_p99_ms", ftoa(m.famLat[f].Quantile(0.99) * 1000)},
-			)
-		}
-	}
-	if p := c.srv.persist; p != nil {
-		ps := p.Stats()
-		var lastSave int64
-		if !ps.LastSave.IsZero() {
-			lastSave = ps.LastSave.Unix()
-		}
-		kv = append(kv,
-			[2]string{"persist_gen", itoa(int64(ps.Gen))},
-			[2]string{"persist_fsync", ps.Fsync.String()},
-			[2]string{"persist_records", itoa(ps.Records)},
-			[2]string{"persist_bytes", itoa(ps.AppendedBytes)},
-			[2]string{"persist_ops_since_checkpoint", itoa(ps.OpsSinceCheckpoint)},
-			[2]string{"persist_checkpoints", itoa(ps.Checkpoints)},
-			[2]string{"persist_last_save", itoa(lastSave)},
-			[2]string{"persist_last_save_ms", itoa(ps.LastSaveDuration.Milliseconds())},
-			[2]string{"persist_err", ps.Err},
-			[2]string{"fsync_p50_ms", ftoa(p.FsyncQuantile(0.5) * 1000)},
-			[2]string{"fsync_p99_ms", ftoa(p.FsyncQuantile(0.99) * 1000)},
-			[2]string{"sync_followers", itoa(int64(ps.SyncFollowers))},
-			[2]string{"sync_dropped", itoa(ps.SyncDropped)},
-		)
-	}
-	if rep := c.srv.replica; rep != nil {
-		connected := "0"
-		if rep.connected.Load() {
-			connected = "1"
-		}
-		lastErr := ""
-		if p := rep.lastErr.Load(); p != nil {
-			lastErr = *p
-		}
-		kv = append(kv,
-			[2]string{"replica_of", rep.leader},
-			[2]string{"replica_connected", connected},
-			[2]string{"replica_syncs", itoa(rep.syncs.Load())},
-			[2]string{"replica_records", itoa(rep.records.Load())},
-			[2]string{"replica_edges", itoa(rep.edges.Load())},
-			[2]string{"applied_epoch", itoa(int64(rep.wm.Epoch()))},
-			[2]string{"leader_epoch", itoa(int64(rep.leaderEpoch.Load()))},
-			[2]string{"epoch_lag", itoa(rep.epochLag())},
-			[2]string{"replica_last_err", lastErr},
-		)
-	}
-	c.wr.WriteArrayHeader(len(kv) * 2)
-	for _, pair := range kv {
-		c.wr.WriteBulkString(pair[0])
-		c.wr.WriteBulkString(pair[1])
-	}
+	var b bytes.Buffer
+	c.srv.registry().WritePrometheus(&b)
+	c.wr.WriteBulk(b.Bytes())
 	return false
 }
 
@@ -584,7 +476,3 @@ func appendClipped(dst []byte, a []byte) []byte {
 	}
 	return dst
 }
-
-func itoa(n int64) string { return strconv.FormatInt(n, 10) }
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', 4, 64) }

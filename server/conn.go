@@ -165,8 +165,7 @@ func (c *conn) ensureInSpace() {
 
 // handle runs one decoded command.
 func (c *conn) handle(args [][]byte) (quit bool) {
-	c.srv.stats.commands.Add(1)
-	if c.cycle++; c.cycle == 1 && c.srv.metrics != nil {
+	if c.cycle++; c.cycle == 1 {
 		// One clock read per pipelined burst — the whole cost the
 		// zero-allocation read path pays for latency observation.
 		c.burstStart = time.Now()
@@ -188,7 +187,7 @@ func (c *conn) handle(args [][]byte) (quit bool) {
 func (c *conn) endCycle() {
 	c.flushObs()
 	c.drainPending()
-	c.srv.stats.pipeDepth.RecordValue(float64(c.cycle))
+	c.srv.metrics.pipeDepth.Observe(c.cycle)
 	c.cycle = 0
 }
 
@@ -200,10 +199,6 @@ func (c *conn) endCycle() {
 // adds — no allocation, no locks.
 func (c *conn) flushObs() {
 	m := c.srv.metrics
-	if m == nil {
-		c.famN = [numFamilies]uint32{}
-		return
-	}
 	nRead := int64(c.famN[famRead])
 	var total int64
 	for f := range c.famN {
@@ -232,7 +227,7 @@ func (c *conn) readFailed(err error) {
 	var pe *resp.ProtocolError
 	switch {
 	case errors.As(err, &pe):
-		c.srv.stats.protoErrors.Add(1)
+		c.srv.metrics.protoErrors.Inc()
 		c.writeError("ERR protocol error: " + pe.Error())
 	case errors.Is(err, io.EOF):
 		// Clean close between frames.
@@ -258,10 +253,17 @@ func (c *conn) dispatch(args [][]byte) (quit bool) {
 	name := asciiUpper(args[0])
 	cmd, ok := commands[string(name)] // no-alloc map lookup on []byte key
 	if !ok {
+		c.famN[famAdmin]++
 		c.writeErrArg("unknown command", args[0])
 		return false
 	}
-	c.famN[cmd.family]++ // flushed to the shared counters at burst end
+	if cmd.blocking {
+		// It may park for good: count it now, not at the end of a burst
+		// that only it can end.
+		c.srv.metrics.famCount[cmd.family].Inc()
+	} else {
+		c.famN[cmd.family]++ // flushed to the shared counters at burst end
+	}
 	if len(args) < cmd.minArgs || (cmd.maxArgs >= 0 && len(args) > cmd.maxArgs) {
 		c.writeErrParts("wrong number of arguments for '", []byte(cmd.name), "'")
 		return false
@@ -274,26 +276,23 @@ func (c *conn) dispatch(args [][]byte) (quit bool) {
 		// Per-connection read-your-writes: a non-write command must
 		// observe every write this connection pipelined before it.
 		c.drainPending()
-	} else {
-		c.srv.stats.writeCmds.Add(1)
 	}
-	if cmd.timed {
-		// Aggregate and admin commands are rare and heavy enough to time
-		// individually (and are the slowlog's primary inhabitants); their
-		// wall time is subtracted from the burst mean via timedNs.
-		if m := c.srv.metrics; m != nil {
-			t0 := time.Now()
-			quit = cmd.fn(c, args)
-			el := time.Since(t0)
-			c.timedNs += el.Nanoseconds()
-			m.famLat[cmd.family].Observe(el.Nanoseconds())
-			if !cmd.noSlowlog && m.slow.Eligible(el) {
-				m.slow.Add(cmd.name, "", el)
-			}
-			return quit
-		}
+	if !cmd.timed {
+		return cmd.fn(c, args)
 	}
-	return cmd.fn(c, args)
+	// Aggregate and admin commands are rare and heavy enough to time
+	// individually (and are the slowlog's primary inhabitants); their
+	// wall time is subtracted from the burst mean via timedNs.
+	m := c.srv.metrics
+	t0 := time.Now()
+	quit = cmd.fn(c, args)
+	el := time.Since(t0)
+	c.timedNs += el.Nanoseconds()
+	m.famLat[cmd.family].Observe(el.Nanoseconds())
+	if !cmd.noSlowlog && m.slow.Eligible(el) {
+		m.slow.Add(cmd.name, "", el)
+	}
+	return quit
 }
 
 // drainPending waits each owed write future in submission order and
@@ -306,11 +305,7 @@ func (c *conn) drainPending() {
 	if k == 0 {
 		return
 	}
-	m := c.srv.metrics
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	for i := range c.pending {
 		res := c.pending[i].pd.Wait()
 		c.wr.WriteInt(int64(res.Applied))
@@ -320,19 +315,18 @@ func (c *conn) drainPending() {
 		c.pending[i] = owed{}
 	}
 	c.pending = c.pending[:0]
-	if m != nil {
-		// Every write in the drain waited ≈ the whole drain (futures of
-		// one burst settle on the same coalesced batches), so the drain's
-		// wall time is each write's observed latency: one weighted
-		// observation instead of k clock reads.
-		el := time.Since(t0)
-		ns := el.Nanoseconds()
-		m.famLat[famWrite].ObserveN(ns, int64(k))
-		m.inflightWrites.Add(-int64(k))
-		c.timedNs += ns
-		if m.slow.Eligible(el) {
-			m.slow.Add("CORE.INSERT|REMOVE", "pipelined write drain", el)
-		}
+	// Every write in the drain waited ≈ the whole drain (futures of one
+	// burst settle on the same coalesced batches), so the drain's wall
+	// time is each write's observed latency: one weighted observation
+	// instead of k clock reads.
+	m := c.srv.metrics
+	el := time.Since(t0)
+	ns := el.Nanoseconds()
+	m.famLat[famWrite].ObserveN(ns, int64(k))
+	m.inflightWrites.Add(-int64(k))
+	c.timedNs += ns
+	if m.slow.Eligible(el) {
+		m.slow.Add("CORE.INSERT|REMOVE", "pipelined write drain", el)
 	}
 }
 
@@ -352,7 +346,7 @@ const (
 // and misattribute every reply after it.
 func (c *conn) writeError(msg string) {
 	c.drainPending()
-	c.srv.stats.errorsSent.Add(1)
+	c.srv.metrics.errorsSent.Inc()
 	c.wr.WriteError(msg)
 }
 
@@ -382,7 +376,7 @@ func (c *conn) writeErrParts(s1 string, mid []byte, s2 string) {
 
 func (c *conn) writeErrBytes(msg []byte) {
 	c.drainPending()
-	c.srv.stats.errorsSent.Add(1)
+	c.srv.metrics.errorsSent.Inc()
 	c.wr.WriteErrorBytes(msg)
 }
 

@@ -1,14 +1,13 @@
 package server
 
 import (
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"repro/obs"
 )
 
-// Version is the server's reported version (CORE.STATS "version",
-// kcored_info{version=...}).
+// Version is the server's reported version (kcored_info{version=...}).
 const Version = "0.10.0"
 
 // cmdFamily buckets the command table for instrumentation: per-family
@@ -20,17 +19,21 @@ const (
 	famRead      cmdFamily = iota // snapshot reads: PING, CORE.GET/MGET/EPOCH/N/MAXCORE
 	famWrite                      // pipeline writes: CORE.INSERT/REMOVE
 	famAggregate                  // O(range)/barrier reads: CORE.HIST/KVERT/DEGENERACY
-	famAdmin                      // everything else (stats, persistence, sync, slowlog)
+	famAdmin                      // everything else (stats, persistence, sync, slowlog), unknown commands included
 	numFamilies
 )
 
 var familyNames = [numFamilies]string{"read", "write", "aggregate", "admin"}
 
-// serverMetrics is the server's instrumentation: per-family command
-// counters and latency histograms, the slow-command ring, and the
-// in-flight write gauge. It is built unconditionally in New — handlers
-// nil-check it only so benchmarks can measure the uninstrumented path by
-// clearing the field.
+// depthBounds are the kcored_pipeline_depth buckets, in commands per flush
+// cycle: powers of two up to 4096, past the ~1200 smallest commands one
+// 16 KB socket read can carry.
+var depthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+
+// serverMetrics is the server's instrumentation and the only store of its
+// counts: per-family command counters and latency histograms, the
+// pipelining-depth histogram, connection and error counters, the
+// in-flight write gauge and the slow-command ring. New always builds it.
 //
 // Latency semantics per family (documented in the histogram help):
 // reads are recorded as the pipelined-burst mean (one clock read per
@@ -43,14 +46,28 @@ type serverMetrics struct {
 	start          time.Time
 	famCount       [numFamilies]*obs.Counter
 	famLat         [numFamilies]*obs.Histogram
-	inflightWrites atomic.Int64 // write futures submitted, not yet drained
+	pipeDepth      *obs.Histogram // commands per flush cycle
+	connsTotal     *obs.Counter
+	connsActive    *obs.Gauge
+	errorsSent     *obs.Counter // error replies written
+	protoErrors    *obs.Counter // connections dropped on malformed frames
+	inflightWrites *obs.Gauge   // write futures submitted, not yet drained
 	slow           *obs.SlowLog
 }
 
 func newServerMetrics(slowThreshold time.Duration, slowSize int) *serverMetrics {
+	const errHelp = "Error replies written and connections dropped on malformed frames."
 	m := &serverMetrics{
 		start: time.Now(),
-		slow:  obs.NewSlowLog(slowSize, slowThreshold),
+		pipeDepth: obs.NewHistogram("kcored_pipeline_depth",
+			"Commands per flush cycle: how deep clients pipeline (1 = request/response).", 1, depthBounds),
+		connsTotal:  obs.NewCounter("kcored_connections_total", "Connections ever accepted."),
+		connsActive: obs.NewGauge("kcored_connections_active", "Connections currently open."),
+		errorsSent:  obs.NewCounter("kcored_errors_total", errHelp, obs.L("kind", "reply")),
+		protoErrors: obs.NewCounter("kcored_errors_total", errHelp, obs.L("kind", "protocol")),
+		inflightWrites: obs.NewGauge("kcored_inflight_writes",
+			"Write futures submitted to the pipeline, reply not yet settled."),
+		slow: obs.NewSlowLog(slowSize, slowThreshold),
 	}
 	const latHelp = "Command latency: reads as pipelined-burst mean, writes as pipeline drain wait, aggregate/admin individually timed."
 	for f := famRead; f < numFamilies; f++ {
@@ -76,13 +93,27 @@ func WithSlowlog(threshold time.Duration, size int) Option {
 	}
 }
 
-// RegisterMetrics adds the server's whole metric surface to reg: the
-// command-family instruments, scrape-time views of the network counters,
-// the maintainer's serving counters and pipeline stage histograms, and —
-// when configured — the persistence and replication subsystems. Call
-// once, after New (and after NewReplica on a follower), before serving
-// the registry.
+// RegisterMetrics adds the server's whole metric surface to reg — the
+// same metric objects CORE.STATS renders: the command-family instruments,
+// the network counters, the maintainer's serving counters and pipeline
+// histograms, and — when configured — the persistence and replication
+// subsystems. Call it after New (and after NewReplica on a follower).
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
+	reg.MustRegister(s.registry().Metrics()...)
+}
+
+// registry returns the server's own registry, which CORE.STATS renders
+// and RegisterMetrics copies. It is built once, on first use; the first
+// use must come after NewReplica, because the registry records the role.
+func (s *Server) registry() *obs.Registry {
+	s.regOnce.Do(func() {
+		s.reg = obs.NewRegistry()
+		s.register(s.reg)
+	})
+	return s.reg
+}
+
+func (s *Server) register(reg *obs.Registry) {
 	m := s.metrics
 	for f := famRead; f < numFamilies; f++ {
 		reg.MustRegister(m.famCount[f], m.famLat[f])
@@ -95,26 +126,20 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	info := obs.NewGauge("kcored_info", "Build and topology info; the value is always 1.",
 		obs.L("version", Version),
 		obs.L("engine", s.mnt().Algorithm().String()),
-		obs.L("role", role))
+		obs.L("role", role),
+		obs.L("workers", strconv.Itoa(s.mnt().Workers())))
 	info.Set(1)
 
 	reg.MustRegister(
 		info,
 		obs.NewGaugeFunc("kcored_uptime_seconds", "Seconds since the server was created.",
 			func() float64 { return time.Since(m.start).Seconds() }),
-		obs.NewCounterFunc("kcored_connections_total", "Connections ever accepted.",
-			func() float64 { return float64(s.stats.connsTotal.Load()) }),
-		obs.NewGaugeFunc("kcored_connections_active", "Connections currently open.",
-			func() float64 { return float64(s.stats.connsActive.Load()) }),
-		obs.NewCounterSeriesFunc("kcored_errors_total", "Error replies written and connections dropped on malformed frames.",
-			func() []obs.Sample {
-				return []obs.Sample{
-					{Labels: []obs.Label{obs.L("kind", "reply")}, Value: float64(s.stats.errorsSent.Load())},
-					{Labels: []obs.Label{obs.L("kind", "protocol")}, Value: float64(s.stats.protoErrors.Load())},
-				}
-			}),
-		obs.NewGaugeFunc("kcored_inflight_writes", "Write futures submitted to the pipeline, reply not yet settled.",
-			func() float64 { return float64(m.inflightWrites.Load()) }),
+		m.connsTotal,
+		m.connsActive,
+		m.errorsSent,
+		m.protoErrors,
+		m.pipeDepth,
+		m.inflightWrites,
 		obs.NewCounterFunc("kcored_slow_commands_total", "Commands at or over the slowlog threshold (survives CORE.SLOWLOG RESET).",
 			func() float64 { return float64(m.slow.Total()) }),
 		obs.NewGaugeFunc("kcored_slowlog_entries", "Entries currently held in the slowlog ring.",
@@ -157,9 +182,9 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			func() float64 { return float64(s.mnt().ServingStats().DirtyPages) }),
 	)
 
-	// Pipeline stage histograms: on a leader the maintainer is fixed, so
-	// its (possibly private) instance is the cumulative one; on a replica
-	// the Replica owns the instance and threads it through every
+	// Pipeline histograms: on a leader the maintainer is fixed, so its
+	// (possibly private) instance is the cumulative one; on a replica the
+	// Replica owns the instance and threads it through every
 	// re-bootstrapped maintainer.
 	if r := s.replica; r != nil {
 		r.pm.Register(reg)

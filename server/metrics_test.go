@@ -191,9 +191,9 @@ func TestSlowlogCommand(t *testing.T) {
 	}
 }
 
-// TestStatsObservabilityFields pins the CORE.STATS additions: identity
-// (version/engine/uptime) plus the per-family command counters and
-// latency percentiles that mirror the Prometheus families.
+// TestStatsObservabilityFields pins the CORE.STATS identity series
+// (version, engine, uptime) plus the per-family command counters and
+// latency histograms.
 func TestStatsObservabilityFields(t *testing.T) {
 	mnt := kcore.New(gen.ErdosRenyi(300, 1000, 5), kcore.WithWorkers(1))
 	defer mnt.Close()
@@ -206,26 +206,26 @@ func TestStatsObservabilityFields(t *testing.T) {
 	if _, err := c.Do("CORE.HIST"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.StringMap(c.Do("CORE.STATS"))
-	if err != nil {
-		t.Fatalf("CORE.STATS: %v", err)
-	}
-	if st["version"] != Version {
-		t.Fatalf("stats version = %q, want %q", st["version"], Version)
-	}
-	if st["engine"] != kcore.ParallelOrder.String() {
-		t.Fatalf("stats engine = %q, want %q", st["engine"], kcore.ParallelOrder)
-	}
-	for _, key := range []string{
-		"uptime_sec", "inflight_writes", "slowlog_len", "slow_total",
-		"cmds_read", "cmds_write", "cmds_aggregate", "cmds_admin",
-		"read_p50_ms", "read_p99_ms", "aggregate_p50_ms", "aggregate_p99_ms",
+	st := statsMap(t, c)
+	for _, s := range [][2]string{
+		{"kcored_info", `version="` + Version + `"`},
+		{"kcored_info", `engine="` + kcore.ParallelOrder.String() + `"`},
+		{"kcored_uptime_seconds", ""},
+		{"kcored_inflight_writes", ""},
+		{"kcored_slowlog_entries", ""},
+		{"kcored_slow_commands_total", ""},
+		{"kcored_commands_total", `family="read"`},
+		{"kcored_commands_total", `family="write"`},
+		{"kcored_commands_total", `family="aggregate"`},
+		{"kcored_commands_total", `family="admin"`},
+		{"kcored_command_latency_seconds_bucket", `family="read"`},
+		{"kcored_command_latency_seconds_bucket", `family="aggregate"`},
 	} {
-		if _, ok := st[key]; !ok {
-			t.Fatalf("CORE.STATS missing %q (got %d keys)", key, len(st))
+		if !hasSeries(st, s[0], s[1]) {
+			t.Fatalf("CORE.STATS has no %s{%s} (got %d series)", s[0], s[1], len(st))
 		}
 	}
-	if st["cmds_aggregate"] == "0" {
-		t.Fatalf("cmds_aggregate = 0 after CORE.HIST")
+	if st[`kcored_commands_total{family="aggregate"}`] == 0 {
+		t.Fatalf("no aggregate command counted after CORE.HIST")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strconv"
 	"sync"
 	"syscall"
 	"testing"
@@ -35,30 +34,21 @@ func startPersistentServer(t *testing.T, dir string) (*kcore.Maintainer, *persis
 	return m, mgr, addr
 }
 
-func statsMap(t *testing.T, c *client.Conn) map[string]string {
-	t.Helper()
-	kv, err := client.StringMap(c.Do("CORE.STATS"))
-	if err != nil {
-		t.Fatalf("CORE.STATS: %v", err)
-	}
-	return kv
-}
-
 // TestBGSaveAndLastSave drives CORE.BGSAVE over the wire and watches the
-// checkpoint land via persist_checkpoints in CORE.STATS.
+// checkpoint land via kcored_checkpoints_total in CORE.STATS.
 func TestBGSaveAndLastSave(t *testing.T) {
 	_, _, addr := startPersistentServer(t, t.TempDir())
 	c := dial(t, addr)
 
 	kv := statsMap(t, c)
-	if kv["persist_checkpoints"] != "1" {
-		t.Fatalf("persist_checkpoints = %q, want 1 after Start", kv["persist_checkpoints"])
+	if kv["kcored_checkpoints_total"] != 1 {
+		t.Fatalf("kcored_checkpoints_total = %g, want 1 after Start", kv["kcored_checkpoints_total"])
 	}
-	if kv["persist_fsync"] != "always" {
-		t.Fatalf("persist_fsync = %q", kv["persist_fsync"])
+	if !hasSeries(kv, "kcored_aof_fsync_seconds_count", `policy="always"`) {
+		t.Fatalf("no kcored_aof_fsync_seconds series with policy=\"always\": %v", kv)
 	}
-	if kv["persist_err"] != "" {
-		t.Fatalf("persist_err = %q", kv["persist_err"])
+	if v, ok := kv[`kcored_persist_err{error=""}`]; !ok || v != 0 {
+		t.Fatalf(`kcored_persist_err{error=""} = %g, %v; want a healthy 0`, v, ok)
 	}
 
 	if _, err := client.Int(c.Do("CORE.INSERT", "1", "150")); err != nil {
@@ -69,8 +59,7 @@ func TestBGSaveAndLastSave(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		n, _ := strconv.Atoi(statsMap(t, c)["persist_checkpoints"])
-		if n >= 2 {
+		if statsMap(t, c)["kcored_checkpoints_total"] >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -99,8 +88,8 @@ func TestPersistenceNotConfigured(t *testing.T) {
 			t.Fatalf("%s succeeded without persistence", cmd)
 		}
 	}
-	if kv := statsMap(t, c); kv["persist_gen"] != "" {
-		t.Fatalf("persist keys present without persistence: %v", kv)
+	if kv := statsMap(t, c); hasSeries(kv, "kcored_checkpoint_generation", "") {
+		t.Fatalf("persistence series present without persistence: %v", kv)
 	}
 }
 

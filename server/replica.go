@@ -280,6 +280,14 @@ func (r *Replica) epochLag() int64 {
 // Server.RegisterMetrics on a follower).
 func (r *Replica) registerMetrics(reg *obs.Registry) {
 	reg.MustRegister(
+		obs.NewGaugeSeriesFunc("kcored_replica_info", "The leader replicated from and the last session error (\"\" after a successful bootstrap); the value is always 1.",
+			func() []obs.Sample {
+				lastErr := ""
+				if p := r.lastErr.Load(); p != nil {
+					lastErr = *p
+				}
+				return []obs.Sample{{Labels: []obs.Label{obs.L("leader", r.leader), obs.L("last_error", lastErr)}, Value: 1}}
+			}),
 		obs.NewGaugeFunc("kcored_replica_connected", "1 while a replication session is streaming, else 0.",
 			func() float64 {
 				if r.connected.Load() {

@@ -118,9 +118,8 @@ func TestReplicationConverges(t *testing.T) {
 
 	for _, addr := range []string{addrA, addrB} {
 		rc := dial(t, addr)
-		kv := statsMap(t, rc)
-		if kv["role"] != "replica" {
-			t.Fatalf("role = %q, want replica", kv["role"])
+		if kv := statsMap(t, rc); !hasSeries(kv, "kcored_info", `role="replica"`) {
+			t.Fatalf("no kcored_info{role=\"replica\"} on the follower: %v", kv)
 		}
 		applied, err := client.Int(rc.Do("CORE.WAIT", epoch, 15000))
 		if err != nil {
@@ -233,7 +232,7 @@ func TestSlowFollowerDroppedOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := dial(t, leaderAddr)
-	waitFor := func(cond func(kv map[string]string) bool, what string) {
+	waitFor := func(cond func(kv map[string]float64) bool, what string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
@@ -246,7 +245,7 @@ func TestSlowFollowerDroppedOverWire(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	waitFor(func(kv map[string]string) bool { return kv["sync_followers"] == "1" }, "follower registration")
+	waitFor(func(kv map[string]float64) bool { return kv["kcored_sync_followers"] == 1 }, "follower registration")
 
 	// One batch bigger than the whole tap buffer: instant overflow.
 	edges := make([]graph.Edge, 64)
@@ -256,8 +255,8 @@ func TestSlowFollowerDroppedOverWire(t *testing.T) {
 	m.InsertEdges(edges)
 	m.Flush()
 
-	waitFor(func(kv map[string]string) bool {
-		return kv["sync_followers"] == "0" && kv["sync_dropped"] != "0"
+	waitFor(func(kv map[string]float64) bool {
+		return kv["kcored_sync_followers"] == 0 && kv["kcored_sync_dropped_total"] > 0
 	}, "slow-follower drop")
 
 	// The leader's serving and write paths are unharmed.
@@ -298,7 +297,7 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	if _, err := client.Int(rc.Do("CORE.WAIT", int64(epoch1), 15000)); err != nil {
 		t.Fatalf("WAIT on first leader: %v", err)
 	}
-	syncs1 := statsMap(t, rc)["replica_syncs"]
+	syncs1 := statsMap(t, rc)["kcored_replica_syncs_total"]
 
 	// Kill the first leader hard.
 	srv1.Close()
@@ -343,7 +342,7 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		kv := statsMap(t, rc)
-		if kv["replica_connected"] == "1" && kv["replica_syncs"] != syncs1 {
+		if kv["kcored_replica_connected"] == 1 && kv["kcored_replica_syncs_total"] != syncs1 {
 			break
 		}
 		if time.Now().After(deadline) {

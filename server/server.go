@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/kcore"
+	"repro/obs"
 	"repro/persist"
 )
 
@@ -48,7 +49,7 @@ func WithConnShards(int) Option { return func(*Server) {} }
 // feeds off this server's maintainer. The server does not own it (the
 // caller wires Start/Close around the maintainer's lifecycle); attaching
 // it here exposes the operator surface: CORE.BGSAVE, CORE.LASTSAVE, and
-// the persist_* keys in CORE.STATS.
+// the durability metrics in CORE.STATS and RegisterMetrics.
 func WithPersistence(p *persist.Manager) Option { return func(s *Server) { s.persist = p } }
 
 // defaultMaxPipeline bounds how many commands one connection may have in
@@ -76,42 +77,29 @@ type Server struct {
 	closing  atomic.Bool
 	closeCh  chan struct{} // closed once by beginClose; cancels blocking commands
 
-	stats serveCounters
-
-	// metrics is built unconditionally by New (slowThreshold/slowSize are
-	// its WithSlowlog inputs); handlers nil-check it only so benchmarks
-	// can clear it to measure the uninstrumented hot path.
+	// metrics is built by New (slowThreshold/slowSize are its WithSlowlog
+	// inputs) and never nil: it is the only store of the server's counts.
 	metrics       *serverMetrics
 	slowThreshold time.Duration
 	slowSize      int
-}
 
-// serveCounters is the server-side half of ServeStats, updated by the
-// connection goroutines.
-type serveCounters struct {
-	connsTotal  atomic.Int64
-	connsActive atomic.Int64
-	commands    atomic.Int64
-	writeCmds   atomic.Int64
-	errorsSent  atomic.Int64
-	protoErrors atomic.Int64
-	// pipeDepth samples the number of commands handled per flush cycle —
-	// the observed pipelining depth.
-	pipeDepth stats.LatencyRecorder
+	regOnce sync.Once
+	reg     *obs.Registry // see registry
 }
 
 // ServeStats is a point-in-time view of the server's network-side
-// counters, the wire-facing sibling of kcore.ServingStats (which it is
-// reported next to in CORE.STATS).
+// counters, the wire-facing sibling of kcore.ServingStats, read off the
+// same metrics CORE.STATS and /metrics render.
 type ServeStats struct {
 	ConnsTotal  int64 // connections ever accepted
 	ConnsActive int64 // connections currently open
-	Commands    int64 // commands dispatched
+	Commands    int64 // commands dispatched, unknown ones included
 	WriteCmds   int64 // CORE.INSERT/CORE.REMOVE among them
 	ErrorsSent  int64 // error replies written
 	ProtoErrors int64 // connections dropped on malformed frames
 	// PipelineDepth summarizes commands-per-flush-cycle — how deep
-	// clients actually pipeline (1 means unpipelined request/response).
+	// clients actually pipeline (1 means unpipelined request/response),
+	// estimated from the kcored_pipeline_depth histogram's buckets.
 	PipelineDepth stats.Percentiles
 }
 
@@ -132,16 +120,22 @@ func New(m *kcore.Maintainer, opts ...Option) *Server {
 	return s
 }
 
-// Stats returns the server's network-side counters.
+// Stats returns the server's network-side counters. A connection adds its
+// commands to the family counters when its pipelined burst ends.
 func (s *Server) Stats() ServeStats {
+	m := s.metrics
+	var cmds int64
+	for _, c := range m.famCount {
+		cmds += c.Value()
+	}
 	return ServeStats{
-		ConnsTotal:    s.stats.connsTotal.Load(),
-		ConnsActive:   s.stats.connsActive.Load(),
-		Commands:      s.stats.commands.Load(),
-		WriteCmds:     s.stats.writeCmds.Load(),
-		ErrorsSent:    s.stats.errorsSent.Load(),
-		ProtoErrors:   s.stats.protoErrors.Load(),
-		PipelineDepth: s.stats.pipeDepth.Percentiles(),
+		ConnsTotal:    m.connsTotal.Value(),
+		ConnsActive:   m.connsActive.Value(),
+		Commands:      cmds,
+		WriteCmds:     m.famCount[famWrite].Value(),
+		ErrorsSent:    m.errorsSent.Value(),
+		ProtoErrors:   m.protoErrors.Value(),
+		PipelineDepth: stats.EstimatePercentiles(m.pipeDepth.Count(), m.pipeDepth.Quantile, 1),
 	}
 }
 
@@ -228,15 +222,15 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		s.stats.connsTotal.Add(1)
-		s.stats.connsActive.Add(1)
+		s.metrics.connsTotal.Inc()
+		s.metrics.connsActive.Add(1)
 		s.inFlight.Add(1)
 		go func() {
 			defer func() {
 				s.mu.Lock()
 				delete(s.conns, c)
 				s.mu.Unlock()
-				s.stats.connsActive.Add(-1)
+				s.metrics.connsActive.Add(-1)
 				s.inFlight.Done()
 			}()
 			c.serve()

@@ -153,17 +153,21 @@ func TestCommandSurface(t *testing.T) {
 		t.Fatalf("CORE.FLUSH: %v", err)
 	}
 
-	stats, err := client.StringMap(c.Do("CORE.STATS"))
-	if err != nil {
-		t.Fatalf("CORE.STATS: %v", err)
-	}
-	for _, key := range []string{"alg", "n", "epoch", "conns_active", "commands", "pipeline_p50", "delta_publishes"} {
-		if _, ok := stats[key]; !ok {
-			t.Fatalf("CORE.STATS missing %q (got %v)", key, stats)
+	stats := statsMap(t, c)
+	for _, s := range [][2]string{
+		{"kcored_info", `engine="ParallelOrder"`},
+		{"kcored_epoch", ""},
+		{"kcored_connections_active", ""},
+		{"kcored_commands_total", ""},
+		{"kcored_pipeline_depth_bucket", ""},
+		{"kcored_publishes_total", `kind="delta"`},
+	} {
+		if !hasSeries(stats, s[0], s[1]) {
+			t.Fatalf("CORE.STATS has no %s{%s} (got %v)", s[0], s[1], stats)
 		}
 	}
-	if stats["alg"] != "ParallelOrder" || stats["n"] != "703" {
-		t.Fatalf("CORE.STATS alg/n = %q/%q", stats["alg"], stats["n"])
+	if n := stats["kcored_vertices"]; n != 703 {
+		t.Fatalf("CORE.STATS kcored_vertices = %g, want 703", n)
 	}
 
 	if s, err := client.String(c.Do("QUIT")); err != nil || s != "OK" {
