@@ -35,7 +35,7 @@ func startReplicated(t *testing.T) (leaderAddr, replicaAddr string) {
 	t.Cleanup(func() { lsrv.Close() })
 
 	rsrv := server.New(kcore.New(graph.New(0)))
-	rep := server.NewReplica(rsrv, ln.Addr().String(), server.ReplicaOptions{Workers: 2})
+	rep := server.NewReplica(rsrv, ln.Addr().String(), server.ReplicaOptions{Engine: []kcore.Option{kcore.WithWorkers(2)}})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

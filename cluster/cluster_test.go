@@ -428,7 +428,7 @@ func startReplicatedShard(t *testing.T) (string, string) {
 	})
 
 	rsrv := server.New(kcore.New(graph.New(0), kcore.WithWorkers(2)))
-	rep := server.NewReplica(rsrv, lln.Addr().String(), server.ReplicaOptions{Workers: 2})
+	rep := server.NewReplica(rsrv, lln.Addr().String(), server.ReplicaOptions{Engine: []kcore.Option{kcore.WithWorkers(2)}})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -57,6 +57,19 @@ func main() {
 	)
 	flag.Parse()
 
+	alg, err := parseAlg(*algName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// The engine options of every maintainer this process builds: the
+	// leader's, or a follower's placeholder and each of its rebuilds.
+	engine := []kcore.Option{
+		kcore.WithAlgorithm(alg),
+		kcore.WithWorkers(*workers),
+		kcore.WithMaxVertices(*maxVertices),
+	}
+
 	if *replicaOf != "" {
 		// A follower's only durable truth is the leader's stream: it
 		// bootstraps from a leader snapshot on every (re)connect, so local
@@ -65,16 +78,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kcored: -replica-of is mutually exclusive with -dir and -load")
 			os.Exit(2)
 		}
-		runReplica(*replicaOf, *addr, *algName, *workers, *maxVertices,
-			*metricsAddr, *slowlogMs, *quiet)
+		runReplica(*replicaOf, *addr, engine, *metricsAddr, *slowlogMs, *quiet)
 		return
 	}
 
-	alg, err := parseAlg(*algName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	fsync, err := persist.ParseFsync(*fsyncName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -124,15 +131,10 @@ func main() {
 	}
 
 	start := time.Now()
-	opts := []kcore.Option{
-		kcore.WithAlgorithm(alg),
-		kcore.WithWorkers(*workers),
-		kcore.WithMaxVertices(*maxVertices),
-	}
 	if mgr != nil {
-		opts = append(opts, kcore.WithOpLog(mgr))
+		engine = append(engine, kcore.WithOpLog(mgr))
 	}
-	m := kcore.New(g, opts...)
+	m := kcore.New(g, engine...)
 	defer m.Close()
 	if mgr != nil {
 		// Start's synchronous checkpoint captures the just-built state —

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -27,31 +26,17 @@ func serveMetrics(srv *server.Server, addr string) (*obs.Server, error) {
 // runReplica is the -replica-of mode: serve reads from a follower that
 // streams the leader's op log, rejecting writes (READONLY) and exposing
 // CORE.WAIT on the applied-epoch watermark for read-your-writes.
-func runReplica(leaderAddr, addr, algName string, workers, maxVertices int,
+func runReplica(leaderAddr, addr string, engine []kcore.Option,
 	metricsAddr string, slowlogMs int, quiet bool) {
-	alg, err := parseAlg(algName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	// The placeholder maintainer serves until the first leader snapshot
 	// lands; the replica swaps the real one in atomically.
-	m := kcore.New(graph.New(0),
-		kcore.WithAlgorithm(alg),
-		kcore.WithWorkers(workers),
-		kcore.WithMaxVertices(maxVertices))
+	m := kcore.New(graph.New(0), engine...)
 	srv := server.New(m, server.WithSlowlog(time.Duration(slowlogMs)*time.Millisecond, 0))
 	var logger *log.Logger
 	if !quiet {
 		logger = log.Default()
 	}
-	rep := server.NewReplica(srv, leaderAddr, server.ReplicaOptions{
-		Workers:     workers,
-		Alg:         alg,
-		MaxVertices: maxVertices,
-		Logger:      logger,
-	})
+	rep := server.NewReplica(srv, leaderAddr, server.ReplicaOptions{Engine: engine, Logger: logger})
 	if metricsAddr != "" {
 		ms, err := serveMetrics(srv, metricsAddr)
 		if err != nil {

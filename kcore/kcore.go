@@ -126,21 +126,16 @@ type config struct {
 // them into its own buffer). AppendGrow is called for explicit AddVertices
 // growth (implicit growth is derivable from insert endpoints, so it is not
 // logged separately).
+//
+// AppendEpoch is the post-publication epoch marker — the hook replication
+// uses to tell followers which snapshot epoch the preceding ops produced.
+// It is called once per snapshot publication the op stream caused (after
+// the batch or growth it marks), with the epoch of the just-published
+// snapshot. Implementations that only persist (no live followers) can
+// ignore it; the disk log derives nothing from epochs.
 type OpLog interface {
 	AppendBatch(removes, inserts []graph.Edge)
 	AppendGrow(n int)
-}
-
-// EpochLog is an OpLog that additionally wants post-publication epoch
-// markers — the hook replication uses to tell followers which snapshot
-// epoch the preceding ops produced. AppendEpoch is called at the same
-// quiescent point as the other OpLog methods, once per snapshot
-// publication the op stream caused (after the batch or growth it marks),
-// with the epoch of the just-published snapshot. Implementations that
-// only persist (no live followers) can ignore it; the disk log derives
-// nothing from epochs.
-type EpochLog interface {
-	OpLog
 	AppendEpoch(epoch uint64)
 }
 
@@ -225,13 +220,12 @@ type Contention struct {
 // holds no reference back to the Maintainer handle, so an abandoned
 // Maintainer can be collected (a runtime cleanup then stops the applier).
 type engine struct {
-	cfg      config
-	g        *graph.Graph
-	impl     Engine             // registered implementation for cfg.alg
-	coreOf   func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
-	pub      snapshot.Publisher // the read snapshots; see publishAfter and grow
-	epochlog EpochLog           // cfg.oplog when it wants epoch markers, else nil
-	mu       sync.Mutex         // serializes post-Close synchronous applies
+	cfg    config
+	g      *graph.Graph
+	impl   Engine             // registered implementation for cfg.alg
+	coreOf func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
+	pub    snapshot.Publisher // the read snapshots; see publishAfter and grow
+	mu     sync.Mutex         // serializes post-Close synchronous applies
 	// res is the report of the batch being applied, zero between batches
 	// but for res.changed, the scratch carried from one to the next. It
 	// lives here and not on the applier's stack because the engines take
@@ -291,9 +285,6 @@ func New(g *graph.Graph, opts ...Option) *Maintainer {
 	eng := &engine{cfg: cfg, g: g, impl: newEngine(cfg.alg, g, cfg.workers)}
 	eng.coreOf = eng.impl.CoreOf
 	eng.pub.Publish(eng.impl.Cores(), g.M())
-	if el, ok := cfg.oplog.(EpochLog); ok {
-		eng.epochlog = el
-	}
 	pipe := newPipeline(cfg.pm)
 	go pipe.run(eng)
 	m := &Maintainer{eng: eng, pipe: pipe}
@@ -572,15 +563,15 @@ func (eng *engine) publishAfter(res *BatchResult) {
 func (eng *engine) check() error { return eng.impl.Check() }
 
 // logEpoch hands the just-published snapshot epoch to the attached
-// EpochLog, if any. Called at the same quiescent point as logBatch /
+// OpLog, if any. Called at the same quiescent point as logBatch /
 // AppendGrow, strictly after the publication it marks, so a follower
 // that has applied every op up to a marker is exactly at that epoch.
 // One marker per batch covers any implicit mid-batch growth publication
 // too: follower WAITs are monotone (epoch >= target), and the final
 // post-batch epoch is >= every intermediate one.
 func (eng *engine) logEpoch() {
-	if eng.epochlog != nil {
-		eng.epochlog.AppendEpoch(eng.view().Epoch)
+	if lg := eng.cfg.oplog; lg != nil {
+		lg.AppendEpoch(eng.view().Epoch)
 	}
 }
 

@@ -129,7 +129,7 @@ func (l *epochRecordingLog) AppendEpoch(epoch uint64) {
 }
 
 // TestEpochMarkersFollowPublications drives a maintainer with an
-// EpochLog attached and checks the marker discipline replication relies
+// epoch-recording OpLog attached and checks the marker discipline replication relies
 // on: markers are non-decreasing, every batch/grow event is followed by
 // a marker before any other batch starts, and the final marker equals
 // the maintainer's final epoch (so a follower applying the full stream

@@ -12,6 +12,7 @@ import (
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/bz"
 	"repro/kcore"
 )
 
@@ -178,7 +179,9 @@ func TestCheckpointFailureIsSticky(t *testing.T) {
 // TestCorruptCheckpointHeader: a checkpoint whose header counts do not
 // match its size, or whose embedded graph header disagrees with its own,
 // is rejected before the reader allocates for those counts; a flipped
-// core byte fails the CRC.
+// core byte fails the CRC. Each one is fed to Recover as a file and to
+// ReadCheckpoint as a reader, the way a follower reads FULLSYNC — where
+// the size comes from the leader's handshake, not from a stat.
 func TestCorruptCheckpointHeader(t *testing.T) {
 	dir := t.TempDir()
 	m, mgr := startManaged(t, dir, gen.ErdosRenyi(500, 2000, 9), Options{Fsync: FsyncAlways})
@@ -192,31 +195,61 @@ func TestCorruptCheckpointHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphHdr := ckptHeaderSize + 4*500
+	// cutAfterGraphHeader is a checkpoint of 2^17 isolated vertices whose
+	// graph is cut after its header, right before the CRC tail: only the
+	// header-vs-size check keeps ReadBinary from allocating 2^17 vertex
+	// records for it.
+	cutAfterGraphHeader := func(ckpt []byte) []byte {
+		const n = 1 << 17
+		b := make([]byte, ckptHeaderSize+4*n+graphHeaderSize+4)
+		copy(b, ckpt[:8]) // magic, version
+		binary.LittleEndian.PutUint64(b[24:], n)
+		gh := b[ckptHeaderSize+4*n:]
+		copy(gh, ckpt[graphHdr:graphHdr+8])
+		binary.LittleEndian.PutUint64(gh[8:], n)
+		return b
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(b []byte) []byte
+		size   int64 // the size ReadCheckpoint is told; 0 = the mutated length
 	}{
-		{"inflated n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 1<<24); return b }},
-		{"inflated m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[32:], 1<<24); return b }},
-		{"inflated graph n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+8:], 1<<24); return b }},
-		{"inflated graph m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+16:], 1<<24); return b }},
-		{"flipped core byte", func(b []byte) []byte { b[ckptHeaderSize] ^= 0x5a; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"trailing byte", func(b []byte) []byte { return append(b, 0) }},
+		{"inflated n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 1<<24); return b }, 0},
+		{"inflated m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[32:], 1<<24); return b }, 0},
+		{"inflated graph n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+8:], 1<<24); return b }, 0},
+		{"inflated graph m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+16:], 1<<24); return b }, 0},
+		{"flipped core byte", func(b []byte) []byte { b[ckptHeaderSize] ^= 0x5a; return b }, 0},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }, 0},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }, 0},
+		{"cut after the graph header", cutAfterGraphHeader, 0},
+		{"2^34 declared over 10 bytes", func(b []byte) []byte { return b[:10] }, 1 << 34},
 	} {
-		if err := os.WriteFile(path, tc.mutate(append([]byte(nil), data...)), 0o644); err != nil {
+		b := tc.mutate(append([]byte(nil), data...))
+		size := tc.size
+		if size == 0 {
+			size = int64(len(b))
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		_, err := Recover(dir)
-		runtime.ReadMemStats(&ms)
-		if err == nil {
-			t.Errorf("%s: Recover accepted a corrupt checkpoint", tc.name)
-		}
-		if alloc := ms.TotalAlloc - before; alloc > 1<<20 {
-			t.Errorf("%s: Recover allocated %d B before rejecting a %d B checkpoint", tc.name, alloc, len(data))
+		for _, read := range []struct {
+			via string
+			run func() error
+		}{
+			{"Recover", func() error { _, err := Recover(dir); return err }},
+			{"ReadCheckpoint", func() error { _, _, _, err := ReadCheckpoint(bytes.NewReader(b), size); return err }},
+		} {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			err := read.run()
+			runtime.ReadMemStats(&ms)
+			if err == nil {
+				t.Errorf("%s: %s accepted a corrupt checkpoint", tc.name, read.via)
+			}
+			if alloc := ms.TotalAlloc - before; alloc > 1<<20 {
+				t.Errorf("%s: %s allocated %d B before rejecting a %d B checkpoint", tc.name, read.via, alloc, len(b))
+			}
 		}
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -225,4 +258,37 @@ func TestCorruptCheckpointHeader(t *testing.T) {
 	if _, err := Recover(dir); err != nil {
 		t.Fatalf("intact checkpoint: %v", err)
 	}
+}
+
+// FuzzReadCheckpoint feeds ReadCheckpoint arbitrary bytes: it must never
+// panic, and whatever it accepts must re-encode, with the core array it
+// skipped, to the very same bytes.
+func FuzzReadCheckpoint(f *testing.F) {
+	g := gen.ErdosRenyi(50, 120, 3)
+	cores, _ := bz.Decompose(g)
+	var seed bytes.Buffer
+	if err := encodeCheckpoint(&seed, 7, 42, cores, g); err != nil {
+		f.Fatal(err)
+	}
+	b := seed.Bytes()
+	for _, cut := range []int{len(b), len(b) - 1, len(b) - 4, len(b) / 2, ckptHeaderSize + 4*50 + graphHeaderSize, ckptHeaderSize, 10, 0} {
+		f.Add(b[:cut])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, gen, epoch, err := ReadCheckpoint(bytes.NewReader(b), int64(len(b)))
+		if err != nil {
+			return
+		}
+		cores := make([]int32, g.N())
+		for i := range cores {
+			cores[i] = int32(binary.LittleEndian.Uint32(b[ckptHeaderSize+4*i:]))
+		}
+		var out bytes.Buffer
+		if err := encodeCheckpoint(&out, gen, epoch, cores, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), b) {
+			t.Fatalf("accepted %d B re-encode to %d different bytes", len(b), out.Len())
+		}
+	})
 }

@@ -219,17 +219,9 @@ func discardCheckpointFile(f *os.File) {
 	os.Remove(f.Name())
 }
 
-// readCheckpointFile loads and verifies a checkpoint, streaming the graph
-// out of it without a whole-file buffer. The core array only passes
-// through the CRC: recovery recomputes cores after replaying the log. The
-// header's n and m must account for the file's size exactly before
-// anything is allocated, so a corrupt header cannot make the reader
-// allocate beyond what the file holds; the trailing CRC is checked before
-// anything is returned.
+// readCheckpointFile opens a checkpoint file and hands it, with its size,
+// to ReadCheckpoint.
 func readCheckpointFile(path string) (g *graph.Graph, epoch uint64, err error) {
-	fail := func(format string, args ...any) (*graph.Graph, uint64, error) {
-		return nil, 0, fmt.Errorf("persist: checkpoint %s: "+format, append([]any{path}, args...)...)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
@@ -239,14 +231,35 @@ func readCheckpointFile(path string) (g *graph.Graph, epoch uint64, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	size := fi.Size()
+	g, _, epoch, err = ReadCheckpoint(f, fi.Size())
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, epoch, nil
+}
+
+// ReadCheckpoint decodes and verifies one checkpoint of size bytes from r
+// — a checkpoint file, or the FULLSYNC snapshot on a follower's socket —
+// and returns its graph and the generation and epoch of its header. It
+// consumes exactly size bytes of r when it succeeds, so a record stream
+// may follow the checkpoint on the same reader. The graph streams out of
+// r without a whole-checkpoint buffer, and the core array only passes
+// through the CRC: a reader rebuilds the cores from the graph. The
+// header's n and m must account for size exactly before anything is
+// allocated, so a corrupt header or a lying size cannot make the reader
+// allocate beyond what size holds; the trailing CRC is checked before
+// anything is returned.
+func ReadCheckpoint(r io.Reader, size int64) (g *graph.Graph, gen, epoch uint64, err error) {
+	fail := func(format string, args ...any) (*graph.Graph, uint64, uint64, error) {
+		return nil, 0, 0, fmt.Errorf("persist: checkpoint: "+format, args...)
+	}
 	if size < int64(checkpointSize(0, 0)) {
 		return fail("truncated (%d bytes)", size)
 	}
 	crc := crc32.New(crcTable)
 	// The limit keeps every read, ReadBinary's read-ahead included, short
 	// of the CRC tail, so crc sees exactly the bytes it covers.
-	br := bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, size-4), crc), ckptChunk)
+	br := bufio.NewReaderSize(io.TeeReader(io.LimitReader(r, size-4), crc), ckptChunk)
 	var hdr [ckptHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return fail("header: %v", err)
@@ -257,17 +270,18 @@ func readCheckpointFile(path string) (g *graph.Graph, epoch uint64, err error) {
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
 		return fail("unsupported version %d", v)
 	}
+	gen = binary.LittleEndian.Uint64(hdr[8:])
 	epoch = binary.LittleEndian.Uint64(hdr[16:])
 	n := binary.LittleEndian.Uint64(hdr[24:])
 	m := binary.LittleEndian.Uint64(hdr[32:])
 	if n > math.MaxInt32 || m > uint64(size)/8 || checkpointSize(n, m) != uint64(size) {
-		return fail("header n=%d m=%d does not match the file size %d", n, m, size)
+		return fail("header n=%d m=%d does not match the size %d", n, m, size)
 	}
 	if _, err := io.CopyN(io.Discard, br, 4*int64(n)); err != nil {
 		return fail("core array: %v", err)
 	}
 	// The embedded graph header sizes ReadBinary's allocations: it must
-	// agree with the one checked against the file size.
+	// agree with the one checked against the size.
 	gh, err := br.Peek(graphHeaderSize)
 	if err != nil {
 		return fail("graph header: %v", err)
@@ -282,13 +296,13 @@ func readCheckpointFile(path string) (g *graph.Graph, epoch uint64, err error) {
 		return fail("bytes between the graph and the CRC tail")
 	}
 	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return fail("CRC tail: %v", err)
 	}
 	if crc.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
 		return fail("CRC mismatch")
 	}
-	return g, epoch, nil
+	return g, gen, epoch, nil
 }
 
 // --- manifest ---------------------------------------------------------------

@@ -21,7 +21,11 @@
 // Recovery (see Recover) loads the manifest's checkpoint and replays the
 // log tail at graph level, tolerating a torn or truncated final record;
 // the recovered graph then seeds an ordinary kcore.New, whose one BZ
-// decomposition is the only recomputation paid.
+// decomposition is the only recomputation paid. A replication follower
+// is handed its state the same way: CORE.SYNC ships a checkpoint in the
+// file encoding, decoded by the same ReadCheckpoint, and the record
+// tail after it goes through the same StreamReader that replays the log
+// — there is one encoding of state and one record reader.
 //
 // Wiring order matters (chicken-and-egg between Manager and Maintainer):
 //

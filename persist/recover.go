@@ -1,11 +1,10 @@
 package persist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/graph"
@@ -99,7 +98,12 @@ func Recover(dir string) (*Result, error) {
 // replaySegment applies one AOF segment's valid records to g and returns
 // how many trailing bytes were discarded as torn/corrupt (0 for a clean
 // segment). File-level problems (unreadable, bad header magic) are
-// errors; record-level corruption is data, not an error.
+// errors, and so is a record whose frame holds but whose payload does
+// not decode — or decodes to a stream-only epoch or ping record, which
+// no leader writes to disk: the CRC vouches that the bytes are the ones
+// written, so such a record is a history this reader must not guess at.
+// A frame error (bad length, short read, CRC mismatch) is a torn tail:
+// data, not an error.
 func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -110,7 +114,7 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 	if fi, err := f.Stat(); err == nil {
 		size = fi.Size()
 	}
-	br := newCountingReader(f)
+	br := newCountingReader(bufio.NewReaderSize(f, 64<<10))
 	var hdr [aofHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		// A segment torn inside its own header: the rotation fsyncs the
@@ -128,93 +132,25 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 		return 0, fmt.Errorf("persist: %s: header generation %d != %d", path, hg, gen)
 	}
 	valid := int64(aofHeaderSize) // offset after the last fully-valid record
-	var rec [recHeaderSize]byte
-	payload := make([]byte, 0, 64<<10)
+	sr := NewStreamReader(br)
 	for {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			break // clean EOF at a record boundary, or torn header
+		p, err := sr.frame()
+		if err != nil {
+			break // clean EOF at a record boundary, or a torn tail
 		}
-		payloadLen := binary.LittleEndian.Uint32(rec[0:])
-		wantCRC := binary.LittleEndian.Uint32(rec[4:])
-		if payloadLen == 0 || payloadLen > maxRecordPayload {
-			break // garbage length prefix — treat as torn
+		rec, err := sr.decode(p)
+		if err == nil && (rec.Op == OpEpoch || rec.Op == OpPing) {
+			err = fmt.Errorf("stream-only record kind %d in the log", p[0])
 		}
-		if cap(payload) < int(payloadLen) {
-			payload = make([]byte, payloadLen)
-		} else {
-			payload = payload[:payloadLen]
-		}
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break // torn mid-payload
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			break // bit rot or torn write inside the payload
-		}
-		edges, err := applyRecord(g, payload)
 		if err != nil {
 			return 0, fmt.Errorf("persist: %s at offset %d: %w", path, valid, err)
 		}
+		applyToGraph(g, rec)
 		valid = br.n
 		res.TailRecords++
-		res.TailEdges += edges
+		res.TailEdges += int64(len(rec.Edges))
 	}
 	return size - valid, nil
-}
-
-// applyRecord applies one CRC-verified record payload to g at graph
-// level. The payload is trusted for well-formedness only as far as the
-// CRC vouches; semantic bounds are still checked so a record from a
-// mismatched history cannot panic the replay.
-func applyRecord(g *graph.Graph, p []byte) (edges int64, err error) {
-	kind := p[0]
-	switch kind {
-	case recInsert, recRemove:
-		if len(p) < 5 {
-			return 0, fmt.Errorf("edge record too short (%d bytes)", len(p))
-		}
-		count := binary.LittleEndian.Uint32(p[1:])
-		if uint64(len(p)) != 5+8*uint64(count) {
-			return 0, fmt.Errorf("edge record length %d != header count %d", len(p), count)
-		}
-		o := 5
-		for i := uint32(0); i < count; i++ {
-			u := int32(binary.LittleEndian.Uint32(p[o:]))
-			v := int32(binary.LittleEndian.Uint32(p[o+4:]))
-			o += 8
-			if u < 0 || v < 0 {
-				return 0, fmt.Errorf("negative vertex id (%d,%d)", u, v)
-			}
-			// Logged ops are post-prepareBatch: insert endpoints were in
-			// range when logged, so grow-to-fit reproduces the implicit
-			// growth the engine performed (which is why implicit grows
-			// need no records of their own).
-			if kind == recInsert {
-				if hi := max(u, v); int(hi) >= g.N() {
-					g.Grow(int(hi) + 1)
-				}
-				g.AddEdge(u, v)
-			} else {
-				if int(u) < g.N() && int(v) < g.N() {
-					g.RemoveEdge(u, v)
-				}
-			}
-		}
-		return int64(count), nil
-	case recGrow:
-		if len(p) != 9 {
-			return 0, fmt.Errorf("grow record length %d", len(p))
-		}
-		n := binary.LittleEndian.Uint64(p[1:])
-		if n > math.MaxInt32 {
-			return 0, fmt.Errorf("grow to implausible n=%d", n)
-		}
-		if int(n) > g.N() {
-			g.Grow(int(n))
-		}
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("unknown record kind %d", kind)
-	}
 }
 
 // countingReader tracks the absolute offset consumed from the underlying

@@ -3,10 +3,11 @@ package persist
 // Replication streaming: the Manager fans the same CRC-framed records it
 // appends to the AOF out to any number of follower taps, each fed at the
 // append path's quiescent point — leader disk and every follower see one
-// canonical op stream. A SyncSession starts with a full snapshot (the
-// graph binary captured at the tap's registration instant, so the tap's
-// records are exactly the ops after it) and then drains the tap; two
-// stream-only record kinds ride along, never written to disk:
+// canonical op stream. A SyncSession starts with a full snapshot (a
+// checkpoint, encodeCheckpoint's bytes, captured at the tap's
+// registration instant, so the tap's records are exactly the ops after
+// it) and then drains the tap; two stream-only record kinds ride along,
+// never written to disk:
 //
 //	recEpoch  u64 — the snapshot epoch the preceding ops produced;
 //	            a follower that has applied everything up to this
@@ -52,10 +53,6 @@ var (
 	// failed while a sync session was live.
 	ErrSyncClosed = errors.New("persist: sync session closed")
 )
-
-// SnapshotCRC returns the checksum a follower verifies a received sync
-// snapshot against (the CRC the FULLSYNC header advertises).
-func SnapshotCRC(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 // --- tap --------------------------------------------------------------------
 
@@ -128,15 +125,12 @@ func (t *tap) kill() {
 // op after it. The caller streams Snapshot first, then loops on Wait,
 // and must Close the session when the connection ends.
 type SyncSession struct {
-	// Gen is the leader's AOF generation at the sync point.
-	Gen uint64
-	// Epoch is the snapshot's epoch: the follower's watermark starts
-	// here, and the tap's first epoch marker is strictly above it.
-	Epoch uint64
-	// Snapshot is the graph binary (graph.WriteBinary) captured at the
-	// sync quiescent point; Crc is SnapshotCRC over it.
+	// Snapshot is a checkpoint of the sync quiescent point, in the
+	// checkpoint file encoding (ReadCheckpoint decodes it). Its header
+	// carries the leader's current generation and the snapshot epoch: the
+	// follower's watermark starts there, and the tap's first epoch marker
+	// is strictly above it.
 	Snapshot []byte
-	Crc      uint32
 
 	t *tap
 	p *Manager
@@ -211,11 +205,16 @@ func (p *Manager) StartSync() (*SyncSession, error) {
 		encErr error
 	)
 	p.m.AtQuiescence(func(q kcore.QuiescentState) {
+		// Only quiescent callbacks move p.gen (rotateSegment), so it holds
+		// still while this one encodes.
+		p.mu.Lock()
+		gen := p.gen
+		p.mu.Unlock()
 		// The snapshot outlives the barrier: the follower reads it after.
+		g := q.Graph()
 		var w bytes.Buffer
-		w.Grow(1 << 20)
-		if err := q.Graph().WriteBinary(&w); err != nil {
-			encErr = err
+		w.Grow(int(checkpointSize(uint64(g.N()), uint64(g.M()))))
+		if encErr = encodeCheckpoint(&w, gen, q.Epoch(), q.Cores(), g); encErr != nil {
 			return
 		}
 		max := int(p.opts.SyncBufferBytes)
@@ -230,18 +229,10 @@ func (p *Manager) StartSync() (*SyncSession, error) {
 			encErr = ErrSyncClosed
 			return
 		}
-		gen := p.gen
 		p.taps = append(p.taps, t)
 		p.mu.Unlock()
 		p.syncsStarted.Add(1)
-		sess = &SyncSession{
-			Gen:      gen,
-			Epoch:    q.Epoch(),
-			Snapshot: w.Bytes(),
-			Crc:      SnapshotCRC(w.Bytes()),
-			t:        t,
-			p:        p,
-		}
+		sess = &SyncSession{Snapshot: w.Bytes(), t: t, p: p}
 	})
 	if encErr != nil {
 		return nil, encErr
@@ -295,8 +286,8 @@ func (p *Manager) killTapsLocked() {
 }
 
 // AppendEpoch hands a post-publication epoch marker to the follower taps
-// (kcore.EpochLog). Markers never touch the disk log — recovery derives
-// nothing from epochs — so this is a pure fan-out.
+// (the third kcore.OpLog method). Markers never touch the disk log —
+// recovery derives nothing from epochs — so this is a pure fan-out.
 func (p *Manager) AppendEpoch(epoch uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -314,9 +305,9 @@ func AppendPing(dst []byte, epoch uint64) []byte {
 	return appendU64Record(dst, recPing, epoch)
 }
 
-// --- follower-side decoding -------------------------------------------------
+// --- record decoding --------------------------------------------------------
 
-// StreamOp is the kind of one decoded replication record.
+// StreamOp is the kind of one decoded record.
 type StreamOp byte
 
 const (
@@ -327,8 +318,8 @@ const (
 	OpPing
 )
 
-// StreamRecord is one decoded replication record. Edges aliases an
-// internal buffer valid until the next Next call.
+// StreamRecord is one decoded record. Edges aliases an internal buffer
+// valid until the next Next call.
 type StreamRecord struct {
 	Op    StreamOp
 	Edges []graph.Edge // OpInsert / OpRemove
@@ -336,11 +327,13 @@ type StreamRecord struct {
 	Epoch uint64       // OpEpoch / OpPing
 }
 
-// StreamReader decodes the framed record stream a follower reads off its
-// sync connection. Unlike crash recovery, which forgives a torn tail,
-// any framing or CRC violation here is an error — the transport is a
-// live TCP stream, so corruption means the connection is garbage and
-// the follower must re-sync.
+// StreamReader decodes framed records: a follower's sync connection, and
+// crash recovery's AOF segments. Each record passes two steps: frame (the
+// length bound and the CRC) and decode (the payload's shape and bounds).
+// Next fails on either — on a live TCP stream, corruption means the
+// connection is garbage and the follower must re-sync — while recovery
+// calls the steps apart, because a frame error there is a crash's torn
+// tail.
 type StreamReader struct {
 	r       io.Reader
 	payload []byte
@@ -354,28 +347,42 @@ func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
 // Next reads, verifies, and decodes one record. Transport errors (EOF,
 // read deadlines) propagate unwrapped.
 func (sr *StreamReader) Next() (StreamRecord, error) {
+	p, err := sr.frame()
+	if err != nil {
+		return StreamRecord{}, err
+	}
+	return sr.decode(p)
+}
+
+// frame reads one record and verifies its frame: a length prefix within
+// maxRecordPayload, so nothing larger is allocated before the CRC vouches
+// for it, and the CRC. The payload it returns is valid until the next call.
+func (sr *StreamReader) frame() ([]byte, error) {
 	var hdr [recHeaderSize]byte
 	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		return StreamRecord{}, err
+		return nil, err
 	}
 	payloadLen := binary.LittleEndian.Uint32(hdr[0:])
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
 	if payloadLen == 0 || payloadLen > maxRecordPayload {
-		return StreamRecord{}, fmt.Errorf("persist: stream record length %d out of range", payloadLen)
+		return nil, fmt.Errorf("persist: record length %d out of range", payloadLen)
 	}
 	if cap(sr.payload) < int(payloadLen) {
 		sr.payload = make([]byte, payloadLen)
 	}
 	p := sr.payload[:payloadLen]
 	if _, err := io.ReadFull(sr.r, p); err != nil {
-		return StreamRecord{}, err
+		return nil, err
 	}
 	if crc32.Checksum(p, crcTable) != wantCRC {
-		return StreamRecord{}, errors.New("persist: stream record CRC mismatch")
+		return nil, errors.New("persist: record CRC mismatch")
 	}
-	return sr.decode(p)
+	return p, nil
 }
 
+// decode parses one framed payload. The CRC vouches for the bytes only,
+// so the bounds are still checked: a record from a mismatched history
+// must not panic the consumer.
 func (sr *StreamReader) decode(p []byte) (StreamRecord, error) {
 	switch kind := p[0]; kind {
 	case recInsert, recRemove:
@@ -419,6 +426,31 @@ func (sr *StreamReader) decode(p []byte) (StreamRecord, error) {
 			return StreamRecord{Op: OpPing, Epoch: v}, nil
 		}
 	default:
-		return StreamRecord{}, fmt.Errorf("persist: unknown stream record kind %d", p[0])
+		return StreamRecord{}, fmt.Errorf("persist: unknown record kind %d", kind)
+	}
+}
+
+// applyToGraph applies one decoded edge or grow record to g at graph
+// level; epoch and ping records carry no state. Logged ops are
+// post-prepareBatch: insert endpoints were in range when logged, so
+// grow-to-fit reproduces the implicit growth the engine performed (which
+// is why implicit grows need no records of their own).
+func applyToGraph(g *graph.Graph, rec StreamRecord) {
+	switch rec.Op {
+	case OpInsert:
+		for _, e := range rec.Edges {
+			if hi := max(e.U, e.V); int(hi) >= g.N() {
+				g.Grow(int(hi) + 1)
+			}
+			g.AddEdge(e.U, e.V)
+		}
+	case OpRemove:
+		for _, e := range rec.Edges {
+			if int(e.U) < g.N() && int(e.V) < g.N() {
+				g.RemoveEdge(e.U, e.V)
+			}
+		}
+	case OpGrow:
+		g.Grow(rec.N)
 	}
 }

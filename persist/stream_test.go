@@ -2,11 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,11 +37,11 @@ func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 	}
 }
 
-// applyStream replays a framed record stream onto g at graph level and
-// returns the highest epoch marker seen.
-func applyStream(t *testing.T, g *graph.Graph, stream []byte) uint64 {
+// applyStream replays the framed records left in r onto g at graph level
+// and returns the highest epoch marker seen.
+func applyStream(t *testing.T, g *graph.Graph, r io.Reader) uint64 {
 	t.Helper()
-	sr := NewStreamReader(bytes.NewReader(stream))
+	sr := NewStreamReader(r)
 	var epoch uint64
 	for {
 		rec, err := sr.Next()
@@ -49,26 +51,9 @@ func applyStream(t *testing.T, g *graph.Graph, stream []byte) uint64 {
 		if err != nil {
 			t.Fatalf("stream decode: %v", err)
 		}
-		switch rec.Op {
-		case OpInsert:
-			for _, e := range rec.Edges {
-				if hi := max(e.U, e.V); int(hi) >= g.N() {
-					g.Grow(int(hi) + 1)
-				}
-				g.AddEdge(e.U, e.V)
-			}
-		case OpRemove:
-			for _, e := range rec.Edges {
-				g.RemoveEdge(e.U, e.V)
-			}
-		case OpGrow:
-			if rec.N > g.N() {
-				g.Grow(rec.N)
-			}
-		case OpEpoch, OpPing:
-			if rec.Epoch > epoch {
-				epoch = rec.Epoch
-			}
+		applyToGraph(g, rec)
+		if rec.Op == OpEpoch || rec.Op == OpPing {
+			epoch = max(epoch, rec.Epoch)
 		}
 	}
 	return epoch
@@ -97,28 +82,21 @@ func assertSameGraph(t *testing.T, got, want *graph.Graph) {
 
 // TestSyncStream is the tap's contract: snapshot + streamed tail
 // reconstructs the leader's exact graph, and the last epoch marker is
-// the leader's final epoch.
+// the leader's final epoch. The follower reads both off one reader, as
+// it does off its socket: ReadCheckpoint must stop exactly at the
+// snapshot's end for the records after it to decode.
 func TestSyncStream(t *testing.T) {
 	base := gen.ErdosRenyi(100, 300, 11)
 	m, mgr := startManaged(t, t.TempDir(), base.Clone(), Options{Fsync: FsyncNo})
 	defer mgr.Close()
 	defer m.Close()
 
+	syncEpoch := m.Epoch()
 	sess, err := mgr.StartSync()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if sess.Crc != SnapshotCRC(sess.Snapshot) {
-		t.Fatal("advertised snapshot CRC does not match the snapshot")
-	}
-	follower, err := graph.ReadBinary(bytes.NewReader(sess.Snapshot))
-	if err != nil {
-		t.Fatalf("snapshot decode: %v", err)
-	}
-	if follower.N() != base.N() || follower.M() != base.M() {
-		t.Fatalf("snapshot n=%d m=%d, want n=%d m=%d", follower.N(), follower.M(), base.N(), base.M())
-	}
 
 	// Mixed churn after the sync point: inserts, removes, implicit and
 	// explicit growth.
@@ -132,7 +110,18 @@ func TestSyncStream(t *testing.T) {
 	if lastEpoch != wantEpoch {
 		t.Fatalf("streamed epoch = %d, want %d", lastEpoch, wantEpoch)
 	}
-	if applied := applyStream(t, follower, stream); applied != wantEpoch {
+	wire := bytes.NewReader(append(append([]byte(nil), sess.Snapshot...), stream...))
+	follower, ckGen, ckEpoch, err := ReadCheckpoint(wire, int64(len(sess.Snapshot)))
+	if err != nil {
+		t.Fatalf("snapshot decode: %v", err)
+	}
+	if follower.N() != base.N() || follower.M() != base.M() {
+		t.Fatalf("snapshot n=%d m=%d, want n=%d m=%d", follower.N(), follower.M(), base.N(), base.M())
+	}
+	if ckGen != mgr.Stats().Gen || ckEpoch != syncEpoch {
+		t.Fatalf("snapshot header gen=%d epoch=%d, want gen=%d epoch=%d", ckGen, ckEpoch, mgr.Stats().Gen, syncEpoch)
+	}
+	if applied := applyStream(t, follower, wire); applied != wantEpoch {
 		t.Fatalf("applied epoch = %d, want %d", applied, wantEpoch)
 	}
 	assertSameGraph(t, follower, m.Graph())
@@ -154,39 +143,96 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 	if err != nil || data != nil {
 		t.Fatalf("idle Wait = (%v, %v), want (nil, nil)", data, err)
 	}
-	if epoch != sess.Epoch {
-		t.Fatalf("idle epoch = %d, want sync epoch %d", epoch, sess.Epoch)
+	_, _, want, err := ReadCheckpoint(bytes.NewReader(sess.Snapshot), int64(len(sess.Snapshot)))
+	if err != nil || epoch != want {
+		t.Fatalf("idle epoch = %d, want sync epoch %d (%v)", epoch, want, err)
 	}
 }
 
-// TestGrowBeyondIDRangeRejected: vertex ids are int32, so a grow record
-// past MaxInt32 vertices is a history no leader wrote, CRC or not. Crash
-// recovery refuses it, and so does a follower's StreamReader, which still
-// takes a grow to exactly MaxInt32.
+// TestGrowBeyondIDRangeRejected pins what the two consumers of framed
+// records make of each kind of record: crash recovery, appending it to
+// a log's tail, and a follower's StreamReader, reading it off the wire.
+// Vertex ids are int32, so a grow past MaxInt32 vertices is a history no
+// leader wrote, CRC or not, while a grow to exactly MaxInt32 is one. A
+// frame error is a torn tail to recovery and an error to the stream; a
+// frame that holds around a payload that does not decode, or around an
+// epoch marker, which only the stream carries, fails recovery.
 func TestGrowBeyondIDRangeRejected(t *testing.T) {
-	rec := appendU64Record(nil, recGrow, 1<<31)
+	type outcome int
+	const (
+		applied outcome = iota
+		tornTail
+		fatal
+		notReplayed // recovery would apply it: a 2^31-vertex graph
+	)
+	frame := func(p []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))
+		return append(b, p...)
+	}
+	insert := appendEdgeRecord(nil, recInsert, []graph.Edge{{U: 1, V: 59}})
+	badCRC := append([]byte(nil), insert...)
+	badCRC[4] ^= 0x5a
+	rows := []struct {
+		name    string
+		rec     []byte
+		recover outcome
+		stream  *StreamRecord // nil: Next fails
+	}{
+		{"insert", insert, applied, &StreamRecord{Op: OpInsert, Edges: []graph.Edge{{U: 1, V: 59}}}},
+		{"grow to 1<<31", appendU64Record(nil, recGrow, 1<<31), fatal, nil},
+		{"grow to MaxInt32", appendU64Record(nil, recGrow, math.MaxInt32), notReplayed, &StreamRecord{Op: OpGrow, N: math.MaxInt32}},
+		{"negative id", appendEdgeRecord(nil, recInsert, []graph.Edge{{U: -1, V: 3}}), fatal, nil},
+		{"count/length mismatch", frame([]byte{recRemove, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}), fatal, nil},
+		{"bad CRC", badCRC, tornTail, nil},
+		{"epoch marker", appendU64Record(nil, recEpoch, 7), fatal, &StreamRecord{Op: OpEpoch, Epoch: 7}},
+		{"frame cut mid-payload", insert[:recHeaderSize+3], tornTail, nil},
+	}
 
 	dir, _, seg := buildDirWithTail(t)
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(rec); err != nil {
+	baseline, err := Recover(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "implausible") {
-		t.Fatalf("Recover with a grow to 1<<31 logged = %v, want an implausible-grow error", err)
-	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			got, err := NewStreamReader(bytes.NewReader(row.rec)).Next()
+			switch {
+			case row.stream == nil && err == nil:
+				t.Errorf("StreamReader took it: %+v", got)
+			case row.stream != nil && err != nil:
+				t.Errorf("StreamReader: %v, want %+v", err, *row.stream)
+			case row.stream != nil && (got.Op != row.stream.Op || got.N != row.stream.N ||
+				got.Epoch != row.stream.Epoch || !slices.Equal(got.Edges, row.stream.Edges)):
+				t.Errorf("StreamReader = %+v, want %+v", got, *row.stream)
+			}
 
-	if got, err := NewStreamReader(bytes.NewReader(rec)).Next(); err == nil {
-		t.Fatalf("StreamReader took a grow to 1<<31: %+v", got)
-	}
-	got, err := NewStreamReader(bytes.NewReader(appendU64Record(nil, recGrow, math.MaxInt32))).Next()
-	if err != nil || got.Op != OpGrow || got.N != math.MaxInt32 {
-		t.Fatalf("grow to MaxInt32 = %+v, %v", got, err)
+			if row.recover == notReplayed {
+				return
+			}
+			if err := os.WriteFile(seg, append(append([]byte(nil), data...), row.rec...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Recover(dir)
+			switch row.recover {
+			case fatal:
+				if err == nil {
+					t.Errorf("Recover = %+v, want an error", res)
+				}
+			case applied:
+				if err != nil || res.TornBytes != 0 || res.TailRecords != baseline.TailRecords+1 {
+					t.Errorf("Recover = %+v, %v; want the record applied", res, err)
+				}
+			case tornTail:
+				if err != nil || res.TornBytes != int64(len(row.rec)) || res.TailRecords != baseline.TailRecords {
+					t.Errorf("Recover = %+v, %v; want a %d-byte torn tail", res, err, len(row.rec))
+				}
+			}
+		})
 	}
 }
 

@@ -2,18 +2,16 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/graph"
 	"repro/kcore"
 	"repro/obs"
 	"repro/persist"
@@ -23,10 +21,11 @@ import (
 // ReplicaOptions configures how a follower rebuilds its maintainer from
 // each leader snapshot.
 type ReplicaOptions struct {
-	Workers     int             // maintainer workers (0 = kcore default)
-	Alg         kcore.Algorithm // maintenance algorithm (zero value = kcore default)
-	MaxVertices int             // vertex ceiling (0 = kcore default)
-	Logger      *log.Logger     // nil = silent
+	// Engine is the option list every rebuilt maintainer is built with —
+	// the leader's own, so a follower runs the engine its leader runs. The
+	// replica appends only its WithPipelineMetrics.
+	Engine []kcore.Option
+	Logger *log.Logger // nil = silent
 }
 
 // Replica keeps a Server in follower mode: it bootstraps from a leader's
@@ -57,10 +56,10 @@ type Replica struct {
 	edges     atomic.Int64 // edges applied through insert/remove records
 	lastErr   atomic.Pointer[string]
 
-	// leaderEpoch is the newest leader epoch seen on the wire (FULLSYNC
-	// handshake, then every epoch/ping marker), stored before the record
-	// applies — so leaderEpoch−wm.Epoch() exposes the apply backlog,
-	// most visibly during a bootstrap's snapshot rebuild.
+	// leaderEpoch is the newest leader epoch seen on the wire (the FULLSYNC
+	// checkpoint's header, then every epoch/ping marker), stored before
+	// the record applies — so leaderEpoch−wm.Epoch() exposes the apply
+	// backlog, most visibly during a bootstrap's snapshot rebuild.
 	leaderEpoch atomic.Uint64
 
 	// pm holds the pipeline stage histograms across maintainer
@@ -71,7 +70,9 @@ type Replica struct {
 
 // NewReplica puts srv into follower mode, replicating from the leader at
 // leaderAddr ("host:port"). Call Start to begin syncing and Close to
-// stop. Must be called before the server serves traffic.
+// stop. Must be called before the server serves traffic, whose
+// placeholder maintainer is expected to be built with opts.Engine too:
+// the pipeline metrics take its engine label.
 func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
 	r := &Replica{
 		srv:    srv,
@@ -79,7 +80,7 @@ func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
 		opts:   opts,
 		wm:     kcore.NewEpochWatermark(),
 		quit:   make(chan struct{}),
-		pm:     kcore.NewPipelineMetrics(opts.Alg.String()),
+		pm:     kcore.NewPipelineMetrics(srv.mnt().Algorithm().String()),
 	}
 	srv.replica = r
 	return r
@@ -177,45 +178,21 @@ func (r *Replica) syncOnce() error {
 	if strings.HasPrefix(line, "-") {
 		return errors.New("leader refused: " + strings.TrimPrefix(line, "-"))
 	}
-	var gen uint64
-	var epoch uint64
-	var snaplen int
-	var crc uint32
-	if _, err := fmt.Sscanf(line, "+FULLSYNC %d %d %d %d", &gen, &epoch, &snaplen, &crc); err != nil {
+	var size int64
+	if _, err := fmt.Sscanf(line, "+FULLSYNC %d", &size); err != nil {
 		return fmt.Errorf("bad handshake %q: %w", line, err)
 	}
-	if snaplen < 0 || snaplen > 1<<34 {
-		return fmt.Errorf("implausible snapshot length %d", snaplen)
-	}
-
-	snap := make([]byte, snaplen)
+	// The snapshot is a checkpoint, decoded straight off the socket: its
+	// header must account for size before anything is allocated.
 	nc.SetReadDeadline(time.Now().Add(2 * time.Minute))
-	if _, err := io.ReadFull(br, snap); err != nil {
-		return fmt.Errorf("snapshot read: %w", err)
-	}
-	if got := persist.SnapshotCRC(snap); got != crc {
-		return fmt.Errorf("snapshot CRC mismatch: got %08x, want %08x", got, crc)
-	}
-	g, err := graph.ReadBinary(bytes.NewReader(snap))
+	g, gen, epoch, err := persist.ReadCheckpoint(br, size)
 	if err != nil {
-		return fmt.Errorf("snapshot decode: %w", err)
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	snap = nil
 
 	r.leaderEpoch.Store(epoch)
 
-	var kopts []kcore.Option
-	kopts = append(kopts, kcore.WithPipelineMetrics(r.pm))
-	if r.opts.Alg != 0 {
-		kopts = append(kopts, kcore.WithAlgorithm(r.opts.Alg))
-	}
-	if r.opts.Workers > 0 {
-		kopts = append(kopts, kcore.WithWorkers(r.opts.Workers))
-	}
-	if r.opts.MaxVertices > 0 {
-		kopts = append(kopts, kcore.WithMaxVertices(r.opts.MaxVertices))
-	}
-	nm := kcore.New(g, kopts...)
+	nm := kcore.New(g, append(slices.Clip(r.opts.Engine), kcore.WithPipelineMetrics(r.pm))...)
 	if old := r.srv.swapMaintainer(nm); old != nil {
 		old.Close() // stays queryable for readers that already loaded it
 	}

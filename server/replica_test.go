@@ -36,7 +36,7 @@ func startLeaderServer(t *testing.T, g *graph.Graph, popts persist.Options) (*kc
 func startReplicaServer(t *testing.T, leaderAddr string) (*Server, string) {
 	t.Helper()
 	srv := New(kcore.New(graph.New(0), kcore.WithWorkers(2)))
-	rep := NewReplica(srv, leaderAddr, ReplicaOptions{Workers: 2})
+	rep := NewReplica(srv, leaderAddr, ReplicaOptions{Engine: []kcore.Option{kcore.WithWorkers(2)}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

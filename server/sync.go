@@ -15,12 +15,15 @@ const syncWriteTimeout = 10 * time.Second
 
 // cmdSync serves CORE.SYNC, the replication bootstrap + stream:
 //
-//	+FULLSYNC <gen> <epoch> <snaplen> <crc>\r\n
-//	<snaplen raw bytes of graph.WriteBinary snapshot>
+//	+FULLSYNC <len>\r\n
+//	<len raw bytes: a checkpoint, the very encoding of a checkpoint file —
+//	 header (magic, version, gen, epoch, n, m), core array, graph binary,
+//	 CRC-32C tail; persist.ReadCheckpoint decodes it>
 //	<endless CRC-framed op records: insert/remove/grow/epoch/ping>
 //
-// The snapshot and the tap are captured at one quiescent point of the
-// maintainer, so the record stream starts exactly where the snapshot
+// The generation and the snapshot epoch travel only in the checkpoint
+// header. The snapshot and the tap are captured at one quiescent point of
+// the maintainer, so the record stream starts exactly where the snapshot
 // ends — no segment replay, no gap, no overlap. After the handshake the
 // connection belongs to the stream until the follower disconnects, the
 // follower falls too far behind (bounded tap overflows), or the server
@@ -38,7 +41,7 @@ func cmdSync(c *conn, args [][]byte) bool {
 	}
 	defer sess.Close()
 
-	c.wr.WriteSimple(fmt.Sprintf("FULLSYNC %d %d %d %d", sess.Gen, sess.Epoch, len(sess.Snapshot), sess.Crc))
+	c.wr.WriteSimple(fmt.Sprintf("FULLSYNC %d", len(sess.Snapshot)))
 	if err := c.wr.Flush(); err != nil {
 		return true
 	}
