@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race engine-flake bench fuzz-smoke crash cluster-check metrics-check examples
+.PHONY: all build vet test race engine-flake fuzz-smoke crash cluster-check metrics-check examples
 
 all: build vet test
 
@@ -32,9 +32,6 @@ engine-flake:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs' ./kcore
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

@@ -29,7 +29,11 @@ func main() {
 	flag.Parse()
 
 	cfg := expr.DefaultConfig(os.Stdout)
-	cfg.Scale = expr.Scale(*scale)
+	var err error
+	if cfg.Scale, err = expr.ParseScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	cfg.Repeats = *repeats
 	cfg.Seed = *seed
 	cfg.Workers = nil

@@ -35,7 +35,12 @@ func main() {
 	flag.Parse()
 
 	if *suite != "" {
-		for _, sg := range expr.Suite(expr.Scale(*suite), *seed) {
+		sc, err := expr.ParseScale(*suite)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "graphgen:", err)
+			os.Exit(2)
+		}
+		for _, sg := range expr.Suite(sc, *seed) {
 			name := sg.Name + ".txt"
 			if err := writeGraph(name, sg.Build()); err != nil {
 				fail(err)

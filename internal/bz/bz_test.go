@@ -247,3 +247,23 @@ func BenchmarkDecomposeER(b *testing.B) {
 		Decompose(g)
 	}
 }
+
+// BenchmarkAblationTieStrategy compares the three tie-breaking strategies
+// (§3.3.1); the paper selects "small degree first".
+func BenchmarkAblationTieStrategy(b *testing.B) {
+	g := gen.ErdosRenyi(5000, 20000, 1)
+	for _, s := range []struct {
+		name  string
+		strat TieStrategy
+	}{
+		{"SmallDegreeFirst", SmallDegreeFirst},
+		{"LargeDegreeFirst", LargeDegreeFirst},
+		{"RandomTie", RandomTie},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				DecomposeWithStrategy(g, s.strat, 1)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -111,17 +112,42 @@ func TestRunFig4AndTable3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test")
 	}
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	points := RunFig4(cfg)
-	want := 16 * len(cfg.Workers) * 4
-	if len(points) != want {
-		t.Fatalf("fig4 points = %d, want %d", len(points), want)
+	// The second config has no 1-worker run: Table 3's low endpoint is the
+	// lowest worker count measured, not a 1-worker point that is missing.
+	for _, workers := range [][]int{{1, 2}, {2, 3}} {
+		var buf bytes.Buffer
+		cfg := tinyConfig(&buf)
+		cfg.Workers = workers
+		points := RunFig4(cfg)
+		want := 16 * len(cfg.Workers) * 4
+		if len(points) != want {
+			t.Fatalf("fig4 points = %d, want %d", len(points), want)
+		}
+		buf.Reset()
+		RunTable3(cfg, points)
+		out := buf.String()
+		ends := fmt.Sprintf("OurI %dw/%dw", workers[0], workers[1])
+		if !strings.Contains(out, "OurI/JEI") || !strings.Contains(out, ends) {
+			t.Fatalf("Table 3 output malformed (want %q):\n%s", ends, out)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
+			for _, ratio := range strings.Fields(line)[1:] {
+				if ratio == "0.0" {
+					t.Fatalf("workers %v: Table 3 row reads 0.0:\n%s", workers, out)
+				}
+			}
+		}
 	}
-	buf.Reset()
-	RunTable3(cfg, points)
-	if !strings.Contains(buf.String(), "OurI/JEI") {
-		t.Fatalf("Table 3 output malformed:\n%s", buf.String())
+}
+
+func TestParseScale(t *testing.T) {
+	for _, s := range []Scale{ScaleCI, ScaleMedium, ScaleFull} {
+		if got, err := ParseScale(string(s)); err != nil || got != s {
+			t.Fatalf("ParseScale(%q) = %q, %v", s, got, err)
+		}
+	}
+	if _, err := ParseScale("small"); err == nil {
+		t.Fatal(`ParseScale("small") must error`)
 	}
 }
 

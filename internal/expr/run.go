@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/graph"
 	"repro/internal/bz"
 	"repro/internal/stats"
 	"repro/kcore"
@@ -48,6 +49,42 @@ func measure(repeats int, setup func() func()) stats.Summary {
 	return stats.SummarizeDurations(ds)
 }
 
+// series is one curve of the paper's plots: an engine applying a
+// workload's batch as an insertion or as a removal.
+type series struct {
+	name   string
+	alg    kcore.Algorithm
+	insert bool
+}
+
+// paperSeries are the four curves of Fig. 4–6 and Table 3: OurI/OurR
+// (Parallel-Order) and JEI/JER (join-edge-set Traversal).
+var paperSeries = []series{
+	{"OurI", kcore.ParallelOrder, true},
+	{"OurR", kcore.ParallelOrder, false},
+	{"JEI", kcore.JoinEdgeSet, true},
+	{"JER", kcore.JoinEdgeSet, false},
+}
+
+// start builds the maintainer s starts from — w without its batch for an
+// insertion, all of w for a removal — and returns the step that applies a
+// batch to it.
+func (s series) start(w Workload, workers int) func([]graph.Edge) kcore.BatchResult {
+	opts := []kcore.Option{kcore.WithAlgorithm(s.alg), kcore.WithWorkers(workers)}
+	if s.insert {
+		return kcore.New(w.WithoutBatch(), opts...).InsertEdges
+	}
+	return kcore.New(w.Base.Clone(), opts...).RemoveEdges
+}
+
+// measureSeries times step(w.Batch) on a fresh start of s, repeats times.
+func measureSeries(repeats int, s series, w Workload, workers int) stats.Summary {
+	return measure(repeats, func() func() {
+		step := s.start(w, workers)
+		return func() { step(w.Batch) }
+	})
+}
+
 // ---------------------------------------------------------------- Table 2
 
 // RunTable2 regenerates the graph-suite table: n, m, average degree and
@@ -76,14 +113,11 @@ func RunFig1(cfg Config) {
 	_, batchSize := cfg.Scale.params()
 	insHist := stats.NewHistogram([]int{10, 100, 1000})
 	remHist := stats.NewHistogram([]int{10, 100, 1000})
+	ourI, ourR := paperSeries[0], paperSeries[1]
 	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
 		w := BuildWorkload(sg, batchSize, cfg.Seed)
-		mi := kcore.New(w.WithoutBatch(), kcore.WithWorkers(16))
-		res := mi.InsertEdges(w.Batch)
-		insHist.AddAll(res.VPlusSizes)
-		mr := kcore.New(w.Base.Clone(), kcore.WithWorkers(16))
-		res = mr.RemoveEdges(w.Batch)
-		remHist.AddAll(res.VPlusSizes)
+		insHist.AddAll(ourI.start(w, 16)(w.Batch).VPlusSizes)
+		remHist.AddAll(ourR.start(w, 16)(w.Batch).VPlusSizes)
 	}
 	cfg.printf("Fig. 1 — sizes of V+ (insert) and V* (remove), Parallel-Order, all %d suite graphs\n", len(Suite(cfg.Scale, cfg.Seed)))
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
@@ -122,36 +156,12 @@ func RunFig4(cfg Config) []Fig4Point {
 		tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "workers\tOurI\tOurR\tJEI\tJER")
 		for _, workers := range cfg.Workers {
-			row := map[string]stats.Summary{}
-			for _, meas := range []struct {
-				name   string
-				alg    kcore.Algorithm
-				insert bool
-			}{
-				{"OurI", kcore.ParallelOrder, true},
-				{"OurR", kcore.ParallelOrder, false},
-				{"JEI", kcore.JoinEdgeSet, true},
-				{"JER", kcore.JoinEdgeSet, false},
-			} {
-				meas := meas
-				sum := measure(cfg.Repeats, func() func() {
-					var m *kcore.Maintainer
-					if meas.insert {
-						m = kcore.New(w.WithoutBatch(), kcore.WithAlgorithm(meas.alg), kcore.WithWorkers(workers))
-					} else {
-						m = kcore.New(w.Base.Clone(), kcore.WithAlgorithm(meas.alg), kcore.WithWorkers(workers))
-					}
-					batch := w.Batch
-					if meas.insert {
-						return func() { m.InsertEdges(batch) }
-					}
-					return func() { m.RemoveEdges(batch) }
-				})
-				row[meas.name] = sum
-				points = append(points, Fig4Point{Graph: sg.Name, Algorithm: meas.name, Workers: workers, Time: sum})
+			var row [4]stats.Summary
+			for i, s := range paperSeries {
+				row[i] = measureSeries(cfg.Repeats, s, w, workers)
+				points = append(points, Fig4Point{Graph: sg.Name, Algorithm: s.name, Workers: workers, Time: row[i]})
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n", workers,
-				row["OurI"], row["OurR"], row["JEI"], row["JER"])
+			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n", workers, row[0], row[1], row[2], row[3])
 		}
 		tw.Flush()
 	}
@@ -161,15 +171,16 @@ func RunFig4(cfg Config) []Fig4Point {
 // ---------------------------------------------------------------- Table 3
 
 // RunTable3 derives the speedup table from Fig. 4 data (re-measuring if
-// points is nil): per-algorithm 1-worker vs max-worker speedups, and
-// Our-vs-JE speedups at 1 and max workers.
+// points is nil): per-algorithm speedups from the lowest to the highest
+// measured worker count (cfg.Workers' endpoints), and Our-vs-JE speedups at
+// both endpoints.
 func RunTable3(cfg Config, points []Fig4Point) {
 	if points == nil {
 		quiet := cfg
 		quiet.Out = io.Discard
 		points = RunFig4(quiet)
 	}
-	maxW := cfg.Workers[len(cfg.Workers)-1]
+	minW, maxW := cfg.Workers[0], cfg.Workers[len(cfg.Workers)-1]
 	get := func(g, alg string, w int) float64 {
 		for _, p := range points {
 			if p.Graph == g && p.Algorithm == alg && p.Workers == w {
@@ -178,19 +189,20 @@ func RunTable3(cfg Config, points []Fig4Point) {
 		}
 		return 0
 	}
-	cfg.printf("Table 3 — speedups (1 worker vs %d workers; Our vs JE)\n", maxW)
+	cfg.printf("Table 3 — speedups (%d vs %d workers; Our vs JE)\n", minW, maxW)
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Graph\tOurI 1w/%dw\tOurR 1w/%dw\tJEI 1w/%dw\tJER 1w/%dw\tOurI/JEI 1w\tOurR/JER 1w\tOurI/JEI %dw\tOurR/JER %dw\n",
-		maxW, maxW, maxW, maxW, maxW, maxW)
+	ends := fmt.Sprintf("%dw/%dw", minW, maxW)
+	fmt.Fprintf(tw, "Graph\tOurI %s\tOurR %s\tJEI %s\tJER %s\tOurI/JEI %dw\tOurR/JER %dw\tOurI/JEI %dw\tOurR/JER %dw\n",
+		ends, ends, ends, ends, minW, minW, maxW, maxW)
 	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
 		g := sg.Name
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", g,
-			stats.Speedup(get(g, "OurI", 1), get(g, "OurI", maxW)),
-			stats.Speedup(get(g, "OurR", 1), get(g, "OurR", maxW)),
-			stats.Speedup(get(g, "JEI", 1), get(g, "JEI", maxW)),
-			stats.Speedup(get(g, "JER", 1), get(g, "JER", maxW)),
-			stats.Speedup(get(g, "JEI", 1), get(g, "OurI", 1)),
-			stats.Speedup(get(g, "JER", 1), get(g, "OurR", 1)),
+			stats.Speedup(get(g, "OurI", minW), get(g, "OurI", maxW)),
+			stats.Speedup(get(g, "OurR", minW), get(g, "OurR", maxW)),
+			stats.Speedup(get(g, "JEI", minW), get(g, "JEI", maxW)),
+			stats.Speedup(get(g, "JER", minW), get(g, "JER", maxW)),
+			stats.Speedup(get(g, "JEI", minW), get(g, "OurI", minW)),
+			stats.Speedup(get(g, "JER", minW), get(g, "OurR", minW)),
 			stats.Speedup(get(g, "JEI", maxW), get(g, "OurI", maxW)),
 			stats.Speedup(get(g, "JER", maxW), get(g, "OurR", maxW)))
 	}
@@ -219,44 +231,21 @@ func RunFig5(cfg Config) {
 		cfg.printf("\n%s:\n", sg.Name)
 		tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "batch\tOurI ratio\tOurR ratio\tJEI ratio\tJER ratio")
-		baselines := map[string]float64{}
+		var baselines [4]float64
 		for _, mult := range sizes {
 			size := base * mult
 			w := BuildWorkload(sg, size, cfg.Seed)
-			ratios := map[string]float64{}
-			for _, meas := range []struct {
-				name   string
-				alg    kcore.Algorithm
-				insert bool
-			}{
-				{"OurI", kcore.ParallelOrder, true},
-				{"OurR", kcore.ParallelOrder, false},
-				{"JEI", kcore.JoinEdgeSet, true},
-				{"JER", kcore.JoinEdgeSet, false},
-			} {
-				meas := meas
-				sum := measure(cfg.Repeats, func() func() {
-					var m *kcore.Maintainer
-					if meas.insert {
-						m = kcore.New(w.WithoutBatch(), kcore.WithAlgorithm(meas.alg), kcore.WithWorkers(workers))
-					} else {
-						m = kcore.New(w.Base.Clone(), kcore.WithAlgorithm(meas.alg), kcore.WithWorkers(workers))
-					}
-					batch := w.Batch
-					if meas.insert {
-						return func() { m.InsertEdges(batch) }
-					}
-					return func() { m.RemoveEdges(batch) }
-				})
+			var ratios [4]float64
+			for i, s := range paperSeries {
+				sum := measureSeries(cfg.Repeats, s, w, workers)
 				if mult == sizes[0] {
-					baselines[meas.name] = sum.Mean
+					baselines[i] = sum.Mean
 				}
-				if b := baselines[meas.name]; b > 0 {
-					ratios[meas.name] = sum.Mean / b
+				if b := baselines[i]; b > 0 {
+					ratios[i] = sum.Mean / b
 				}
 			}
-			fmt.Fprintf(tw, "%dx\t%.2f\t%.2f\t%.2f\t%.2f\n", mult,
-				ratios["OurI"], ratios["OurR"], ratios["JEI"], ratios["JER"])
+			fmt.Fprintf(tw, "%dx\t%.2f\t%.2f\t%.2f\t%.2f\n", mult, ratios[0], ratios[1], ratios[2], ratios[3])
 		}
 		tw.Flush()
 	}
@@ -281,44 +270,20 @@ func RunFig6(cfg Config) {
 	cfg.printf("Fig. 6 — per-group running time (ms), %d disjoint groups of %d edges, %d workers\n",
 		groups, batchSize, workers)
 	for _, sg := range suite {
-		g := sg.Build()
-		all := BuildWorkload(sg, batchSize*groups, cfg.Seed).Batch
-		if len(all) < batchSize*groups {
-			groups = len(all) / batchSize
+		w := BuildWorkload(sg, batchSize*groups, cfg.Seed)
+		if len(w.Batch) < batchSize*groups {
+			groups = len(w.Batch) / batchSize
 		}
 		cfg.printf("\n%s:\n", sg.Name)
 		tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "group\tOurI\tOurR\tJEI\tJER")
 		rows := make([][4]float64, groups)
-		for _, meas := range []struct {
-			idx    int
-			alg    kcore.Algorithm
-			insert bool
-		}{
-			{0, kcore.ParallelOrder, true},
-			{1, kcore.ParallelOrder, false},
-			{2, kcore.JoinEdgeSet, true},
-			{3, kcore.JoinEdgeSet, false},
-		} {
-			var m *kcore.Maintainer
-			if meas.insert {
-				base := g.Clone()
-				for _, e := range all {
-					base.RemoveEdge(e.U, e.V)
-				}
-				m = kcore.New(base, kcore.WithAlgorithm(meas.alg), kcore.WithWorkers(workers))
-			} else {
-				m = kcore.New(g.Clone(), kcore.WithAlgorithm(meas.alg), kcore.WithWorkers(workers))
-			}
+		for i, s := range paperSeries {
+			step := s.start(w, workers)
 			for gi := 0; gi < groups; gi++ {
-				batch := all[gi*batchSize : (gi+1)*batchSize]
 				t0 := time.Now()
-				if meas.insert {
-					m.InsertEdges(batch)
-				} else {
-					m.RemoveEdges(batch)
-				}
-				rows[gi][meas.idx] = float64(time.Since(t0)) / float64(time.Millisecond)
+				step(w.Batch[gi*batchSize : (gi+1)*batchSize])
+				rows[gi][i] = float64(time.Since(t0)) / float64(time.Millisecond)
 			}
 		}
 		for gi := 0; gi < groups; gi++ {
@@ -326,14 +291,14 @@ func RunFig6(cfg Config) {
 				rows[gi][0], rows[gi][1], rows[gi][2], rows[gi][3])
 		}
 		tw.Flush()
-		for i, name := range []string{"OurI", "OurR", "JEI", "JER"} {
+		for i, ser := range paperSeries {
 			var xs []float64
 			for gi := 0; gi < groups; gi++ {
 				xs = append(xs, rows[gi][i])
 			}
 			s := stats.Summarize(xs)
 			cfg.printf("%s spread: mean %.2f ms, stddev %.2f, max/min %.2f\n",
-				name, s.Mean, s.StdDev, spreadRatio(s))
+				ser.name, s.Mean, s.StdDev, spreadRatio(s))
 		}
 	}
 }

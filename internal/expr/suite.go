@@ -29,6 +29,16 @@ const (
 	ScaleFull Scale = "full"
 )
 
+// ParseScale converts a command-line scale name to a Scale; a name that is
+// not one of ci, medium and full is an error.
+func ParseScale(s string) (Scale, error) {
+	switch sc := Scale(s); sc {
+	case ScaleCI, ScaleMedium, ScaleFull:
+		return sc, nil
+	}
+	return "", fmt.Errorf("unknown scale %q (want ci|medium|full)", s)
+}
+
 // params returns (n, batch) for a scale.
 func (s Scale) params() (int, int) {
 	switch s {

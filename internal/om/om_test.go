@@ -630,6 +630,38 @@ func BenchmarkOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationLockFreeOrder compares the lock-free Order operation
+// against a mutex-guarded equivalent under concurrent readers — the paper's
+// reason for adopting the lock-free comparison (§3.4).
+func BenchmarkAblationLockFreeOrder(b *testing.B) {
+	const n = 4096
+	l := newList(0, n)
+	for x := int32(0); x < n; x++ {
+		l.InsertAtTail(x)
+	}
+	b.Run("LockFree", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				l.Order(int32(i%n), int32((i*7+13)%n))
+				i++
+			}
+		})
+	})
+	var mu sync.Mutex
+	b.Run("Mutexed", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				mu.Lock()
+				l.Order(int32(i%n), int32((i*7+13)%n))
+				mu.Unlock()
+				i++
+			}
+		})
+	})
+}
+
 func BenchmarkInsertDeleteHead(b *testing.B) {
 	l := newList(0, 1)
 	b.ResetTimer()

@@ -49,6 +49,24 @@ func TestInsertEdgesAutoGrow(t *testing.T) {
 			if st.DeltaPublishes == 0 || st.FullPublishes != 1 {
 				t.Fatalf("publish counters %+v: want delta publishes and only the initial full", st)
 			}
+			// Vertex churn: a stream of arrivals, each naming a fresh vertex,
+			// with an earlier arrival's edges removed every fourth step. It
+			// too must publish on the grow and delta paths only.
+			before := m.ServingStats()
+			stream := gen.VertexArrivals(m.N(), 24, 3, 309)
+			for j, batch := range stream {
+				m.InsertEdges(batch)
+				if j%4 == 3 {
+					m.RemoveEdges(stream[j-2])
+				}
+			}
+			st = m.ServingStats()
+			if st.FullPublishes != 1 {
+				t.Fatalf("churn fell back to %d O(n) rebuilds", st.FullPublishes-1)
+			}
+			if st.GrowPublishes == before.GrowPublishes || st.DeltaPublishes == before.DeltaPublishes {
+				t.Fatalf("churn missed the grow/delta paths: %+v before, %+v after", before, st)
+			}
 			if err := m.Check(); err != nil {
 				t.Fatal(err)
 			}
