@@ -33,15 +33,9 @@ type Cluster struct {
 	obs *routerMetrics
 }
 
-// Option configures Connect.
-type Option func(*config)
-
-type config struct {
-	dialTimeout time.Duration
-}
-
-// WithDialTimeout bounds each shard dial (default 5s).
-func WithDialTimeout(d time.Duration) Option { return func(c *config) { c.dialTimeout = d } }
+// dialTimeout bounds every dial to a shard endpoint: the leader pools'
+// and a Session's pinned read connections.
+const dialTimeout = 5 * time.Second
 
 // chunkPairs bounds how many edge pairs (or ids) ride in one multi-pair
 // command before the router starts another in the same pipeline — large
@@ -52,18 +46,14 @@ const chunkPairs = 4096
 // Connect builds a router over the map. Connections are dialed lazily
 // (first use per shard), so Connect itself does no network I/O; the
 // first operation against an unreachable shard surfaces a ShardError.
-func Connect(m *ShardMap, opts ...Option) *Cluster {
-	cfg := config{dialTimeout: 5 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Connect(m *ShardMap) *Cluster {
 	c := &Cluster{m: m, obs: newRouterMetrics(m.NumShards())}
 	c.pools = make([]*client.Pool, m.NumShards())
 	c.every = make([]int, m.NumShards())
 	for i := range c.pools {
 		addr := m.Shard(i).Leader
 		c.pools[i] = &client.Pool{
-			Dial:    func() (*client.Conn, error) { return client.Dial(addr, client.WithDialTimeout(cfg.dialTimeout)) },
+			Dial:    func() (*client.Conn, error) { return client.Dial(addr, client.WithDialTimeout(dialTimeout)) },
 			MaxIdle: 8,
 		}
 		c.every[i] = i

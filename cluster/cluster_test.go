@@ -428,7 +428,7 @@ func startReplicatedShard(t *testing.T) (string, string) {
 	})
 
 	rsrv := server.New(kcore.New(graph.New(0), kcore.WithWorkers(2)))
-	rep := server.NewReplica(rsrv, lln.Addr().String(), server.ReplicaOptions{Engine: []kcore.Option{kcore.WithWorkers(2)}})
+	rep := server.NewReplica(rsrv, lln.Addr().String(), server.ReplicaOptions{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -518,6 +518,42 @@ func TestSessionReadYourWrites(t *testing.T) {
 			if int32(k) != want[g] {
 				t.Fatalf("replica %d core(%d) = %d after Wait, oracle %d", i, g, k, want[g])
 			}
+		}
+	}
+}
+
+// TestOneShardSessionReadYourWrites: a Session over one replicated shard
+// writes to the leader and reads its own writes off the follower, every
+// round. The second read of a round follows no write, so it runs without
+// a WAIT gate and still answers consistently.
+func TestOneShardSessionReadYourWrites(t *testing.T) {
+	l, r := startReplicatedShard(t)
+	m, err := cluster.EqualRanges(1024, [][]string{{l, r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.Connect(m)
+	defer c.Close()
+	s := c.NewSession()
+	defer s.Close()
+	s.WaitTimeout = 15 * time.Second
+	if s.ReadAddr(0) != r {
+		t.Fatalf("session reads pinned to %s, want the replica %s", s.ReadAddr(0), r)
+	}
+	for i := 0; i < 20; i++ {
+		u, v := int32(500+2*i), int32(501+2*i)
+		if err := s.InsertEdges([]graph.Edge{{U: u, V: v}}); err != nil {
+			t.Fatalf("round %d write: %v", i, err)
+		}
+		k, err := s.Get(u)
+		if err != nil {
+			t.Fatalf("round %d read: %v", i, err)
+		}
+		if k < 1 {
+			t.Fatalf("round %d: replica read core[%d] = %d — stale", i, u, k)
+		}
+		if k2, err := s.Get(v); err != nil || k2 < 1 {
+			t.Fatalf("round %d ungated read = %d, %v", i, k2, err)
 		}
 	}
 }

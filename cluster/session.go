@@ -14,9 +14,9 @@ import (
 // extra round trip), and every read is gated by a pipelined CORE.WAIT
 // on that epoch against the session's pinned read endpoint for the
 // shard. With replicas in the map, reads scale out to followers without
-// ever observing state older than the session's own writes — the
-// replication layer's ReplicaSession contract, lifted to a shard
-// vector.
+// ever observing state older than the session's own writes; over a
+// one-shard map whose shard lists a replica, a Session is the plain
+// leader-writes, follower-reads recipe of the replication layer.
 //
 // A Session pins one read connection per shard (the first replica if
 // the shard has any, else the leader), dialed lazily. It is not safe
@@ -27,7 +27,7 @@ type Session struct {
 	// endpoint catches up or disconnects).
 	WaitTimeout time.Duration
 
-	gates []client.WaitGate // per shard: the read endpoint's epoch gate
+	gates []waitGate // per shard: the read endpoint's epoch gate
 	reads []*client.Conn
 }
 
@@ -36,7 +36,7 @@ func (c *Cluster) NewSession() *Session {
 	n := c.m.NumShards()
 	return &Session{
 		c:     c,
-		gates: make([]client.WaitGate, n),
+		gates: make([]waitGate, n),
 		reads: make([]*client.Conn, n),
 	}
 }
@@ -71,7 +71,7 @@ func (s *Session) readConn(i int) (*client.Conn, error) {
 		// bookkeeping: gates[i] tracks the *server's* applied watermark,
 		// which survives our reconnect.
 	}
-	conn, err := client.Dial(s.ReadAddr(i), client.WithDialTimeout(5*time.Second))
+	conn, err := client.Dial(s.ReadAddr(i), client.WithDialTimeout(dialTimeout))
 	if err != nil {
 		s.reads[i] = nil
 		return nil, err
@@ -82,7 +82,7 @@ func (s *Session) readConn(i int) (*client.Conn, error) {
 
 func (s *Session) recordEpochs(ev []uint64) {
 	for i, e := range ev {
-		s.gates[i].Cover(e)
+		s.gates[i].cover(e)
 	}
 }
 
@@ -152,7 +152,7 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 	if err != nil {
 		return s.c.wrapShardErr(i, err)
 	}
-	gated, err := s.gates[i].Send(conn, s.WaitTimeout)
+	gated, err := s.gates[i].send(conn, s.WaitTimeout)
 	if err != nil {
 		return s.c.wrapShardErr(i, err)
 	}
@@ -164,7 +164,7 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 		return s.c.wrapShardErr(i, err)
 	}
 	if gated {
-		if err := s.gates[i].Receive(conn); err != nil {
+		if err := s.gates[i].receive(conn); err != nil {
 			// Timed-out WAIT: the MGET replies behind it may be stale, and
 			// the client poisons the conn only on transport errors — drop
 			// the connection so the next read starts clean.
@@ -185,23 +185,69 @@ func (s *Session) readShard(i int, locals []int32, sink func(j int, k int32)) er
 // session's — observes the writes.
 func (s *Session) Wait() error {
 	for i := range s.gates {
-		if !s.gates[i].Owed() {
+		if !s.gates[i].owed() {
 			continue
 		}
 		conn, err := s.readConn(i)
 		if err != nil {
 			return s.c.wrapShardErr(i, err)
 		}
-		if _, err := s.gates[i].Send(conn, s.WaitTimeout); err != nil {
+		if _, err := s.gates[i].send(conn, s.WaitTimeout); err != nil {
 			return s.c.wrapShardErr(i, err)
 		}
 		if err := conn.Flush(); err != nil {
 			return s.c.wrapShardErr(i, err)
 		}
-		if err := s.gates[i].Receive(conn); err != nil {
+		if err := s.gates[i].receive(conn); err != nil {
 			conn.Close()
 			return s.c.wrapShardErr(i, err)
 		}
 	}
+	return nil
+}
+
+// waitGate is the epoch bookkeeping of read-your-writes against one read
+// endpoint: the highest epoch covering the session's writes, the highest
+// the endpoint has proved it applied, and the CORE.WAIT that closes the
+// gap. The zero value owes nothing.
+type waitGate struct {
+	epoch  uint64 // highest epoch covering the session's writes
+	waited uint64 // highest epoch the endpoint confirmed applying
+}
+
+// cover records that a write was covered by epoch e.
+func (g *waitGate) cover(e uint64) {
+	if e > g.epoch {
+		g.epoch = e
+	}
+}
+
+// owed reports whether the endpoint has yet to prove it applied epoch.
+func (g *waitGate) owed() bool { return g.epoch > g.waited }
+
+// send pipelines CORE.WAIT on epoch onto c if one is owed, bounded by
+// timeout (0 = until the endpoint catches up or disconnects; the wire
+// carries whole milliseconds, at least 1). It reports whether a reply is
+// now owed on c — claim it with receive, after the flush.
+func (g *waitGate) send(c *client.Conn, timeout time.Duration) (sent bool, err error) {
+	if !g.owed() {
+		return false, nil
+	}
+	if timeout > 0 {
+		err = c.Send("CORE.WAIT", g.epoch, max(int64(timeout/time.Millisecond), 1))
+	} else {
+		err = c.Send("CORE.WAIT", g.epoch)
+	}
+	return err == nil, err
+}
+
+// receive reads the reply to a sent CORE.WAIT and settles the gate. An
+// error (a WAIT timeout included) leaves it owed: replies pipelined
+// behind the gate may be stale.
+func (g *waitGate) receive(c *client.Conn) error {
+	if _, err := client.Int(c.Receive()); err != nil {
+		return err
+	}
+	g.waited = g.epoch
 	return nil
 }

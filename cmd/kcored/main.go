@@ -20,6 +20,10 @@
 // text parse is paid once, ever. SIGINT/SIGTERM shut down gracefully:
 // in-flight write futures drain, buffered replies flush, and (with
 // -dir) a final checkpoint lands before the process exits.
+//
+// With -replica-of, the server is a read-only follower of another kcored:
+// it starts empty, and its one maintainer reloads from the leader's
+// snapshot at every (re)connect, then applies the leader's op stream.
 package main
 
 import (
@@ -34,6 +38,7 @@ import (
 
 	"repro/graph"
 	"repro/kcore"
+	"repro/obs"
 	"repro/persist"
 	"repro/server"
 )
@@ -62,26 +67,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The engine options of every maintainer this process builds: the
-	// leader's, or a follower's placeholder and each of its rebuilds.
-	engine := []kcore.Option{
-		kcore.WithAlgorithm(alg),
-		kcore.WithWorkers(*workers),
-		kcore.WithMaxVertices(*maxVertices),
-	}
-
-	if *replicaOf != "" {
+	if *replicaOf != "" && (*dir != "" || *load != "") {
 		// A follower's only durable truth is the leader's stream: it
 		// bootstraps from a leader snapshot on every (re)connect, so local
 		// persistence or preloads would only be discarded state.
-		if *dir != "" || *load != "" {
-			fmt.Fprintln(os.Stderr, "kcored: -replica-of is mutually exclusive with -dir and -load")
-			os.Exit(2)
-		}
-		runReplica(*replicaOf, *addr, engine, *metricsAddr, *slowlogMs, *quiet)
-		return
+		fmt.Fprintln(os.Stderr, "kcored: -replica-of is mutually exclusive with -dir and -load")
+		os.Exit(2)
 	}
-
 	fsync, err := persist.ParseFsync(*fsyncName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -89,7 +81,8 @@ func main() {
 	}
 
 	// Recover-or-import precedence: durable state in -dir is
-	// authoritative; -load only seeds a directory that has none.
+	// authoritative; -load only seeds a directory that has none. A
+	// follower starts empty and reloads from its leader's snapshot.
 	var (
 		g   *graph.Graph
 		mgr *persist.Manager
@@ -131,6 +124,11 @@ func main() {
 	}
 
 	start := time.Now()
+	engine := []kcore.Option{
+		kcore.WithAlgorithm(alg),
+		kcore.WithWorkers(*workers),
+		kcore.WithMaxVertices(*maxVertices),
+	}
 	if mgr != nil {
 		engine = append(engine, kcore.WithOpLog(mgr))
 	}
@@ -157,8 +155,20 @@ func main() {
 		srvOpts = append(srvOpts, server.WithPersistence(mgr))
 	}
 	srv := server.New(m, srvOpts...)
+	var rep *server.Replica
+	if *replicaOf != "" {
+		var logger *log.Logger
+		if !*quiet {
+			logger = log.Default()
+		}
+		rep = server.NewReplica(srv, *replicaOf, server.ReplicaOptions{Logger: logger})
+	}
 	if *metricsAddr != "" {
-		ms, err := serveMetrics(srv, *metricsAddr)
+		// The registry records the server's role: it is built after
+		// NewReplica.
+		reg := obs.NewRegistry()
+		srv.RegisterMetrics(reg)
+		ms, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			log.Fatalf("kcored: metrics: %v", err)
 		}
@@ -166,6 +176,9 @@ func main() {
 		if !*quiet {
 			log.Printf("kcored: metrics on http://%s/metrics (pprof at /debug/pprof/)", ms.Addr())
 		}
+	}
+	if rep != nil {
+		rep.Start()
 	}
 	// Closing the listener makes ListenAndServe return immediately, but
 	// the graceful drain (in-flight write futures, buffered replies) is
@@ -179,6 +192,9 @@ func main() {
 		<-sig
 		if !*quiet {
 			log.Printf("kcored: shutting down")
+		}
+		if rep != nil {
+			rep.Close()
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -104,7 +104,6 @@ type config struct {
 	workers int
 	maxN    int
 	oplog   OpLog
-	pm      *PipelineMetrics
 }
 
 // OpLog receives the canonical op stream of a Maintainer — the hook the
@@ -159,8 +158,8 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // maintainer — per-vertex state is a few hundred bytes, so an
 // uncapped adversarial id would otherwise wedge the applier in a huge
 // allocation. The default is DefaultMaxVertices; the bound is raised to
-// the construction graph's N when that is larger, and AddVertices
-// clamps to it too.
+// the N of the graph New or Reload is given when that is larger, and
+// AddVertices clamps to it too.
 func WithMaxVertices(n int) Option { return func(c *config) { c.maxN = n } }
 
 // WithOpLog attaches an op-stream hook (see OpLog). Pass the durability
@@ -266,9 +265,6 @@ func New(g *graph.Graph, opts ...Option) *Maintainer {
 	if cfg.workers < 1 {
 		cfg.workers = 1
 	}
-	if cfg.maxN < g.N() {
-		cfg.maxN = g.N() // never below the universe we already have
-	}
 	if cfg.maxN > math.MaxInt32 {
 		// Vertex ids are int32; a larger ceiling would wrap the scan's
 		// comparison negative and silently drop every insert.
@@ -279,17 +275,29 @@ func New(g *graph.Graph, opts ...Option) *Maintainer {
 		// so Algorithm() reports the engine actually built.
 		cfg.alg = ParallelOrder
 	}
-	if cfg.pm == nil {
-		cfg.pm = NewPipelineMetrics(cfg.alg.String())
-	}
-	eng := &engine{cfg: cfg, g: g, impl: newEngine(cfg.alg, g, cfg.workers)}
-	eng.coreOf = eng.impl.CoreOf
-	eng.pub.Publish(eng.impl.Cores(), g.M())
-	pipe := newPipeline(cfg.pm)
+	eng := &engine{cfg: cfg}
+	eng.load(g)
+	pipe := newPipeline(newPipelineMetrics(cfg.alg.String()))
 	go pipe.run(eng)
 	m := &Maintainer{eng: eng, pipe: pipe}
 	runtime.AddCleanup(m, func(p *pipeline) { p.close(false) }, pipe)
 	return m
+}
+
+// Reload replaces the maintained graph with g at a quiescent point ordered
+// after every earlier update: the engine is rebuilt over g with this
+// Maintainer's algorithm and worker count, as New builds it, the
+// WithMaxVertices ceiling is raised to g.N() if it is below, and g's
+// decomposition is published as the next epoch. Epochs stay monotone
+// across a reload, and snapshots taken before the call never change. The
+// Maintainer owns g afterwards, as with New.
+//
+// Reload is the follower's bootstrap: a replica reloads its one
+// Maintainer from every leader snapshot. It does not call the OpLog, so a
+// leader, whose log must describe every change to its graph, never
+// reloads.
+func (m *Maintainer) Reload(g *graph.Graph) {
+	m.barrier(func() { m.eng.load(g) })
 }
 
 // Close stops the update pipeline after finishing every already-enqueued
@@ -516,6 +524,18 @@ func (m *Maintainer) Check() error {
 	var err error
 	m.barrier(func() { err = m.eng.check() })
 	return err
+}
+
+// load builds the engine over g and publishes its decomposition as the
+// next epoch — New's construction and Reload's rebuild. At quiescence.
+func (eng *engine) load(g *graph.Graph) {
+	if eng.cfg.maxN < g.N() {
+		eng.cfg.maxN = g.N() // never below the universe we already have
+	}
+	eng.g = g
+	eng.impl = newEngine(eng.cfg.alg, g, eng.cfg.workers)
+	eng.coreOf = eng.impl.CoreOf
+	eng.pub.Publish(eng.impl.Cores(), g.M())
 }
 
 // view returns the current published snapshot (never nil: New publishes

@@ -10,12 +10,9 @@ import "repro/obs"
 // each op, from submission until its waiter's Wait returns
 // (kcore_update_latency_seconds).
 //
-// A PipelineMetrics is cumulative and independent of any one Maintainer:
-// pass it to New via WithPipelineMetrics to keep one continuous series
-// across maintainer re-bootstraps (a replica builds a fresh Maintainer
-// per FULLSYNC, but its operator wants one monotone latency history).
-// When the option is absent New builds a private instance, so the
-// observation sites never nil-check.
+// New builds one per Maintainer, and it is cumulative over the
+// Maintainer's life: Reload rebuilds the engine, not the pipeline, so a
+// follower that re-bootstraps keeps one continuous latency history.
 type PipelineMetrics struct {
 	CoalesceWait *obs.Histogram
 	Apply        *obs.Histogram
@@ -23,8 +20,8 @@ type PipelineMetrics struct {
 	Update       *obs.Histogram
 }
 
-// NewPipelineMetrics builds the pipeline histograms for one engine label.
-func NewPipelineMetrics(engine string) *PipelineMetrics {
+// newPipelineMetrics builds the pipeline histograms for one engine label.
+func newPipelineMetrics(engine string) *PipelineMetrics {
 	const name = "kcore_pipeline_stage_seconds"
 	const help = "Update pipeline stage latency: queue wait before the batch, engine apply, snapshot publish."
 	return &PipelineMetrics{
@@ -41,14 +38,5 @@ func (pm *PipelineMetrics) Register(reg *obs.Registry) {
 	reg.MustRegister(pm.CoalesceWait, pm.Apply, pm.Publish, pm.Update)
 }
 
-// WithPipelineMetrics attaches an externally owned PipelineMetrics to
-// the Maintainer, keeping its histograms cumulative across maintainer
-// rebuilds. The caller should construct it with the same engine label
-// it builds the Maintainer with.
-func WithPipelineMetrics(pm *PipelineMetrics) Option {
-	return func(c *config) { c.pm = pm }
-}
-
-// PipelineMetrics returns the Maintainer's pipeline histograms (the
-// attached instance, or the private one New built).
-func (m *Maintainer) PipelineMetrics() *PipelineMetrics { return m.eng.cfg.pm }
+// PipelineMetrics returns the Maintainer's pipeline histograms.
+func (m *Maintainer) PipelineMetrics() *PipelineMetrics { return m.pipe.pm }

@@ -12,9 +12,11 @@ import (
 // stream has carried the replica at least that far).
 //
 // Advance is monotonic and is what the replication apply loop calls;
-// Reset may move the watermark backwards and is reserved for
-// re-bootstrap, when a fresh snapshot from a restarted leader legally
-// restarts the epoch sequence. All methods are safe for concurrent use.
+// Reset may move the watermark backwards and is reserved for the end of a
+// replication session: the follower resets to 0, since the next leader —
+// possibly a restarted one whose epoch sequence starts over — is applied
+// only once its snapshot is loaded. All methods are safe for concurrent
+// use.
 type EpochWatermark struct {
 	mu    sync.Mutex
 	epoch uint64
@@ -48,9 +50,9 @@ func (w *EpochWatermark) Advance(e uint64) {
 }
 
 // Reset forces the watermark to e, regressions included, and wakes every
-// waiter so it re-evaluates against the new epoch sequence (a waiter
-// whose target is now unreachable times out rather than hanging on a
-// closed-over channel from the previous sequence).
+// waiter so it re-evaluates against the new value: a waiter whose target
+// the reset put out of reach waits for the next Advance (or its timeout)
+// instead of passing on the previous epoch sequence.
 func (w *EpochWatermark) Reset(e uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

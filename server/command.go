@@ -94,7 +94,7 @@ func cmdGet(c *conn, args [][]byte) bool {
 	if !ok {
 		return false
 	}
-	s := c.srv.mnt().Snapshot()
+	s := c.srv.m.Snapshot()
 	var core int32
 	if int(v) < s.N() {
 		core = s.CoreOf(v)
@@ -106,7 +106,7 @@ func cmdGet(c *conn, args [][]byte) bool {
 // cmdMGet serves CORE.MGET v…: one integer per id, all read off one
 // snapshot, so the reply is mutually consistent.
 func cmdMGet(c *conn, args [][]byte) bool {
-	s := c.srv.mnt().Snapshot()
+	s := c.srv.m.Snapshot()
 	n := int32(s.N())
 	// Validate (and parse once) before writing: an array reply cannot
 	// carry a trailing error without desynchronizing the stream. The id
@@ -140,7 +140,7 @@ func cmdInsert(c *conn, args [][]byte) bool {
 	if !ok {
 		return false
 	}
-	c.pending = append(c.pending, owed{pd: c.srv.mnt().InsertEdgesAsync(edges), edges: edges})
+	c.pending = append(c.pending, owed{pd: c.srv.m.InsertEdgesAsync(edges), edges: edges})
 	c.srv.metrics.inflightWrites.Add(1)
 	return false
 }
@@ -152,13 +152,13 @@ func cmdRemove(c *conn, args [][]byte) bool {
 	if !ok {
 		return false
 	}
-	c.pending = append(c.pending, owed{pd: c.srv.mnt().RemoveEdgesAsync(edges), edges: edges})
+	c.pending = append(c.pending, owed{pd: c.srv.m.RemoveEdgesAsync(edges), edges: edges})
 	c.srv.metrics.inflightWrites.Add(1)
 	return false
 }
 
 func cmdMaxCore(c *conn, args [][]byte) bool {
-	c.wr.WriteInt(int64(c.srv.mnt().MaxCore()))
+	c.wr.WriteInt(int64(c.srv.m.MaxCore()))
 	return false
 }
 
@@ -172,7 +172,7 @@ func cmdHist(c *conn, args [][]byte) bool {
 	var hist []int64
 	switch len(args) {
 	case 1:
-		hist = c.srv.mnt().Snapshot().Histogram()
+		hist = c.srv.m.Snapshot().Histogram()
 	case 3:
 		lo, ok := c.argVertex(args[1])
 		if !ok {
@@ -182,7 +182,7 @@ func cmdHist(c *conn, args [][]byte) bool {
 		if !ok {
 			return false
 		}
-		c.hist = c.srv.mnt().Snapshot().HistogramRangeInto(c.hist, lo, hi)
+		c.hist = c.srv.m.Snapshot().HistogramRangeInto(c.hist, lo, hi)
 		hist = c.hist
 	default:
 		c.writeError("ERR CORE.HIST takes no arguments or an id range: CORE.HIST [lo hi]")
@@ -208,7 +208,7 @@ func cmdKVert(c *conn, args [][]byte) bool {
 	}
 	switch len(args) {
 	case 2:
-		hist := c.srv.mnt().Snapshot().Histogram()
+		hist := c.srv.m.Snapshot().Histogram()
 		var count int64
 		for cv := max(k, 0); cv < int64(len(hist)); cv++ {
 			count += hist[cv]
@@ -224,7 +224,7 @@ func cmdKVert(c *conn, args [][]byte) bool {
 			return false
 		}
 		kk := int32(min(max(k, 0), int64(1<<31-1)))
-		c.wr.WriteInt(c.srv.mnt().Snapshot().CountCoresAtLeast(kk, lo, hi))
+		c.wr.WriteInt(c.srv.m.Snapshot().CountCoresAtLeast(kk, lo, hi))
 	default:
 		c.writeError("ERR CORE.KVERT takes k or k plus an id range: CORE.KVERT k [lo hi]")
 		return false
@@ -236,7 +236,7 @@ func cmdKVert(c *conn, args [][]byte) bool {
 // recomputed authoritatively at a quiescent point (an O(n+m) barrier
 // command — heavier than CORE.MAXCORE, which reads the snapshot).
 func cmdDegeneracy(c *conn, args [][]byte) bool {
-	deg, _ := c.srv.mnt().Degeneracy()
+	deg, _ := c.srv.m.Degeneracy()
 	c.wr.WriteInt(int64(deg))
 	return false
 }
@@ -249,22 +249,22 @@ func cmdGrow(c *conn, args [][]byte) bool {
 		c.writeErrArg("invalid vertex count", args[1])
 		return false
 	}
-	c.wr.WriteInt(int64(c.srv.mnt().AddVertices(int(k))))
+	c.wr.WriteInt(int64(c.srv.m.AddVertices(int(k))))
 	return false
 }
 
 func cmdFlush(c *conn, args [][]byte) bool {
-	c.wr.WriteInt(int64(c.srv.mnt().Flush()))
+	c.wr.WriteInt(int64(c.srv.m.Flush()))
 	return false
 }
 
 func cmdEpoch(c *conn, args [][]byte) bool {
-	c.wr.WriteInt(int64(c.srv.mnt().Epoch()))
+	c.wr.WriteInt(int64(c.srv.m.Epoch()))
 	return false
 }
 
 func cmdN(c *conn, args [][]byte) bool {
-	c.wr.WriteInt(int64(c.srv.mnt().N()))
+	c.wr.WriteInt(int64(c.srv.m.N()))
 	return false
 }
 
@@ -272,7 +272,7 @@ func cmdN(c *conn, args [][]byte) bool {
 // a fresh decomposition (O(n+m), for tests and operators — the network
 // face of Maintainer.Check).
 func cmdCheck(c *conn, args [][]byte) bool {
-	if err := c.srv.mnt().Check(); err != nil {
+	if err := c.srv.m.Check(); err != nil {
 		c.writeError("ERR check failed: " + err.Error())
 		return false
 	}

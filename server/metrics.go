@@ -125,9 +125,9 @@ func (s *Server) register(reg *obs.Registry) {
 	}
 	info := obs.NewGauge("kcored_info", "Build and topology info; the value is always 1.",
 		obs.L("version", Version),
-		obs.L("engine", s.mnt().Algorithm().String()),
+		obs.L("engine", s.m.Algorithm().String()),
 		obs.L("role", role),
-		obs.L("workers", strconv.Itoa(s.mnt().Workers())))
+		obs.L("workers", strconv.Itoa(s.m.Workers())))
 	info.Set(1)
 
 	reg.MustRegister(
@@ -146,18 +146,16 @@ func (s *Server) register(reg *obs.Registry) {
 			func() float64 { return float64(m.slow.Len()) }),
 	)
 
-	// Maintainer-side views load s.mnt() at scrape time: a replica swaps
-	// its maintainer on every re-bootstrap, and the scrape should follow.
 	reg.MustRegister(
 		obs.NewGaugeFunc("kcored_epoch", "Latest published snapshot epoch.",
-			func() float64 { return float64(s.mnt().Epoch()) }),
+			func() float64 { return float64(s.m.Epoch()) }),
 		obs.NewGaugeFunc("kcored_vertices", "Vertex universe size N.",
-			func() float64 { return float64(s.mnt().N()) }),
+			func() float64 { return float64(s.m.N()) }),
 		obs.NewGaugeFunc("kcored_queue_depth", "Update-pipeline ops enqueued and not yet applied.",
-			func() float64 { return float64(s.mnt().ServingStats().QueueDepth) }),
+			func() float64 { return float64(s.m.ServingStats().QueueDepth) }),
 		obs.NewCounterSeriesFunc("kcored_pipeline_ops_total", "Update-pipeline ops by outcome: enqueued, batched into an engine round, canceled by coalescing.",
 			func() []obs.Sample {
-				ms := s.mnt().ServingStats()
+				ms := s.m.ServingStats()
 				return []obs.Sample{
 					{Labels: []obs.Label{obs.L("kind", "enqueued")}, Value: float64(ms.Enqueued)},
 					{Labels: []obs.Label{obs.L("kind", "batched")}, Value: float64(ms.BatchedOps)},
@@ -165,12 +163,12 @@ func (s *Server) register(reg *obs.Registry) {
 				}
 			}),
 		obs.NewCounterFunc("kcored_batches_total", "Coalesced engine batches applied.",
-			func() float64 { return float64(s.mnt().ServingStats().Batches) }),
+			func() float64 { return float64(s.m.ServingStats().Batches) }),
 		obs.NewCounterFunc("kcored_flushes_total", "Pipeline barriers (CORE.FLUSH and internal quiescent points).",
-			func() float64 { return float64(s.mnt().ServingStats().Flushes) }),
+			func() float64 { return float64(s.m.ServingStats().Flushes) }),
 		obs.NewCounterSeriesFunc("kcored_publishes_total", "Snapshot publications by kind.",
 			func() []obs.Sample {
-				ms := s.mnt().ServingStats()
+				ms := s.m.ServingStats()
 				return []obs.Sample{
 					{Labels: []obs.Label{obs.L("kind", "full")}, Value: float64(ms.FullPublishes)},
 					{Labels: []obs.Label{obs.L("kind", "delta")}, Value: float64(ms.DeltaPublishes)},
@@ -179,18 +177,12 @@ func (s *Server) register(reg *obs.Registry) {
 				}
 			}),
 		obs.NewCounterFunc("kcored_dirty_pages_total", "Snapshot pages rewritten by delta publication.",
-			func() float64 { return float64(s.mnt().ServingStats().DirtyPages) }),
+			func() float64 { return float64(s.m.ServingStats().DirtyPages) }),
 	)
 
-	// Pipeline histograms: on a leader the maintainer is fixed, so its
-	// (possibly private) instance is the cumulative one; on a replica the
-	// Replica owns the instance and threads it through every
-	// re-bootstrapped maintainer.
+	s.m.PipelineMetrics().Register(reg)
 	if r := s.replica; r != nil {
-		r.pm.Register(reg)
 		r.registerMetrics(reg)
-	} else {
-		s.mnt().PipelineMetrics().Register(reg)
 	}
 	if p := s.persist; p != nil {
 		p.RegisterMetrics(reg)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,23 +17,25 @@ import (
 	"repro/resp"
 )
 
-// ReplicaOptions configures how a follower rebuilds its maintainer from
-// each leader snapshot.
+// ReplicaOptions configures a follower.
 type ReplicaOptions struct {
-	// Engine is the option list every rebuilt maintainer is built with —
-	// the leader's own, so a follower runs the engine its leader runs. The
-	// replica appends only its WithPipelineMetrics.
-	Engine []kcore.Option
 	Logger *log.Logger // nil = silent
 }
 
 // Replica keeps a Server in follower mode: it bootstraps from a leader's
-// CORE.SYNC snapshot, swaps the rebuilt maintainer into the server, and
-// applies the streamed op tail through the ordinary maintainer API —
-// the same coalescing pipeline the leader ran the ops through. Reads
-// stay lock-free off the local snapshot; write commands are rejected
-// (denyOnReplica); CORE.WAIT blocks on the applied-epoch watermark for
-// read-your-writes.
+// CORE.SYNC snapshot by reloading the server's one maintainer in place
+// (kcore.Maintainer.Reload), and applies the streamed op tail through the
+// ordinary maintainer API — the same coalescing pipeline the leader ran
+// the ops through. The follower runs the engine its maintainer was built
+// with, and the maintainer's epoch, metrics and identity live across
+// every bootstrap. Reads stay lock-free off the local
+// snapshot; write commands are rejected (denyOnReplica); CORE.WAIT blocks
+// on the applied-epoch watermark for read-your-writes.
+//
+// The watermark counts in the leader's epochs, and only while a session
+// streams: it reads 0 from the end of a session until the next bootstrap
+// has reloaded the maintainer, so a WAIT target from a restarted leader's
+// epoch range cannot pass on the previous leader's state.
 //
 // The loop reconnects forever with backoff. Every (re)connect is a full
 // re-bootstrap: the leader's stream has no resume cursor — by design,
@@ -59,20 +60,14 @@ type Replica struct {
 	// leaderEpoch is the newest leader epoch seen on the wire (the FULLSYNC
 	// checkpoint's header, then every epoch/ping marker), stored before
 	// the record applies — so leaderEpoch−wm.Epoch() exposes the apply
-	// backlog, most visibly during a bootstrap's snapshot rebuild.
+	// backlog, most visibly during a bootstrap's reload.
 	leaderEpoch atomic.Uint64
-
-	// pm holds the pipeline stage histograms across maintainer
-	// re-bootstraps: every syncOnce builds a fresh maintainer, but the
-	// operator wants one cumulative latency history per replica.
-	pm *kcore.PipelineMetrics
 }
 
 // NewReplica puts srv into follower mode, replicating from the leader at
 // leaderAddr ("host:port"). Call Start to begin syncing and Close to
-// stop. Must be called before the server serves traffic, whose
-// placeholder maintainer is expected to be built with opts.Engine too:
-// the pipeline metrics take its engine label.
+// stop. Must be called before the server serves traffic. Every bootstrap
+// reloads srv's maintainer, whose graph is discarded.
 func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
 	r := &Replica{
 		srv:    srv,
@@ -80,7 +75,6 @@ func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
 		opts:   opts,
 		wm:     kcore.NewEpochWatermark(),
 		quit:   make(chan struct{}),
-		pm:     kcore.NewPipelineMetrics(srv.mnt().Algorithm().String()),
 	}
 	srv.replica = r
 	return r
@@ -115,6 +109,10 @@ func (r *Replica) loop() {
 		}
 		start := time.Now()
 		err := r.syncOnce()
+		// The session is over: until the next bootstrap, no leader epoch
+		// is applied here.
+		r.wm.Reset(0)
+		r.connected.Store(false)
 		select {
 		case <-r.quit:
 			return
@@ -192,18 +190,14 @@ func (r *Replica) syncOnce() error {
 
 	r.leaderEpoch.Store(epoch)
 
-	nm := kcore.New(g, append(slices.Clip(r.opts.Engine), kcore.WithPipelineMetrics(r.pm))...)
-	if old := r.srv.swapMaintainer(nm); old != nil {
-		old.Close() // stays queryable for readers that already loaded it
-	}
-	// Swap-then-Reset: a reader could WAIT between the swap and the Reset
-	// and observe the previous sync's higher epoch for an instant; the
-	// next stream marker restores monotonicity, and bootstraps are rare.
-	r.wm.Reset(epoch)
+	m := r.srv.Maintainer()
+	m.Reload(g)
 	r.syncs.Add(1)
 	r.connected.Store(true)
-	defer r.connected.Store(false)
 	r.lastErr.Store(nil)
+	// Only now is the snapshot's epoch applied: the watermark, at 0 since
+	// the last session ended, moves after the reload has published.
+	r.wm.Advance(epoch)
 	r.logf("replica: synced gen %d epoch %d from %s (n=%d m=%d)", gen, epoch, r.leader, g.N(), g.M())
 
 	// The tail: apply records through the maintainer synchronously — the
@@ -222,7 +216,6 @@ func (r *Replica) syncOnce() error {
 			}
 			return fmt.Errorf("stream: %w", err)
 		}
-		m := r.srv.mnt()
 		switch rec.Op {
 		case persist.OpInsert:
 			m.InsertEdges(rec.Edges)
@@ -242,9 +235,8 @@ func (r *Replica) syncOnce() error {
 	}
 }
 
-// epochLag is the leader-vs-applied epoch delta (clamped at 0: a
-// bootstrap Reset can briefly put the watermark ahead of the last
-// stored leader marker).
+// epochLag is the leader-vs-applied epoch delta (clamped at 0: the
+// watermark and the leader epoch are read apart).
 func (r *Replica) epochLag() int64 {
 	lag := int64(r.leaderEpoch.Load()) - int64(r.wm.Epoch())
 	if lag < 0 {
@@ -278,7 +270,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 			func() float64 { return float64(r.records.Load()) }),
 		obs.NewCounterFunc("kcored_replica_edges_total", "Edges applied through streamed insert/remove records.",
 			func() float64 { return float64(r.edges.Load()) }),
-		obs.NewGaugeFunc("kcored_replica_applied_epoch", "Epoch watermark of locally applied state (what CORE.WAIT blocks on).",
+		obs.NewGaugeFunc("kcored_replica_applied_epoch", "Epoch watermark of locally applied state (what CORE.WAIT blocks on); 0 while disconnected.",
 			func() float64 { return float64(r.wm.Epoch()) }),
 		obs.NewGaugeFunc("kcored_replica_leader_epoch", "Newest leader epoch seen on the replication stream.",
 			func() float64 { return float64(r.leaderEpoch.Load()) }),

@@ -36,7 +36,7 @@ func startLeaderServer(t *testing.T, g *graph.Graph, popts persist.Options) (*kc
 func startReplicaServer(t *testing.T, leaderAddr string) (*Server, string) {
 	t.Helper()
 	srv := New(kcore.New(graph.New(0), kcore.WithWorkers(2)))
-	rep := NewReplica(srv, leaderAddr, ReplicaOptions{Engine: []kcore.Option{kcore.WithWorkers(2)}})
+	rep := NewReplica(srv, leaderAddr, ReplicaOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -51,6 +51,22 @@ func startReplicaServer(t *testing.T, leaderAddr string) (*Server, string) {
 	rep.Start()
 	go srv.Serve(ln)
 	return srv, ln.Addr().String()
+}
+
+// waitStat polls c's CORE.STATS until series name reads want.
+func waitStat(t *testing.T, c *client.Conn, name string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		kv := statsMap(t, c)
+		if kv[name] == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never read %v; stats: %v", name, want, kv)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestReplicationConverges is the e2e contract: two followers of one
@@ -270,7 +286,10 @@ func TestSlowFollowerDroppedOverWire(t *testing.T) {
 
 // TestReplicaResyncAfterLeaderRestart: a follower whose leader vanishes
 // reconnects with backoff and re-bootstraps from the successor at the
-// same address, ending byte-equal with the new leader's state.
+// same address, ending byte-equal with the new leader's state. The
+// re-bootstrap reloads the server's one maintainer, whose served epoch
+// does not fall, and a WAIT sent while the follower is disconnected does
+// not pass on the dead leader's epochs.
 func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	// First leader on a fixed port we can rebind after it dies.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -291,18 +310,28 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	go srv1.Serve(ln)
 
 	srvR, repAddr := startReplicaServer(t, leaderAddr)
+	mR := srvR.Maintainer()
 	rc := dial(t, repAddr)
-	m1.InsertEdge(0, 50)
+	// Thirty single-edge batches carry the first leader's epochs well past
+	// the successor's.
+	for i := 0; i < 30; i++ {
+		m1.InsertEdge(int32(i), int32(50+i%30))
+	}
 	epoch1 := m1.Flush()
 	if _, err := client.Int(rc.Do("CORE.WAIT", int64(epoch1), 15000)); err != nil {
 		t.Fatalf("WAIT on first leader: %v", err)
 	}
 	syncs1 := statsMap(t, rc)["kcored_replica_syncs_total"]
+	servedEpoch1, err := client.Int(rc.Do("CORE.EPOCH"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Kill the first leader hard.
+	// Kill the first leader hard, and let the follower see it go.
 	srv1.Close()
 	mgr1.Close()
 	m1.Close()
+	waitStat(t, rc, "kcored_replica_connected", 0)
 
 	// A successor — different graph — takes over the same address.
 	var ln2 net.Listener
@@ -335,10 +364,31 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 
 	m2.InsertEdge(1, 2)
 	epoch2 := m2.Flush()
+	if epoch2 >= epoch1 {
+		t.Fatalf("successor epoch %d not below the first leader's %d", epoch2, epoch1)
+	}
+
+	// Before the follower re-syncs: the watermark of a disconnected
+	// follower is 0, so WAIT epoch2 parks until the successor's snapshot
+	// is loaded, and the CORE.N pipelined behind it reads the successor's N.
+	if err := rc.Send("CORE.WAIT", epoch2, 15000); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Send("CORE.N"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Int(rc.Receive()); err != nil {
+		t.Fatalf("WAIT on successor: %v", err)
+	}
+	if n, err := client.Int(rc.Receive()); err != nil || n != 120 {
+		t.Fatalf("CORE.N behind WAIT %d = %d, %v; want the successor's 120", epoch2, n, err)
+	}
 
 	// The follower re-bootstraps on its own; wait for the second sync,
-	// then converge on the successor's state. The watermark was Reset to
-	// the successor's (lower) epoch space, so WAIT epoch2 is meaningful.
+	// then converge on the successor's state.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		kv := statsMap(t, rc)
@@ -353,8 +403,14 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	if _, err := client.Int(rc.Do("CORE.WAIT", int64(epoch2), 15000)); err != nil {
 		t.Fatalf("WAIT on successor: %v", err)
 	}
+	if srvR.Maintainer() != mR {
+		t.Fatal("the re-bootstrap replaced the follower's maintainer")
+	}
+	if e, err := client.Int(rc.Do("CORE.EPOCH")); err != nil || e < servedEpoch1 {
+		t.Fatalf("follower CORE.EPOCH after re-sync = %d, %v; was %d before the kill", e, err, servedEpoch1)
+	}
 	want, _ := bz.Decompose(m2.Graph().Clone())
-	if n := srvR.Maintainer().N(); n != len(want) {
+	if n := mR.N(); n != len(want) {
 		t.Fatalf("follower N = %d, want %d", n, len(want))
 	}
 	got := sweepCores(t, rc, len(want))

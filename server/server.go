@@ -61,10 +61,7 @@ const defaultMaxPipeline = 512
 // Server serves one Maintainer over RESP. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown (graceful) or Close.
 type Server struct {
-	// m is swappable: a replica re-bootstrapping from a fresh leader
-	// snapshot builds a new maintainer and swaps it in atomically;
-	// readers holding the old one keep serving their snapshot.
-	m       atomic.Pointer[kcore.Maintainer]
+	m       *kcore.Maintainer // for the server's life; a replica reloads it in place
 	persist *persist.Manager
 	replica *Replica // set by NewReplica before Serve; nil on a leader
 	logger  *log.Logger
@@ -107,12 +104,12 @@ type ServeStats struct {
 // the server does not close the maintainer.
 func New(m *kcore.Maintainer, opts ...Option) *Server {
 	s := &Server{
+		m:             m,
 		conns:         make(map[*conn]struct{}),
 		closeCh:       make(chan struct{}),
 		slowThreshold: 10 * time.Millisecond,
 		slowSize:      128,
 	}
-	s.m.Store(m)
 	for _, o := range opts {
 		o(s)
 	}
@@ -139,18 +136,9 @@ func (s *Server) Stats() ServeStats {
 	}
 }
 
-// Maintainer returns the maintainer this server currently fronts (a
-// replica swaps it on re-bootstrap).
-func (s *Server) Maintainer() *kcore.Maintainer { return s.m.Load() }
-
-// mnt is the handler-side accessor; each handler loads it once so one
-// command is served entirely by one maintainer.
-func (s *Server) mnt() *kcore.Maintainer { return s.m.Load() }
-
-// swapMaintainer atomically replaces the served maintainer and returns
-// the previous one (the replica re-sync path). The old maintainer stays
-// fully queryable for handlers that already loaded it.
-func (s *Server) swapMaintainer(nm *kcore.Maintainer) *kcore.Maintainer { return s.m.Swap(nm) }
+// Maintainer returns the maintainer this server fronts: the one New was
+// given, for the server's whole life.
+func (s *Server) Maintainer() *kcore.Maintainer { return s.m }
 
 // Addr returns the listening address, or nil before Serve.
 func (s *Server) Addr() net.Addr {

@@ -113,7 +113,7 @@ func cmdWait(c *conn, args [][]byte) bool {
 		deadline = time.Now().Add(timeout)
 	}
 	for {
-		if e := c.srv.mnt().Epoch(); e >= uint64(target) {
+		if e := c.srv.m.Epoch(); e >= uint64(target) {
 			c.wr.WriteInt(int64(e))
 			return false
 		}
