@@ -3,6 +3,7 @@ package expr
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,19 @@ func TestRunFig4AndTable3(t *testing.T) {
 		if len(points) != want {
 			t.Fatalf("fig4 points = %d, want %d", len(points), want)
 		}
+		// Table 3 reads every graph's four series at the lowest and the
+		// highest worker count; an endpoint it cannot find reads as 0.
+		for _, sg := range Suite(cfg.Scale, cfg.Seed) {
+			for _, s := range paperSeries {
+				for _, w := range []int{workers[0], workers[len(workers)-1]} {
+					if !slices.ContainsFunc(points, func(p Fig4Point) bool {
+						return p.Graph == sg.Name && p.Algorithm == s.name && p.Workers == w && p.Time.Mean > 0
+					}) {
+						t.Fatalf("workers %v: no timed Fig. 4 point for %s %s at %d workers", workers, sg.Name, s.name, w)
+					}
+				}
+			}
+		}
 		buf.Reset()
 		RunTable3(cfg, points)
 		out := buf.String()
@@ -130,11 +144,13 @@ func TestRunFig4AndTable3(t *testing.T) {
 		if !strings.Contains(out, "OurI/JEI") || !strings.Contains(out, ends) {
 			t.Fatalf("Table 3 output malformed (want %q):\n%s", ends, out)
 		}
-		for _, line := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
-			for _, ratio := range strings.Fields(line)[1:] {
-				if ratio == "0.0" {
-					t.Fatalf("workers %v: Table 3 row reads 0.0:\n%s", workers, out)
-				}
+		// A missing endpoint zeroes its columns in every row. One cell can
+		// print 0.0 on its own: on the tiny config an OurR/JER ratio under
+		// 0.05 is a real, noisy measurement.
+		rows := strings.Split(strings.TrimSpace(out), "\n")[2:]
+		for col := 1; col <= 8; col++ {
+			if !slices.ContainsFunc(rows, func(row string) bool { return strings.Fields(row)[col] != "0.0" }) {
+				t.Fatalf("workers %v: Table 3 column %d reads 0.0 in every row:\n%s", workers, col, out)
 			}
 		}
 	}

@@ -1,11 +1,31 @@
 package kcore
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/bz"
 )
+
+// insertAsync and removeAsync submit edges with a fresh future.
+func insertAsync(m *Maintainer, edges []graph.Edge) *Pending {
+	pd := new(Pending)
+	m.InsertEdgesAsync(pd, edges)
+	return pd
+}
+
+func removeAsync(m *Maintainer, edges []graph.Edge) *Pending {
+	pd := new(Pending)
+	m.RemoveEdgesAsync(pd, edges)
+	return pd
+}
 
 // TestAsyncSubmissionOrder pins the Pending contract the RESP server
 // builds on: ops submitted asynchronously by one goroutine coalesce in
@@ -20,10 +40,10 @@ func TestAsyncSubmissionOrder(t *testing.T) {
 	e := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
 	for round := 0; round < 50; round++ {
 		var pends []*Pending
-		pends = append(pends, m.InsertEdgesAsync(e))
-		pends = append(pends, m.RemoveEdgesAsync(e))
-		pends = append(pends, m.InsertEdgesAsync(e))
-		pends = append(pends, m.RemoveEdgesAsync(e))
+		pends = append(pends, insertAsync(m, e))
+		pends = append(pends, removeAsync(m, e))
+		pends = append(pends, insertAsync(m, e))
+		pends = append(pends, removeAsync(m, e))
 		for _, pd := range pends {
 			pd.Wait()
 			pd.Wait() // idempotent
@@ -36,6 +56,70 @@ func TestAsyncSubmissionOrder(t *testing.T) {
 	if st.CanceledOps == 0 {
 		t.Fatalf("expected async bursts to coalesce (canceled ops > 0), got %+v", st)
 	}
+}
+
+// TestPendingReuse pins the recycled-future contract a kcored connection
+// builds on: one Pending resubmitted after each Wait reports exactly what a
+// fresh future per op reports, a resubmission before Wait panics, and an
+// idle recycled future keeps no caller slice reachable.
+func TestPendingReuse(t *testing.T) {
+	base := gen.ErdosRenyi(40, 60, 3)
+	mirror := base.Clone()
+	reused, fresh := New(base.Clone(), WithWorkers(1)), New(base, WithWorkers(1))
+	defer reused.Close()
+	defer fresh.Close()
+
+	var pd Pending
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 1000; i++ {
+		e := []graph.Edge{{U: rng.Int31n(40), V: rng.Int31n(40)}}
+		var want BatchResult
+		if i%2 == 0 {
+			reused.InsertEdgesAsync(&pd, e)
+			want = insertAsync(fresh, e).Wait()
+			mirror.AddEdge(e[0].U, e[0].V)
+		} else {
+			reused.RemoveEdgesAsync(&pd, e)
+			want = removeAsync(fresh, e).Wait()
+			mirror.RemoveEdge(e[0].U, e[0].V)
+		}
+		got := pd.Wait()
+		if got.Applied != want.Applied || got.ChangedVertices != want.ChangedVertices || got.Coalesced != 1 || want.Coalesced != 1 {
+			t.Fatalf("op %d on %v: recycled future reports %+v, fresh one %+v", i, e, got, want)
+		}
+	}
+	truth, _ := bz.Decompose(mirror)
+	if got, want := reused.CoreNumbers(), fresh.CoreNumbers(); !slices.Equal(got, want) || !slices.Equal(got, truth) {
+		t.Fatalf("final cores: recycled %v, fresh %v, BZ %v", got, want, truth)
+	}
+
+	// Resubmitting a future still owed panics before it touches the op.
+	reused.InsertEdgesAsync(&pd, []graph.Edge{{U: 1, V: 2}})
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(r.(string), "before its Wait returned") {
+				t.Errorf("resubmit before Wait: recovered %v, want the owed-future panic", r)
+			}
+		}()
+		reused.RemoveEdgesAsync(&pd, []graph.Edge{{U: 1, V: 2}})
+	}()
+	if res := pd.Wait(); res.Coalesced != 1 {
+		t.Fatalf("owed op after the rejected resubmit: %+v", res)
+	}
+
+	// A waited, recycled future does not pin the edges it carried.
+	es := []graph.Edge{{U: 3, V: 30}, {U: 4, V: 31}}
+	reused.InsertEdgesAsync(&pd, es)
+	pd.Wait()
+	wp := weak.Make(&es[0])
+	es = nil
+	for deadline := time.Now().Add(time.Second); wp.Value() != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an idle recycled future keeps its edge slice reachable 1 s after Wait returned")
+		}
+		runtime.GC()
+	}
+	runtime.KeepAlive(&pd)
 }
 
 // TestAsyncWaitOnAnotherGoroutine hands each Pending to a goroutine other
@@ -60,7 +144,7 @@ func TestAsyncWaitOnAnotherGoroutine(t *testing.T) {
 	// A triangle on each round's three fresh vertices: every insert lands.
 	for round := int32(0); round < rounds; round++ {
 		a, b, c := 3*round, 3*round+1, 3*round+2
-		pends <- m.InsertEdgesAsync([]graph.Edge{{U: a, V: b}, {U: b, V: c}, {U: a, V: c}})
+		pends <- insertAsync(m, []graph.Edge{{U: a, V: b}, {U: b, V: c}, {U: a, V: c}})
 	}
 	close(pends)
 	<-waited
@@ -89,7 +173,7 @@ func TestAsyncAfterClose(t *testing.T) {
 	g := gen.ErdosRenyi(100, 200, 2)
 	m := New(g)
 	m.Close()
-	pd := m.InsertEdgesAsync([]graph.Edge{{U: 5, V: 7}})
+	pd := insertAsync(m, []graph.Edge{{U: 5, V: 7}})
 	res := pd.Wait()
 	if res.Coalesced != 1 {
 		t.Fatalf("post-Close async result = %+v, want Coalesced 1", res)

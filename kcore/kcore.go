@@ -392,7 +392,7 @@ func (m *Maintainer) AtQuiescence(fn func(QuiescentState)) {
 // every previously enqueued op. fn must not call Maintainer update
 // methods (the applier would deadlock waiting on itself).
 func (m *Maintainer) barrier(fn func()) {
-	m.pipe.submit(m.eng, newOp(opBarrier, nil, fn)).Wait()
+	m.pipe.submit(m.eng, new(Pending), opBarrier, nil, fn).Wait()
 }
 
 // ServingStats is a point-in-time view of the serving layer: pipeline
@@ -455,31 +455,38 @@ func (m *Maintainer) RemoveEdge(u, v int32) BatchResult {
 // Self-loops and already-present edges are skipped. The call returns after
 // the update is applied and visible to queries (read-your-writes).
 func (m *Maintainer) InsertEdges(edges []graph.Edge) BatchResult {
-	return m.InsertEdgesAsync(edges).Wait()
+	pd := new(Pending)
+	m.InsertEdgesAsync(pd, edges)
+	return pd.Wait()
 }
 
 // RemoveEdges removes a batch of edges and updates every core number.
 // Self-loops and absent edges are skipped. The call returns after the
 // update is applied and visible to queries (read-your-writes).
 func (m *Maintainer) RemoveEdges(edges []graph.Edge) BatchResult {
-	return m.RemoveEdgesAsync(edges).Wait()
+	pd := new(Pending)
+	m.RemoveEdgesAsync(pd, edges)
+	return pd.Wait()
 }
 
-// InsertEdgesAsync submits an insertion batch without waiting and
-// returns its future. Submission order is preserved — ops enqueued by
-// one goroutine coalesce with last-op-per-edge-wins semantics in exactly
-// the order they were submitted — so a caller draining a pipelined
-// network connection can fan a whole write burst into the pipeline
-// first and Wait afterwards, sharing engine rounds instead of paying
-// one round per op. Blocks only when the op queue is full
-// (backpressure).
-func (m *Maintainer) InsertEdgesAsync(edges []graph.Edge) *Pending {
-	return m.pipe.submit(m.eng, newOp(opInsert, edges, nil))
+// InsertEdgesAsync submits an insertion batch without waiting, with pd
+// as its future: pd.Wait returns the batch's result. Submission order is
+// preserved — ops enqueued by one goroutine coalesce with
+// last-op-per-edge-wins semantics in exactly the order they were
+// submitted — so a caller draining a pipelined network connection can fan
+// a whole write burst into the pipeline first and Wait afterwards,
+// sharing engine rounds instead of paying one round per op. The pipeline
+// reads edges until the op's batch applies: the caller must not modify
+// them before pd.Wait returns. pd may be a fresh Pending or one whose
+// Wait has returned; one still owed panics. Blocks only when the op
+// queue is full (backpressure).
+func (m *Maintainer) InsertEdgesAsync(pd *Pending, edges []graph.Edge) {
+	m.pipe.submit(m.eng, pd, opInsert, edges, nil)
 }
 
 // RemoveEdgesAsync is InsertEdgesAsync for a removal batch.
-func (m *Maintainer) RemoveEdgesAsync(edges []graph.Edge) *Pending {
-	return m.pipe.submit(m.eng, newOp(opRemove, edges, nil))
+func (m *Maintainer) RemoveEdgesAsync(pd *Pending, edges []graph.Edge) {
+	m.pipe.submit(m.eng, pd, opRemove, edges, nil)
 }
 
 // AddVertices grows the vertex universe by k fresh isolated vertices

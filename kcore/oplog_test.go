@@ -129,7 +129,7 @@ func TestOpLogReplayRebuildsGraph(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
 				if u != v {
-					pend = append(pend, m.InsertEdgesAsync([]graph.Edge{{U: u, V: v}}))
+					pend = append(pend, insertAsync(m, []graph.Edge{{U: u, V: v}}))
 				}
 			}
 			for _, p := range pend {

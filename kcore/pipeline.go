@@ -73,38 +73,38 @@ func newPipeline(pm *PipelineMetrics) *pipeline {
 // RESP server uses to turn one connection's pipelined write burst into one
 // engine round.
 //
-// The op completes without a channel: done is a one-count WaitGroup the
-// applier (or the post-Close path of submit) releases after writing res, so
-// submitting an op allocates the Pending and nothing else. Wait is
-// idempotent, and any one goroutine may call it, not only the submitter;
-// it is not safe for concurrent use, so hand a Pending to at most one
-// waiter.
+// The future is the caller's: InsertEdgesAsync and RemoveEdgesAsync fill
+// it in, and once its Wait has returned the same Pending may be submitted
+// again, so a caller that recycles its futures submits without allocating.
+// Submitting a Pending whose previous op has not been waited panics. The
+// op completes without a channel: done is a one-count WaitGroup the
+// applier (or the post-Close path of submit) releases after writing res.
+// Wait is idempotent, and any one goroutine may call it, not only the
+// submitter; it is not safe for concurrent use, so hand a Pending to at
+// most one waiter. The zero value is ready to submit.
 type Pending struct {
 	kind  opKind
 	edges []graph.Edge
 	fn    func()    // opBarrier only: runs in the applier at quiescence
 	enq   time.Time // submission time: coalesce wait and update latency count from here
-	// done is released exactly once, by finish, after it has written res.
+	// done is released exactly once per submission, by finish, after it
+	// has written res.
 	done sync.WaitGroup
 
-	p      *pipeline
+	p      *pipeline // nil until the first submission
 	res    BatchResult
 	waited bool
 }
 
-func newOp(kind opKind, edges []graph.Edge, fn func()) *Pending {
-	pd := &Pending{kind: kind, edges: edges, fn: fn}
-	pd.done.Add(1)
-	return pd
-}
-
 // Wait blocks until the op's coalesced batch has been applied and its
 // snapshot published, then returns the shared BatchResult (idempotent
-// after the first call).
+// after the first call). It drops the op's edges, so an idle recycled
+// future does not keep the caller's slice reachable.
 func (pd *Pending) Wait() BatchResult {
 	if !pd.waited {
 		pd.done.Wait()
 		pd.waited = true
+		pd.edges = nil
 		if pd.kind != opBarrier {
 			pd.p.pm.Update.ObserveDuration(time.Since(pd.enq))
 		}
@@ -112,12 +112,18 @@ func (pd *Pending) Wait() BatchResult {
 	return pd.res
 }
 
-// submit enqueues op without waiting and returns it. After Close the caller
-// runs the applier's own process on the lone op, serialized by eng.mu,
-// before submit returns (Wait then just hands back the result), so a
-// Maintainer keeps working, single-threaded, once its pipeline is shut down.
-func (p *pipeline) submit(eng *engine, op *Pending) *Pending {
+// submit fills op in and enqueues it without waiting, returning op. After
+// Close the caller runs the applier's own process on the lone op,
+// serialized by eng.mu, before submit returns (Wait then just hands back
+// the result), so a Maintainer keeps working, single-threaded, once its
+// pipeline is shut down.
+func (p *pipeline) submit(eng *engine, op *Pending, kind opKind, edges []graph.Edge, fn func()) *Pending {
+	if op.p != nil && !op.waited {
+		panic("kcore: Pending submitted again before its Wait returned")
+	}
+	op.kind, op.edges, op.fn, op.waited = kind, edges, fn, false
 	op.p, op.enq = p, time.Now()
+	op.done.Add(1)
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()

@@ -43,9 +43,9 @@ func TestReloadMidChurn(t *testing.T) {
 				var pds []*Pending
 				for i, e := range gen.ErdosRenyi(int(n), 40, seed).Edges() {
 					if i%4 == 3 {
-						pds = append(pds, m.RemoveEdgesAsync([]graph.Edge{e}))
+						pds = append(pds, removeAsync(m, []graph.Edge{e}))
 					} else {
-						pds = append(pds, m.InsertEdgesAsync([]graph.Edge{e}))
+						pds = append(pds, insertAsync(m, []graph.Edge{e}))
 					}
 				}
 				return pds
@@ -60,12 +60,12 @@ func TestReloadMidChurn(t *testing.T) {
 				pending := churn(churnN, seed)
 				var before ServingStats
 				var logged int
-				pending = append(pending, m.pipe.submit(m.eng, newOp(opBarrier, nil, func() {
+				pending = append(pending, m.pipe.submit(m.eng, new(Pending), opBarrier, nil, func() {
 					before = m.ServingStats()
 					lg.mu.Lock()
 					logged = len(lg.events)
 					lg.mu.Unlock()
-				})))
+				}))
 				n, edges := g.N(), g.M()
 
 				m.Reload(g)

@@ -360,7 +360,7 @@ func TestFinishedOpIsGarbage(t *testing.T) {
 	defer m.Close()
 	submit := func() weak.Pointer[graph.Edge] {
 		es := []graph.Edge{{U: 1, V: 40}, {U: 2, V: 41}, {U: 3, V: 42}}
-		m.InsertEdgesAsync(es).Wait()
+		insertAsync(m, es).Wait()
 		return weak.Make(&es[0])
 	}
 	wp := submit()
@@ -376,7 +376,8 @@ func TestFinishedOpIsGarbage(t *testing.T) {
 // way server's BenchmarkHotPathAllocs pins reads: 8 single-edge ops queued
 // behind a parked applier, so the flight is exactly one 8-edge engine batch
 // whose vertices all move (a delta publication), inserting and removing in
-// turn. ParallelOrder, one worker.
+// turn. The 8 futures are the caller's, recycled from flight to flight as a
+// kcored connection recycles its write slots. ParallelOrder, one worker.
 func TestWriteFlightAllocs(t *testing.T) {
 	// Eight disjoint paths a–b–c: closing a path into a triangle lifts its
 	// three vertices from core 1 to core 2, reopening it drops them again.
@@ -393,16 +394,16 @@ func TestWriteFlightAllocs(t *testing.T) {
 
 	entered, gate := make(chan struct{}), make(chan struct{})
 	park := func() { entered <- struct{}{}; <-gate }
-	pend := make([]*Pending, len(closing))
-	flight := func(async func([]graph.Edge) *Pending) {
-		m.pipe.submit(m.eng, newOp(opBarrier, nil, park))
+	pend := make([]Pending, len(closing))
+	flight := func(async func(*Pending, []graph.Edge)) {
+		m.pipe.submit(m.eng, new(Pending), opBarrier, nil, park)
 		<-entered // the applier's drain holds the barrier alone; the next one takes all 8
 		for i := range closing {
-			pend[i] = async(closing[i : i+1])
+			async(&pend[i], closing[i:i+1])
 		}
 		gate <- struct{}{}
-		for _, pd := range pend {
-			if res := pd.Wait(); res.Coalesced != len(closing) || res.Applied != len(closing) || res.ChangedVertices != 3*len(closing) {
+		for i := range pend {
+			if res := pend[i].Wait(); res.Coalesced != len(closing) || res.Applied != len(closing) || res.ChangedVertices != 3*len(closing) {
 				t.Fatalf("flight was not one all-moving 8-edge batch: %+v", res)
 			}
 		}
@@ -416,11 +417,12 @@ func TestWriteFlightAllocs(t *testing.T) {
 	if d, b := after.DeltaPublishes-before.DeltaPublishes, after.Batches-before.Batches; d != b || d != 2*51 {
 		t.Fatalf("%d delta publications in %d batches, want 102 in 102", d, b)
 	}
-	// Per flight: 9 Pendings (the barrier and the 8 writes; each completes
-	// without a channel); the result's VPlusSizes 1; PublishDelta's page
-	// table, cloned page, histogram and View 4. BuildDelta dedups into the
-	// engine's scratch and allocates nothing.
-	const perFlight = 14
+	// Per flight: the barrier's Pending 1 (the 8 writes reuse their
+	// futures, and each completes without a channel); the result's
+	// VPlusSizes 1; PublishDelta's page table, cloned page, histogram and
+	// View 4. BuildDelta dedups into the engine's scratch and allocates
+	// nothing.
+	const perFlight = 6
 	if got := perRun / 2; got > perFlight {
 		t.Fatalf("%.1f allocations per 8-op write flight, want at most %d", got, perFlight)
 	}

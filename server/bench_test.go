@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/gen"
+	"repro/graph"
 	"repro/kcore"
 	"repro/resp"
 )
@@ -30,7 +31,7 @@ func appendRESPCommand(buf []byte, args ...string) []byte {
 // runBurst is conn.serve's loop body with the socket read replaced by a
 // copy of a pre-serialized burst into the query buffer: parse and
 // dispatch every command, settle the burst, flush.
-func runBurst(b *testing.B, c *conn, burst []byte) {
+func runBurst(b testing.TB, c *conn, burst []byte) {
 	c.in = append(c.in[:0], burst...)
 	if closed := c.parseAndDispatch(); closed || len(c.in) != 0 {
 		b.Fatalf("burst not consumed: closed=%v, %d bytes left", closed, len(c.in))
@@ -44,10 +45,11 @@ func runBurst(b *testing.B, c *conn, burst []byte) {
 // BenchmarkHotPathAllocs asserts the zero-allocation contract of the
 // server-side command path, metrics included: a pipelined burst of read
 // commands — parse, dispatch, snapshot read, reply — allocates NOTHING
-// once the connection's scratch is warm. It drives the
-// parseAndDispatch→endCycle→flush sequence every connection runs, against
-// a pre-serialized burst, so the measurement covers exactly the
-// per-command server work (no sockets, no client). CI runs it with
+// once the connection's scratch is warm, and a pipelined burst of writes
+// allocates nothing per command: only the engine's per-batch publication.
+// It drives the parseAndDispatch→endCycle→flush sequence every connection
+// runs, against a pre-serialized burst, so the measurement covers exactly
+// the per-command server work (no sockets, no client). CI runs it with
 // -benchtime=1x as a regression tripwire.
 func BenchmarkHotPathAllocs(b *testing.B) {
 	const n = 10_000
@@ -87,4 +89,51 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			}
 		})
 	}
+
+	b.Run("pipelinedWrite", func(b *testing.B) {
+		// 16 disjoint paths a–b–c on 256 vertices: one burst of single-edge
+		// CORE.INSERTs closes each into a triangle, the next burst of
+		// CORE.REMOVEs reopens them, so every engine batch moves vertices
+		// and publishes a delta.
+		const writeDepth = 16
+		var base []graph.Edge
+		var closeBurst, openBurst []byte
+		for i := int32(0); i < writeDepth; i++ {
+			a, c := strconv.Itoa(int(3*i)), strconv.Itoa(int(3*i+2))
+			base = append(base, graph.Edge{U: 3 * i, V: 3*i + 1}, graph.Edge{U: 3*i + 1, V: 3*i + 2})
+			closeBurst = appendRESPCommand(closeBurst, "CORE.INSERT", a, c)
+			openBurst = appendRESPCommand(openBurst, "CORE.REMOVE", a, c)
+		}
+		wm := kcore.New(graph.MustFromEdges(256, base), kcore.WithWorkers(1))
+		defer wm.Close()
+		wc := &conn{srv: New(wm), wr: resp.NewWriterSize(io.Discard, 16<<10)}
+		pair := func() {
+			runBurst(b, wc, closeBurst)
+			runBurst(b, wc, openBurst)
+		}
+		pair() // warm scratch: write slots, query buffer, writer buffer
+
+		// The applier may wake before a burst is fully queued and split it
+		// into two batches; each batch owns its VPlusSizes slice and
+		// PublishDelta's 4 (page table, cloned page, histogram, View), so
+		// the bound scales with the batches ServingStats counted.
+		const runs = 100
+		before := wm.ServingStats()
+		perBurst := testing.AllocsPerRun(runs, pair) / 2
+		after := wm.ServingStats()
+		batches := float64(after.Batches-before.Batches) / (2 * (runs + 1)) // AllocsPerRun warms up once
+		if d := after.DeltaPublishes - before.DeltaPublishes; d != after.Batches-before.Batches {
+			b.Fatalf("%d delta publications in %d batches: a burst did not move its vertices", d, after.Batches-before.Batches)
+		}
+		if perBurst > 5*batches {
+			b.Fatalf("write path allocates per command: %.2f allocs per %d-deep burst over %.2f engine batches, want at most %.2f",
+				perBurst, writeDepth, batches, 5*batches)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pair()
+		}
+		b.ReportMetric(perBurst, "allocs/burst") // after ResetTimer, which drops reported metrics
+		b.ReportMetric(batches, "batches/burst")
+	})
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"slices"
 
 	"repro/graph"
+	"repro/kcore"
 )
 
 // command is one row of the dispatch table.
@@ -136,24 +138,18 @@ func cmdMGet(c *conn, args [][]byte) bool {
 // maintainer's coalescing pipeline asynchronously; the deferred reply is
 // the applied-edge count of the coalesced batch that covered it.
 func cmdInsert(c *conn, args [][]byte) bool {
-	edges, ok := c.argEdges(args)
-	if !ok {
-		return false
+	if w := c.argEdges(args); w != nil {
+		c.srv.m.InsertEdgesAsync(w.pd, w.edges)
 	}
-	c.pending = append(c.pending, owed{pd: c.srv.m.InsertEdgesAsync(edges), edges: edges})
-	c.srv.metrics.inflightWrites.Add(1)
 	return false
 }
 
 // cmdRemove serves CORE.REMOVE u v [u v …], the removal twin of
 // CORE.INSERT.
 func cmdRemove(c *conn, args [][]byte) bool {
-	edges, ok := c.argEdges(args)
-	if !ok {
-		return false
+	if w := c.argEdges(args); w != nil {
+		c.srv.m.RemoveEdgesAsync(w.pd, w.edges)
 	}
-	c.pending = append(c.pending, owed{pd: c.srv.m.RemoveEdgesAsync(edges), edges: edges})
-	c.srv.metrics.inflightWrites.Add(1)
 	return false
 }
 
@@ -374,42 +370,39 @@ func (c *conn) argVertex(a []byte) (int32, bool) {
 	return v, ok
 }
 
-// argEdges parses the "u v [u v …]" tail of a write command, replying on
-// failure. The ids only need to be non-negative int32s here — the
-// maintainer's universe scan handles growth and its ceiling. The
-// returned buffer comes from the connection's free list; it is lent to
-// the pipeline with the command's future and recycled by drainPending
-// once that future settles (the coalescer retains the slice until its
-// batch applies, so recycling any earlier would corrupt in-flight ops).
-func (c *conn) argEdges(args [][]byte) ([]graph.Edge, bool) {
+// argEdges parses the "u v [u v …]" tail of a write command into the
+// connection's next free write slot and commits the slot, returning it
+// for the command to submit; a malformed command gets its error reply,
+// commits nothing and returns nil. The ids only need to be non-negative
+// int32s here — the maintainer's universe scan handles growth and its
+// ceiling.
+func (c *conn) argEdges(args [][]byte) *owed {
 	tail := args[1:]
 	if len(tail)%2 != 0 {
 		c.writeErrParts("", args[0], " takes vertex pairs (odd id count)")
-		return nil, false
+		return nil
 	}
-	var edges []graph.Edge
-	if n := len(c.edgeFree); n > 0 {
-		edges, c.edgeFree[n-1] = c.edgeFree[n-1], nil
-		c.edgeFree = c.edgeFree[:n-1]
-	} else {
-		edges = make([]graph.Edge, 0, max(len(tail)/2, 64))
+	n := len(c.pending)
+	c.pending = slices.Grow(c.pending, 1)
+	w := &c.pending[:n+1][n]
+	if w.pd == nil {
+		w.pd = new(kcore.Pending)
 	}
+	w.edges = slices.Grow(w.edges[:0], len(tail)/2)
 	for i := 0; i < len(tail); i += 2 {
-		u, ok := parseVertex(tail[i])
+		u, ok := c.argVertex(tail[i])
 		if !ok {
-			c.edgeFree = append(c.edgeFree, edges[:0])
-			c.writeErrArg("invalid vertex id", tail[i])
-			return nil, false
+			return nil
 		}
-		v, ok := parseVertex(tail[i+1])
+		v, ok := c.argVertex(tail[i+1])
 		if !ok {
-			c.edgeFree = append(c.edgeFree, edges[:0])
-			c.writeErrArg("invalid vertex id", tail[i+1])
-			return nil, false
+			return nil
 		}
-		edges = append(edges, graph.Edge{U: u, V: v})
+		w.edges = append(w.edges, graph.Edge{U: u, V: v})
 	}
-	return edges, true
+	c.pending = c.pending[:n+1]
+	c.srv.metrics.inflightWrites.Add(1)
+	return w
 }
 
 // parseVertex parses a non-negative int32 vertex id.

@@ -13,11 +13,11 @@ import (
 
 // conn is one client connection, served by one goroutine: the query
 // buffer its socket reads land in, the resumable zero-copy parser over
-// that buffer, the reply writer, the queue of write futures whose replies
-// are still owed, and the per-connection scratch that keeps the
-// steady-state command path allocation-free — the command's argument
-// slice headers (resp.Command), the CORE.MGET id buffer, the
-// CORE.INSERT/REMOVE edge buffers, and the error-message buffer.
+// that buffer, the reply writer, the write slots (each CORE.INSERT/REMOVE's
+// future and edge buffer, recycled across bursts), and the scratch that
+// keeps the steady-state command path allocation-free — the command's
+// argument slice headers (resp.Command), the CORE.MGET id buffer and the
+// error-message buffer.
 //
 // The dispatch loop preserves RESP's per-connection semantics — replies
 // in command order, reads observe earlier writes — while letting a
@@ -41,7 +41,9 @@ type conn struct {
 	in  []byte
 	par resp.Parser
 
-	cmd     resp.Command
+	cmd resp.Command
+	// pending[:len] are the write slots whose replies are owed, in command
+	// order; pending[len:cap] are the free ones, their futures waited.
 	pending []owed
 	cycle   int64 // commands since the last reply flush (pipelining depth)
 
@@ -55,18 +57,15 @@ type conn struct {
 	famN       [numFamilies]uint32
 	timedNs    int64
 
-	// Recycled scratch. edgeFree holds edge buffers whose futures have
-	// settled — a buffer lent to the maintainer's pipeline is retained by
-	// the coalescer until its batch applies, so it is only safe to reuse
-	// after the owed future's Wait returns (drainPending recycles there).
-	ids      []int32
-	hist     []int64 // range-histogram bins (CORE.HIST lo hi)
-	edgeFree [][]graph.Edge
-	errBuf   []byte
+	ids    []int32
+	hist   []int64 // range-histogram bins (CORE.HIST lo hi)
+	errBuf []byte
 }
 
-// owed pairs a deferred write reply with the edge buffer lent to the
-// pipeline for it.
+// owed is one write slot: a pipelined write's future and the edge buffer
+// lent to the pipeline with it. The coalescer reads the buffer until the
+// batch applies, so a slot is free again only once drainPending has
+// waited its future.
 type owed struct {
 	pd    *kcore.Pending
 	edges []graph.Edge
@@ -298,8 +297,9 @@ func (c *conn) dispatch(args [][]byte) (quit bool) {
 // drainPending waits each owed write future in submission order and
 // writes its reply: the applied-edge count of the coalesced engine batch
 // that covered the command (shared across coalesced ops, exactly like
-// the in-process BatchResult contract). The edge buffer lent to the
-// pipeline is recycled here — only after Wait proves the batch applied.
+// the in-process BatchResult contract). Its slots go back to the free
+// list here — only after Wait proves the batch applied — minus any slot
+// past maxWriteSlots and any edge buffer past maxEdgeScratch.
 func (c *conn) drainPending() {
 	k := len(c.pending)
 	if k == 0 {
@@ -307,14 +307,15 @@ func (c *conn) drainPending() {
 	}
 	t0 := time.Now()
 	for i := range c.pending {
-		res := c.pending[i].pd.Wait()
-		c.wr.WriteInt(int64(res.Applied))
-		if eb := c.pending[i].edges; cap(eb) <= maxEdgeScratch && len(c.edgeFree) < maxEdgeFree {
-			c.edgeFree = append(c.edgeFree, eb[:0])
+		w := &c.pending[i]
+		c.wr.WriteInt(int64(w.pd.Wait().Applied))
+		if cap(w.edges) > maxEdgeScratch {
+			w.edges = nil
 		}
-		c.pending[i] = owed{}
 	}
-	c.pending = c.pending[:0]
+	keep := min(cap(c.pending), maxWriteSlots)
+	clear(c.pending[keep:cap(c.pending)])
+	c.pending = c.pending[:0:keep]
 	// Every write in the drain waited ≈ the whole drain (futures of one
 	// burst settle on the same coalesced batches), so the drain's wall
 	// time is each write's observed latency: one weighted observation
@@ -334,9 +335,10 @@ const (
 	// maxEdgeScratch bounds how large a recycled edge buffer may stay; a
 	// monster CORE.INSERT should not pin its buffer on an idle conn.
 	maxEdgeScratch = 4096
-	// maxEdgeFree bounds the free list (deep write pipelines lend several
-	// buffers out at once before the first drain returns any).
-	maxEdgeFree = 8
+	// maxWriteSlots bounds the write slots kept between bursts: 16- and
+	// 32-deep write flights reuse all of theirs, a 512-deep one does not
+	// pin 512 futures and buffers on an idle conn.
+	maxWriteSlots = 32
 )
 
 // writeError emits an error reply. Every owed write future settles

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -331,5 +335,139 @@ func TestConnScratchIsolation(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestMalformedWriteInBurst: an odd-id-count CORE.INSERT and an invalid-id
+// CORE.REMOVE inside a pipelined write burst get their error replies in
+// place and commit no write slot. Every write reply comes in command order
+// with its batch's applied count, and a second burst reuses the first
+// one's slots: the same futures, and no edge buffer lent to two slots.
+func TestMalformedWriteInBurst(t *testing.T) {
+	const n = 64
+	m := kcore.New(graph.MustFromEdges(n, nil), kcore.WithWorkers(1))
+	defer m.Close()
+	mirror := graph.New(n)
+	var out bytes.Buffer
+	c := &conn{srv: New(m), wr: resp.NewWriterSize(&out, 16<<10)}
+	rd := resp.NewReader(&out)
+
+	// Every write adds or removes one distinct edge, so its reply is the
+	// edge count of the coalesced batch that covered it: the writes between
+	// two error replies settle as runs of batches, each run replying its
+	// own length.
+	var burst []byte
+	var want []string // "w" a write; "=k" an integer reply; else an error substring
+	insert := func(u, v int) {
+		burst = appendRESPCommand(burst, "CORE.INSERT", strconv.Itoa(u), strconv.Itoa(v))
+		want = append(want, "w")
+		mirror.AddEdge(int32(u), int32(v))
+	}
+	remove := func(u, v int) {
+		burst = appendRESPCommand(burst, "CORE.REMOVE", strconv.Itoa(u), strconv.Itoa(v))
+		want = append(want, "w")
+		mirror.RemoveEdge(int32(u), int32(v))
+	}
+	run := func(name string) {
+		t.Helper()
+		runBurst(t, c, burst)
+		var writes []int64
+		settle := func(i int) {
+			for j := 0; j < len(writes); {
+				k := int(writes[j])
+				if k < 1 || j+k > len(writes) || slices.ContainsFunc(writes[j:j+k], func(r int64) bool { return r != writes[j] }) {
+					t.Fatalf("%s: write replies %v before reply %d are no run of coalesced batches", name, writes, i)
+				}
+				j += k
+			}
+			writes = writes[:0]
+		}
+		for i, w := range want {
+			v, err := rd.ReadValue()
+			if err != nil {
+				t.Fatalf("%s: reply %d: %v", name, i, err)
+			}
+			switch {
+			case w == "w" && v.Kind == resp.Integer:
+				writes = append(writes, v.Int)
+			case w == "w":
+				t.Fatalf("%s: reply %d = %v, want a write's applied count", name, i, v)
+			case strings.HasPrefix(w, "="):
+				settle(i)
+				if v.Kind != resp.Integer || strconv.FormatInt(v.Int, 10) != w[1:] {
+					t.Fatalf("%s: reply %d = %v, want %s", name, i, v, w[1:])
+				}
+			default:
+				settle(i)
+				if v.Kind != resp.Error || !strings.Contains(string(v.Str), w) {
+					t.Fatalf("%s: reply %d = %v, want an error containing %q", name, i, v, w)
+				}
+			}
+		}
+		settle(len(want))
+		if out.Len() != 0 {
+			t.Fatalf("%s: %d bytes of replies beyond the %d commands", name, out.Len(), len(want))
+		}
+		if len(c.pending) != 0 || cap(c.pending) > maxWriteSlots {
+			t.Fatalf("%s: %d slots owed, %d kept after the burst", name, len(c.pending), cap(c.pending))
+		}
+		burst, want = burst[:0], want[:0]
+	}
+
+	insert(0, 1)
+	insert(1, 2)
+	insert(0, 2)
+	burst = appendRESPCommand(burst, "CORE.INSERT", "5", "6", "7")
+	want = append(want, "odd id count")
+	insert(3, 4)
+	insert(4, 5)
+	// The first pair is parsed into the slot's buffer before the bad id.
+	burst = appendRESPCommand(burst, "CORE.REMOVE", "3", "4", "5", "x")
+	want = append(want, "invalid vertex id")
+	remove(0, 1)
+	insert(6, 7)
+	burst = appendRESPCommand(burst, "CORE.GET", "2")
+	want = append(want, "=1")
+	run("first burst")
+	first := slices.Clone(c.pending[:cap(c.pending)])
+
+	insert(0, 1)
+	for u := 10; u < 30; u++ {
+		insert(u, u+1)
+	}
+	burst = appendRESPCommand(burst, "CORE.GET", "0")
+	want = append(want, "=2")
+	run("second burst")
+
+	// The first burst owed at most 3 writes at once; slots past those were
+	// grown but never taken.
+	slots := c.pending[:cap(c.pending)]
+	for i, w := range first {
+		if (w.pd == nil) != (i >= 3) || w.pd != nil && slots[i].pd != w.pd {
+			t.Fatalf("slot %d: future %p after the first burst, %p after the second", i, w.pd, slots[i].pd)
+		}
+	}
+	seenPd := map[*kcore.Pending]bool{}
+	seenBuf := map[*graph.Edge]bool{}
+	for i, w := range slots {
+		if w.pd == nil && i >= 21 { // the second burst owed 21 writes
+			continue
+		}
+		if w.pd == nil || seenPd[w.pd] {
+			t.Fatalf("slot %d: future %p missing or shared", i, w.pd)
+		}
+		seenPd[w.pd] = true
+		if cap(w.edges) == 0 {
+			t.Fatalf("slot %d has no edge buffer", i)
+		}
+		if b := &w.edges[:1][0]; seenBuf[b] {
+			t.Fatalf("slot %d shares its edge buffer with another slot", i)
+		} else {
+			seenBuf[b] = true
+		}
+	}
+	truth, _ := bz.Decompose(mirror)
+	if got := m.CoreNumbers(); !slices.Equal(got, truth) {
+		t.Fatalf("cores after both bursts: %v, want %v", got, truth)
 	}
 }
