@@ -252,19 +252,11 @@ func (c *Cluster) Grow(n int32) (int64, error) {
 // Get returns the core number of global vertex g — a single routed read
 // on the owning shard.
 func (c *Cluster) Get(g int32) (int32, error) {
-	if !c.m.InRange(g) {
-		return 0, fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
+	out, err := c.MGet([]int32{g})
+	if err != nil {
+		return 0, err
 	}
-	i := c.m.Owner(g)
-	var k int64
-	err := c.scatter([]int{i}, func(i int) error {
-		return c.withLeader(i, func(conn *client.Conn) error {
-			var err error
-			k, err = client.Int(conn.Do("CORE.GET", c.m.Local(i, g)))
-			return err
-		})
-	})
-	return int32(k), err
+	return out[0], nil
 }
 
 // MGet returns the core numbers of the given global vertex ids, in
@@ -272,15 +264,9 @@ func (c *Cluster) Get(g int32) (int32, error) {
 // as chunked CORE.MGETs in one pipelined flush, shards in parallel, and
 // the replies are scattered back into input positions.
 func (c *Cluster) MGet(ids []int32) ([]int32, error) {
-	locals := make([][]int32, c.m.NumShards())
-	positions := make([][]int, c.m.NumShards())
-	for pos, g := range ids {
-		if !c.m.InRange(g) {
-			return nil, fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
-		}
-		i := c.m.Owner(g)
-		locals[i] = append(locals[i], c.m.Local(i, g))
-		positions[i] = append(positions[i], pos)
+	locals, positions, err := c.groupByOwner(ids)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int32, len(ids))
 	var touched []int
@@ -289,7 +275,7 @@ func (c *Cluster) MGet(ids []int32) ([]int32, error) {
 			touched = append(touched, i)
 		}
 	}
-	err := c.scatter(touched, func(i int) error {
+	err = c.scatter(touched, func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
 			return mgetInto(conn, locals[i], func(j int, k int32) {
 				out[positions[i][j]] = k
@@ -300,6 +286,23 @@ func (c *Cluster) MGet(ids []int32) ([]int32, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// groupByOwner splits ids by owning shard: locals[i] holds shard i's
+// local ids and positions[i] their indices in ids. An id outside the
+// map's capacity is an error.
+func (c *Cluster) groupByOwner(ids []int32) (locals [][]int32, positions [][]int, err error) {
+	locals = make([][]int32, c.m.NumShards())
+	positions = make([][]int, c.m.NumShards())
+	for pos, g := range ids {
+		if !c.m.InRange(g) {
+			return nil, nil, fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
+		}
+		i := c.m.Owner(g)
+		locals[i] = append(locals[i], c.m.Local(i, g))
+		positions[i] = append(positions[i], pos)
+	}
+	return locals, positions, nil
 }
 
 // mgetInto runs one shard's CORE.MGET share — chunked, one flush — and
@@ -418,20 +421,11 @@ func (c *Cluster) Hist() ([]int64, error) {
 // containing one also contains owned vertices of core ≥ k — a shard's
 // max is always attained in its owned band, and max-merge is exact.
 func (c *Cluster) MaxCore() (int32, error) {
-	return c.maxAgg("CORE.MAXCORE")
-}
-
-// Degeneracy is MaxCore under its graph-theory name.
-func (c *Cluster) Degeneracy() (int32, error) {
-	return c.maxAgg("CORE.DEGENERACY")
-}
-
-func (c *Cluster) maxAgg(cmd string) (int32, error) {
 	vals := make([]int64, c.m.NumShards())
 	err := c.scatter(c.allShards(), func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
 			var err error
-			vals[i], err = client.Int(conn.Do(cmd))
+			vals[i], err = client.Int(conn.Do("CORE.MAXCORE"))
 			return err
 		})
 	})

@@ -244,10 +244,6 @@ func verify(t *testing.T, c *cluster.Cluster, o *cluster.Oracle) {
 	if err != nil || mx != o.MaxCore() {
 		t.Fatalf("MaxCore = %d, %v; oracle %d", mx, err, o.MaxCore())
 	}
-	deg, err := c.Degeneracy()
-	if err != nil || deg != mx {
-		t.Fatalf("Degeneracy = %d, %v; want %d", deg, err, mx)
-	}
 	for k := int32(0); k <= mx+1; k++ {
 		n, err := c.KVert(k)
 		if err != nil || n != o.KVert(k) {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"repro/client"
@@ -120,16 +119,9 @@ func (s *Session) Get(g int32) (int32, error) {
 // connections (a session is single-caller by contract; its scatter
 // parallelism lives in the Cluster's pooled paths).
 func (s *Session) MGet(ids []int32) ([]int32, error) {
-	c := s.c
-	locals := make([][]int32, c.m.NumShards())
-	positions := make([][]int, c.m.NumShards())
-	for pos, g := range ids {
-		if !c.m.InRange(g) {
-			return nil, fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
-		}
-		i := c.m.Owner(g)
-		locals[i] = append(locals[i], c.m.Local(i, g))
-		positions[i] = append(positions[i], pos)
+	locals, positions, err := s.c.groupByOwner(ids)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int32, len(ids))
 	for i := range locals {

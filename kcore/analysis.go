@@ -1,10 +1,9 @@
 package kcore
 
 import (
-	"sort"
-
 	"repro/graph"
 	"repro/internal/bz"
+	"repro/internal/snapshot"
 )
 
 // This file holds the analysis helpers applications build on maintained
@@ -14,11 +13,12 @@ import (
 // helpers that walk the graph structure run inside a pipeline barrier, at
 // a quiescent point ordered after every earlier update.
 
-// Degeneracy returns the graph's degeneracy — the maximum core number —
-// together with a degeneracy ordering (a peeling order; iterating it and
-// removing vertices left to right leaves each vertex with at most
-// `degeneracy` later neighbors). The ordering is recomputed from the
-// graph at a quiescent point.
+// Degeneracy returns the graph's degeneracy together with a degeneracy
+// ordering (a peeling order; iterating it and removing vertices left to
+// right leaves each vertex with at most `degeneracy` later neighbors).
+// The value equals MaxCore(). The ordering is recomputed by BZ inside a
+// pipeline barrier, in O(n+m), and no write applies during it; callers
+// that only need the value should use MaxCore.
 func (m *Maintainer) Degeneracy() (int32, []int32) {
 	var (
 		deg   int32
@@ -32,11 +32,11 @@ func (m *Maintainer) Degeneracy() (int32, []int32) {
 	return deg, order
 }
 
-// KCoreVertices returns the vertices of the k-core: all v with core(v) >= k,
-// in ascending id order. O(n) over the latest snapshot — no recomputation.
-func (m *Maintainer) KCoreVertices(k int32) []int32 {
+// coreMembers returns the vertices of s with core number >= k, in
+// ascending id order: one walk over s's pages.
+func coreMembers(s *snapshot.View, k int32) []int32 {
 	var out []int32
-	m.view().ForEachPage(func(start int32, page []int32) {
+	s.ForEachPage(func(start int32, page []int32) {
 		for i, c := range page {
 			if c >= k {
 				out = append(out, start+int32(i))
@@ -44,6 +44,12 @@ func (m *Maintainer) KCoreVertices(k int32) []int32 {
 		}
 	})
 	return out
+}
+
+// KCoreVertices returns the vertices of the k-core: all v with core(v) >= k,
+// in ascending id order. O(n) over the latest snapshot — no recomputation.
+func (m *Maintainer) KCoreVertices(k int32) []int32 {
+	return coreMembers(m.view(), k)
 }
 
 // KCoreSubgraph extracts the k-core as a standalone graph plus the mapping
@@ -56,20 +62,17 @@ func (m *Maintainer) KCoreSubgraph(k int32) (*graph.Graph, []int32) {
 		edges   []graph.Edge
 	)
 	m.barrier(func() {
-		back := make(map[int32]int32)
-		m.eng.view().ForEachPage(func(start int32, page []int32) {
-			for i, c := range page {
-				if c >= k {
-					v := start + int32(i)
-					back[v] = int32(len(members))
-					members = append(members, v)
-				}
-			}
-		})
-		for _, v := range members {
-			nv := back[v]
-			for _, w := range m.eng.g.Adj(v) {
-				if nw, ok := back[w]; ok && nv < nw {
+		g := m.eng.g
+		members = coreMembers(m.eng.view(), k)
+		// newID[v] is v's id in the subgraph plus one; 0 = outside.
+		newID := make([]int32, g.N())
+		for i, v := range members {
+			newID[v] = int32(i) + 1
+		}
+		for i, v := range members {
+			nv := int32(i)
+			for _, w := range g.Adj(v) {
+				if nw := newID[w] - 1; nv < nw {
 					edges = append(edges, graph.Edge{U: nv, V: nw})
 				}
 			}
@@ -88,7 +91,6 @@ func (m *Maintainer) CoreLevels() []int32 {
 			out = append(out, int32(c))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -97,15 +99,7 @@ func (m *Maintainer) CoreLevels() []int32 {
 // super-spreaders.
 func (m *Maintainer) TopCoreVertices() []int32 {
 	s := m.view()
-	var out []int32
-	s.ForEachPage(func(start int32, page []int32) {
-		for i, c := range page {
-			if c >= s.MaxCore {
-				out = append(out, start+int32(i))
-			}
-		}
-	})
-	return out
+	return coreMembers(s, s.MaxCore)
 }
 
 // RemoveVertex removes every edge incident to v as one maintenance batch

@@ -1,10 +1,13 @@
 package kcore
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/bz"
 )
 
 // triangle + pendant: cores [2 2 2 1].
@@ -80,19 +83,109 @@ func TestKCoreSubgraph(t *testing.T) {
 	}
 }
 
+// TestKCoreSubgraphTracksMaintenance: on every engine, after a history
+// that grows the universe (inserts naming unseen ids, AddVertices) and
+// removes edges, the k-core helpers agree with BZ on a mirror graph that
+// saw the same history — KCoreSubgraph's edges exactly the subgraph
+// induced on its members.
 func TestKCoreSubgraphTracksMaintenance(t *testing.T) {
 	base := gen.ErdosRenyi(200, 800, 3)
-	m := New(base.Clone(), WithWorkers(4))
-	m.InsertEdges(gen.SampleNonEdges(base, 100, 4))
-	k := m.MaxCore()
-	sub, members := m.KCoreSubgraph(k)
-	// Every member's core within the subgraph is at least k.
-	subCores := Decompose(sub)
-	for i := range members {
-		if subCores[i] < k {
-			t.Fatalf("member %d has core %d < %d inside the extracted %d-core",
-				members[i], subCores[i], k, k)
-		}
+	for _, alg := range allAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			m := New(base.Clone(), WithAlgorithm(alg), WithWorkers(4))
+			defer m.Close()
+			mirror := base.Clone()
+			insert := func(edges []graph.Edge) {
+				m.InsertEdges(edges)
+				for _, e := range edges {
+					mirror.Grow(int(max(e.U, e.V)) + 1)
+					mirror.AddEdge(e.U, e.V)
+				}
+			}
+			remove := func(edges []graph.Edge) {
+				m.RemoveEdges(edges)
+				for _, e := range edges {
+					mirror.RemoveEdge(e.U, e.V)
+				}
+			}
+
+			insert(gen.SampleNonEdges(mirror, 100, 4))
+			for _, batch := range gen.VertexArrivals(mirror.N(), 20, 4, 5) {
+				insert(batch)
+			}
+			// A 7-clique on pre-allocated ids lifts the top core above the
+			// random graph's; removals then thin both.
+			first := int32(mirror.N())
+			if got := m.AddVertices(7); got != int(first)+7 {
+				t.Fatalf("AddVertices(7) = %d, want %d", got, first+7)
+			}
+			mirror.AddVertices(7)
+			var clique []graph.Edge
+			for u := first; u < first+7; u++ {
+				for v := u + 1; v < first+7; v++ {
+					clique = append(clique, graph.Edge{U: u, V: v})
+				}
+			}
+			insert(clique)
+			remove(gen.SampleEdges(mirror, 150, 6))
+			remove([]graph.Edge{{U: first, V: first + 1}})
+
+			want := Decompose(mirror)
+			mx := bz.MaxCore(want)
+			if m.N() != mirror.N() || m.MaxCore() != mx {
+				t.Fatalf("N=%d MaxCore=%d, mirror N=%d MaxCore=%d", m.N(), m.MaxCore(), mirror.N(), mx)
+			}
+			for _, k := range []int32{0, 1, mx, mx + 1} {
+				var members []int32
+				for v, c := range want {
+					if c >= k {
+						members = append(members, int32(v))
+					}
+				}
+				if got := m.KCoreVertices(k); !slices.Equal(got, members) {
+					t.Fatalf("KCoreVertices(%d) = %v, want %v", k, got, members)
+				}
+				sub, got := m.KCoreSubgraph(k)
+				if !slices.Equal(got, members) {
+					t.Fatalf("KCoreSubgraph(%d) members = %v, want %v", k, got, members)
+				}
+				if err := sub.CheckConsistent(); err != nil {
+					t.Fatalf("KCoreSubgraph(%d): %v", k, err)
+				}
+				if sub.N() != len(members) {
+					t.Fatalf("KCoreSubgraph(%d) has %d vertices, want %d", k, sub.N(), len(members))
+				}
+				var induced []graph.Edge
+				for i, u := range members {
+					for j, v := range members[i+1:] {
+						if mirror.HasEdge(u, v) {
+							induced = append(induced, graph.Edge{U: int32(i), V: int32(i + 1 + j)})
+						}
+					}
+				}
+				edges := sub.Edges()
+				slices.SortFunc(edges, func(a, b graph.Edge) int {
+					return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+				})
+				if !slices.Equal(edges, induced) {
+					t.Fatalf("KCoreSubgraph(%d) has %d edges, the induced subgraph %d", k, len(edges), len(induced))
+				}
+				if k == mx {
+					if top := m.TopCoreVertices(); !slices.Equal(top, members) {
+						t.Fatalf("TopCoreVertices = %v, want %v", top, members)
+					}
+				}
+			}
+			var levels []int32
+			for c := int32(0); c <= mx; c++ {
+				if slices.Contains(want, c) {
+					levels = append(levels, c)
+				}
+			}
+			if got := m.CoreLevels(); !slices.Equal(got, levels) {
+				t.Fatalf("CoreLevels = %v, want %v", got, levels)
+			}
+		})
 	}
 }
 

@@ -60,7 +60,6 @@ func init() {
 	register(&command{name: "CORE.MAXCORE", minArgs: 1, maxArgs: 1, family: famRead, fn: cmdMaxCore})
 	register(&command{name: "CORE.HIST", minArgs: 1, maxArgs: 3, family: famAggregate, fn: cmdHist})
 	register(&command{name: "CORE.KVERT", minArgs: 2, maxArgs: 4, family: famAggregate, fn: cmdKVert})
-	register(&command{name: "CORE.DEGENERACY", minArgs: 1, maxArgs: 1, family: famAggregate, fn: cmdDegeneracy})
 	register(&command{name: "CORE.GROW", minArgs: 2, maxArgs: 2, family: famAdmin, denyOnReplica: true, fn: cmdGrow})
 	register(&command{name: "CORE.FLUSH", minArgs: 1, maxArgs: 1, family: famAdmin, fn: cmdFlush})
 	register(&command{name: "CORE.EPOCH", minArgs: 1, maxArgs: 1, family: famRead, fn: cmdEpoch})
@@ -225,15 +224,6 @@ func cmdKVert(c *conn, args [][]byte) bool {
 		c.writeError("ERR CORE.KVERT takes k or k plus an id range: CORE.KVERT k [lo hi]")
 		return false
 	}
-	return false
-}
-
-// cmdDegeneracy serves CORE.DEGENERACY: the graph's degeneracy,
-// recomputed authoritatively at a quiescent point (an O(n+m) barrier
-// command — heavier than CORE.MAXCORE, which reads the snapshot).
-func cmdDegeneracy(c *conn, args [][]byte) bool {
-	deg, _ := c.srv.m.Degeneracy()
-	c.wr.WriteInt(int64(deg))
 	return false
 }
 

@@ -130,7 +130,11 @@ func (l *heldLog) AppendEpoch(uint64) {}
 
 // TestHeldWriteDoesNotStallOtherConns: while one connection's write is
 // stuck in the engine, another connection's reads are answered at once —
-// a connection waiting on its futures holds up nobody but itself.
+// a connection waiting on its futures holds up nobody but itself. Then
+// the read contract, derived from the command table: every read and
+// aggregate command, each on its own connection, replies beside the held
+// write, so none of them waits on the update pipeline. A read or
+// aggregate command without an entry in readLines fails the test.
 func TestHeldWriteDoesNotStallOtherConns(t *testing.T) {
 	g := gen.ErdosRenyi(200, 600, 3)
 	fresh, _ := bz.Decompose(g.Clone())
@@ -161,6 +165,59 @@ func TestHeldWriteDoesNotStallOtherConns(t *testing.T) {
 	}
 	if v := readWithin(t, r, rrd, 200*time.Millisecond, "CORE.GET beside a held write"); v.Kind != resp.Integer || int32(v.Int) != fresh[7] {
 		t.Fatalf("CORE.GET 7 = %v, want %d", v, fresh[7])
+	}
+
+	readLines := map[string][]string{
+		"PING":         {"PING", "PING hello"},
+		"CORE.GET":     {"CORE.GET 7"},
+		"CORE.MGET":    {"CORE.MGET 7 8 5000"},
+		"CORE.MAXCORE": {"CORE.MAXCORE"},
+		"CORE.EPOCH":   {"CORE.EPOCH"},
+		"CORE.N":       {"CORE.N"},
+		"CORE.HIST":    {"CORE.HIST", "CORE.HIST 0 100"},
+		"CORE.KVERT":   {"CORE.KVERT 2", "CORE.KVERT 2 0 100"},
+		"QUIT":         {"QUIT"},
+	}
+	var names []string
+	for name, cmd := range commands {
+		if cmd.family != famRead && cmd.family != famAggregate {
+			continue
+		}
+		if _, ok := readLines[name]; !ok {
+			t.Errorf("%s is a read or aggregate command with no entry in readLines", name)
+			continue
+		}
+		if name != "QUIT" {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	names = append(names, "QUIT") // last: its connection closes after the reply
+	type sent struct {
+		line string
+		nc   net.Conn
+		rd   *resp.Reader
+	}
+	var flight []sent
+	for _, name := range names {
+		for _, line := range readLines[name] {
+			nc, rd := rawDial(t, addr)
+			if _, err := nc.Write([]byte(line + "\r\n")); err != nil {
+				t.Fatalf("%s: write: %v", line, err)
+			}
+			flight = append(flight, sent{line, nc, rd})
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, f := range flight {
+		f.nc.SetReadDeadline(deadline)
+		v, err := f.rd.ReadValue()
+		if err != nil {
+			t.Fatalf("%s beside a held write: no reply within 2s: %v", f.line, err)
+		}
+		if v.Kind == resp.Error {
+			t.Fatalf("%s beside a held write = %v", f.line, v)
+		}
 	}
 
 	release()

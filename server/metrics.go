@@ -18,7 +18,7 @@ type cmdFamily uint8
 const (
 	famRead      cmdFamily = iota // snapshot reads: PING, CORE.GET/MGET/EPOCH/N/MAXCORE
 	famWrite                      // pipeline writes: CORE.INSERT/REMOVE
-	famAggregate                  // O(range)/barrier reads: CORE.HIST/KVERT/DEGENERACY
+	famAggregate                  // snapshot aggregates, O(MaxCore) or O(range): CORE.HIST/KVERT
 	famAdmin                      // everything else (stats, persistence, sync, slowlog), unknown commands included
 	numFamilies
 )

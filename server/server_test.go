@@ -87,9 +87,6 @@ func TestCommandSurface(t *testing.T) {
 	if err != nil || int32(maxCore) != bz.MaxCore(fresh) {
 		t.Fatalf("CORE.MAXCORE = %d, %v, want %d", maxCore, err, bz.MaxCore(fresh))
 	}
-	if deg, err := client.Int(c.Do("CORE.DEGENERACY")); err != nil || deg != maxCore {
-		t.Fatalf("CORE.DEGENERACY = %d, %v, want %d", deg, err, maxCore)
-	}
 
 	hist, err := client.Ints(c.Do("CORE.HIST"))
 	if err != nil {
