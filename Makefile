@@ -22,15 +22,18 @@ race:
 # that -short skips and a scheduler that actually preempts between two stores.
 # The second line is the same on the product path: the multi-worker engines
 # kcore builds, checked against BZ and by the repair count in their report.
+# The snapshot package rides on the first line: its reclamation hammer
+# (pinned and escaped readers audited beside a recycling writer) catches a
+# pin that skips its re-check only at full speed, without the race detector.
 # The third runs the write futures' channel-free completion (a WaitGroup
-# the applier releases after writing the result) and their reuse after Wait
-# under the race detector.
+# the applier releases after writing the result) and their reuse after Wait,
+# and the reclamation hammer, under the race detector.
 # The last two run the lock-free OM readers and the graph's reserved
 # concurrent AddEdge under the race detector.
 engine-flake:
-	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs' ./kcore
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
 

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -72,7 +73,8 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			b.Run(name+"/grow", func(b *testing.B) {
 				const growBy = 8 * PageSize
 				var p Publisher
-				base := p.Publish(append([]int32(nil), cores...), int64(n))
+				p.Publish(append([]int32(nil), cores...), int64(n))
+				base := p.Current()
 				// The grown tail's changed set: vstar fresh vertices
 				// promoted to core 1 right after arrival.
 				tailChanged := make([]VertexCore, vstar)
@@ -82,11 +84,10 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					// Rewind to the pre-growth view (same package: the
-					// atomic store is all a publish-instant costs), so
-					// every iteration pays one real grow + tail delta
-					// without the universe compounding across iterations.
-					p.cur.Store(base)
+					// Rewind to the pre-growth view, so every iteration
+					// pays one real grow + tail delta without the
+					// universe compounding across iterations.
+					p.rewind(base)
 					p.PublishGrow(n+growBy, int64(n))
 					p.PublishDelta(tailChanged, int64(n))
 				}
@@ -130,5 +131,83 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// rewind reinstalls v, a View this Publisher published earlier, as
+// current. The writer's record of which objects it owns describes the
+// View it replaces, so it is reset: v's objects are treated as not the
+// Publisher's own and never reclaimed (v may have escaped). Same package:
+// the store is all a publish instant costs.
+func (p *Publisher) rewind(v *View) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	clear(p.pageBorn)
+	p.pageBorn = p.pageBorn[:len(v.pages)]
+	p.tableBorn, p.histBorn = 0, 0
+	p.cur.Store(v)
+}
+
+// BenchmarkPoisonFill measures the poison fill every reclaimed page pays:
+// fill's doubling copy against a plain store loop, on one 4 KiB page.
+func BenchmarkPoisonFill(b *testing.B) {
+	page := make([]int32, PageSize)
+	b.Run("fill", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fill(page, poison)
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range page {
+				page[j] = poison
+			}
+		}
+	})
+}
+
+// BenchmarkPublishBesideReaders measures an 8-page delta publication on a
+// 200-page graph while one Reader pins and unpins in a loop beside it, with
+// 0 or 4096 more Readers that each pinned once and went idle — a server
+// with many open, quiet connections. An idle Reader holds no slot, so the
+// two should cost the same.
+func BenchmarkPublishBesideReaders(b *testing.B) {
+	for _, idle := range []int{0, 4096} {
+		b.Run(fmt.Sprint("idle=", idle), func(b *testing.B) {
+			const n = 200 * PageSize
+			var p Publisher
+			p.Publish(make([]int32, n), 0)
+			for range idle {
+				r := p.NewReader()
+				r.Pin()
+				r.Unpin()
+			}
+			var stop atomic.Bool
+			done := make(chan int32)
+			go func() {
+				r := p.NewReader()
+				var sum int32
+				for !stop.Load() {
+					v := r.Pin()
+					for i := int32(0); i < 32; i++ {
+						sum += v.CoreOf(i * 977)
+					}
+					r.Unpin()
+				}
+				done <- sum
+			}()
+			changed := make([]VertexCore, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range changed {
+					changed[j] = VertexCore{V: int32(j * 25 * PageSize), Core: int32(i%2) + 1}
+				}
+				p.PublishDelta(changed, 0)
+			}
+			b.StopTimer()
+			stop.Store(true)
+			<-done
+		})
 	}
 }

@@ -8,11 +8,24 @@
 // View can be re-published copy-on-write: PublishDelta clones only the
 // pages a batch dirtied and patches the histogram by the per-vertex
 // (oldCore, newCore) deltas, making publication cost O(|V*| + dirtyPages ·
-// PageSize + n/PageSize) instead of O(n). Readers holding an older View
-// keep seeing its pages unchanged — published pages are never written.
+// PageSize + n/PageSize) instead of O(n).
+//
+// A page, page table or histogram lives through a run of epochs: it
+// enters the views at epoch b and is last in the view of epoch r, which
+// the next publication replaces it in. That publication retires it. A
+// retired object is reclaimed — poisoned (pages and histograms filled with
+// -1, tables cleared) and put on a capped free list that later
+// publications take from before they allocate — once no reader can reach
+// it: no Reader is pinned at an epoch in [b, r] and no View of an epoch
+// >= b has ever escaped through Current. An object that cannot be
+// reclaimed goes to the garbage collector. So a View a reader holds never
+// changes while the reader may use it: for the escaping accessor Current
+// that is forever, for a Reader's Pin until its Unpin.
 package snapshot
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bz"
@@ -28,28 +41,54 @@ const (
 	PageSize = 1 << PageBits
 
 	pageMask = PageSize - 1
+
+	// The free lists' caps: 64 pages (256 KiB) is four times what one
+	// delta publication dirties on the serving benchmarks (≈ 8 to 16
+	// pages), and a publication retires at most one table and one
+	// histogram.
+	maxFreePages  = 64
+	maxFreeTables = 2
+	maxFreeHists  = 2
+	// pinSlots caps the Readers pinned at once; past it a Pin escapes. A
+	// server connection pins only while it dispatches a burst, so what
+	// counts is the connections busy at one time, not the open ones.
+	pinSlots = 64
+	// maxRetired caps the retired objects waiting for a pinned Reader to
+	// move on; past it they go to the garbage collector, so a stuck reader
+	// costs garbage, never correctness.
+	maxRetired = 128
+
+	// poison is what every entry of a reclaimed page or histogram reads: a
+	// core number no View holds, so a read that outlived its pin shows.
+	poison = -1
 )
+
+// Head is a View's scalar part: reading it needs no pin and blocks no
+// reclamation (Publisher.Head).
+type Head struct {
+	// Epoch increases by one with every published View; it never repeats
+	// or decreases for a given Publisher.
+	Epoch uint64
+	// MaxCore is the largest core number (len(Hist)-1).
+	MaxCore int32
+	// N and M are the vertex and edge counts at publication time.
+	N int
+	M int64
+}
 
 // View is one immutable snapshot of a core decomposition. All fields are
 // written once, before the View is published; readers must treat the
 // slices as read-only.
 type View struct {
-	// Epoch increases by one with every published View; it never repeats
-	// or decreases for a given Publisher.
-	Epoch uint64
+	Head
 	// pages is the page table: pages[p][i] is the core number of vertex
 	// p·PageSize + i. The last page is short when N is not a multiple of
-	// PageSize. Pages are shared freely between Views and never mutated
-	// after publication.
+	// PageSize. Pages are shared between Views and never written while a
+	// View that holds them can be read.
 	pages [][]int32
-	// MaxCore is the largest core number (len(Hist)-1).
-	MaxCore int32
 	// Hist[k] counts the vertices with core number k; its last bin is
 	// nonzero (Hist = [0] for the empty graph).
 	Hist []int64
-	// N and M are the vertex and edge counts at publication time.
-	N int
-	M int64
 }
 
 // CoreOf returns the core number of v: one shift+mask page lookup, O(1).
@@ -204,35 +243,161 @@ func BuildDelta(dst []VertexCore, seen []uint64, changed []int32, n int, coreOf 
 
 // PubStats counts publications by kind. DirtyPages accumulates the pages
 // cloned by delta publications; DirtyPages/Delta is the mean write
-// amplification of the copy-on-write path.
+// amplification of the copy-on-write path. Recycled counts the pages
+// publications took from the free list instead of allocating.
 type PubStats struct {
 	Full       int64
 	Delta      int64
 	Unchanged  int64
 	Grow       int64
 	DirtyPages int64
+	Recycled   int64
+}
+
+// Reader pins Views for one reader. Pin claims one of the Publisher's
+// epoch slots and announces in it the epoch of the View it returns;
+// objects of that View are not reclaimed until Unpin frees the slot. An
+// unpinned Reader holds no slot, so idle Readers cost a publication
+// nothing. One goroutine uses a Reader at a time.
+type Reader struct {
+	p    *Publisher
+	slot *pinSlot // the claimed slot; nil when unpinned
+	hint int      // the slot claimed last, tried first by the next claim
+}
+
+// pinSlot is one epoch slot; it fills its cache line, so a Reader that
+// pins writes a line no other Reader writes.
+type pinSlot struct {
+	epoch atomic.Uint64 // the pinned epoch; 0 when free
+	_     [56]byte
+}
+
+// NewReader returns a Reader of p's Views.
+func (p *Publisher) NewReader() *Reader { return &Reader{p: p} }
+
+// Pin returns the current View (nil before the first publication) and
+// keeps its pages, table and histogram from reclamation until Unpin or the
+// next Pin. The epoch is announced before the View is confirmed current,
+// so a publication that retires one of its objects either sees the
+// announcement or makes Pin retry. When every slot is taken the View
+// escapes instead (Current): still valid, never reclaimed.
+func (r *Reader) Pin() *View {
+	for {
+		v := r.p.cur.Load()
+		if v == nil {
+			return nil
+		}
+		if r.slot != nil {
+			r.slot.epoch.Store(v.Epoch)
+		} else if !r.claim(v.Epoch) {
+			return r.p.Current()
+		}
+		if r.p.cur.Load() == v {
+			return v
+		}
+	}
+}
+
+// claim takes a free slot for epoch e, starting from the one it took last,
+// and raises the Publisher's count of slots in use so that install reads
+// this one — both before Pin's reload of cur.
+func (r *Reader) claim(e uint64) bool {
+	p := r.p
+	for k := range pinSlots {
+		i := (r.hint + k) % pinSlots
+		s := &p.slots[i]
+		if s.epoch.Load() != 0 || !s.epoch.CompareAndSwap(0, e) {
+			continue
+		}
+		r.slot, r.hint = s, i
+		for hw := p.slotsUsed.Load(); hw <= int32(i); hw = p.slotsUsed.Load() {
+			if p.slotsUsed.CompareAndSwap(hw, int32(i)+1) {
+				break
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Unpin releases the pinned View, which must not be read afterwards, and
+// frees the Reader's slot. A Reader dropped while pinned keeps its slot
+// for good, so Unpin before dropping one.
+func (r *Reader) Unpin() {
+	if r.slot != nil {
+		r.slot.epoch.Store(0)
+		r.slot = nil
+	}
+}
+
+// retiree is one object a publication dropped from the views, waiting for
+// reclamation: exactly one of page, table and hist is set, and the object
+// was in the views of epochs [born, last].
+type retiree struct {
+	born, last uint64
+	page       []int32
+	table      [][]int32
+	hist       []int64
 }
 
 // Publisher owns the current View of one maintained graph. The zero value
 // is ready to use; Current returns nil until the first Publish.
+// Publications serialize on an internal lock, so they may be called from
+// any goroutine; each returns the epoch of the View it installs.
 type Publisher struct {
-	cur   atomic.Pointer[View]
-	epoch atomic.Uint64
+	cur atomic.Pointer[View]
+	// escapeHW is the highest epoch of a View Current has handed out: an
+	// object that entered the views at or before it is never reclaimed.
+	escapeHW atomic.Uint64
+
+	// slots are the Readers' epoch slots; a Pin has claimed one only
+	// among the first slotsUsed, the ones install reads. slotsUsed shares
+	// the cache line of cur, which every Pin loads anyway; the pad keeps
+	// slot 0 off that line.
+	slotsUsed atomic.Int32
+	_         [64]byte
+	slots     [pinSlots]pinSlot
+
+	// mu serializes publications and guards the fields below.
+	mu    sync.Mutex
+	epoch uint64 // the current View's epoch
+	// pageBorn[i] is the epoch page i of the current View entered the
+	// views, 0 when it is a slice of a Publish caller's array (never
+	// reclaimed); tableBorn and histBorn are the same for the page table
+	// and the histogram.
+	pageBorn            []uint64
+	tableBorn, histBorn uint64
+	retired             []retiree
+	freePages           [][]int32
+	freeTables          [][][]int32
+	freeHists           [][]int64
+	pins                []uint64 // install's scratch: the pinned epochs
 
 	full       atomic.Int64
 	delta      atomic.Int64
 	unchanged  atomic.Int64
 	grow       atomic.Int64
 	dirtyPages atomic.Int64
+	recycled   atomic.Int64
 }
 
 // Publish derives the aggregate fields from cores, stamps the next epoch,
-// and installs the View as current — the O(n) full rebuild. Publish must
-// only run at quiescence (no concurrent engine mutation); it takes
-// ownership of cores, which becomes the backing store of the pages.
-func (p *Publisher) Publish(cores []int32, m int64) *View {
+// and installs the View as current — the O(n) full rebuild, which retires
+// every object of the previous View. Publish must only run at quiescence
+// (no concurrent engine mutation); it takes ownership of cores, which
+// becomes the backing store of the pages.
+func (p *Publisher) Publish(cores []int32, m int64) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if old := p.cur.Load(); old != nil {
+		for i, pg := range old.pages {
+			p.retire(retiree{born: p.pageBorn[i], page: pg})
+		}
+		p.retire(retiree{born: p.tableBorn, table: old.pages})
+		p.retire(retiree{born: p.histBorn, hist: old.Hist})
+	}
 	numPages := (len(cores) + PageSize - 1) / PageSize
-	pages := make([][]int32, numPages)
+	pages := p.takeTable(numPages)
 	for i := range pages {
 		lo := i << PageBits
 		hi := lo + PageSize
@@ -241,18 +406,14 @@ func (p *Publisher) Publish(cores []int32, m int64) *View {
 		}
 		pages[i] = cores[lo:hi:hi]
 	}
+	p.pageBorn = append(p.pageBorn[:0], make([]uint64, numPages)...)
 	hist := bz.CoreHistogram(cores) // one fused pass; len = MaxCore+1
-	v := &View{
-		Epoch:   p.epoch.Add(1),
-		pages:   pages,
-		MaxCore: int32(len(hist)) - 1,
-		Hist:    hist,
-		N:       len(cores),
-		M:       m,
-	}
-	p.cur.Store(v)
 	p.full.Add(1)
-	return v
+	return p.install(&View{
+		Head:  Head{MaxCore: int32(len(hist)) - 1, N: len(cores), M: m},
+		pages: pages,
+		Hist:  hist,
+	}, true, true)
 }
 
 // PublishUnchanged installs a fresh View that reuses the current View's
@@ -260,19 +421,20 @@ func (p *Publisher) Publish(cores []int32, m int64) *View {
 // O(1) publication for batches that changed no core number. The caller
 // must guarantee no core number changed since the last Publish; must only
 // run at quiescence, after at least one Publish.
-func (p *Publisher) PublishUnchanged(m int64) *View {
+func (p *Publisher) PublishUnchanged(m int64) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.publishUnchanged(m)
+}
+
+func (p *Publisher) publishUnchanged(m int64) uint64 {
 	old := p.cur.Load()
-	v := &View{
-		Epoch:   p.epoch.Add(1),
-		pages:   old.pages,
-		MaxCore: old.MaxCore,
-		Hist:    old.Hist,
-		N:       old.N,
-		M:       m,
-	}
-	p.cur.Store(v)
 	p.unchanged.Add(1)
-	return v
+	return p.install(&View{
+		Head:  Head{MaxCore: old.MaxCore, N: old.N, M: m},
+		pages: old.pages,
+		Hist:  old.Hist,
+	}, false, false)
 }
 
 // PublishGrow installs a fresh View whose vertex universe is extended to
@@ -283,44 +445,48 @@ func (p *Publisher) PublishUnchanged(m int64) *View {
 // never an O(n) rebuild. Views published earlier keep their shorter page
 // table and N untouched. Must only run at quiescence, after at least one
 // Publish; newN at or below the current N republishes unchanged.
-func (p *Publisher) PublishGrow(newN int, m int64) *View {
+func (p *Publisher) PublishGrow(newN int, m int64) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	old := p.cur.Load()
 	if newN <= old.N {
-		return p.PublishUnchanged(m)
+		return p.publishUnchanged(m)
 	}
 	numPages := (newN + PageSize - 1) / PageSize
-	pages := make([][]int32, numPages)
+	pages := p.takeTable(numPages)
 	copy(pages, old.pages)
-	// fullLen returns the capacity page i must have to cover the new N.
+	p.retire(retiree{born: p.tableBorn, table: old.pages})
+	// fullLen returns the length page i must have to cover the new N.
 	fullLen := func(i int) int {
 		if hi := (i + 1) << PageBits; hi > newN {
 			return newN - i<<PageBits
 		}
 		return PageSize
 	}
+	next := p.epoch + 1
 	if last := len(old.pages) - 1; last >= 0 && len(old.pages[last]) < fullLen(last) {
 		// The old last page was short (old.N not page-aligned): clone and
 		// zero-extend it, leaving the shared original untouched.
-		np := make([]int32, fullLen(last))
-		copy(np, old.pages[last])
+		np := p.takePage(fullLen(last))
+		clear(np[copy(np, old.pages[last]):])
+		p.retire(retiree{born: p.pageBorn[last], page: old.pages[last]})
 		pages[last] = np
+		p.pageBorn[last] = next
 	}
 	for i := len(old.pages); i < numPages; i++ {
-		pages[i] = make([]int32, fullLen(i))
+		pages[i] = p.takePage(fullLen(i))
+		clear(pages[i])
+		p.pageBorn = append(p.pageBorn, next)
 	}
-	hist := append(make([]int64, 0, len(old.Hist)), old.Hist...)
+	hist := append(p.takeHist(len(old.Hist)), old.Hist...)
 	hist[0] += int64(newN - old.N)
-	v := &View{
-		Epoch:   p.epoch.Add(1),
-		pages:   pages,
-		MaxCore: old.MaxCore,
-		Hist:    hist,
-		N:       newN,
-		M:       m,
-	}
-	p.cur.Store(v)
+	p.retire(retiree{born: p.histBorn, hist: old.Hist})
 	p.grow.Add(1)
-	return v
+	return p.install(&View{
+		Head:  Head{MaxCore: old.MaxCore, N: newN, M: m},
+		pages: pages,
+		Hist:  hist,
+	}, true, true)
 }
 
 // PublishDelta installs a fresh View derived copy-on-write from the
@@ -335,10 +501,14 @@ func (p *Publisher) PublishGrow(newN int, m int64) *View {
 // entries whose core did not change (e.g. a vertex that dropped and was
 // re-promoted within one batch) are skipped harmlessly. Must only run at
 // quiescence, after at least one Publish.
-func (p *Publisher) PublishDelta(changed []VertexCore, m int64) *View {
+func (p *Publisher) PublishDelta(changed []VertexCore, m int64) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	old := p.cur.Load()
-	pages := make([][]int32, len(old.pages))
+	pages := p.takeTable(len(old.pages))
 	copy(pages, old.pages)
+	p.retire(retiree{born: p.tableBorn, table: old.pages})
+	next := p.epoch + 1
 	hist := old.Hist
 	histCopied := false
 	dirty := 0
@@ -353,11 +523,16 @@ func (p *Publisher) PublishDelta(changed []VertexCore, m int64) *View {
 		// (pages are never empty, so element 0 names the backing array).
 		if &pages[pi][0] == &old.pages[pi][0] {
 			dirty++
-			pages[pi] = append(make([]int32, 0, cap(pages[pi])), pages[pi]...)
+			np := p.takePage(len(pages[pi]))
+			copy(np, pages[pi])
+			p.retire(retiree{born: p.pageBorn[pi], page: pages[pi]})
+			pages[pi] = np
+			p.pageBorn[pi] = next
 		}
 		if !histCopied {
 			histCopied = true
-			hist = append(make([]int64, 0, len(old.Hist)+1), old.Hist...)
+			hist = append(p.takeHist(len(old.Hist)+1), old.Hist...)
+			p.retire(retiree{born: p.histBorn, hist: old.Hist})
 		}
 		pages[pi][off] = c.Core
 		hist[oldCore]--
@@ -371,23 +546,89 @@ func (p *Publisher) PublishDelta(changed []VertexCore, m int64) *View {
 	for len(hist) > 1 && hist[len(hist)-1] == 0 {
 		hist = hist[:len(hist)-1]
 	}
-	v := &View{
-		Epoch:   p.epoch.Add(1),
-		pages:   pages,
-		MaxCore: int32(len(hist)) - 1,
-		Hist:    hist,
-		N:       old.N,
-		M:       m,
-	}
-	p.cur.Store(v)
 	p.delta.Add(1)
 	p.dirtyPages.Add(int64(dirty))
-	return v
+	return p.install(&View{
+		Head:  Head{MaxCore: int32(len(hist)) - 1, N: old.N, M: m},
+		pages: pages,
+		Hist:  hist,
+	}, true, histCopied)
+}
+
+// install stamps v with the next epoch, makes it current, and then — only
+// then, so that a reader still reaching a retired object is visible —
+// reclaims every retired object no escape and no pin covers. newTable and
+// newHist tell whether v's table and histogram are new in this epoch. It
+// returns v's epoch.
+func (p *Publisher) install(v *View, newTable, newHist bool) uint64 {
+	p.epoch++
+	v.Epoch = p.epoch
+	if newTable {
+		p.tableBorn = p.epoch
+	}
+	if newHist {
+		p.histBorn = p.epoch
+	}
+	p.cur.Store(v)
+
+	hw := p.escapeHW.Load()
+	// Every slot in use is read once, here, right after the store.
+	pins := p.pins[:0]
+	for i := range p.slotsUsed.Load() {
+		if e := p.slots[i].epoch.Load(); e != 0 {
+			pins = append(pins, e)
+		}
+	}
+	p.pins = pins
+	kept := p.retired[:0]
+	for _, o := range p.retired {
+		if o.born <= hw {
+			continue // maybe escaped: the garbage collector's
+		}
+		pinned := slices.ContainsFunc(pins, func(e uint64) bool { return o.born <= e && e <= o.last })
+		switch {
+		case !pinned:
+			p.reclaim(o)
+		case len(kept) < maxRetired:
+			kept = append(kept, o)
+		}
+	}
+	clear(p.retired[len(kept):])
+	p.retired = kept
+	return v.Epoch
 }
 
 // Current returns the most recently published View, or nil before the
-// first Publish. Safe for concurrent use.
-func (p *Publisher) Current() *View { return p.cur.Load() }
+// first Publish. The View escapes: it stays valid for as long as the
+// caller holds it, so none of its objects is ever reclaimed. Readers that
+// can say when they are done use a Reader instead; Head reads the scalar
+// fields. Safe for concurrent use.
+func (p *Publisher) Current() *View {
+	for {
+		v := p.cur.Load()
+		if v == nil {
+			return nil
+		}
+		for hw := p.escapeHW.Load(); hw < v.Epoch; hw = p.escapeHW.Load() {
+			if p.escapeHW.CompareAndSwap(hw, v.Epoch) {
+				break
+			}
+		}
+		if p.cur.Load() == v {
+			return v
+		}
+	}
+}
+
+// Head returns the scalar fields of the most recently published View (the
+// zero Head before the first Publish). It holds nothing, so it reclaims
+// nothing. Safe for concurrent use.
+func (p *Publisher) Head() Head {
+	if v := p.cur.Load(); v != nil {
+		return v.Head
+	}
+	return Head{}
+}
 
 // Stats returns the publication counters. Safe for concurrent use.
 func (p *Publisher) Stats() PubStats {
@@ -397,5 +638,87 @@ func (p *Publisher) Stats() PubStats {
 		Unchanged:  p.unchanged.Load(),
 		Grow:       p.grow.Load(),
 		DirtyPages: p.dirtyPages.Load(),
+		Recycled:   p.recycled.Load(),
 	}
+}
+
+// retire queues o, an object of the current View that the publication in
+// progress drops; born 0 marks one that is not the Publisher's own.
+func (p *Publisher) retire(o retiree) {
+	if o.born != 0 {
+		o.last = p.epoch
+		p.retired = append(p.retired, o)
+	}
+}
+
+// reclaim poisons o and puts it on its free list, or leaves it to the
+// garbage collector when the list is full.
+func (p *Publisher) reclaim(o retiree) {
+	switch {
+	case o.page != nil && cap(o.page) == PageSize && len(p.freePages) < maxFreePages:
+		pg := o.page[:PageSize]
+		fill(pg, poison)
+		p.freePages = append(p.freePages, pg)
+	case o.table != nil && len(p.freeTables) < maxFreeTables:
+		t := o.table[:cap(o.table)]
+		clear(t)
+		p.freeTables = append(p.freeTables, t)
+	case o.hist != nil && len(p.freeHists) < maxFreeHists:
+		h := o.hist[:cap(o.hist)]
+		fill(h, poison)
+		p.freeHists = append(p.freeHists, h)
+	}
+}
+
+// fill sets every element of s to x, doubling the filled prefix per copy:
+// copy is a memmove, while the compiler does not vectorize a plain store
+// loop, and every recycled page pays the fill (BenchmarkPoisonFill, one
+// 4 KiB page on a 2-CPU Intel Xeon: ≈ 120 ns against ≈ 600 ns for the
+// loop).
+func fill[T int32 | int64](s []T, x T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = x
+	for i := 1; i < len(s); i *= 2 {
+		copy(s[i:], s[:i])
+	}
+}
+
+// takePage returns a page of length n (at most PageSize) with unspecified
+// contents: a reclaimed one when the free list has one, else a fresh one.
+// The take* methods remove what they return with slices.Delete, which
+// clears the vacated slot, so a free list holds no stale reference.
+// A fresh short page has capacity n, so it is never pooled: the free list
+// holds full pages only.
+func (p *Publisher) takePage(n int) []int32 {
+	if k := len(p.freePages) - 1; k >= 0 {
+		pg := p.freePages[k]
+		p.freePages = slices.Delete(p.freePages, k, k+1)
+		p.recycled.Add(1)
+		return pg[:n]
+	}
+	return make([]int32, n)
+}
+
+// takeTable returns a page table of length n with unspecified entries.
+func (p *Publisher) takeTable(n int) [][]int32 {
+	for i, t := range p.freeTables {
+		if cap(t) >= n {
+			p.freeTables = slices.Delete(p.freeTables, i, i+1)
+			return t[:n]
+		}
+	}
+	return make([][]int32, n)
+}
+
+// takeHist returns an empty histogram with room for n bins.
+func (p *Publisher) takeHist(n int) []int64 {
+	for i, h := range p.freeHists {
+		if cap(h) >= n {
+			p.freeHists = slices.Delete(p.freeHists, i, i+1)
+			return h[:0]
+		}
+	}
+	return make([]int64, 0, n)
 }

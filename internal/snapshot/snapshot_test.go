@@ -11,7 +11,8 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	if p.Current() != nil {
 		t.Fatal("zero publisher must have no view")
 	}
-	v := p.Publish([]int32{2, 2, 2, 1, 0}, 4)
+	p.Publish([]int32{2, 2, 2, 1, 0}, 4)
+	v := p.Current()
 	if v.Epoch != 1 || v.N != 5 || v.M != 4 || v.MaxCore != 2 {
 		t.Fatalf("view %+v", v)
 	}
@@ -29,7 +30,8 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	if got := v.CoresInto(nil); len(got) != 5 || got[0] != 2 || got[4] != 0 {
 		t.Fatalf("CoresInto %v", got)
 	}
-	v2 := p.Publish([]int32{1, 1}, 1)
+	p.Publish([]int32{1, 1}, 1)
+	v2 := p.Current()
 	if v2.Epoch != 2 {
 		t.Fatalf("epoch = %d, want 2", v2.Epoch)
 	}
@@ -49,13 +51,13 @@ func TestEpochsNeverRepeat(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				v := p.Publish([]int32{0}, 0)
+				e := p.Publish([]int32{0}, 0)
 				mu.Lock()
-				if seen[v.Epoch] {
+				if seen[e] {
 					mu.Unlock()
 					panic("epoch repeated")
 				}
-				seen[v.Epoch] = true
+				seen[e] = true
 				mu.Unlock()
 			}
 		}()
@@ -73,7 +75,8 @@ func viewEqual(t *testing.T, v *View, cores []int32, m int64) {
 		t.Fatalf("N=%d M=%d, want N=%d M=%d", v.N, v.M, len(cores), m)
 	}
 	var ref Publisher
-	want := ref.Publish(append([]int32(nil), cores...), m)
+	ref.Publish(append([]int32(nil), cores...), m)
+	want := ref.Current()
 	got := v.CoresInto(nil)
 	for i := range cores {
 		if got[i] != cores[i] {
@@ -118,7 +121,8 @@ func TestPublishDeltaMatchesFull(t *testing.T) {
 			changed = append(changed, changed[k-1])
 		}
 		changed = append(changed, VertexCore{V: 0, Core: cores[0]})
-		v := p.PublishDelta(changed, int64(100+round))
+		p.PublishDelta(changed, int64(100+round))
+		v := p.Current()
 		viewEqual(t, v, cores, int64(100+round))
 	}
 	if st := p.Stats(); st.Delta != 50 {
@@ -133,9 +137,11 @@ func TestPublishDeltaCopyOnWrite(t *testing.T) {
 	const n = 2*PageSize + 10
 	cores := make([]int32, n)
 	var p Publisher
-	old := p.Publish(append([]int32(nil), cores...), 0)
+	p.Publish(append([]int32(nil), cores...), 0)
+	old := p.Current()
 	target := int32(PageSize + 5) // page 1
-	nv := p.PublishDelta([]VertexCore{{V: target, Core: 3}}, 1)
+	p.PublishDelta([]VertexCore{{V: target, Core: 3}}, 1)
+	nv := p.Current()
 	if &nv.pages[0][0] != &old.pages[0][0] || &nv.pages[2][0] != &old.pages[2][0] {
 		t.Fatal("clean pages must be shared between views")
 	}
@@ -155,9 +161,11 @@ func TestPublishDeltaCopyOnWrite(t *testing.T) {
 func TestPublishDeltaClonesPageOnce(t *testing.T) {
 	const n = 2*PageSize + 10
 	var p Publisher
-	old := p.Publish(make([]int32, n), 0)
+	p.Publish(make([]int32, n), 0)
+	old := p.Current()
 	a, b := int32(PageSize+5), int32(2*PageSize-1) // both on page 1
-	nv := p.PublishDelta([]VertexCore{{V: a, Core: 3}, {V: b, Core: 4}}, 1)
+	p.PublishDelta([]VertexCore{{V: a, Core: 3}, {V: b, Core: 4}}, 1)
+	nv := p.Current()
 	if st := p.Stats(); st.DirtyPages != 1 {
 		t.Fatalf("dirty pages = %d, want 1", st.DirtyPages)
 	}
@@ -234,12 +242,14 @@ func TestBuildDeltaReusesScratch(t *testing.T) {
 func TestPublishDeltaMaxCoreShrinks(t *testing.T) {
 	var p Publisher
 	p.Publish([]int32{1, 1, 5}, 3)
-	v := p.PublishDelta([]VertexCore{{V: 2, Core: 1}}, 2)
+	p.PublishDelta([]VertexCore{{V: 2, Core: 1}}, 2)
+	v := p.Current()
 	if v.MaxCore != 1 || len(v.Hist) != 2 || v.Hist[1] != 3 {
 		t.Fatalf("view %+v hist %v", v, v.Hist)
 	}
 	// And growth: a new top level extends the histogram.
-	v = p.PublishDelta([]VertexCore{{V: 0, Core: 9}}, 2)
+	p.PublishDelta([]VertexCore{{V: 0, Core: 9}}, 2)
+	v = p.Current()
 	if v.MaxCore != 9 || len(v.Hist) != 10 || v.Hist[9] != 1 {
 		t.Fatalf("view %+v hist %v", v, v.Hist)
 	}
@@ -249,8 +259,10 @@ func TestPublishDeltaMaxCoreShrinks(t *testing.T) {
 // itself.
 func TestPublishUnchangedSharesPages(t *testing.T) {
 	var p Publisher
-	old := p.Publish([]int32{2, 1, 0}, 3)
-	v := p.PublishUnchanged(4)
+	p.Publish([]int32{2, 1, 0}, 3)
+	old := p.Current()
+	p.PublishUnchanged(4)
+	v := p.Current()
 	if v.Epoch != old.Epoch+1 || v.M != 4 || v.MaxCore != old.MaxCore {
 		t.Fatalf("view %+v", v)
 	}
@@ -280,7 +292,8 @@ func TestPublishGrowMatchesFull(t *testing.T) {
 		PageSize*4 + 13, // no-op: newN == N republishes unchanged
 		PageSize * 4,    // below N: never shrinks
 	} {
-		v := p.PublishGrow(newN, 10)
+		p.PublishGrow(newN, 10)
+		v := p.Current()
 		if newN > len(cores) {
 			cores = append(cores, make([]int32, newN-len(cores))...)
 		}
@@ -292,7 +305,8 @@ func TestPublishGrowMatchesFull(t *testing.T) {
 	// Post-growth delta: patch vertices in the grown tail.
 	tail := int32(len(cores) - 3)
 	cores[tail] = 9
-	v := p.PublishDelta([]VertexCore{{V: tail, Core: 9}}, 11)
+	p.PublishDelta([]VertexCore{{V: tail, Core: 9}}, 11)
+	v := p.Current()
 	viewEqual(t, v, cores, 11)
 }
 
@@ -306,8 +320,10 @@ func TestPublishGrowCopyOnWrite(t *testing.T) {
 		cores[i] = 2
 	}
 	var p Publisher
-	old := p.Publish(append([]int32(nil), cores...), 5)
-	v := p.PublishGrow(3*PageSize, 5)
+	p.Publish(append([]int32(nil), cores...), 5)
+	old := p.Current()
+	p.PublishGrow(3*PageSize, 5)
+	v := p.Current()
 	if &v.pages[0][0] != &old.pages[0][0] {
 		t.Fatal("full old pages must be shared")
 	}
@@ -333,7 +349,8 @@ func TestPublishGrowCopyOnWrite(t *testing.T) {
 
 func TestCoresIntoReusesBuffer(t *testing.T) {
 	var p Publisher
-	v := p.Publish([]int32{3, 2, 1, 0}, 2)
+	p.Publish([]int32{3, 2, 1, 0}, 2)
+	v := p.Current()
 	buf := make([]int32, 0, 16)
 	out := v.CoresInto(buf)
 	if &out[0] != &buf[:1][0] {

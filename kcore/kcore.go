@@ -51,7 +51,11 @@
 // O(|V*| + dirtyPages·PageSize), proportional to the change, not to the
 // graph. Every engine — JoinEdgeSet included — reports the vertices each
 // batch moved (repeats allowed); the serving layer owns the one publisher,
-// deduplicates the report once and decides how to publish it.
+// deduplicates the report once and decides how to publish it. What a
+// publication replaces is recycled into later ones once no reader can reach
+// it: a Snapshot stays valid for as long as it is held, so its pages are
+// never recycled, while a Reader pins a snapshot only until Unpin and lets
+// everything else be reused — the path a server connection reads through.
 //
 // The vertex universe grows on demand: the applier scans each coalesced
 // batch before the engine round, grows graph and engine state to cover
@@ -316,7 +320,8 @@ func (m *Maintainer) Algorithm() Algorithm { return m.eng.cfg.alg }
 // Workers returns the configured worker count.
 func (m *Maintainer) Workers() int { return m.eng.cfg.workers }
 
-// view returns the current published snapshot (never nil).
+// view returns the current published snapshot (never nil). It escapes:
+// its pages are never recycled (see Reader).
 func (m *Maintainer) view() *snapshot.View { return m.eng.view() }
 
 // CoreOf returns the core number of v in the latest published snapshot:
@@ -332,7 +337,7 @@ func (m *Maintainer) CoreNumbers() []int32 {
 }
 
 // MaxCore returns the largest core number in the latest snapshot.
-func (m *Maintainer) MaxCore() int32 { return m.view().MaxCore }
+func (m *Maintainer) MaxCore() int32 { return m.eng.head().MaxCore }
 
 // CoreHistogram returns the number of vertices per core value in the
 // latest snapshot.
@@ -343,13 +348,54 @@ func (m *Maintainer) CoreHistogram() []int64 {
 // Epoch returns the version of the latest published snapshot. It advances
 // by at least one per applied batch and never decreases; equal epochs mean
 // identical query results.
-func (m *Maintainer) Epoch() uint64 { return m.view().Epoch }
+func (m *Maintainer) Epoch() uint64 { return m.eng.head().Epoch }
 
 // Snapshot returns the latest published snapshot: an immutable,
 // epoch-versioned view all of whose accessors are O(1) reads. Successive
 // queries against one Snapshot are mutually consistent, unlike successive
-// Maintainer queries, which may straddle a batch.
+// Maintainer queries, which may straddle a batch. The Snapshot stays valid
+// for as long as it is held, so the pages it shares with later snapshots
+// are never recycled; a reader that can say when it is done reads through
+// a Reader instead.
 func (m *Maintainer) Snapshot() Snapshot { return Snapshot{m.view()} }
+
+// Reader reads a Maintainer's snapshots through a pin: while pinned it
+// holds one of the publisher's epoch slots, announcing which snapshot it
+// reads. A pinned snapshot stays valid until Unpin; after that the
+// publisher may recycle its pages, table and histogram into a later
+// snapshot, so a snapshot obtained from Pin must not be read, or its
+// Histogram kept, past Unpin. In exchange, a publication reuses what no
+// reader can reach instead of allocating it. An unpinned Reader holds
+// nothing, but one dropped while pinned keeps its slot: Unpin first. One
+// goroutine uses a Reader at a time; a kcored connection holds one.
+type Reader struct {
+	slot *snapshot.Reader
+	v    *snapshot.View // the pinned view; nil when unpinned
+}
+
+// NewReader returns an unpinned Reader.
+func (m *Maintainer) NewReader() *Reader {
+	return &Reader{slot: m.eng.pub.NewReader()}
+}
+
+// Pin returns the Reader's pinned snapshot, first pinning the latest
+// published one if the Reader holds none: successive Pins without an
+// Unpin between them return the same snapshot.
+func (r *Reader) Pin() Snapshot {
+	if r.v == nil {
+		r.v = r.slot.Pin()
+	}
+	return Snapshot{r.v}
+}
+
+// Unpin releases the pinned snapshot, if any; the next Pin takes the
+// latest one.
+func (r *Reader) Unpin() {
+	if r.v != nil {
+		r.v = nil
+		r.slot.Unpin()
+	}
+}
 
 // Flush blocks until every update enqueued before the call has been
 // applied and published, then returns the epoch of a snapshot at least
@@ -373,7 +419,7 @@ func (q QuiescentState) Graph() *graph.Graph { return q.eng.g }
 func (q QuiescentState) Cores() []int32 { return q.eng.impl.Cores() }
 
 // Epoch returns the current snapshot epoch.
-func (q QuiescentState) Epoch() uint64 { return q.eng.view().Epoch }
+func (q QuiescentState) Epoch() uint64 { return q.eng.head().Epoch }
 
 // N returns the current vertex count.
 func (q QuiescentState) N() int { return q.eng.g.N() }
@@ -418,6 +464,9 @@ type ServingStats struct {
 	// publishes; DirtyPages/DeltaPublishes is the mean pages copied per
 	// delta publication.
 	DirtyPages int64
+	// RecycledPages is the cumulative number of pages publications reused
+	// from snapshots no reader could reach any more instead of allocating.
+	RecycledPages int64
 }
 
 // ServingStats reports the pipeline's instrumentation counters.
@@ -438,6 +487,7 @@ func (m *Maintainer) ServingStats() ServingStats {
 		UnchangedPublishes: p.Unchanged,
 		GrowPublishes:      p.Grow,
 		DirtyPages:         p.DirtyPages,
+		RecycledPages:      p.Recycled,
 	}
 }
 
@@ -522,7 +572,7 @@ func (m *Maintainer) AddVertices(k int) int {
 // N returns the vertex count of the latest published snapshot. It grows
 // when a batch names unseen vertex ids or AddVertices runs, and never
 // shrinks.
-func (m *Maintainer) N() int { return m.view().N }
+func (m *Maintainer) N() int { return m.eng.head().N }
 
 // Check verifies every internal invariant of the maintainer against a
 // fresh core decomposition, at a quiescent point ordered after every
@@ -546,8 +596,13 @@ func (eng *engine) load(g *graph.Graph) {
 }
 
 // view returns the current published snapshot (never nil: New publishes
-// the initial decomposition).
+// the initial decomposition). The view escapes; see Reader.
 func (eng *engine) view() *snapshot.View { return eng.pub.Current() }
+
+// head returns the current snapshot's scalar fields. Scalar reads take
+// this path, which holds nothing: were they to take view, every batch's
+// pages would escape and none would ever be recycled.
+func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
 
 // grow extends the vertex universe — graph, engine state, then the
 // snapshot, copy-on-write — to n vertices. At quiescence, n > g.N().
@@ -598,7 +653,7 @@ func (eng *engine) check() error { return eng.impl.Check() }
 // post-batch epoch is >= every intermediate one.
 func (eng *engine) logEpoch() {
 	if lg := eng.cfg.oplog; lg != nil {
-		lg.AppendEpoch(eng.view().Epoch)
+		lg.AppendEpoch(eng.head().Epoch)
 	}
 }
 

@@ -106,3 +106,30 @@ func TestDecomposeStandalone(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderPinsUntilUnpin: a Reader's snapshot stays the one it pinned,
+// values included, across batches that recycle pages, until Unpin; the
+// next Pin takes the latest snapshot. Scalar reads and a pinning Reader
+// leave the publisher free to recycle: pages come back from its free list.
+func TestReaderPinsUntilUnpin(t *testing.T) {
+	m := New(graph.MustFromEdges(2048, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}))
+	defer m.Close()
+	r := m.NewReader()
+	defer r.Unpin()
+	s := r.Pin()
+	for i := 0; i < 8; i++ {
+		m.InsertEdge(0, 2) // a triangle: vertices 0-2 go to core 2
+		m.RemoveEdge(0, 2) // and back to core 1
+	}
+	m.InsertEdge(0, 2)
+	if p := r.Pin(); p.Epoch() != s.Epoch() || p.CoreOf(0) != 1 || p.Histogram()[1] != 3 {
+		t.Fatalf("pinned snapshot moved: epoch %d→%d, core(0) %d, hist %v", s.Epoch(), p.Epoch(), p.CoreOf(0), p.Histogram())
+	}
+	r.Unpin()
+	if p := r.Pin(); p.Epoch() != m.Epoch() || p.CoreOf(0) != 2 {
+		t.Fatalf("Pin after Unpin: epoch %d (latest %d), core(0) %d, want the latest and 2", p.Epoch(), m.Epoch(), p.CoreOf(0))
+	}
+	if st := m.ServingStats(); st.RecycledPages == 0 {
+		t.Fatalf("no page recycled in %d dirty pages", st.DirtyPages)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/snapshot"
 	"repro/kcore"
 	"repro/resp"
 )
@@ -91,7 +92,8 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	}
 
 	b.Run("pipelinedWrite", func(b *testing.B) {
-		// 16 disjoint paths a–b–c on 256 vertices: one burst of single-edge
+		// 16 disjoint paths a–b–c on one full snapshot page of vertices (a
+		// short last page is never recycled): one burst of single-edge
 		// CORE.INSERTs closes each into a triangle, the next burst of
 		// CORE.REMOVEs reopens them, so every engine batch moves vertices
 		// and publishes a delta.
@@ -104,7 +106,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			closeBurst = appendRESPCommand(closeBurst, "CORE.INSERT", a, c)
 			openBurst = appendRESPCommand(openBurst, "CORE.REMOVE", a, c)
 		}
-		wm := kcore.New(graph.MustFromEdges(256, base), kcore.WithWorkers(1))
+		wm := kcore.New(graph.MustFromEdges(snapshot.PageSize, base), kcore.WithWorkers(1))
 		defer wm.Close()
 		wc := &conn{srv: New(wm), wr: resp.NewWriterSize(io.Discard, 16<<10)}
 		pair := func() {
@@ -115,8 +117,9 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 
 		// The applier may wake before a burst is fully queued and split it
 		// into two batches; each batch owns its VPlusSizes slice and
-		// PublishDelta's 4 (page table, cloned page, histogram, View), so
-		// the bound scales with the batches ServingStats counted.
+		// PublishDelta's View (the page table, cloned page and histogram
+		// are recycled from the batch before), so the bound scales with
+		// the batches ServingStats counted.
 		const runs = 100
 		before := wm.ServingStats()
 		perBurst := testing.AllocsPerRun(runs, pair) / 2
@@ -125,9 +128,9 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		if d := after.DeltaPublishes - before.DeltaPublishes; d != after.Batches-before.Batches {
 			b.Fatalf("%d delta publications in %d batches: a burst did not move its vertices", d, after.Batches-before.Batches)
 		}
-		if perBurst > 5*batches {
+		if perBurst > 2*batches {
 			b.Fatalf("write path allocates per command: %.2f allocs per %d-deep burst over %.2f engine batches, want at most %.2f",
-				perBurst, writeDepth, batches, 5*batches)
+				perBurst, writeDepth, batches, 2*batches)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

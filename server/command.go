@@ -95,7 +95,7 @@ func cmdGet(c *conn, args [][]byte) bool {
 	if !ok {
 		return false
 	}
-	s := c.srv.m.Snapshot()
+	s := c.snapshot()
 	var core int32
 	if int(v) < s.N() {
 		core = s.CoreOf(v)
@@ -107,7 +107,7 @@ func cmdGet(c *conn, args [][]byte) bool {
 // cmdMGet serves CORE.MGET v…: one integer per id, all read off one
 // snapshot, so the reply is mutually consistent.
 func cmdMGet(c *conn, args [][]byte) bool {
-	s := c.srv.m.Snapshot()
+	s := c.snapshot()
 	n := int32(s.N())
 	// Validate (and parse once) before writing: an array reply cannot
 	// carry a trailing error without desynchronizing the stream. The id
@@ -167,7 +167,7 @@ func cmdHist(c *conn, args [][]byte) bool {
 	var hist []int64
 	switch len(args) {
 	case 1:
-		hist = c.srv.m.Snapshot().Histogram()
+		hist = c.snapshot().Histogram()
 	case 3:
 		lo, ok := c.argVertex(args[1])
 		if !ok {
@@ -177,7 +177,7 @@ func cmdHist(c *conn, args [][]byte) bool {
 		if !ok {
 			return false
 		}
-		c.hist = c.srv.m.Snapshot().HistogramRangeInto(c.hist, lo, hi)
+		c.hist = c.snapshot().HistogramRangeInto(c.hist, lo, hi)
 		hist = c.hist
 	default:
 		c.writeError("ERR CORE.HIST takes no arguments or an id range: CORE.HIST [lo hi]")
@@ -203,7 +203,7 @@ func cmdKVert(c *conn, args [][]byte) bool {
 	}
 	switch len(args) {
 	case 2:
-		hist := c.srv.m.Snapshot().Histogram()
+		hist := c.snapshot().Histogram()
 		var count int64
 		for cv := max(k, 0); cv < int64(len(hist)); cv++ {
 			count += hist[cv]
@@ -219,7 +219,7 @@ func cmdKVert(c *conn, args [][]byte) bool {
 			return false
 		}
 		kk := int32(min(max(k, 0), int64(1<<31-1)))
-		c.wr.WriteInt(c.srv.m.Snapshot().CountCoresAtLeast(kk, lo, hi))
+		c.wr.WriteInt(c.snapshot().CountCoresAtLeast(kk, lo, hi))
 	default:
 		c.writeError("ERR CORE.KVERT takes k or k plus an id range: CORE.KVERT k [lo hi]")
 		return false

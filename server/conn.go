@@ -30,6 +30,15 @@ import (
 // folds with last-op-per-edge-wins in enqueue order, the drain-later
 // scheme is observationally identical to executing the commands one at a
 // time — just in ~one engine round instead of one per command.
+//
+// Snapshot reads go through the connection's kcore.Reader: the first one
+// of a burst pins the latest snapshot, and the reads after it share that
+// pin until the connection could wait — before it waits on a write
+// future (drainPending), before any command outside the read and
+// aggregate families runs (CORE.WAIT and CORE.SYNC park), and before the
+// burst's replies are flushed to a peer that may be slow (endCycle). A
+// connection therefore never pins a snapshot while it waits, and the
+// publisher recycles the pages no pinned connection can reach.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -60,6 +69,8 @@ type conn struct {
 	ids    []int32
 	hist   []int64 // range-histogram bins (CORE.HIST lo hi)
 	errBuf []byte
+
+	rd *kcore.Reader // made on the first snapshot read
 }
 
 // owed is one write slot: a pipelined write's future and the edge buffer
@@ -94,6 +105,7 @@ const (
 // and with it this connection's reads: back-pressure needs no buffer.
 func (c *conn) serve() {
 	defer c.nc.Close()
+	defer c.unpin() // a Reader dropped pinned would keep its slot
 	for {
 		c.ensureInSpace()
 		n, err := c.nc.Read(c.in[len(c.in):cap(c.in)])
@@ -113,6 +125,23 @@ func (c *conn) serve() {
 			c.readFailed(err)
 			return
 		}
+	}
+}
+
+// snapshot returns the snapshot this burst's reads share, pinning the
+// latest one on the burst's first read.
+func (c *conn) snapshot() kcore.Snapshot {
+	if c.rd == nil {
+		c.rd = c.srv.m.NewReader()
+	}
+	return c.rd.Pin()
+}
+
+// unpin releases the burst's pinned snapshot, if any; the next read pins
+// a fresh one.
+func (c *conn) unpin() {
+	if c.rd != nil {
+		c.rd.Unpin()
 	}
 }
 
@@ -184,6 +213,7 @@ func (c *conn) handle(args [][]byte) (quit bool) {
 // and the read-latency burst mean flush first, so the final write drain
 // is not charged to the reads.
 func (c *conn) endCycle() {
+	c.unpin()
 	c.flushObs()
 	c.drainPending()
 	c.srv.metrics.pipeDepth.Observe(c.cycle)
@@ -221,6 +251,7 @@ func (c *conn) flushObs() {
 // are still settled and flushed, a protocol error gets an error reply,
 // and a clean shutdown (EOF, or the Shutdown nudge) stays quiet.
 func (c *conn) readFailed(err error) {
+	c.unpin()
 	c.flushObs()
 	c.drainPending()
 	var pe *resp.ProtocolError
@@ -255,6 +286,9 @@ func (c *conn) dispatch(args [][]byte) (quit bool) {
 		c.famN[famAdmin]++
 		c.writeErrArg("unknown command", args[0])
 		return false
+	}
+	if cmd.family != famRead && cmd.family != famAggregate {
+		c.unpin() // it may wait, and it reads no snapshot
 	}
 	if cmd.blocking {
 		// It may park for good: count it now, not at the end of a burst
@@ -305,6 +339,8 @@ func (c *conn) drainPending() {
 	if k == 0 {
 		return
 	}
+	// No pin across the wait, and the next read must observe these writes.
+	c.unpin()
 	t0 := time.Now()
 	for i := range c.pending {
 		w := &c.pending[i]

@@ -178,6 +178,8 @@ func (s *Server) register(reg *obs.Registry) {
 			}),
 		obs.NewCounterFunc("kcored_dirty_pages_total", "Snapshot pages rewritten by delta publication.",
 			func() float64 { return float64(s.m.ServingStats().DirtyPages) }),
+		obs.NewCounterFunc("kcored_recycled_pages_total", "Snapshot pages publication reused from snapshots no reader could reach.",
+			func() float64 { return float64(s.m.ServingStats().RecycledPages) }),
 	)
 
 	s.m.PipelineMetrics().Register(reg)

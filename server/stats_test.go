@@ -74,6 +74,7 @@ var everyServerKeys = []movedKey{
 	{"unchanged_publishes", "kcored_publishes_total", `kind="unchanged"`},
 	{"grow_publishes", "kcored_publishes_total", `kind="grow"`},
 	{"dirty_pages", "kcored_dirty_pages_total", ""},
+	{"recycled_pages", "kcored_recycled_pages_total", ""},
 	{"uptime_sec", "kcored_uptime_seconds", ""},
 	{"inflight_writes", "kcored_inflight_writes", ""},
 	{"slowlog_len", "kcored_slowlog_entries", ""},
