@@ -3,131 +3,106 @@ package snapshot
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
 
-// BenchmarkSnapshotPublish contrasts the two publication paths the serving
-// layer can take after a batch that changed |V*| core numbers on an
-// n-vertex graph:
+// BenchmarkSnapshotPublish prices the two ways to make a View on an
+// n-vertex graph, after a batch that changed |V*| core numbers:
 //
-//   - full:  what every publication used to cost — materialize the core
-//     array (the O(n) copy a quiescent engine scan pays) and rebuild the
-//     aggregates from scratch;
-//   - delta: the copy-on-write path — clone only the pages the changed
-//     set dirties and patch the histogram by ± deltas;
-//   - jes:   the join-edge-set engine's publish path — a raw multi-level
-//     changed report (vertices repeat across rounds) goes through
-//     BuildDelta's dedup and then the same COW patch, i.e. delta plus the
-//     per-report dedup cost;
-//   - grow:  the streaming-graph growth path — PublishGrow mints 8192
-//     fresh vertices (8 new zero pages plus the page-table copy) and a
-//     post-growth PublishDelta patches |V*| vertices inside the grown
-//     tail. The row must stay O(|V*| + newPages·PageSize + n/PageSize):
-//     growth never triggers the O(n) rebuild.
+//   - full:  Load — materialize the core array (the O(n) copy a
+//     quiescent engine scan pays) and build the aggregates from scratch;
+//   - delta: Publish — clone only the pages the changed set dirties and
+//     patch the histogram by ± moves; at vstar = n/4 and vstar = n it
+//     prices a batch that moves a large share of the graph;
+//   - jes:   Publish of a raw report as the join-edge-set engine emits it,
+//     every vertex repeated (a touch at two levels): delta plus the cost
+//     of reading the repeats;
+//   - grow:  one Publish that mints 8192 fresh vertices (8 new zero pages
+//     plus the page-table copy) and patches |V*| of them — O(|V*| +
+//     newPages·PageSize + n/PageSize).
 //
 // The delta, jes and grow rows should be independent of n's linear term
 // and proportional to the dirty/new page count.
 func BenchmarkSnapshotPublish(b *testing.B) {
-	for _, n := range []int{100_000, 1_000_000} {
+	for _, n := range []int{200_000, 1_000_000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		cores := make([]int32, n)
 		for i := range cores {
 			cores[i] = rng.Int31n(64)
 		}
-		for _, vstar := range []int{1, 100, 10_000} {
-			if vstar > n {
-				continue
+		for _, vstar := range []int{1, 100, 10_000, n / 4, n} {
+			verts := make([]int32, vstar)
+			for i, v := range rng.Perm(n)[:vstar] {
+				verts[i] = int32(v)
 			}
-			// Two alternating changed sets over the same vertices, so
-			// every iteration really patches pages instead of hitting
-			// the no-op skip.
-			verts := rng.Perm(n)[:vstar]
-			flip := make([][]VertexCore, 2)
-			for side := range flip {
-				flip[side] = make([]VertexCore, vstar)
-				for i, v := range verts {
-					flip[side][i] = VertexCore{V: int32(v), Core: cores[v] + int32(side)}
-				}
-			}
+			// Two alternating sides over the same vertices, so every
+			// iteration really patches pages instead of hitting the
+			// no-op skip.
+			side := int32(1)
+			coreOf := func(v int32) int32 { return cores[v] + side }
 			name := fmt.Sprintf("n=%d/vstar=%d", n, vstar)
 			b.Run(name+"/full", func(b *testing.B) {
 				var p Publisher
-				p.Publish(append([]int32(nil), cores...), int64(n))
+				p.Load(append([]int32(nil), cores...), int64(n))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.Publish(append([]int32(nil), cores...), int64(n))
+					p.Load(append([]int32(nil), cores...), int64(n))
 				}
 			})
 			b.Run(name+"/delta", func(b *testing.B) {
 				var p Publisher
-				p.Publish(append([]int32(nil), cores...), int64(n))
-				p.PublishDelta(flip[1], int64(n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.PublishDelta(flip[i%2], int64(n))
-				}
-			})
-			b.Run(name+"/grow", func(b *testing.B) {
-				const growBy = 8 * PageSize
-				var p Publisher
-				p.Publish(append([]int32(nil), cores...), int64(n))
-				base := p.Current()
-				// The grown tail's changed set: vstar fresh vertices
-				// promoted to core 1 right after arrival.
-				tailChanged := make([]VertexCore, vstar)
-				for i := range tailChanged {
-					tailChanged[i] = VertexCore{V: int32(n + (i*growBy)/vstar), Core: 1}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Rewind to the pre-growth view, so every iteration
-					// pays one real grow + tail delta without the
-					// universe compounding across iterations.
-					p.rewind(base)
-					p.PublishGrow(n+growBy, int64(n))
-					p.PublishDelta(tailChanged, int64(n))
-				}
-				b.StopTimer()
-				if st := p.Stats(); st.Full != 1 {
-					b.Fatalf("post-growth publish fell back to %d full rebuilds", st.Full-1)
-				}
-			})
-			b.Run(name+"/jes", func(b *testing.B) {
-				// Raw changed report as the JES engine emits it: every
-				// vertex repeated (a touch at two levels). BuildDelta +
-				// PublishDelta is the publication work one JES batch
-				// costs the applier.
-				raw := make([]int32, 0, 2*vstar)
-				for _, v := range verts {
-					raw = append(raw, int32(v))
-				}
-				for _, v := range verts {
-					raw = append(raw, int32(v))
-				}
-				var p Publisher
-				p.Publish(append([]int32(nil), cores...), int64(n))
-				// The dedup scratch the applier carries from batch to batch.
-				seen := make([]uint64, (n+63)/64)
-				side := int32(1)
-				coreOf := func(v int32) int32 { return cores[v] + side }
-				// Pre-warm onto side 1 so iteration 0 (side 0) patches
-				// real pages instead of hitting the no-op skip, exactly
-				// like the delta case above.
-				delta, _ := BuildDelta(nil, seen, raw, n, coreOf)
-				p.PublishDelta(delta, int64(n))
+				p.Load(append([]int32(nil), cores...), int64(n))
+				side = 1
+				p.Publish(n, int64(n), verts, coreOf)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					side = int32(i % 2)
-					var ok bool
-					if delta, ok = BuildDelta(delta, seen, raw, n, coreOf); !ok {
-						b.Fatal("unexpected rebuild fallback")
-					}
-					p.PublishDelta(delta, int64(n))
+					p.Publish(n, int64(n), verts, coreOf)
+				}
+			})
+			if vstar > 10_000 {
+				continue // the large changed sets price delta against full only
+			}
+			b.Run(name+"/grow", func(b *testing.B) {
+				const growBy = 8 * PageSize
+				var p Publisher
+				p.Load(append([]int32(nil), cores...), int64(n))
+				base := p.Current()
+				// The grown tail's changed set: vstar fresh vertices
+				// promoted to core 1 right after arrival.
+				tail := make([]int32, vstar)
+				for i := range tail {
+					tail[i] = int32(n + (i*growBy)/vstar)
+				}
+				one := func(int32) int32 { return 1 }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Rewind to the pre-growth view, so every iteration
+					// pays one real grow without the universe compounding
+					// across iterations.
+					p.rewind(base)
+					p.Publish(n+growBy, int64(n), tail, one)
+				}
+			})
+			b.Run(name+"/jes", func(b *testing.B) {
+				raw := append(slices.Clone(verts), verts...)
+				var p Publisher
+				p.Load(append([]int32(nil), cores...), int64(n))
+				// Pre-warm onto side 1 so iteration 0 (side 0) patches
+				// real pages instead of hitting the no-op skip, exactly
+				// like the delta case above.
+				side = 1
+				p.Publish(n, int64(n), raw, coreOf)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					side = int32(i % 2)
+					p.Publish(n, int64(n), raw, coreOf)
 				}
 			})
 		}
@@ -176,7 +151,7 @@ func BenchmarkPublishBesideReaders(b *testing.B) {
 		b.Run(fmt.Sprint("idle=", idle), func(b *testing.B) {
 			const n = 200 * PageSize
 			var p Publisher
-			p.Publish(make([]int32, n), 0)
+			p.Load(make([]int32, n), 0)
 			for range idle {
 				r := p.NewReader()
 				r.Pin()
@@ -196,14 +171,17 @@ func BenchmarkPublishBesideReaders(b *testing.B) {
 				}
 				done <- sum
 			}()
-			changed := make([]VertexCore, 8)
+			changed := make([]int32, 8)
+			for j := range changed {
+				changed[j] = int32(j * 25 * PageSize)
+			}
+			core := int32(0)
+			coreOf := func(int32) int32 { return core }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range changed {
-					changed[j] = VertexCore{V: int32(j * 25 * PageSize), Core: int32(i%2) + 1}
-				}
-				p.PublishDelta(changed, 0)
+				core = int32(i%2) + 1
+				p.Publish(n, 0, changed, coreOf)
 			}
 			b.StopTimer()
 			stop.Store(true)

@@ -66,14 +66,15 @@ func audit(v *View, mdl *model) string {
 	return ""
 }
 
-// TestReclaimHammerThenAudit: one writer runs delta, unchanged, grow and
-// full publications on an 8-page graph and records what every epoch's
-// View must read; four pinned Readers and two holders of escaped Views
-// read beside it, and every read is audited against its epoch's model. A
-// pinned View is sometimes held across publications and audited again
-// before Unpin; an escaped View is audited again after at least 1 000
-// later publications. Recycling must actually happen: a reclamation that
-// reused a page some reader could still reach shows as a failed audit.
+// TestReclaimHammerThenAudit: one writer runs publications that write
+// pages, that write nothing, that grow the universe, and Loads, on an
+// 8-page graph, and records what every epoch's View must read; four
+// pinned Readers and two holders of escaped Views read beside it, and
+// every read is audited against its epoch's model. A pinned View is
+// sometimes held across publications and audited again before Unpin; an
+// escaped View is audited again after at least 1 000 later publications.
+// Recycling must actually happen: a reclamation that reused a page some
+// reader could still reach shows as a failed audit.
 func TestReclaimHammerThenAudit(t *testing.T) {
 	publishes := 20_000
 	if testing.Short() {
@@ -131,7 +132,8 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 	}
 	recount()
 	record(1)
-	p.Publish(slices.Clone(cores), m)
+	p.Load(slices.Clone(cores), m)
+	coreOf := func(v int32) int32 { return cores[v] }
 
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -204,8 +206,8 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 		m++
 		var got uint64
 		switch k := rng.Intn(100); {
-		case k < 70: // delta: a few vertices on one to three pages
-			changed := make([]VertexCore, 0, 24)
+		case k < 70: // writes: a few vertices on one to three pages
+			changed := make([]int32, 0, 24)
 			for range 1 + rng.Intn(3) {
 				lo := int32(rng.Intn(len(sums))) * PageSize
 				for range 1 + rng.Intn(8) {
@@ -214,15 +216,15 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 					hist[cores[v]]--
 					hist[c]++
 					cores[v] = c
-					changed = append(changed, VertexCore{V: v, Core: c})
+					changed = append(changed, v)
 				}
 				resum(int(lo / PageSize))
 			}
 			record(e)
-			got = p.PublishDelta(changed, m)
-		case k < 82:
+			got = p.Publish(len(cores), m, changed, coreOf)
+		case k < 82: // no writes: a report whose vertices did not move
 			record(e)
-			got = p.PublishUnchanged(m)
+			got = p.Publish(len(cores), m, []int32{rng.Int31n(int32(len(cores)))}, coreOf)
 		case k < 92 && len(cores) < maxN:
 			newN := min(len(cores)+1+rng.Intn(400), maxN)
 			hist[0] += int64(newN - len(cores))
@@ -234,15 +236,15 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 				resum(pg)
 			}
 			record(e)
-			got = p.PublishGrow(newN, m)
-		default: // full: a fresh decomposition, back at the base size
+			got = p.Publish(newN, m, nil, nil)
+		default: // Load: a fresh decomposition, back at the base size
 			cores = cores[:baseN]
 			for range 200 {
 				cores[rng.Intn(baseN)] = rng.Int31n(12)
 			}
 			recount()
 			record(e)
-			got = p.Publish(slices.Clone(cores), m)
+			got = p.Load(slices.Clone(cores), m)
 		}
 		if got != e {
 			t.Fatalf("publication returned epoch %d, want %d", got, e)
@@ -279,8 +281,10 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 // and the View it returns is never reclaimed.
 func TestPinSlotsCountBusyReaders(t *testing.T) {
 	var p Publisher
-	p.Publish(make([]int32, 2*PageSize), 0)
-	p.PublishDelta([]VertexCore{{V: 0, Core: 1}}, 0) // page 0 is the Publisher's own now
+	cores := make([]int32, 2*PageSize)
+	p.Load(slices.Clone(cores), 0)
+	cores[0] = 1
+	p.Publish(len(cores), 0, []int32{0}, coresOf(cores)) // page 0 is the Publisher's own now
 	for range 256 {
 		r := p.NewReader()
 		r.Pin()
@@ -304,7 +308,8 @@ func TestPinSlotsCountBusyReaders(t *testing.T) {
 		r.Unpin()
 	}
 	for i := range 16 {
-		p.PublishDelta([]VertexCore{{V: 0, Core: int32(i%2) + 2}}, 0)
+		cores[0] = int32(i%2) + 2
+		p.Publish(len(cores), 0, []int32{0}, coresOf(cores))
 	}
 	if v.CoreOf(0) != 1 || v.CoreOf(1) != 0 || !slices.Equal(v.Hist, []int64{2*PageSize - 1, 1}) {
 		t.Fatalf("escaped view changed: core(0) %d, core(1) %d, hist %v", v.CoreOf(0), v.CoreOf(1), v.Hist)

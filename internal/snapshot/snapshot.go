@@ -4,11 +4,16 @@
 // live engine state, so reads are lock-free and never block behind an
 // in-flight batch.
 //
-// Core numbers are stored in fixed-size pages behind a page table, so a
-// View can be re-published copy-on-write: PublishDelta clones only the
-// pages a batch dirtied and patches the histogram by the per-vertex
-// (oldCore, newCore) deltas, making publication cost O(|V*| + dirtyPages ·
-// PageSize + n/PageSize) instead of O(n).
+// Core numbers are stored in fixed-size pages behind a page table. A
+// Publisher makes a View one of two ways: Load builds it from a core array
+// in O(n), and Publish derives it copy-on-write from the current one. A
+// Publish grows the universe when asked, then clones only the pages a
+// batch's changed set V* dirtied and patches the histogram by the
+// per-vertex (oldCore, newCore) moves, so it costs O(|V*| + dirtyPages ·
+// PageSize + n/PageSize), never O(n). It reads each reported vertex's
+// old core from its page and skips a vertex whose core did not move, so a
+// raw report with repeats needs no dedup pass, and a batch that moved
+// nothing shares the previous View's page table and histogram.
 //
 // A page, page table or histogram lives through a run of epochs: it
 // enters the views at epoch b and is last in the view of epoch r, which
@@ -188,68 +193,15 @@ func (v *View) CountCoresAtLeast(k, lo, hi int32) int64 {
 	return count
 }
 
-// VertexCore names one vertex of a batch's changed set V* together with
-// its post-batch core number. The pre-batch value is not needed: the
-// publisher reads it from the page being patched.
-type VertexCore struct {
-	V    int32 // vertex id
-	Core int32 // core number at batch quiescence
-}
-
-// BuildDelta turns a batch's raw changed-vertex report (a ⋃V* that may
-// repeat vertices) into PublishDelta input: duplicates are dropped and
-// each distinct vertex is paired with its quiescent core number via
-// coreOf. ok is false when the distinct set is a sizable fraction of the
-// n-vertex graph (≥ n/4) — there a full rebuild is at least as cheap and
-// the caller should Publish instead; the loop bails out the moment the
-// threshold is crossed, so the fallback case never pays the full dedup.
-// Centralizing this keeps the dedup and fallback policy identical across
-// the engine families.
-//
-// The scratch is the caller's, so a warm call allocates nothing. seen is a
-// bit set of at least n bits, all clear; BuildDelta clears exactly the bits
-// it set before returning, on either outcome. The delta is appended to
-// dst[:0], which is replaced by a buffer of the right size when its
-// capacity is short of min(len(changed), n/4+1).
-func BuildDelta(dst []VertexCore, seen []uint64, changed []int32, n int, coreOf func(int32) int32) (delta []VertexCore, ok bool) {
-	hint := len(changed)
-	if limit := n/4 + 1; hint > limit {
-		hint = limit
-	}
-	if cap(dst) < hint {
-		dst = make([]VertexCore, 0, hint)
-	}
-	delta, ok = dst[:0], true
-	for _, v := range changed {
-		w, bit := v>>6, uint64(1)<<(v&63)
-		if seen[w]&bit != 0 {
-			continue
-		}
-		seen[w] |= bit
-		delta = append(delta, VertexCore{V: v, Core: coreOf(v)})
-		if len(delta)*4 >= n {
-			ok = false
-			break
-		}
-	}
-	for _, c := range delta {
-		seen[c.V>>6] &^= 1 << (c.V & 63)
-	}
-	if !ok {
-		return nil, false
-	}
-	return delta, true
-}
-
-// PubStats counts publications by kind. DirtyPages accumulates the pages
-// cloned by delta publications; DirtyPages/Delta is the mean write
-// amplification of the copy-on-write path. Recycled counts the pages
-// publications took from the free list instead of allocating.
+// PubStats counts publications by what they did. DirtyPages accumulates
+// the pages Publish cloned to patch a changed vertex; DirtyPages/Delta is
+// the mean write amplification of the copy-on-write path. Recycled counts
+// the pages publications took from the free list instead of allocating.
 type PubStats struct {
-	Full       int64
-	Delta      int64
-	Unchanged  int64
-	Grow       int64
+	Full       int64 // Load
+	Delta      int64 // Publish that cloned a page to patch it, N unchanged
+	Unchanged  int64 // Publish that wrote nothing and kept N
+	Grow       int64 // Publish that raised N
 	DirtyPages int64
 	Recycled   int64
 }
@@ -341,7 +293,7 @@ type retiree struct {
 }
 
 // Publisher owns the current View of one maintained graph. The zero value
-// is ready to use; Current returns nil until the first Publish.
+// is ready to use; Current returns nil until the first Load.
 // Publications serialize on an internal lock, so they may be called from
 // any goroutine; each returns the epoch of the View it installs.
 type Publisher struct {
@@ -362,7 +314,7 @@ type Publisher struct {
 	mu    sync.Mutex
 	epoch uint64 // the current View's epoch
 	// pageBorn[i] is the epoch page i of the current View entered the
-	// views, 0 when it is a slice of a Publish caller's array (never
+	// views, 0 when it is a slice of a Load caller's array (never
 	// reclaimed); tableBorn and histBorn are the same for the page table
 	// and the histogram.
 	pageBorn            []uint64
@@ -381,12 +333,12 @@ type Publisher struct {
 	recycled   atomic.Int64
 }
 
-// Publish derives the aggregate fields from cores, stamps the next epoch,
-// and installs the View as current — the O(n) full rebuild, which retires
-// every object of the previous View. Publish must only run at quiescence
-// (no concurrent engine mutation); it takes ownership of cores, which
-// becomes the backing store of the pages.
-func (p *Publisher) Publish(cores []int32, m int64) uint64 {
+// Load derives the aggregate fields from cores, stamps the next epoch,
+// and installs the View as current — the O(n) build, which retires every
+// object of the previous View. Load must only run at quiescence (no
+// concurrent engine mutation); it takes ownership of cores, which becomes
+// the backing store of the pages.
+func (p *Publisher) Load(cores []int32, m int64) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if old := p.cur.Load(); old != nil {
@@ -416,112 +368,78 @@ func (p *Publisher) Publish(cores []int32, m int64) uint64 {
 	}, true, true)
 }
 
-// PublishUnchanged installs a fresh View that reuses the current View's
-// page table and aggregates, updating only the epoch and edge count — an
-// O(1) publication for batches that changed no core number. The caller
-// must guarantee no core number changed since the last Publish; must only
-// run at quiescence, after at least one Publish.
-func (p *Publisher) PublishUnchanged(m int64) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.publishUnchanged(m)
-}
-
-func (p *Publisher) publishUnchanged(m int64) uint64 {
-	old := p.cur.Load()
-	p.unchanged.Add(1)
-	return p.install(&View{
-		Head:  Head{MaxCore: old.MaxCore, N: old.N, M: m},
-		pages: old.pages,
-		Hist:  old.Hist,
-	}, false, false)
-}
-
-// PublishGrow installs a fresh View whose vertex universe is extended to
-// newN vertices, all new ones entering at core 0. Like PublishDelta it is
-// copy-on-write: the page table is re-sliced, a short last page is cloned
-// and zero-extended, fresh zero pages cover the new tail, and Hist[0] is
-// bumped by the number of minted vertices — O(newPages + n/PageSize),
-// never an O(n) rebuild. Views published earlier keep their shorter page
-// table and N untouched. Must only run at quiescence, after at least one
-// Publish; newN at or below the current N republishes unchanged.
-func (p *Publisher) PublishGrow(newN int, m int64) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.cur.Load()
-	if newN <= old.N {
-		return p.publishUnchanged(m)
-	}
-	numPages := (newN + PageSize - 1) / PageSize
-	pages := p.takeTable(numPages)
-	copy(pages, old.pages)
-	p.retire(retiree{born: p.tableBorn, table: old.pages})
-	// fullLen returns the length page i must have to cover the new N.
-	fullLen := func(i int) int {
-		if hi := (i + 1) << PageBits; hi > newN {
-			return newN - i<<PageBits
-		}
-		return PageSize
-	}
-	next := p.epoch + 1
-	if last := len(old.pages) - 1; last >= 0 && len(old.pages[last]) < fullLen(last) {
-		// The old last page was short (old.N not page-aligned): clone and
-		// zero-extend it, leaving the shared original untouched.
-		np := p.takePage(fullLen(last))
-		clear(np[copy(np, old.pages[last]):])
-		p.retire(retiree{born: p.pageBorn[last], page: old.pages[last]})
-		pages[last] = np
-		p.pageBorn[last] = next
-	}
-	for i := len(old.pages); i < numPages; i++ {
-		pages[i] = p.takePage(fullLen(i))
-		clear(pages[i])
-		p.pageBorn = append(p.pageBorn, next)
-	}
-	hist := append(p.takeHist(len(old.Hist)), old.Hist...)
-	hist[0] += int64(newN - old.N)
-	p.retire(retiree{born: p.histBorn, hist: old.Hist})
-	p.grow.Add(1)
-	return p.install(&View{
-		Head:  Head{MaxCore: old.MaxCore, N: newN, M: m},
-		pages: pages,
-		Hist:  hist,
-	}, true, true)
-}
-
-// PublishDelta installs a fresh View derived copy-on-write from the
-// current one: only the pages containing a changed vertex are cloned and
-// patched, Hist is adjusted by ±1 per (oldCore, newCore) pair, and
-// MaxCore is re-derived from the patched histogram. Cost is
-// O(len(changed) + dirtyPages·PageSize + n/PageSize), independent of n's
-// linear term — the point of the paper's |V*|-proportional maintenance.
+// Publish installs a fresh View derived copy-on-write from the current
+// one, with n vertices and m edges. When n exceeds the current N the
+// universe grows: the new vertices enter at core 0 on fresh zero pages,
+// and a short last page is cloned and zero-extended. Then every vertex of
+// changed whose core number coreOf(v) differs from the View is patched:
+// its page is cloned once, Hist moves by ±1 and MaxCore is re-derived from
+// it. The page table and the histogram are cloned on the first write, so
+// a publication that writes nothing shares both with the previous View.
+// Cost is O(len(changed) + dirtyPages·PageSize + n/PageSize) — in the
+// batch's changed set V*, not in n's linear term.
 //
 // changed must cover every vertex whose core number differs from the
-// current View, with its quiescent core number; duplicate entries and
-// entries whose core did not change (e.g. a vertex that dropped and was
-// re-promoted within one batch) are skipped harmlessly. Must only run at
-// quiescence, after at least one Publish.
-func (p *Publisher) PublishDelta(changed []VertexCore, m int64) uint64 {
+// current View; repeats and vertices whose core did not change are skipped
+// (the page already reads their core). n at or below the current N keeps
+// it. Must only run at quiescence, after Load.
+func (p *Publisher) Publish(n int, m int64, changed []int32, coreOf func(int32) int32) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.cur.Load()
-	pages := p.takeTable(len(old.pages))
-	copy(pages, old.pages)
-	p.retire(retiree{born: p.tableBorn, table: old.pages})
 	next := p.epoch + 1
-	hist := old.Hist
-	histCopied := false
+	pages, hist := old.pages, old.Hist
+	newTable, newHist := false, false
+	cloneTable := func(size int) {
+		newTable = true
+		pages = p.takeTable(size)
+		copy(pages, old.pages)
+		p.retire(retiree{born: p.tableBorn, table: old.pages})
+	}
+	cloneHist := func() {
+		newHist = true
+		hist = append(p.takeHist(len(old.Hist)+1), old.Hist...)
+		p.retire(retiree{born: p.histBorn, hist: old.Hist})
+	}
+	grown := n > old.N
+	if grown {
+		cloneTable((n + PageSize - 1) / PageSize)
+		// fullLen returns the length page i must have to cover n.
+		fullLen := func(i int) int { return min(n-i<<PageBits, PageSize) }
+		if last := len(old.pages) - 1; last >= 0 && len(old.pages[last]) < fullLen(last) {
+			// The old last page was short (old.N not page-aligned): clone
+			// and zero-extend it, leaving the shared original untouched.
+			np := p.takePage(fullLen(last))
+			clear(np[copy(np, old.pages[last]):])
+			p.retire(retiree{born: p.pageBorn[last], page: old.pages[last]})
+			pages[last] = np
+			p.pageBorn[last] = next
+		}
+		for i := len(old.pages); i < len(pages); i++ {
+			pages[i] = p.takePage(fullLen(i))
+			clear(pages[i])
+			p.pageBorn = append(p.pageBorn, next)
+		}
+		cloneHist()
+		hist[0] += int64(n - old.N)
+	} else {
+		n = old.N
+	}
 	dirty := 0
-	for _, c := range changed {
-		pi := c.V >> PageBits
-		off := c.V & pageMask
+	for _, v := range changed {
+		core := coreOf(v)
+		pi, off := v>>PageBits, v&pageMask
 		oldCore := pages[pi][off]
-		if oldCore == c.Core {
+		if oldCore == core {
 			continue
 		}
-		// A page still shared with the old View has not been cloned yet
-		// (pages are never empty, so element 0 names the backing array).
-		if &pages[pi][0] == &old.pages[pi][0] {
+		if !newTable {
+			cloneTable(len(old.pages))
+		}
+		if !newHist {
+			cloneHist()
+		}
+		if p.pageBorn[pi] != next { // still shared with the previous View
 			dirty++
 			np := p.takePage(len(pages[pi]))
 			copy(np, pages[pi])
@@ -529,30 +447,32 @@ func (p *Publisher) PublishDelta(changed []VertexCore, m int64) uint64 {
 			pages[pi] = np
 			p.pageBorn[pi] = next
 		}
-		if !histCopied {
-			histCopied = true
-			hist = append(p.takeHist(len(old.Hist)+1), old.Hist...)
-			p.retire(retiree{born: p.histBorn, hist: old.Hist})
-		}
-		pages[pi][off] = c.Core
+		pages[pi][off] = core
 		hist[oldCore]--
-		for int(c.Core) >= len(hist) {
+		for int(core) >= len(hist) {
 			hist = append(hist, 0)
 		}
-		hist[c.Core]++
+		hist[core]++
 	}
 	// Keep the invariant len(Hist) = MaxCore+1: drop bins emptied by the
-	// batch (re-slicing only; shared arrays are never written).
+	// batch.
 	for len(hist) > 1 && hist[len(hist)-1] == 0 {
 		hist = hist[:len(hist)-1]
 	}
-	p.delta.Add(1)
+	switch {
+	case grown:
+		p.grow.Add(1)
+	case dirty > 0:
+		p.delta.Add(1)
+	default:
+		p.unchanged.Add(1)
+	}
 	p.dirtyPages.Add(int64(dirty))
 	return p.install(&View{
-		Head:  Head{MaxCore: int32(len(hist)) - 1, N: old.N, M: m},
+		Head:  Head{MaxCore: int32(len(hist)) - 1, N: n, M: m},
 		pages: pages,
 		Hist:  hist,
-	}, true, histCopied)
+	}, newTable, newHist)
 }
 
 // install stamps v with the next epoch, makes it current, and then — only
@@ -599,7 +519,7 @@ func (p *Publisher) install(v *View, newTable, newHist bool) uint64 {
 }
 
 // Current returns the most recently published View, or nil before the
-// first Publish. The View escapes: it stays valid for as long as the
+// first Load. The View escapes: it stays valid for as long as the
 // caller holds it, so none of its objects is ever reclaimed. Readers that
 // can say when they are done use a Reader instead; Head reads the scalar
 // fields. Safe for concurrent use.
@@ -621,7 +541,7 @@ func (p *Publisher) Current() *View {
 }
 
 // Head returns the scalar fields of the most recently published View (the
-// zero Head before the first Publish). It holds nothing, so it reclaims
+// zero Head before the first Load). It holds nothing, so it reclaims
 // nothing. Safe for concurrent use.
 func (p *Publisher) Head() Head {
 	if v := p.cur.Load(); v != nil {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	if p.Current() != nil {
 		t.Fatal("zero publisher must have no view")
 	}
-	p.Publish([]int32{2, 2, 2, 1, 0}, 4)
+	p.Load([]int32{2, 2, 2, 1, 0}, 4)
 	v := p.Current()
 	if v.Epoch != 1 || v.N != 5 || v.M != 4 || v.MaxCore != 2 {
 		t.Fatalf("view %+v", v)
@@ -30,7 +31,7 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	if got := v.CoresInto(nil); len(got) != 5 || got[0] != 2 || got[4] != 0 {
 		t.Fatalf("CoresInto %v", got)
 	}
-	p.Publish([]int32{1, 1}, 1)
+	p.Load([]int32{1, 1}, 1)
 	v2 := p.Current()
 	if v2.Epoch != 2 {
 		t.Fatalf("epoch = %d, want 2", v2.Epoch)
@@ -51,7 +52,7 @@ func TestEpochsNeverRepeat(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				e := p.Publish([]int32{0}, 0)
+				e := p.Load([]int32{0}, 0)
 				mu.Lock()
 				if seen[e] {
 					mu.Unlock()
@@ -75,7 +76,7 @@ func viewEqual(t *testing.T, v *View, cores []int32, m int64) {
 		t.Fatalf("N=%d M=%d, want N=%d M=%d", v.N, v.M, len(cores), m)
 	}
 	var ref Publisher
-	ref.Publish(append([]int32(nil), cores...), m)
+	ref.Load(append([]int32(nil), cores...), m)
 	want := ref.Current()
 	got := v.CoresInto(nil)
 	for i := range cores {
@@ -96,37 +97,132 @@ func viewEqual(t *testing.T, v *View, cores []int32, m int64) {
 	}
 }
 
-// TestPublishDeltaMatchesFull randomly mutates core numbers across several
-// pages and checks that the chain of delta publications always equals a
-// from-scratch publish of the mutated array.
+// coresOf reads a flat core array the way the engines' CoreOf does.
+func coresOf(cores []int32) func(int32) int32 {
+	return func(v int32) int32 { return cores[v] }
+}
+
+// TestPublishDeltaMatchesFull drives Publish with raw reports as the
+// engines make them — vertices repeat, some moved and came back to their
+// old core within the batch, growth steps interleave with writes, and a
+// lone top-core vertex moves up and back down so the top bin empties —
+// and checks every View against a flat-array model: each page, Hist,
+// MaxCore, N, and which PubStats kind the publication counted. Nothing
+// deduplicates the reports, so a publication that patched a vertex whose
+// core did not move shows as a wrong kind or a wrong dirty-page count.
 func TestPublishDeltaMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const n = 3*PageSize + 123 // four pages, short last page
-	cores := make([]int32, n)
+	cores := make([]int32, 3*PageSize+123) // four pages, short last page
 	for i := range cores {
 		cores[i] = rng.Int31n(8)
 	}
 	var p Publisher
-	p.Publish(append([]int32(nil), cores...), 10)
-	for round := 0; round < 50; round++ {
-		k := rng.Intn(40)
-		changed := make([]VertexCore, 0, k+2)
-		for i := 0; i < k; i++ {
-			v := rng.Int31n(n)
-			cores[v] = rng.Int31n(12)
-			changed = append(changed, VertexCore{V: v, Core: cores[v]})
+	p.Load(slices.Clone(cores), 10)
+	const lone = int32(PageSize + 1) // the vertex that alone holds the top core
+	for round := range 80 {
+		prev := p.Current()
+		before := p.Stats()
+		oldN, n := len(cores), len(cores)
+		if round%4 == 1 { // growth, sometimes inside the short last page
+			n += 1 + rng.Intn(PageSize+PageSize/2)
+			cores = append(cores, make([]int32, n-oldN)...)
 		}
-		// Duplicate and no-op entries must be harmless.
-		if k > 0 {
-			changed = append(changed, changed[k-1])
+		oldCores := slices.Clone(cores)
+		var raw []int32
+		switch round % 8 {
+		case 2: // only repeats of vertices that came back: writes nothing
+			for range 1 + rng.Intn(6) {
+				v := rng.Int31n(int32(n))
+				raw = append(raw, v, v)
+			}
+		case 3: // a lone vertex takes a new top core, emptying no bin...
+			cores[lone] = 40 + int32(round)
+			raw = append(raw, lone)
+		case 4: // ...and drops back, emptying the top bin
+			cores[lone] = 1
+			raw = append(raw, lone, lone)
+		default:
+			for range rng.Intn(40) {
+				v := rng.Int31n(int32(n))
+				raw = append(raw, v)
+				if rng.Intn(4) == 0 {
+					continue // moved and came back: reported, unchanged
+				}
+				cores[v] = rng.Int31n(12)
+				if rng.Intn(3) == 0 {
+					raw = append(raw, v) // moved twice in the batch
+				}
+			}
 		}
-		changed = append(changed, VertexCore{V: 0, Core: cores[0]})
-		p.PublishDelta(changed, int64(100+round))
+		raw = append(raw, 0) // vertex 0 is reported whatever it did
+		m := int64(100 + round)
+		p.Publish(n, m, raw, coresOf(cores))
 		v := p.Current()
-		viewEqual(t, v, cores, int64(100+round))
+		checkModel(t, v, cores, m)
+
+		// The kind and the pages cloned, from the model.
+		dirty := int64(0)
+		for lo := 0; lo < oldN; lo += PageSize {
+			if n > oldN && lo+PageSize > oldN {
+				break // a short last page growth already cloned
+			}
+			hi := min(lo+PageSize, oldN)
+			if !slices.Equal(oldCores[lo:hi], cores[lo:hi]) {
+				dirty++
+			}
+		}
+		st := p.Stats()
+		want := before
+		switch {
+		case n > oldN:
+			want.Grow++
+		case dirty > 0:
+			want.Delta++
+		default:
+			want.Unchanged++
+		}
+		want.DirtyPages += dirty
+		want.Recycled = st.Recycled
+		if st != want {
+			t.Fatalf("round %d: stats %+v, want %+v", round, st, want)
+		}
+		if st.Unchanged > before.Unchanged && (&v.pages[0] != &prev.pages[0] || &v.Hist[0] != &prev.Hist[0]) {
+			t.Fatalf("round %d: a publication that wrote nothing cloned the page table or the histogram", round)
+		}
 	}
-	if st := p.Stats(); st.Delta != 50 {
-		t.Fatalf("delta publishes = %d, want 50", st.Delta)
+	if st := p.Stats(); st.Grow == 0 || st.Delta == 0 || st.Unchanged == 0 {
+		t.Fatalf("stats %+v: every kind must be exercised", st)
+	}
+}
+
+// checkModel asserts that v reads exactly the flat array cores: N, M, the
+// length and contents of every page, and Hist and MaxCore counted from
+// cores.
+func checkModel(t *testing.T, v *View, cores []int32, m int64) {
+	t.Helper()
+	if v.N != len(cores) || v.M != m {
+		t.Fatalf("N=%d M=%d, want N=%d M=%d", v.N, v.M, len(cores), m)
+	}
+	pages := 0
+	v.ForEachPage(func(start int32, page []int32) {
+		lo := int(start)
+		if hi := min(lo+PageSize, len(cores)); !slices.Equal(page, cores[lo:hi]) {
+			t.Fatalf("page %d reads wrong (len %d, want %d)", pages, len(page), hi-lo)
+		}
+		pages++
+	})
+	if want := (len(cores) + PageSize - 1) / PageSize; pages != want {
+		t.Fatalf("%d pages, want %d", pages, want)
+	}
+	hist := []int64{0}
+	for _, c := range cores {
+		for int(c) >= len(hist) {
+			hist = append(hist, 0)
+		}
+		hist[c]++
+	}
+	if !slices.Equal(v.Hist, hist) || int(v.MaxCore) != len(hist)-1 {
+		t.Fatalf("Hist %v MaxCore %d, want %v and %d", v.Hist, v.MaxCore, hist, len(hist)-1)
 	}
 }
 
@@ -137,10 +233,11 @@ func TestPublishDeltaCopyOnWrite(t *testing.T) {
 	const n = 2*PageSize + 10
 	cores := make([]int32, n)
 	var p Publisher
-	p.Publish(append([]int32(nil), cores...), 0)
+	p.Load(slices.Clone(cores), 0)
 	old := p.Current()
 	target := int32(PageSize + 5) // page 1
-	p.PublishDelta([]VertexCore{{V: target, Core: 3}}, 1)
+	cores[target] = 3
+	p.Publish(n, 1, []int32{target}, coresOf(cores))
 	nv := p.Current()
 	if &nv.pages[0][0] != &old.pages[0][0] || &nv.pages[2][0] != &old.pages[2][0] {
 		t.Fatal("clean pages must be shared between views")
@@ -160,11 +257,13 @@ func TestPublishDeltaCopyOnWrite(t *testing.T) {
 // once, and the old View's copy of that page keeps its values.
 func TestPublishDeltaClonesPageOnce(t *testing.T) {
 	const n = 2*PageSize + 10
+	cores := make([]int32, n)
 	var p Publisher
-	p.Publish(make([]int32, n), 0)
+	p.Load(make([]int32, n), 0)
 	old := p.Current()
 	a, b := int32(PageSize+5), int32(2*PageSize-1) // both on page 1
-	p.PublishDelta([]VertexCore{{V: a, Core: 3}, {V: b, Core: 4}}, 1)
+	cores[a], cores[b] = 3, 4
+	p.Publish(n, 1, []int32{a, b}, coresOf(cores))
 	nv := p.Current()
 	if st := p.Stats(); st.DirtyPages != 1 {
 		t.Fatalf("dirty pages = %d, want 1", st.DirtyPages)
@@ -179,103 +278,51 @@ func TestPublishDeltaClonesPageOnce(t *testing.T) {
 	}
 }
 
-// TestBuildDeltaReusesScratch: one bit set serves consecutive calls, dedups
-// within each, comes back all clear (after an n/4 bail-out too, so no later
-// call sees a stale bit), and a warm call allocates nothing.
-func TestBuildDeltaReusesScratch(t *testing.T) {
-	const n = 1000
-	seen := make([]uint64, (n+63)/64)
-	coreOf := func(v int32) int32 { return v % 7 }
-	allClear := func(when string) {
-		t.Helper()
-		for w, word := range seen {
-			if word != 0 {
-				t.Fatalf("%s: bit set word %d = %#x, want 0", when, w, word)
-			}
-		}
-	}
-	var buf []VertexCore
-	for _, tc := range []struct {
-		changed []int32
-		want    []int32
-	}{
-		{[]int32{5, 9, 5, 63, 64, 9, 999}, []int32{5, 9, 63, 64, 999}},
-		{[]int32{9, 5, 9}, []int32{9, 5}}, // the same vertices again: not stale
-		{[]int32{0, 0, 0}, []int32{0}},
-	} {
-		delta, ok := BuildDelta(buf, seen, tc.changed, n, coreOf)
-		if !ok || len(delta) != len(tc.want) {
-			t.Fatalf("BuildDelta(%v) = %v, %v; want %d distinct", tc.changed, delta, ok, len(tc.want))
-		}
-		for i, v := range tc.want {
-			if delta[i] != (VertexCore{V: v, Core: coreOf(v)}) {
-				t.Fatalf("BuildDelta(%v)[%d] = %+v, want vertex %d", tc.changed, i, delta[i], v)
-			}
-		}
-		allClear("after a delta")
-		buf = delta
-	}
-
-	// n/4 distinct vertices bail out midway; every bit they set is cleared.
-	huge := make([]int32, 0, n)
-	for v := int32(0); v < n; v += 3 {
-		huge = append(huge, v)
-	}
-	if delta, ok := BuildDelta(buf, seen, huge, n, coreOf); ok || delta != nil {
-		t.Fatalf("%d distinct of %d vertices: got a %d-entry delta, want the fallback", len(huge), n, len(delta))
-	}
-	allClear("after the bail-out")
-	if delta, ok := BuildDelta(buf, seen, []int32{3, 6, 3}, n, coreOf); !ok || len(delta) != 2 {
-		t.Fatalf("after the bail-out: delta %v, ok %v; want vertices 3 and 6", delta, ok)
-	}
-
-	changed := []int32{1, 2, 3, 2, 1, 500}
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf, _ = BuildDelta(buf, seen, changed, n, coreOf)
-	}); allocs != 0 {
-		t.Fatalf("warm BuildDelta: %.1f allocations, want 0", allocs)
-	}
-}
-
 // TestPublishDeltaMaxCoreShrinks: removing the only max-core vertex must
 // trim the histogram and lower MaxCore.
 func TestPublishDeltaMaxCoreShrinks(t *testing.T) {
+	cores := []int32{1, 1, 5}
 	var p Publisher
-	p.Publish([]int32{1, 1, 5}, 3)
-	p.PublishDelta([]VertexCore{{V: 2, Core: 1}}, 2)
+	p.Load(slices.Clone(cores), 3)
+	cores[2] = 1
+	p.Publish(3, 2, []int32{2}, coresOf(cores))
 	v := p.Current()
 	if v.MaxCore != 1 || len(v.Hist) != 2 || v.Hist[1] != 3 {
 		t.Fatalf("view %+v hist %v", v, v.Hist)
 	}
 	// And growth: a new top level extends the histogram.
-	p.PublishDelta([]VertexCore{{V: 0, Core: 9}}, 2)
+	cores[0] = 9
+	p.Publish(3, 2, []int32{0}, coresOf(cores))
 	v = p.Current()
 	if v.MaxCore != 9 || len(v.Hist) != 10 || v.Hist[9] != 1 {
 		t.Fatalf("view %+v hist %v", v, v.Hist)
 	}
 }
 
-// TestPublishUnchangedSharesPages: the O(1) path must share the page table
-// itself.
+// TestPublishUnchangedSharesPages: a publication that writes nothing — no
+// report, or one whose vertices all read their core already — must share
+// the page table and the histogram themselves.
 func TestPublishUnchangedSharesPages(t *testing.T) {
+	cores := []int32{2, 1, 0}
 	var p Publisher
-	p.Publish([]int32{2, 1, 0}, 3)
+	p.Load(slices.Clone(cores), 3)
 	old := p.Current()
-	p.PublishUnchanged(4)
+	p.Publish(3, 4, nil, nil)
+	p.Publish(2, 5, []int32{1, 0, 1}, coresOf(cores)) // n below N keeps it
 	v := p.Current()
-	if v.Epoch != old.Epoch+1 || v.M != 4 || v.MaxCore != old.MaxCore {
+	if v.Epoch != old.Epoch+2 || v.M != 5 || v.N != 3 || v.MaxCore != old.MaxCore {
 		t.Fatalf("view %+v", v)
 	}
-	if &v.pages[0][0] != &old.pages[0][0] {
-		t.Fatal("unchanged publish must share pages")
+	if &v.pages[0] != &old.pages[0] || &v.Hist[0] != &old.Hist[0] {
+		t.Fatal("unchanged publish must share the page table and the histogram")
 	}
-	if st := p.Stats(); st.Unchanged != 1 || st.Full != 1 {
+	if st := p.Stats(); st.Unchanged != 2 || st.Full != 1 || st.Delta != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
 // TestPublishGrowMatchesFull: growing across page boundaries must equal a
-// from-scratch publish of the zero-extended core array, and a post-growth
+// from-scratch load of the zero-extended core array, and a post-growth
 // delta must patch the grown tail correctly.
 func TestPublishGrowMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -284,7 +331,7 @@ func TestPublishGrowMatchesFull(t *testing.T) {
 		cores[i] = 1 + rng.Int31n(6)
 	}
 	var p Publisher
-	p.Publish(append([]int32(nil), cores...), 10)
+	p.Load(slices.Clone(cores), 10)
 	for _, newN := range []int{
 		len(cores) + 1,  // stays inside the short page
 		PageSize * 2,    // fills page 1 exactly
@@ -292,7 +339,7 @@ func TestPublishGrowMatchesFull(t *testing.T) {
 		PageSize*4 + 13, // no-op: newN == N republishes unchanged
 		PageSize * 4,    // below N: never shrinks
 	} {
-		p.PublishGrow(newN, 10)
+		p.Publish(newN, 10, nil, nil)
 		v := p.Current()
 		if newN > len(cores) {
 			cores = append(cores, make([]int32, newN-len(cores))...)
@@ -305,7 +352,7 @@ func TestPublishGrowMatchesFull(t *testing.T) {
 	// Post-growth delta: patch vertices in the grown tail.
 	tail := int32(len(cores) - 3)
 	cores[tail] = 9
-	p.PublishDelta([]VertexCore{{V: tail, Core: 9}}, 11)
+	p.Publish(len(cores), 11, []int32{tail}, coresOf(cores))
 	v := p.Current()
 	viewEqual(t, v, cores, 11)
 }
@@ -320,9 +367,9 @@ func TestPublishGrowCopyOnWrite(t *testing.T) {
 		cores[i] = 2
 	}
 	var p Publisher
-	p.Publish(append([]int32(nil), cores...), 5)
+	p.Load(slices.Clone(cores), 5)
 	old := p.Current()
-	p.PublishGrow(3*PageSize, 5)
+	p.Publish(3*PageSize, 5, nil, nil)
 	v := p.Current()
 	if &v.pages[0][0] != &old.pages[0][0] {
 		t.Fatal("full old pages must be shared")
@@ -349,7 +396,7 @@ func TestPublishGrowCopyOnWrite(t *testing.T) {
 
 func TestCoresIntoReusesBuffer(t *testing.T) {
 	var p Publisher
-	p.Publish([]int32{3, 2, 1, 0}, 2)
+	p.Load([]int32{3, 2, 1, 0}, 2)
 	v := p.Current()
 	buf := make([]int32, 0, 16)
 	out := v.CoresInto(buf)

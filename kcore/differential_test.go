@@ -180,12 +180,12 @@ func TestOldViewStableDuringPublishes(t *testing.T) {
 	}
 }
 
-// TestHugeDeltaFallsBackToFullPublish drives the one branch of
-// engine.publishAfter that rebuilds: a batch whose distinct changed set is
-// at least a quarter of the graph (snapshot.BuildDelta's refusal) must be
-// published as a full snapshot — one epoch, correct cores, and views held
-// from before untouched.
-func TestHugeDeltaFallsBackToFullPublish(t *testing.T) {
+// TestHugeBatchPublishesCopyOnWrite: a batch whose changed set is a large
+// share of the graph is published copy-on-write like any other — one
+// epoch, correct cores, and views held from before untouched. Then, on a
+// graph of four full pages, batches that move a vertex on every page
+// publish whole-graph deltas that clone every page from the free list.
+func TestHugeBatchPublishesCopyOnWrite(t *testing.T) {
 	const n, k = 64, 24
 	var ring, clique []graph.Edge
 	for v := int32(0); v < n; v++ {
@@ -198,12 +198,23 @@ func TestHugeDeltaFallsBackToFullPublish(t *testing.T) {
 			clique = append(clique, graph.Edge{U: u, V: v})
 		}
 	}
+	// One path a–b–c per page of a four-page graph: closing every path
+	// into a triangle lifts three vertices on each page from core 1 to
+	// core 2, reopening them drops them again.
+	const pages = 4
+	var paths, closing []graph.Edge
+	for p := int32(0); p < pages; p++ {
+		a := p * snapshot.PageSize
+		paths = append(paths, graph.Edge{U: a, V: a + 1}, graph.Edge{U: a + 1, V: a + 2})
+		closing = append(closing, graph.Edge{U: a, V: a + 2})
+	}
 	for _, alg := range allAlgorithms {
 		base := graph.MustFromEdges(n, ring)
 		mirror := base.Clone()
 		m := New(base, WithAlgorithm(alg), WithWorkers(2))
 		held := m.Snapshot()
 		heldCores := held.CoreNumbers()
+		before := m.ServingStats()
 
 		res := m.InsertEdges(clique)
 		for _, e := range clique {
@@ -214,9 +225,9 @@ func TestHugeDeltaFallsBackToFullPublish(t *testing.T) {
 				alg, res.Applied, len(clique), res.ChangedVertices, k)
 		}
 		st := m.ServingStats()
-		if st.FullPublishes != 2 || st.DeltaPublishes != 0 {
-			t.Fatalf("%v: %d full and %d delta publications, want 2 (initial + fallback) and 0",
-				alg, st.FullPublishes, st.DeltaPublishes)
+		if st.FullPublishes != 1 || st.DeltaPublishes != before.DeltaPublishes+1 {
+			t.Fatalf("%v: %d full and %d delta publications, want 1 (New) and %d",
+				alg, st.FullPublishes, st.DeltaPublishes, before.DeltaPublishes+1)
 		}
 		if got := m.Epoch(); got != held.Epoch()+1 {
 			t.Fatalf("%v: epoch %d after one batch on epoch %d", alg, got, held.Epoch())
@@ -226,7 +237,44 @@ func TestHugeDeltaFallsBackToFullPublish(t *testing.T) {
 			t.Fatalf("%v: served cores %v, want %v", alg, got, truth)
 		}
 		if got := held.CoreNumbers(); !slices.Equal(got, heldCores) || held.MaxCore() != 2 {
-			t.Fatalf("%v: the rebuild changed a view held from before it: %v", alg, got)
+			t.Fatalf("%v: the publication changed a view held from before it: %v", alg, got)
+		}
+		if err := m.Check(); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		m.Close()
+
+		// Whole-graph deltas: nothing escapes between the batches (the
+		// stats and the results read no snapshot), so each batch's pages
+		// are reclaimed at the next one's publication and the third batch
+		// takes every page it clones from the free list.
+		base = graph.MustFromEdges(pages*snapshot.PageSize, paths)
+		mirror = base.Clone()
+		m = New(base, WithAlgorithm(alg), WithWorkers(2))
+		held = m.Snapshot()
+		heldCores = held.CoreNumbers()
+		before = m.ServingStats()
+		for i, apply := range []func([]graph.Edge) BatchResult{m.InsertEdges, m.RemoveEdges, m.InsertEdges} {
+			if res := apply(closing); res.Applied != len(closing) || res.ChangedVertices < 3*pages {
+				t.Fatalf("%v: batch %d applied %d of %d edges and moved %d vertices, want at least %d",
+					alg, i, res.Applied, len(closing), res.ChangedVertices, 3*pages)
+			}
+		}
+		for _, e := range closing {
+			mirror.AddEdge(e.U, e.V)
+		}
+		st = m.ServingStats()
+		if st.FullPublishes != 1 || st.DeltaPublishes != before.DeltaPublishes+3 ||
+			st.DirtyPages != before.DirtyPages+3*pages || st.RecycledPages < before.RecycledPages+pages {
+			t.Fatalf("%v: three whole-graph batches: stats %+v from %+v, want 3 deltas of %d dirty pages, the last from the free list",
+				alg, st, before, pages)
+		}
+		truth, _ = bz.Decompose(mirror)
+		if got := m.CoreNumbers(); !slices.Equal(got, truth) {
+			t.Fatalf("%v: served cores after the whole-graph deltas differ from BZ", alg)
+		}
+		if got := held.CoreNumbers(); !slices.Equal(got, heldCores) {
+			t.Fatalf("%v: a whole-graph delta changed a view held from before it", alg)
 		}
 		if err := m.Check(); err != nil {
 			t.Fatalf("%v: %v", alg, err)

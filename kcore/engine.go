@@ -10,9 +10,9 @@ import (
 
 // Engine is what a maintenance engine owes the serving layer: batch
 // application that adds its report straight into the caller's BatchResult,
-// growth, and quiescent reads of the core numbers it maintains. Publication,
-// epochs and deduplication of the report are the serving layer's (see
-// engine.publishAfter); an engine knows nothing of snapshots. All methods
+// growth, and quiescent reads of the core numbers it maintains. Publication
+// and epochs are the serving layer's (see engine.publishAfter); an engine
+// knows nothing of snapshots. All methods
 // are called from one goroutine at a time (the pipeline's applier, or
 // mu-serialized callers after Close).
 //
@@ -32,11 +32,11 @@ type Engine interface {
 	// n vertices, all new ones isolated at core 0. Amortized O(1) per minted
 	// vertex. Like batch application it must run at quiescence.
 	Grow(n int)
-	// CoreOf returns the quiescent core number of v — what delta
+	// CoreOf returns the quiescent core number of v — what snapshot
 	// publication reads for each reported vertex.
 	CoreOf(v int32) int32
 	// Cores materializes the quiescent core numbers — O(n), for
-	// conformance checks and full snapshot rebuilds.
+	// conformance checks and the snapshot load.
 	Cores() []int32
 	// Check verifies the engine's invariants against a fresh
 	// decomposition; O(n + m), for tests and debugging.

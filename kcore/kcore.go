@@ -45,17 +45,18 @@
 // the same guarantee to third-party readers.
 //
 // Snapshots store core numbers in fixed-size pages behind a page table and
-// are published copy-on-write: a batch that changed no core re-publishes
-// in O(1), and a batch that changed the set V* clones only the pages V*
-// dirtied and patches the histogram incrementally — publication cost
-// O(|V*| + dirtyPages·PageSize), proportional to the change, not to the
-// graph. Every engine — JoinEdgeSet included — reports the vertices each
-// batch moved (repeats allowed); the serving layer owns the one publisher,
-// deduplicates the report once and decides how to publish it. What a
-// publication replaces is recycled into later ones once no reader can reach
-// it: a Snapshot stays valid for as long as it is held, so its pages are
-// never recycled, while a Reader pins a snapshot only until Unpin and lets
-// everything else be reused — the path a server connection reads through.
+// are published copy-on-write: a batch that changed the set V* clones only
+// the pages V* dirtied and patches the histogram incrementally —
+// publication cost O(|V*| + dirtyPages·PageSize), proportional to the
+// change, not to the graph — and a batch that changed no core shares every
+// page. Every engine — JoinEdgeSet included — reports the vertices each
+// batch moved (repeats allowed); the serving layer owns the one publisher
+// and hands it the raw report, which patches a vertex only where its core
+// differs from the snapshot's. What a publication replaces is recycled
+// into later ones once no reader can reach it: a Snapshot stays valid for
+// as long as it is held, so its pages are never recycled, while a Reader
+// pins a snapshot only until Unpin and lets everything else be reused —
+// the path a server connection reads through.
 //
 // The vertex universe grows on demand: the applier scans each coalesced
 // batch before the engine round, grows graph and engine state to cover
@@ -193,7 +194,7 @@ type BatchResult struct {
 	Coalesced int
 	// changed is where the engines append every vertex whose core number
 	// the batch moved (a superset of the moved set is fine, and so are
-	// repeats) — the input to delta snapshot publication, which dedups it.
+	// repeats) — the input to copy-on-write snapshot publication.
 	// It is the engine's scratch, reused from batch to batch: always nil in
 	// a result a caller receives.
 	changed []int32
@@ -234,15 +235,10 @@ type engine struct {
 	// lives here and not on the applier's stack because the engines take
 	// its address through an interface.
 	res BatchResult
-	// The publish scratch snapshot.BuildDelta dedups res.changed into:
-	// one bit per vertex, all clear between batches, and the delta buffer.
-	seen  []uint64
-	delta []snapshot.VertexCore
 }
 
 // changedKeep is the largest changed-vertex scratch, in entries, carried
-// over to the next batch: the buffer one huge batch grew is dropped. The
-// delta buffer follows the same rule.
+// over to the next batch: the buffer one huge batch grew is dropped.
 const changedKeep = 1024
 
 // Maintainer tracks core numbers of one dynamic graph. Create it with New;
@@ -456,13 +452,13 @@ type ServingStats struct {
 	UpdateLatency stats.Percentiles
 
 	// Snapshot publication counters: how each epoch was produced.
-	FullPublishes      int64 // O(n) rebuilds (initial view, huge deltas)
+	FullPublishes      int64 // O(n) loads (New, Reload)
 	DeltaPublishes     int64 // copy-on-write page patches
-	UnchangedPublishes int64 // O(1) re-publications (no core changed)
+	UnchangedPublishes int64 // re-publications sharing every page (no core changed)
 	GrowPublishes      int64 // vertex-universe growths (COW page appends)
-	// DirtyPages is the cumulative number of pages cloned by delta
-	// publishes; DirtyPages/DeltaPublishes is the mean pages copied per
-	// delta publication.
+	// DirtyPages is the cumulative number of pages cloned to patch a
+	// changed vertex; DirtyPages/DeltaPublishes is the mean pages copied
+	// per delta publication.
 	DirtyPages int64
 	// RecycledPages is the cumulative number of pages publications reused
 	// from snapshots no reader could reach any more instead of allocating.
@@ -592,7 +588,7 @@ func (eng *engine) load(g *graph.Graph) {
 	eng.g = g
 	eng.impl = newEngine(eng.cfg.alg, g, eng.cfg.workers)
 	eng.coreOf = eng.impl.CoreOf
-	eng.pub.Publish(eng.impl.Cores(), g.M())
+	eng.pub.Load(eng.impl.Cores(), g.M())
 }
 
 // view returns the current published snapshot (never nil: New publishes
@@ -608,37 +604,18 @@ func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
 // snapshot, copy-on-write — to n vertices. At quiescence, n > g.N().
 func (eng *engine) grow(n int) {
 	eng.impl.Grow(n)
-	eng.pub.PublishGrow(n, eng.g.M())
+	eng.pub.Publish(n, eng.g.M(), nil, nil)
 }
 
-// publishAfter publishes the post-batch snapshot for res — the one place
-// that decides how. Cheapest first: a batch that changed no core number
-// re-publishes the previous view in O(1); one that changed some goes
-// through the copy-on-write delta publication, cloning only the dirtied
-// pages — O(|V*| + dirtyPages·PageSize), not O(n); and when BuildDelta
-// finds the distinct changed set to be a quarter of the graph or more,
-// where the two costs converge, the snapshot is rebuilt in full. The report
-// is dead after publication; the buffers one huge batch grew are not kept.
+// publishAfter publishes the post-batch snapshot for res: one
+// copy-on-write publication of the batch's raw report, which patches only
+// the vertices whose core moved — O(|V*| + dirtyPages·PageSize), not O(n).
+// The report is dead after publication; the buffer one huge batch grew is
+// not kept.
 func (eng *engine) publishAfter(res *BatchResult) {
-	n := eng.g.N()
-	if words := (n + 63) >> 6; len(eng.seen) < words {
-		// The new words are zero, as the set must be between batches;
-		// append amortizes the re-sizing as the universe grows.
-		eng.seen = append(eng.seen, make([]uint64, words-len(eng.seen))...)
-	}
-	if res.ChangedVertices == 0 {
-		eng.pub.PublishUnchanged(eng.g.M())
-	} else if delta, ok := snapshot.BuildDelta(eng.delta, eng.seen, res.changed, n, eng.coreOf); ok {
-		eng.pub.PublishDelta(delta, eng.g.M())
-		eng.delta = delta
-	} else {
-		eng.pub.Publish(eng.impl.Cores(), eng.g.M())
-	}
+	eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf)
 	if cap(res.changed) > changedKeep {
 		res.changed = nil
-	}
-	if cap(eng.delta) > changedKeep {
-		eng.delta = nil
 	}
 }
 

@@ -388,8 +388,6 @@ func TestWriteFlightAllocs(t *testing.T) {
 		base = append(base, graph.Edge{U: a, V: b}, graph.Edge{U: b, V: c})
 		closing = append(closing, graph.Edge{U: a, V: c})
 	}
-	// 24 moving vertices must stay under a quarter of the graph, or the
-	// publication is a full rebuild (TestHugeDeltaFallsBackToFullPublish).
 	// One full page: a short last page is never recycled.
 	m := New(graph.MustFromEdges(snapshot.PageSize, base))
 	defer m.Close()
@@ -421,10 +419,9 @@ func TestWriteFlightAllocs(t *testing.T) {
 	}
 	// Per flight: the barrier's Pending 1 (the 8 writes reuse their
 	// futures, and each completes without a channel); the result's
-	// VPlusSizes 1; PublishDelta's View 1. Its page table, cloned page and
+	// VPlusSizes 1; the published View 1. Its page table, cloned page and
 	// histogram are the ones the flight before retired, recycled: nothing
 	// here escapes a snapshot (ServingStats reads the scalar head).
-	// BuildDelta dedups into the engine's scratch and allocates nothing.
 	const perFlight = 3
 	if got := perRun / 2; got > perFlight {
 		t.Fatalf("%.1f allocations per 8-op write flight, want at most %d", got, perFlight)

@@ -116,8 +116,8 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		pair() // warm scratch: write slots, query buffer, writer buffer
 
 		// The applier may wake before a burst is fully queued and split it
-		// into two batches; each batch owns its VPlusSizes slice and
-		// PublishDelta's View (the page table, cloned page and histogram
+		// into two batches; each batch owns its VPlusSizes slice and its
+		// published View (the page table, cloned page and histogram
 		// are recycled from the batch before), so the bound scales with
 		// the batches ServingStats counted.
 		const runs = 100
