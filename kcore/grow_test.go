@@ -27,6 +27,7 @@ func TestInsertEdgesAutoGrow(t *testing.T) {
 			}
 			// A batch naming fresh vertices 60..63, wired to the old range
 			// and to each other (a triangle, so growth changes cores too).
+			epoch := m.Epoch()
 			res := m.InsertEdges([]graph.Edge{
 				{U: 10, V: 60}, {U: 61, V: 11},
 				{U: 62, V: 63}, {U: 63, V: 60}, {U: 60, V: 62},
@@ -40,14 +41,15 @@ func TestInsertEdgesAutoGrow(t *testing.T) {
 			if c := m.CoreOf(62); c != 2 {
 				t.Fatalf("core of grown triangle vertex = %d, want 2", c)
 			}
+			// Growth and the batch are one copy-on-write publication, one
+			// epoch: growth must neither add an epoch nor degrade
+			// publication to an O(n) rebuild.
 			st := m.ServingStats()
-			if st.GrowPublishes == 0 {
-				t.Fatal("growth must publish through the grow path")
+			if st.GrowPublishes != 1 || st.DeltaPublishes != 0 || st.UnchangedPublishes != 0 || st.FullPublishes != 1 {
+				t.Fatalf("publish counters %+v: want one grow publication beside the initial full", st)
 			}
-			// The post-growth batch publication must stay on the delta
-			// path: growth must not degrade publication to O(n) rebuilds.
-			if st.DeltaPublishes == 0 || st.FullPublishes != 1 {
-				t.Fatalf("publish counters %+v: want delta publishes and only the initial full", st)
+			if got := m.Epoch(); got != epoch+1 {
+				t.Fatalf("growing batch moved the epoch %d -> %d, want one step", epoch, got)
 			}
 			// Vertex churn: a stream of arrivals, each naming a fresh vertex,
 			// with an earlier arrival's edges removed every fourth step. It

@@ -59,11 +59,15 @@
 // the path a server connection reads through.
 //
 // The vertex universe grows on demand: the applier scans each coalesced
-// batch before the engine round, grows graph and engine state to cover
-// unseen insert endpoints and publishes the grown snapshot, so streaming
-// workloads that mint vertex ids continuously need no pre-sizing
-// (AddVertices pre-allocates when the arrival rate is known). Growth is
-// itself a copy-on-write publication; snapshots held across it never change.
+// batch before the engine round and grows graph and engine state to cover
+// unseen insert endpoints, so streaming workloads that mint vertex ids
+// continuously need no pre-sizing (AddVertices pre-allocates when the
+// arrival rate is known). The batch's one publication grows the snapshot
+// and patches it, copy-on-write; snapshots held across it never change.
+//
+// Every publication moves one epoch signal: the snapshot's epoch, which
+// an update's future completes after, the OpLog's epoch marker, and the
+// watermark WaitEpoch parks on.
 package kcore
 
 import (
@@ -229,6 +233,7 @@ type engine struct {
 	impl   Engine             // registered implementation for cfg.alg
 	coreOf func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
 	pub    snapshot.Publisher // the read snapshots; see publishAfter and grow
+	wm     EpochWatermark     // pub's epoch, advanced after every publication
 	mu     sync.Mutex         // serializes post-Close synchronous applies
 	// res is the report of the batch being applied, zero between batches
 	// but for res.changed, the scratch carried from one to the next. It
@@ -346,6 +351,15 @@ func (m *Maintainer) CoreHistogram() []int64 {
 // identical query results.
 func (m *Maintainer) Epoch() uint64 { return m.eng.head().Epoch }
 
+// WaitEpoch blocks until a snapshot at epoch target or later is
+// published, the timeout elapses, or cancel is closed, and returns the
+// epoch observed last and whether target was reached. A zero timeout
+// waits as long as cancel allows; a nil cancel never fires. Waiting
+// polls nothing: a publication wakes the parked waiters.
+func (m *Maintainer) WaitEpoch(target uint64, timeout time.Duration, cancel <-chan struct{}) (uint64, bool) {
+	return m.eng.wm.Wait(target, timeout, cancel)
+}
+
 // Snapshot returns the latest published snapshot: an immutable,
 // epoch-versioned view all of whose accessors are O(1) reads. Successive
 // queries against one Snapshot are mutually consistent, unlike successive
@@ -455,7 +469,7 @@ type ServingStats struct {
 	FullPublishes      int64 // O(n) loads (New, Reload)
 	DeltaPublishes     int64 // copy-on-write page patches
 	UnchangedPublishes int64 // re-publications sharing every page (no core changed)
-	GrowPublishes      int64 // vertex-universe growths (COW page appends)
+	GrowPublishes      int64 // publications that raised N: AddVertices, or a batch naming unseen ids
 	// DirtyPages is the cumulative number of pages cloned to patch a
 	// changed vertex; DirtyPages/DeltaPublishes is the mean pages copied
 	// per delta publication.
@@ -588,7 +602,7 @@ func (eng *engine) load(g *graph.Graph) {
 	eng.g = g
 	eng.impl = newEngine(eng.cfg.alg, g, eng.cfg.workers)
 	eng.coreOf = eng.impl.CoreOf
-	eng.pub.Load(eng.impl.Cores(), g.M())
+	eng.wm.Advance(eng.pub.Load(eng.impl.Cores(), g.M()))
 }
 
 // view returns the current published snapshot (never nil: New publishes
@@ -601,19 +615,21 @@ func (eng *engine) view() *snapshot.View { return eng.pub.Current() }
 func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
 
 // grow extends the vertex universe — graph, engine state, then the
-// snapshot, copy-on-write — to n vertices. At quiescence, n > g.N().
+// snapshot, copy-on-write — to n vertices: AddVertices' publication. At
+// quiescence, n > g.N().
 func (eng *engine) grow(n int) {
 	eng.impl.Grow(n)
-	eng.pub.Publish(n, eng.g.M(), nil, nil)
+	eng.wm.Advance(eng.pub.Publish(n, eng.g.M(), nil, nil))
 }
 
 // publishAfter publishes the post-batch snapshot for res: one
-// copy-on-write publication of the batch's raw report, which patches only
-// the vertices whose core moved — O(|V*| + dirtyPages·PageSize), not O(n).
+// copy-on-write publication of the batch's raw report, which grows the
+// snapshot to any universe prepareBatch grew and patches only the vertices
+// whose core moved — O(|V*| + dirtyPages·PageSize), not O(n).
 // The report is dead after publication; the buffer one huge batch grew is
 // not kept.
 func (eng *engine) publishAfter(res *BatchResult) {
-	eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf)
+	eng.wm.Advance(eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf))
 	if cap(res.changed) > changedKeep {
 		res.changed = nil
 	}
@@ -625,9 +641,8 @@ func (eng *engine) check() error { return eng.impl.Check() }
 // OpLog, if any. Called at the same quiescent point as logBatch /
 // AppendGrow, strictly after the publication it marks, so a follower
 // that has applied every op up to a marker is exactly at that epoch.
-// One marker per batch covers any implicit mid-batch growth publication
-// too: follower WAITs are monotone (epoch >= target), and the final
-// post-batch epoch is >= every intermediate one.
+// A batch and an AddVertices growth each publish once, so the markers
+// after New's epoch run consecutively.
 func (eng *engine) logEpoch() {
 	if lg := eng.cfg.oplog; lg != nil {
 		lg.AppendEpoch(eng.head().Epoch)
@@ -647,8 +662,9 @@ func (eng *engine) logBatch(removes, inserts []graph.Edge) {
 // prepareBatch is the quiescent-point universe scan run before every
 // engine round; it makes updates naming unseen vertex ids Just Work.
 // Insertions drive growth: any insert endpoint at or beyond the current N
-// grows the universe (graph, engine state, snapshot) to cover it before
-// the batch executes, up to the configured WithMaxVertices ceiling.
+// grows the graph and engine state to cover it before the batch executes,
+// up to the configured WithMaxVertices ceiling; the snapshot grows with
+// the batch's own publication (publishAfter), so growth adds no epoch.
 // Removals never grow — an edge at an unseen vertex is necessarily
 // absent, so such ops are dropped like any other absent removal. Ops
 // naming a negative vertex id (malformed, mirroring graph.FromEdges
@@ -660,7 +676,7 @@ func (eng *engine) prepareBatch(removes, inserts []graph.Edge) ([]graph.Edge, []
 		return e.U >= 0 && e.V >= 0 && e.U < maxN && e.V < maxN
 	})
 	if target := growTarget(inserts, eng.g.N()); target > eng.g.N() {
-		eng.grow(target)
+		eng.impl.Grow(target)
 	}
 	n := int32(eng.g.N())
 	removes = filterEdges(removes, func(e graph.Edge) bool {

@@ -5,27 +5,24 @@ import (
 	"time"
 )
 
-// EpochWatermark tracks the highest snapshot epoch a replica has applied
-// and lets readers block until it reaches a target — the follower half of
-// the read-your-writes handshake (the leader returns a write's epoch, the
-// follower's CORE.WAIT parks on the watermark until the replicated op
-// stream has carried the replica at least that far).
+// EpochWatermark tracks a snapshot epoch and lets readers block until it
+// reaches a target — the waiting half of read-your-writes. A Maintainer
+// advances one at every publication (Maintainer.WaitEpoch); a follower
+// advances one at every epoch marker the replicated op stream carries, so
+// its CORE.WAIT parks until it has applied at least as far as the leader
+// had when it acked the write.
 //
-// Advance is monotonic and is what the replication apply loop calls;
-// Reset may move the watermark backwards and is reserved for the end of a
-// replication session: the follower resets to 0, since the next leader —
-// possibly a restarted one whose epoch sequence starts over — is applied
-// only once its snapshot is loaded. All methods are safe for concurrent
-// use.
+// Advance is monotonic; Reset may move the watermark backwards and is
+// reserved for the end of a replication session: the follower resets to
+// 0, since the next leader — possibly a restarted one whose epoch
+// sequence starts over — is applied only once its snapshot is loaded.
+// The zero value is a watermark at epoch 0, ready to use. A move wakes
+// only waiters already parked, and allocates nothing when none is. All
+// methods are safe for concurrent use.
 type EpochWatermark struct {
 	mu    sync.Mutex
 	epoch uint64
-	ch    chan struct{} // closed and replaced on every watermark move
-}
-
-// NewEpochWatermark returns a watermark at epoch 0.
-func NewEpochWatermark() *EpochWatermark {
-	return &EpochWatermark{ch: make(chan struct{})}
+	ch    chan struct{} // closed at the next move; nil while no waiter parks
 }
 
 // Epoch returns the current watermark.
@@ -41,12 +38,9 @@ func (w *EpochWatermark) Epoch() uint64 {
 func (w *EpochWatermark) Advance(e uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if e <= w.epoch {
-		return
+	if e > w.epoch {
+		w.moveLocked(e)
 	}
-	w.epoch = e
-	close(w.ch)
-	w.ch = make(chan struct{})
 }
 
 // Reset forces the watermark to e, regressions included, and wakes every
@@ -56,9 +50,15 @@ func (w *EpochWatermark) Advance(e uint64) {
 func (w *EpochWatermark) Reset(e uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.moveLocked(e)
+}
+
+func (w *EpochWatermark) moveLocked(e uint64) {
 	w.epoch = e
-	close(w.ch)
-	w.ch = make(chan struct{})
+	if w.ch != nil {
+		close(w.ch)
+		w.ch = nil
+	}
 }
 
 // Wait blocks until the watermark reaches target, the timeout elapses,
@@ -74,11 +74,16 @@ func (w *EpochWatermark) Wait(target uint64, timeout time.Duration, cancel <-cha
 	}
 	for {
 		w.mu.Lock()
-		cur, ch := w.epoch, w.ch
-		w.mu.Unlock()
+		cur := w.epoch
 		if cur >= target {
+			w.mu.Unlock()
 			return cur, true
 		}
+		if w.ch == nil {
+			w.ch = make(chan struct{})
+		}
+		ch := w.ch
+		w.mu.Unlock()
 		select {
 		case <-ch:
 		case <-deadline:

@@ -10,7 +10,7 @@ import (
 )
 
 func TestEpochWatermarkAdvanceMonotonic(t *testing.T) {
-	w := NewEpochWatermark()
+	var w EpochWatermark
 	if got := w.Epoch(); got != 0 {
 		t.Fatalf("fresh watermark epoch = %d, want 0", got)
 	}
@@ -23,10 +23,16 @@ func TestEpochWatermarkAdvanceMonotonic(t *testing.T) {
 	if got := w.Epoch(); got != 2 {
 		t.Fatalf("after Reset(2): epoch = %d, want 2", got)
 	}
+	// Every publication advances the maintainer's watermark: with no
+	// waiter parked, a move must cost no allocation.
+	e := w.Epoch()
+	if allocs := testing.AllocsPerRun(100, func() { e++; w.Advance(e) }); allocs != 0 {
+		t.Fatalf("Advance with no waiter allocates %v times, want 0", allocs)
+	}
 }
 
 func TestEpochWatermarkWait(t *testing.T) {
-	w := NewEpochWatermark()
+	var w EpochWatermark
 	w.Advance(10)
 
 	// Already satisfied: returns immediately.
@@ -65,7 +71,7 @@ func TestEpochWatermarkWait(t *testing.T) {
 }
 
 func TestEpochWatermarkConcurrent(t *testing.T) {
-	w := NewEpochWatermark()
+	var w EpochWatermark
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -130,15 +136,18 @@ func (l *epochRecordingLog) AppendEpoch(epoch uint64) {
 
 // TestEpochMarkersFollowPublications drives a maintainer with an
 // epoch-recording OpLog attached and checks the marker discipline replication relies
-// on: markers are non-decreasing, every batch/grow event is followed by
-// a marker before any other batch starts, and the final marker equals
-// the maintainer's final epoch (so a follower applying the full stream
-// ends exactly at the leader's epoch).
+// on: every batch/grow event is followed by a marker before any other
+// batch starts, each batch — a growing one included — and each
+// AddVertices publishes exactly once, so the markers run consecutively
+// from the epoch after New, and the final marker equals the maintainer's
+// final epoch (so a follower applying the full stream ends exactly at the
+// leader's epoch).
 func TestEpochMarkersFollowPublications(t *testing.T) {
 	lg := &epochRecordingLog{}
 	g := gen.ErdosRenyi(200, 600, 7)
 	m := New(g, WithOpLog(lg))
 	defer m.Close()
+	start := m.Epoch()
 
 	m.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 250, V: 5}}) // implicit grow
 	m.RemoveEdges([]graph.Edge{{U: 1, V: 2}})
@@ -150,9 +159,8 @@ func TestEpochMarkersFollowPublications(t *testing.T) {
 	events := append([]epochLogEvent(nil), lg.events...)
 	lg.mu.Unlock()
 
-	var last uint64
+	last := start
 	sawOp := false // an un-marked batch/grow is pending
-	var lastMarker uint64
 	for i, ev := range events {
 		switch ev.kind {
 		case "batch", "grow":
@@ -161,19 +169,18 @@ func TestEpochMarkersFollowPublications(t *testing.T) {
 			}
 			sawOp = true
 		case "epoch":
-			if ev.epoch < last {
-				t.Fatalf("event %d: epoch marker %d < previous %d", i, ev.epoch, last)
+			if ev.epoch != last+1 {
+				t.Fatalf("event %d: marker %d, want %d (start %d)", i, ev.epoch, last+1, start)
 			}
 			last = ev.epoch
-			lastMarker = ev.epoch
 			sawOp = false
 		}
 	}
 	if sawOp {
 		t.Fatal("trailing batch/grow without an epoch marker")
 	}
-	if lastMarker != finalEpoch {
-		t.Fatalf("last marker %d != final epoch %d", lastMarker, finalEpoch)
+	if last != finalEpoch {
+		t.Fatalf("last marker %d != final epoch %d", last, finalEpoch)
 	}
 }
 

@@ -99,7 +99,7 @@ func appendEdgeRecord(dst []byte, kind byte, edges []graph.Edge) []byte {
 }
 
 // appendU64Record appends one framed single-u64 record (the grow payload
-// shape, shared by the stream-only epoch and ping records) to dst.
+// shape, shared by the stream-only epoch marker) to dst.
 func appendU64Record(dst []byte, kind byte, v uint64) []byte {
 	const payloadLen = 9
 	dst = ensureCap(dst, recHeaderSize+payloadLen)

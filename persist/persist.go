@@ -25,7 +25,9 @@
 // is handed its state the same way: CORE.SYNC ships a checkpoint in the
 // file encoding, decoded by the same ReadCheckpoint, and the record
 // tail after it goes through the same StreamReader that replays the log
-// — there is one encoding of state and one record reader.
+// — there is one encoding of state and one record reader. The stream
+// carries one record kind the log never holds: the epoch marker after
+// each publication, which an idle stream repeats (see stream.go).
 //
 // Wiring order matters (chicken-and-egg between Manager and Maintainer):
 //

@@ -99,7 +99,7 @@ func Recover(dir string) (*Result, error) {
 // how many trailing bytes were discarded as torn/corrupt (0 for a clean
 // segment). File-level problems (unreadable, bad header magic) are
 // errors, and so is a record whose frame holds but whose payload does
-// not decode — or decodes to a stream-only epoch or ping record, which
+// not decode — or decodes to a stream-only epoch marker, which
 // no leader writes to disk: the CRC vouches that the bytes are the ones
 // written, so such a record is a history this reader must not guess at.
 // A frame error (bad length, short read, CRC mismatch) is a torn tail:
@@ -139,7 +139,7 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 			break // clean EOF at a record boundary, or a torn tail
 		}
 		rec, err := sr.decode(p)
-		if err == nil && (rec.Op == OpEpoch || rec.Op == OpPing) {
+		if err == nil && (rec.Op == OpEpoch) {
 			err = fmt.Errorf("stream-only record kind %d in the log", p[0])
 		}
 		if err != nil {

@@ -6,15 +6,16 @@ package persist
 // canonical op stream. A SyncSession starts with a full snapshot (a
 // checkpoint, encodeCheckpoint's bytes, captured at the tap's
 // registration instant, so the tap's records are exactly the ops after
-// it) and then drains the tap; two stream-only record kinds ride along,
+// it) and then drains the tap; one stream-only record kind rides along,
 // never written to disk:
 //
 //	recEpoch  u64 — the snapshot epoch the preceding ops produced;
 //	            a follower that has applied everything up to this
 //	            marker serves reads at least this fresh (CORE.WAIT).
-//	recPing   u64 — idle keepalive carrying the last streamed epoch,
-//	            so a quiet leader still advances follower watermarks
-//	            and dead connections are detected by read deadline.
+//
+// An idle session repeats the last marker, so a quiet leader still hands
+// a fresh follower its epoch and a dead connection trips the follower's
+// read deadline.
 //
 // Slow-follower policy: each tap buffers at most SyncBufferBytes of
 // not-yet-drained records; on overflow the tap is dropped (the session's
@@ -36,10 +37,7 @@ import (
 	"repro/kcore"
 )
 
-const (
-	recEpoch byte = 4 // stream-only: post-publication snapshot epoch marker
-	recPing  byte = 5 // stream-only: idle keepalive, payload = last streamed epoch
-)
+const recEpoch byte = 4 // stream-only: post-publication snapshot epoch marker
 
 // defaultSyncBufferBytes bounds one follower tap's backlog (8 MiB ≈ one
 // million buffered edge ops) before the slow-follower policy drops it.
@@ -132,18 +130,19 @@ type SyncSession struct {
 	// is strictly above it.
 	Snapshot []byte
 
-	t *tap
-	p *Manager
+	t    *tap
+	p    *Manager
+	idle []byte // the repeated epoch marker Wait returns when idle
 }
 
 // Wait blocks until buffered records are available and returns them (a
-// concatenation of framed records, valid until the next Wait call), or
-// returns nil data after timeout with the epoch it is safe to ping the
-// follower at — captured while the buffer was observed empty, so every
-// record up to that epoch has already been handed out. Errors are
-// terminal: ErrSlowFollower (tap overflowed; re-sync) or ErrSyncClosed
-// (manager gone, or cancel fired).
-func (s *SyncSession) Wait(timeout time.Duration, cancel <-chan struct{}) (data []byte, epoch uint64, err error) {
+// concatenation of framed records, valid until the next Wait call). After
+// timeout with nothing buffered it returns the last epoch marker again,
+// framed — the epoch captured while the buffer was observed empty, so
+// every record up to it has already been handed out. Errors are terminal:
+// ErrSlowFollower (tap overflowed; re-sync) or ErrSyncClosed (manager
+// gone, or cancel fired).
+func (s *SyncSession) Wait(timeout time.Duration, cancel <-chan struct{}) ([]byte, error) {
 	var deadline <-chan time.Time
 	if timeout > 0 {
 		tm := time.NewTimer(timeout)
@@ -155,28 +154,28 @@ func (s *SyncSession) Wait(timeout time.Duration, cancel <-chan struct{}) (data 
 		t.mu.Lock()
 		if t.overflow {
 			t.mu.Unlock()
-			return nil, 0, ErrSlowFollower
+			return nil, ErrSlowFollower
 		}
 		if t.closed {
 			t.mu.Unlock()
-			return nil, 0, ErrSyncClosed
+			return nil, ErrSyncClosed
 		}
 		if len(t.buf) > 0 {
-			data = t.buf
+			data := t.buf
 			t.buf = t.spare[:0]
 			t.spare = data
-			epoch = t.lastEpoch
 			t.mu.Unlock()
-			return data, epoch, nil
+			return data, nil
 		}
 		idleEpoch := t.lastEpoch
 		t.mu.Unlock()
 		select {
 		case <-t.notify:
 		case <-deadline:
-			return nil, idleEpoch, nil
+			s.idle = appendU64Record(s.idle[:0], recEpoch, idleEpoch)
+			return s.idle, nil
 		case <-cancel:
-			return nil, 0, ErrSyncClosed
+			return nil, ErrSyncClosed
 		}
 	}
 }
@@ -298,13 +297,6 @@ func (p *Manager) AppendEpoch(epoch uint64) {
 	p.fanLocked(p.buf, epoch, true)
 }
 
-// AppendPing frames one keepalive record carrying epoch into dst — the
-// streamer emits it on an idle Wait so follower watermarks advance and
-// dead links trip read deadlines.
-func AppendPing(dst []byte, epoch uint64) []byte {
-	return appendU64Record(dst, recPing, epoch)
-}
-
 // --- record decoding --------------------------------------------------------
 
 // StreamOp is the kind of one decoded record.
@@ -315,7 +307,6 @@ const (
 	OpRemove
 	OpGrow
 	OpEpoch
-	OpPing
 )
 
 // StreamRecord is one decoded record. Edges aliases an internal buffer
@@ -324,7 +315,7 @@ type StreamRecord struct {
 	Op    StreamOp
 	Edges []graph.Edge // OpInsert / OpRemove
 	N     int          // OpGrow: absolute target vertex count
-	Epoch uint64       // OpEpoch / OpPing
+	Epoch uint64       // OpEpoch
 }
 
 // StreamReader decodes framed records: a follower's sync connection, and
@@ -409,29 +400,25 @@ func (sr *StreamReader) decode(p []byte) (StreamRecord, error) {
 			op = OpRemove
 		}
 		return StreamRecord{Op: op, Edges: sr.edges}, nil
-	case recGrow, recEpoch, recPing:
+	case recGrow, recEpoch:
 		if len(p) != 9 {
 			return StreamRecord{}, fmt.Errorf("persist: u64 record length %d", len(p))
 		}
 		v := binary.LittleEndian.Uint64(p[1:])
-		switch kind {
-		case recGrow:
-			if v > math.MaxInt32 {
-				return StreamRecord{}, fmt.Errorf("persist: grow to implausible n=%d", v)
-			}
-			return StreamRecord{Op: OpGrow, N: int(v)}, nil
-		case recEpoch:
+		if kind == recEpoch {
 			return StreamRecord{Op: OpEpoch, Epoch: v}, nil
-		default:
-			return StreamRecord{Op: OpPing, Epoch: v}, nil
 		}
+		if v > math.MaxInt32 {
+			return StreamRecord{}, fmt.Errorf("persist: grow to implausible n=%d", v)
+		}
+		return StreamRecord{Op: OpGrow, N: int(v)}, nil
 	default:
 		return StreamRecord{}, fmt.Errorf("persist: unknown record kind %d", kind)
 	}
 }
 
 // applyToGraph applies one decoded edge or grow record to g at graph
-// level; epoch and ping records carry no state. Logged ops are
+// level; epoch records carry no state. Logged ops are
 // post-prepareBatch: insert endpoints were in range when logged, so
 // grow-to-fit reproduces the implicit growth the engine performed (which
 // is why implicit grows need no records of their own).

@@ -18,23 +18,35 @@ import (
 	"repro/internal/bz"
 )
 
-// drainSession drains sess until it reports idle with no data, returning
-// the concatenated framed records and the last streamed epoch.
+// drainSession drains sess until it idles — Wait repeats the last epoch
+// marker instead of handing out new records — returning the concatenated
+// framed records before that and the epoch the idle marker repeats.
 func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 	t.Helper()
 	var out []byte
-	var epoch uint64
+	var last uint64
 	for {
-		data, e, err := sess.Wait(50*time.Millisecond, nil)
+		data, err := sess.Wait(50*time.Millisecond, nil)
 		if err != nil {
 			t.Fatalf("Wait: %v", err)
 		}
-		epoch = e
-		if data == nil {
-			return out, epoch
+		if e, ok := loneMarker(data); ok && e <= last {
+			return out, e
 		}
 		out = append(out, data...)
+		last = max(last, applyStream(t, graph.New(0), bytes.NewReader(data)))
 	}
+}
+
+// loneMarker returns the epoch of data if data is exactly one framed epoch
+// marker.
+func loneMarker(data []byte) (uint64, bool) {
+	r := bytes.NewReader(data)
+	rec, err := NewStreamReader(r).Next()
+	if err != nil || rec.Op != OpEpoch || r.Len() > 0 {
+		return 0, false
+	}
+	return rec.Epoch, true
 }
 
 // applyStream replays the framed records left in r onto g at graph level
@@ -52,7 +64,7 @@ func applyStream(t *testing.T, g *graph.Graph, r io.Reader) uint64 {
 			t.Fatalf("stream decode: %v", err)
 		}
 		applyToGraph(g, rec)
-		if rec.Op == OpEpoch || rec.Op == OpPing {
+		if rec.Op == OpEpoch {
 			epoch = max(epoch, rec.Epoch)
 		}
 	}
@@ -127,8 +139,9 @@ func TestSyncStream(t *testing.T) {
 	assertSameGraph(t, follower, m.Graph())
 }
 
-// TestSyncIdlePingEpoch: an idle Wait reports the epoch of the sync
-// point, so a follower of a quiet leader can still satisfy CORE.WAIT.
+// TestSyncIdlePingEpoch: an idle Wait hands out one epoch marker at the
+// sync point, and repeats it while the leader stays quiet, so a follower
+// of a quiet leader can still satisfy CORE.WAIT.
 func TestSyncIdlePingEpoch(t *testing.T) {
 	m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(20, 40, 1), Options{Fsync: FsyncNo})
 	defer mgr.Close()
@@ -139,13 +152,15 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	data, epoch, err := sess.Wait(20*time.Millisecond, nil)
-	if err != nil || data != nil {
-		t.Fatalf("idle Wait = (%v, %v), want (nil, nil)", data, err)
-	}
 	_, _, want, err := ReadCheckpoint(bytes.NewReader(sess.Snapshot), int64(len(sess.Snapshot)))
-	if err != nil || epoch != want {
-		t.Fatalf("idle epoch = %d, want sync epoch %d (%v)", epoch, want, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		data, err := sess.Wait(20*time.Millisecond, nil)
+		if epoch, ok := loneMarker(data); err != nil || !ok || epoch != want {
+			t.Fatalf("idle Wait %d = (%x, %v), want one epoch marker at sync epoch %d", i, data, err, want)
+		}
 	}
 }
 
@@ -261,7 +276,7 @@ func TestSlowFollowerDropped(t *testing.T) {
 	m.InsertEdges(edges)
 	m.Flush()
 
-	if _, _, err := sess.Wait(time.Second, nil); !errors.Is(err, ErrSlowFollower) {
+	if _, err := sess.Wait(time.Second, nil); !errors.Is(err, ErrSlowFollower) {
 		t.Fatalf("Wait after overflow = %v, want ErrSlowFollower", err)
 	}
 	if st := mgr.Stats(); st.SyncFollowers != 0 || st.SyncDropped != 1 {
@@ -287,7 +302,7 @@ func TestSyncClosedOnManagerClose(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := sess.Wait(10*time.Second, nil)
+		_, err := sess.Wait(10*time.Second, nil)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

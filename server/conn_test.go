@@ -227,9 +227,10 @@ func TestHeldWriteDoesNotStallOtherConns(t *testing.T) {
 }
 
 // TestWaitThenPipelinedReads: CORE.WAIT parks its connection until
-// another connection's write publishes; the CORE.GETs pipelined behind it
-// in the same segment then run on that connection, in order, and observe
-// the write.
+// another connection's write publishes, at no cost while it waits; the
+// CORE.GETs pipelined behind it in the same segment then run on that
+// connection, in order, and observe the write. A WAIT that runs out of
+// time says so, and one parked at Shutdown is told it was canceled.
 func TestWaitThenPipelinedReads(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
@@ -239,17 +240,31 @@ func TestWaitThenPipelinedReads(t *testing.T) {
 	srv, addr := startServer(t, m)
 
 	waiter, wrd := rawDial(t, addr)
-	target := m.Epoch() + 1
-	wire := fmt.Sprintf("CORE.WAIT %d 10000\r\nCORE.GET 0\r\nCORE.GET 1\r\nCORE.GET 2\r\n", target)
-	if _, err := waiter.Write([]byte(wire)); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Commands == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("CORE.WAIT never reached dispatch")
+	// send writes wire on the waiter and returns once its CORE.WAIT has
+	// been dispatched.
+	send := func(wire string) {
+		t.Helper()
+		cmds := srv.Stats().Commands
+		if _, err := waiter.Write([]byte(wire)); err != nil {
+			t.Fatalf("write: %v", err)
 		}
-		runtime.Gosched()
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Stats().Commands == cmds {
+			if time.Now().After(deadline) {
+				t.Fatal("CORE.WAIT never reached dispatch")
+			}
+			runtime.Gosched()
+		}
+	}
+	target := m.Epoch() + 1
+	send(fmt.Sprintf("CORE.WAIT %d 10000\r\nCORE.GET 0\r\nCORE.GET 1\r\nCORE.GET 2\r\n", target))
+	// Parked on an idle leader, the WAIT polls nothing.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	time.Sleep(500 * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= 100 {
+		t.Fatalf("a parked CORE.WAIT made %d allocations in 500ms, want < 100", n)
 	}
 	// Closing the triangle lifts all three vertices from core 1 to core 2.
 	if applied, err := client.Int(dial(t, addr).Do("CORE.INSERT", 0, 2)); err != nil || applied != 1 {
@@ -262,6 +277,20 @@ func TestWaitThenPipelinedReads(t *testing.T) {
 		if v := readWithin(t, waiter, wrd, 5*time.Second, "CORE.GET behind CORE.WAIT"); v.Kind != resp.Integer || v.Int != 2 {
 			t.Fatalf("CORE.GET %d behind CORE.WAIT = %v, want 2", u, v)
 		}
+	}
+
+	send(fmt.Sprintf("CORE.WAIT %d 20\r\n", target+100))
+	if v := readWithin(t, waiter, wrd, 5*time.Second, "CORE.WAIT past its timeout"); v.Kind != resp.Error || string(v.Str) != "ERR WAIT timed out" {
+		t.Fatalf("CORE.WAIT past its timeout = %v, want ERR WAIT timed out", v)
+	}
+	send(fmt.Sprintf("CORE.WAIT %d\r\n", target+100))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if v := readWithin(t, waiter, wrd, 5*time.Second, "CORE.WAIT at Shutdown"); v.Kind != resp.Error || string(v.Str) != "ERR WAIT canceled: server shutting down" {
+		t.Fatalf("CORE.WAIT at Shutdown = %v, want ERR WAIT canceled: server shutting down", v)
 	}
 }
 

@@ -46,19 +46,19 @@ type Replica struct {
 	srv    *Server
 	leader string
 	opts   ReplicaOptions
-	wm     *kcore.EpochWatermark
+	wm     kcore.EpochWatermark
 
 	quit chan struct{}
 	wg   sync.WaitGroup
 
 	connected atomic.Bool
 	syncs     atomic.Int64 // completed bootstraps
-	records   atomic.Int64 // stream records applied (incl. epochs/pings)
+	records   atomic.Int64 // stream records applied (incl. epoch markers)
 	edges     atomic.Int64 // edges applied through insert/remove records
 	lastErr   atomic.Pointer[string]
 
 	// leaderEpoch is the newest leader epoch seen on the wire (the FULLSYNC
-	// checkpoint's header, then every epoch/ping marker), stored before
+	// checkpoint's header, then every epoch marker), stored before
 	// the record applies — so leaderEpoch−wm.Epoch() exposes the apply
 	// backlog, most visibly during a bootstrap's reload.
 	leaderEpoch atomic.Uint64
@@ -73,16 +73,11 @@ func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
 		srv:    srv,
 		leader: leaderAddr,
 		opts:   opts,
-		wm:     kcore.NewEpochWatermark(),
 		quit:   make(chan struct{}),
 	}
 	srv.replica = r
 	return r
 }
-
-// Watermark exposes the applied-epoch watermark (what CORE.WAIT blocks
-// on).
-func (r *Replica) Watermark() *kcore.EpochWatermark { return r.wm }
 
 // Start launches the replication loop.
 func (r *Replica) Start() {
@@ -205,7 +200,8 @@ func (r *Replica) syncOnce() error {
 	// synchronous API returns only after the batch applied.
 	sr := persist.NewStreamReader(br)
 	for {
-		// The leader pings ~1s idle; a 5s silence means a dead peer.
+		// An idle leader repeats its last epoch marker every second; a
+		// 5s silence means a dead peer.
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		rec, err := sr.Next()
 		if err != nil {
@@ -227,7 +223,7 @@ func (r *Replica) syncOnce() error {
 			if rec.N > m.N() {
 				m.AddVertices(rec.N - m.N())
 			}
-		case persist.OpEpoch, persist.OpPing:
+		case persist.OpEpoch:
 			r.leaderEpoch.Store(rec.Epoch)
 			r.wm.Advance(rec.Epoch)
 		}
@@ -266,7 +262,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 			}),
 		obs.NewCounterFunc("kcored_replica_syncs_total", "Completed FULLSYNC bootstraps.",
 			func() float64 { return float64(r.syncs.Load()) }),
-		obs.NewCounterFunc("kcored_replica_records_total", "Op-stream records applied (epochs and pings included).",
+		obs.NewCounterFunc("kcored_replica_records_total", "Op-stream records applied (epoch markers included).",
 			func() float64 { return float64(r.records.Load()) }),
 		obs.NewCounterFunc("kcored_replica_edges_total", "Edges applied through streamed insert/remove records.",
 			func() float64 { return float64(r.edges.Load()) }),

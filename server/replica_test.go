@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -166,11 +170,12 @@ func TestReplicationConverges(t *testing.T) {
 
 // TestWaitReadYourWrites: a client acks a write on the leader, captures
 // the epoch in the same pipeline, WAITs on the follower, reads — the
-// read must observe the write, every round.
+// read must observe the write, every round. A follower WAIT then fails
+// as a leader's does: timed out past its timeout, canceled at Shutdown.
 func TestWaitReadYourWrites(t *testing.T) {
 	_, leaderAddr := startLeaderServer(t, gen.ErdosRenyi(100, 300, 29),
 		persist.Options{Fsync: persist.FsyncNo})
-	_, repAddr := startReplicaServer(t, leaderAddr)
+	srvR, repAddr := startReplicaServer(t, leaderAddr)
 
 	lc := dial(t, leaderAddr)
 	rc := dial(t, repAddr)
@@ -205,6 +210,32 @@ func TestWaitReadYourWrites(t *testing.T) {
 			t.Fatalf("round %d: follower read core[%d] = %d after WAIT %d — stale read", i, u, k, epoch)
 		}
 	}
+
+	var se *client.ServerError
+	if _, err := rc.Do("CORE.WAIT", 1<<40, 20); !errors.As(err, &se) || se.Msg != "ERR WAIT timed out" {
+		t.Fatalf("follower CORE.WAIT past its timeout: %v, want ERR WAIT timed out", err)
+	}
+	cmds := srvR.Stats().Commands
+	if err := rc.Send("CORE.WAIT", 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srvR.Stats().Commands == cmds; {
+		if time.Now().After(deadline) {
+			t.Fatal("follower CORE.WAIT never reached dispatch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srvR.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, err := rc.Receive(); !errors.As(err, &se) || se.Msg != "ERR WAIT canceled: server shutting down" {
+		t.Fatalf("follower CORE.WAIT at Shutdown: %v, want ERR WAIT canceled: server shutting down", err)
+	}
 }
 
 // TestReplicaRejectsWrites: the write surface is leader-only.
@@ -228,6 +259,53 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	// Reads still work.
 	if _, err := client.Int(rc.Do("CORE.MAXCORE")); err != nil {
 		t.Fatalf("read on replica: %v", err)
+	}
+}
+
+// TestSyncSessionReleasesSnapshot: a live CORE.SYNC session does not keep
+// its FULLSYNC snapshot once written — a leader streaming to a follower
+// holds the tap's backlog, not a second copy of the graph.
+func TestSyncSessionReleasesSnapshot(t *testing.T) {
+	_, leaderAddr := startLeaderServer(t, gen.ErdosRenyi(1<<17, 1<<20, 3),
+		persist.Options{Fsync: persist.FsyncNo})
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+
+	nc, err := net.DialTimeout("tcp", leaderAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := io.WriteString(nc, "CORE.SYNC\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	if _, err := fmt.Sscanf(line, "+FULLSYNC %d", &size); err != nil {
+		t.Fatalf("handshake %q: %v", line, err)
+	}
+	if _, err := io.CopyN(io.Discard, br, size); err != nil {
+		t.Fatal(err)
+	}
+	// The idle leader's first record is its repeated epoch marker: the
+	// session is past the snapshot and parked on its tap.
+	if rec, err := persist.NewStreamReader(br).Next(); err != nil || rec.Op != persist.OpEpoch {
+		t.Fatalf("first streamed record = %+v, %v; want an epoch marker", rec, err)
+	}
+	if grew := int64(liveHeap()) - int64(before); grew >= size/4 {
+		t.Fatalf("live heap grew %.2f MiB during the session, snapshot is %.2f MiB: want < 1/4 of it",
+			float64(grew)/(1<<20), float64(size)/(1<<20))
 	}
 }
 

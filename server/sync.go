@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"time"
-
-	"repro/persist"
 )
 
 // syncWriteTimeout bounds any single write to a follower. A follower
@@ -19,12 +17,15 @@ const syncWriteTimeout = 10 * time.Second
 //	<len raw bytes: a checkpoint, the very encoding of a checkpoint file —
 //	 header (magic, version, gen, epoch, n, m), core array, graph binary,
 //	 CRC-32C tail; persist.ReadCheckpoint decodes it>
-//	<endless CRC-framed op records: insert/remove/grow/epoch/ping>
+//	<endless CRC-framed op records: insert/remove/grow/epoch>
 //
 // The generation and the snapshot epoch travel only in the checkpoint
 // header. The snapshot and the tap are captured at one quiescent point of
 // the maintainer, so the record stream starts exactly where the snapshot
-// ends — no segment replay, no gap, no overlap. After the handshake the
+// ends — no segment replay, no gap, no overlap. The snapshot is dropped
+// once written. The stream is what the session's Wait returns, written
+// as is: the records, or after a second's silence the last epoch marker
+// again. After the handshake the
 // connection belongs to the stream until the follower disconnects, the
 // follower falls too far behind (bounded tap overflows), or the server
 // shuts down; it never returns to command dispatch.
@@ -51,19 +52,15 @@ func cmdSync(c *conn, args [][]byte) bool {
 	if _, err := c.nc.Write(sess.Snapshot); err != nil {
 		return true
 	}
+	// The session lives as long as the stream; the snapshot need not.
+	sess.Snapshot = nil
 
-	var pingBuf []byte
 	for {
-		data, epoch, err := sess.Wait(time.Second, c.srv.closeCh)
+		data, err := sess.Wait(time.Second, c.srv.closeCh)
 		if err != nil {
 			// Slow-follower overflow or shutdown: drop the connection;
 			// the follower notices and re-bootstraps.
 			return true
-		}
-		if data == nil {
-			// Idle: keep the pipe warm and the follower's epoch fresh.
-			pingBuf = persist.AppendPing(pingBuf[:0], epoch)
-			data = pingBuf
 		}
 		c.nc.SetWriteDeadline(time.Now().Add(syncWriteTimeout))
 		if _, err := c.nc.Write(data); err != nil {
@@ -74,12 +71,12 @@ func cmdSync(c *conn, args [][]byte) bool {
 
 // cmdWait serves CORE.WAIT epoch [timeout-ms]: block until the served
 // epoch reaches the target, then reply with the epoch actually reached.
-// On a replica the served epoch is the applied-stream watermark — the
-// read-your-writes primitive: a client that captured the leader's epoch
-// after an acked write WAITs on the replica before reading. On a leader
-// it waits on the maintainer's published epoch (useful after async
-// writes on another connection). timeout-ms 0 or absent waits until
-// server shutdown.
+// The served epoch is a watermark the connection parks on, woken when it
+// moves: on a replica the applied-stream watermark — the read-your-writes
+// primitive: a client that captured the leader's epoch after an acked
+// write WAITs on the replica before reading — and on a leader the
+// maintainer's published epoch (useful after async writes on another
+// connection). timeout-ms 0 or absent waits until server shutdown.
 func cmdWait(c *conn, args [][]byte) bool {
 	target, ok := parseInt(args[1])
 	if !ok || target < 0 {
@@ -96,36 +93,18 @@ func cmdWait(c *conn, args [][]byte) bool {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 
+	wait := c.srv.m.WaitEpoch
 	if rep := c.srv.replica; rep != nil {
-		applied, ok := rep.wm.Wait(uint64(target), timeout, c.srv.closeCh)
-		if !ok {
-			c.writeError("ERR WAIT timed out")
-			return false
-		}
-		c.wr.WriteInt(int64(applied))
-		return false
+		wait = rep.wm.Wait
 	}
-
-	// Leader: the maintainer's epoch has no waiter hook; poll it. WAIT on
-	// a leader is an operator/test convenience, not a hot path.
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
+	epoch, reached := wait(uint64(target), timeout, c.srv.closeCh)
+	switch {
+	case reached:
+		c.wr.WriteInt(int64(epoch))
+	case c.srv.closing.Load():
+		c.writeError("ERR WAIT canceled: server shutting down")
+	default:
+		c.writeError("ERR WAIT timed out")
 	}
-	for {
-		if e := c.srv.m.Epoch(); e >= uint64(target) {
-			c.wr.WriteInt(int64(e))
-			return false
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			c.writeError("ERR WAIT timed out")
-			return false
-		}
-		select {
-		case <-c.srv.closeCh:
-			c.writeError("ERR WAIT canceled: server shutting down")
-			return false
-		case <-time.After(time.Millisecond):
-		}
-	}
+	return false
 }
