@@ -17,13 +17,13 @@ import (
 // insertAsync and removeAsync submit edges with a fresh future.
 func insertAsync(m *Maintainer, edges []graph.Edge) *Pending {
 	pd := new(Pending)
-	m.InsertEdgesAsync(pd, edges)
+	m.Submit(pd, nil, edges)
 	return pd
 }
 
 func removeAsync(m *Maintainer, edges []graph.Edge) *Pending {
 	pd := new(Pending)
-	m.RemoveEdgesAsync(pd, edges)
+	m.Submit(pd, edges, nil)
 	return pd
 }
 
@@ -75,11 +75,11 @@ func TestPendingReuse(t *testing.T) {
 		e := []graph.Edge{{U: rng.Int31n(40), V: rng.Int31n(40)}}
 		var want BatchResult
 		if i%2 == 0 {
-			reused.InsertEdgesAsync(&pd, e)
+			reused.Submit(&pd, nil, e)
 			want = insertAsync(fresh, e).Wait()
 			mirror.AddEdge(e[0].U, e[0].V)
 		} else {
-			reused.RemoveEdgesAsync(&pd, e)
+			reused.Submit(&pd, e, nil)
 			want = removeAsync(fresh, e).Wait()
 			mirror.RemoveEdge(e[0].U, e[0].V)
 		}
@@ -94,14 +94,14 @@ func TestPendingReuse(t *testing.T) {
 	}
 
 	// Resubmitting a future still owed panics before it touches the op.
-	reused.InsertEdgesAsync(&pd, []graph.Edge{{U: 1, V: 2}})
+	reused.Submit(&pd, nil, []graph.Edge{{U: 1, V: 2}})
 	func() {
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(r.(string), "before its Wait returned") {
 				t.Errorf("resubmit before Wait: recovered %v, want the owed-future panic", r)
 			}
 		}()
-		reused.RemoveEdgesAsync(&pd, []graph.Edge{{U: 1, V: 2}})
+		reused.Submit(&pd, []graph.Edge{{U: 1, V: 2}}, nil)
 	}()
 	if res := pd.Wait(); res.Coalesced != 1 {
 		t.Fatalf("owed op after the rejected resubmit: %+v", res)
@@ -109,7 +109,7 @@ func TestPendingReuse(t *testing.T) {
 
 	// A waited, recycled future does not pin the edges it carried.
 	es := []graph.Edge{{U: 3, V: 30}, {U: 4, V: 31}}
-	reused.InsertEdgesAsync(&pd, es)
+	reused.Submit(&pd, nil, es)
 	pd.Wait()
 	wp := weak.Make(&es[0])
 	es = nil

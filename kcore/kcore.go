@@ -412,7 +412,7 @@ func (r *Reader) Unpin() {
 // that fresh — the read-your-writes barrier for readers that did not issue
 // the writes themselves.
 func (m *Maintainer) Flush() uint64 {
-	m.barrier(nil)
+	m.barrier(func() {})
 	return m.Epoch()
 }
 
@@ -444,11 +444,11 @@ func (m *Maintainer) AtQuiescence(fn func(QuiescentState)) {
 	m.barrier(func() { fn(QuiescentState{m.eng}) })
 }
 
-// barrier runs fn inside the applier at a quiescent point ordered after
-// every previously enqueued op. fn must not call Maintainer update
-// methods (the applier would deadlock waiting on itself).
+// barrier runs fn (not nil) inside the applier at a quiescent point
+// ordered after every previously enqueued op. fn must not call Maintainer
+// update methods (the applier would deadlock waiting on itself).
 func (m *Maintainer) barrier(fn func()) {
-	m.pipe.submit(m.eng, new(Pending), opBarrier, nil, fn).Wait()
+	m.pipe.submit(m.eng, new(Pending), nil, nil, fn).Wait()
 }
 
 // ServingStats is a point-in-time view of the serving layer: pipeline
@@ -516,7 +516,7 @@ func (m *Maintainer) RemoveEdge(u, v int32) BatchResult {
 // the update is applied and visible to queries (read-your-writes).
 func (m *Maintainer) InsertEdges(edges []graph.Edge) BatchResult {
 	pd := new(Pending)
-	m.InsertEdgesAsync(pd, edges)
+	m.Submit(pd, nil, edges)
 	return pd.Wait()
 }
 
@@ -525,28 +525,22 @@ func (m *Maintainer) InsertEdges(edges []graph.Edge) BatchResult {
 // update is applied and visible to queries (read-your-writes).
 func (m *Maintainer) RemoveEdges(edges []graph.Edge) BatchResult {
 	pd := new(Pending)
-	m.RemoveEdgesAsync(pd, edges)
+	m.Submit(pd, edges, nil)
 	return pd.Wait()
 }
 
-// InsertEdgesAsync submits an insertion batch without waiting, with pd
-// as its future: pd.Wait returns the batch's result. Submission order is
-// preserved — ops enqueued by one goroutine coalesce with
-// last-op-per-edge-wins semantics in exactly the order they were
-// submitted — so a caller draining a pipelined network connection can fan
-// a whole write burst into the pipeline first and Wait afterwards,
-// sharing engine rounds instead of paying one round per op. The pipeline
-// reads edges until the op's batch applies: the caller must not modify
-// them before pd.Wait returns. pd may be a fresh Pending or one whose
-// Wait has returned; one still owed panics. Blocks only when the op
-// queue is full (backpressure).
-func (m *Maintainer) InsertEdgesAsync(pd *Pending, edges []graph.Edge) {
-	m.pipe.submit(m.eng, pd, opInsert, edges, nil)
-}
-
-// RemoveEdgesAsync is InsertEdgesAsync for a removal batch.
-func (m *Maintainer) RemoveEdgesAsync(pd *Pending, edges []graph.Edge) {
-	m.pipe.submit(m.eng, pd, opRemove, edges, nil)
+// Submit submits one update batch — the removals, then the insertions, so
+// an edge named in both ends present — without waiting, with pd as its
+// future: pd.Wait returns the batch's result. Ops enqueued by one
+// goroutine coalesce with last-op-per-edge-wins semantics in exactly the
+// order they were submitted, so a caller can fan a whole write burst into
+// the pipeline first and Wait afterwards (see Pending). The pipeline reads
+// both slices until the op's batch applies: the caller must not modify
+// them before pd.Wait returns. pd may be a fresh Pending or one whose Wait
+// has returned; one still owed panics. Blocks only when the op queue is
+// full (backpressure).
+func (m *Maintainer) Submit(pd *Pending, removes, inserts []graph.Edge) {
+	m.pipe.submit(m.eng, pd, removes, inserts, nil)
 }
 
 // AddVertices grows the vertex universe by k fresh isolated vertices

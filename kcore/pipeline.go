@@ -18,14 +18,6 @@ import (
 // but callers no longer serialize on a mutex: a burst of W single-edge
 // writers costs one engine round, not W.
 
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opRemove
-	opBarrier
-)
-
 const (
 	// opQueueCap is the channel buffer: writers beyond it block until the
 	// applier catches up (closed-loop backpressure).
@@ -67,15 +59,16 @@ func newPipeline(pm *PipelineMetrics) *pipeline {
 }
 
 // Pending is one submitted op and the future of its result: the op is in
-// the pipeline (in submission order), its result not yet claimed. A caller
-// that submits a run of Pendings before waiting on any lets the applier
-// coalesce the whole run into shared engine batches — the mechanism the
-// RESP server uses to turn one connection's pipelined write burst into one
-// engine round.
+// the pipeline (in submission order), its result not yet claimed. An
+// update op is one batch — removals, then insertions — and a barrier
+// carries no edges and runs its fn. A caller that submits a run of
+// Pendings before waiting on any lets the applier coalesce the whole run
+// into shared engine batches — the mechanism the RESP server uses to turn
+// one connection's pipelined write burst into one engine round.
 //
-// The future is the caller's: InsertEdgesAsync and RemoveEdgesAsync fill
-// it in, and once its Wait has returned the same Pending may be submitted
-// again, so a caller that recycles its futures submits without allocating.
+// The future is the caller's: Submit fills it in, and once its Wait has
+// returned the same Pending may be submitted again, so a caller that
+// recycles its futures submits without allocating.
 // Submitting a Pending whose previous op has not been waited panics. The
 // op completes without a channel: done is a one-count WaitGroup the
 // applier (or the post-Close path of submit) releases after writing res.
@@ -83,10 +76,9 @@ func newPipeline(pm *PipelineMetrics) *pipeline {
 // submitter; it is not safe for concurrent use, so hand a Pending to at
 // most one waiter. The zero value is ready to submit.
 type Pending struct {
-	kind  opKind
-	edges []graph.Edge
-	fn    func()    // opBarrier only: runs in the applier at quiescence
-	enq   time.Time // submission time: coalesce wait and update latency count from here
+	removes, inserts []graph.Edge
+	fn               func()    // a barrier's, nil on an update: runs in the applier at quiescence
+	enq              time.Time // submission time: coalesce wait and update latency count from here
 	// done is released exactly once per submission, by finish, after it
 	// has written res.
 	done sync.WaitGroup
@@ -99,13 +91,13 @@ type Pending struct {
 // Wait blocks until the op's coalesced batch has been applied and its
 // snapshot published, then returns the shared BatchResult (idempotent
 // after the first call). It drops the op's edges, so an idle recycled
-// future does not keep the caller's slice reachable.
+// future does not keep the caller's slices reachable.
 func (pd *Pending) Wait() BatchResult {
 	if !pd.waited {
 		pd.done.Wait()
 		pd.waited = true
-		pd.edges = nil
-		if pd.kind != opBarrier {
+		pd.removes, pd.inserts = nil, nil
+		if pd.fn == nil {
 			pd.p.pm.Update.ObserveDuration(time.Since(pd.enq))
 		}
 	}
@@ -117,11 +109,11 @@ func (pd *Pending) Wait() BatchResult {
 // serialized by eng.mu, before submit returns (Wait then just hands back
 // the result), so a Maintainer keeps working, single-threaded, once its
 // pipeline is shut down.
-func (p *pipeline) submit(eng *engine, op *Pending, kind opKind, edges []graph.Edge, fn func()) *Pending {
+func (p *pipeline) submit(eng *engine, op *Pending, removes, inserts []graph.Edge, fn func()) *Pending {
 	if op.p != nil && !op.waited {
 		panic("kcore: Pending submitted again before its Wait returned")
 	}
-	op.kind, op.edges, op.fn, op.waited = kind, edges, fn, false
+	op.removes, op.inserts, op.fn, op.waited = removes, inserts, fn, false
 	op.p, op.enq = p, time.Now()
 	op.done.Add(1)
 	p.mu.RLock()
@@ -190,34 +182,30 @@ func (p *pipeline) run(eng *engine) {
 // quiescent point its enqueue order put it at, so Flush keeps exact
 // read-your-writes semantics.
 func (p *pipeline) process(eng *engine, pending []*Pending) {
-	i := 0
-	for i < len(pending) {
-		if pending[i].kind == opBarrier {
-			b := pending[i]
-			i++
-			if b.fn != nil {
-				b.fn()
-			}
+	for len(pending) > 0 {
+		if b := pending[0]; b.fn != nil {
+			b.fn()
 			p.flushes.Add(1)
 			p.finish(b, BatchResult{})
+			pending = pending[1:]
 			continue
 		}
-		j := i
-		for j < len(pending) && pending[j].kind != opBarrier {
+		j := 1
+		for j < len(pending) && pending[j].fn == nil {
 			j++
 		}
-		p.applySegment(eng, pending[i:j])
-		i = j
+		p.applySegment(eng, pending[:j])
+		pending = pending[j:]
 	}
 }
 
 // applySegment coalesces one run of update ops, grows the vertex universe
 // to cover any unseen insert endpoints (dropping malformed and
 // guaranteed-absent ops; see engine.prepareBatch), applies the mixed
-// batch (removals, then insertions — the two edge sets are disjoint after
-// coalescing, so the order is immaterial to the final state), publishes
-// the post-batch snapshot, and completes every future with the shared
-// result of the coalesced batch.
+// batch (removals, then insertions, so an edge named in both ends
+// present, as the coalescer resolves it), publishes the post-batch
+// snapshot, and completes every future with the shared result of the
+// coalesced batch.
 func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	removes, inserts, canceled := p.co.coalesce(seg)
 	start := time.Now()
@@ -267,8 +255,8 @@ func (p *pipeline) finish(op *Pending, res BatchResult) {
 // it returns are valid until its next call — which is why OpLog.AppendBatch
 // may not retain its arguments.
 type coalescer struct {
-	last             map[graph.Edge]opKind
-	order            []graph.Edge // first-seen order keeps batches deterministic
+	last             map[graph.Edge]bool // true: the edge's last op inserts it
+	order            []graph.Edge        // first-seen order keeps batches deterministic
 	removes, inserts []graph.Edge
 }
 
@@ -281,9 +269,11 @@ const coalesceKeep = 1024
 // batches. For every canonical edge the last enqueued op wins — a valid
 // linearization, since callers in the same drain are concurrent and the
 // engines skip duplicate insertions and absent removals, so replaying only
-// the final op per edge reaches the same quiescent state. canceled counts
-// ops superseded by an opposite-kind op (insert+remove pairs that
-// annihilated within the drain).
+// the final op per edge reaches the same quiescent state. Within one op
+// the removals come first, so an edge an op both removes and inserts ends
+// present — the state the engine's remove-then-insert order reaches on the
+// lone-op fast path. canceled counts edge ops superseded by an
+// opposite-kind one (insert+remove pairs that annihilated within the drain).
 func (c *coalescer) coalesce(seg []*Pending) (removes, inserts []graph.Edge, canceled int) {
 	if len(c.order) > coalesceKeep {
 		*c = coalescer{}
@@ -291,33 +281,33 @@ func (c *coalescer) coalesce(seg []*Pending) (removes, inserts []graph.Edge, can
 	if len(seg) == 1 {
 		// Fast path: a lone op keeps its batch verbatim (exact seed
 		// semantics, including caller-chosen edge order).
-		if seg[0].kind == opRemove {
-			return seg[0].edges, nil, 0
-		}
-		return nil, seg[0].edges, 0
+		return seg[0].removes, seg[0].inserts, 0
 	}
 	if c.last == nil {
-		c.last = make(map[graph.Edge]opKind)
+		c.last = make(map[graph.Edge]bool)
 	}
 	clear(c.last)
 	c.order, c.removes, c.inserts = c.order[:0], c.removes[:0], c.inserts[:0]
 	for _, op := range seg {
-		for _, e := range op.edges {
-			ne := e.Norm()
-			prev, seen := c.last[ne]
-			if !seen {
-				c.order = append(c.order, ne)
-			} else if prev != op.kind {
-				canceled++
+		for k, edges := range [2][]graph.Edge{op.removes, op.inserts} {
+			insert := k == 1
+			for _, e := range edges {
+				ne := e.Norm()
+				prev, seen := c.last[ne]
+				if !seen {
+					c.order = append(c.order, ne)
+				} else if prev != insert {
+					canceled++
+				}
+				c.last[ne] = insert
 			}
-			c.last[ne] = op.kind
 		}
 	}
 	for _, e := range c.order {
-		if c.last[e] == opRemove {
-			c.removes = append(c.removes, e)
-		} else {
+		if c.last[e] {
 			c.inserts = append(c.inserts, e)
+		} else {
+			c.removes = append(c.removes, e)
 		}
 	}
 	return c.removes, c.inserts, canceled

@@ -14,12 +14,12 @@ import (
 )
 
 // TestCoalesceLastOpWins exercises the pure coalescer: per canonical edge
-// the last enqueued op must win, opposite-kind supersessions must count as
-// canceled, and single-op segments must pass through verbatim.
+// the last enqueued op must win (within one op, its insertions after its
+// removals), opposite-kind supersessions must count as canceled, and
+// single-op segments must pass through verbatim.
 func TestCoalesceLastOpWins(t *testing.T) {
-	mk := func(kind opKind, edges ...graph.Edge) *Pending {
-		return &Pending{kind: kind, edges: edges}
-	}
+	insOp := func(edges ...graph.Edge) *Pending { return &Pending{inserts: edges} }
+	rmOp := func(edges ...graph.Edge) *Pending { return &Pending{removes: edges} }
 	e := func(u, v int32) graph.Edge { return graph.Edge{U: u, V: v} }
 
 	// One coalescer throughout, as on the applier: each call must start
@@ -28,7 +28,7 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	coalesce := co.coalesce
 
 	// Single op: verbatim, including non-canonical edge order.
-	rem, ins, canceled := coalesce([]*Pending{mk(opInsert, e(3, 1), e(1, 2))})
+	rem, ins, canceled := coalesce([]*Pending{insOp(e(3, 1), e(1, 2))})
 	if len(rem) != 0 || len(ins) != 2 || canceled != 0 || ins[0] != e(3, 1) {
 		t.Fatalf("single op: rem=%v ins=%v canceled=%d", rem, ins, canceled)
 	}
@@ -36,8 +36,8 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	// insert(1,2) then remove(2,1): the pair annihilates into a removal
 	// of the canonical edge; the insert counts as canceled.
 	rem, ins, canceled = coalesce([]*Pending{
-		mk(opInsert, e(1, 2)),
-		mk(opRemove, e(2, 1)),
+		insOp(e(1, 2)),
+		rmOp(e(2, 1)),
 	})
 	if len(ins) != 0 || len(rem) != 1 || rem[0] != e(1, 2) || canceled != 1 {
 		t.Fatalf("cancel pair: rem=%v ins=%v canceled=%d", rem, ins, canceled)
@@ -46,9 +46,9 @@ func TestCoalesceLastOpWins(t *testing.T) {
 	// remove then insert: insert wins; same-kind duplicates dedup without
 	// counting as canceled.
 	rem, ins, canceled = coalesce([]*Pending{
-		mk(opRemove, e(5, 6)),
-		mk(opInsert, e(6, 5), e(7, 8)),
-		mk(opInsert, e(8, 7)),
+		rmOp(e(5, 6)),
+		insOp(e(6, 5), e(7, 8)),
+		insOp(e(8, 7)),
 	})
 	if len(rem) != 0 || len(ins) != 2 || canceled != 1 {
 		t.Fatalf("remove-then-insert: rem=%v ins=%v canceled=%d", rem, ins, canceled)
@@ -57,14 +57,25 @@ func TestCoalesceLastOpWins(t *testing.T) {
 		t.Fatalf("first-seen order lost: %v", ins)
 	}
 
+	// One op carrying both halves, behind an insert: its removals come
+	// first, so (1,2), which it names in both, ends inserted; (3,4) it only
+	// removes, superseding the earlier insert; (5,6) it only inserts.
+	rem, ins, canceled = coalesce([]*Pending{
+		insOp(e(3, 4)),
+		{removes: []graph.Edge{e(2, 1), e(4, 3)}, inserts: []graph.Edge{e(1, 2), e(6, 5)}},
+	})
+	if len(rem) != 1 || rem[0] != e(3, 4) || len(ins) != 2 || ins[0] != e(1, 2) || ins[1] != e(5, 6) || canceled != 2 {
+		t.Fatalf("mixed op: rem=%v ins=%v canceled=%d", rem, ins, canceled)
+	}
+
 	// The scratch of a huge segment is not carried over — not even when
 	// every later segment takes the single-op fast path.
 	var big []graph.Edge
 	for i := int32(0); i <= coalesceKeep; i++ {
 		big = append(big, e(i, i+1))
 	}
-	coalesce([]*Pending{mk(opInsert, big...), mk(opInsert, e(0, 2))})
-	coalesce([]*Pending{mk(opInsert, e(1, 3))})
+	coalesce([]*Pending{insOp(big...), insOp(e(0, 2))})
+	coalesce([]*Pending{insOp(e(1, 3))})
 	if co.last != nil || co.order != nil {
 		t.Fatalf("scratch of a %d-edge segment survived the next call", len(big)+1)
 	}
@@ -395,11 +406,15 @@ func TestWriteFlightAllocs(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	park := func() { entered <- struct{}{}; <-gate }
 	pend := make([]Pending, len(closing))
-	flight := func(async func(*Pending, []graph.Edge)) {
-		m.pipe.submit(m.eng, new(Pending), opBarrier, nil, park)
+	flight := func(remove bool) {
+		m.pipe.submit(m.eng, new(Pending), nil, nil, park)
 		<-entered // the applier's drain holds the barrier alone; the next one takes all 8
 		for i := range closing {
-			async(&pend[i], closing[i:i+1])
+			if remove {
+				m.Submit(&pend[i], closing[i:i+1], nil)
+			} else {
+				m.Submit(&pend[i], nil, closing[i:i+1])
+			}
 		}
 		gate <- struct{}{}
 		for i := range pend {
@@ -410,8 +425,8 @@ func TestWriteFlightAllocs(t *testing.T) {
 	}
 	before := m.ServingStats()
 	perRun := testing.AllocsPerRun(50, func() {
-		flight(m.InsertEdgesAsync)
-		flight(m.RemoveEdgesAsync)
+		flight(false)
+		flight(true)
 	})
 	after := m.ServingStats()
 	if d, b := after.DeltaPublishes-before.DeltaPublishes, after.Batches-before.Batches; d != b || d != 2*51 {

@@ -7,27 +7,6 @@ import (
 	"repro/obs"
 )
 
-// TapStat is a point-in-time view of one replication follower tap.
-type TapStat struct {
-	ID            int64  // stable per-tap id (monotone across the manager's lifetime)
-	BufferedBytes int    // framed record bytes enqueued but not yet streamed
-	LastEpoch     uint64 // newest epoch marker the tap has enqueued
-}
-
-// TapStats snapshots the live follower taps.
-func (p *Manager) TapStats() []TapStat {
-	p.mu.Lock()
-	taps := append([]*tap(nil), p.taps...)
-	p.mu.Unlock()
-	out := make([]TapStat, 0, len(taps))
-	for _, t := range taps {
-		t.mu.Lock()
-		out = append(out, TapStat{ID: t.id, BufferedBytes: len(t.buf), LastEpoch: t.lastEpoch})
-		t.mu.Unlock()
-	}
-	return out
-}
-
 // RegisterMetrics adds the durability subsystem's metrics to reg: the
 // fsync (labeled with the fsync policy) and checkpoint-pause latency
 // histograms plus scrape-time views of the counters Stats already
@@ -61,8 +40,8 @@ func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 		obs.NewGaugeSeriesFunc("kcored_persist_err", "1 when the sticky persistence error has tripped, else 0; the error label carries its message.",
 			func() []obs.Sample {
 				s := obs.Sample{Labels: []obs.Label{obs.L("error", "")}}
-				if e := p.errStr.Load(); e != nil {
-					s = obs.Sample{Labels: []obs.Label{obs.L("error", *e)}, Value: 1}
+				if err := p.Err(); err != nil {
+					s = obs.Sample{Labels: []obs.Label{obs.L("error", err.Error())}, Value: 1}
 				}
 				return []obs.Sample{s}
 			}),
@@ -79,12 +58,17 @@ func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 		obs.NewGaugeSeriesFunc("kcored_sync_follower_buffered_bytes",
 			"Per-follower op-stream backlog (framed record bytes not yet streamed).",
 			func() []obs.Sample {
-				taps := p.TapStats()
+				p.mu.Lock()
+				taps := append([]*tap(nil), p.taps...)
+				p.mu.Unlock()
 				out := make([]obs.Sample, len(taps))
 				for i, t := range taps {
+					t.mu.Lock()
+					buffered := len(t.buf)
+					t.mu.Unlock()
 					out[i] = obs.Sample{
-						Labels: []obs.Label{obs.L("follower", strconv.FormatInt(t.ID, 10))},
-						Value:  float64(t.BufferedBytes),
+						Labels: []obs.Label{obs.L("follower", strconv.FormatInt(t.id, 10))},
+						Value:  float64(buffered),
 					}
 				}
 				return out

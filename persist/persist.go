@@ -185,7 +185,6 @@ type Manager struct {
 	lastSaveUnix  atomic.Int64
 	lastSaveDur   atomic.Int64
 	tapSeq        atomic.Int64
-	errStr        atomic.Pointer[string]
 
 	// fsyncLat times every AOF fsync (the FsyncAlways per-batch sync and
 	// the everysec background sync alike) — the durability subsystem's
@@ -365,8 +364,6 @@ func (p *Manager) failLocked(err error) {
 		return
 	}
 	p.err = err
-	s := err.Error()
-	p.errStr.Store(&s)
 	p.killTapsLocked() // followers re-sync from a healthy leader instead
 	p.logf("persist: DISABLED after error: %v", err)
 }
@@ -538,7 +535,7 @@ func (p *Manager) Err() error {
 // Stats returns the durability counters.
 func (p *Manager) Stats() Stats {
 	p.mu.Lock()
-	gen, opsSince, followers := p.gen, p.opsSince, len(p.taps)
+	gen, opsSince, followers, err := p.gen, p.opsSince, len(p.taps), p.err
 	p.mu.Unlock()
 	s := Stats{
 		SyncFollowers:      followers,
@@ -552,8 +549,8 @@ func (p *Manager) Stats() Stats {
 		LastSaveDuration:   time.Duration(p.lastSaveDur.Load()),
 		Fsync:              p.opts.Fsync,
 	}
-	if e := p.errStr.Load(); e != nil {
-		s.Err = *e
+	if err != nil {
+		s.Err = err.Error()
 	}
 	return s
 }

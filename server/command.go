@@ -11,9 +11,8 @@ import (
 // command is one row of the dispatch table.
 type command struct {
 	name    string
-	minArgs int  // including the command name
-	maxArgs int  // -1 = unbounded
-	write   bool // fans into the update pipeline (reply deferred)
+	minArgs int // including the command name
+	maxArgs int // -1 = unbounded
 	// blocking commands (CORE.SYNC, CORE.WAIT) may park their connection's
 	// goroutine indefinitely; register exempts them from timing.
 	blocking bool
@@ -55,8 +54,8 @@ func init() {
 	register(&command{name: "QUIT", minArgs: 1, maxArgs: 1, family: famRead, fn: cmdQuit})
 	register(&command{name: "CORE.GET", minArgs: 2, maxArgs: 2, family: famRead, fn: cmdGet})
 	register(&command{name: "CORE.MGET", minArgs: 2, maxArgs: -1, family: famRead, fn: cmdMGet})
-	register(&command{name: "CORE.INSERT", minArgs: 3, maxArgs: -1, family: famWrite, write: true, denyOnReplica: true, fn: cmdInsert})
-	register(&command{name: "CORE.REMOVE", minArgs: 3, maxArgs: -1, family: famWrite, write: true, denyOnReplica: true, fn: cmdRemove})
+	register(&command{name: "CORE.INSERT", minArgs: 3, maxArgs: -1, family: famWrite, denyOnReplica: true, fn: cmdInsert})
+	register(&command{name: "CORE.REMOVE", minArgs: 3, maxArgs: -1, family: famWrite, denyOnReplica: true, fn: cmdRemove})
 	register(&command{name: "CORE.MAXCORE", minArgs: 1, maxArgs: 1, family: famRead, fn: cmdMaxCore})
 	register(&command{name: "CORE.HIST", minArgs: 1, maxArgs: 3, family: famAggregate, fn: cmdHist})
 	register(&command{name: "CORE.KVERT", minArgs: 2, maxArgs: 4, family: famAggregate, fn: cmdKVert})
@@ -138,7 +137,7 @@ func cmdMGet(c *conn, args [][]byte) bool {
 // the applied-edge count of the coalesced batch that covered it.
 func cmdInsert(c *conn, args [][]byte) bool {
 	if w := c.argEdges(args); w != nil {
-		c.srv.m.InsertEdgesAsync(w.pd, w.edges)
+		c.srv.m.Submit(w.pd, nil, w.edges)
 	}
 	return false
 }
@@ -147,7 +146,7 @@ func cmdInsert(c *conn, args [][]byte) bool {
 // CORE.INSERT.
 func cmdRemove(c *conn, args [][]byte) bool {
 	if w := c.argEdges(args); w != nil {
-		c.srv.m.RemoveEdgesAsync(w.pd, w.edges)
+		c.srv.m.Submit(w.pd, w.edges, nil)
 	}
 	return false
 }

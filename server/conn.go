@@ -305,7 +305,7 @@ func (c *conn) dispatch(args [][]byte) (quit bool) {
 		c.writeError("READONLY replica: write commands must go to the leader")
 		return false
 	}
-	if !cmd.write {
+	if cmd.family != famWrite {
 		// Per-connection read-your-writes: a non-write command must
 		// observe every write this connection pipelined before it.
 		c.drainPending()

@@ -17,7 +17,7 @@ type cmdFamily uint8
 
 const (
 	famRead      cmdFamily = iota // snapshot reads: PING, CORE.GET/MGET/EPOCH/N/MAXCORE
-	famWrite                      // pipeline writes: CORE.INSERT/REMOVE
+	famWrite                      // pipeline writes, reply deferred: CORE.INSERT/REMOVE
 	famAggregate                  // snapshot aggregates, O(MaxCore) or O(range): CORE.HIST/KVERT
 	famAdmin                      // everything else (stats, persistence, sync, slowlog), unknown commands included
 	numFamilies

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/graph"
 	"repro/kcore"
 	"repro/obs"
 	"repro/persist"
@@ -25,12 +26,13 @@ type ReplicaOptions struct {
 // Replica keeps a Server in follower mode: it bootstraps from a leader's
 // CORE.SYNC snapshot by reloading the server's one maintainer in place
 // (kcore.Maintainer.Reload), and applies the streamed op tail through the
-// ordinary maintainer API — the same coalescing pipeline the leader ran
-// the ops through. The follower runs the engine its maintainer was built
-// with, and the maintainer's epoch, metrics and identity live across
-// every bootstrap. Reads stay lock-free off the local
-// snapshot; write commands are rejected (denyOnReplica); CORE.WAIT blocks
-// on the applied-epoch watermark for read-your-writes.
+// ordinary maintainer API, each leader publication as one Submit — one
+// engine batch, so every state the follower serves is one the leader
+// published. The follower runs the engine its maintainer was built with,
+// and the maintainer's epoch, metrics and identity live across every
+// bootstrap. Reads stay lock-free off the local snapshot; write commands
+// are rejected (denyOnReplica); CORE.WAIT blocks on the applied-epoch
+// watermark for read-your-writes.
 //
 // The watermark counts in the leader's epochs, and only while a session
 // streams: it reads 0 from the end of a session until the next bootstrap
@@ -53,8 +55,8 @@ type Replica struct {
 
 	connected atomic.Bool
 	syncs     atomic.Int64 // completed bootstraps
-	records   atomic.Int64 // stream records applied (incl. epoch markers)
-	edges     atomic.Int64 // edges applied through insert/remove records
+	records   atomic.Int64 // stream records read (incl. epoch markers)
+	edges     atomic.Int64 // edges of the leader batches applied
 	lastErr   atomic.Pointer[string]
 
 	// leaderEpoch is the newest leader epoch seen on the wire (the FULLSYNC
@@ -161,8 +163,8 @@ func (r *Replica) syncOnce() error {
 		return err
 	}
 
-	br := bufio.NewReaderSize(nc, 64<<10)
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	pr := &deadlineReader{nc: nc, timeout: 10 * time.Second}
+	br := bufio.NewReaderSize(pr, 64<<10)
 	line, err := br.ReadString('\n')
 	if err != nil {
 		return fmt.Errorf("handshake read: %w", err)
@@ -177,7 +179,6 @@ func (r *Replica) syncOnce() error {
 	}
 	// The snapshot is a checkpoint, decoded straight off the socket: its
 	// header must account for size before anything is allocated.
-	nc.SetReadDeadline(time.Now().Add(2 * time.Minute))
 	g, gen, epoch, err := persist.ReadCheckpoint(br, size)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
@@ -195,14 +196,18 @@ func (r *Replica) syncOnce() error {
 	r.wm.Advance(epoch)
 	r.logf("replica: synced gen %d epoch %d from %s (n=%d m=%d)", gen, epoch, r.leader, g.N(), g.M())
 
-	// The tail: apply records through the maintainer synchronously — the
-	// decoded edge slice aliases the stream reader's scratch, and the
-	// synchronous API returns only after the batch applied.
+	// The tail: the edge records up to a new epoch marker are one leader
+	// publication, applied as one engine batch at that marker, so the
+	// follower serves only states the leader published; a session that
+	// ends mid-batch applies none of it. Records alias the stream
+	// reader's scratch, hence the copies.
 	sr := persist.NewStreamReader(br)
+	var pd kcore.Pending
+	var removes, inserts []graph.Edge
+	// An idle leader repeats its last epoch marker every second; a 5s
+	// silence means a dead peer.
+	pr.timeout = 5 * time.Second
 	for {
-		// An idle leader repeats its last epoch marker every second; a
-		// 5s silence means a dead peer.
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		rec, err := sr.Next()
 		if err != nil {
 			select {
@@ -214,21 +219,42 @@ func (r *Replica) syncOnce() error {
 		}
 		switch rec.Op {
 		case persist.OpInsert:
-			m.InsertEdges(rec.Edges)
-			r.edges.Add(int64(len(rec.Edges)))
+			inserts = append(inserts, rec.Edges...)
 		case persist.OpRemove:
-			m.RemoveEdges(rec.Edges)
-			r.edges.Add(int64(len(rec.Edges)))
+			removes = append(removes, rec.Edges...)
 		case persist.OpGrow:
 			if rec.N > m.N() {
 				m.AddVertices(rec.N - m.N())
 			}
 		case persist.OpEpoch:
 			r.leaderEpoch.Store(rec.Epoch)
+			// An idle leader's repeat of its last marker closes nothing.
+			if k := len(removes) + len(inserts); k > 0 && rec.Epoch > r.wm.Epoch() {
+				m.Submit(&pd, removes, inserts)
+				pd.Wait()
+				r.edges.Add(int64(k))
+				removes, inserts = removes[:0], inserts[:0]
+				if cap(removes)+cap(inserts) > maxEdgeScratch {
+					removes, inserts = nil, nil
+				}
+			}
 			r.wm.Advance(rec.Epoch)
 		}
 		r.records.Add(1)
 	}
+}
+
+// deadlineReader reads nc with a fresh deadline, timeout from now, on
+// every read: it bounds a stall, not a transfer, so a slow but live leader
+// still delivers a snapshot of any size.
+type deadlineReader struct {
+	nc      net.Conn
+	timeout time.Duration
+}
+
+func (d *deadlineReader) Read(b []byte) (int, error) {
+	d.nc.SetReadDeadline(time.Now().Add(d.timeout))
+	return d.nc.Read(b)
 }
 
 // epochLag is the leader-vs-applied epoch delta (clamped at 0: the
@@ -262,7 +288,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 			}),
 		obs.NewCounterFunc("kcored_replica_syncs_total", "Completed FULLSYNC bootstraps.",
 			func() float64 { return float64(r.syncs.Load()) }),
-		obs.NewCounterFunc("kcored_replica_records_total", "Op-stream records applied (epoch markers included).",
+		obs.NewCounterFunc("kcored_replica_records_total", "Op-stream records read (epoch markers included).",
 			func() float64 { return float64(r.records.Load()) }),
 		obs.NewCounterFunc("kcored_replica_edges_total", "Edges applied through streamed insert/remove records.",
 			func() float64 { return float64(r.edges.Load()) }),

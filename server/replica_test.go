@@ -2,12 +2,14 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +25,13 @@ import (
 // startLeaderServer brings up a persistent leader over g.
 func startLeaderServer(t *testing.T, g *graph.Graph, popts persist.Options) (*kcore.Maintainer, string) {
 	t.Helper()
+	m, _, addr := startLeader(t, g, popts)
+	return m, addr
+}
+
+// startLeader is startLeaderServer also returning the leader's manager.
+func startLeader(t *testing.T, g *graph.Graph, popts persist.Options) (*kcore.Maintainer, *persist.Manager, string) {
+	t.Helper()
 	mgr, err := persist.NewManager(t.TempDir(), popts)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +42,7 @@ func startLeaderServer(t *testing.T, g *graph.Graph, popts persist.Options) (*kc
 		t.Fatal(err)
 	}
 	_, addr := startServer(t, m, WithPersistence(mgr))
-	return m, addr
+	return m, mgr, addr
 }
 
 // startReplicaServer brings up a follower of the leader at leaderAddr.
@@ -164,6 +173,100 @@ func TestReplicationConverges(t *testing.T) {
 		// The follower's own invariants hold against a fresh decompose.
 		if s, err := client.String(rc.Do("CORE.CHECK")); err != nil || s != "OK" {
 			t.Fatalf("CORE.CHECK on follower: %q, %v", s, err)
+		}
+	}
+}
+
+// waitApplied blocks until rep's watermark reaches epoch.
+func waitApplied(t *testing.T, rep *Replica, epoch uint64) {
+	t.Helper()
+	if got, ok := rep.wm.Wait(epoch, 15*time.Second, nil); !ok {
+		t.Fatalf("follower watermark %d never reached leader epoch %d", got, epoch)
+	}
+}
+
+// TestFollowerReplaysLeaderBatches: one leader batch that both removes
+// and inserts is one engine batch and one epoch on the follower too, and
+// the follower's cores then equal a fresh decomposition of the leader's
+// graph.
+func TestFollowerReplaysLeaderBatches(t *testing.T) {
+	g := gen.ErdosRenyi(200, 800, 47)
+	removes := g.Edges()[:20]
+	var inserts []graph.Edge
+	for u := int32(0); len(inserts) < 3; u++ {
+		if !g.HasEdge(u, u+100) {
+			inserts = append(inserts, graph.Edge{U: u, V: u + 100})
+		}
+	}
+	m, leaderAddr := startLeaderServer(t, g, persist.Options{Fsync: persist.FsyncNo})
+	srvR, _ := startReplicaServer(t, leaderAddr)
+	rep, mR := srvR.replica, srvR.Maintainer()
+	waitApplied(t, rep, m.Flush())
+	lead0, fol0 := m.ServingStats(), mR.ServingStats()
+
+	// Park the leader's applier so the removal and the insertion coalesce
+	// into one batch.
+	entered, gate, held := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(held)
+		m.AtQuiescence(func(kcore.QuiescentState) { close(entered); <-gate })
+	}()
+	<-entered
+	var rm, in kcore.Pending
+	m.Submit(&rm, removes, nil)
+	m.Submit(&in, nil, inserts)
+	close(gate)
+	<-held
+	if res := rm.Wait(); res.Coalesced != 2 {
+		t.Fatalf("the removal and the insertion did not share a batch: %+v", res)
+	}
+	in.Wait()
+	if lead := m.ServingStats(); lead.Batches-lead0.Batches != 1 || lead.Epoch-lead0.Epoch != 1 {
+		t.Fatalf("leader moved by %d batches and %d epochs, want 1 and 1",
+			lead.Batches-lead0.Batches, lead.Epoch-lead0.Epoch)
+	}
+
+	waitApplied(t, rep, m.Flush())
+	if fol := mR.ServingStats(); fol.Batches-fol0.Batches != 1 || fol.Epoch-fol0.Epoch != 1 {
+		t.Fatalf("follower moved by %d batches and %d epochs for one leader batch, want 1 and 1",
+			fol.Batches-fol0.Batches, fol.Epoch-fol0.Epoch)
+	}
+	want, _ := bz.Decompose(m.Graph().Clone())
+	if got := mR.CoreNumbers(); !slices.Equal(got, want) {
+		t.Fatalf("follower cores differ from BZ of the leader's graph")
+	}
+}
+
+// TestFollowerIgnoresUnclosedBatch: edge records no epoch marker closes
+// are no leader publication, so the follower applies none of them — not
+// when they arrive, and not at the idle leader's repeat of its last
+// marker.
+func TestFollowerIgnoresUnclosedBatch(t *testing.T) {
+	g := gen.ErdosRenyi(200, 800, 53)
+	removes := g.Edges()[:20]
+	m, mgr, leaderAddr := startLeader(t, g, persist.Options{Fsync: persist.FsyncNo})
+	srvR, _ := startReplicaServer(t, leaderAddr)
+	rep, mR := srvR.replica, srvR.Maintainer()
+	waitApplied(t, rep, m.Flush())
+	batches := mR.ServingStats().Batches
+
+	nextRecord := func(after int64) int64 {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); rep.records.Load() <= after; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the follower read no further stream record")
+			}
+		}
+		return rep.records.Load()
+	}
+	// An idle marker first: the session is parked, a second from the next.
+	seen := nextRecord(rep.records.Load())
+	mgr.AppendBatch(removes, nil)
+	for i := 0; i < 2; i++ { // the removal record, then the repeated marker
+		seen = nextRecord(seen)
+		if edges, b := mR.Snapshot().M(), mR.ServingStats().Batches; edges != 800 || b != batches {
+			t.Fatalf("record %d after an unclosed batch: follower holds %d edges after %d more batches, want 800 after 0",
+				i+1, edges, b-batches)
 		}
 	}
 }
@@ -306,6 +409,59 @@ func TestSyncSessionReleasesSnapshot(t *testing.T) {
 	if grew := int64(liveHeap()) - int64(before); grew >= size/4 {
 		t.Fatalf("live heap grew %.2f MiB during the session, snapshot is %.2f MiB: want < 1/4 of it",
 			float64(grew)/(1<<20), float64(size)/(1<<20))
+	}
+}
+
+// TestSyncDeadlineBoundsProgress: the leader's write deadline bounds a
+// stall, not the whole FULLSYNC transfer, so a follower reading a 9 MiB
+// snapshot at about 10 MiB/s receives all of it under a 300 ms deadline
+// that the whole transfer would overrun three times. The pace leaves the
+// leader's writer margin: its kernel send buffer, which Linux autotunes up
+// to 4 MiB by default, wakes a blocked writer only once about a third of
+// it has drained, which takes some 130 ms at this pace.
+func TestSyncDeadlineBoundsProgress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a 9 MiB snapshot at 10 MiB/s")
+	}
+	// Registered first, so it runs after the leader has shut down.
+	t.Cleanup(func(d time.Duration) func() { return func() { syncWriteTimeout = d } }(syncWriteTimeout))
+	syncWriteTimeout = 300 * time.Millisecond
+	_, leaderAddr := startLeaderServer(t, gen.ErdosRenyi(1<<17, 1<<20, 3),
+		persist.Options{Fsync: persist.FsyncNo})
+
+	nc, err := net.DialTimeout("tcp", leaderAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.(*net.TCPConn).SetReadBuffer(64 << 10)
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := io.WriteString(nc, "CORE.SYNC\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	if _, err := fmt.Sscanf(line, "+FULLSYNC %d", &size); err != nil {
+		t.Fatalf("handshake %q: %v", line, err)
+	}
+	// 256 KiB per 25 ms: about 10 MiB/s.
+	snap := make([]byte, 0, size)
+	step := make([]byte, 256<<10)
+	start := time.Now()
+	for i := time.Duration(1); int64(len(snap)) < size; i++ {
+		n, err := io.ReadFull(br, step[:min(int64(len(step)), size-int64(len(snap)))])
+		snap = append(snap, step[:n]...)
+		if err != nil {
+			t.Fatalf("received %d of %d snapshot bytes in %v: %v", len(snap), size, time.Since(start), err)
+		}
+		time.Sleep(time.Until(start.Add(i * 25 * time.Millisecond)))
+	}
+	if _, _, _, err := persist.ReadCheckpoint(bytes.NewReader(snap), size); err != nil {
+		t.Fatalf("decode the received snapshot: %v", err)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// syncWriteTimeout bounds any single write to a follower. A follower
-// that stops reading stalls the write until its socket buffer fills;
-// past this deadline the leader abandons the session (the follower
-// re-syncs from scratch when it comes back).
-const syncWriteTimeout = 10 * time.Second
+// syncWriteTimeout bounds each writeSync chunk. A follower that stops
+// reading stalls the write once its socket buffer fills; past this
+// deadline the leader abandons the session (the follower re-syncs from
+// scratch when it comes back). A var so tests can lower it.
+var syncWriteTimeout = 10 * time.Second
 
 // cmdSync serves CORE.SYNC, the replication bootstrap + stream:
 //
@@ -47,26 +47,35 @@ func cmdSync(c *conn, args [][]byte) bool {
 		return true
 	}
 	// The snapshot bypasses the RESP writer: it is raw bytes, not a
-	// frame, and may be large.
-	c.nc.SetWriteDeadline(time.Now().Add(syncWriteTimeout))
-	if _, err := c.nc.Write(sess.Snapshot); err != nil {
+	// frame, and may be large. The session lives as long as the stream;
+	// the snapshot need not.
+	if c.writeSync(sess.Snapshot) != nil {
 		return true
 	}
-	// The session lives as long as the stream; the snapshot need not.
 	sess.Snapshot = nil
-
 	for {
+		// Slow-follower overflow, shutdown or a failed write: drop the
+		// connection; the follower notices and re-bootstraps.
 		data, err := sess.Wait(time.Second, c.srv.closeCh)
-		if err != nil {
-			// Slow-follower overflow or shutdown: drop the connection;
-			// the follower notices and re-bootstraps.
-			return true
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(syncWriteTimeout))
-		if _, err := c.nc.Write(data); err != nil {
+		if err != nil || c.writeSync(data) != nil {
 			return true
 		}
 	}
+}
+
+// writeSync writes b to the follower in chunks of at most 256 KiB, each
+// under a fresh syncWriteTimeout: the deadline bounds a stall, not the
+// transfer, so a slow but live follower still receives a large snapshot.
+func (c *conn) writeSync(b []byte) error {
+	for len(b) > 0 {
+		n := min(len(b), 256<<10)
+		c.nc.SetWriteDeadline(time.Now().Add(syncWriteTimeout))
+		if _, err := c.nc.Write(b[:n]); err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	return nil
 }
 
 // cmdWait serves CORE.WAIT epoch [timeout-ms]: block until the served
