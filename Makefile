@@ -70,11 +70,12 @@ examples:
 # Fuzzing smoke pass: the engine differential fuzzer (every registered
 # engine against the BZ oracle on random mixed batches), the RESP codec
 # round-trip fuzzer, the graph's arena fuzzer (add/remove/grow/reserve/
-# clone/binary round trip against a model) and the checkpoint decoder
-# (arbitrary bytes never panic; what it accepts re-encodes byte for byte).
-# CI runs all four on every push.
+# clone/binary round trip against a model), the checkpoint decoder and
+# the log record decoder (arbitrary bytes never panic; what each accepts
+# re-encodes byte for byte). CI runs all five on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMixedBatch -fuzztime 10s ./kcore
 	$(GO) test -run '^$$' -fuzz FuzzRESP -fuzztime 10s ./resp
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./graph
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./persist
+	$(GO) test -run '^$$' -fuzz FuzzStreamRecord -fuzztime 10s ./persist

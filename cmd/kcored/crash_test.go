@@ -45,11 +45,12 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 	mirror := graph.New(n)
 	ackedBursts(t, c, mirror, rng, 30, 40)
 
-	// The doomed burst: distinct inserts of edges the mirror lacks,
-	// never awaited. Its first quarter is flushed; once the log holds a
-	// record past the acked ones, the rest is flushed and the kill races
-	// the server mid-application — so some doomed inserts land and some
-	// do not.
+	// The doomed burst, never awaited: inserts of edges the mirror lacks
+	// interleaved with removals of mirror edges, each edge named once, so
+	// every op's effect is visible on its own. Its first quarter is
+	// flushed; once the log holds a record past the acked ones, the rest
+	// is flushed and the kill races the server mid-application — so some
+	// doomed ops land and some do not.
 	probe := dial(t, addr)
 	logged := func() int64 {
 		r, ok := coreStats(t, probe)["kcored_aof_records_total"]
@@ -59,16 +60,28 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 		return int64(r)
 	}
 	ackedRecords := logged()
-	var doomed []graph.Edge
-	isDoomed := make(map[graph.Edge]bool)
+	type op struct {
+		e      graph.Edge
+		remove bool
+	}
+	var doomed []op
+	named := make(map[graph.Edge]bool)
+	mirrorEdges := mirror.Edges()
 	for len(doomed) < 200 {
-		e := graph.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}.Norm()
-		if e.U == e.V || mirror.HasEdge(e.U, e.V) || isDoomed[e] {
+		o := op{e: graph.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}.Norm()}
+		if len(doomed)%3 == 2 {
+			o = op{e: mirrorEdges[rng.Intn(len(mirrorEdges))].Norm(), remove: true}
+		}
+		if o.e.U == o.e.V || mirror.HasEdge(o.e.U, o.e.V) != o.remove || named[o.e] {
 			continue
 		}
-		isDoomed[e] = true
-		doomed = append(doomed, e)
-		if err := c.Send("CORE.INSERT", int64(e.U), int64(e.V)); err != nil {
+		named[o.e] = true
+		doomed = append(doomed, o)
+		cmd := "CORE.INSERT"
+		if o.remove {
+			cmd = "CORE.REMOVE"
+		}
+		if err := c.Send(cmd, int64(o.e.U), int64(o.e.V)); err != nil {
 			t.Fatal(err)
 		}
 		if len(doomed) == 50 {
@@ -77,7 +90,7 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 			}
 			for deadline := time.Now().Add(10 * time.Second); logged() == ackedRecords; {
 				if time.Now().After(deadline) {
-					t.Fatal("the first doomed inserts never reached the log")
+					t.Fatal("the first doomed ops never reached the log")
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -103,29 +116,33 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 		return int(max(e.U, e.V)) < g.N() && g.HasEdge(e.U, e.V)
 	}
 	for _, e := range mirror.Edges() {
-		if !has(e) {
+		if !has(e) && !named[e.Norm()] {
 			t.Fatalf("acked edge (%d,%d) lost by the crash", e.U, e.V)
 		}
 	}
 	for _, e := range g.Edges() {
-		if !mirror.HasEdge(e.U, e.V) && !isDoomed[e] {
+		if !mirror.HasEdge(e.U, e.V) && !named[e.Norm()] {
 			t.Fatalf("recovered edge (%d,%d) was never sent", e.U, e.V)
 		}
 	}
-	// One connection orders the op stream, and fsync=always logs every
-	// batch before it is applied, so the log holds all acked ops and
-	// then a prefix of the doomed burst: recovered = acked ∪ doomed[:j].
+	// One connection orders the op stream, a batch is a run of
+	// consecutive ops, and fsync=always logs every batch as one record
+	// before it is applied, so the log holds all acked ops and then a
+	// send-order prefix of the doomed burst: recovered = acked with
+	// doomed[:j] applied, each op's effect visible exactly when j covers
+	// it.
+	landed := func(o op) bool { return has(o.e) != o.remove }
 	j := 0
-	for j < len(doomed) && has(doomed[j]) {
+	for j < len(doomed) && landed(doomed[j]) {
 		j++
 	}
 	for i := j; i < len(doomed); i++ {
-		if has(doomed[i]) {
-			t.Fatalf("doomed[%d] (%d,%d) recovered but doomed[%d] lost: not a prefix of the doomed burst",
-				i, doomed[i].U, doomed[i].V, j)
+		if landed(doomed[i]) {
+			t.Fatalf("doomed[%d] (remove=%v (%d,%d)) recovered but doomed[%d] (remove=%v) lost: not a prefix of the doomed burst",
+				i, doomed[i].remove, doomed[i].e.U, doomed[i].e.V, j, doomed[j].remove)
 		}
 	}
-	t.Logf("%d of %d doomed inserts landed before the kill", j, len(doomed))
+	t.Logf("%d of %d doomed ops landed before the kill", j, len(doomed))
 
 	want, _ := bz.Decompose(g)
 	spawn(t, addr, durable(dir)...)

@@ -2,7 +2,6 @@ package kcore
 
 import (
 	"repro/graph"
-	"repro/internal/bz"
 	"repro/internal/snapshot"
 )
 
@@ -12,25 +11,6 @@ import (
 // Helpers that only need core numbers read the latest published snapshot;
 // helpers that walk the graph structure run inside a pipeline barrier, at
 // a quiescent point ordered after every earlier update.
-
-// Degeneracy returns the graph's degeneracy together with a degeneracy
-// ordering (a peeling order; iterating it and removing vertices left to
-// right leaves each vertex with at most `degeneracy` later neighbors).
-// The value equals MaxCore(). The ordering is recomputed by BZ inside a
-// pipeline barrier, in O(n+m), and no write applies during it; callers
-// that only need the value should use MaxCore.
-func (m *Maintainer) Degeneracy() (int32, []int32) {
-	var (
-		deg   int32
-		order []int32
-	)
-	m.barrier(func() {
-		var cores []int32
-		cores, order = bz.Decompose(m.eng.g)
-		deg = bz.MaxCore(cores)
-	})
-	return deg, order
-}
 
 // coreMembers returns the vertices of s with core number >= k, in
 // ascending id order: one walk over s's pages.

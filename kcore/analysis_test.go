@@ -17,34 +17,6 @@ func fixtureGraph() *graph.Graph {
 	})
 }
 
-func TestDegeneracy(t *testing.T) {
-	m := New(fixtureGraph())
-	d, order := m.Degeneracy()
-	if d != 2 {
-		t.Fatalf("degeneracy = %d, want 2", d)
-	}
-	if len(order) != 4 || order[0] != 3 {
-		t.Fatalf("ordering %v must peel the pendant first", order)
-	}
-	// Validity: every vertex has at most d later neighbors.
-	pos := map[int32]int{}
-	for i, v := range order {
-		pos[v] = i
-	}
-	g := m.Graph()
-	for v := int32(0); v < int32(g.N()); v++ {
-		later := int32(0)
-		for _, w := range g.Adj(v) {
-			if pos[v] < pos[w] {
-				later++
-			}
-		}
-		if later > d {
-			t.Fatalf("vertex %d has %d later neighbors > degeneracy %d", v, later, d)
-		}
-	}
-}
-
 func TestKCoreVertices(t *testing.T) {
 	m := New(fixtureGraph())
 	if got := m.KCoreVertices(2); len(got) != 3 {

@@ -66,8 +66,9 @@
 // and patches it, copy-on-write; snapshots held across it never change.
 //
 // Every publication moves one epoch signal: the snapshot's epoch, which
-// an update's future completes after, the OpLog's epoch marker, and the
-// watermark WaitEpoch parks on.
+// an update's future completes after and the watermark WaitEpoch parks
+// on. An OpLog hears of each publication once, before it happens, so a
+// log record names the epoch its publication gets.
 package kcore
 
 import (
@@ -122,6 +123,13 @@ type config struct {
 // need no internal ordering logic; calls arrive in exactly the order the
 // engine applies ops.
 //
+// Each call describes exactly the next publication: it is made before
+// the change it names applies, and that change then publishes once, at
+// the current Epoch()+1. So calls and epochs map one to one, and a log
+// that stamps each record with Epoch()+1 names the epoch the record
+// produces. A batch that the universe scan leaves empty neither logs
+// nor publishes.
+//
 // AppendBatch is called once per coalesced engine batch, after the
 // universe scan (ops are post-filter canonical: malformed and
 // beyond-ceiling ids already dropped, removals of unseen vertices already
@@ -132,19 +140,11 @@ type config struct {
 // arrays for the next batch, so an implementation that needs the edges
 // later must encode or copy them before returning (persist.Manager encodes
 // them into its own buffer). AppendGrow is called for explicit AddVertices
-// growth (implicit growth is derivable from insert endpoints, so it is not
-// logged separately).
-//
-// AppendEpoch is the post-publication epoch marker — the hook replication
-// uses to tell followers which snapshot epoch the preceding ops produced.
-// It is called once per snapshot publication the op stream caused (after
-// the batch or growth it marks), with the epoch of the just-published
-// snapshot. Implementations that only persist (no live followers) can
-// ignore it; the disk log derives nothing from epochs.
+// growth, before it applies (implicit growth is derivable from insert
+// endpoints, so it is not logged separately).
 type OpLog interface {
 	AppendBatch(removes, inserts []graph.Edge)
 	AppendGrow(n int)
-	AppendEpoch(epoch uint64)
 }
 
 // DefaultMaxVertices is the default auto-growth ceiling (~16.7M
@@ -561,11 +561,10 @@ func (m *Maintainer) AddVertices(k int) int {
 				target = m.eng.cfg.maxN // the WithMaxVertices ceiling
 			}
 			if target > m.eng.g.N() {
-				m.eng.grow(target)
 				if lg := m.eng.cfg.oplog; lg != nil {
 					lg.AppendGrow(target)
 				}
-				m.eng.logEpoch()
+				m.eng.grow(target)
 			}
 		}
 		n = m.eng.g.N()
@@ -631,24 +630,12 @@ func (eng *engine) publishAfter(res *BatchResult) {
 
 func (eng *engine) check() error { return eng.impl.Check() }
 
-// logEpoch hands the just-published snapshot epoch to the attached
-// OpLog, if any. Called at the same quiescent point as logBatch /
-// AppendGrow, strictly after the publication it marks, so a follower
-// that has applied every op up to a marker is exactly at that epoch.
-// A batch and an AddVertices growth each publish once, so the markers
-// after New's epoch run consecutively.
-func (eng *engine) logEpoch() {
-	if lg := eng.cfg.oplog; lg != nil {
-		lg.AppendEpoch(eng.head().Epoch)
-	}
-}
-
-// logBatch hands one canonical post-scan batch to the attached OpLog,
-// before the engine applies it (write-ahead: a durable log that syncs
-// here makes acknowledged writes crash-safe — no future completes until
-// after the append returns).
+// logBatch hands one non-empty canonical post-scan batch to the attached
+// OpLog, before the engine applies it (write-ahead: a durable log that
+// syncs here makes acknowledged writes crash-safe — no future completes
+// until after the append returns).
 func (eng *engine) logBatch(removes, inserts []graph.Edge) {
-	if lg := eng.cfg.oplog; lg != nil && (len(removes) > 0 || len(inserts) > 0) {
+	if lg := eng.cfg.oplog; lg != nil {
 		lg.AppendBatch(removes, inserts)
 	}
 }

@@ -39,8 +39,6 @@ func (l *recordingLog) AppendGrow(n int) {
 	l.mu.Unlock()
 }
 
-func (l *recordingLog) AppendEpoch(uint64) {}
-
 // replay rebuilds a graph from the recorded stream, the same way
 // persist.Recover does: grow-to-fit inserts, drop out-of-range removes.
 func (l *recordingLog) replay(start *graph.Graph) *graph.Graph {

@@ -201,11 +201,12 @@ func (p *pipeline) process(eng *engine, pending []*Pending) {
 
 // applySegment coalesces one run of update ops, grows the vertex universe
 // to cover any unseen insert endpoints (dropping malformed and
-// guaranteed-absent ops; see engine.prepareBatch), applies the mixed
-// batch (removals, then insertions, so an edge named in both ends
+// guaranteed-absent ops; see engine.prepareBatch), logs and applies the
+// mixed batch (removals, then insertions, so an edge named in both ends
 // present, as the coalescer resolves it), publishes the post-batch
 // snapshot, and completes every future with the shared result of the
-// coalesced batch.
+// coalesced batch. A batch the scan leaves empty is neither logged,
+// applied nor published.
 func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	removes, inserts, canceled := p.co.coalesce(seg)
 	start := time.Now()
@@ -213,21 +214,24 @@ func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	// batch's coalesce wait.
 	p.pm.CoalesceWait.ObserveDuration(start.Sub(seg[0].enq))
 	removes, inserts = eng.prepareBatch(removes, inserts)
-	eng.logBatch(removes, inserts)
 	res := &eng.res
-	if len(removes) > 0 {
-		eng.impl.ApplyRemove(removes, res)
+	// A batch left empty changes nothing: it neither logs nor publishes,
+	// so OpLog calls and epochs stay one to one.
+	if len(removes) > 0 || len(inserts) > 0 {
+		eng.logBatch(removes, inserts)
+		if len(removes) > 0 {
+			eng.impl.ApplyRemove(removes, res)
+		}
+		if len(inserts) > 0 {
+			eng.impl.ApplyInsert(inserts, res)
+		}
+		res.Duration = time.Since(start)
+		p.pm.Apply.ObserveDuration(res.Duration)
+		pubStart := time.Now()
+		eng.publishAfter(res)
+		p.pm.Publish.ObserveDuration(time.Since(pubStart))
 	}
-	if len(inserts) > 0 {
-		eng.impl.ApplyInsert(inserts, res)
-	}
-	res.Duration = time.Since(start)
 	res.Coalesced = len(seg)
-	p.pm.Apply.ObserveDuration(res.Duration)
-	pubStart := time.Now()
-	eng.publishAfter(res)
-	p.pm.Publish.ObserveDuration(time.Since(pubStart))
-	eng.logEpoch()
 	p.batches.Add(1)
 	p.batchedOps.Add(int64(len(seg)))
 	p.canceledOps.Add(int64(canceled))

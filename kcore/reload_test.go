@@ -20,6 +20,7 @@ func TestReloadMidChurn(t *testing.T) {
 			m := New(gen.ErdosRenyi(100, 300, 401), WithAlgorithm(alg), WithWorkers(3),
 				WithMaxVertices(100), WithOpLog(lg))
 			defer m.Close()
+			lg.m = m
 
 			assertDecomposed := func(when string) {
 				t.Helper()

@@ -8,9 +8,10 @@ import (
 // EpochWatermark tracks a snapshot epoch and lets readers block until it
 // reaches a target — the waiting half of read-your-writes. A Maintainer
 // advances one at every publication (Maintainer.WaitEpoch); a follower
-// advances one at every epoch marker the replicated op stream carries, so
-// its CORE.WAIT parks until it has applied at least as far as the leader
-// had when it acked the write.
+// advances one at every leader publication it applies from the
+// replicated record stream, to the epoch the record carries, so its
+// CORE.WAIT parks until it has applied at least as far as the leader had
+// when it acked the write.
 //
 // Advance is monotonic; Reset may move the watermark backwards and is
 // reserved for the end of a replication session: the follower resets to
@@ -33,8 +34,7 @@ func (w *EpochWatermark) Epoch() uint64 {
 }
 
 // Advance moves the watermark up to e; calls with e at or below the
-// current watermark are no-ops, so out-of-order duplicate markers cannot
-// regress it.
+// current watermark are no-ops, so a stale epoch cannot regress it.
 func (w *EpochWatermark) Advance(e uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -97,111 +97,107 @@ func TestEpochWatermarkConcurrent(t *testing.T) {
 	}
 }
 
-// epochRecordingLog records the full op stream including epoch markers,
-// in call order, mimicking what a replication tap sees.
+// epochRecordingLog records the op stream in call order, each call with
+// the maintainer's epoch at that moment — what a log stamping records
+// with Epoch()+1 sees.
 type epochRecordingLog struct {
+	m      *Maintainer // set after New; read from the applier
 	mu     sync.Mutex
 	events []epochLogEvent
 }
 
 type epochLogEvent struct {
-	kind    string // "batch" | "grow" | "epoch"
-	removes []graph.Edge
-	inserts []graph.Edge
-	n       int
-	epoch   uint64
+	kind  string // "batch" | "grow"
+	epoch uint64 // m.Epoch() at the call
 }
 
-func (l *epochRecordingLog) AppendBatch(removes, inserts []graph.Edge) {
+func (l *epochRecordingLog) record(kind string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, epochLogEvent{
-		kind:    "batch",
-		removes: append([]graph.Edge(nil), removes...),
-		inserts: append([]graph.Edge(nil), inserts...),
-	})
+	l.events = append(l.events, epochLogEvent{kind: kind, epoch: l.m.Epoch()})
 }
 
-func (l *epochRecordingLog) AppendGrow(n int) {
+func (l *epochRecordingLog) AppendBatch(removes, inserts []graph.Edge) { l.record("batch") }
+
+func (l *epochRecordingLog) AppendGrow(int) { l.record("grow") }
+
+func (l *epochRecordingLog) snapshot() []epochLogEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, epochLogEvent{kind: "grow", n: n})
+	return append([]epochLogEvent(nil), l.events...)
 }
 
-func (l *epochRecordingLog) AppendEpoch(epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, epochLogEvent{kind: "epoch", epoch: epoch})
+// assertOnePublicationPerCall checks the OpLog contract on events
+// recorded from epoch start to final: each call comes at the epoch the
+// previous call's publication produced, so exactly one publication, at
+// +1, follows each call, and the last one is the maintainer's final
+// epoch.
+func assertOnePublicationPerCall(t *testing.T, events []epochLogEvent, start, final uint64) {
+	t.Helper()
+	if len(events) == 0 {
+		t.Fatal("no OpLog calls recorded")
+	}
+	for i, ev := range events {
+		if want := start + uint64(i); ev.epoch != want {
+			t.Fatalf("call %d (%s) at epoch %d, want %d: not one publication per call", i, ev.kind, ev.epoch, want)
+		}
+	}
+	if want := start + uint64(len(events)); final != want {
+		t.Fatalf("final epoch %d after %d calls from epoch %d, want %d", final, len(events), start, want)
+	}
 }
 
 // TestEpochMarkersFollowPublications drives a maintainer with an
-// epoch-recording OpLog attached and checks the marker discipline replication relies
-// on: every batch/grow event is followed by a marker before any other
-// batch starts, each batch — a growing one included — and each
-// AddVertices publishes exactly once, so the markers run consecutively
-// from the epoch after New, and the final marker equals the maintainer's
-// final epoch (so a follower applying the full stream ends exactly at the
-// leader's epoch).
+// epoch-recording OpLog attached and checks the contract replication and
+// recovery rely on: each call describes exactly the next publication —
+// each batch, a growing one included, and each AddVertices calls once
+// and publishes once, at +1 — and a Submit naming only out-of-range ids
+// neither logs nor moves the epoch.
 func TestEpochMarkersFollowPublications(t *testing.T) {
 	lg := &epochRecordingLog{}
 	g := gen.ErdosRenyi(200, 600, 7)
-	m := New(g, WithOpLog(lg))
+	m := New(g, WithOpLog(lg), WithMaxVertices(1000))
 	defer m.Close()
+	lg.m = m
 	start := m.Epoch()
 
 	m.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 250, V: 5}}) // implicit grow
 	m.RemoveEdges([]graph.Edge{{U: 1, V: 2}})
 	m.AddVertices(50)
 	m.InsertEdges([]graph.Edge{{U: 260, V: 261}})
-	finalEpoch := m.Flush()
+	final := m.Flush()
+	assertOnePublicationPerCall(t, lg.snapshot(), start, final)
 
-	lg.mu.Lock()
-	events := append([]epochLogEvent(nil), lg.events...)
-	lg.mu.Unlock()
-
-	last := start
-	sawOp := false // an un-marked batch/grow is pending
-	for i, ev := range events {
-		switch ev.kind {
-		case "batch", "grow":
-			if sawOp {
-				t.Fatalf("event %d (%s) before the previous op's epoch marker", i, ev.kind)
-			}
-			sawOp = true
-		case "epoch":
-			if ev.epoch != last+1 {
-				t.Fatalf("event %d: marker %d, want %d (start %d)", i, ev.epoch, last+1, start)
-			}
-			last = ev.epoch
-			sawOp = false
-		}
+	// Beyond the ceiling, negative, or a removal at an unseen vertex: the
+	// universe scan drops every op, so the batch is empty.
+	var pd Pending
+	m.Submit(&pd, []graph.Edge{{U: 5, V: 900}, {U: -1, V: 2}}, []graph.Edge{{U: 1, V: 5000}, {U: -3, V: 4}})
+	pd.Wait()
+	if got := m.Flush(); got != final {
+		t.Fatalf("an out-of-range Submit moved the epoch %d -> %d", final, got)
 	}
-	if sawOp {
-		t.Fatal("trailing batch/grow without an epoch marker")
-	}
-	if last != finalEpoch {
-		t.Fatalf("last marker %d != final epoch %d", last, finalEpoch)
+	if n := len(lg.snapshot()); n != 4 {
+		t.Fatalf("an out-of-range Submit logged: %d calls, want 4", n)
 	}
 }
 
 // TestEpochMarkersAfterClose pins the post-Close synchronous path: it
-// must keep emitting markers so a follower tap on a closed-but-usable
+// keeps the contract, so a follower tap on a closed-but-usable
 // maintainer stays consistent.
 func TestEpochMarkersAfterClose(t *testing.T) {
 	lg := &epochRecordingLog{}
 	m := New(graph.New(10), WithOpLog(lg))
+	lg.m = m
 	m.Close()
+	start := m.Epoch()
 
 	m.InsertEdges([]graph.Edge{{U: 0, V: 1}})
-	epoch := m.Epoch()
+	m.AddVertices(2)
+	m.RemoveEdges([]graph.Edge{{U: 0, V: 1}})
+	assertOnePublicationPerCall(t, lg.snapshot(), start, m.Epoch())
 
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	if len(lg.events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	lastEv := lg.events[len(lg.events)-1]
-	if lastEv.kind != "epoch" || lastEv.epoch != epoch {
-		t.Fatalf("last event = %+v, want epoch marker at %d", lastEv, epoch)
+	m.Submit(new(Pending), []graph.Edge{{U: 3, V: 40}}, []graph.Edge{{U: -1, V: 2}})
+	if n, e := len(lg.snapshot()), m.Epoch(); n != 3 || e != start+3 {
+		t.Fatalf("an out-of-range Submit after Close: %d calls at epoch %d, want 3 at %d", n, e, start+3)
 	}
 }

@@ -89,7 +89,7 @@ func TestCheckpointFileLayout(t *testing.T) {
 	var want bytes.Buffer
 	put := func(v any) { binary.Write(&want, binary.LittleEndian, v) }
 	put(uint32(0x4b434b50)) // "KCKP"
-	put(uint32(1))          // format version
+	put(uint32(2))          // format version
 	put(mgr.Stats().Gen)
 	put(m.Epoch())
 	put(uint64(g.N()))

@@ -18,16 +18,19 @@
 // page-cache writes happen there, fsync and rename after it — so no
 // encoded copy of the graph is ever held in memory.
 //
-// Recovery (see Recover) loads the manifest's checkpoint and replays the
-// log tail at graph level, tolerating a torn or truncated final record;
-// the recovered graph then seeds an ordinary kcore.New, whose one BZ
-// decomposition is the only recomputation paid. A replication follower
-// is handed its state the same way: CORE.SYNC ships a checkpoint in the
-// file encoding, decoded by the same ReadCheckpoint, and the record
-// tail after it goes through the same StreamReader that replays the log
-// — there is one encoding of state and one record reader. The stream
-// carries one record kind the log never holds: the epoch marker after
-// each publication, which an idle stream repeats (see stream.go).
+// The log's unit is the maintainer's unit of publication: one record per
+// coalesced batch or growth, under one CRC, carrying the epoch its
+// publication gets. Recovery (see Recover) loads the manifest's
+// checkpoint and replays the log tail at graph level, record by record,
+// tolerating a torn or truncated final record — so a crash recovers the
+// state at some published epoch, never half a batch. The recovered graph
+// then seeds an ordinary kcore.New, whose one BZ decomposition is the
+// only recomputation paid. A replication follower is handed its state
+// the same way: CORE.SYNC ships a checkpoint in the file encoding,
+// decoded by the same ReadCheckpoint, and the record tail after it goes
+// through the same StreamReader that replays the log — there is one
+// encoding of state, one record kind per publication, and one record
+// reader (see stream.go).
 //
 // Wiring order matters (chicken-and-egg between Manager and Maintainer):
 //
@@ -274,67 +277,47 @@ func (p *Manager) Close() error {
 
 // --- kcore.OpLog ------------------------------------------------------------
 
-// AppendBatch logs one coalesced batch's canonical ops. Called by the
+// AppendBatch logs one coalesced batch's canonical ops as one record,
+// the publication at the maintainer's next epoch. Called by the
 // maintainer's applier at the quiescent point, before the batch applies
 // and before any caller future completes.
 func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
-	ops := int64(len(removes) + len(inserts))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.f == nil || p.err != nil {
 		return
 	}
-	for len(removes) > 0 {
-		n := min(len(removes), maxEdgesPerRecord)
-		p.buf = appendEdgeRecord(p.buf[:0], recRemove, removes[:n])
-		removes = removes[n:]
-		if !p.writeLocked() {
-			return
-		}
-	}
-	for len(inserts) > 0 {
-		n := min(len(inserts), maxEdgesPerRecord)
-		p.buf = appendEdgeRecord(p.buf[:0], recInsert, inserts[:n])
-		inserts = inserts[n:]
-		if !p.writeLocked() {
-			return
-		}
-	}
-	p.finishAppendLocked(ops)
+	epoch := p.m.Epoch() + 1
+	p.buf = appendBatchRecord(p.buf[:0], epoch, removes, inserts)
+	p.appendLocked(epoch, int64(len(removes)+len(inserts)))
 }
 
-// AppendGrow logs an explicit AddVertices growth to n vertices.
+// AppendGrow logs an explicit AddVertices growth to n vertices, the
+// publication at the maintainer's next epoch, before the growth applies.
 func (p *Manager) AppendGrow(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.f == nil || p.err != nil {
 		return
 	}
-	p.buf = appendU64Record(p.buf[:0], recGrow, uint64(n))
-	if !p.writeLocked() {
-		return
-	}
-	p.finishAppendLocked(1)
+	epoch := p.m.Epoch() + 1
+	p.buf = appendGrowRecord(p.buf[:0], epoch, uint64(n))
+	p.appendLocked(epoch, 1)
 }
 
-// writeLocked writes the encoded record(s) in p.buf to the segment and
-// fans them out to the replication taps, recording a sticky error on
-// failure. Returns false once persistence is broken.
-func (p *Manager) writeLocked() bool {
+// appendLocked writes the record in p.buf, the publication at epoch, to
+// the segment and applies the fsync policy; only then does it fan the
+// record out to the replication taps, so under FsyncAlways no follower
+// holds a record the leader's disk lacks. Last, it arms the checkpoint
+// thresholds. A failure is recorded as the sticky error.
+func (p *Manager) appendLocked(epoch uint64, ops int64) {
 	if _, err := p.f.Write(p.buf); err != nil {
 		p.failLocked(fmt.Errorf("persist: append: %w", err))
-		return false
+		return
 	}
 	p.records.Add(1)
 	p.appendedBytes.Add(int64(len(p.buf)))
 	p.bytesSince += int64(len(p.buf))
-	p.fanLocked(p.buf, 0, false)
-	return true
-}
-
-// finishAppendLocked applies the fsync policy and arms the checkpoint
-// thresholds after a successful append.
-func (p *Manager) finishAppendLocked(ops int64) {
 	p.opsSince += ops
 	switch p.opts.Fsync {
 	case FsyncAlways:
@@ -347,6 +330,7 @@ func (p *Manager) finishAppendLocked(ops int64) {
 	case FsyncEverySec:
 		p.dirty = true
 	}
+	p.fanLocked(p.buf, epoch)
 	if (p.opts.CheckpointOps > 0 && p.opsSince >= p.opts.CheckpointOps) ||
 		(p.opts.CheckpointBytes > 0 && p.bytesSince >= p.opts.CheckpointBytes) {
 		select {

@@ -1,11 +1,14 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -276,6 +279,94 @@ func TestTornTailEveryOffset(t *testing.T) {
 	assertRecoverMatches(t, dir, full)
 }
 
+// TestTornLogRecoversPublishedEpoch cuts the final segment at every byte
+// after its header and asserts each recovery is the edge set of one
+// published epoch: the log keeps or drops a batch whole, a mixed batch
+// and one that coalesced two ops included, never a state between two
+// publications. Every published epoch is reached by some cut.
+func TestTornLogRecoversPublishedEpoch(t *testing.T) {
+	dir := t.TempDir()
+	base := gen.ErdosRenyi(60, 150, 41)
+	m, mgr := startManaged(t, dir, base.Clone(), Options{Fsync: FsyncAlways})
+	edgeSet := func(g *graph.Graph) string {
+		edges := g.Edges()
+		slices.SortFunc(edges, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+		return fmt.Sprint(edges)
+	}
+	published := map[string]uint64{edgeSet(m.Graph()): m.Epoch()}
+	absent := func(u int32) graph.Edge {
+		for v := u + 1; ; v++ {
+			if !m.Graph().HasEdge(u, v) {
+				return graph.Edge{U: u, V: v}
+			}
+		}
+	}
+	present := func(i int) graph.Edge { return m.Graph().Edges()[i] }
+	publish := func(res kcore.BatchResult, coalesced int) {
+		t.Helper()
+		if res.Coalesced != coalesced {
+			t.Fatalf("batch coalesced %d ops, want %d", res.Coalesced, coalesced)
+		}
+		published[edgeSet(m.Graph())] = m.Flush()
+	}
+
+	// One op that removes and inserts.
+	var a, b kcore.Pending
+	m.Submit(&a, []graph.Edge{present(0), present(5)}, []graph.Edge{absent(1), absent(2), absent(3)})
+	publish(a.Wait(), 1)
+
+	// An insertion and a removal from two ops, coalesced into one batch
+	// behind a parked applier.
+	entered, gate, held := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(held)
+		m.AtQuiescence(func(kcore.QuiescentState) { close(entered); <-gate })
+	}()
+	<-entered
+	m.Submit(&a, nil, []graph.Edge{absent(4), absent(5)})
+	m.Submit(&b, []graph.Edge{present(7)}, nil)
+	close(gate)
+	<-held
+	b.Wait()
+	publish(a.Wait(), 2)
+
+	// A removal beside an insertion that grows the universe.
+	m.Submit(&a, []graph.Edge{present(2)}, []graph.Edge{{U: 6, V: 70}})
+	publish(a.Wait(), 1)
+	m.Close()
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(published) != 4 {
+		t.Fatalf("%d distinct published edge sets, want 4", len(published))
+	}
+
+	seg := segmentPath(dir, mgr.Stats().Gen)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := map[uint64]bool{}
+	for cut := aofHeaderSize; cut <= len(data); cut++ {
+		if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Recover(dir)
+		if err != nil {
+			t.Fatalf("cut at %d of %d: Recover: %v", cut, len(data), err)
+		}
+		epoch, ok := published[edgeSet(res.Graph)]
+		if !ok {
+			t.Fatalf("cut at %d of %d: recovered %d edges after %d records, the edge set of no published epoch",
+				cut, len(data), res.Graph.M(), res.TailRecords)
+		}
+		reached[epoch] = true
+	}
+	if len(reached) != len(published) {
+		t.Fatalf("cuts reached %d of the %d published epochs", len(reached), len(published))
+	}
+}
+
 // TestCorruptCRCTail flips bits in the final record's payload and CRC:
 // recovery drops exactly that record, never errors.
 func TestCorruptCRCTail(t *testing.T) {
@@ -399,7 +490,7 @@ func TestCrashBetweenRotationAndManifest(t *testing.T) {
 	}
 	// Append a synthetic next-generation segment with two more inserts.
 	next := appendSegmentHeader(nil, genG+1)
-	next = appendEdgeRecord(next, recInsert, []graph.Edge{{U: 3, V: 4}, {U: 5, V: 6}})
+	next = appendBatchRecord(next, m2.Epoch()+1, nil, []graph.Edge{{U: 3, V: 4}, {U: 5, V: 6}})
 	if err := os.WriteFile(segmentPath(dir2, genG+1), next, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 // Result is what Recover reconstructed from a durability directory.
 type Result struct {
 	// Graph is the recovered graph: the checkpoint plus every valid
-	// logged op, applied in order. Hand it to kcore.New, whose one BZ
+	// logged record, applied whole and in order — the graph at one
+	// published epoch. Hand it to kcore.New, whose one BZ
 	// decomposition recomputes the cores — byte-equal to a fresh
 	// decomposition of the same edges by construction.
 	Graph *graph.Graph
@@ -22,8 +23,8 @@ type Result struct {
 	Gen   uint64
 	Epoch uint64
 
-	// TailRecords / TailEdges count the replayed log records and edge
-	// ops across all segments.
+	// TailRecords / TailEdges count the replayed log records (one per
+	// publication) and edge ops across all segments.
 	TailRecords int64
 	TailEdges   int64
 	// Segments is how many AOF segments were replayed (more than one
@@ -99,11 +100,10 @@ func Recover(dir string) (*Result, error) {
 // how many trailing bytes were discarded as torn/corrupt (0 for a clean
 // segment). File-level problems (unreadable, bad header magic) are
 // errors, and so is a record whose frame holds but whose payload does
-// not decode — or decodes to a stream-only epoch marker, which
-// no leader writes to disk: the CRC vouches that the bytes are the ones
-// written, so such a record is a history this reader must not guess at.
-// A frame error (bad length, short read, CRC mismatch) is a torn tail:
-// data, not an error.
+// not decode: the CRC vouches that the bytes are the ones written, so
+// such a record is a history this reader must not guess at. A frame
+// error (short read, CRC mismatch) is a torn tail: data, not an error.
+// A record is one publication, so a torn tail drops whole publications.
 func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -139,16 +139,13 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 			break // clean EOF at a record boundary, or a torn tail
 		}
 		rec, err := sr.decode(p)
-		if err == nil && (rec.Op == OpEpoch) {
-			err = fmt.Errorf("stream-only record kind %d in the log", p[0])
-		}
 		if err != nil {
 			return 0, fmt.Errorf("persist: %s at offset %d: %w", path, valid, err)
 		}
 		applyToGraph(g, rec)
 		valid = br.n
 		res.TailRecords++
-		res.TailEdges += int64(len(rec.Edges))
+		res.TailEdges += int64(len(rec.Removes) + len(rec.Inserts))
 	}
 	return size - valid, nil
 }

@@ -2,20 +2,19 @@ package persist
 
 // Replication streaming: the Manager fans the same CRC-framed records it
 // appends to the AOF out to any number of follower taps, each fed at the
-// append path's quiescent point — leader disk and every follower see one
-// canonical op stream. A SyncSession starts with a full snapshot (a
-// checkpoint, encodeCheckpoint's bytes, captured at the tap's
-// registration instant, so the tap's records are exactly the ops after
-// it) and then drains the tap; one stream-only record kind rides along,
-// never written to disk:
+// append path's quiescent point, after the record is written (and, under
+// FsyncAlways, synced) — leader disk and every follower see one canonical
+// stream, one record per publication, each carrying its epoch. A
+// SyncSession starts with a full snapshot (a checkpoint, encodeCheckpoint's
+// bytes, captured at the tap's registration instant, so the tap's records
+// are exactly the publications after it) and then drains the tap. A
+// follower that has applied every record up to epoch E serves reads at
+// least as fresh as the leader's epoch E (CORE.WAIT).
 //
-//	recEpoch  u64 — the snapshot epoch the preceding ops produced;
-//	            a follower that has applied everything up to this
-//	            marker serves reads at least this fresh (CORE.WAIT).
-//
-// An idle session repeats the last marker, so a quiet leader still hands
-// a fresh follower its epoch and a dead connection trips the follower's
-// read deadline.
+// An idle session hands out a heartbeat: an empty batch record at the
+// tap's last epoch, which publishes nothing — so a quiet leader still
+// hands a fresh follower its epoch and a dead connection trips the
+// follower's read deadline.
 //
 // Slow-follower policy: each tap buffers at most SyncBufferBytes of
 // not-yet-drained records; on overflow the tap is dropped (the session's
@@ -36,8 +35,6 @@ import (
 	"repro/graph"
 	"repro/kcore"
 )
-
-const recEpoch byte = 4 // stream-only: post-publication snapshot epoch marker
 
 // defaultSyncBufferBytes bounds one follower tap's backlog (8 MiB ≈ one
 // million buffered edge ops) before the slow-follower policy drops it.
@@ -65,7 +62,7 @@ type tap struct {
 	buf       []byte
 	spare     []byte        // drained buffer handed back for reuse
 	notify    chan struct{} // capacity 1: "buf went non-empty / tap died"
-	lastEpoch uint64        // epoch of the newest enqueued epoch marker
+	lastEpoch uint64        // epoch of the newest enqueued record
 	max       int
 	overflow  bool
 	closed    bool
@@ -75,10 +72,10 @@ func newTap(max int, epoch uint64) *tap {
 	return &tap{notify: make(chan struct{}, 1), max: max, lastEpoch: epoch}
 }
 
-// enqueue appends one framed record. alive reports whether the tap is
-// still streamable afterwards; droppedNow is true exactly once, on the
-// call that overflowed it.
-func (t *tap) enqueue(rec []byte, epoch uint64, isEpoch bool) (alive, droppedNow bool) {
+// enqueue appends one framed record, the publication at epoch. alive
+// reports whether the tap is still streamable afterwards; droppedNow is
+// true exactly once, on the call that overflowed it.
+func (t *tap) enqueue(rec []byte, epoch uint64) (alive, droppedNow bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed || t.overflow {
@@ -91,9 +88,7 @@ func (t *tap) enqueue(rec []byte, epoch uint64, isEpoch bool) (alive, droppedNow
 		return false, true
 	}
 	t.buf = append(t.buf, rec...)
-	if isEpoch {
-		t.lastEpoch = epoch
-	}
+	t.lastEpoch = epoch
 	t.wakeLocked()
 	return true, false
 }
@@ -126,19 +121,19 @@ type SyncSession struct {
 	// Snapshot is a checkpoint of the sync quiescent point, in the
 	// checkpoint file encoding (ReadCheckpoint decodes it). Its header
 	// carries the leader's current generation and the snapshot epoch: the
-	// follower's watermark starts there, and the tap's first epoch marker
-	// is strictly above it.
+	// follower's watermark starts there, and the tap's first record is the
+	// publication right after it.
 	Snapshot []byte
 
 	t    *tap
 	p    *Manager
-	idle []byte // the repeated epoch marker Wait returns when idle
+	idle []byte // the heartbeat Wait returns when idle
 }
 
 // Wait blocks until buffered records are available and returns them (a
 // concatenation of framed records, valid until the next Wait call). After
-// timeout with nothing buffered it returns the last epoch marker again,
-// framed — the epoch captured while the buffer was observed empty, so
+// timeout with nothing buffered it returns a heartbeat: an empty batch
+// record at the epoch captured while the buffer was observed empty, so
 // every record up to it has already been handed out. Errors are terminal:
 // ErrSlowFollower (tap overflowed; re-sync) or ErrSyncClosed (manager
 // gone, or cancel fired).
@@ -172,7 +167,7 @@ func (s *SyncSession) Wait(timeout time.Duration, cancel <-chan struct{}) ([]byt
 		select {
 		case <-t.notify:
 		case <-deadline:
-			s.idle = appendU64Record(s.idle[:0], recEpoch, idleEpoch)
+			s.idle = appendBatchRecord(s.idle[:0], idleEpoch, nil, nil)
 			return s.idle, nil
 		case <-cancel:
 			return nil, ErrSyncClosed
@@ -251,15 +246,15 @@ func (p *Manager) removeTap(t *tap) {
 	}
 }
 
-// fanLocked hands the framed record(s) in rec to every live tap and
-// compacts dead ones out of the list. Caller holds p.mu.
-func (p *Manager) fanLocked(rec []byte, epoch uint64, isEpoch bool) {
+// fanLocked hands the framed record in rec, the publication at epoch, to
+// every live tap and compacts dead ones out of the list. Caller holds p.mu.
+func (p *Manager) fanLocked(rec []byte, epoch uint64) {
 	if len(p.taps) == 0 {
 		return
 	}
 	live := p.taps[:0]
 	for _, t := range p.taps {
-		alive, droppedNow := t.enqueue(rec, epoch, isEpoch)
+		alive, droppedNow := t.enqueue(rec, epoch)
 		if alive {
 			live = append(live, t)
 			continue
@@ -284,50 +279,39 @@ func (p *Manager) killTapsLocked() {
 	p.taps = p.taps[:0]
 }
 
-// AppendEpoch hands a post-publication epoch marker to the follower taps
-// (the third kcore.OpLog method). Markers never touch the disk log —
-// recovery derives nothing from epochs — so this is a pure fan-out.
-func (p *Manager) AppendEpoch(epoch uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.taps) == 0 || p.err != nil {
-		return
-	}
-	p.buf = appendU64Record(p.buf[:0], recEpoch, epoch)
-	p.fanLocked(p.buf, epoch, true)
-}
-
 // --- record decoding --------------------------------------------------------
 
 // StreamOp is the kind of one decoded record.
 type StreamOp byte
 
 const (
-	OpInsert StreamOp = iota
-	OpRemove
+	OpBatch StreamOp = iota
 	OpGrow
-	OpEpoch
 )
 
-// StreamRecord is one decoded record. Edges aliases an internal buffer
-// valid until the next Next call.
+// StreamRecord is one decoded record: one leader publication, at Epoch.
+// Removes and Inserts alias an internal buffer valid until the next Next
+// call. A batch with neither is an idle session's heartbeat, which
+// publishes nothing.
 type StreamRecord struct {
-	Op    StreamOp
-	Edges []graph.Edge // OpInsert / OpRemove
-	N     int          // OpGrow: absolute target vertex count
-	Epoch uint64       // OpEpoch
+	Op      StreamOp
+	Epoch   uint64
+	Removes []graph.Edge // OpBatch: applied first
+	Inserts []graph.Edge // OpBatch
+	N       int          // OpGrow: absolute target vertex count
 }
 
 // StreamReader decodes framed records: a follower's sync connection, and
 // crash recovery's AOF segments. Each record passes two steps: frame (the
-// length bound and the CRC) and decode (the payload's shape and bounds).
+// length and the CRC) and decode (the payload's shape and bounds).
 // Next fails on either — on a live TCP stream, corruption means the
 // connection is garbage and the follower must re-sync — while recovery
 // calls the steps apart, because a frame error there is a crash's torn
 // tail.
 type StreamReader struct {
 	r       io.Reader
-	payload []byte
+	lr      io.LimitedReader // frame's view of r, one payload long
+	payload bytes.Buffer
 	edges   []graph.Edge
 }
 
@@ -345,9 +329,10 @@ func (sr *StreamReader) Next() (StreamRecord, error) {
 	return sr.decode(p)
 }
 
-// frame reads one record and verifies its frame: a length prefix within
-// maxRecordPayload, so nothing larger is allocated before the CRC vouches
-// for it, and the CRC. The payload it returns is valid until the next call.
+// frame reads one record and verifies its frame: the payload the length
+// prefix announces, then the CRC. The buffer grows only as payload bytes
+// arrive, so a corrupt length costs what the stream holds, not what the
+// prefix claims. The payload it returns is valid until the next call.
 func (sr *StreamReader) frame() ([]byte, error) {
 	var hdr [recHeaderSize]byte
 	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
@@ -355,15 +340,17 @@ func (sr *StreamReader) frame() ([]byte, error) {
 	}
 	payloadLen := binary.LittleEndian.Uint32(hdr[0:])
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if payloadLen == 0 || payloadLen > maxRecordPayload {
-		return nil, fmt.Errorf("persist: record length %d out of range", payloadLen)
+	if payloadLen == 0 {
+		return nil, errors.New("persist: empty record")
 	}
-	if cap(sr.payload) < int(payloadLen) {
-		sr.payload = make([]byte, payloadLen)
-	}
-	p := sr.payload[:payloadLen]
-	if _, err := io.ReadFull(sr.r, p); err != nil {
+	sr.payload.Reset()
+	sr.lr = io.LimitedReader{R: sr.r, N: int64(payloadLen)}
+	if _, err := sr.payload.ReadFrom(&sr.lr); err != nil {
 		return nil, err
+	}
+	p := sr.payload.Bytes()
+	if len(p) < int(payloadLen) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	if crc32.Checksum(p, crcTable) != wantCRC {
 		return nil, errors.New("persist: record CRC mismatch")
@@ -375,69 +362,62 @@ func (sr *StreamReader) frame() ([]byte, error) {
 // so the bounds are still checked: a record from a mismatched history
 // must not panic the consumer.
 func (sr *StreamReader) decode(p []byte) (StreamRecord, error) {
+	if len(p) < recPayloadStart {
+		return StreamRecord{}, fmt.Errorf("persist: record too short (%d bytes)", len(p))
+	}
+	epoch := binary.LittleEndian.Uint64(p[1:])
 	switch kind := p[0]; kind {
-	case recInsert, recRemove:
-		if len(p) < 5 {
-			return StreamRecord{}, fmt.Errorf("persist: edge record too short (%d bytes)", len(p))
+	case recBatch:
+		if len(p) < batchHeaderSize {
+			return StreamRecord{}, fmt.Errorf("persist: batch record too short (%d bytes)", len(p))
 		}
-		count := binary.LittleEndian.Uint32(p[1:])
-		if uint64(len(p)) != 5+8*uint64(count) {
-			return StreamRecord{}, fmt.Errorf("persist: edge record length %d != header count %d", len(p), count)
+		nr := binary.LittleEndian.Uint32(p[recPayloadStart:])
+		ni := binary.LittleEndian.Uint32(p[recPayloadStart+4:])
+		if uint64(len(p)) != batchHeaderSize+8*(uint64(nr)+uint64(ni)) {
+			return StreamRecord{}, fmt.Errorf("persist: batch record length %d != %d removals + %d insertions", len(p), nr, ni)
 		}
 		sr.edges = sr.edges[:0]
-		o := 5
-		for i := uint32(0); i < count; i++ {
+		for o := batchHeaderSize; o < len(p); o += 8 {
 			u := int32(binary.LittleEndian.Uint32(p[o:]))
 			v := int32(binary.LittleEndian.Uint32(p[o+4:]))
-			o += 8
 			if u < 0 || v < 0 {
 				return StreamRecord{}, fmt.Errorf("persist: negative vertex id (%d,%d)", u, v)
 			}
 			sr.edges = append(sr.edges, graph.Edge{U: u, V: v})
 		}
-		op := OpInsert
-		if kind == recRemove {
-			op = OpRemove
+		return StreamRecord{Op: OpBatch, Epoch: epoch, Removes: sr.edges[:nr:nr], Inserts: sr.edges[nr:]}, nil
+	case recGrow:
+		if len(p) != growPayloadSize {
+			return StreamRecord{}, fmt.Errorf("persist: grow record length %d", len(p))
 		}
-		return StreamRecord{Op: op, Edges: sr.edges}, nil
-	case recGrow, recEpoch:
-		if len(p) != 9 {
-			return StreamRecord{}, fmt.Errorf("persist: u64 record length %d", len(p))
+		n := binary.LittleEndian.Uint64(p[recPayloadStart:])
+		if n > math.MaxInt32 {
+			return StreamRecord{}, fmt.Errorf("persist: grow to implausible n=%d", n)
 		}
-		v := binary.LittleEndian.Uint64(p[1:])
-		if kind == recEpoch {
-			return StreamRecord{Op: OpEpoch, Epoch: v}, nil
-		}
-		if v > math.MaxInt32 {
-			return StreamRecord{}, fmt.Errorf("persist: grow to implausible n=%d", v)
-		}
-		return StreamRecord{Op: OpGrow, N: int(v)}, nil
+		return StreamRecord{Op: OpGrow, Epoch: epoch, N: int(n)}, nil
 	default:
 		return StreamRecord{}, fmt.Errorf("persist: unknown record kind %d", kind)
 	}
 }
 
-// applyToGraph applies one decoded edge or grow record to g at graph
-// level; epoch records carry no state. Logged ops are
+// applyToGraph applies one decoded record to g at graph level: a batch's
+// removals, then its insertions, or a growth. Logged ops are
 // post-prepareBatch: insert endpoints were in range when logged, so
 // grow-to-fit reproduces the implicit growth the engine performed (which
 // is why implicit grows need no records of their own).
 func applyToGraph(g *graph.Graph, rec StreamRecord) {
-	switch rec.Op {
-	case OpInsert:
-		for _, e := range rec.Edges {
-			if hi := max(e.U, e.V); int(hi) >= g.N() {
-				g.Grow(int(hi) + 1)
-			}
-			g.AddEdge(e.U, e.V)
+	for _, e := range rec.Removes {
+		if int(e.U) < g.N() && int(e.V) < g.N() {
+			g.RemoveEdge(e.U, e.V)
 		}
-	case OpRemove:
-		for _, e := range rec.Edges {
-			if int(e.U) < g.N() && int(e.V) < g.N() {
-				g.RemoveEdge(e.U, e.V)
-			}
+	}
+	for _, e := range rec.Inserts {
+		if hi := max(e.U, e.V); int(hi) >= g.N() {
+			g.Grow(int(hi) + 1)
 		}
-	case OpGrow:
+		g.AddEdge(e.U, e.V)
+	}
+	if rec.Op == OpGrow {
 		g.Grow(rec.N)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -18,9 +19,9 @@ import (
 	"repro/internal/bz"
 )
 
-// drainSession drains sess until it idles — Wait repeats the last epoch
-// marker instead of handing out new records — returning the concatenated
-// framed records before that and the epoch the idle marker repeats.
+// drainSession drains sess until it idles — Wait hands out a heartbeat
+// instead of new records — returning the concatenated framed records
+// before that and the epoch the heartbeat names.
 func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 	t.Helper()
 	var out []byte
@@ -30,7 +31,7 @@ func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 		if err != nil {
 			t.Fatalf("Wait: %v", err)
 		}
-		if e, ok := loneMarker(data); ok && e <= last {
+		if e, ok := heartbeat(data); ok && e <= last {
 			return out, e
 		}
 		out = append(out, data...)
@@ -38,19 +39,19 @@ func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 	}
 }
 
-// loneMarker returns the epoch of data if data is exactly one framed epoch
-// marker.
-func loneMarker(data []byte) (uint64, bool) {
+// heartbeat returns the epoch of data if data is exactly one idle
+// heartbeat: an empty batch record.
+func heartbeat(data []byte) (uint64, bool) {
 	r := bytes.NewReader(data)
 	rec, err := NewStreamReader(r).Next()
-	if err != nil || rec.Op != OpEpoch || r.Len() > 0 {
+	if err != nil || rec.Op != OpBatch || len(rec.Removes)+len(rec.Inserts) > 0 || r.Len() > 0 {
 		return 0, false
 	}
 	return rec.Epoch, true
 }
 
 // applyStream replays the framed records left in r onto g at graph level
-// and returns the highest epoch marker seen.
+// and returns the highest epoch a record names.
 func applyStream(t *testing.T, g *graph.Graph, r io.Reader) uint64 {
 	t.Helper()
 	sr := NewStreamReader(r)
@@ -64,9 +65,7 @@ func applyStream(t *testing.T, g *graph.Graph, r io.Reader) uint64 {
 			t.Fatalf("stream decode: %v", err)
 		}
 		applyToGraph(g, rec)
-		if rec.Op == OpEpoch {
-			epoch = max(epoch, rec.Epoch)
-		}
+		epoch = max(epoch, rec.Epoch)
 	}
 	return epoch
 }
@@ -93,7 +92,7 @@ func assertSameGraph(t *testing.T, got, want *graph.Graph) {
 }
 
 // TestSyncStream is the tap's contract: snapshot + streamed tail
-// reconstructs the leader's exact graph, and the last epoch marker is
+// reconstructs the leader's exact graph, and the last record's epoch is
 // the leader's final epoch. The follower reads both off one reader, as
 // it does off its socket: ReadCheckpoint must stop exactly at the
 // snapshot's end for the records after it to decode.
@@ -139,9 +138,9 @@ func TestSyncStream(t *testing.T) {
 	assertSameGraph(t, follower, m.Graph())
 }
 
-// TestSyncIdlePingEpoch: an idle Wait hands out one epoch marker at the
-// sync point, and repeats it while the leader stays quiet, so a follower
-// of a quiet leader can still satisfy CORE.WAIT.
+// TestSyncIdlePingEpoch: an idle Wait hands out one heartbeat, an empty
+// batch record at the sync epoch, and repeats it while the leader stays
+// quiet, so a follower of a quiet leader can still satisfy CORE.WAIT.
 func TestSyncIdlePingEpoch(t *testing.T) {
 	m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(20, 40, 1), Options{Fsync: FsyncNo})
 	defer mgr.Close()
@@ -158,8 +157,8 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		data, err := sess.Wait(20*time.Millisecond, nil)
-		if epoch, ok := loneMarker(data); err != nil || !ok || epoch != want {
-			t.Fatalf("idle Wait %d = (%x, %v), want one epoch marker at sync epoch %d", i, data, err, want)
+		if epoch, ok := heartbeat(data); err != nil || !ok || epoch != want {
+			t.Fatalf("idle Wait %d = (%x, %v), want one empty batch record at sync epoch %d", i, data, err, want)
 		}
 	}
 }
@@ -169,9 +168,10 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 // a log's tail, and a follower's StreamReader, reading it off the wire.
 // Vertex ids are int32, so a grow past MaxInt32 vertices is a history no
 // leader wrote, CRC or not, while a grow to exactly MaxInt32 is one. A
-// frame error is a torn tail to recovery and an error to the stream; a
-// frame that holds around a payload that does not decode, or around an
-// epoch marker, which only the stream carries, fails recovery.
+// frame error is a torn tail to recovery and an error to the stream, and
+// a length prefix far beyond the stream costs the reader no more than
+// the stream holds; a frame that holds around a payload that does not
+// decode fails recovery.
 func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	type outcome int
 	const (
@@ -185,23 +185,41 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))
 		return append(b, p...)
 	}
-	insert := appendEdgeRecord(nil, recInsert, []graph.Edge{{U: 1, V: 59}})
+	// batch frames a batch payload whose counts need not match its edges.
+	batch := func(nRemoves, nInserts uint32, edges ...graph.Edge) []byte {
+		p := binary.LittleEndian.AppendUint64([]byte{recBatch}, 7)
+		p = binary.LittleEndian.AppendUint32(p, nRemoves)
+		p = binary.LittleEndian.AppendUint32(p, nInserts)
+		for _, e := range edges {
+			p = binary.LittleEndian.AppendUint32(p, uint32(e.U))
+			p = binary.LittleEndian.AppendUint32(p, uint32(e.V))
+		}
+		return frame(p)
+	}
+	e1, e2, e3 := graph.Edge{U: 1, V: 59}, graph.Edge{U: 2, V: 3}, graph.Edge{U: 4, V: 5}
+	insert := appendBatchRecord(nil, 7, nil, []graph.Edge{e1})
 	badCRC := append([]byte(nil), insert...)
 	badCRC[4] ^= 0x5a
+	hugeLen := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0)
+	hugeLen = append(hugeLen, make([]byte, 60)...)
 	rows := []struct {
 		name    string
 		rec     []byte
 		recover outcome
 		stream  *StreamRecord // nil: Next fails
 	}{
-		{"insert", insert, applied, &StreamRecord{Op: OpInsert, Edges: []graph.Edge{{U: 1, V: 59}}}},
-		{"grow to 1<<31", appendU64Record(nil, recGrow, 1<<31), fatal, nil},
-		{"grow to MaxInt32", appendU64Record(nil, recGrow, math.MaxInt32), notReplayed, &StreamRecord{Op: OpGrow, N: math.MaxInt32}},
-		{"negative id", appendEdgeRecord(nil, recInsert, []graph.Edge{{U: -1, V: 3}}), fatal, nil},
-		{"count/length mismatch", frame([]byte{recRemove, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}), fatal, nil},
+		{"insert", insert, applied, &StreamRecord{Op: OpBatch, Epoch: 7, Inserts: []graph.Edge{e1}}},
+		{"mixed batch", appendBatchRecord(nil, 8, []graph.Edge{e2}, []graph.Edge{e3, e1}), applied,
+			&StreamRecord{Op: OpBatch, Epoch: 8, Removes: []graph.Edge{e2}, Inserts: []graph.Edge{e3, e1}}},
+		{"empty heartbeat", appendBatchRecord(nil, 9, nil, nil), applied, &StreamRecord{Op: OpBatch, Epoch: 9}},
+		{"grow to 1<<31", appendGrowRecord(nil, 7, 1<<31), fatal, nil},
+		{"grow to MaxInt32", appendGrowRecord(nil, 7, math.MaxInt32), notReplayed, &StreamRecord{Op: OpGrow, Epoch: 7, N: math.MaxInt32}},
+		{"negative id", appendBatchRecord(nil, 7, nil, []graph.Edge{{U: -1, V: 3}}), fatal, nil},
+		{"count/length mismatch", batch(1, 1, e1, e2, e3), fatal, nil},
+		{"nRemoves beyond the edges", batch(2, 0, e1), fatal, nil},
 		{"bad CRC", badCRC, tornTail, nil},
-		{"epoch marker", appendU64Record(nil, recEpoch, 7), fatal, &StreamRecord{Op: OpEpoch, Epoch: 7}},
 		{"frame cut mid-payload", insert[:recHeaderSize+3], tornTail, nil},
+		{"length prefix 0xFFFFFFF0 over 64 bytes", hugeLen, tornTail, nil},
 	}
 
 	dir, _, seg := buildDirWithTail(t)
@@ -215,14 +233,20 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			got, err := NewStreamReader(bytes.NewReader(row.rec)).Next()
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("StreamReader allocated %d bytes on a %d-byte stream", grew, len(row.rec))
+			}
 			switch {
 			case row.stream == nil && err == nil:
 				t.Errorf("StreamReader took it: %+v", got)
 			case row.stream != nil && err != nil:
 				t.Errorf("StreamReader: %v, want %+v", err, *row.stream)
-			case row.stream != nil && (got.Op != row.stream.Op || got.N != row.stream.N ||
-				got.Epoch != row.stream.Epoch || !slices.Equal(got.Edges, row.stream.Edges)):
+			case row.stream != nil && (got.Op != row.stream.Op || got.N != row.stream.N || got.Epoch != row.stream.Epoch ||
+				!slices.Equal(got.Removes, row.stream.Removes) || !slices.Equal(got.Inserts, row.stream.Inserts)):
 				t.Errorf("StreamReader = %+v, want %+v", got, *row.stream)
 			}
 
@@ -425,4 +449,36 @@ func TestBackgroundCheckpointCoalesces(t *testing.T) {
 	if got := mgr.Stats().Checkpoints; got != 2 {
 		t.Fatalf("BGSave with pending ops: count = %d, want 2", got)
 	}
+}
+
+// FuzzStreamRecord feeds arbitrary bytes to StreamReader.Next, which
+// must never panic, and re-encodes every record it accepts: a batch or a
+// growth must come back as exactly the bytes it was read from, so the
+// decoder accepts only what the encoder writes.
+func FuzzStreamRecord(f *testing.F) {
+	e := []graph.Edge{{U: 2, V: 3}, {U: 4, V: 5}, {U: 1, V: 59}}
+	f.Add(appendBatchRecord(nil, 8, e[:1], e[1:]))
+	f.Add(appendBatchRecord(nil, 9, nil, nil))
+	f.Add(appendBatchRecord(nil, 1, nil, e))
+	f.Add(appendGrowRecord(nil, 3, 1000))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		rec, err := NewStreamReader(r).Next()
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch rec.Op {
+		case OpBatch:
+			again = appendBatchRecord(nil, rec.Epoch, rec.Removes, rec.Inserts)
+		case OpGrow:
+			again = appendGrowRecord(nil, rec.Epoch, uint64(rec.N))
+		default:
+			t.Fatalf("Next accepted op %d", rec.Op)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(again, read) {
+			t.Fatalf("record %+v re-encodes to %x, read from %x", rec, again, read)
+		}
+	})
 }

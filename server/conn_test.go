@@ -126,8 +126,6 @@ func (l *heldLog) AppendBatch(removes, inserts []graph.Edge) {
 
 func (l *heldLog) AppendGrow(int) {}
 
-func (l *heldLog) AppendEpoch(uint64) {}
-
 // TestHeldWriteDoesNotStallOtherConns: while one connection's write is
 // stuck in the engine, another connection's reads are answered at once —
 // a connection waiting on its futures holds up nobody but itself. Then

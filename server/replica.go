@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/graph"
 	"repro/kcore"
 	"repro/obs"
 	"repro/persist"
@@ -25,10 +24,12 @@ type ReplicaOptions struct {
 
 // Replica keeps a Server in follower mode: it bootstraps from a leader's
 // CORE.SYNC snapshot by reloading the server's one maintainer in place
-// (kcore.Maintainer.Reload), and applies the streamed op tail through the
-// ordinary maintainer API, each leader publication as one Submit — one
-// engine batch, so every state the follower serves is one the leader
-// published. The follower runs the engine its maintainer was built with,
+// (kcore.Maintainer.Reload), and applies the streamed tail through the
+// ordinary maintainer API. Each streamed record is one leader
+// publication at the epoch it names, applied as one Submit — one engine
+// batch, so every state the follower serves is one the leader published.
+// A record that is not the publication right after the watermark ends
+// the session, and the follower re-bootstraps instead of diverging. The follower runs the engine its maintainer was built with,
 // and the maintainer's epoch, metrics and identity live across every
 // bootstrap. Reads stay lock-free off the local snapshot; write commands
 // are rejected (denyOnReplica); CORE.WAIT blocks on the applied-epoch
@@ -55,14 +56,14 @@ type Replica struct {
 
 	connected atomic.Bool
 	syncs     atomic.Int64 // completed bootstraps
-	records   atomic.Int64 // stream records read (incl. epoch markers)
+	records   atomic.Int64 // stream records read (heartbeats included)
 	edges     atomic.Int64 // edges of the leader batches applied
 	lastErr   atomic.Pointer[string]
 
 	// leaderEpoch is the newest leader epoch seen on the wire (the FULLSYNC
-	// checkpoint's header, then every epoch marker), stored before
-	// the record applies — so leaderEpoch−wm.Epoch() exposes the apply
-	// backlog, most visibly during a bootstrap's reload.
+	// checkpoint's header, then every record's), stored before the record
+	// applies — so leaderEpoch−wm.Epoch() exposes the apply backlog, most
+	// visibly during a bootstrap's reload.
 	leaderEpoch atomic.Uint64
 }
 
@@ -196,16 +197,16 @@ func (r *Replica) syncOnce() error {
 	r.wm.Advance(epoch)
 	r.logf("replica: synced gen %d epoch %d from %s (n=%d m=%d)", gen, epoch, r.leader, g.N(), g.M())
 
-	// The tail: the edge records up to a new epoch marker are one leader
-	// publication, applied as one engine batch at that marker, so the
-	// follower serves only states the leader published; a session that
-	// ends mid-batch applies none of it. Records alias the stream
-	// reader's scratch, hence the copies.
+	// The tail: each record is one leader publication, at the epoch it
+	// names. The record at wm+1 applies as one engine batch, so the
+	// follower serves only states the leader published; an idle leader's
+	// heartbeat, an empty batch at or below wm, publishes nothing. Any
+	// other record means this stream is not the leader's history from the
+	// snapshot on, and the session ends: the next one re-bootstraps.
 	sr := persist.NewStreamReader(br)
 	var pd kcore.Pending
-	var removes, inserts []graph.Edge
-	// An idle leader repeats its last epoch marker every second; a 5s
-	// silence means a dead peer.
+	// An idle leader sends a heartbeat every second; a 5s silence means a
+	// dead peer.
 	pr.timeout = 5 * time.Second
 	for {
 		rec, err := sr.Next()
@@ -217,30 +218,29 @@ func (r *Replica) syncOnce() error {
 			}
 			return fmt.Errorf("stream: %w", err)
 		}
-		switch rec.Op {
-		case persist.OpInsert:
-			inserts = append(inserts, rec.Edges...)
-		case persist.OpRemove:
-			removes = append(removes, rec.Edges...)
-		case persist.OpGrow:
+		r.records.Add(1)
+		wm := r.wm.Epoch()
+		k := len(rec.Removes) + len(rec.Inserts)
+		heartbeat := rec.Op == persist.OpBatch && k == 0
+		switch {
+		case heartbeat && rec.Epoch <= wm:
+			continue
+		case heartbeat || rec.Epoch != wm+1:
+			return fmt.Errorf("stream: record at epoch %d after epoch %d", rec.Epoch, wm)
+		}
+		r.leaderEpoch.Store(rec.Epoch)
+		if rec.Op == persist.OpGrow {
 			if rec.N > m.N() {
 				m.AddVertices(rec.N - m.N())
 			}
-		case persist.OpEpoch:
-			r.leaderEpoch.Store(rec.Epoch)
-			// An idle leader's repeat of its last marker closes nothing.
-			if k := len(removes) + len(inserts); k > 0 && rec.Epoch > r.wm.Epoch() {
-				m.Submit(&pd, removes, inserts)
-				pd.Wait()
-				r.edges.Add(int64(k))
-				removes, inserts = removes[:0], inserts[:0]
-				if cap(removes)+cap(inserts) > maxEdgeScratch {
-					removes, inserts = nil, nil
-				}
-			}
-			r.wm.Advance(rec.Epoch)
+		} else {
+			// The edges alias the reader's scratch: Wait returns before the
+			// next read reuses it.
+			m.Submit(&pd, rec.Removes, rec.Inserts)
+			pd.Wait()
+			r.edges.Add(int64(k))
 		}
-		r.records.Add(1)
+		r.wm.Advance(rec.Epoch)
 	}
 }
 
@@ -288,9 +288,9 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 			}),
 		obs.NewCounterFunc("kcored_replica_syncs_total", "Completed FULLSYNC bootstraps.",
 			func() float64 { return float64(r.syncs.Load()) }),
-		obs.NewCounterFunc("kcored_replica_records_total", "Op-stream records read (epoch markers included).",
+		obs.NewCounterFunc("kcored_replica_records_total", "Op-stream records read, one per leader publication (idle heartbeats included).",
 			func() float64 { return float64(r.records.Load()) }),
-		obs.NewCounterFunc("kcored_replica_edges_total", "Edges applied through streamed insert/remove records.",
+		obs.NewCounterFunc("kcored_replica_edges_total", "Edges applied through streamed batch records.",
 			func() float64 { return float64(r.edges.Load()) }),
 		obs.NewGaugeFunc("kcored_replica_applied_epoch", "Epoch watermark of locally applied state (what CORE.WAIT blocks on); 0 while disconnected.",
 			func() float64 { return float64(r.wm.Epoch()) }),

@@ -237,37 +237,43 @@ func TestFollowerReplaysLeaderBatches(t *testing.T) {
 	}
 }
 
-// TestFollowerIgnoresUnclosedBatch: edge records no epoch marker closes
-// are no leader publication, so the follower applies none of them — not
-// when they arrive, and not at the idle leader's repeat of its last
-// marker.
-func TestFollowerIgnoresUnclosedBatch(t *testing.T) {
+// TestFollowerRefusesEpochGap: a record logged outside any publication
+// takes the epoch the next real batch's record takes too, so the
+// follower, having applied the first, meets the second at or below its
+// watermark. It ends the session rather than diverge, and the
+// re-bootstrap leaves it at the leader's state.
+func TestFollowerRefusesEpochGap(t *testing.T) {
 	g := gen.ErdosRenyi(200, 800, 53)
 	removes := g.Edges()[:20]
 	m, mgr, leaderAddr := startLeader(t, g, persist.Options{Fsync: persist.FsyncNo})
 	srvR, _ := startReplicaServer(t, leaderAddr)
 	rep, mR := srvR.replica, srvR.Maintainer()
 	waitApplied(t, rep, m.Flush())
-	batches := mR.ServingStats().Batches
+	syncs := rep.syncs.Load()
 
-	nextRecord := func(after int64) int64 {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); rep.records.Load() <= after; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the follower read no further stream record")
-			}
-		}
-		return rep.records.Load()
-	}
-	// An idle marker first: the session is parked, a second from the next.
-	seen := nextRecord(rep.records.Load())
 	mgr.AppendBatch(removes, nil)
-	for i := 0; i < 2; i++ { // the removal record, then the repeated marker
-		seen = nextRecord(seen)
-		if edges, b := mR.Snapshot().M(), mR.ServingStats().Batches; edges != 800 || b != batches {
-			t.Fatalf("record %d after an unclosed batch: follower holds %d edges after %d more batches, want 800 after 0",
-				i+1, edges, b-batches)
+	m.InsertEdge(0, 199)
+	var lastErr string
+	for deadline := time.Now().Add(10 * time.Second); lastErr == ""; time.Sleep(time.Millisecond) {
+		if p := rep.lastErr.Load(); p != nil {
+			lastErr = *p
 		}
+		if time.Now().After(deadline) {
+			t.Fatal("the follower kept its session past a record at an applied epoch")
+		}
+	}
+	if !strings.Contains(lastErr, "epoch") {
+		t.Fatalf("session ended with %q, want the epoch check", lastErr)
+	}
+	for deadline := time.Now().Add(15 * time.Second); rep.syncs.Load() == syncs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never re-bootstrapped")
+		}
+	}
+	waitApplied(t, rep, m.Flush())
+	want, _ := bz.Decompose(m.Graph().Clone())
+	if got := mR.CoreNumbers(); !slices.Equal(got, want) {
+		t.Fatalf("follower cores differ from BZ of the leader's graph after the re-bootstrap")
 	}
 }
 
@@ -401,10 +407,10 @@ func TestSyncSessionReleasesSnapshot(t *testing.T) {
 	if _, err := io.CopyN(io.Discard, br, size); err != nil {
 		t.Fatal(err)
 	}
-	// The idle leader's first record is its repeated epoch marker: the
+	// The idle leader's first record is its heartbeat, an empty batch: the
 	// session is past the snapshot and parked on its tap.
-	if rec, err := persist.NewStreamReader(br).Next(); err != nil || rec.Op != persist.OpEpoch {
-		t.Fatalf("first streamed record = %+v, %v; want an epoch marker", rec, err)
+	if rec, err := persist.NewStreamReader(br).Next(); err != nil || rec.Op != persist.OpBatch || len(rec.Removes)+len(rec.Inserts) > 0 {
+		t.Fatalf("first streamed record = %+v, %v; want a heartbeat", rec, err)
 	}
 	if grew := int64(liveHeap()) - int64(before); grew >= size/4 {
 		t.Fatalf("live heap grew %.2f MiB during the session, snapshot is %.2f MiB: want < 1/4 of it",

@@ -17,15 +17,15 @@ var syncWriteTimeout = 10 * time.Second
 //	<len raw bytes: a checkpoint, the very encoding of a checkpoint file —
 //	 header (magic, version, gen, epoch, n, m), core array, graph binary,
 //	 CRC-32C tail; persist.ReadCheckpoint decodes it>
-//	<endless CRC-framed op records: insert/remove/grow/epoch>
+//	<endless CRC-framed records: one batch or grow per publication, each with its epoch>
 //
 // The generation and the snapshot epoch travel only in the checkpoint
 // header. The snapshot and the tap are captured at one quiescent point of
 // the maintainer, so the record stream starts exactly where the snapshot
 // ends — no segment replay, no gap, no overlap. The snapshot is dropped
 // once written. The stream is what the session's Wait returns, written
-// as is: the records, or after a second's silence the last epoch marker
-// again. After the handshake the
+// as is: the records, or after a second's silence a heartbeat, an empty
+// batch record at the last epoch. After the handshake the
 // connection belongs to the stream until the follower disconnects, the
 // follower falls too far behind (bounded tap overflows), or the server
 // shuts down; it never returns to command dispatch.
