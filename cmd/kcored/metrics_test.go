@@ -107,6 +107,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"kcored_publishes_total",
 		"kcore_pipeline_stage_seconds_bucket",
 		"kcored_aof_fsync_seconds_count",
+		"kcored_aof_commit_wait_seconds_count",
 		"kcored_aof_records_total",
 		"kcored_checkpoints_total",
 		"kcored_checkpoint_pause_seconds_count",
@@ -139,6 +140,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kcored_command_latency_seconds_count{family="read"}`,
 		`kcored_command_latency_seconds_count{family="write"}`,
 		`kcored_aof_records_total`,
+		`kcored_aof_commit_wait_seconds_count`,
 	} {
 		if after[series] <= before[series] {
 			t.Errorf("%s did not advance over the run (%g -> %g)", series, before[series], after[series])

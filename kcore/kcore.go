@@ -123,28 +123,38 @@ type config struct {
 // need no internal ordering logic; calls arrive in exactly the order the
 // engine applies ops.
 //
-// Each call describes exactly the next publication: it is made before
+// Each append describes exactly the next publication: it is made before
 // the change it names applies, and that change then publishes once, at
-// the current Epoch()+1. So calls and epochs map one to one, and a log
+// the current Epoch()+1. So appends and epochs map one to one, and a log
 // that stamps each record with Epoch()+1 names the epoch the record
 // produces. A batch that the universe scan leaves empty neither logs
 // nor publishes.
 //
+// The hook is split in two: append before apply, commit before publish.
+// Every AppendBatch or AppendGrow is followed by exactly one Commit before
+// the publication it names, and Commit returns once the record is as
+// durable as the log's policy promises. The applier calls AppendBatch,
+// runs the engine round, calls Commit, and only then publishes and
+// completes the callers' futures — so a log may sync the record while the
+// engine applies it, and a durable OpLog whose Commit waits for the sync
+// makes every acknowledged write crash-safe: a record is synced before it
+// publishes and before any ack. AddVertices commits straight after its
+// AppendGrow.
+//
 // AppendBatch is called once per coalesced engine batch, after the
 // universe scan (ops are post-filter canonical: malformed and
 // beyond-ceiling ids already dropped, removals of unseen vertices already
-// dropped) and BEFORE the batch is applied or any caller future
-// completes — a durable OpLog that syncs in AppendBatch therefore makes
-// every acknowledged write crash-safe. The removes and inserts slices are
-// valid only for the duration of the call: the applier reuses their backing
-// arrays for the next batch, so an implementation that needs the edges
-// later must encode or copy them before returning (persist.Manager encodes
-// them into its own buffer). AppendGrow is called for explicit AddVertices
-// growth, before it applies (implicit growth is derivable from insert
-// endpoints, so it is not logged separately).
+// dropped). The removes and inserts slices are valid only for the
+// duration of the call: the applier reuses their backing arrays for the
+// next batch, so an implementation that needs the edges later must
+// encode or copy them before returning (persist.Manager encodes them into
+// its own buffer). AppendGrow is called for explicit AddVertices growth,
+// before it applies (implicit growth is derivable from insert endpoints,
+// so it is not logged separately).
 type OpLog interface {
 	AppendBatch(removes, inserts []graph.Edge)
 	AppendGrow(n int)
+	Commit()
 }
 
 // DefaultMaxVertices is the default auto-growth ceiling (~16.7M
@@ -563,6 +573,7 @@ func (m *Maintainer) AddVertices(k int) int {
 			if target > m.eng.g.N() {
 				if lg := m.eng.cfg.oplog; lg != nil {
 					lg.AppendGrow(target)
+					lg.Commit() // growth is rare: no engine round to hide the sync behind
 				}
 				m.eng.grow(target)
 			}
@@ -631,12 +642,21 @@ func (eng *engine) publishAfter(res *BatchResult) {
 func (eng *engine) check() error { return eng.impl.Check() }
 
 // logBatch hands one non-empty canonical post-scan batch to the attached
-// OpLog, before the engine applies it (write-ahead: a durable log that
-// syncs here makes acknowledged writes crash-safe — no future completes
-// until after the append returns).
+// OpLog, before the engine applies it (write-ahead: the record exists
+// before the state it names does).
 func (eng *engine) logBatch(removes, inserts []graph.Edge) {
 	if lg := eng.cfg.oplog; lg != nil {
 		lg.AppendBatch(removes, inserts)
+	}
+}
+
+// commitLog waits until the batch logBatch handed over is as durable as
+// the OpLog's policy promises; the applier calls it after the engine
+// round and before publishing, so a record is synced before it publishes
+// and before any ack, while its sync may run beside the engine round.
+func (eng *engine) commitLog() {
+	if lg := eng.cfg.oplog; lg != nil {
+		lg.Commit()
 	}
 }
 

@@ -2,8 +2,10 @@ package kcore
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/gen"
 	"repro/graph"
@@ -38,6 +40,8 @@ func (l *recordingLog) AppendGrow(n int) {
 	l.ops = append(l.ops, loggedOp{grow: n})
 	l.mu.Unlock()
 }
+
+func (l *recordingLog) Commit() {}
 
 // replay rebuilds a graph from the recorded stream, the same way
 // persist.Recover does: grow-to-fit inserts, drop out-of-range removes.
@@ -159,4 +163,139 @@ func TestOpLogAfterClose(t *testing.T) {
 	m.InsertEdge(3, 4) // post-Close path
 	m.RemoveEdge(1, 2)
 	assertGraphEqual(t, logd.replay(base), m.Graph())
+}
+
+// gatedLog is an OpLog whose Commit parks the applier until the test
+// releases it. Each append reports the epoch it saw, and every call is
+// recorded in order. Closing stop lets every call through, so a failed
+// test does not leave the applier parked.
+type gatedLog struct {
+	m          *Maintainer   // set after New; read from the applier
+	appended   chan uint64   // the epoch each append saw
+	committing chan struct{} // one token per Commit, sent before it parks
+	release    chan struct{} // one token lets one Commit return
+	stop       chan struct{}
+	mu         sync.Mutex
+	calls      []string
+}
+
+func (l *gatedLog) call(kind string) {
+	l.mu.Lock()
+	l.calls = append(l.calls, kind)
+	l.mu.Unlock()
+}
+
+func (l *gatedLog) AppendBatch(removes, inserts []graph.Edge) { l.appendAt(l.m.Epoch()) }
+
+func (l *gatedLog) AppendGrow(int) { l.appendAt(l.m.Epoch()) }
+
+func (l *gatedLog) appendAt(epoch uint64) {
+	l.call("append")
+	select {
+	case l.appended <- epoch:
+	case <-l.stop:
+	}
+}
+
+func (l *gatedLog) Commit() {
+	l.call("commit")
+	select {
+	case l.committing <- struct{}{}:
+	case <-l.stop:
+		return
+	}
+	select {
+	case <-l.release:
+	case <-l.stop:
+	}
+}
+
+// TestCommitGatesPublication pins the OpLog's commit contract: append
+// before apply, commit before publish. The append sees epoch E; while
+// Commit is parked the maintainer still reads E and the pre-batch cores
+// and the batch's future has not completed; once Commit returns, the
+// batch publishes at E+1 and the future completes. AddVertices commits
+// its growth the same way, so appends and commits alternate strictly —
+// on the pipeline and on the post-Close path alike.
+func TestCommitGatesPublication(t *testing.T) {
+	lg := &gatedLog{
+		appended:   make(chan uint64, 1),
+		committing: make(chan struct{}),
+		release:    make(chan struct{}),
+		stop:       make(chan struct{}),
+	}
+	// Closing the path 0–1–2 into a triangle lifts all three to core 2.
+	m := New(graph.MustFromEdges(8, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}), WithOpLog(lg))
+	lg.m = m
+	t.Cleanup(m.Close)
+	t.Cleanup(func() { close(lg.stop) }) // runs first
+
+	// gate runs op on its own goroutine, checks the state while the
+	// applier is parked in Commit, then releases it and checks the
+	// publication.
+	gate := func(name string, op func(), check func(published bool)) {
+		t.Helper()
+		e := m.Epoch()
+		done := make(chan struct{})
+		go func() { defer close(done); op() }()
+		if got := <-lg.appended; got != e {
+			t.Fatalf("%s: append saw epoch %d, want %d", name, got, e)
+		}
+		<-lg.committing
+		select {
+		case <-done:
+			t.Fatalf("%s: completed while Commit was parked", name)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if got := m.Epoch(); got != e {
+			t.Fatalf("%s: epoch %d while Commit was parked, want %d", name, got, e)
+		}
+		check(false)
+		lg.release <- struct{}{}
+		<-done
+		if got := m.Epoch(); got != e+1 {
+			t.Fatalf("%s: epoch %d after Commit, want %d", name, got, e+1)
+		}
+		check(true)
+	}
+	// flip checks the first three cores: pre while parked, post after.
+	flip := func(pre, post []int32) func(bool) {
+		return func(published bool) {
+			t.Helper()
+			want := pre
+			if published {
+				want = post
+			}
+			if got := m.Snapshot().CoreNumbers()[:3]; !slices.Equal(got, want) {
+				t.Fatalf("cores %v, want %v (published=%v)", got, want, published)
+			}
+		}
+	}
+
+	var pd Pending
+	gate("insert", func() {
+		m.Submit(&pd, nil, []graph.Edge{{U: 0, V: 2}})
+		pd.Wait()
+	}, flip([]int32{1, 1, 1}, []int32{2, 2, 2}))
+	gate("grow", func() { m.AddVertices(4) }, func(published bool) {
+		if want := map[bool]int{false: 8, true: 12}[published]; m.N() != want {
+			t.Fatalf("N = %d, want %d (published=%v)", m.N(), want, published)
+		}
+	})
+	m.Close()
+	gate("remove after Close", func() {
+		m.Submit(&pd, []graph.Edge{{U: 0, V: 2}}, nil)
+		pd.Wait()
+	}, flip([]int32{2, 2, 2}, []int32{1, 1, 1}))
+
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	if len(lg.calls) != 6 {
+		t.Fatalf("calls %v, want 3 append/commit pairs", lg.calls)
+	}
+	for i, c := range lg.calls {
+		if want := [2]string{"append", "commit"}[i%2]; c != want {
+			t.Fatalf("call %d is %s, want %s: %v", i, c, want, lg.calls)
+		}
+	}
 }

@@ -203,9 +203,9 @@ func (p *pipeline) process(eng *engine, pending []*Pending) {
 // to cover any unseen insert endpoints (dropping malformed and
 // guaranteed-absent ops; see engine.prepareBatch), logs and applies the
 // mixed batch (removals, then insertions, so an edge named in both ends
-// present, as the coalescer resolves it), publishes the post-batch
-// snapshot, and completes every future with the shared result of the
-// coalesced batch. A batch the scan leaves empty is neither logged,
+// present, as the coalescer resolves it), commits the log record,
+// publishes the post-batch snapshot, and completes every future with the
+// shared result of the coalesced batch. Duration covers the commit wait. A batch the scan leaves empty is neither logged,
 // applied nor published.
 func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	removes, inserts, canceled := p.co.coalesce(seg)
@@ -225,6 +225,8 @@ func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 		if len(inserts) > 0 {
 			eng.impl.ApplyInsert(inserts, res)
 		}
+		// No epoch advances and no future completes before the commit.
+		eng.commitLog()
 		res.Duration = time.Since(start)
 		p.pm.Apply.ObserveDuration(res.Duration)
 		pubStart := time.Now()

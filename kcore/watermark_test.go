@@ -121,6 +121,8 @@ func (l *epochRecordingLog) AppendBatch(removes, inserts []graph.Edge) { l.recor
 
 func (l *epochRecordingLog) AppendGrow(int) { l.record("grow") }
 
+func (l *epochRecordingLog) Commit() {}
+
 func (l *epochRecordingLog) snapshot() []epochLogEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -2,10 +2,14 @@ package persist
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/gen"
 	"repro/graph"
@@ -14,35 +18,77 @@ import (
 )
 
 // TestAppendBatchZeroAlloc pins the AOF hot path's allocation budget:
-// once the encode scratch is warm, logging a batch allocates nothing —
-// the same discipline the serving write path already keeps.
+// once the encode scratch is warm, logging and committing a batch
+// allocates nothing — the same discipline the serving write path already
+// keeps — whether the append writes alone (no) or hands its fsync to the
+// syncer goroutine (always).
 func TestAppendBatchZeroAlloc(t *testing.T) {
-	dir := t.TempDir()
-	mgr, err := NewManager(dir, Options{Fsync: FsyncNo, Logger: log.New(os.Stderr, "", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := kcore.New(graph.New(64), kcore.WithOpLog(mgr))
-	defer m.Close()
-	if err := mgr.Start(m); err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
+	for _, pol := range []Fsync{FsyncNo, FsyncAlways} {
+		t.Run(pol.String(), func(t *testing.T) {
+			mgr, err := NewManager(t.TempDir(), Options{Fsync: pol, Logger: log.New(os.Stderr, "", 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := kcore.New(graph.New(64), kcore.WithOpLog(mgr))
+			defer m.Close()
+			if err := mgr.Start(m); err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
 
-	edges := make([]graph.Edge, 32)
-	for i := range edges {
-		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
+			edges := make([]graph.Edge, 32)
+			for i := range edges {
+				edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
+			}
+			batch := func() { mgr.AppendBatch(edges[:16], edges[16:]); mgr.Commit() }
+			batch() // warm the scratch
+			if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+				t.Fatalf("AppendBatch+Commit allocates %.1f objects per call, want 0", allocs)
+			}
+			grow := func() { mgr.AppendGrow(65); mgr.Commit() }
+			grow()
+			if allocs := testing.AllocsPerRun(100, grow); allocs != 0 {
+				t.Fatalf("AppendGrow+Commit allocates %.1f objects per call, want 0", allocs)
+			}
+			if err := mgr.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	mgr.AppendBatch(edges[:16], edges[16:]) // warm the scratch
-	allocs := testing.AllocsPerRun(100, func() {
-		mgr.AppendBatch(edges[:16], edges[16:])
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendBatch allocates %.1f objects per call, want 0", allocs)
-	}
-	mgr.AppendGrow(65)
-	if allocs := testing.AllocsPerRun(100, func() { mgr.AppendGrow(65) }); allocs != 0 {
-		t.Fatalf("AppendGrow allocates %.1f objects per call, want 0", allocs)
+}
+
+// TestCloseStopsSyncer: Close stops the FsyncAlways syncer goroutine
+// Start started. The goroutine count returns to its baseline, and the
+// maintainer — reachable from the Manager, so from a syncer that
+// outlived Close — becomes garbage.
+func TestCloseStopsSyncer(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	wp := func() weak.Pointer[kcore.Maintainer] {
+		mgr, err := NewManager(t.TempDir(), Options{Fsync: FsyncAlways, Logger: log.New(io.Discard, "", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := kcore.New(gen.ErdosRenyi(64, 128, 3), kcore.WithOpLog(mgr))
+		if err := mgr.Start(m); err != nil {
+			t.Fatal(err)
+		}
+		m.InsertEdge(1, 40)
+		m.AddVertices(2)
+		m.Close()
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(m)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= baseline && wp.Value() == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("5 s after Close: %d goroutines (baseline %d), maintainer collected: %v", n, baseline, wp.Value() == nil)
+		}
 	}
 }
 

@@ -8,12 +8,13 @@ import (
 )
 
 // RegisterMetrics adds the durability subsystem's metrics to reg: the
-// fsync (labeled with the fsync policy) and checkpoint-pause latency
-// histograms plus scrape-time views of the counters Stats already
+// fsync (labeled with the fsync policy), commit-wait and checkpoint-pause
+// latency histograms plus scrape-time views of the counters Stats already
 // reports, and a per-follower buffered-bytes gauge series.
 func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.MustRegister(
 		p.fsyncLat,
+		p.commitWait,
 		p.pauseLat,
 		obs.NewCounterFunc("kcored_aof_records_total", "AOF records appended.",
 			func() float64 { return float64(p.records.Load()) }),

@@ -7,8 +7,10 @@
 // The design taps the one quiescent point the pipeline already has: the
 // Manager implements kcore.OpLog, so the applier hands it every
 // coalesced batch's canonical post-scan ops (in applied order, before
-// any caller future completes). With FsyncAlways the append is synced
-// before it returns — every acknowledged write is crash-safe. Periodic
+// the engine applies them), and commits the record before the batch
+// publishes. With FsyncAlways a record is synced before it publishes and
+// before any ack — every acknowledged write is crash-safe — while the
+// sync itself runs beside the batch's engine round. Periodic
 // checkpoints (a generation: graph binary CSR + core array + epoch)
 // capture full state at a quiescent point and rotate the log, which is
 // also the AOF rewrite/compaction mechanism: the old generation's log is
@@ -63,10 +65,12 @@ import (
 type Fsync int
 
 const (
-	// FsyncAlways syncs after every appended batch, before the append
-	// returns — no acknowledged write is ever lost. The cost is one
-	// fsync per coalesced engine batch (not per command: pipelined
-	// bursts share it).
+	// FsyncAlways syncs every appended record before it publishes and
+	// before any ack — no acknowledged write is ever lost. The sync runs
+	// on the Manager's syncer goroutine while the engine applies the
+	// batch, and Commit waits for it. The cost is one fsync per coalesced
+	// engine batch (not per command: pipelined bursts share it), of which
+	// the applier pays only what the engine round does not hide.
 	FsyncAlways Fsync = iota
 	// FsyncEverySec syncs once per second from a background goroutine —
 	// a crash loses at most the last second of writes.
@@ -149,9 +153,9 @@ type Stats struct {
 }
 
 // Manager owns one durability directory: the open AOF segment, the
-// checkpoint worker, and the fsync policy. It implements kcore.OpLog;
-// attach it with kcore.WithOpLog and activate it with Start. All methods
-// are safe for concurrent use.
+// checkpoint worker, the fsync policy and, under FsyncAlways, the syncer
+// goroutine. It implements kcore.OpLog; attach it with kcore.WithOpLog
+// and activate it with Start. All methods are safe for concurrent use.
 type Manager struct {
 	dir  string
 	opts Options
@@ -169,6 +173,17 @@ type Manager struct {
 	bytesSince int64
 	err        error
 	taps       []*tap // replication follower fan-out (see stream.go)
+
+	// The FsyncAlways syncer: appendLocked hands each written record to
+	// it and sets syncing; the syncer syncs the segment, fans the record
+	// out, clears syncing and broadcasts synced. While syncing, f and buf
+	// hold still: every path that would change them (the next append,
+	// rotateSegment, Close) first waits it out, so at most one sync is in
+	// flight.
+	syncing    bool
+	synced     sync.Cond // L is &mu
+	syncReq    chan syncJob
+	syncerDone chan struct{}
 
 	// ckptMu serializes checkpoints (threshold-triggered, BGSave,
 	// CheckpointNow, Start's initial one).
@@ -196,6 +211,17 @@ type Manager struct {
 	// pauseLat times each checkpoint's quiescent barrier: how long the
 	// applier, and so every write, waits on a checkpoint.
 	pauseLat *obs.Histogram
+	// commitWait times each FsyncAlways Commit: how long the applier
+	// blocked on its record's sync — the part the engine round did not
+	// hide.
+	commitWait *obs.Histogram
+}
+
+// syncJob is one written record awaiting its FsyncAlways sync: the
+// segment holding it and the publication it names.
+type syncJob struct {
+	f     *os.File
+	epoch uint64
 }
 
 // NewManager prepares a Manager over dir (created if absent). No files
@@ -210,7 +236,7 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = defaultCheckpointBytes
 	}
-	return &Manager{
+	p := &Manager{
 		dir:     dir,
 		opts:    opts,
 		ckptReq: make(chan struct{}, 1),
@@ -220,15 +246,20 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 			obs.L("policy", opts.Fsync.String())),
 		pauseLat: obs.NewDurationHistogram("kcored_checkpoint_pause_seconds",
 			"Quiescent-barrier part of each checkpoint: checkpoint encoding, its page-cache writes and the log rotation; writes wait for it."),
-	}, nil
+		commitWait: obs.NewDurationHistogram("kcored_aof_commit_wait_seconds",
+			"Per batch under -aof-fsync always: time the applier blocked on the log sync after its engine round."),
+	}
+	p.synced.L = &p.mu
+	return p, nil
 }
 
 // Start activates durability for m: it takes a synchronous checkpoint of
 // m's current state (a fresh generation strictly above anything already
 // in the directory), opens the new AOF segment, and starts the
-// background checkpoint/fsync worker. Returns once the checkpoint and
-// manifest are durable — from that point on, every acknowledged write
-// survives a crash (modulo the fsync policy's window).
+// background checkpoint/fsync worker and, under FsyncAlways, the syncer.
+// Returns once the checkpoint and manifest are durable — from that point
+// on, every acknowledged write survives a crash (modulo the fsync
+// policy's window).
 func (p *Manager) Start(m *kcore.Maintainer) error {
 	if p.m != nil {
 		return errors.New("persist: Start called twice")
@@ -241,6 +272,14 @@ func (p *Manager) Start(m *kcore.Maintainer) error {
 	p.mu.Lock()
 	p.gen = maxGen // the initial checkpoint rotates to maxGen+1
 	p.mu.Unlock()
+	if p.opts.Fsync == FsyncAlways {
+		// Before the first segment opens: its first append hands off.
+		// Not p.loop, which blocks in CheckpointNow on the applier while
+		// the applier may be waiting in Commit.
+		p.syncReq = make(chan syncJob, 1)
+		p.syncerDone = make(chan struct{})
+		go p.syncer()
+	}
 	if err := p.CheckpointNow(); err != nil {
 		return err
 	}
@@ -249,10 +288,10 @@ func (p *Manager) Start(m *kcore.Maintainer) error {
 	return nil
 }
 
-// Close stops the worker and syncs and closes the AOF segment. It does
-// not take a final checkpoint — call CheckpointNow first for that (as
-// kcored's graceful shutdown does); the synced log alone already
-// guarantees complete recovery.
+// Close stops the worker and the syncer, and syncs and closes the AOF
+// segment. It does not take a final checkpoint — call CheckpointNow
+// first for that (as kcored's graceful shutdown does); the synced log
+// alone already guarantees complete recovery.
 func (p *Manager) Close() error {
 	if p.closed.Swap(true) {
 		return nil
@@ -262,7 +301,7 @@ func (p *Manager) Close() error {
 		p.wg.Wait()
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.awaitSyncLocked()
 	p.killTapsLocked()
 	var err error
 	if p.f != nil {
@@ -272,6 +311,14 @@ func (p *Manager) Close() error {
 		}
 		p.f = nil
 	}
+	// With f nil no append hands off again, so the syncer may go.
+	if p.syncReq != nil {
+		close(p.syncReq)
+	}
+	p.mu.Unlock()
+	if p.syncReq != nil {
+		<-p.syncerDone
+	}
 	return err
 }
 
@@ -279,11 +326,13 @@ func (p *Manager) Close() error {
 
 // AppendBatch logs one coalesced batch's canonical ops as one record,
 // the publication at the maintainer's next epoch. Called by the
-// maintainer's applier at the quiescent point, before the batch applies
-// and before any caller future completes.
+// maintainer's applier at the quiescent point, before the batch applies;
+// Commit follows before it publishes. A record still syncing from an
+// append that was never committed is synced first.
 func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.awaitSyncLocked()
 	if p.f == nil || p.err != nil {
 		return
 	}
@@ -297,6 +346,7 @@ func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 func (p *Manager) AppendGrow(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.awaitSyncLocked()
 	if p.f == nil || p.err != nil {
 		return
 	}
@@ -306,10 +356,12 @@ func (p *Manager) AppendGrow(n int) {
 }
 
 // appendLocked writes the record in p.buf, the publication at epoch, to
-// the segment and applies the fsync policy; only then does it fan the
-// record out to the replication taps, so under FsyncAlways no follower
-// holds a record the leader's disk lacks. Last, it arms the checkpoint
-// thresholds. A failure is recorded as the sticky error.
+// the segment and applies the fsync policy. Under FsyncAlways it hands
+// the sync to the syncer, which fans the record out to the replication
+// taps once it is durable — so no follower holds a record the leader's
+// disk lacks — and Commit arms the checkpoint thresholds. Under the
+// other policies it fans out and arms them here. A failure is recorded
+// as the sticky error.
 func (p *Manager) appendLocked(epoch uint64, ops int64) {
 	if _, err := p.f.Write(p.buf); err != nil {
 		p.failLocked(fmt.Errorf("persist: append: %w", err))
@@ -321,16 +373,70 @@ func (p *Manager) appendLocked(epoch uint64, ops int64) {
 	p.opsSince += ops
 	switch p.opts.Fsync {
 	case FsyncAlways:
-		start := time.Now()
-		if err := p.f.Sync(); err != nil {
-			p.failLocked(fmt.Errorf("persist: fsync: %w", err))
-			return
-		}
-		p.fsyncLat.ObserveDuration(time.Since(start))
+		p.syncing = true
+		p.syncReq <- syncJob{f: p.f, epoch: epoch} // buffered: at most one in flight
+		return
 	case FsyncEverySec:
 		p.dirty = true
 	}
 	p.fanLocked(p.buf, epoch)
+	p.armCheckpointLocked()
+}
+
+// Commit returns once the last appended record is as durable as the
+// policy promises: under FsyncAlways it waits for the syncer and then
+// arms the checkpoint thresholds; under the other policies the append
+// already did everything, and Commit returns at once. The maintainer's
+// applier calls it after the batch's engine round, before the batch
+// publishes.
+func (p *Manager) Commit() {
+	if p.opts.Fsync != FsyncAlways {
+		return
+	}
+	start := time.Now()
+	p.mu.Lock()
+	p.awaitSyncLocked()
+	p.armCheckpointLocked()
+	p.mu.Unlock()
+	p.commitWait.ObserveDuration(time.Since(start))
+}
+
+// awaitSyncLocked waits out a record the syncer is still syncing.
+// Cond.Wait releases p.mu meanwhile, which the syncer takes to finish.
+// Caller holds p.mu.
+func (p *Manager) awaitSyncLocked() {
+	for p.syncing {
+		p.synced.Wait()
+	}
+}
+
+// syncer is the FsyncAlways sync worker: it syncs each handed-off
+// record's segment, fans the record out to the taps at once — a
+// follower's lag does not wait for the leader's engine round — and
+// wakes Commit. A failed sync trips the sticky error. It exits when
+// Close closes syncReq.
+func (p *Manager) syncer() {
+	defer close(p.syncerDone)
+	for job := range p.syncReq {
+		start := time.Now()
+		err := job.f.Sync()
+		p.mu.Lock()
+		if err != nil {
+			p.failLocked(fmt.Errorf("persist: fsync: %w", err))
+		} else {
+			p.fsyncLat.ObserveDuration(time.Since(start))
+			p.fanLocked(p.buf, job.epoch)
+		}
+		p.syncing = false
+		p.synced.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// armCheckpointLocked requests a background checkpoint once the ops or
+// bytes logged since the last rotation cross a threshold. Caller holds
+// p.mu.
+func (p *Manager) armCheckpointLocked() {
 	if (p.opts.CheckpointOps > 0 && p.opsSince >= p.opts.CheckpointOps) ||
 		(p.opts.CheckpointBytes > 0 && p.bytesSince >= p.opts.CheckpointBytes) {
 		select {
@@ -440,6 +546,7 @@ func (p *Manager) CheckpointNow() error {
 func (p *Manager) rotateSegment(gen uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.awaitSyncLocked()
 	if p.err != nil {
 		return p.err
 	}

@@ -448,6 +448,53 @@ func TestCorruptMiddleRecord(t *testing.T) {
 	}
 }
 
+// TestRecoverStopsAtEpochGap splices the middle one of three mixed
+// batches out of the log. Its neighbours still frame and decode, but the
+// third record's epoch no longer follows the first's: replaying it would
+// build batches 1 and 3 without 2, a state no epoch published. Recovery
+// stops after the first batch and reports the loss as Truncated.
+func TestRecoverStopsAtEpochGap(t *testing.T) {
+	dir := t.TempDir()
+	base := gen.ErdosRenyi(60, 150, 43)
+	m, mgr := startManaged(t, dir, base.Clone(), Options{Fsync: FsyncAlways})
+	var afterFirst *graph.Graph
+	for i := int32(0); i < 3; i++ {
+		var pd kcore.Pending
+		m.Submit(&pd, []graph.Edge{m.Graph().Edges()[i]}, []graph.Edge{{U: i, V: 55 + i}, {U: 10 + i, V: 59}})
+		if res := pd.Wait(); res.Applied != 3 {
+			t.Fatalf("batch %d applied %d edges, want 3", i, res.Applied)
+		}
+		if i == 0 {
+			afterFirst = m.Graph().Clone()
+		}
+	}
+	m.Close()
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := segmentPath(dir, mgr.Stats().Gen)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame chain: the header, then one length-prefixed record each.
+	var starts []int
+	for off := aofHeaderSize; off < len(data); off += recHeaderSize + int(binary.LittleEndian.Uint32(data[off:])) {
+		starts = append(starts, off)
+	}
+	if len(starts) != 3 {
+		t.Fatalf("%d records in the log, want 3", len(starts))
+	}
+	spliced := append(slices.Clip(data[:starts[1]]), data[starts[2]:]...)
+	if err := os.WriteFile(seg, spliced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res := assertRecoverMatches(t, dir, afterFirst)
+	if !res.Truncated || res.TailRecords != 1 {
+		t.Fatalf("Recover = %+v; want the first batch only, Truncated", res)
+	}
+}
+
 // TestCrashBetweenRotationAndManifest simulates the checkpoint crash
 // window: the new segment and checkpoint exist but the manifest still
 // points at the previous generation. Recovery must replay BOTH segments.

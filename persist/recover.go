@@ -34,8 +34,9 @@ type Result struct {
 	// torn or corrupt tail (0 for a clean shutdown).
 	TornBytes int64
 	// Truncated reports that replay stopped early at corruption in a
-	// non-final segment — everything after it is lost. Recovery still
-	// returns the longest valid prefix rather than failing.
+	// non-final segment, or at a record whose epoch does not follow the
+	// one before it — everything after it is lost. Recovery still returns
+	// the longest valid prefix rather than failing.
 	Truncated bool
 }
 
@@ -45,7 +46,10 @@ type Result struct {
 // rotation and manifest update). A torn or CRC-corrupt tail in the
 // newest segment is expected debris of a crash and is silently dropped;
 // corruption anywhere else stops replay at the longest valid prefix and
-// sets Truncated.
+// sets Truncated. So does an epoch out of order: record epochs must run
+// consecutively from the checkpoint's epoch + 1 across segments, since
+// every record is the next publication — after a gap or a repeat, the
+// records left would build a state no epoch published.
 //
 // A directory with no manifest (fresh, or never checkpointed) returns a
 // Result with a nil Graph and no error — the caller starts empty.
@@ -89,8 +93,10 @@ func Recover(dir string) (*Result, error) {
 				// Corruption mid-history: ops beyond it cannot be
 				// trusted (order matters), so stop here.
 				res.Truncated = true
-				break
 			}
+		}
+		if res.Truncated {
+			break
 		}
 	}
 	return res, nil
@@ -104,6 +110,9 @@ func Recover(dir string) (*Result, error) {
 // such a record is a history this reader must not guess at. A frame
 // error (short read, CRC mismatch) is a torn tail: data, not an error.
 // A record is one publication, so a torn tail drops whole publications.
+// A record whose epoch is not the next one after the checkpoint's and
+// every record replayed so far stops replay there: it sets Truncated, and
+// the rest of the segment counts as torn.
 func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -141,6 +150,10 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 		rec, err := sr.decode(p)
 		if err != nil {
 			return 0, fmt.Errorf("persist: %s at offset %d: %w", path, valid, err)
+		}
+		if rec.Epoch != res.Epoch+uint64(res.TailRecords)+1 {
+			res.Truncated = true
+			break
 		}
 		applyToGraph(g, rec)
 		valid = br.n

@@ -1,10 +1,11 @@
 package persist
 
 // Replication streaming: the Manager fans the same CRC-framed records it
-// appends to the AOF out to any number of follower taps, each fed at the
-// append path's quiescent point, after the record is written (and, under
-// FsyncAlways, synced) — leader disk and every follower see one canonical
-// stream, one record per publication, each carrying its epoch. A
+// appends to the AOF out to any number of follower taps, each fed after
+// the record is written — by the append itself, or under FsyncAlways by
+// the syncer once the record is synced — so leader disk and every
+// follower see one canonical stream, one record per publication, each
+// carrying its epoch. A
 // SyncSession starts with a full snapshot (a checkpoint, encodeCheckpoint's
 // bytes, captured at the tap's registration instant, so the tap's records
 // are exactly the publications after it) and then drains the tap. A
@@ -52,7 +53,8 @@ var (
 // --- tap --------------------------------------------------------------------
 
 // tap is one follower's buffered view of the op stream. The append path
-// (the maintainer's applier goroutine, under Manager.mu) enqueues; the
+// (the maintainer's applier goroutine, or the FsyncAlways syncer, under
+// Manager.mu) enqueues; the
 // follower's streamer goroutine drains via take-style swaps in
 // SyncSession.Wait. A tap never blocks the appender: when the streamer
 // cannot keep up the tap overflows and dies.

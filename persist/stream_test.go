@@ -171,7 +171,10 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 // frame error is a torn tail to recovery and an error to the stream, and
 // a length prefix far beyond the stream costs the reader no more than
 // the stream holds; a frame that holds around a payload that does not
-// decode fails recovery.
+// decode fails recovery. Each record is appended alone, at the log's next
+// epoch unless it tests the epoch chain: a record that skips or repeats
+// an epoch decodes on the stream, where the follower judges it against
+// its watermark, and truncates recovery.
 func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	type outcome int
 	const (
@@ -179,48 +182,8 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 		tornTail
 		fatal
 		notReplayed // recovery would apply it: a 2^31-vertex graph
+		outOfOrder  // recovery stops before it and reports Truncated
 	)
-	frame := func(p []byte) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
-		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))
-		return append(b, p...)
-	}
-	// batch frames a batch payload whose counts need not match its edges.
-	batch := func(nRemoves, nInserts uint32, edges ...graph.Edge) []byte {
-		p := binary.LittleEndian.AppendUint64([]byte{recBatch}, 7)
-		p = binary.LittleEndian.AppendUint32(p, nRemoves)
-		p = binary.LittleEndian.AppendUint32(p, nInserts)
-		for _, e := range edges {
-			p = binary.LittleEndian.AppendUint32(p, uint32(e.U))
-			p = binary.LittleEndian.AppendUint32(p, uint32(e.V))
-		}
-		return frame(p)
-	}
-	e1, e2, e3 := graph.Edge{U: 1, V: 59}, graph.Edge{U: 2, V: 3}, graph.Edge{U: 4, V: 5}
-	insert := appendBatchRecord(nil, 7, nil, []graph.Edge{e1})
-	badCRC := append([]byte(nil), insert...)
-	badCRC[4] ^= 0x5a
-	hugeLen := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0)
-	hugeLen = append(hugeLen, make([]byte, 60)...)
-	rows := []struct {
-		name    string
-		rec     []byte
-		recover outcome
-		stream  *StreamRecord // nil: Next fails
-	}{
-		{"insert", insert, applied, &StreamRecord{Op: OpBatch, Epoch: 7, Inserts: []graph.Edge{e1}}},
-		{"mixed batch", appendBatchRecord(nil, 8, []graph.Edge{e2}, []graph.Edge{e3, e1}), applied,
-			&StreamRecord{Op: OpBatch, Epoch: 8, Removes: []graph.Edge{e2}, Inserts: []graph.Edge{e3, e1}}},
-		{"empty heartbeat", appendBatchRecord(nil, 9, nil, nil), applied, &StreamRecord{Op: OpBatch, Epoch: 9}},
-		{"grow to 1<<31", appendGrowRecord(nil, 7, 1<<31), fatal, nil},
-		{"grow to MaxInt32", appendGrowRecord(nil, 7, math.MaxInt32), notReplayed, &StreamRecord{Op: OpGrow, Epoch: 7, N: math.MaxInt32}},
-		{"negative id", appendBatchRecord(nil, 7, nil, []graph.Edge{{U: -1, V: 3}}), fatal, nil},
-		{"count/length mismatch", batch(1, 1, e1, e2, e3), fatal, nil},
-		{"nRemoves beyond the edges", batch(2, 0, e1), fatal, nil},
-		{"bad CRC", badCRC, tornTail, nil},
-		{"frame cut mid-payload", insert[:recHeaderSize+3], tornTail, nil},
-		{"length prefix 0xFFFFFFF0 over 64 bytes", hugeLen, tornTail, nil},
-	}
 
 	dir, _, seg := buildDirWithTail(t)
 	data, err := os.ReadFile(seg)
@@ -231,6 +194,52 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	next := baseline.Epoch + uint64(baseline.TailRecords) + 1
+	frame := func(p []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))
+		return append(b, p...)
+	}
+	// batch frames a batch payload whose counts need not match its edges.
+	batch := func(nRemoves, nInserts uint32, edges ...graph.Edge) []byte {
+		p := binary.LittleEndian.AppendUint64([]byte{recBatch}, next)
+		p = binary.LittleEndian.AppendUint32(p, nRemoves)
+		p = binary.LittleEndian.AppendUint32(p, nInserts)
+		for _, e := range edges {
+			p = binary.LittleEndian.AppendUint32(p, uint32(e.U))
+			p = binary.LittleEndian.AppendUint32(p, uint32(e.V))
+		}
+		return frame(p)
+	}
+	e1, e2, e3 := graph.Edge{U: 1, V: 59}, graph.Edge{U: 2, V: 3}, graph.Edge{U: 4, V: 5}
+	insert := appendBatchRecord(nil, next, nil, []graph.Edge{e1})
+	badCRC := append([]byte(nil), insert...)
+	badCRC[4] ^= 0x5a
+	hugeLen := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0)
+	hugeLen = append(hugeLen, make([]byte, 60)...)
+	rows := []struct {
+		name    string
+		rec     []byte
+		recover outcome
+		stream  *StreamRecord // nil: Next fails
+	}{
+		{"insert", insert, applied, &StreamRecord{Op: OpBatch, Epoch: next, Inserts: []graph.Edge{e1}}},
+		{"mixed batch", appendBatchRecord(nil, next, []graph.Edge{e2}, []graph.Edge{e3, e1}), applied,
+			&StreamRecord{Op: OpBatch, Epoch: next, Removes: []graph.Edge{e2}, Inserts: []graph.Edge{e3, e1}}},
+		{"empty heartbeat", appendBatchRecord(nil, next, nil, nil), applied, &StreamRecord{Op: OpBatch, Epoch: next}},
+		{"epoch gap", appendBatchRecord(nil, next+1, nil, []graph.Edge{e1}), outOfOrder,
+			&StreamRecord{Op: OpBatch, Epoch: next + 1, Inserts: []graph.Edge{e1}}},
+		{"epoch repeat", appendGrowRecord(nil, next-1, 100), outOfOrder, &StreamRecord{Op: OpGrow, Epoch: next - 1, N: 100}},
+		{"grow to 1<<31", appendGrowRecord(nil, next, 1<<31), fatal, nil},
+		{"grow to MaxInt32", appendGrowRecord(nil, next, math.MaxInt32), notReplayed, &StreamRecord{Op: OpGrow, Epoch: next, N: math.MaxInt32}},
+		{"negative id", appendBatchRecord(nil, next, nil, []graph.Edge{{U: -1, V: 3}}), fatal, nil},
+		{"count/length mismatch", batch(1, 1, e1, e2, e3), fatal, nil},
+		{"nRemoves beyond the edges", batch(2, 0, e1), fatal, nil},
+		{"bad CRC", badCRC, tornTail, nil},
+		{"frame cut mid-payload", insert[:recHeaderSize+3], tornTail, nil},
+		{"length prefix 0xFFFFFFF0 over 64 bytes", hugeLen, tornTail, nil},
+	}
+
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -269,6 +278,10 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 			case tornTail:
 				if err != nil || res.TornBytes != int64(len(row.rec)) || res.TailRecords != baseline.TailRecords {
 					t.Errorf("Recover = %+v, %v; want a %d-byte torn tail", res, err, len(row.rec))
+				}
+			case outOfOrder:
+				if err != nil || !res.Truncated || res.TornBytes != int64(len(row.rec)) || res.TailRecords != baseline.TailRecords {
+					t.Errorf("Recover = %+v, %v; want it truncated before the record", res, err)
 				}
 			}
 		})

@@ -126,6 +126,8 @@ func (l *heldLog) AppendBatch(removes, inserts []graph.Edge) {
 
 func (l *heldLog) AppendGrow(int) {}
 
+func (l *heldLog) Commit() {}
+
 // TestHeldWriteDoesNotStallOtherConns: while one connection's write is
 // stuck in the engine, another connection's reads are answered at once —
 // a connection waiting on its futures holds up nobody but itself. Then
