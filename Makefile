@@ -31,8 +31,9 @@ race:
 # The next two run the lock-free OM readers and the graph's reserved
 # concurrent AddEdge under the race detector. The last runs the log's
 # commit contract (append before apply, commit before publish), the
-# FsyncAlways syncer's zero-allocation hand-off and its stop at Close, and
-# recovery's whole-publication and epoch-chain rules under the race
+# FsyncAlways syncer's zero-allocation hand-off and its stop at Close,
+# recovery's whole-publication and epoch-chain rules, and a sync being the
+# checkpoint it takes (its tap registered at that barrier) under the race
 # detector.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
@@ -40,7 +41,7 @@ engine-flake:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap' ./kcore ./persist
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestSyncIsCheckpoint' ./kcore ./persist
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

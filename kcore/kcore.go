@@ -427,22 +427,16 @@ func (m *Maintainer) Flush() uint64 {
 }
 
 // QuiescentState is the consistent view of the maintainer handed to an
-// AtQuiescence callback: no batch is in flight, so the graph, the
-// materialized cores, and the snapshot epoch all describe the same
-// moment. Valid only for the duration of the callback.
+// AtQuiescence callback: no batch is in flight, so the graph and the
+// snapshot epoch describe the same moment. Valid only for the duration
+// of the callback.
 type QuiescentState struct{ eng *engine }
 
 // Graph returns the live graph; read-only, callback-scoped.
 func (q QuiescentState) Graph() *graph.Graph { return q.eng.g }
 
-// Cores materializes the current core numbers into a fresh slice (O(n)).
-func (q QuiescentState) Cores() []int32 { return q.eng.impl.Cores() }
-
 // Epoch returns the current snapshot epoch.
 func (q QuiescentState) Epoch() uint64 { return q.eng.head().Epoch }
-
-// N returns the current vertex count.
-func (q QuiescentState) N() int { return q.eng.g.N() }
 
 // AtQuiescence runs fn at a quiescent point ordered after every update
 // enqueued before the call: no batch in flight, graph and cores mutually

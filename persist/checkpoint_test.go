@@ -12,7 +12,6 @@ import (
 
 	"repro/gen"
 	"repro/graph"
-	"repro/internal/bz"
 	"repro/kcore"
 )
 
@@ -67,8 +66,8 @@ func TestCheckpointRetainsNoGraph(t *testing.T) {
 }
 
 // TestCheckpointFileLayout rebuilds a checkpoint's bytes independently of
-// the writer — header, little-endian cores, graph.WriteBinary, trailing
-// CRC-32C — and compares them with the file on disk byte for byte.
+// the writer — header, graph.WriteBinary, trailing CRC-32C — and compares
+// them with the file on disk byte for byte.
 func TestCheckpointFileLayout(t *testing.T) {
 	dir := t.TempDir()
 	m, mgr := startManaged(t, dir, gen.ErdosRenyi(300, 900, 7), Options{Fsync: FsyncAlways})
@@ -85,16 +84,13 @@ func TestCheckpointFileLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, cores := m.Graph(), m.CoreNumbers()
+	g := m.Graph()
 	var want bytes.Buffer
 	put := func(v any) { binary.Write(&want, binary.LittleEndian, v) }
 	put(uint32(0x4b434b50)) // "KCKP"
-	put(uint32(2))          // format version
+	put(uint32(3))          // format version
 	put(mgr.Stats().Gen)
 	put(m.Epoch())
-	put(uint64(g.N()))
-	put(uint64(g.M()))
-	put(cores)
 	if err := g.WriteBinary(&want); err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +172,12 @@ func TestCheckpointFailureIsSticky(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointHeader: a checkpoint whose header counts do not
-// match its size, or whose embedded graph header disagrees with its own,
-// is rejected before the reader allocates for those counts; a flipped
-// core byte fails the CRC. Each one is fed to Recover as a file and to
-// ReadCheckpoint as a reader, the way a follower reads FULLSYNC — where
-// the size comes from the leader's handshake, not from a stat.
+// TestCorruptCheckpointHeader: a checkpoint whose graph header counts do
+// not match its size is rejected before the reader allocates for those
+// counts; a flipped graph byte fails the CRC. Each one is fed to Recover
+// as a file and to ReadCheckpoint as a reader, the way a follower reads
+// FULLSYNC — where the size comes from the leader's handshake, not from
+// a stat.
 func TestCorruptCheckpointHeader(t *testing.T) {
 	dir := t.TempDir()
 	m, mgr := startManaged(t, dir, gen.ErdosRenyi(500, 2000, 9), Options{Fsync: FsyncAlways})
@@ -194,17 +190,16 @@ func TestCorruptCheckpointHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphHdr := ckptHeaderSize + 4*500
+	graphHdr := ckptHeaderSize
 	// cutAfterGraphHeader is a checkpoint of 2^17 isolated vertices whose
 	// graph is cut after its header, right before the CRC tail: only the
 	// header-vs-size check keeps ReadBinary from allocating 2^17 vertex
 	// records for it.
 	cutAfterGraphHeader := func(ckpt []byte) []byte {
 		const n = 1 << 17
-		b := make([]byte, ckptHeaderSize+4*n+graphHeaderSize+4)
+		b := make([]byte, ckptHeaderSize+graphHeaderSize+4)
 		copy(b, ckpt[:8]) // magic, version
-		binary.LittleEndian.PutUint64(b[24:], n)
-		gh := b[ckptHeaderSize+4*n:]
+		gh := b[ckptHeaderSize:]
 		copy(gh, ckpt[graphHdr:graphHdr+8])
 		binary.LittleEndian.PutUint64(gh[8:], n)
 		return b
@@ -214,11 +209,9 @@ func TestCorruptCheckpointHeader(t *testing.T) {
 		mutate func(b []byte) []byte
 		size   int64 // the size ReadCheckpoint is told; 0 = the mutated length
 	}{
-		{"inflated n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 1<<24); return b }, 0},
-		{"inflated m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[32:], 1<<24); return b }, 0},
 		{"inflated graph n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+8:], 1<<24); return b }, 0},
 		{"inflated graph m", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[graphHdr+16:], 1<<24); return b }, 0},
-		{"flipped core byte", func(b []byte) []byte { b[ckptHeaderSize] ^= 0x5a; return b }, 0},
+		{"flipped graph byte", func(b []byte) []byte { b[graphHdr+graphHeaderSize] ^= 0x5a; return b }, 0},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }, 0},
 		{"trailing byte", func(b []byte) []byte { return append(b, 0) }, 0},
 		{"cut after the graph header", cutAfterGraphHeader, 0},
@@ -261,17 +254,16 @@ func TestCorruptCheckpointHeader(t *testing.T) {
 }
 
 // FuzzReadCheckpoint feeds ReadCheckpoint arbitrary bytes: it must never
-// panic, and whatever it accepts must re-encode, with the core array it
-// skipped, to the very same bytes.
+// panic, and whatever it accepts must re-encode, from its generation,
+// epoch and graph alone, to the very same bytes.
 func FuzzReadCheckpoint(f *testing.F) {
 	g := gen.ErdosRenyi(50, 120, 3)
-	cores, _ := bz.Decompose(g)
 	var seed bytes.Buffer
-	if err := encodeCheckpoint(&seed, 7, 42, cores, g); err != nil {
+	if err := encodeCheckpoint(&seed, 7, 42, g); err != nil {
 		f.Fatal(err)
 	}
 	b := seed.Bytes()
-	for _, cut := range []int{len(b), len(b) - 1, len(b) - 4, len(b) / 2, ckptHeaderSize + 4*50 + graphHeaderSize, ckptHeaderSize, 10, 0} {
+	for _, cut := range []int{len(b), len(b) - 1, len(b) - 4, len(b) / 2, ckptHeaderSize + graphHeaderSize, ckptHeaderSize, 10, 0} {
 		f.Add(b[:cut])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -279,12 +271,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cores := make([]int32, g.N())
-		for i := range cores {
-			cores[i] = int32(binary.LittleEndian.Uint32(b[ckptHeaderSize+4*i:]))
-		}
 		var out bytes.Buffer
-		if err := encodeCheckpoint(&out, gen, epoch, cores, g); err != nil {
+		if err := encodeCheckpoint(&out, gen, epoch, g); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), b) {

@@ -6,9 +6,11 @@ package persist
 //	MANIFEST                 points at the current generation (atomic
 //	                         tmp+rename update; 20 bytes, CRC-framed)
 //	checkpoint-%06d.ckpt     full state at the instant generation G began:
-//	                         header, core array, graph binary CSR
-//	                         (graph.WriteBinary), trailing CRC-32C over
-//	                         the whole file
+//	                         a 24-byte header (magic, version, gen,
+//	                         epoch), the graph binary CSR
+//	                         (graph.WriteBinary, whose own header carries
+//	                         n and m), trailing CRC-32C over the whole
+//	                         file; a FULLSYNC ships this very file
 //	aof-%06d.log             append-only op log of everything after that
 //	                         instant: a 16-byte header, then
 //	                         length-prefixed CRC-framed records
@@ -40,7 +42,7 @@ const (
 	aofMagic      = 0x4b414f46 // "KAOF"
 	ckptMagic     = 0x4b434b50 // "KCKP"
 	maniMagic     = 0x4b4d4e46 // "KMNF"
-	formatVersion = 2
+	formatVersion = 3
 
 	recBatch byte = 1
 	recGrow  byte = 2
@@ -137,31 +139,30 @@ func appendSegmentHeader(dst []byte, gen uint64) []byte {
 // --- checkpoint files -------------------------------------------------------
 
 const (
-	ckptHeaderSize  = 40       // magic u32, version u32, gen u64, epoch u64, n u64, m u64
+	ckptHeaderSize  = 24       // magic u32, version u32, gen u64, epoch u64
 	graphHeaderSize = 24       // graph.WriteBinary's: magic u32, version u32, n u64, m u64
-	ckptChunk       = 64 << 10 // core-array staging and read buffer size
+	ckptChunk       = 64 << 10 // read buffer size
 )
 
 // checkpointSize is the exact length of a checkpoint of n vertices and m
-// edges: header, core array, graph.WriteBinary (header, degrees,
-// targets), CRC tail.
+// edges: header, graph.WriteBinary (header, degrees, targets), CRC tail.
 func checkpointSize(n, m uint64) uint64 {
-	return ckptHeaderSize + 4*n + graphHeaderSize + 4*n + 8*m + 4
+	return ckptHeaderSize + graphHeaderSize + 4*n + 8*m + 4
 }
 
 // writeCheckpointFile streams generation gen's checkpoint into its tmp
-// file — header, core array, g.WriteBinary, then a CRC-32C over all of
-// it — through one buffered writer, so no encoded copy of the graph is
-// ever held. The caller runs it at the quiescent barrier (g and cores
-// must not move while it encodes); the returned file has reached the
-// page cache but is neither synced nor renamed — commitCheckpointFile
-// does that after the barrier. On error the tmp file is removed.
-func writeCheckpointFile(dir string, gen, epoch uint64, cores []int32, g *graph.Graph) (*os.File, error) {
+// file — header, g.WriteBinary, then a CRC-32C over all of it — through
+// one buffered writer, so no encoded copy of the graph is ever held. The
+// caller runs it at the quiescent barrier (g must not move while it
+// encodes); the returned file has reached the page cache but is neither
+// synced nor renamed — commitCheckpointFile does that after the barrier.
+// On error the tmp file is removed.
+func writeCheckpointFile(dir string, gen, epoch uint64, g *graph.Graph) (*os.File, error) {
 	f, err := os.Create(checkpointPath(dir, gen) + ".tmp")
 	if err != nil {
 		return nil, err
 	}
-	if err := encodeCheckpoint(f, gen, epoch, cores, g); err != nil {
+	if err := encodeCheckpoint(f, gen, epoch, g); err != nil {
 		discardCheckpointFile(f)
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func writeCheckpointFile(dir string, gen, epoch uint64, cores []int32, g *graph.
 }
 
 // encodeCheckpoint writes the checkpoint bytes to w.
-func encodeCheckpoint(w io.Writer, gen, epoch uint64, cores []int32, g *graph.Graph) error {
+func encodeCheckpoint(w io.Writer, gen, epoch uint64, g *graph.Graph) error {
 	crc := crc32.New(crcTable)
 	// 1 MiB is at least WriteBinary's own buffer size, so it writes
 	// straight into bw instead of stacking a second buffer on it.
@@ -179,18 +180,7 @@ func encodeCheckpoint(w io.Writer, gen, epoch uint64, cores []int32, g *graph.Gr
 	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], gen)
 	binary.LittleEndian.PutUint64(hdr[16:], epoch)
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(cores)))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(g.M()))
 	bw.Write(hdr[:])
-	var chunk [ckptChunk]byte
-	for len(cores) > 0 {
-		k := min(len(cores), len(chunk)/4)
-		for i, c := range cores[:k] {
-			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(c))
-		}
-		bw.Write(chunk[:4*k])
-		cores = cores[k:]
-	}
 	// bw keeps its first write error; WriteBinary and Flush return it.
 	if err := g.WriteBinary(bw); err != nil {
 		return err
@@ -249,16 +239,15 @@ func readCheckpointFile(path string) (g *graph.Graph, epoch uint64, err error) {
 }
 
 // ReadCheckpoint decodes and verifies one checkpoint of size bytes from r
-// — a checkpoint file, or the FULLSYNC snapshot on a follower's socket —
-// and returns its graph and the generation and epoch of its header. It
+// — a checkpoint file, or the same file streamed as a follower's FULLSYNC
+// — and returns its graph and the generation and epoch of its header. It
 // consumes exactly size bytes of r when it succeeds, so a record stream
 // may follow the checkpoint on the same reader. The graph streams out of
-// r without a whole-checkpoint buffer, and the core array only passes
-// through the CRC: a reader rebuilds the cores from the graph. The
-// header's n and m must account for size exactly before anything is
-// allocated, so a corrupt header or a lying size cannot make the reader
-// allocate beyond what size holds; the trailing CRC is checked before
-// anything is returned.
+// r without a whole-checkpoint buffer. The embedded graph header's n and
+// m must account for size exactly before anything is allocated, so a
+// corrupt header or a lying size cannot make the reader allocate beyond
+// what size holds; the trailing CRC is checked before anything is
+// returned.
 func ReadCheckpoint(r io.Reader, size int64) (g *graph.Graph, gen, epoch uint64, err error) {
 	fail := func(format string, args ...any) (*graph.Graph, uint64, uint64, error) {
 		return nil, 0, 0, fmt.Errorf("persist: checkpoint: "+format, args...)
@@ -282,22 +271,15 @@ func ReadCheckpoint(r io.Reader, size int64) (g *graph.Graph, gen, epoch uint64,
 	}
 	gen = binary.LittleEndian.Uint64(hdr[8:])
 	epoch = binary.LittleEndian.Uint64(hdr[16:])
-	n := binary.LittleEndian.Uint64(hdr[24:])
-	m := binary.LittleEndian.Uint64(hdr[32:])
-	if n > math.MaxInt32 || m > uint64(size)/8 || checkpointSize(n, m) != uint64(size) {
-		return fail("header n=%d m=%d does not match the size %d", n, m, size)
-	}
-	if _, err := io.CopyN(io.Discard, br, 4*int64(n)); err != nil {
-		return fail("core array: %v", err)
-	}
-	// The embedded graph header sizes ReadBinary's allocations: it must
-	// agree with the one checked against the size.
+	// The graph header sizes ReadBinary's allocations: it must account
+	// for the size first.
 	gh, err := br.Peek(graphHeaderSize)
 	if err != nil {
 		return fail("graph header: %v", err)
 	}
-	if gn, gm := binary.LittleEndian.Uint64(gh[8:]), binary.LittleEndian.Uint64(gh[16:]); gn != n || gm != m {
-		return fail("graph header n=%d m=%d != checkpoint header n=%d m=%d", gn, gm, n, m)
+	n, m := binary.LittleEndian.Uint64(gh[8:]), binary.LittleEndian.Uint64(gh[16:])
+	if n > math.MaxInt32 || m > uint64(size)/8 || checkpointSize(n, m) != uint64(size) {
+		return fail("graph header n=%d m=%d does not match the size %d", n, m, size)
 	}
 	if g, err = graph.ReadBinary(br); err != nil {
 		return fail("%w", err)

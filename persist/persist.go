@@ -11,9 +11,9 @@
 // publishes. With FsyncAlways a record is synced before it publishes and
 // before any ack — every acknowledged write is crash-safe — while the
 // sync itself runs beside the batch's engine round. Periodic
-// checkpoints (a generation: graph binary CSR + core array + epoch)
-// capture full state at a quiescent point and rotate the log, which is
-// also the AOF rewrite/compaction mechanism: the old generation's log is
+// checkpoints (a generation: graph binary CSR + epoch) capture full
+// state at a quiescent point and rotate the log, which is also the AOF
+// rewrite/compaction mechanism: the old generation's log is
 // deleted once the new checkpoint is durable, so the log never dwarfs
 // the graph by more than one checkpoint interval. The state is encoded
 // straight into the checkpoint file at the barrier — encoding and
@@ -28,11 +28,11 @@
 // state at some published epoch, never half a batch. The recovered graph
 // then seeds an ordinary kcore.New, whose one BZ decomposition is the
 // only recomputation paid. A replication follower is handed its state
-// the same way: CORE.SYNC ships a checkpoint in the file encoding,
-// decoded by the same ReadCheckpoint, and the record tail after it goes
-// through the same StreamReader that replays the log — there is one
-// encoding of state, one record kind per publication, and one record
-// reader (see stream.go).
+// the same way: CORE.SYNC takes a checkpoint and ships its committed
+// file, decoded by the same ReadCheckpoint, and the record tail after it
+// goes through the same StreamReader that replays the log — there is
+// one barrier that captures full state, one encoding of it, one record
+// kind per publication, and one record reader (see stream.go).
 //
 // Wiring order matters (chicken-and-egg between Manager and Maintainer):
 //
@@ -119,8 +119,8 @@ type Options struct {
 	CheckpointBytes int64
 	// SyncBufferBytes bounds each replication follower tap's backlog of
 	// not-yet-streamed records; a tap exceeding it is dropped and its
-	// follower must re-sync (the slow-follower policy). 0 picks the
-	// default (8 MiB).
+	// follower must re-sync (the slow-follower policy). 0 or negative
+	// picks the default (8 MiB).
 	SyncBufferBytes int64
 	// Logger receives recovery/checkpoint/error lines; nil uses the
 	// standard logger.
@@ -208,8 +208,9 @@ type Manager struct {
 	// the everysec background sync alike) — the durability subsystem's
 	// primary latency signal, exported via RegisterMetrics.
 	fsyncLat *obs.Histogram
-	// pauseLat times each checkpoint's quiescent barrier: how long the
-	// applier, and so every write, waits on a checkpoint.
+	// pauseLat times each checkpoint's quiescent barrier, a sync's
+	// included: how long the applier, and so every write, waits on a
+	// full-state capture.
 	pauseLat *obs.Histogram
 	// commitWait times each FsyncAlways Commit: how long the applier
 	// blocked on its record's sync — the part the engine round did not
@@ -236,6 +237,9 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = defaultCheckpointBytes
 	}
+	if opts.SyncBufferBytes <= 0 {
+		opts.SyncBufferBytes = defaultSyncBufferBytes
+	}
 	p := &Manager{
 		dir:     dir,
 		opts:    opts,
@@ -245,7 +249,7 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 			"AOF fsync latency (per-batch under -aof-fsync always, background under everysec).",
 			obs.L("policy", opts.Fsync.String())),
 		pauseLat: obs.NewDurationHistogram("kcored_checkpoint_pause_seconds",
-			"Quiescent-barrier part of each checkpoint: checkpoint encoding, its page-cache writes and the log rotation; writes wait for it."),
+			"Quiescent-barrier part of each checkpoint, a CORE.SYNC's included: checkpoint encoding, its page-cache writes and the log rotation; writes wait for it."),
 		commitWait: obs.NewDurationHistogram("kcored_aof_commit_wait_seconds",
 			"Per batch under -aof-fsync always: time the applier blocked on the log sync after its engine round."),
 	}
@@ -466,16 +470,25 @@ func (p *Manager) failLocked(err error) {
 // generation. Safe to call concurrently with serving traffic; concurrent
 // checkpoints serialize.
 func (p *Manager) CheckpointNow() error {
+	_, err := p.checkpoint(false)
+	return err
+}
+
+// checkpoint is CheckpointNow. With follow set, the barrier also
+// registers a follower tap at the checkpoint's epoch, and once the
+// checkpoint is committed the returned session holds its file open — a
+// later checkpoint, which needs ckptMu, cannot delete it before.
+func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
 	if p.m == nil {
-		return errors.New("persist: not started")
+		return nil, errors.New("persist: not started")
 	}
 	if p.closed.Load() {
 		// A request racing Close (SIGTERM final save vs a threshold
 		// checkpoint) lands here instead of reopening a segment on a
 		// closed manager.
-		return errManagerClosed
+		return nil, errManagerClosed
 	}
 	start := time.Now()
 	var (
@@ -483,6 +496,7 @@ func (p *Manager) CheckpointNow() error {
 		n          int
 		m          int64
 		f          *os.File
+		t          *tap
 		err        error
 	)
 	p.m.AtQuiescence(func(q kcore.QuiescentState) {
@@ -501,10 +515,14 @@ func (p *Manager) CheckpointNow() error {
 		}
 		g := q.Graph()
 		epoch, n, m = q.Epoch(), g.N(), g.M()
-		if f, err = writeCheckpointFile(p.dir, gen, epoch, q.Cores(), g); err != nil {
+		if f, err = writeCheckpointFile(p.dir, gen, epoch, g); err != nil {
 			return
 		}
-		if err = p.rotateSegment(gen); err != nil {
+		if follow {
+			t = newTap(int(p.opts.SyncBufferBytes), epoch)
+			t.id = p.tapSeq.Add(1)
+		}
+		if err = p.rotateSegment(gen, t); err != nil {
 			discardCheckpointFile(f)
 		}
 	})
@@ -516,18 +534,18 @@ func (p *Manager) CheckpointNow() error {
 		if errors.Is(err, errManagerClosed) {
 			// Close won the race between our entry check and the
 			// quiescent point; nothing is broken — just decline.
-			return err
+			return nil, err
 		}
 		p.mu.Lock()
-		p.failLocked(fmt.Errorf("persist: checkpoint: %w", err))
+		p.failLocked(fmt.Errorf("persist: checkpoint: %w", err)) // kills t too
 		p.mu.Unlock()
-		return err
+		return nil, err
 	}
 	if err := writeManifest(p.dir, gen); err != nil {
 		p.mu.Lock()
 		p.failLocked(fmt.Errorf("persist: manifest: %w", err))
 		p.mu.Unlock()
-		return err
+		return nil, err
 	}
 	removeStaleGenerations(p.dir, gen)
 	p.checkpoints.Add(1)
@@ -535,15 +553,27 @@ func (p *Manager) CheckpointNow() error {
 	p.lastSaveDur.Store(int64(time.Since(start)))
 	p.logf("persist: checkpoint gen %d: n=%d m=%d epoch=%d in %v",
 		gen, n, m, epoch, time.Since(start).Round(time.Millisecond))
-	return nil
+	if t == nil {
+		return nil, nil
+	}
+	ckpt, err := os.Open(checkpointPath(p.dir, gen))
+	if err != nil {
+		t.kill()
+		p.removeTap(t)
+		return nil, err
+	}
+	p.syncsStarted.Add(1)
+	size := int64(checkpointSize(uint64(n), uint64(m)))
+	return &SyncSession{Checkpoint: ckpt, Size: size, t: t, p: p}, nil
 }
 
 // rotateSegment syncs and closes the current segment and opens
-// generation gen's (p.gen+1), at the quiescent point. From here on
-// appends land in the new generation, whose checkpoint file is written
-// but not yet durable; until the manifest flips, recovery replays the old
-// checkpoint plus both segments, so no window loses ops.
-func (p *Manager) rotateSegment(gen uint64) error {
+// generation gen's (p.gen+1), at the quiescent point, and adds t, when
+// not nil, to the fan-out in the same instant. From here on appends land
+// in the new generation, whose checkpoint file is written but not yet
+// durable; until the manifest flips, recovery replays the old checkpoint
+// plus both segments, so no window loses ops.
+func (p *Manager) rotateSegment(gen uint64, t *tap) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.awaitSyncLocked()
@@ -582,6 +612,9 @@ func (p *Manager) rotateSegment(gen uint64) error {
 	}
 	p.f = f
 	p.gen = gen
+	if t != nil {
+		p.taps = append(p.taps, t)
+	}
 	p.opsSince = 0
 	p.bytesSince = 0
 	p.dirty = false

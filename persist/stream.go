@@ -6,11 +6,11 @@ package persist
 // the syncer once the record is synced — so leader disk and every
 // follower see one canonical stream, one record per publication, each
 // carrying its epoch. A
-// SyncSession starts with a full snapshot (a checkpoint, encodeCheckpoint's
-// bytes, captured at the tap's registration instant, so the tap's records
-// are exactly the publications after it) and then drains the tap. A
-// follower that has applied every record up to epoch E serves reads at
-// least as fresh as the leader's epoch E (CORE.WAIT).
+// SyncSession is a checkpoint: StartSync takes one, registering the tap
+// at its barrier, so the tap's records are exactly the publications after
+// it. The session ships the committed checkpoint file first and then
+// drains the tap. A follower that has applied every record up to epoch E
+// serves reads at least as fresh as the leader's epoch E (CORE.WAIT).
 //
 // An idle session hands out a heartbeat: an empty batch record at the
 // tap's last epoch, which publishes nothing — so a quiet leader still
@@ -30,11 +30,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"sync"
 	"time"
 
 	"repro/graph"
-	"repro/kcore"
 )
 
 // defaultSyncBufferBytes bounds one follower tap's backlog (8 MiB ≈ one
@@ -116,16 +116,18 @@ func (t *tap) kill() {
 // --- sync session -----------------------------------------------------------
 
 // SyncSession is one follower's live replication feed, returned by
-// Manager.StartSync: the bootstrap snapshot plus the tap carrying every
-// op after it. The caller streams Snapshot first, then loops on Wait,
-// and must Close the session when the connection ends.
+// Manager.StartSync: the checkpoint the sync took plus the tap carrying
+// every op after it. The caller streams Checkpoint first, then loops on
+// Wait, and must Close the session when the connection ends.
 type SyncSession struct {
-	// Snapshot is a checkpoint of the sync quiescent point, in the
-	// checkpoint file encoding (ReadCheckpoint decodes it). Its header
-	// carries the leader's current generation and the snapshot epoch: the
-	// follower's watermark starts there, and the tap's first record is the
-	// publication right after it.
-	Snapshot []byte
+	// Checkpoint is the committed checkpoint file of the generation the
+	// sync began, open at its start, and Size is its length
+	// (ReadCheckpoint decodes it). Its header carries that generation and
+	// the checkpoint epoch: the follower's watermark starts there, and the
+	// tap's first record is the publication right after it. The open file
+	// stays readable after a later checkpoint deletes it.
+	Checkpoint *os.File
+	Size       int64
 
 	t    *tap
 	p    *Manager
@@ -177,63 +179,24 @@ func (s *SyncSession) Wait(timeout time.Duration, cancel <-chan struct{}) ([]byt
 	}
 }
 
-// Close detaches the tap from the manager's fan-out. Idempotent.
+// Close detaches the tap from the manager's fan-out and closes the
+// checkpoint file. Idempotent.
 func (s *SyncSession) Close() {
 	s.t.kill()
 	s.p.removeTap(s.t)
+	s.Checkpoint.Close()
 }
 
-// StartSync registers a follower tap and captures its bootstrap snapshot
-// at one quiescent point, so the tap's op stream continues exactly where
-// the snapshot ends. The manager must be started and healthy.
+// StartSync takes a checkpoint for a follower: its barrier also
+// registers the follower's tap, so the tap's op stream continues exactly
+// where the checkpoint ends, and the session holds the committed file.
+// Like any checkpoint it rotates the log and counts in Stats. The manager
+// must be started and healthy.
 func (p *Manager) StartSync() (*SyncSession, error) {
-	if p.m == nil || !p.started.Load() {
+	if !p.started.Load() {
 		return nil, errors.New("persist: not started")
 	}
-	if p.closed.Load() {
-		return nil, ErrSyncClosed
-	}
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
-	var (
-		sess   *SyncSession
-		encErr error
-	)
-	p.m.AtQuiescence(func(q kcore.QuiescentState) {
-		// Only quiescent callbacks move p.gen (rotateSegment), so it holds
-		// still while this one encodes.
-		p.mu.Lock()
-		gen := p.gen
-		p.mu.Unlock()
-		// The snapshot outlives the barrier: the follower reads it after.
-		g := q.Graph()
-		var w bytes.Buffer
-		w.Grow(int(checkpointSize(uint64(g.N()), uint64(g.M()))))
-		if encErr = encodeCheckpoint(&w, gen, q.Epoch(), q.Cores(), g); encErr != nil {
-			return
-		}
-		max := int(p.opts.SyncBufferBytes)
-		if max <= 0 {
-			max = defaultSyncBufferBytes
-		}
-		t := newTap(max, q.Epoch())
-		t.id = p.tapSeq.Add(1)
-		p.mu.Lock()
-		if p.err != nil || p.closed.Load() {
-			p.mu.Unlock()
-			encErr = ErrSyncClosed
-			return
-		}
-		p.taps = append(p.taps, t)
-		p.mu.Unlock()
-		p.syncsStarted.Add(1)
-		sess = &SyncSession{Snapshot: w.Bytes(), t: t, p: p}
-	})
-	if encErr != nil {
-		return nil, encErr
-	}
-	return sess, nil
+	return p.checkpoint(true)
 }
 
 // removeTap drops t from the fan-out list.

@@ -39,6 +39,16 @@ func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 	}
 }
 
+// sessionCheckpoint reads the checkpoint a sync session ships, whole.
+func sessionCheckpoint(t *testing.T, sess *SyncSession) []byte {
+	t.Helper()
+	b, err := io.ReadAll(sess.Checkpoint)
+	if err != nil || int64(len(b)) != sess.Size {
+		t.Fatalf("session checkpoint: read %d of %d bytes: %v", len(b), sess.Size, err)
+	}
+	return b
+}
+
 // heartbeat returns the epoch of data if data is exactly one idle
 // heartbeat: an empty batch record.
 func heartbeat(data []byte) (uint64, bool) {
@@ -121,8 +131,8 @@ func TestSyncStream(t *testing.T) {
 	if lastEpoch != wantEpoch {
 		t.Fatalf("streamed epoch = %d, want %d", lastEpoch, wantEpoch)
 	}
-	wire := bytes.NewReader(append(append([]byte(nil), sess.Snapshot...), stream...))
-	follower, ckGen, ckEpoch, err := ReadCheckpoint(wire, int64(len(sess.Snapshot)))
+	wire := bytes.NewReader(append(sessionCheckpoint(t, sess), stream...))
+	follower, ckGen, ckEpoch, err := ReadCheckpoint(wire, sess.Size)
 	if err != nil {
 		t.Fatalf("snapshot decode: %v", err)
 	}
@@ -138,6 +148,67 @@ func TestSyncStream(t *testing.T) {
 	assertSameGraph(t, follower, m.Graph())
 }
 
+// TestSyncIsCheckpoint: a sync takes a checkpoint and ships its file.
+// The session's payload is the file the manifest then names, the sync
+// counts as one checkpoint of a new generation, the tap's first record is
+// the publication right after the checkpoint's epoch, and the payload
+// still reads whole after a later checkpoint has deleted its generation.
+func TestSyncIsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	m, mgr := startManaged(t, dir, gen.ErdosRenyi(200, 600, 13), Options{Fsync: FsyncAlways})
+	defer mgr.Close()
+	defer m.Close()
+	m.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}})
+	epoch := m.Flush()
+	edges := m.Snapshot().M()
+
+	before := mgr.Stats()
+	sess, err := mgr.StartSync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	after := mgr.Stats()
+	if after.Gen != before.Gen+1 || after.Checkpoints != before.Checkpoints+1 {
+		t.Fatalf("sync moved gen %d → %d and checkpoints %d → %d, want +1 each",
+			before.Gen, after.Gen, before.Checkpoints, after.Checkpoints)
+	}
+	cur, ok, err := readManifest(dir)
+	if err != nil || !ok || cur != after.Gen {
+		t.Fatalf("manifest = %d (ok=%v, err=%v), want the sync's generation %d", cur, ok, err, after.Gen)
+	}
+	file, err := os.ReadFile(checkpointPath(dir, cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m.InsertEdges([]graph.Edge{{U: 5, V: 150}})
+	m.Flush()
+	data, err := sess.Wait(time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewStreamReader(bytes.NewReader(data)).Next()
+	if err != nil || rec.Epoch != epoch+1 || !slices.Equal(rec.Inserts, []graph.Edge{{U: 5, V: 150}}) {
+		t.Fatalf("first tap record = %+v, %v; want the insert at epoch %d", rec, err, epoch+1)
+	}
+
+	if err := mgr.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(checkpointPath(dir, cur)); !os.IsNotExist(err) {
+		t.Fatalf("generation %d's checkpoint after the next checkpoint: %v, want it deleted", cur, err)
+	}
+	payload := sessionCheckpoint(t, sess)
+	if !bytes.Equal(payload, file) {
+		t.Fatalf("session payload (%d B) differs from generation %d's checkpoint file (%d B)", len(payload), cur, len(file))
+	}
+	g, ckGen, ckEpoch, err := ReadCheckpoint(bytes.NewReader(payload), sess.Size)
+	if err != nil || ckGen != cur || ckEpoch != epoch || g.M() != edges {
+		t.Fatalf("payload decodes to gen %d epoch %d (err %v), want gen %d epoch %d", ckGen, ckEpoch, err, cur, epoch)
+	}
+}
+
 // TestSyncIdlePingEpoch: an idle Wait hands out one heartbeat, an empty
 // batch record at the sync epoch, and repeats it while the leader stays
 // quiet, so a follower of a quiet leader can still satisfy CORE.WAIT.
@@ -151,7 +222,7 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	_, _, want, err := ReadCheckpoint(bytes.NewReader(sess.Snapshot), int64(len(sess.Snapshot)))
+	_, _, want, err := ReadCheckpoint(sess.Checkpoint, sess.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

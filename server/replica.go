@@ -178,8 +178,9 @@ func (r *Replica) syncOnce() error {
 	if _, err := fmt.Sscanf(line, "+FULLSYNC %d", &size); err != nil {
 		return fmt.Errorf("bad handshake %q: %w", line, err)
 	}
-	// The snapshot is a checkpoint, decoded straight off the socket: its
-	// header must account for size before anything is allocated.
+	// The snapshot is the leader's checkpoint file, decoded straight off
+	// the socket: its graph header must account for size before anything
+	// is allocated.
 	g, gen, epoch, err := persist.ReadCheckpoint(br, size)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)

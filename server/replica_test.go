@@ -371,9 +371,10 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestSyncSessionReleasesSnapshot: a live CORE.SYNC session does not keep
-// its FULLSYNC snapshot once written — a leader streaming to a follower
-// holds the tap's backlog, not a second copy of the graph.
+// TestSyncSessionReleasesSnapshot: a CORE.SYNC session holds no copy of
+// its FULLSYNC snapshot, neither once the follower has read it (the
+// leader then holds the tap's backlog) nor while a follower that read
+// only the +FULLSYNC line stalls the transfer.
 func TestSyncSessionReleasesSnapshot(t *testing.T) {
 	_, leaderAddr := startLeaderServer(t, gen.ErdosRenyi(1<<17, 1<<20, 3),
 		persist.Options{Fsync: persist.FsyncNo})
@@ -384,37 +385,51 @@ func TestSyncSessionReleasesSnapshot(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := liveHeap()
-
-	nc, err := net.DialTimeout("tcp", leaderAddr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	if _, err := io.WriteString(nc, "CORE.SYNC\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(nc)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var size int64
-	if _, err := fmt.Sscanf(line, "+FULLSYNC %d", &size); err != nil {
-		t.Fatalf("handshake %q: %v", line, err)
-	}
-	if _, err := io.CopyN(io.Discard, br, size); err != nil {
-		t.Fatal(err)
-	}
-	// The idle leader's first record is its heartbeat, an empty batch: the
-	// session is past the snapshot and parked on its tap.
-	if rec, err := persist.NewStreamReader(br).Next(); err != nil || rec.Op != persist.OpBatch || len(rec.Removes)+len(rec.Inserts) > 0 {
-		t.Fatalf("first streamed record = %+v, %v; want a heartbeat", rec, err)
-	}
-	if grew := int64(liveHeap()) - int64(before); grew >= size/4 {
-		t.Fatalf("live heap grew %.2f MiB during the session, snapshot is %.2f MiB: want < 1/4 of it",
-			float64(grew)/(1<<20), float64(size)/(1<<20))
+	for _, tc := range []struct {
+		name  string
+		drain bool
+	}{{"drained", true}, {"stalled", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := liveHeap()
+			nc, err := net.DialTimeout("tcp", leaderAddr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(30 * time.Second))
+			if _, err := io.WriteString(nc, "CORE.SYNC\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(nc)
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			var size int64
+			if _, err := fmt.Sscanf(line, "+FULLSYNC %d", &size); err != nil {
+				t.Fatalf("handshake %q: %v", line, err)
+			}
+			if tc.drain {
+				if _, err := io.CopyN(io.Discard, br, size); err != nil {
+					t.Fatal(err)
+				}
+				// The idle leader's first record is its heartbeat, an empty
+				// batch: the session is past the snapshot and parked on its
+				// tap.
+				if rec, err := persist.NewStreamReader(br).Next(); err != nil || rec.Op != persist.OpBatch || len(rec.Removes)+len(rec.Inserts) > 0 {
+					t.Fatalf("first streamed record = %+v, %v; want a heartbeat", rec, err)
+				}
+			} else {
+				// Let the leader fill the socket buffers and block mid-snapshot.
+				time.Sleep(200 * time.Millisecond)
+			}
+			grew := int64(liveHeap()) - int64(before)
+			t.Logf("live heap %+.2f MiB during the session, snapshot %.2f MiB", float64(grew)/(1<<20), float64(size)/(1<<20))
+			if grew >= size/4 {
+				t.Fatalf("live heap grew %.2f MiB during the session, snapshot is %.2f MiB: want < 1/4 of it",
+					float64(grew)/(1<<20), float64(size)/(1<<20))
+			}
+		})
 	}
 }
 

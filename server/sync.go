@@ -2,33 +2,39 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"time"
 )
 
-// syncWriteTimeout bounds each writeSync chunk. A follower that stops
-// reading stalls the write once its socket buffer fills; past this
-// deadline the leader abandons the session (the follower re-syncs from
-// scratch when it comes back). A var so tests can lower it.
+// syncWriteTimeout bounds each chunk the leader writes to a follower. A
+// follower that stops reading stalls the write once its socket buffer
+// fills; past this deadline the leader abandons the session (the
+// follower re-syncs from scratch when it comes back). A var so tests can
+// lower it.
 var syncWriteTimeout = 10 * time.Second
+
+// syncChunk is the most the leader writes to a follower under one
+// deadline.
+const syncChunk = 256 << 10
 
 // cmdSync serves CORE.SYNC, the replication bootstrap + stream:
 //
 //	+FULLSYNC <len>\r\n
-//	<len raw bytes: a checkpoint, the very encoding of a checkpoint file —
-//	 header (magic, version, gen, epoch, n, m), core array, graph binary,
-//	 CRC-32C tail; persist.ReadCheckpoint decodes it>
+//	<len raw bytes: the checkpoint file the sync took — header (magic,
+//	 version, gen, epoch), graph binary, CRC-32C tail;
+//	 persist.ReadCheckpoint decodes it>
 //	<endless CRC-framed records: one batch or grow per publication, each with its epoch>
 //
-// The generation and the snapshot epoch travel only in the checkpoint
-// header. The snapshot and the tap are captured at one quiescent point of
-// the maintainer, so the record stream starts exactly where the snapshot
-// ends — no segment replay, no gap, no overlap. The snapshot is dropped
-// once written. The stream is what the session's Wait returns, written
-// as is: the records, or after a second's silence a heartbeat, an empty
-// batch record at the last epoch. After the handshake the
-// connection belongs to the stream until the follower disconnects, the
-// follower falls too far behind (bounded tap overflows), or the server
-// shuts down; it never returns to command dispatch.
+// The generation and the checkpoint epoch travel only in the checkpoint
+// header. A sync is a checkpoint whose barrier also registers the tap,
+// so the record stream starts exactly where the checkpoint ends — no
+// segment replay, no gap, no overlap. The stream is what the session's
+// Wait returns, written as is: the records, or after a second's silence
+// a heartbeat, an empty batch record at the last epoch. After the
+// handshake the connection belongs to the stream until the follower
+// disconnects, the follower falls too far behind (bounded tap
+// overflows), or the server shuts down; it never returns to command
+// dispatch.
 func cmdSync(c *conn, args [][]byte) bool {
 	p := c.srv.persist
 	if p == nil {
@@ -42,17 +48,21 @@ func cmdSync(c *conn, args [][]byte) bool {
 	}
 	defer sess.Close()
 
-	c.wr.WriteSimple(fmt.Sprintf("FULLSYNC %d", len(sess.Snapshot)))
+	c.wr.WriteSimple(fmt.Sprintf("FULLSYNC %d", sess.Size))
 	if err := c.wr.Flush(); err != nil {
 		return true
 	}
-	// The snapshot bypasses the RESP writer: it is raw bytes, not a
-	// frame, and may be large. The session lives as long as the stream;
-	// the snapshot need not.
-	if c.writeSync(sess.Snapshot) != nil {
-		return true
+	// The checkpoint bypasses the RESP writer: it is raw bytes, not a
+	// frame, and may be large. Copied from the file, each chunk goes out
+	// by sendfile, under a fresh deadline as in writeSync.
+	for left := sess.Size; left > 0; {
+		c.nc.SetWriteDeadline(time.Now().Add(syncWriteTimeout))
+		n, err := io.CopyN(c.nc, sess.Checkpoint, min(left, syncChunk))
+		if err != nil {
+			return true
+		}
+		left -= n
 	}
-	sess.Snapshot = nil
 	for {
 		// Slow-follower overflow, shutdown or a failed write: drop the
 		// connection; the follower notices and re-bootstraps.
@@ -63,12 +73,13 @@ func cmdSync(c *conn, args [][]byte) bool {
 	}
 }
 
-// writeSync writes b to the follower in chunks of at most 256 KiB, each
-// under a fresh syncWriteTimeout: the deadline bounds a stall, not the
-// transfer, so a slow but live follower still receives a large snapshot.
+// writeSync writes b to the follower in chunks of at most syncChunk,
+// each under a fresh syncWriteTimeout: the deadline bounds a stall, not
+// the transfer, so a slow but live follower still receives a large
+// backlog.
 func (c *conn) writeSync(b []byte) error {
 	for len(b) > 0 {
-		n := min(len(b), 256<<10)
+		n := min(len(b), syncChunk)
 		c.nc.SetWriteDeadline(time.Now().Add(syncWriteTimeout))
 		if _, err := c.nc.Write(b[:n]); err != nil {
 			return err
