@@ -30,7 +30,8 @@ race:
 # and the reclamation hammer, under the race detector.
 # The next two run the lock-free OM readers and the graph's reserved
 # concurrent AddEdge under the race detector. The last runs the log's
-# commit contract (append before apply, commit before publish), the
+# commit contract (append before apply, commit before publish) and
+# RemoveVertex's one-batch removal behind a parked commit, the
 # FsyncAlways syncer's zero-allocation hand-off and its stop at Close,
 # recovery's whole-publication and epoch-chain rules, and a sync being the
 # checkpoint it takes (its tap registered at that barrier) under the race
@@ -41,7 +42,7 @@ engine-flake:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestSyncIsCheckpoint' ./kcore ./persist
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestSyncIsCheckpoint' ./kcore ./persist
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

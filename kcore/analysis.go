@@ -84,19 +84,23 @@ func (m *Maintainer) TopCoreVertices() []int32 {
 
 // RemoveVertex removes every edge incident to v as one maintenance batch
 // (the paper notes vertex deletions reduce to edge-removal sequences,
-// §3.2). The vertex itself remains in the graph as an isolated, core-0
-// vertex. A negative or unseen id is a no-op, like any other removal
-// naming a vertex outside the universe. Returns the batch result.
+// §3.2), built from v's adjacency and applied at one quiescent point,
+// so no update enqueued after the call lands between the two: v is
+// isolated in the state the batch publishes. The vertex itself remains
+// in the graph as an isolated, core-0 vertex. A negative or unseen id
+// is a no-op, like any other removal naming a vertex outside the
+// universe. Returns the batch result.
 func (m *Maintainer) RemoveVertex(v int32) BatchResult {
-	var adj []int32
+	var res BatchResult
 	m.barrier(func() {
+		var batch []graph.Edge
 		if v >= 0 && int(v) < m.eng.g.N() {
-			adj = append(adj, m.eng.g.Adj(v)...)
+			for _, w := range m.eng.g.Adj(v) {
+				batch = append(batch, graph.Edge{U: v, V: w})
+			}
 		}
+		res = m.pipe.apply(m.eng, batch, nil)
 	})
-	batch := make([]graph.Edge, 0, len(adj))
-	for _, w := range adj {
-		batch = append(batch, graph.Edge{U: v, V: w})
-	}
-	return m.RemoveEdges(batch)
+	res.Coalesced = 1
+	return res
 }

@@ -69,6 +69,15 @@ func TestInsertEdgesAutoGrow(t *testing.T) {
 			if st.GrowPublishes == before.GrowPublishes || st.DeltaPublishes == before.DeltaPublishes {
 				t.Fatalf("churn missed the grow/delta paths: %+v before, %+v after", before, st)
 			}
+			// A self-loop at an unseen id is a growth and nothing else —
+			// the batch AddVertices is: N covers the id, no edge applies,
+			// and it publishes once.
+			u := int32(m.N() + 5)
+			epoch = m.Epoch()
+			if res := m.InsertEdge(u, u); res.Applied != 0 || m.N() != int(u)+1 || m.Epoch() != epoch+1 {
+				t.Fatalf("self-loop at unseen %d: applied %d, N = %d, epoch %d -> %d; want 0, %d, one step",
+					u, res.Applied, m.N(), epoch, m.Epoch(), u+1)
+			}
 			if err := m.Check(); err != nil {
 				t.Fatal(err)
 			}
@@ -133,9 +142,12 @@ func TestMalformedAndUnseenOpsDropped(t *testing.T) {
 
 // TestMaxVerticesCeiling: ids at or beyond the WithMaxVertices ceiling
 // are dropped instead of growing the universe, and AddVertices clamps —
-// one corrupted id must not wedge the applier in a huge allocation.
+// one corrupted id must not wedge the applier in a huge allocation. At
+// the ceiling AddVertices has nothing to grow: it neither logs nor
+// publishes.
 func TestMaxVerticesCeiling(t *testing.T) {
-	m := New(gen.ErdosRenyi(30, 90, 305), WithMaxVertices(40))
+	lg := &recordingLog{}
+	m := New(gen.ErdosRenyi(30, 90, 305), WithMaxVertices(40), WithOpLog(lg))
 	defer m.Close()
 	if res := m.InsertEdges([]graph.Edge{{U: 0, V: 1 << 30}, {U: 2, V: 40}}); res.Applied != 0 {
 		t.Fatalf("beyond-ceiling inserts applied: %+v", res)
@@ -148,6 +160,11 @@ func TestMaxVerticesCeiling(t *testing.T) {
 	}
 	if n := m.AddVertices(100); n != 40 || m.N() != 40 {
 		t.Fatalf("AddVertices must clamp to the ceiling, got %d", n)
+	}
+	logged, epoch := len(lg.ops), m.Epoch()
+	if n := m.AddVertices(1); n != 40 || len(lg.ops) != logged || m.Epoch() != epoch {
+		t.Fatalf("AddVertices at the ceiling = %d, logged %d records, epoch %d -> %d; want 40, none, unmoved",
+			n, len(lg.ops)-logged, epoch, m.Epoch())
 	}
 	// The ceiling never cuts below an already-bigger construction graph.
 	bigBase := gen.ErdosRenyi(50, 150, 306)

@@ -62,8 +62,9 @@
 // batch before the engine round and grows graph and engine state to cover
 // unseen insert endpoints, so streaming workloads that mint vertex ids
 // continuously need no pre-sizing (AddVertices pre-allocates when the
-// arrival rate is known). The batch's one publication grows the snapshot
-// and patches it, copy-on-write; snapshots held across it never change.
+// arrival rate is known, as the batch that names the last new vertex).
+// The batch's one publication grows the snapshot and patches it,
+// copy-on-write; snapshots held across it never change.
 //
 // Every publication moves one epoch signal: the snapshot's epoch, which
 // an update's future completes after and the watermark WaitEpoch parks
@@ -131,29 +132,28 @@ type config struct {
 // nor publishes.
 //
 // The hook is split in two: append before apply, commit before publish.
-// Every AppendBatch or AppendGrow is followed by exactly one Commit before
-// the publication it names, and Commit returns once the record is as
-// durable as the log's policy promises. The applier calls AppendBatch,
-// runs the engine round, calls Commit, and only then publishes and
-// completes the callers' futures — so a log may sync the record while the
-// engine applies it, and a durable OpLog whose Commit waits for the sync
-// makes every acknowledged write crash-safe: a record is synced before it
-// publishes and before any ack. AddVertices commits straight after its
-// AppendGrow.
+// Every AppendBatch is followed by exactly one Commit before the
+// publication it names, and Commit returns once the record is as durable
+// as the log's policy promises. The applier calls AppendBatch, runs the
+// engine round, calls Commit, and only then publishes and completes the
+// callers' futures — so a log may sync the record while the engine
+// applies it, and a durable OpLog whose Commit waits for the sync makes
+// every acknowledged write crash-safe: a record is synced before it
+// publishes and before any ack.
 //
-// AppendBatch is called once per coalesced engine batch, after the
-// universe scan (ops are post-filter canonical: malformed and
-// beyond-ceiling ids already dropped, removals of unseen vertices already
-// dropped). The removes and inserts slices are valid only for the
-// duration of the call: the applier reuses their backing arrays for the
-// next batch, so an implementation that needs the edges later must
-// encode or copy them before returning (persist.Manager encodes them into
-// its own buffer). AppendGrow is called for explicit AddVertices growth,
-// before it applies (implicit growth is derivable from insert endpoints,
-// so it is not logged separately).
+// AppendBatch is called once per engine batch, after the universe scan
+// (ops are post-filter canonical: malformed and beyond-ceiling ids
+// already dropped, removals of unseen vertices already dropped). Every
+// change is a batch: growth is derivable from insert endpoints, and
+// AddVertices' growth to n is the batch inserting the self-loop
+// (n−1, n−1), so a log that replays each batch's inserts with
+// grow-to-fit reproduces every universe the maintainer published. The
+// removes and inserts slices are valid only for the duration of the
+// call: the applier reuses their backing arrays for the next batch, so
+// an implementation that needs the edges later must encode or copy them
+// before returning (persist.Manager encodes them into its own buffer).
 type OpLog interface {
 	AppendBatch(removes, inserts []graph.Edge)
-	AppendGrow(n int)
 	Commit()
 }
 
@@ -242,7 +242,7 @@ type engine struct {
 	g      *graph.Graph
 	impl   Engine             // registered implementation for cfg.alg
 	coreOf func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
-	pub    snapshot.Publisher // the read snapshots; see publishAfter and grow
+	pub    snapshot.Publisher // the read snapshots; see publishAfter
 	wm     EpochWatermark     // pub's epoch, advanced after every publication
 	mu     sync.Mutex         // serializes post-Close synchronous applies
 	// res is the report of the batch being applied, zero between batches
@@ -552,25 +552,19 @@ func (m *Maintainer) Submit(pd *Pending, removes, inserts []graph.Edge) {
 // update, and returns the new vertex count (growth clamps to the
 // WithMaxVertices ceiling). It is the pre-allocation path for streaming
 // workloads that know vertices are coming; plain InsertEdges on unseen
-// ids grows automatically. The grown snapshot is
-// published before the call returns (read-your-writes: queries
-// immediately see the new N), copy-on-write — views already held by
-// readers keep their pre-growth N and core pages.
+// ids grows automatically. The growth to n vertices is the batch that
+// inserts the self-loop (n−1, n−1): it names vertex n−1, so the
+// universe scan grows to cover it, and it changes no edge. Like any
+// batch it is logged and published once before the call returns
+// (read-your-writes: queries immediately see the new N), copy-on-write
+// — views already held by readers keep their pre-growth N and core
+// pages. A call that cannot grow neither logs nor publishes.
 func (m *Maintainer) AddVertices(k int) int {
 	var n int
 	m.barrier(func() {
-		if k > 0 {
-			target := m.eng.g.N() + k
-			if target > m.eng.cfg.maxN {
-				target = m.eng.cfg.maxN // the WithMaxVertices ceiling
-			}
-			if target > m.eng.g.N() {
-				if lg := m.eng.cfg.oplog; lg != nil {
-					lg.AppendGrow(target)
-					lg.Commit() // growth is rare: no engine round to hide the sync behind
-				}
-				m.eng.grow(target)
-			}
+		if target := min(m.eng.g.N()+max(k, 0), m.eng.cfg.maxN); target > m.eng.g.N() {
+			last := int32(target - 1)
+			m.pipe.apply(m.eng, nil, []graph.Edge{{U: last, V: last}})
 		}
 		n = m.eng.g.N()
 	})
@@ -611,14 +605,6 @@ func (eng *engine) view() *snapshot.View { return eng.pub.Current() }
 // this path, which holds nothing: were they to take view, every batch's
 // pages would escape and none would ever be recycled.
 func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
-
-// grow extends the vertex universe — graph, engine state, then the
-// snapshot, copy-on-write — to n vertices: AddVertices' publication. At
-// quiescence, n > g.N().
-func (eng *engine) grow(n int) {
-	eng.impl.Grow(n)
-	eng.wm.Advance(eng.pub.Publish(n, eng.g.M(), nil, nil))
-}
 
 // publishAfter publishes the post-batch snapshot for res: one
 // copy-on-write publication of the batch's raw report, which grows the

@@ -21,7 +21,6 @@ type recordingLog struct {
 }
 
 type loggedOp struct {
-	grow    int // >0: grow record
 	inserts []graph.Edge
 	removes []graph.Edge
 }
@@ -35,12 +34,6 @@ func (l *recordingLog) AppendBatch(removes, inserts []graph.Edge) {
 	l.mu.Unlock()
 }
 
-func (l *recordingLog) AppendGrow(n int) {
-	l.mu.Lock()
-	l.ops = append(l.ops, loggedOp{grow: n})
-	l.mu.Unlock()
-}
-
 func (l *recordingLog) Commit() {}
 
 // replay rebuilds a graph from the recorded stream, the same way
@@ -50,12 +43,6 @@ func (l *recordingLog) replay(start *graph.Graph) *graph.Graph {
 	defer l.mu.Unlock()
 	g := start.Clone()
 	for _, op := range l.ops {
-		if op.grow > 0 {
-			if op.grow > g.N() {
-				g.Grow(op.grow)
-			}
-			continue
-		}
 		for _, e := range op.removes {
 			if int(e.U) < g.N() && int(e.V) < g.N() {
 				g.RemoveEdge(e.U, e.V)
@@ -187,8 +174,6 @@ func (l *gatedLog) call(kind string) {
 
 func (l *gatedLog) AppendBatch(removes, inserts []graph.Edge) { l.appendAt(l.m.Epoch()) }
 
-func (l *gatedLog) AppendGrow(int) { l.appendAt(l.m.Epoch()) }
-
 func (l *gatedLog) appendAt(epoch uint64) {
 	l.call("append")
 	select {
@@ -297,5 +282,68 @@ func TestCommitGatesPublication(t *testing.T) {
 		if want := [2]string{"append", "commit"}[i%2]; c != want {
 			t.Fatalf("call %d is %s, want %s: %v", i, c, want, lg.calls)
 		}
+	}
+}
+
+// parkedLog records the op stream like recordingLog, and its first
+// Commit parks the applier until release is closed.
+type parkedLog struct {
+	recordingLog
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func (l *parkedLog) Commit() { l.once.Do(func() { close(l.parked); <-l.release }) }
+
+// TestRemoveVertexIsOneBatch: RemoveVertex reads v's adjacency and
+// removes it at one quiescent point, so an insert at v enqueued after
+// the call cannot land between the two — v is isolated in the state the
+// removal publishes. The applier is parked on an earlier insert while
+// the removal and then an insert (v, w) queue up behind it; replaying
+// the log up to the removal's batch must leave v with no edge.
+func TestRemoveVertexIsOneBatch(t *testing.T) {
+	const v, w = 0, 5
+	base := graph.MustFromEdges(8, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}})
+	lg := &parkedLog{parked: make(chan struct{}), release: make(chan struct{})}
+	m := New(base.Clone(), WithOpLog(lg))
+	defer m.Close()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(lg.release) }) }
+	defer release() // before Close: the applier must be able to finish
+
+	var first, insert Pending
+	m.Submit(&first, nil, []graph.Edge{{U: 3, V: 4}})
+	<-lg.parked
+	enqueued := m.ServingStats().Enqueued
+	removed := make(chan BatchResult, 1)
+	go func() { removed <- m.RemoveVertex(v) }()
+	for m.ServingStats().Enqueued == enqueued {
+		time.Sleep(time.Millisecond)
+	}
+	m.Submit(&insert, nil, []graph.Edge{{U: v, V: w}})
+	release()
+	first.Wait()
+	insert.Wait()
+	if res := <-removed; res.Applied != 2 {
+		t.Fatalf("RemoveVertex applied %d edges, want 2", res.Applied)
+	}
+
+	lg.mu.Lock()
+	i := slices.IndexFunc(lg.ops, func(op loggedOp) bool { return len(op.removes) > 0 })
+	if i < 0 {
+		lg.mu.Unlock()
+		t.Fatal("no removal batch logged")
+	}
+	upToRemoval := &recordingLog{ops: lg.ops[:i+1]}
+	lg.mu.Unlock()
+	if adj := upToRemoval.replay(base).Adj(v); len(adj) != 0 {
+		t.Fatalf("vertex %d has edges to %v where its removal publishes, want none", v, adj)
+	}
+	m.Flush()
+	if !m.Graph().HasEdge(v, w) {
+		t.Fatalf("the insert (%d,%d) enqueued after the removal is lost", v, w)
+	}
+	if err := m.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -199,24 +199,35 @@ func (p *pipeline) process(eng *engine, pending []*Pending) {
 	}
 }
 
-// applySegment coalesces one run of update ops, grows the vertex universe
-// to cover any unseen insert endpoints (dropping malformed and
-// guaranteed-absent ops; see engine.prepareBatch), logs and applies the
-// mixed batch (removals, then insertions, so an edge named in both ends
-// present, as the coalescer resolves it), commits the log record,
-// publishes the post-batch snapshot, and completes every future with the
-// shared result of the coalesced batch. Duration covers the commit wait. A batch the scan leaves empty is neither logged,
-// applied nor published.
+// applySegment coalesces one run of update ops into one batch, applies
+// it, and completes every future with the shared result.
 func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 	removes, inserts, canceled := p.co.coalesce(seg)
-	start := time.Now()
 	// The segment's oldest op has waited longest; its queue time is the
 	// batch's coalesce wait.
-	p.pm.CoalesceWait.ObserveDuration(start.Sub(seg[0].enq))
+	p.pm.CoalesceWait.ObserveDuration(time.Since(seg[0].enq))
+	res := p.apply(eng, removes, inserts)
+	res.Coalesced = len(seg)
+	p.batches.Add(1)
+	p.batchedOps.Add(int64(len(seg)))
+	p.canceledOps.Add(int64(canceled))
+	for _, op := range seg {
+		p.finish(op, res)
+	}
+}
+
+// apply runs one batch at the quiescent point: it grows the vertex
+// universe to cover any unseen insert endpoints (dropping malformed and
+// guaranteed-absent ops; see engine.prepareBatch), logs and applies the
+// mixed batch (removals, then insertions, so an edge named in both ends
+// present), commits the log record, and publishes the post-batch
+// snapshot. Duration covers the commit wait.
+// A batch the scan leaves empty is neither logged, applied nor
+// published, so OpLog calls and epochs stay one to one.
+func (p *pipeline) apply(eng *engine, removes, inserts []graph.Edge) BatchResult {
+	start := time.Now()
 	removes, inserts = eng.prepareBatch(removes, inserts)
 	res := &eng.res
-	// A batch left empty changes nothing: it neither logs nor publishes,
-	// so OpLog calls and epochs stay one to one.
 	if len(removes) > 0 || len(inserts) > 0 {
 		eng.logBatch(removes, inserts)
 		if len(removes) > 0 {
@@ -233,18 +244,12 @@ func (p *pipeline) applySegment(eng *engine, seg []*Pending) {
 		eng.publishAfter(res)
 		p.pm.Publish.ObserveDuration(time.Since(pubStart))
 	}
-	res.Coalesced = len(seg)
-	p.batches.Add(1)
-	p.batchedOps.Add(int64(len(seg)))
-	p.canceledOps.Add(int64(canceled))
 	// Callers must neither see nor pin the engine's scratch, nor the engine
 	// their VPlusSizes.
 	shared := *res
 	shared.changed = nil
 	*res = BatchResult{changed: res.changed[:0]}
-	for _, op := range seg {
-		p.finish(op, shared)
-	}
+	return shared
 }
 
 // finish completes op: the applier's last touch of it, since its waiter may

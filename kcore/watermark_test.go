@@ -107,7 +107,7 @@ type epochRecordingLog struct {
 }
 
 type epochLogEvent struct {
-	kind  string // "batch" | "grow"
+	kind  string // "batch"
 	epoch uint64 // m.Epoch() at the call
 }
 
@@ -118,8 +118,6 @@ func (l *epochRecordingLog) record(kind string) {
 }
 
 func (l *epochRecordingLog) AppendBatch(removes, inserts []graph.Edge) { l.record("batch") }
-
-func (l *epochRecordingLog) AppendGrow(int) { l.record("grow") }
 
 func (l *epochRecordingLog) Commit() {}
 

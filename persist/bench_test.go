@@ -45,11 +45,6 @@ func TestAppendBatchZeroAlloc(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
 				t.Fatalf("AppendBatch+Commit allocates %.1f objects per call, want 0", allocs)
 			}
-			grow := func() { mgr.AppendGrow(65); mgr.Commit() }
-			grow()
-			if allocs := testing.AllocsPerRun(100, grow); allocs != 0 {
-				t.Fatalf("AppendGrow+Commit allocates %.1f objects per call, want 0", allocs)
-			}
 			if err := mgr.Err(); err != nil {
 				t.Fatal(err)
 			}

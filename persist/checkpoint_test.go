@@ -88,7 +88,7 @@ func TestCheckpointFileLayout(t *testing.T) {
 	var want bytes.Buffer
 	put := func(v any) { binary.Write(&want, binary.LittleEndian, v) }
 	put(uint32(0x4b434b50)) // "KCKP"
-	put(uint32(3))          // format version
+	put(uint32(4))          // format version
 	put(mgr.Stats().Gen)
 	put(m.Epoch())
 	if err := g.WriteBinary(&want); err != nil {

@@ -16,14 +16,14 @@ package persist
 //	                         length-prefixed CRC-framed records
 //
 // AOF record: u32 payloadLen, u32 crc32c(payload), payload. A record
-// is one publication: its payload opens with a kind byte and the u64
-// epoch the publication gets. A batch record (recBatch) then holds a
-// u32 removal count, a u32 insertion count and the (i32,i32) pairs,
-// removals first; a grow record (recGrow) holds the u64 target vertex
-// count. A batch is one record whatever its size, so replay keeps or
-// drops it whole, and the reader grows its buffer as payload bytes
-// arrive, so no length prefix sizes an allocation before the CRC has
-// checked it.
+// is one publication, an edge batch: its payload holds the u64 epoch
+// the publication gets, a u32 removal count, a u32 insertion count and
+// the (i32,i32) pairs, removals first. There is no other kind: growth
+// is derivable from insert endpoints, and an explicit growth to n is
+// the batch inserting the self-loop (n−1, n−1). A batch is one record
+// whatever its size, so replay keeps or drops it whole, and the reader
+// grows its buffer as payload bytes arrive, so no length prefix sizes
+// an allocation before the CRC has checked it.
 
 import (
 	"bufio"
@@ -42,16 +42,11 @@ const (
 	aofMagic      = 0x4b414f46 // "KAOF"
 	ckptMagic     = 0x4b434b50 // "KCKP"
 	maniMagic     = 0x4b4d4e46 // "KMNF"
-	formatVersion = 3
-
-	recBatch byte = 1
-	recGrow  byte = 2
+	formatVersion = 4
 
 	aofHeaderSize   = 16 // magic u32, version u32, gen u64
 	recHeaderSize   = 8  // payload len u32, crc32c u32
-	recPayloadStart = 9  // kind byte, epoch u64
-	batchHeaderSize = 17 // recPayloadStart, then nRemoves u32, nInserts u32
-	growPayloadSize = 17 // recPayloadStart, then n u64
+	batchHeaderSize = 16 // epoch u64, nRemoves u32, nInserts u32
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -81,9 +76,14 @@ func ensureCap(b []byte, n int) []byte {
 // appendBatchRecord appends one framed batch record to dst: the
 // publication at epoch that removes, then inserts, the given edges.
 func appendBatchRecord(dst []byte, epoch uint64, removes, inserts []graph.Edge) []byte {
-	dst, p := appendRecord(dst, recBatch, epoch, batchHeaderSize+8*(len(removes)+len(inserts)))
-	binary.LittleEndian.PutUint32(p[recPayloadStart:], uint32(len(removes)))
-	binary.LittleEndian.PutUint32(p[recPayloadStart+4:], uint32(len(inserts)))
+	payloadLen := batchHeaderSize + 8*(len(removes)+len(inserts))
+	dst = ensureCap(dst, recHeaderSize+payloadLen)
+	hdr := len(dst)
+	dst = dst[:hdr+recHeaderSize+payloadLen]
+	p := dst[hdr+recHeaderSize:]
+	binary.LittleEndian.PutUint64(p, epoch)
+	binary.LittleEndian.PutUint32(p[8:], uint32(len(removes)))
+	binary.LittleEndian.PutUint32(p[12:], uint32(len(inserts)))
 	o := batchHeaderSize
 	for _, edges := range [2][]graph.Edge{removes, inserts} {
 		for _, e := range edges {
@@ -92,36 +92,8 @@ func appendBatchRecord(dst []byte, epoch uint64, removes, inserts []graph.Edge) 
 			o += 8
 		}
 	}
-	return sealRecord(dst, p)
-}
-
-// appendGrowRecord appends one framed grow record to dst: the
-// publication at epoch that grows the universe to n vertices.
-func appendGrowRecord(dst []byte, epoch, n uint64) []byte {
-	dst, p := appendRecord(dst, recGrow, epoch, growPayloadSize)
-	binary.LittleEndian.PutUint64(p[recPayloadStart:], n)
-	return sealRecord(dst, p)
-}
-
-// appendRecord extends dst by one record of payloadLen bytes and returns
-// the payload, its kind and epoch filled in, for the caller to complete
-// and seal.
-func appendRecord(dst []byte, kind byte, epoch uint64, payloadLen int) ([]byte, []byte) {
-	dst = ensureCap(dst, recHeaderSize+payloadLen)
-	hdr := len(dst)
-	dst = dst[:hdr+recHeaderSize+payloadLen]
-	p := dst[hdr+recHeaderSize:]
-	p[0] = kind
-	binary.LittleEndian.PutUint64(p[1:], epoch)
-	return dst, p
-}
-
-// sealRecord writes the frame header — length and CRC — of the record
-// whose payload p ends dst.
-func sealRecord(dst, p []byte) []byte {
-	hdr := dst[len(dst)-len(p)-recHeaderSize:]
-	binary.LittleEndian.PutUint32(hdr, uint32(len(p)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(p, crcTable))
+	binary.LittleEndian.PutUint32(dst[hdr:], uint32(payloadLen))
+	binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(p, crcTable))
 	return dst
 }
 

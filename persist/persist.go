@@ -21,18 +21,19 @@
 // encoded copy of the graph is ever held in memory.
 //
 // The log's unit is the maintainer's unit of publication: one record per
-// coalesced batch or growth, under one CRC, carrying the epoch its
-// publication gets. Recovery (see Recover) loads the manifest's
-// checkpoint and replays the log tail at graph level, record by record,
-// tolerating a torn or truncated final record — so a crash recovers the
-// state at some published epoch, never half a batch. The recovered graph
+// batch, under one CRC, carrying the epoch its publication gets — an
+// explicit growth to n is the batch inserting the self-loop (n−1, n−1).
+// Recovery (see Recover) loads the manifest's checkpoint and replays the
+// log tail at graph level, record by record, tolerating a torn or
+// truncated final record — so a crash recovers the state at some
+// published epoch, never half a batch. The recovered graph
 // then seeds an ordinary kcore.New, whose one BZ decomposition is the
 // only recomputation paid. A replication follower is handed its state
 // the same way: CORE.SYNC takes a checkpoint and ships its committed
 // file, decoded by the same ReadCheckpoint, and the record tail after it
 // goes through the same StreamReader that replays the log — there is
 // one barrier that captures full state, one encoding of it, one record
-// kind per publication, and one record reader (see stream.go).
+// kind, and one record reader (see stream.go).
 //
 // Wiring order matters (chicken-and-egg between Manager and Maintainer):
 //
@@ -174,7 +175,7 @@ type Manager struct {
 	err        error
 	taps       []*tap // replication follower fan-out (see stream.go)
 
-	// The FsyncAlways syncer: appendLocked hands each written record to
+	// The FsyncAlways syncer: AppendBatch hands each written record to
 	// it and sets syncing; the syncer syncs the segment, fans the record
 	// out, clears syncing and broadcasts synced. While syncing, f and buf
 	// hold still: every path that would change them (the next append,
@@ -328,11 +329,16 @@ func (p *Manager) Close() error {
 
 // --- kcore.OpLog ------------------------------------------------------------
 
-// AppendBatch logs one coalesced batch's canonical ops as one record,
-// the publication at the maintainer's next epoch. Called by the
-// maintainer's applier at the quiescent point, before the batch applies;
-// Commit follows before it publishes. A record still syncing from an
-// append that was never committed is synced first.
+// AppendBatch logs one batch's canonical ops as one record, the
+// publication at the maintainer's next epoch. Called by the maintainer's
+// applier at the quiescent point, before the batch applies; Commit
+// follows before it publishes. A record still syncing from an append
+// that was never committed is synced first. Under FsyncAlways the
+// append hands the sync to the syncer, which fans the record out to the
+// replication taps once it is durable — so no follower holds a record
+// the leader's disk lacks — and Commit arms the checkpoint thresholds.
+// Under the other policies it fans out and arms them here. A failure is
+// recorded as the sticky error.
 func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -342,31 +348,6 @@ func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 	}
 	epoch := p.m.Epoch() + 1
 	p.buf = appendBatchRecord(p.buf[:0], epoch, removes, inserts)
-	p.appendLocked(epoch, int64(len(removes)+len(inserts)))
-}
-
-// AppendGrow logs an explicit AddVertices growth to n vertices, the
-// publication at the maintainer's next epoch, before the growth applies.
-func (p *Manager) AppendGrow(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.awaitSyncLocked()
-	if p.f == nil || p.err != nil {
-		return
-	}
-	epoch := p.m.Epoch() + 1
-	p.buf = appendGrowRecord(p.buf[:0], epoch, uint64(n))
-	p.appendLocked(epoch, 1)
-}
-
-// appendLocked writes the record in p.buf, the publication at epoch, to
-// the segment and applies the fsync policy. Under FsyncAlways it hands
-// the sync to the syncer, which fans the record out to the replication
-// taps once it is durable — so no follower holds a record the leader's
-// disk lacks — and Commit arms the checkpoint thresholds. Under the
-// other policies it fans out and arms them here. A failure is recorded
-// as the sticky error.
-func (p *Manager) appendLocked(epoch uint64, ops int64) {
 	if _, err := p.f.Write(p.buf); err != nil {
 		p.failLocked(fmt.Errorf("persist: append: %w", err))
 		return
@@ -374,7 +355,7 @@ func (p *Manager) appendLocked(epoch uint64, ops int64) {
 	p.records.Add(1)
 	p.appendedBytes.Add(int64(len(p.buf)))
 	p.bytesSince += int64(len(p.buf))
-	p.opsSince += ops
+	p.opsSince += int64(len(removes) + len(inserts))
 	switch p.opts.Fsync {
 	case FsyncAlways:
 		p.syncing = true

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -246,24 +245,15 @@ func (p *Manager) killTapsLocked() {
 
 // --- record decoding --------------------------------------------------------
 
-// StreamOp is the kind of one decoded record.
-type StreamOp byte
-
-const (
-	OpBatch StreamOp = iota
-	OpGrow
-)
-
-// StreamRecord is one decoded record: one leader publication, at Epoch.
-// Removes and Inserts alias an internal buffer valid until the next Next
-// call. A batch with neither is an idle session's heartbeat, which
-// publishes nothing.
+// StreamRecord is one decoded record: one leader publication, at Epoch,
+// an edge batch (an explicit growth to n is the batch inserting the
+// self-loop (n−1, n−1)). Removes and Inserts alias an internal buffer
+// valid until the next Next call. A batch with neither is an idle
+// session's heartbeat, which publishes nothing.
 type StreamRecord struct {
-	Op      StreamOp
 	Epoch   uint64
-	Removes []graph.Edge // OpBatch: applied first
-	Inserts []graph.Edge // OpBatch
-	N       int          // OpGrow: absolute target vertex count
+	Removes []graph.Edge // applied first
+	Inserts []graph.Edge
 }
 
 // StreamReader decodes framed records: a follower's sync connection, and
@@ -327,49 +317,32 @@ func (sr *StreamReader) frame() ([]byte, error) {
 // so the bounds are still checked: a record from a mismatched history
 // must not panic the consumer.
 func (sr *StreamReader) decode(p []byte) (StreamRecord, error) {
-	if len(p) < recPayloadStart {
+	if len(p) < batchHeaderSize {
 		return StreamRecord{}, fmt.Errorf("persist: record too short (%d bytes)", len(p))
 	}
-	epoch := binary.LittleEndian.Uint64(p[1:])
-	switch kind := p[0]; kind {
-	case recBatch:
-		if len(p) < batchHeaderSize {
-			return StreamRecord{}, fmt.Errorf("persist: batch record too short (%d bytes)", len(p))
-		}
-		nr := binary.LittleEndian.Uint32(p[recPayloadStart:])
-		ni := binary.LittleEndian.Uint32(p[recPayloadStart+4:])
-		if uint64(len(p)) != batchHeaderSize+8*(uint64(nr)+uint64(ni)) {
-			return StreamRecord{}, fmt.Errorf("persist: batch record length %d != %d removals + %d insertions", len(p), nr, ni)
-		}
-		sr.edges = sr.edges[:0]
-		for o := batchHeaderSize; o < len(p); o += 8 {
-			u := int32(binary.LittleEndian.Uint32(p[o:]))
-			v := int32(binary.LittleEndian.Uint32(p[o+4:]))
-			if u < 0 || v < 0 {
-				return StreamRecord{}, fmt.Errorf("persist: negative vertex id (%d,%d)", u, v)
-			}
-			sr.edges = append(sr.edges, graph.Edge{U: u, V: v})
-		}
-		return StreamRecord{Op: OpBatch, Epoch: epoch, Removes: sr.edges[:nr:nr], Inserts: sr.edges[nr:]}, nil
-	case recGrow:
-		if len(p) != growPayloadSize {
-			return StreamRecord{}, fmt.Errorf("persist: grow record length %d", len(p))
-		}
-		n := binary.LittleEndian.Uint64(p[recPayloadStart:])
-		if n > math.MaxInt32 {
-			return StreamRecord{}, fmt.Errorf("persist: grow to implausible n=%d", n)
-		}
-		return StreamRecord{Op: OpGrow, Epoch: epoch, N: int(n)}, nil
-	default:
-		return StreamRecord{}, fmt.Errorf("persist: unknown record kind %d", kind)
+	epoch := binary.LittleEndian.Uint64(p)
+	nr := binary.LittleEndian.Uint32(p[8:])
+	ni := binary.LittleEndian.Uint32(p[12:])
+	if uint64(len(p)) != batchHeaderSize+8*(uint64(nr)+uint64(ni)) {
+		return StreamRecord{}, fmt.Errorf("persist: record length %d != %d removals + %d insertions", len(p), nr, ni)
 	}
+	sr.edges = sr.edges[:0]
+	for o := batchHeaderSize; o < len(p); o += 8 {
+		u := int32(binary.LittleEndian.Uint32(p[o:]))
+		v := int32(binary.LittleEndian.Uint32(p[o+4:]))
+		if u < 0 || v < 0 {
+			return StreamRecord{}, fmt.Errorf("persist: negative vertex id (%d,%d)", u, v)
+		}
+		sr.edges = append(sr.edges, graph.Edge{U: u, V: v})
+	}
+	return StreamRecord{Epoch: epoch, Removes: sr.edges[:nr:nr], Inserts: sr.edges[nr:]}, nil
 }
 
 // applyToGraph applies one decoded record to g at graph level: a batch's
-// removals, then its insertions, or a growth. Logged ops are
-// post-prepareBatch: insert endpoints were in range when logged, so
-// grow-to-fit reproduces the implicit growth the engine performed (which
-// is why implicit grows need no records of their own).
+// removals, then its insertions. Logged ops are post-prepareBatch: insert
+// endpoints were in range when logged, so grow-to-fit reproduces the
+// growth the engine performed — implicit, or AddVertices' self-loop —
+// which is why growth needs no record of its own.
 func applyToGraph(g *graph.Graph, rec StreamRecord) {
 	for _, e := range rec.Removes {
 		if int(e.U) < g.N() && int(e.V) < g.N() {
@@ -381,8 +354,5 @@ func applyToGraph(g *graph.Graph, rec StreamRecord) {
 			g.Grow(int(hi) + 1)
 		}
 		g.AddEdge(e.U, e.V)
-	}
-	if rec.Op == OpGrow {
-		g.Grow(rec.N)
 	}
 }

@@ -54,7 +54,7 @@ func sessionCheckpoint(t *testing.T, sess *SyncSession) []byte {
 func heartbeat(data []byte) (uint64, bool) {
 	r := bytes.NewReader(data)
 	rec, err := NewStreamReader(r).Next()
-	if err != nil || rec.Op != OpBatch || len(rec.Removes)+len(rec.Inserts) > 0 || r.Len() > 0 {
+	if err != nil || len(rec.Removes)+len(rec.Inserts) > 0 || r.Len() > 0 {
 		return 0, false
 	}
 	return rec.Epoch, true
@@ -273,7 +273,7 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	}
 	// batch frames a batch payload whose counts need not match its edges.
 	batch := func(nRemoves, nInserts uint32, edges ...graph.Edge) []byte {
-		p := binary.LittleEndian.AppendUint64([]byte{recBatch}, next)
+		p := binary.LittleEndian.AppendUint64(nil, next)
 		p = binary.LittleEndian.AppendUint32(p, nRemoves)
 		p = binary.LittleEndian.AppendUint32(p, nInserts)
 		for _, e := range edges {
@@ -294,15 +294,19 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 		recover outcome
 		stream  *StreamRecord // nil: Next fails
 	}{
-		{"insert", insert, applied, &StreamRecord{Op: OpBatch, Epoch: next, Inserts: []graph.Edge{e1}}},
+		{"insert", insert, applied, &StreamRecord{Epoch: next, Inserts: []graph.Edge{e1}}},
 		{"mixed batch", appendBatchRecord(nil, next, []graph.Edge{e2}, []graph.Edge{e3, e1}), applied,
-			&StreamRecord{Op: OpBatch, Epoch: next, Removes: []graph.Edge{e2}, Inserts: []graph.Edge{e3, e1}}},
-		{"empty heartbeat", appendBatchRecord(nil, next, nil, nil), applied, &StreamRecord{Op: OpBatch, Epoch: next}},
+			&StreamRecord{Epoch: next, Removes: []graph.Edge{e2}, Inserts: []graph.Edge{e3, e1}}},
+		{"empty heartbeat", appendBatchRecord(nil, next, nil, nil), applied, &StreamRecord{Epoch: next}},
 		{"epoch gap", appendBatchRecord(nil, next+1, nil, []graph.Edge{e1}), outOfOrder,
-			&StreamRecord{Op: OpBatch, Epoch: next + 1, Inserts: []graph.Edge{e1}}},
-		{"epoch repeat", appendGrowRecord(nil, next-1, 100), outOfOrder, &StreamRecord{Op: OpGrow, Epoch: next - 1, N: 100}},
-		{"grow to 1<<31", appendGrowRecord(nil, next, 1<<31), fatal, nil},
-		{"grow to MaxInt32", appendGrowRecord(nil, next, math.MaxInt32), notReplayed, &StreamRecord{Op: OpGrow, Epoch: next, N: math.MaxInt32}},
+			&StreamRecord{Epoch: next + 1, Inserts: []graph.Edge{e1}}},
+		{"epoch repeat", appendBatchRecord(nil, next-1, nil, []graph.Edge{{U: 99, V: 99}}), outOfOrder,
+			&StreamRecord{Epoch: next - 1, Inserts: []graph.Edge{{U: 99, V: 99}}}},
+		{"grow to MaxInt32", appendBatchRecord(nil, next, nil, []graph.Edge{{U: math.MaxInt32 - 1, V: math.MaxInt32 - 1}}), notReplayed,
+			&StreamRecord{Epoch: next, Inserts: []graph.Edge{{U: math.MaxInt32 - 1, V: math.MaxInt32 - 1}}}},
+		// The id 1<<31, a grow past MaxInt32 vertices, is 0x80000000 on the
+		// wire and reads as a negative int32.
+		{"grow to 1<<31", appendBatchRecord(nil, next, nil, []graph.Edge{{U: math.MinInt32, V: 3}}), fatal, nil},
 		{"negative id", appendBatchRecord(nil, next, nil, []graph.Edge{{U: -1, V: 3}}), fatal, nil},
 		{"count/length mismatch", batch(1, 1, e1, e2, e3), fatal, nil},
 		{"nRemoves beyond the edges", batch(2, 0, e1), fatal, nil},
@@ -325,7 +329,7 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 				t.Errorf("StreamReader took it: %+v", got)
 			case row.stream != nil && err != nil:
 				t.Errorf("StreamReader: %v, want %+v", err, *row.stream)
-			case row.stream != nil && (got.Op != row.stream.Op || got.N != row.stream.N || got.Epoch != row.stream.Epoch ||
+			case row.stream != nil && (got.Epoch != row.stream.Epoch ||
 				!slices.Equal(got.Removes, row.stream.Removes) || !slices.Equal(got.Inserts, row.stream.Inserts)):
 				t.Errorf("StreamReader = %+v, want %+v", got, *row.stream)
 			}
@@ -536,15 +540,15 @@ func TestBackgroundCheckpointCoalesces(t *testing.T) {
 }
 
 // FuzzStreamRecord feeds arbitrary bytes to StreamReader.Next, which
-// must never panic, and re-encodes every record it accepts: a batch or a
-// growth must come back as exactly the bytes it was read from, so the
-// decoder accepts only what the encoder writes.
+// must never panic, and re-encodes every record it accepts: a batch must
+// come back as exactly the bytes it was read from, so the decoder
+// accepts only what the encoder writes.
 func FuzzStreamRecord(f *testing.F) {
 	e := []graph.Edge{{U: 2, V: 3}, {U: 4, V: 5}, {U: 1, V: 59}}
 	f.Add(appendBatchRecord(nil, 8, e[:1], e[1:]))
 	f.Add(appendBatchRecord(nil, 9, nil, nil))
 	f.Add(appendBatchRecord(nil, 1, nil, e))
-	f.Add(appendGrowRecord(nil, 3, 1000))
+	f.Add(appendBatchRecord(nil, 3, nil, []graph.Edge{{U: 999, V: 999}}))
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -552,15 +556,7 @@ func FuzzStreamRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var again []byte
-		switch rec.Op {
-		case OpBatch:
-			again = appendBatchRecord(nil, rec.Epoch, rec.Removes, rec.Inserts)
-		case OpGrow:
-			again = appendGrowRecord(nil, rec.Epoch, uint64(rec.N))
-		default:
-			t.Fatalf("Next accepted op %d", rec.Op)
-		}
+		again := appendBatchRecord(nil, rec.Epoch, rec.Removes, rec.Inserts)
 		if read := data[:len(data)-r.Len()]; !bytes.Equal(again, read) {
 			t.Fatalf("record %+v re-encodes to %x, read from %x", rec, again, read)
 		}

@@ -124,8 +124,6 @@ func (l *heldLog) AppendBatch(removes, inserts []graph.Edge) {
 	<-l.release
 }
 
-func (l *heldLog) AppendGrow(int) {}
-
 func (l *heldLog) Commit() {}
 
 // TestHeldWriteDoesNotStallOtherConns: while one connection's write is

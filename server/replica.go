@@ -26,11 +26,14 @@ type ReplicaOptions struct {
 // CORE.SYNC snapshot by reloading the server's one maintainer in place
 // (kcore.Maintainer.Reload), and applies the streamed tail through the
 // ordinary maintainer API. Each streamed record is one leader
-// publication at the epoch it names, applied as one Submit — one engine
-// batch, so every state the follower serves is one the leader published.
-// A record that is not the publication right after the watermark ends
-// the session, and the follower re-bootstraps instead of diverging. The follower runs the engine its maintainer was built with,
-// and the maintainer's epoch, metrics and identity live across every
+// publication at the epoch it names — an edge batch, an explicit growth
+// included — applied as one Submit: one engine batch, so every state the
+// follower serves is one the leader published. A record that is not the
+// publication right after the watermark ends the session, and the
+// follower re-bootstraps instead of diverging.
+//
+// The follower runs the engine its maintainer was built with, and the
+// maintainer's epoch, metrics and identity live across every
 // bootstrap. Reads stay lock-free off the local snapshot; write commands
 // are rejected (denyOnReplica); CORE.WAIT blocks on the applied-epoch
 // watermark for read-your-writes.
@@ -222,7 +225,7 @@ func (r *Replica) syncOnce() error {
 		r.records.Add(1)
 		wm := r.wm.Epoch()
 		k := len(rec.Removes) + len(rec.Inserts)
-		heartbeat := rec.Op == persist.OpBatch && k == 0
+		heartbeat := k == 0
 		switch {
 		case heartbeat && rec.Epoch <= wm:
 			continue
@@ -230,17 +233,11 @@ func (r *Replica) syncOnce() error {
 			return fmt.Errorf("stream: record at epoch %d after epoch %d", rec.Epoch, wm)
 		}
 		r.leaderEpoch.Store(rec.Epoch)
-		if rec.Op == persist.OpGrow {
-			if rec.N > m.N() {
-				m.AddVertices(rec.N - m.N())
-			}
-		} else {
-			// The edges alias the reader's scratch: Wait returns before the
-			// next read reuses it.
-			m.Submit(&pd, rec.Removes, rec.Inserts)
-			pd.Wait()
-			r.edges.Add(int64(k))
-		}
+		// The edges alias the reader's scratch: Wait returns before the
+		// next read reuses it.
+		m.Submit(&pd, rec.Removes, rec.Inserts)
+		pd.Wait()
+		r.edges.Add(int64(k))
 		r.wm.Advance(rec.Epoch)
 	}
 }

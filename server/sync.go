@@ -23,7 +23,7 @@ const syncChunk = 256 << 10
 //	<len raw bytes: the checkpoint file the sync took — header (magic,
 //	 version, gen, epoch), graph binary, CRC-32C tail;
 //	 persist.ReadCheckpoint decodes it>
-//	<endless CRC-framed records: one batch or grow per publication, each with its epoch>
+//	<endless CRC-framed records: one batch per publication, each with its epoch>
 //
 // The generation and the checkpoint epoch travel only in the checkpoint
 // header. A sync is a checkpoint whose barrier also registers the tap,
