@@ -33,16 +33,17 @@ race:
 # commit contract (append before apply, commit before publish) and
 # RemoveVertex's one-batch removal behind a parked commit, the
 # FsyncAlways syncer's zero-allocation hand-off and its stop at Close,
-# recovery's whole-publication and epoch-chain rules, and a sync being the
-# checkpoint it takes (its tap registered at that barrier) under the race
-# detector.
+# recovery's whole-publication and epoch-chain rules, its commit rule (the
+# current generation is the newest checkpoint under its final name), and a
+# sync being the checkpoint it takes (its tap registered at that barrier)
+# under the race detector.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestSyncIsCheckpoint' ./kcore ./persist
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint' ./kcore ./persist
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

@@ -1,10 +1,8 @@
 package persist
 
-// On-disk formats, little-endian throughout. Three file kinds live in a
-// durability directory, all named by generation:
+// On-disk formats, little-endian throughout. Two file kinds live in a
+// durability directory, both named by generation:
 //
-//	MANIFEST                 points at the current generation (atomic
-//	                         tmp+rename update; 20 bytes, CRC-framed)
 //	checkpoint-%06d.ckpt     full state at the instant generation G began:
 //	                         a 24-byte header (magic, version, gen,
 //	                         epoch), the graph binary CSR
@@ -14,6 +12,11 @@ package persist
 //	aof-%06d.log             append-only op log of everything after that
 //	                         instant: a 16-byte header, then
 //	                         length-prefixed CRC-framed records
+//
+// A generation has one commit point: its checkpoint's rename from .tmp
+// to the final name, after the file's fsync and before a directory
+// fsync. The current generation is the largest whose checkpoint exists
+// under its final name; no other file names it.
 //
 // AOF record: u32 payloadLen, u32 crc32c(payload), payload. A record
 // is one publication, an edge batch: its payload holds the u64 epoch
@@ -41,7 +44,6 @@ import (
 const (
 	aofMagic      = 0x4b414f46 // "KAOF"
 	ckptMagic     = 0x4b434b50 // "KCKP"
-	maniMagic     = 0x4b4d4e46 // "KMNF"
 	formatVersion = 4
 
 	aofHeaderSize   = 16 // magic u32, version u32, gen u64
@@ -50,8 +52,6 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 func checkpointPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%06d.ckpt", gen))
@@ -269,61 +269,6 @@ func ReadCheckpoint(r io.Reader, size int64) (g *graph.Graph, gen, epoch uint64,
 	return g, gen, epoch, nil
 }
 
-// --- manifest ---------------------------------------------------------------
-
-// writeManifest atomically points the directory at generation gen.
-func writeManifest(dir string, gen uint64) error {
-	var b [20]byte
-	binary.LittleEndian.PutUint32(b[0:], maniMagic)
-	binary.LittleEndian.PutUint32(b[4:], formatVersion)
-	binary.LittleEndian.PutUint64(b[8:], gen)
-	binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(b[:16], crcTable))
-	tmp := manifestPath(dir) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b[:]); err == nil {
-		err = f.Sync()
-	} else {
-		f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, manifestPath(dir)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// readManifest returns the current generation; ok=false when no manifest
-// exists (a fresh or never-checkpointed directory).
-func readManifest(dir string) (gen uint64, ok bool, err error) {
-	data, err := os.ReadFile(manifestPath(dir))
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	if len(data) != 20 {
-		return 0, false, fmt.Errorf("persist: manifest: bad size %d", len(data))
-	}
-	if got, want := crc32.Checksum(data[:16], crcTable), binary.LittleEndian.Uint32(data[16:]); got != want {
-		return 0, false, fmt.Errorf("persist: manifest: CRC mismatch")
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != maniMagic {
-		return 0, false, fmt.Errorf("persist: manifest: bad magic %#x", m)
-	}
-	return binary.LittleEndian.Uint64(data[8:]), true, nil
-}
-
 // syncDir fsyncs a directory so a just-renamed file's directory entry is
 // durable.
 func syncDir(dir string) error {
@@ -338,28 +283,39 @@ func syncDir(dir string) error {
 	return err
 }
 
-// scanMaxGen returns the largest generation named by any file in dir
-// (manifest included), or 0. A corrupt manifest does not block starting
-// over — only the files count then.
-func scanMaxGen(dir string) (uint64, error) {
-	var maxGen uint64
-	if g, ok, err := readManifest(dir); err == nil && ok {
-		maxGen = g
+// parseGen returns the generation a committed file's name carries and
+// whether the file is a checkpoint. Only the exact names checkpointPath
+// and segmentPath give count (a path under the empty directory is the
+// bare name), so the round trip rejects what the scan alone accepts —
+// a checkpoint's tmp file, say. Any other file is ok=false.
+func parseGen(name string) (gen uint64, ckpt, ok bool) {
+	if _, err := fmt.Sscanf(name, "checkpoint-%d.ckpt", &gen); err == nil && name == checkpointPath("", gen) {
+		return gen, true, true
 	}
+	if _, err := fmt.Sscanf(name, "aof-%d.log", &gen); err == nil && name == segmentPath("", gen) {
+		return gen, false, true
+	}
+	return 0, false, false
+}
+
+// scanGenerations reads dir once and returns the largest generation any
+// committed file names, last, and the current generation, cur: the
+// largest whose checkpoint is committed, 0 when none is (generations
+// start at 1). A missing dir holds neither.
+func scanGenerations(dir string) (last, cur uint64, err error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
+	if err != nil && !os.IsNotExist(err) {
+		return 0, 0, err
 	}
 	for _, e := range ents {
-		var g uint64
-		if n, _ := fmt.Sscanf(e.Name(), "aof-%d.log", &g); n == 1 && g > maxGen {
-			maxGen = g
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "checkpoint-%d.ckpt", &g); n == 1 && g > maxGen {
-			maxGen = g
+		if g, ckpt, ok := parseGen(e.Name()); ok {
+			last = max(last, g)
+			if ckpt {
+				cur = max(cur, g)
+			}
 		}
 	}
-	return maxGen, nil
+	return last, cur, nil
 }
 
 // removeStaleGenerations deletes checkpoint and segment files of
@@ -370,18 +326,9 @@ func removeStaleGenerations(dir string, keep uint64) {
 		return
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if filepath.Ext(name) == ".tmp" {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		var g uint64
-		if n, _ := fmt.Sscanf(name, "aof-%d.log", &g); n == 1 && g < keep {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if n, _ := fmt.Sscanf(name, "checkpoint-%d.ckpt", &g); n == 1 && g < keep {
-			os.Remove(filepath.Join(dir, name))
+		g, _, ok := parseGen(e.Name())
+		if ok && g < keep || filepath.Ext(e.Name()) == ".tmp" {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }

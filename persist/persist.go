@@ -23,11 +23,12 @@
 // The log's unit is the maintainer's unit of publication: one record per
 // batch, under one CRC, carrying the epoch its publication gets — an
 // explicit growth to n is the batch inserting the self-loop (n−1, n−1).
-// Recovery (see Recover) loads the manifest's checkpoint and replays the
-// log tail at graph level, record by record, tolerating a torn or
-// truncated final record — so a crash recovers the state at some
-// published epoch, never half a batch. The recovered graph
-// then seeds an ordinary kcore.New, whose one BZ decomposition is the
+// A checkpoint commits by its own rename, so a directory holds two file
+// kinds and has one commit point: recovery (see Recover) loads the
+// newest committed checkpoint and replays the log tail at graph level,
+// record by record, tolerating a torn or truncated final record — so a
+// crash recovers the state at some published epoch, never half a batch.
+// The recovered graph then seeds an ordinary kcore.New, whose one BZ decomposition is the
 // only recomputation paid. A replication follower is handed its state
 // the same way: CORE.SYNC takes a checkpoint and ships its committed
 // file, decoded by the same ReadCheckpoint, and the record tail after it
@@ -262,20 +263,20 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 // m's current state (a fresh generation strictly above anything already
 // in the directory), opens the new AOF segment, and starts the
 // background checkpoint/fsync worker and, under FsyncAlways, the syncer.
-// Returns once the checkpoint and manifest are durable — from that point
-// on, every acknowledged write survives a crash (modulo the fsync
-// policy's window).
+// Returns once the checkpoint is committed — from that point on, every
+// acknowledged write survives a crash (modulo the fsync policy's
+// window).
 func (p *Manager) Start(m *kcore.Maintainer) error {
 	if p.m != nil {
 		return errors.New("persist: Start called twice")
 	}
 	p.m = m
-	maxGen, err := scanMaxGen(p.dir)
+	last, _, err := scanGenerations(p.dir)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
-	p.gen = maxGen // the initial checkpoint rotates to maxGen+1
+	p.gen = last // the initial checkpoint rotates to last+1
 	p.mu.Unlock()
 	if p.opts.Fsync == FsyncAlways {
 		// Before the first segment opens: its first append hands off.
@@ -447,9 +448,9 @@ func (p *Manager) failLocked(err error) {
 
 // CheckpointNow takes a checkpoint synchronously: writes the state into
 // the checkpoint file and rotates the AOF at a quiescent point, then
-// makes the file durable, updates the manifest, and deletes the previous
-// generation. Safe to call concurrently with serving traffic; concurrent
-// checkpoints serialize.
+// commits the file — fsync, rename, directory fsync — and deletes the
+// previous generation. Safe to call concurrently with serving traffic;
+// concurrent checkpoints serialize.
 func (p *Manager) CheckpointNow() error {
 	_, err := p.checkpoint(false)
 	return err
@@ -508,7 +509,8 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 		}
 	})
 	if err == nil {
-		// After the barrier: fsync, close, rename, directory fsync.
+		// After the barrier: fsync, close, rename — the commit —
+		// and directory fsync.
 		err = commitCheckpointFile(f, p.dir, gen)
 	}
 	if err != nil {
@@ -519,12 +521,6 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 		}
 		p.mu.Lock()
 		p.failLocked(fmt.Errorf("persist: checkpoint: %w", err)) // kills t too
-		p.mu.Unlock()
-		return nil, err
-	}
-	if err := writeManifest(p.dir, gen); err != nil {
-		p.mu.Lock()
-		p.failLocked(fmt.Errorf("persist: manifest: %w", err))
 		p.mu.Unlock()
 		return nil, err
 	}
@@ -552,8 +548,10 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 // generation gen's (p.gen+1), at the quiescent point, and adds t, when
 // not nil, to the fan-out in the same instant. From here on appends land
 // in the new generation, whose checkpoint file is written but not yet
-// durable; until the manifest flips, recovery replays the old checkpoint
-// plus both segments, so no window loses ops.
+// committed; until its rename commits it, recovery replays the old
+// checkpoint plus both segments, so no window loses ops. The new
+// segment's directory entry is synced before any record in it can be
+// acked, since a file's fsync does not make its name durable.
 func (p *Manager) rotateSegment(gen uint64, t *tap) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -588,6 +586,10 @@ func (p *Manager) rotateSegment(gen uint64, t *tap) error {
 		return err
 	}
 	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := syncDir(p.dir); err != nil {
 		f.Close()
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"math/rand"
 	"os"
@@ -85,11 +86,10 @@ func TestRecoverFreshDir(t *testing.T) {
 	if res.Graph != nil {
 		t.Fatal("fresh dir recovered a graph")
 	}
-	if _, err := Recover(filepath.Join(t.TempDir(), "missing")); err == nil {
-		// A missing dir has no manifest: also fine (empty Result) — but
-		// readManifest returns IsNotExist → ok=false, so no error.
-	} else {
-		t.Fatalf("missing dir: %v", err)
+	// A missing dir holds no committed checkpoint: also an empty Result,
+	// not an error.
+	if res, err := Recover(filepath.Join(t.TempDir(), "missing")); err != nil || res.Graph != nil {
+		t.Fatalf("missing dir: %+v, %v; want an empty Result", res, err)
 	}
 }
 
@@ -187,18 +187,19 @@ func TestThresholdRotation(t *testing.T) {
 	}
 	assertRecoverMatches(t, dir, live)
 
-	// Stale generations must be gone: at most the current gen's pair
-	// (plus manifest) remains.
+	// Stale generations must be gone: exactly the current generation's
+	// segment and checkpoint remain (ReadDir sorts by name).
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) > 3 {
-		var names []string
-		for _, e := range ents {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("stale files not cleaned: %v", names)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	cur := mgr.Stats().Gen
+	if want := []string{filepath.Base(segmentPath(dir, cur)), filepath.Base(checkpointPath(dir, cur))}; !slices.Equal(names, want) {
+		t.Fatalf("files after the rotations = %v, want %v", names, want)
 	}
 }
 
@@ -495,9 +496,13 @@ func TestRecoverStopsAtEpochGap(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenRotationAndManifest simulates the checkpoint crash
-// window: the new segment and checkpoint exist but the manifest still
-// points at the previous generation. Recovery must replay BOTH segments.
+// TestCrashBetweenRotationAndManifest pins the commit rule: a checkpoint
+// is committed by its own rename, and the current generation is the
+// largest whose checkpoint exists under its final name. A clean run
+// recovers across one segment; each row then hand-builds what a crash at
+// one point of a checkpoint leaves on top of a committed generation G
+// and its segment, and recovery must return the same graph from the
+// generation the rule names.
 func TestCrashBetweenRotationAndManifest(t *testing.T) {
 	dir := t.TempDir()
 	base := gen.ErdosRenyi(80, 160, 23)
@@ -523,31 +528,75 @@ func TestCrashBetweenRotationAndManifest(t *testing.T) {
 		t.Fatalf("clean recovery crossed %d segments", res.Segments)
 	}
 
-	// Hand-built window: gen G checkpoint + full segment G + segment G+1
-	// with extra ops, manifest pointing at G.
-	dir2 := t.TempDir()
 	g0 := gen.ErdosRenyi(50, 100, 29)
-	m2, mgr2 := startManaged(t, dir2, g0.Clone(), Options{Fsync: FsyncAlways})
-	m2.InsertEdge(1, 2)
-	m2.Flush()
-	genG := mgr2.Stats().Gen
-	m2.Close()
-	if err := mgr2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append a synthetic next-generation segment with two more inserts.
-	next := appendSegmentHeader(nil, genG+1)
-	next = appendBatchRecord(next, m2.Epoch()+1, nil, []graph.Edge{{U: 3, V: 4}, {U: 5, V: 6}})
-	if err := os.WriteFile(segmentPath(dir2, genG+1), next, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := g0.Clone()
-	want.AddEdge(1, 2)
+	atG := g0.Clone() // checkpoint G plus segment G
+	atG.AddEdge(1, 2)
+	want := atG.Clone() // plus segment G+1
 	want.AddEdge(3, 4)
 	want.AddEdge(5, 6)
-	res2 := assertRecoverMatches(t, dir2, want)
-	if res2.Segments != 2 {
-		t.Fatalf("window recovery crossed %d segments, want 2", res2.Segments)
+	// commitNext commits checkpoint G+1 through the checkpoint's own
+	// write and commit, over the state that closed segment G.
+	commitNext := func(t *testing.T, dir string, genG, epoch uint64) {
+		f, err := writeCheckpointFile(dir, genG+1, epoch, atG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := commitCheckpointFile(f, dir, genG+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		debris   func(t *testing.T, dir string, genG, epoch uint64)
+		wantNext bool // recovery starts from G+1, not G
+		segments int
+	}{
+		{"rotated, checkpoint G+1 not yet renamed", func(t *testing.T, dir string, genG, _ uint64) {
+			// A newer uncommitted checkpoint names nothing, however
+			// garbled.
+			if err := os.WriteFile(checkpointPath(dir, genG+1)+".tmp", []byte("torn checkpoint"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, false, 2},
+		{"G+1 committed, stale G not yet removed", commitNext, true, 1},
+		{"leftover MANIFEST naming the older G", func(t *testing.T, dir string, genG, epoch uint64) {
+			commitNext(t, dir, genG, epoch)
+			var b [20]byte // the retired layout: magic, version, gen, CRC
+			binary.LittleEndian.PutUint32(b[0:], 0x4b4d4e46)
+			binary.LittleEndian.PutUint32(b[4:], formatVersion)
+			binary.LittleEndian.PutUint64(b[8:], genG)
+			binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(b[:16], crcTable))
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b[:], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, mgr := startManaged(t, dir, g0.Clone(), Options{Fsync: FsyncAlways})
+			m.InsertEdge(1, 2)
+			m.Flush()
+			genG, epoch := mgr.Stats().Gen, m.Epoch()
+			m.Close()
+			if err := mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Segment G+1, opened at the rotation, with two more inserts.
+			next := appendSegmentHeader(nil, genG+1)
+			next = appendBatchRecord(next, epoch+1, nil, []graph.Edge{{U: 3, V: 4}, {U: 5, V: 6}})
+			if err := os.WriteFile(segmentPath(dir, genG+1), next, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tc.debris(t, dir, genG, epoch)
+			res := assertRecoverMatches(t, dir, want)
+			wantGen := genG
+			if tc.wantNext {
+				wantGen++
+			}
+			if res.Gen != wantGen || res.Segments != tc.segments {
+				t.Fatalf("recovered gen %d across %d segments, want gen %d across %d", res.Gen, res.Segments, wantGen, tc.segments)
+			}
+		})
 	}
 }
 

@@ -28,7 +28,7 @@ type Result struct {
 	TailRecords int64
 	TailEdges   int64
 	// Segments is how many AOF segments were replayed (more than one
-	// when a crash hit between log rotation and the manifest update).
+	// when a crash hit between log rotation and the checkpoint's rename).
 	Segments int
 	// TornBytes is how much of the newest segment was discarded as a
 	// torn or corrupt tail (0 for a clean shutdown).
@@ -41,26 +41,29 @@ type Result struct {
 }
 
 // Recover reconstructs state from a durability directory: load the
-// manifest's checkpoint, then replay every consecutive AOF segment from
-// that generation up (normally one; two when a crash landed between
-// rotation and manifest update). A torn or CRC-corrupt tail in the
-// newest segment is expected debris of a crash and is silently dropped;
-// corruption anywhere else stops replay at the longest valid prefix and
-// sets Truncated. So does an epoch out of order: record epochs must run
-// consecutively from the checkpoint's epoch + 1 across segments, since
-// every record is the next publication — after a gap or a repeat, the
-// records left would build a state no epoch published.
+// newest committed checkpoint — the largest generation whose checkpoint
+// exists under its final name — then replay every consecutive AOF
+// segment from that generation up (normally one; two when a crash
+// landed between rotation and the checkpoint's rename). A torn or
+// CRC-corrupt tail in the newest segment is expected debris of a crash
+// and is silently dropped; corruption anywhere else stops replay at the
+// longest valid prefix and sets Truncated. So does an epoch out of
+// order: record epochs must run consecutively from the checkpoint's
+// epoch + 1 across segments, since every record is the next publication
+// — after a gap or a repeat, the records left would build a state no
+// epoch published.
 //
-// A directory with no manifest (fresh, or never checkpointed) returns a
-// Result with a nil Graph and no error — the caller starts empty.
+// A directory with no committed checkpoint (fresh, missing, or never
+// checkpointed) returns a Result with a nil Graph and no error — the
+// caller starts empty.
 // Recover only reads; it never repairs files. The Manager's Start takes
 // a fresh checkpoint, which supersedes whatever debris is left behind.
 func Recover(dir string) (*Result, error) {
-	gen, ok, err := readManifest(dir)
+	_, gen, err := scanGenerations(dir)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if gen == 0 {
 		return &Result{}, nil
 	}
 	g, epoch, err := readCheckpointFile(checkpointPath(dir, gen))
