@@ -27,7 +27,8 @@ race:
 # pin that skips its re-check only at full speed, without the race detector.
 # The third runs the write futures' channel-free completion (a WaitGroup
 # the applier releases after writing the result) and their reuse after Wait,
-# and the reclamation hammer, under the race detector.
+# and the reclamation hammer, a pin held across a Load at a lower epoch and
+# a pin at epoch 0, under the race detector.
 # The next two run the lock-free OM readers and the graph's reserved
 # concurrent AddEdge under the race detector. The last runs the log's
 # commit contract (append before apply, commit before publish) and
@@ -36,14 +37,20 @@ race:
 # recovery's whole-publication and epoch-chain rules, its commit rule (the
 # current generation is the newest checkpoint under its final name), and a
 # sync being the checkpoint it takes (its tap registered at that barrier)
-# under the race detector.
+# under the race detector. The last two run one epoch space under the race
+# detector: a follower publishes each leader state at the leader's epoch
+# (before its first bootstrap at 0, and past a vertex ceiling below the
+# leader's universe), and a leader killed and restarted under
+# -aof-fsync always resumes at the epoch it recovered.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer' ./kcore ./internal/snapshot/
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer|TestPinAcrossLowerLoad|TestEpochZeroPinHoldsItsSlot' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint' ./kcore ./persist
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestFollowerServesLeaderEpoch|TestFollowerWaitsForFirstBootstrap|TestFollowerBelowLeaderCeiling|TestFollowerRefusesEpochGap|TestFollowerReplaysLeaderBatches' ./server
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestReplicaResyncAfterLeaderKill' ./cmd/kcored
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

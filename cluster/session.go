@@ -67,7 +67,7 @@ func (s *Session) readConn(i int) (*client.Conn, error) {
 	if s.reads[i] != nil {
 		s.reads[i].Close()
 		// Re-dialing resets the connection, not the session's epoch
-		// bookkeeping: gates[i] tracks the *server's* applied watermark,
+		// bookkeeping: gates[i] tracks the *server's* published epoch,
 		// which survives our reconnect.
 	}
 	conn, err := client.Dial(s.ReadAddr(i), client.WithDialTimeout(dialTimeout))

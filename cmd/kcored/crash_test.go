@@ -159,8 +159,11 @@ func TestCrashRecoveryKillMidBurst(t *testing.T) {
 // directory and address (promote-by-restart), drives more acked bursts,
 // and waits for the follower — which must notice the dead leader,
 // reconnect and re-bootstrap on its own — to serve a BZ decomposition
-// of the mirror. The follower must refuse writes, and both nodes must
-// pass CORE.CHECK.
+// of the mirror. One epoch space holds across the restart: the restarted
+// leader resumes at an epoch no lower than the last acked one, the
+// follower answers CORE.WAIT on that epoch at once, and a CORE.WAIT on
+// the first epoch acked after the restart, then a sweep, sees that burst.
+// The follower must refuse writes, and both nodes must pass CORE.CHECK.
 func TestReplicaResyncAfterLeaderKill(t *testing.T) {
 	skipShort(t)
 	dir := filepath.Join(t.TempDir(), "data")
@@ -172,21 +175,50 @@ func TestReplicaResyncAfterLeaderKill(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1))
 	mirror := graph.New(n)
-	ackedBursts(t, dial(t, leaderAddr), mirror, rng, 20, 64)
-	leader.stop(syscall.SIGKILL)
-	t.Logf("killed the leader after 20 acked bursts (mirror: n=%d m=%d)", mirror.N(), mirror.M())
-
-	spawn(t, leaderAddr, durable(dir)...)
 	lc := dial(t, leaderAddr)
 	ackedBursts(t, lc, mirror, rng, 20, 64)
+	// Under -aof-fsync always every publication is durable before it
+	// acks, so the epoch read after the last ack is one the restarted
+	// leader must reach.
+	lastAcked, err := client.Int(lc.Do("CORE.EPOCH"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := dial(t, followerAddr)
+	if _, err := client.Int(fc.Do("CORE.WAIT", lastAcked, 15000)); err != nil {
+		t.Fatalf("follower CORE.WAIT %d before the kill: %v", lastAcked, err)
+	}
+	leader.stop(syscall.SIGKILL)
+	t.Logf("killed the leader at epoch %d after 20 acked bursts (mirror: n=%d m=%d)", lastAcked, mirror.N(), mirror.M())
+
+	spawn(t, leaderAddr, durable(dir)...)
+	lc = dial(t, leaderAddr)
+	if e, err := client.Int(lc.Do("CORE.EPOCH")); err != nil || e < lastAcked {
+		t.Fatalf("restarted leader serves epoch %d, %v; below the last acked %d", e, err, lastAcked)
+	}
+	if e, err := client.Int(fc.Do("CORE.WAIT", lastAcked, 100)); err != nil || e < lastAcked {
+		t.Fatalf("follower CORE.WAIT %d after the leader's restart = %d, %v; want an answer at once", lastAcked, e, err)
+	}
+	ackedBursts(t, lc, mirror, rng, 1, 64)
+	first, err := client.Int(lc.Do("CORE.EPOCH"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Int(fc.Do("CORE.WAIT", first, 15000)); err != nil {
+		t.Fatalf("follower CORE.WAIT %d after the restart: %v", first, err)
+	}
+	want, _ := bz.Decompose(mirror)
+	if err := sweep(fc, want); err != nil {
+		t.Fatalf("follower after CORE.WAIT %d misses the first burst after the restart: %v", first, err)
+	}
+	ackedBursts(t, lc, mirror, rng, 19, 64)
 	if _, err := client.Int(lc.Do("CORE.FLUSH")); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := bz.Decompose(mirror)
+	want, _ = bz.Decompose(mirror)
 
 	// The follower converges on its own schedule (reconnect backoff,
 	// re-bootstrap): sweep it until it matches.
-	fc := dial(t, followerAddr)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		err := sweep(fc, want)

@@ -83,18 +83,14 @@ func main() {
 	// Recover-or-import precedence: durable state in -dir is
 	// authoritative; -load only seeds a directory that has none. A
 	// follower starts empty and reloads from its leader's snapshot.
-	var (
-		g   *graph.Graph
-		mgr *persist.Manager
-	)
+	res := &persist.Result{} // the recovered state: a nil Graph when there is none
+	var mgr *persist.Manager
 	if *dir != "" {
 		start := time.Now()
-		res, err := persist.Recover(*dir)
-		if err != nil {
+		if res, err = persist.Recover(*dir); err != nil {
 			log.Fatalf("kcored: recover %s: %v", *dir, err)
 		}
-		if res.Graph != nil {
-			g = res.Graph
+		if g := res.Graph; g != nil {
 			if !*quiet {
 				log.Printf("kcored: recovered gen %d from %s: n=%d m=%d, %d log records (%d edge ops) replayed across %d segment(s), %d torn bytes dropped, in %v",
 					res.Gen, *dir, g.N(), g.M(), res.TailRecords, res.TailEdges,
@@ -116,9 +112,9 @@ func main() {
 			log.Fatalf("kcored: %v", err)
 		}
 	}
-	if g == nil {
-		g, err = buildGraph(*load, *n)
-		if err != nil {
+	g := graph.New(0)
+	if res.Graph == nil {
+		if g, err = buildGraph(*load, *n); err != nil {
 			log.Fatalf("kcored: %v", err)
 		}
 	}
@@ -134,6 +130,12 @@ func main() {
 	}
 	m := kcore.New(g, engine...)
 	defer m.Close()
+	if res.Graph != nil {
+		// A recovered leader resumes at the epoch it recovered, so its
+		// log's epochs, and those its followers and clients hold, run on.
+		g = res.Graph
+		m.Reload(g, res.Epoch)
+	}
 	if mgr != nil {
 		// Start's synchronous checkpoint captures the just-built state —
 		// a -load import is durable (and its text parse paid for good)

@@ -45,16 +45,16 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			name := fmt.Sprintf("n=%d/vstar=%d", n, vstar)
 			b.Run(name+"/full", func(b *testing.B) {
 				var p Publisher
-				p.Load(append([]int32(nil), cores...), int64(n))
+				p.Load(append([]int32(nil), cores...), int64(n), 1)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.Load(append([]int32(nil), cores...), int64(n))
+					p.Load(append([]int32(nil), cores...), int64(n), p.Head().Epoch+1)
 				}
 			})
 			b.Run(name+"/delta", func(b *testing.B) {
 				var p Publisher
-				p.Load(append([]int32(nil), cores...), int64(n))
+				p.Load(append([]int32(nil), cores...), int64(n), 1)
 				side = 1
 				p.Publish(n, int64(n), verts, coreOf)
 				b.ReportAllocs()
@@ -70,7 +70,7 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			b.Run(name+"/grow", func(b *testing.B) {
 				const growBy = 8 * PageSize
 				var p Publisher
-				p.Load(append([]int32(nil), cores...), int64(n))
+				p.Load(append([]int32(nil), cores...), int64(n), 1)
 				base := p.Current()
 				// The grown tail's changed set: vstar fresh vertices
 				// promoted to core 1 right after arrival.
@@ -92,7 +92,7 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			b.Run(name+"/jes", func(b *testing.B) {
 				raw := append(slices.Clone(verts), verts...)
 				var p Publisher
-				p.Load(append([]int32(nil), cores...), int64(n))
+				p.Load(append([]int32(nil), cores...), int64(n), 1)
 				// Pre-warm onto side 1 so iteration 0 (side 0) patches
 				// real pages instead of hitting the no-op skip, exactly
 				// like the delta case above.
@@ -151,7 +151,7 @@ func BenchmarkPublishBesideReaders(b *testing.B) {
 		b.Run(fmt.Sprint("idle=", idle), func(b *testing.B) {
 			const n = 200 * PageSize
 			var p Publisher
-			p.Load(make([]int32, n), 0)
+			p.Load(make([]int32, n), 0, 1)
 			for range idle {
 				r := p.NewReader()
 				r.Pin()

@@ -132,7 +132,7 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 	}
 	recount()
 	record(1)
-	p.Load(slices.Clone(cores), m)
+	p.Load(slices.Clone(cores), m, 1)
 	coreOf := func(v int32) int32 { return cores[v] }
 
 	var done atomic.Bool
@@ -244,7 +244,7 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 			}
 			recount()
 			record(e)
-			got = p.Load(slices.Clone(cores), m)
+			got = p.Load(slices.Clone(cores), m, e)
 		}
 		if got != e {
 			t.Fatalf("publication returned epoch %d, want %d", got, e)
@@ -282,7 +282,7 @@ func TestReclaimHammerThenAudit(t *testing.T) {
 func TestPinSlotsCountBusyReaders(t *testing.T) {
 	var p Publisher
 	cores := make([]int32, 2*PageSize)
-	p.Load(slices.Clone(cores), 0)
+	p.Load(slices.Clone(cores), 0, 1)
 	cores[0] = 1
 	p.Publish(len(cores), 0, []int32{0}, coresOf(cores)) // page 0 is the Publisher's own now
 	for range 256 {
@@ -318,4 +318,80 @@ func TestPinSlotsCountBusyReaders(t *testing.T) {
 		t.Fatalf("no page recycled in %d dirty pages", st.DirtyPages)
 	}
 	extra.Unpin()
+}
+
+// TestPinAcrossLowerLoad: a Load may stamp an epoch below the current one
+// (a follower reloading at a leader's epoch). It retires the old View's
+// objects at the old epoch before it stamps the new one, so a Reader
+// pinned on the old View keeps its pages unpoisoned across the Load and
+// the 200 publications after it, which pass the old epoch again.
+func TestPinAcrossLowerLoad(t *testing.T) {
+	var p Publisher
+	cores := make([]int32, 2*PageSize)
+	p.Load(slices.Clone(cores), 0, 1)
+	// flip moves one vertex on each page, so every publication clones
+	// both pages and retires the previous ones.
+	flip := func(i int) {
+		cores[0], cores[PageSize] = int32(i%3)+1, int32(i%3)+1
+		p.Publish(len(cores), 0, []int32{0, PageSize}, coresOf(cores))
+	}
+	for i := range 100 {
+		flip(i)
+	}
+	r := p.NewReader()
+	v := r.Pin()
+	held := v.CoresInto(nil)
+	recycled := p.Stats().Recycled
+
+	p.Load(make([]int32, 2*PageSize), 0, 50)
+	if e := p.Head().Epoch; e != 50 {
+		t.Fatalf("Load at 50 installed epoch %d", e)
+	}
+	clear(cores)
+	for i := range 200 {
+		flip(i)
+	}
+	if got := v.CoresInto(nil); !slices.Equal(got, held) {
+		t.Fatalf("the view pinned at epoch %d changed across a Load at 50: core(0) %d, want %d", v.Epoch, got[0], held[0])
+	}
+	if p.Stats().Recycled == recycled {
+		t.Fatal("no page recycled after the Load: the test did not exercise reclamation")
+	}
+	r.Unpin()
+}
+
+// TestEpochZeroPinHoldsItsSlot: a View at epoch 0 (a follower before its
+// first bootstrap) pins like any other, so the Reader pinned on it holds
+// a slot no other Reader can claim, and its Unpin frees no slot another
+// Reader holds: that Reader's View keeps its pages.
+func TestEpochZeroPinHoldsItsSlot(t *testing.T) {
+	var p Publisher
+	cores := make([]int32, 2*PageSize)
+	p.Load(slices.Clone(cores), 0, 0)
+	a := p.NewReader()
+	if v := a.Pin(); v.Epoch != 0 {
+		t.Fatalf("pinned epoch %d, want 0", v.Epoch)
+	}
+	flip := func(i int) {
+		cores[0], cores[PageSize] = int32(i%3)+1, int32(i%3)+1
+		p.Publish(len(cores), 0, []int32{0, PageSize}, coresOf(cores))
+	}
+	flip(0)
+	b := p.NewReader()
+	v := b.Pin()
+	held := v.CoresInto(nil)
+	if a.slot == b.slot {
+		t.Fatal("two Readers claimed one slot")
+	}
+	a.Unpin()
+	for i := 1; i <= 20; i++ {
+		flip(i)
+	}
+	if got := v.CoresInto(nil); !slices.Equal(got, held) {
+		t.Fatalf("the view pinned at epoch %d changed after another Reader unpinned epoch 0: core(0) %d, want %d", v.Epoch, got[0], held[0])
+	}
+	if p.Stats().Recycled == 0 {
+		t.Fatal("no page recycled: the test did not exercise reclamation")
+	}
+	b.Unpin()
 }

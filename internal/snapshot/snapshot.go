@@ -71,8 +71,9 @@ const (
 // Head is a View's scalar part: reading it needs no pin and blocks no
 // reclamation (Publisher.Head).
 type Head struct {
-	// Epoch increases by one with every published View; it never repeats
-	// or decreases for a given Publisher.
+	// Epoch names the published state: Publish stamps the current
+	// epoch + 1, and Load stamps the epoch its caller gives, which may lie
+	// at or below the current one (a reload at another node's epoch).
 	Epoch uint64
 	// MaxCore is the largest core number (len(Hist)-1).
 	MaxCore int32
@@ -220,7 +221,7 @@ type Reader struct {
 // pinSlot is one epoch slot; it fills its cache line, so a Reader that
 // pins writes a line no other Reader writes.
 type pinSlot struct {
-	epoch atomic.Uint64 // the pinned epoch; 0 when free
+	epoch atomic.Uint64 // the pinned epoch + 1, so a view at epoch 0 pins too; 0 when free
 	_     [56]byte
 }
 
@@ -240,8 +241,8 @@ func (r *Reader) Pin() *View {
 			return nil
 		}
 		if r.slot != nil {
-			r.slot.epoch.Store(v.Epoch)
-		} else if !r.claim(v.Epoch) {
+			r.slot.epoch.Store(v.Epoch + 1)
+		} else if !r.claim(v.Epoch + 1) {
 			return r.p.Current()
 		}
 		if r.p.cur.Load() == v {
@@ -250,9 +251,9 @@ func (r *Reader) Pin() *View {
 	}
 }
 
-// claim takes a free slot for epoch e, starting from the one it took last,
-// and raises the Publisher's count of slots in use so that install reads
-// this one — both before Pin's reload of cur.
+// claim takes a free slot, storing e (a pinned epoch + 1) in it, starting
+// from the one it took last, and raises the Publisher's count of slots in
+// use so that install reads this one — both before Pin's reload of cur.
 func (r *Reader) claim(e uint64) bool {
 	p := r.p
 	for k := range pinSlots {
@@ -333,12 +334,13 @@ type Publisher struct {
 	recycled   atomic.Int64
 }
 
-// Load derives the aggregate fields from cores, stamps the next epoch,
-// and installs the View as current — the O(n) build, which retires every
-// object of the previous View. Load must only run at quiescence (no
-// concurrent engine mutation); it takes ownership of cores, which becomes
-// the backing store of the pages.
-func (p *Publisher) Load(cores []int32, m int64) uint64 {
+// Load derives the aggregate fields from cores, stamps epoch, and
+// installs the View as current — the O(n) build, which retires every
+// object of the previous View at the previous View's epoch before it
+// stamps the new one, so epoch may lie at or below the current one. Load
+// must only run at quiescence (no concurrent engine mutation); it takes
+// ownership of cores, which becomes the backing store of the pages.
+func (p *Publisher) Load(cores []int32, m int64, epoch uint64) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if old := p.cur.Load(); old != nil {
@@ -365,7 +367,7 @@ func (p *Publisher) Load(cores []int32, m int64) uint64 {
 		Head:  Head{MaxCore: int32(len(hist)) - 1, N: len(cores), M: m},
 		pages: pages,
 		Hist:  hist,
-	}, true, true)
+	}, epoch, true, true)
 }
 
 // Publish installs a fresh View derived copy-on-write from the current
@@ -472,17 +474,17 @@ func (p *Publisher) Publish(n int, m int64, changed []int32, coreOf func(int32) 
 		Head:  Head{MaxCore: int32(len(hist)) - 1, N: n, M: m},
 		pages: pages,
 		Hist:  hist,
-	}, newTable, newHist)
+	}, next, newTable, newHist)
 }
 
-// install stamps v with the next epoch, makes it current, and then — only
-// then, so that a reader still reaching a retired object is visible —
-// reclaims every retired object no escape and no pin covers. newTable and
-// newHist tell whether v's table and histogram are new in this epoch. It
-// returns v's epoch.
-func (p *Publisher) install(v *View, newTable, newHist bool) uint64 {
-	p.epoch++
-	v.Epoch = p.epoch
+// install stamps v with epoch, makes it current, and then — only then,
+// so that a reader still reaching a retired object is visible — reclaims
+// every retired object no escape and no pin covers. newTable and newHist
+// tell whether v's table and histogram are new in this epoch. It returns
+// v's epoch.
+func (p *Publisher) install(v *View, epoch uint64, newTable, newHist bool) uint64 {
+	p.epoch = epoch
+	v.Epoch = epoch
 	if newTable {
 		p.tableBorn = p.epoch
 	}
@@ -496,7 +498,7 @@ func (p *Publisher) install(v *View, newTable, newHist bool) uint64 {
 	pins := p.pins[:0]
 	for i := range p.slotsUsed.Load() {
 		if e := p.slots[i].epoch.Load(); e != 0 {
-			pins = append(pins, e)
+			pins = append(pins, e-1)
 		}
 	}
 	p.pins = pins

@@ -12,7 +12,7 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	if p.Current() != nil {
 		t.Fatal("zero publisher must have no view")
 	}
-	p.Load([]int32{2, 2, 2, 1, 0}, 4)
+	p.Load([]int32{2, 2, 2, 1, 0}, 4, 1)
 	v := p.Current()
 	if v.Epoch != 1 || v.N != 5 || v.M != 4 || v.MaxCore != 2 {
 		t.Fatalf("view %+v", v)
@@ -31,7 +31,7 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	if got := v.CoresInto(nil); len(got) != 5 || got[0] != 2 || got[4] != 0 {
 		t.Fatalf("CoresInto %v", got)
 	}
-	p.Load([]int32{1, 1}, 1)
+	p.Load([]int32{1, 1}, 1, 2)
 	v2 := p.Current()
 	if v2.Epoch != 2 {
 		t.Fatalf("epoch = %d, want 2", v2.Epoch)
@@ -42,17 +42,20 @@ func TestPublishDerivesAggregates(t *testing.T) {
 	}
 }
 
+// TestEpochsNeverRepeat: racing publications serialize, each stamping
+// the current epoch + 1, so no two share an epoch.
 func TestEpochsNeverRepeat(t *testing.T) {
 	var p Publisher
+	p.Load([]int32{0}, 0, 1)
 	var mu sync.Mutex
-	seen := map[uint64]bool{}
+	seen := map[uint64]bool{1: true}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				e := p.Load([]int32{0}, 0)
+				e := p.Publish(1, 0, nil, nil)
 				mu.Lock()
 				if seen[e] {
 					mu.Unlock()
@@ -64,8 +67,8 @@ func TestEpochsNeverRepeat(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(seen) != 400 {
-		t.Fatalf("%d distinct epochs, want 400", len(seen))
+	if len(seen) != 401 || p.Head().Epoch != 401 {
+		t.Fatalf("%d distinct epochs up to %d, want 401", len(seen), p.Head().Epoch)
 	}
 }
 
@@ -76,7 +79,7 @@ func viewEqual(t *testing.T, v *View, cores []int32, m int64) {
 		t.Fatalf("N=%d M=%d, want N=%d M=%d", v.N, v.M, len(cores), m)
 	}
 	var ref Publisher
-	ref.Load(append([]int32(nil), cores...), m)
+	ref.Load(append([]int32(nil), cores...), m, 1)
 	want := ref.Current()
 	got := v.CoresInto(nil)
 	for i := range cores {
@@ -117,7 +120,7 @@ func TestPublishDeltaMatchesFull(t *testing.T) {
 		cores[i] = rng.Int31n(8)
 	}
 	var p Publisher
-	p.Load(slices.Clone(cores), 10)
+	p.Load(slices.Clone(cores), 10, 1)
 	const lone = int32(PageSize + 1) // the vertex that alone holds the top core
 	for round := range 80 {
 		prev := p.Current()
@@ -233,7 +236,7 @@ func TestPublishDeltaCopyOnWrite(t *testing.T) {
 	const n = 2*PageSize + 10
 	cores := make([]int32, n)
 	var p Publisher
-	p.Load(slices.Clone(cores), 0)
+	p.Load(slices.Clone(cores), 0, 1)
 	old := p.Current()
 	target := int32(PageSize + 5) // page 1
 	cores[target] = 3
@@ -259,7 +262,7 @@ func TestPublishDeltaClonesPageOnce(t *testing.T) {
 	const n = 2*PageSize + 10
 	cores := make([]int32, n)
 	var p Publisher
-	p.Load(make([]int32, n), 0)
+	p.Load(make([]int32, n), 0, 1)
 	old := p.Current()
 	a, b := int32(PageSize+5), int32(2*PageSize-1) // both on page 1
 	cores[a], cores[b] = 3, 4
@@ -283,7 +286,7 @@ func TestPublishDeltaClonesPageOnce(t *testing.T) {
 func TestPublishDeltaMaxCoreShrinks(t *testing.T) {
 	cores := []int32{1, 1, 5}
 	var p Publisher
-	p.Load(slices.Clone(cores), 3)
+	p.Load(slices.Clone(cores), 3, 1)
 	cores[2] = 1
 	p.Publish(3, 2, []int32{2}, coresOf(cores))
 	v := p.Current()
@@ -305,7 +308,7 @@ func TestPublishDeltaMaxCoreShrinks(t *testing.T) {
 func TestPublishUnchangedSharesPages(t *testing.T) {
 	cores := []int32{2, 1, 0}
 	var p Publisher
-	p.Load(slices.Clone(cores), 3)
+	p.Load(slices.Clone(cores), 3, 1)
 	old := p.Current()
 	p.Publish(3, 4, nil, nil)
 	p.Publish(2, 5, []int32{1, 0, 1}, coresOf(cores)) // n below N keeps it
@@ -331,7 +334,7 @@ func TestPublishGrowMatchesFull(t *testing.T) {
 		cores[i] = 1 + rng.Int31n(6)
 	}
 	var p Publisher
-	p.Load(slices.Clone(cores), 10)
+	p.Load(slices.Clone(cores), 10, 1)
 	for _, newN := range []int{
 		len(cores) + 1,  // stays inside the short page
 		PageSize * 2,    // fills page 1 exactly
@@ -367,7 +370,7 @@ func TestPublishGrowCopyOnWrite(t *testing.T) {
 		cores[i] = 2
 	}
 	var p Publisher
-	p.Load(slices.Clone(cores), 5)
+	p.Load(slices.Clone(cores), 5, 1)
 	old := p.Current()
 	p.Publish(3*PageSize, 5, nil, nil)
 	v := p.Current()
@@ -396,7 +399,7 @@ func TestPublishGrowCopyOnWrite(t *testing.T) {
 
 func TestCoresIntoReusesBuffer(t *testing.T) {
 	var p Publisher
-	p.Load([]int32{3, 2, 1, 0}, 2)
+	p.Load([]int32{3, 2, 1, 0}, 2, 1)
 	v := p.Current()
 	buf := make([]int32, 0, 16)
 	out := v.CoresInto(buf)

@@ -243,7 +243,7 @@ type engine struct {
 	impl   Engine             // registered implementation for cfg.alg
 	coreOf func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
 	pub    snapshot.Publisher // the read snapshots; see publishAfter
-	wm     EpochWatermark     // pub's epoch, advanced after every publication
+	wm     epochWatermark     // pub's epoch, set after every publication
 	mu     sync.Mutex         // serializes post-Close synchronous applies
 	// res is the report of the batch being applied, zero between batches
 	// but for res.changed, the scratch carried from one to the next. It
@@ -291,7 +291,7 @@ func New(g *graph.Graph, opts ...Option) *Maintainer {
 		cfg.alg = ParallelOrder
 	}
 	eng := &engine{cfg: cfg}
-	eng.load(g)
+	eng.load(g, 1)
 	pipe := newPipeline(newPipelineMetrics(cfg.alg.String()))
 	go pipe.run(eng)
 	m := &Maintainer{eng: eng, pipe: pipe}
@@ -303,16 +303,19 @@ func New(g *graph.Graph, opts ...Option) *Maintainer {
 // after every earlier update: the engine is rebuilt over g with this
 // Maintainer's algorithm and worker count, as New builds it, the
 // WithMaxVertices ceiling is raised to g.N() if it is below, and g's
-// decomposition is published as the next epoch. Epochs stay monotone
-// across a reload, and snapshots taken before the call never change. The
-// Maintainer owns g afterwards, as with New.
+// decomposition is published at epoch, the epoch g's state has where it
+// came from — which may lie at or below the current one. Snapshots taken
+// before the call never change. The Maintainer owns g afterwards, as
+// with New.
 //
-// Reload is the follower's bootstrap: a replica reloads its one
-// Maintainer from every leader snapshot. It does not call the OpLog, so a
-// leader, whose log must describe every change to its graph, never
-// reloads.
-func (m *Maintainer) Reload(g *graph.Graph) {
-	m.barrier(func() { m.eng.load(g) })
+// Reload is how a state that already has an epoch comes in: a replica
+// reloads its one Maintainer from every leader snapshot at the
+// snapshot's epoch, and a restarted leader reloads the state it recovered
+// at the recovered epoch. It does not call the OpLog, so a leader, whose
+// log must describe every change to its graph, reloads only before its
+// persist.Manager's Start checkpoints it.
+func (m *Maintainer) Reload(g *graph.Graph, epoch uint64) {
+	m.barrier(func() { m.eng.load(g, epoch) })
 }
 
 // Close stops the update pipeline after finishing every already-enqueued
@@ -356,9 +359,11 @@ func (m *Maintainer) CoreHistogram() []int64 {
 	return append([]int64(nil), m.view().Hist...)
 }
 
-// Epoch returns the version of the latest published snapshot. It advances
-// by at least one per applied batch and never decreases; equal epochs mean
-// identical query results.
+// Epoch returns the version of the latest published snapshot. Each
+// applied batch publishes the current epoch + 1, and a Reload publishes
+// the epoch it is given, so on a follower the epoch is the leader's and
+// on a restarted leader the one it recovered. Between two reloads equal
+// epochs mean identical query results.
 func (m *Maintainer) Epoch() uint64 { return m.eng.head().Epoch }
 
 // WaitEpoch blocks until a snapshot at epoch target or later is
@@ -367,7 +372,7 @@ func (m *Maintainer) Epoch() uint64 { return m.eng.head().Epoch }
 // waits as long as cancel allows; a nil cancel never fires. Waiting
 // polls nothing: a publication wakes the parked waiters.
 func (m *Maintainer) WaitEpoch(target uint64, timeout time.Duration, cancel <-chan struct{}) (uint64, bool) {
-	return m.eng.wm.Wait(target, timeout, cancel)
+	return m.eng.wm.wait(target, timeout, cancel)
 }
 
 // Snapshot returns the latest published snapshot: an immutable,
@@ -585,16 +590,16 @@ func (m *Maintainer) Check() error {
 	return err
 }
 
-// load builds the engine over g and publishes its decomposition as the
-// next epoch — New's construction and Reload's rebuild. At quiescence.
-func (eng *engine) load(g *graph.Graph) {
+// load builds the engine over g and publishes its decomposition at epoch
+// — New's construction and Reload's rebuild. At quiescence.
+func (eng *engine) load(g *graph.Graph, epoch uint64) {
 	if eng.cfg.maxN < g.N() {
 		eng.cfg.maxN = g.N() // never below the universe we already have
 	}
 	eng.g = g
 	eng.impl = newEngine(eng.cfg.alg, g, eng.cfg.workers)
 	eng.coreOf = eng.impl.CoreOf
-	eng.wm.Advance(eng.pub.Load(eng.impl.Cores(), g.M()))
+	eng.wm.set(eng.pub.Load(eng.impl.Cores(), g.M(), epoch))
 }
 
 // view returns the current published snapshot (never nil: New publishes
@@ -613,7 +618,7 @@ func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
 // The report is dead after publication; the buffer one huge batch grew is
 // not kept.
 func (eng *engine) publishAfter(res *BatchResult) {
-	eng.wm.Advance(eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf))
+	eng.wm.set(eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf))
 	if cap(res.changed) > changedKeep {
 		res.changed = nil
 	}

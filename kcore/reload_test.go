@@ -8,10 +8,11 @@ import (
 )
 
 // TestReloadMidChurn: on every engine, Reload replaces the graph at a
-// barrier behind the writes already submitted — onto a larger graph, then
-// a smaller one — and publishes the new decomposition as the next epoch,
-// leaving held snapshots and the op log untouched and the maintainer
-// working as if New had built it over the reloaded graph.
+// barrier behind the writes already submitted — onto a larger graph at a
+// higher epoch, then a smaller one at a lower epoch — and publishes the
+// new decomposition at the epoch it is given, leaving held snapshots and
+// the op log untouched and the maintainer working as if New had built it
+// over the reloaded graph.
 func TestReloadMidChurn(t *testing.T) {
 	for _, alg := range Algorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -51,10 +52,11 @@ func TestReloadMidChurn(t *testing.T) {
 				}
 				return pds
 			}
-			// reload reloads g behind a churn burst still in the pipeline.
-			// A barrier submitted between the two records what the churn
-			// left, so the reload's own publication and log traffic show.
-			reload := func(g *graph.Graph, churnN int32, seed int64) {
+			// reload reloads g at epoch behind a churn burst still in the
+			// pipeline. A barrier submitted between the two records what the
+			// churn left, so the reload's own publication and log traffic
+			// show.
+			reload := func(g *graph.Graph, epoch uint64, churnN int32, seed int64) {
 				t.Helper()
 				held := m.Snapshot()
 				heldCores := held.CoreNumbers()
@@ -69,7 +71,7 @@ func TestReloadMidChurn(t *testing.T) {
 				}))
 				n, edges := g.N(), g.M()
 
-				m.Reload(g)
+				m.Reload(g, epoch)
 				for _, pd := range pending {
 					pd.Wait()
 				}
@@ -77,8 +79,8 @@ func TestReloadMidChurn(t *testing.T) {
 				if m.N() != n || m.Graph().M() != edges {
 					t.Fatalf("after Reload: N = %d, M = %d; want the reloaded graph's %d, %d", m.N(), m.Graph().M(), n, edges)
 				}
-				if after.Epoch <= before.Epoch {
-					t.Fatalf("epoch %d after Reload, was %d", after.Epoch, before.Epoch)
+				if after.Epoch != epoch {
+					t.Fatalf("epoch %d after Reload at %d (was %d)", after.Epoch, epoch, before.Epoch)
 				}
 				if after.FullPublishes != before.FullPublishes+1 {
 					t.Fatalf("Reload made %d full publishes, want 1", after.FullPublishes-before.FullPublishes)
@@ -100,7 +102,7 @@ func TestReloadMidChurn(t *testing.T) {
 			}
 
 			// Larger: the vertex ceiling rises to the new N.
-			reload(gen.ErdosRenyi(300, 1200, 402), 100, 403)
+			reload(gen.ErdosRenyi(300, 1200, 402), 1000, 100, 403)
 			if res := m.InsertEdge(0, 299); res.Applied != 1 {
 				t.Fatalf("insert at id 299 after reloading 300 vertices applied %d", res.Applied)
 			}
@@ -113,7 +115,7 @@ func TestReloadMidChurn(t *testing.T) {
 			assertDecomposed("after churn on the larger graph")
 
 			// Smaller: N shrinks to the reloaded graph's, the ceiling stays.
-			reload(gen.ErdosRenyi(50, 120, 405), 300, 406)
+			reload(gen.ErdosRenyi(50, 120, 405), 7, 300, 406)
 			if n := m.AddVertices(5); n != 55 {
 				t.Fatalf("AddVertices(5) on 50 vertices = %d, want 55", n)
 			}

@@ -9,90 +9,102 @@ import (
 	"repro/graph"
 )
 
-func TestEpochWatermarkAdvanceMonotonic(t *testing.T) {
-	var w EpochWatermark
-	if got := w.Epoch(); got != 0 {
+// TestEpochWatermarkSet: set moves the watermark to any epoch, below the
+// current one too (a Reload at a lower epoch), and with no waiter parked
+// a move costs no allocation — every publication makes one.
+func TestEpochWatermarkSet(t *testing.T) {
+	var w epochWatermark
+	epoch := func() uint64 { e, _ := w.wait(0, 0, nil); return e }
+	if got := epoch(); got != 0 {
 		t.Fatalf("fresh watermark epoch = %d, want 0", got)
 	}
-	w.Advance(5)
-	w.Advance(3) // stale marker must not regress
-	if got := w.Epoch(); got != 5 {
-		t.Fatalf("after Advance(5), Advance(3): epoch = %d, want 5", got)
+	w.set(5)
+	w.set(3)
+	if got := epoch(); got != 3 {
+		t.Fatalf("after set(5), set(3): epoch = %d, want 3", got)
 	}
-	w.Reset(2) // re-bootstrap may regress
-	if got := w.Epoch(); got != 2 {
-		t.Fatalf("after Reset(2): epoch = %d, want 2", got)
+	// A waiter whose target the lower epoch put out of reach keeps
+	// waiting for a later set.
+	done := make(chan uint64)
+	go func() {
+		e, _ := w.wait(5, 5*time.Second, nil)
+		done <- e
+	}()
+	time.Sleep(10 * time.Millisecond)
+	w.set(4)
+	select {
+	case e := <-done:
+		t.Fatalf("Wait(5) returned at epoch %d", e)
+	case <-time.After(20 * time.Millisecond):
 	}
-	// Every publication advances the maintainer's watermark: with no
-	// waiter parked, a move must cost no allocation.
-	e := w.Epoch()
-	if allocs := testing.AllocsPerRun(100, func() { e++; w.Advance(e) }); allocs != 0 {
-		t.Fatalf("Advance with no waiter allocates %v times, want 0", allocs)
+	w.set(5)
+	if e := <-done; e != 5 {
+		t.Fatalf("Wait(5) returned at epoch %d, want 5", e)
+	}
+	e := epoch()
+	if allocs := testing.AllocsPerRun(100, func() { e++; w.set(e) }); allocs != 0 {
+		t.Fatalf("set with no waiter allocates %v times, want 0", allocs)
 	}
 }
 
 func TestEpochWatermarkWait(t *testing.T) {
-	var w EpochWatermark
-	w.Advance(10)
+	var w epochWatermark
+	w.set(10)
 
 	// Already satisfied: returns immediately.
-	if got, ok := w.Wait(10, time.Second, nil); !ok || got != 10 {
+	if got, ok := w.wait(10, time.Second, nil); !ok || got != 10 {
 		t.Fatalf("Wait(10) = (%d, %v), want (10, true)", got, ok)
 	}
 
-	// Not yet satisfied: a concurrent Advance releases the waiter.
+	// Not yet satisfied: a concurrent set releases the waiter.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if got, ok := w.Wait(15, 5*time.Second, nil); !ok || got < 15 {
+		if got, ok := w.wait(15, 5*time.Second, nil); !ok || got < 15 {
 			t.Errorf("Wait(15) = (%d, %v), want reached", got, ok)
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	w.Advance(12)
-	w.Advance(16)
+	w.set(12)
+	w.set(16)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("waiter not released by Advance(16)")
+		t.Fatal("waiter not released by set(16)")
 	}
 
 	// Timeout: target never reached.
-	if _, ok := w.Wait(100, 20*time.Millisecond, nil); ok {
-		t.Fatal("Wait(100) reported reached without an Advance")
+	if _, ok := w.wait(100, 20*time.Millisecond, nil); ok {
+		t.Fatal("Wait(100) reported reached without a set")
 	}
 
 	// Cancel: closed channel releases the waiter as not-reached.
 	cancel := make(chan struct{})
 	close(cancel)
-	if _, ok := w.Wait(100, time.Minute, cancel); ok {
+	if _, ok := w.wait(100, time.Minute, cancel); ok {
 		t.Fatal("Wait(100) with closed cancel reported reached")
 	}
 }
 
+// TestEpochWatermarkConcurrent: one writer, as the engine is, sets epochs
+// 1 to 1000 while waiters park on the last; every waiter is released.
 func TestEpochWatermarkConcurrent(t *testing.T) {
-	var w EpochWatermark
+	var w epochWatermark
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for e := uint64(1); e <= 1000; e++ {
-				w.Advance(e)
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
+	for range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, ok := w.Wait(1000, 10*time.Second, nil); !ok {
+			if got, ok := w.wait(1000, 10*time.Second, nil); !ok {
 				t.Errorf("Wait(1000) timed out at %d", got)
 			}
 		}()
 	}
+	for e := uint64(1); e <= 1000; e++ {
+		w.set(e)
+	}
 	wg.Wait()
-	if got := w.Epoch(); got != 1000 {
+	if got, _ := w.wait(0, 0, nil); got != 1000 {
 		t.Fatalf("final epoch = %d, want 1000", got)
 	}
 }

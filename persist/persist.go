@@ -28,9 +28,10 @@
 // newest committed checkpoint and replays the log tail at graph level,
 // record by record, tolerating a torn or truncated final record — so a
 // crash recovers the state at some published epoch, never half a batch.
-// The recovered graph then seeds an ordinary kcore.New, whose one BZ decomposition is the
-// only recomputation paid. A replication follower is handed its state
-// the same way: CORE.SYNC takes a checkpoint and ships its committed
+// The recovered graph is then reloaded at the recovered epoch
+// (Maintainer.Reload), whose one BZ decomposition is the only
+// recomputation paid, so the log's epochs run on across the restart. A
+// replication follower is handed its state the same way: CORE.SYNC takes a checkpoint and ships its committed
 // file, decoded by the same ReadCheckpoint, and the record tail after it
 // goes through the same StreamReader that replays the log — there is
 // one barrier that captures full state, one encoding of it, one record
@@ -40,7 +41,8 @@
 //
 //	res, _ := persist.Recover(dir)           // nil Graph when dir is fresh
 //	mgr, _ := persist.NewManager(dir, opts)
-//	m := kcore.New(g, kcore.WithOpLog(mgr))  // g = res.Graph or a fresh build
+//	m := kcore.New(g, kcore.WithOpLog(mgr))  // g: a fresh build, or empty
+//	m.Reload(res.Graph, res.Epoch)           // when res.Graph is not nil
 //	mgr.Start(m)                             // initial checkpoint, log opens
 //	defer mgr.Close()
 //

@@ -14,13 +14,14 @@ import (
 type Result struct {
 	// Graph is the recovered graph: the checkpoint plus every valid
 	// logged record, applied whole and in order — the graph at one
-	// published epoch. Hand it to kcore.New, whose one BZ
-	// decomposition recomputes the cores — byte-equal to a fresh
+	// published epoch. Hand it to Maintainer.Reload at Epoch, whose one
+	// BZ decomposition recomputes the cores — byte-equal to a fresh
 	// decomposition of the same edges by construction.
 	Graph *graph.Graph
-	// Gen is the generation recovered from; Epoch the checkpoint's
-	// snapshot epoch.
-	Gen   uint64
+	// Gen is the generation recovered from.
+	Gen uint64
+	// Epoch is the epoch of the recovered state: the checkpoint's epoch
+	// plus one per replayed record, so the log chain continues from it.
 	Epoch uint64
 
 	// TailRecords / TailEdges count the replayed log records (one per
@@ -154,12 +155,13 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 		if err != nil {
 			return 0, fmt.Errorf("persist: %s at offset %d: %w", path, valid, err)
 		}
-		if rec.Epoch != res.Epoch+uint64(res.TailRecords)+1 {
+		if rec.Epoch != res.Epoch+1 {
 			res.Truncated = true
 			break
 		}
 		applyToGraph(g, rec)
 		valid = br.n
+		res.Epoch++
 		res.TailRecords++
 		res.TailEdges += int64(len(rec.Removes) + len(rec.Inserts))
 	}

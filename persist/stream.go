@@ -122,9 +122,9 @@ type SyncSession struct {
 	// Checkpoint is the committed checkpoint file of the generation the
 	// sync began, open at its start, and Size is its length
 	// (ReadCheckpoint decodes it). Its header carries that generation and
-	// the checkpoint epoch: the follower's watermark starts there, and the
-	// tap's first record is the publication right after it. The open file
-	// stays readable after a later checkpoint deletes it.
+	// the checkpoint epoch: the follower reloads at it, and the tap's
+	// first record is the publication right after it. The open file stays
+	// readable after a later checkpoint deletes it.
 	Checkpoint *os.File
 	Size       int64
 

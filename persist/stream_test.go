@@ -245,7 +245,7 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 // decode fails recovery. Each record is appended alone, at the log's next
 // epoch unless it tests the epoch chain: a record that skips or repeats
 // an epoch decodes on the stream, where the follower judges it against
-// its watermark, and truncates recovery.
+// its epoch, and truncates recovery.
 func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	type outcome int
 	const (
@@ -265,7 +265,7 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := baseline.Epoch + uint64(baseline.TailRecords) + 1
+	next := baseline.Epoch + 1
 	frame := func(p []byte) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))

@@ -147,7 +147,7 @@ func (s *Server) register(reg *obs.Registry) {
 	)
 
 	reg.MustRegister(
-		obs.NewGaugeFunc("kcored_epoch", "Latest published snapshot epoch.",
+		obs.NewGaugeFunc("kcored_epoch", "Latest published snapshot epoch; on a follower, the leader epoch it has applied.",
 			func() float64 { return float64(s.m.Epoch()) }),
 		obs.NewGaugeFunc("kcored_vertices", "Vertex universe size N.",
 			func() float64 { return float64(s.m.N()) }),

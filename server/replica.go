@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/graph"
 	"repro/kcore"
 	"repro/obs"
 	"repro/persist"
@@ -24,24 +26,30 @@ type ReplicaOptions struct {
 
 // Replica keeps a Server in follower mode: it bootstraps from a leader's
 // CORE.SYNC snapshot by reloading the server's one maintainer in place
-// (kcore.Maintainer.Reload), and applies the streamed tail through the
-// ordinary maintainer API. Each streamed record is one leader
-// publication at the epoch it names — an edge batch, an explicit growth
-// included — applied as one Submit: one engine batch, so every state the
-// follower serves is one the leader published. A record that is not the
-// publication right after the watermark ends the session, and the
-// follower re-bootstraps instead of diverging.
+// at the snapshot's epoch (kcore.Maintainer.Reload), and applies the
+// streamed tail through the ordinary maintainer API. Each streamed record
+// is one leader publication at the epoch it names — an edge batch, an
+// explicit growth included — applied as one Submit: one engine batch,
+// which publishes exactly that epoch. So the follower's epoch is the
+// leader's, every state it serves is one the leader published at the
+// same epoch, and CORE.EPOCH and CORE.WAIT read the maintainer as on a
+// leader. A record that is not the publication right after the
+// maintainer's epoch, or that does not publish its own epoch with every
+// insert kept, ends the session, and the follower re-bootstraps instead
+// of diverging.
+//
+// Before its first bootstrap the follower serves the empty graph at
+// epoch 0, which no leader state has, so a CORE.WAIT for any leader epoch
+// parks until a snapshot is loaded. A FULLSYNC at or below the follower's
+// epoch (an idle leader's reconnect, or a leader whose history forked)
+// reloads at the leader's epoch too; until that re-bootstrap, a forked
+// follower serves its pre-fork state under its old numbers (DESIGN.md,
+// "One epoch space").
 //
 // The follower runs the engine its maintainer was built with, and the
-// maintainer's epoch, metrics and identity live across every
-// bootstrap. Reads stay lock-free off the local snapshot; write commands
-// are rejected (denyOnReplica); CORE.WAIT blocks on the applied-epoch
-// watermark for read-your-writes.
-//
-// The watermark counts in the leader's epochs, and only while a session
-// streams: it reads 0 from the end of a session until the next bootstrap
-// has reloaded the maintainer, so a WAIT target from a restarted leader's
-// epoch range cannot pass on the previous leader's state.
+// maintainer's metrics and identity live across every bootstrap. Reads
+// stay lock-free off the local snapshot; write commands are rejected
+// (denyOnReplica).
 //
 // The loop reconnects forever with backoff. Every (re)connect is a full
 // re-bootstrap: the leader's stream has no resume cursor — by design,
@@ -52,7 +60,6 @@ type Replica struct {
 	srv    *Server
 	leader string
 	opts   ReplicaOptions
-	wm     kcore.EpochWatermark
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -65,16 +72,18 @@ type Replica struct {
 
 	// leaderEpoch is the newest leader epoch seen on the wire (the FULLSYNC
 	// checkpoint's header, then every record's), stored before the record
-	// applies — so leaderEpoch−wm.Epoch() exposes the apply backlog, most
-	// visibly during a bootstrap's reload.
+	// applies — so leaderEpoch minus the maintainer's epoch exposes the
+	// apply backlog, most visibly during a bootstrap's reload.
 	leaderEpoch atomic.Uint64
 }
 
 // NewReplica puts srv into follower mode, replicating from the leader at
-// leaderAddr ("host:port"). Call Start to begin syncing and Close to
-// stop. Must be called before the server serves traffic. Every bootstrap
-// reloads srv's maintainer, whose graph is discarded.
+// leaderAddr ("host:port"): it reloads srv's maintainer with the empty
+// graph at epoch 0, discarding its graph, and every bootstrap reloads it
+// again. Call Start to begin syncing and Close to stop. Must be called
+// before the server serves traffic.
 func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
+	srv.m.Reload(graph.New(0), 0)
 	r := &Replica{
 		srv:    srv,
 		leader: leaderAddr,
@@ -110,9 +119,6 @@ func (r *Replica) loop() {
 		}
 		start := time.Now()
 		err := r.syncOnce()
-		// The session is over: until the next bootstrap, no leader epoch
-		// is applied here.
-		r.wm.Reset(0)
 		r.connected.Store(false)
 		select {
 		case <-r.quit:
@@ -192,23 +198,25 @@ func (r *Replica) syncOnce() error {
 	r.leaderEpoch.Store(epoch)
 
 	m := r.srv.Maintainer()
-	m.Reload(g)
+	m.Reload(g, epoch)
 	r.syncs.Add(1)
 	r.connected.Store(true)
 	r.lastErr.Store(nil)
-	// Only now is the snapshot's epoch applied: the watermark, at 0 since
-	// the last session ended, moves after the reload has published.
-	r.wm.Advance(epoch)
 	r.logf("replica: synced gen %d epoch %d from %s (n=%d m=%d)", gen, epoch, r.leader, g.N(), g.M())
 
 	// The tail: each record is one leader publication, at the epoch it
-	// names. The record at wm+1 applies as one engine batch, so the
-	// follower serves only states the leader published; an idle leader's
-	// heartbeat, an empty batch at or below wm, publishes nothing. Any
-	// other record means this stream is not the leader's history from the
-	// snapshot on, and the session ends: the next one re-bootstraps.
+	// names. The record at the maintainer's epoch + 1 applies as one
+	// engine batch, which must publish exactly that epoch with every
+	// insert kept, so the follower serves only states the leader
+	// published; an idle leader's heartbeat, an empty batch at or below the
+	// epoch, publishes nothing. Any other record, or a batch whose growth
+	// the universe scan drops (a -maxvertices below the leader's
+	// universe), means this stream is not the leader's history from the
+	// snapshot on, and the session ends: the next one re-bootstraps, and
+	// its Reload raises the ceiling to the snapshot's N.
 	sr := persist.NewStreamReader(br)
 	var pd kcore.Pending
+	beyond := func(e graph.Edge) bool { return int(max(e.U, e.V)) >= m.N() }
 	// An idle leader sends a heartbeat every second; a 5s silence means a
 	// dead peer.
 	pr.timeout = 5 * time.Second
@@ -223,22 +231,24 @@ func (r *Replica) syncOnce() error {
 			return fmt.Errorf("stream: %w", err)
 		}
 		r.records.Add(1)
-		wm := r.wm.Epoch()
+		cur := m.Epoch()
 		k := len(rec.Removes) + len(rec.Inserts)
 		heartbeat := k == 0
 		switch {
-		case heartbeat && rec.Epoch <= wm:
+		case heartbeat && rec.Epoch <= cur:
 			continue
-		case heartbeat || rec.Epoch != wm+1:
-			return fmt.Errorf("stream: record at epoch %d after epoch %d", rec.Epoch, wm)
+		case heartbeat || rec.Epoch != cur+1:
+			return fmt.Errorf("stream: record at epoch %d after epoch %d", rec.Epoch, cur)
 		}
 		r.leaderEpoch.Store(rec.Epoch)
 		// The edges alias the reader's scratch: Wait returns before the
 		// next read reuses it.
 		m.Submit(&pd, rec.Removes, rec.Inserts)
 		pd.Wait()
+		if e := m.Epoch(); e != rec.Epoch || slices.ContainsFunc(rec.Inserts, beyond) {
+			return fmt.Errorf("stream: record at epoch %d published epoch %d over %d vertices", rec.Epoch, e, m.N())
+		}
 		r.edges.Add(int64(k))
-		r.wm.Advance(rec.Epoch)
 	}
 }
 
@@ -256,9 +266,9 @@ func (d *deadlineReader) Read(b []byte) (int, error) {
 }
 
 // epochLag is the leader-vs-applied epoch delta (clamped at 0: the
-// watermark and the leader epoch are read apart).
+// maintainer's epoch and the leader epoch are read apart).
 func (r *Replica) epochLag() int64 {
-	lag := int64(r.leaderEpoch.Load()) - int64(r.wm.Epoch())
+	lag := int64(r.leaderEpoch.Load()) - int64(r.srv.m.Epoch())
 	if lag < 0 {
 		return 0
 	}
@@ -290,11 +300,9 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 			func() float64 { return float64(r.records.Load()) }),
 		obs.NewCounterFunc("kcored_replica_edges_total", "Edges applied through streamed batch records.",
 			func() float64 { return float64(r.edges.Load()) }),
-		obs.NewGaugeFunc("kcored_replica_applied_epoch", "Epoch watermark of locally applied state (what CORE.WAIT blocks on); 0 while disconnected.",
-			func() float64 { return float64(r.wm.Epoch()) }),
 		obs.NewGaugeFunc("kcored_replica_leader_epoch", "Newest leader epoch seen on the replication stream.",
 			func() float64 { return float64(r.leaderEpoch.Load()) }),
-		obs.NewGaugeFunc("kcored_replica_epoch_lag", "Leader-vs-applied epoch delta (apply backlog).",
+		obs.NewGaugeFunc("kcored_replica_epoch_lag", "Newest leader epoch seen minus kcored_epoch, clamped at 0 (apply backlog).",
 			func() float64 { return float64(r.epochLag()) }),
 	)
 }

@@ -45,10 +45,11 @@ func startLeader(t *testing.T, g *graph.Graph, popts persist.Options) (*kcore.Ma
 	return m, mgr, addr
 }
 
-// startReplicaServer brings up a follower of the leader at leaderAddr.
-func startReplicaServer(t *testing.T, leaderAddr string) (*Server, string) {
+// startReplicaServer brings up a follower of the leader at leaderAddr,
+// its maintainer built with opts.
+func startReplicaServer(t *testing.T, leaderAddr string, opts ...kcore.Option) (*Server, string) {
 	t.Helper()
-	srv := New(kcore.New(graph.New(0), kcore.WithWorkers(2)))
+	srv := New(kcore.New(graph.New(0), append([]kcore.Option{kcore.WithWorkers(2)}, opts...)...))
 	rep := NewReplica(srv, leaderAddr, ReplicaOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -177,11 +178,20 @@ func TestReplicationConverges(t *testing.T) {
 	}
 }
 
-// waitApplied blocks until rep's watermark reaches epoch.
-func waitApplied(t *testing.T, rep *Replica, epoch uint64) {
+// waitApplied blocks until the follower srv serves epoch, with the
+// bookkeeping of what published it done: a Reload publishes before the
+// session counts its sync, and a batch before the pipeline counts it.
+func waitApplied(t *testing.T, srv *Server, epoch uint64) {
 	t.Helper()
-	if got, ok := rep.wm.Wait(epoch, 15*time.Second, nil); !ok {
-		t.Fatalf("follower watermark %d never reached leader epoch %d", got, epoch)
+	m := srv.Maintainer()
+	if got, ok := m.WaitEpoch(epoch, 15*time.Second, nil); !ok {
+		t.Fatalf("follower epoch %d never reached leader epoch %d", got, epoch)
+	}
+	m.Flush()
+	for deadline := time.Now().Add(15 * time.Second); !srv.replica.connected.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower's bootstrap never finished")
+		}
 	}
 }
 
@@ -200,8 +210,8 @@ func TestFollowerReplaysLeaderBatches(t *testing.T) {
 	}
 	m, leaderAddr := startLeaderServer(t, g, persist.Options{Fsync: persist.FsyncNo})
 	srvR, _ := startReplicaServer(t, leaderAddr)
-	rep, mR := srvR.replica, srvR.Maintainer()
-	waitApplied(t, rep, m.Flush())
+	mR := srvR.Maintainer()
+	waitApplied(t, srvR, m.Flush())
 	lead0, fol0 := m.ServingStats(), mR.ServingStats()
 
 	// Park the leader's applier so the removal and the insertion coalesce
@@ -226,7 +236,7 @@ func TestFollowerReplaysLeaderBatches(t *testing.T) {
 			lead.Batches-lead0.Batches, lead.Epoch-lead0.Epoch)
 	}
 
-	waitApplied(t, rep, m.Flush())
+	waitApplied(t, srvR, m.Flush())
 	if fol := mR.ServingStats(); fol.Batches-fol0.Batches != 1 || fol.Epoch-fol0.Epoch != 1 {
 		t.Fatalf("follower moved by %d batches and %d epochs for one leader batch, want 1 and 1",
 			fol.Batches-fol0.Batches, fol.Epoch-fol0.Epoch)
@@ -240,15 +250,15 @@ func TestFollowerReplaysLeaderBatches(t *testing.T) {
 // TestFollowerRefusesEpochGap: a record logged outside any publication
 // takes the epoch the next real batch's record takes too, so the
 // follower, having applied the first, meets the second at or below its
-// watermark. It ends the session rather than diverge, and the
-// re-bootstrap leaves it at the leader's state.
+// epoch. It ends the session rather than diverge, and the re-bootstrap
+// leaves it at the leader's state.
 func TestFollowerRefusesEpochGap(t *testing.T) {
 	g := gen.ErdosRenyi(200, 800, 53)
 	removes := g.Edges()[:20]
 	m, mgr, leaderAddr := startLeader(t, g, persist.Options{Fsync: persist.FsyncNo})
 	srvR, _ := startReplicaServer(t, leaderAddr)
 	rep, mR := srvR.replica, srvR.Maintainer()
-	waitApplied(t, rep, m.Flush())
+	waitApplied(t, srvR, m.Flush())
 	syncs := rep.syncs.Load()
 
 	mgr.AppendBatch(removes, nil)
@@ -270,10 +280,146 @@ func TestFollowerRefusesEpochGap(t *testing.T) {
 			t.Fatal("the follower never re-bootstrapped")
 		}
 	}
-	waitApplied(t, rep, m.Flush())
+	waitApplied(t, srvR, m.Flush())
 	want, _ := bz.Decompose(m.Graph().Clone())
 	if got := mR.CoreNumbers(); !slices.Equal(got, want) {
 		t.Fatalf("follower cores differ from BZ of the leader's graph after the re-bootstrap")
+	}
+}
+
+// TestFollowerServesLeaderEpoch: a follower publishes each leader state
+// at the leader's epoch, so after CORE.WAIT E its CORE.EPOCH is E — one
+// epoch space, not a watermark beside a count of its own.
+func TestFollowerServesLeaderEpoch(t *testing.T) {
+	m, leaderAddr := startLeaderServer(t, gen.ErdosRenyi(100, 300, 59),
+		persist.Options{Fsync: persist.FsyncNo})
+	_, repAddr := startReplicaServer(t, leaderAddr)
+	rc := dial(t, repAddr)
+	if _, err := client.Int(rc.Do("CORE.WAIT", int64(m.Flush()), 15000)); err != nil {
+		t.Fatal(err)
+	}
+	// Fifty single-edge batches, one leader epoch each.
+	for i := range 50 {
+		m.InsertEdge(int32(i), int32(50+i))
+	}
+	epoch := int64(m.Flush())
+	reached, err := client.Int(rc.Do("CORE.WAIT", epoch, 15000))
+	if err != nil {
+		t.Fatalf("CORE.WAIT %d: %v", epoch, err)
+	}
+	served, err := client.Int(rc.Do("CORE.EPOCH"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reached != epoch || served != epoch {
+		t.Fatalf("follower CORE.WAIT %d returned %d and CORE.EPOCH reads %d; want the leader's %d for both",
+			epoch, reached, served, epoch)
+	}
+}
+
+// TestFollowerWaitsForFirstBootstrap: before its first bootstrap a
+// follower serves the empty graph at epoch 0, which no leader state has,
+// so CORE.WAIT 1 parks until the leader's snapshot is loaded, and the
+// read pipelined behind it sees the leader's state.
+func TestFollowerWaitsForFirstBootstrap(t *testing.T) {
+	// The leader's listener exists, so the follower's dial succeeds, but
+	// nothing serves it yet: CORE.SYNC waits in the accept backlog.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, repAddr := startReplicaServer(t, ln.Addr().String())
+	rc := dial(t, repAddr)
+	if e, err := client.Int(rc.Do("CORE.EPOCH")); err != nil || e != 0 {
+		t.Fatalf("CORE.EPOCH before the first bootstrap = %d, %v; want 0", e, err)
+	}
+	var se *client.ServerError
+	if _, err := rc.Do("CORE.WAIT", 1, 50); !errors.As(err, &se) || se.Msg != "ERR WAIT timed out" {
+		t.Fatalf("CORE.WAIT 1 before the first bootstrap: %v, want ERR WAIT timed out", err)
+	}
+	if err := rc.Send("CORE.WAIT", 1, 15000); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Send("CORE.N"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr, err := persist.NewManager(t.TempDir(), persist.Options{Fsync: persist.FsyncNo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := kcore.New(gen.ErdosRenyi(70, 200, 61), kcore.WithOpLog(mgr), kcore.WithWorkers(2))
+	t.Cleanup(func() { mgr.Close(); m.Close() })
+	if err := mgr.Start(m); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(m, WithPersistence(mgr))
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	if e, err := client.Int(rc.Receive()); err != nil || e != int64(m.Epoch()) {
+		t.Fatalf("CORE.WAIT 1 = %d, %v; want the leader's epoch %d", e, err, m.Epoch())
+	}
+	if n, err := client.Int(rc.Receive()); err != nil || n != 70 {
+		t.Fatalf("CORE.N behind CORE.WAIT 1 = %d, %v; want the leader's 70", n, err)
+	}
+}
+
+// TestFollowerBelowLeaderCeiling: a follower whose vertex ceiling is
+// below the leader's universe drops a growing insert in its universe
+// scan. A batch of nothing but such inserts then publishes no epoch, and
+// a batch that also holds an insert in range publishes its epoch without
+// the growth; either ends the session instead of letting the follower
+// diverge, and the re-bootstrap's Reload raises the ceiling to the
+// snapshot's N: the follower converges on the leader's N and cores.
+func TestFollowerBelowLeaderCeiling(t *testing.T) {
+	g := gen.ErdosRenyi(80, 240, 67)
+	inRange := graph.Edge{U: 3}
+	for inRange.V = 40; g.HasEdge(inRange.U, inRange.V); inRange.V++ {
+	}
+	m, leaderAddr := startLeaderServer(t, g, persist.Options{Fsync: persist.FsyncNo})
+	srvR, repAddr := startReplicaServer(t, leaderAddr, kcore.WithMaxVertices(100))
+	rc := dial(t, repAddr)
+	waitApplied(t, srvR, m.Flush())
+
+	for _, tc := range []struct {
+		name  string
+		batch []graph.Edge
+		n     int
+	}{
+		{"growth alone", []graph.Edge{{U: 149, V: 5}, {U: 149, V: 6}}, 150},
+		{"growth beside an insert in range", []graph.Edge{inRange, {U: 199, V: 5}}, 200},
+	} {
+		syncs := srvR.replica.syncs.Load()
+		m.InsertEdges(tc.batch)
+		m.InsertEdge(1, 7)
+		m.RemoveEdge(1, 7)
+		epoch := m.Flush()
+		if m.N() != tc.n {
+			t.Fatalf("%s: leader N = %d, want %d", tc.name, m.N(), tc.n)
+		}
+		if _, err := client.Int(rc.Do("CORE.WAIT", int64(epoch), 15000)); err != nil {
+			t.Fatalf("%s: CORE.WAIT %d: %v", tc.name, epoch, err)
+		}
+		want, _ := bz.Decompose(m.Graph().Clone())
+		if n, err := client.Int(rc.Do("CORE.N")); err != nil || int(n) != len(want) {
+			t.Fatalf("%s: follower CORE.N = %d, %v; want the leader's %d", tc.name, n, err, len(want))
+		}
+		if got := sweepCores(t, rc, len(want)); !slices.Equal(got, want) {
+			t.Fatalf("%s: follower cores differ from BZ of the leader's graph", tc.name)
+		}
+		// The re-bootstrap's Reload publishes before the session counts it.
+		for deadline := time.Now().Add(15 * time.Second); srvR.replica.syncs.Load() == syncs; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the follower never re-synced past its ceiling", tc.name)
+			}
+		}
 	}
 }
 
@@ -542,9 +688,10 @@ func TestSlowFollowerDroppedOverWire(t *testing.T) {
 // TestReplicaResyncAfterLeaderRestart: a follower whose leader vanishes
 // reconnects with backoff and re-bootstraps from the successor at the
 // same address, ending byte-equal with the new leader's state. The
-// re-bootstrap reloads the server's one maintainer, whose served epoch
-// does not fall, and a WAIT sent while the follower is disconnected does
-// not pass on the dead leader's epochs.
+// successor runs on a fresh directory, so its history forked from the
+// first leader's at a lower epoch: the re-bootstrap reloads the server's
+// one maintainer at the successor's epoch, and the follower's epoch
+// falls exactly as the leader's did.
 func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	// First leader on a fixed port we can rebind after it dies.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -576,11 +723,9 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	if _, err := client.Int(rc.Do("CORE.WAIT", int64(epoch1), 15000)); err != nil {
 		t.Fatalf("WAIT on first leader: %v", err)
 	}
+	// The bootstrap's Reload publishes before the session counts it.
+	waitStat(t, rc, "kcored_replica_connected", 1)
 	syncs1 := statsMap(t, rc)["kcored_replica_syncs_total"]
-	servedEpoch1, err := client.Int(rc.Do("CORE.EPOCH"))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Kill the first leader hard, and let the follower see it go.
 	srv1.Close()
@@ -623,25 +768,6 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 		t.Fatalf("successor epoch %d not below the first leader's %d", epoch2, epoch1)
 	}
 
-	// Before the follower re-syncs: the watermark of a disconnected
-	// follower is 0, so WAIT epoch2 parks until the successor's snapshot
-	// is loaded, and the CORE.N pipelined behind it reads the successor's N.
-	if err := rc.Send("CORE.WAIT", epoch2, 15000); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Send("CORE.N"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Int(rc.Receive()); err != nil {
-		t.Fatalf("WAIT on successor: %v", err)
-	}
-	if n, err := client.Int(rc.Receive()); err != nil || n != 120 {
-		t.Fatalf("CORE.N behind WAIT %d = %d, %v; want the successor's 120", epoch2, n, err)
-	}
-
 	// The follower re-bootstraps on its own; wait for the second sync,
 	// then converge on the successor's state.
 	deadline := time.Now().Add(15 * time.Second)
@@ -661,8 +787,11 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	if srvR.Maintainer() != mR {
 		t.Fatal("the re-bootstrap replaced the follower's maintainer")
 	}
-	if e, err := client.Int(rc.Do("CORE.EPOCH")); err != nil || e < servedEpoch1 {
-		t.Fatalf("follower CORE.EPOCH after re-sync = %d, %v; was %d before the kill", e, err, servedEpoch1)
+	if e, err := client.Int(rc.Do("CORE.EPOCH")); err != nil || e != int64(epoch2) {
+		t.Fatalf("follower CORE.EPOCH after re-sync = %d, %v; want the successor's %d", e, err, epoch2)
+	}
+	if n, err := client.Int(rc.Do("CORE.N")); err != nil || n != 120 {
+		t.Fatalf("follower CORE.N after re-sync = %d, %v; want the successor's 120", n, err)
 	}
 	want, _ := bz.Decompose(m2.Graph().Clone())
 	if n := mR.N(); n != len(want) {

@@ -115,7 +115,7 @@ var followerKeys = []movedKey{
 	{"replica_syncs", "kcored_replica_syncs_total", ""},
 	{"replica_records", "kcored_replica_records_total", ""},
 	{"replica_edges", "kcored_replica_edges_total", ""},
-	{"applied_epoch", "kcored_replica_applied_epoch", ""},
+	{"applied_epoch", "kcored_epoch", ""},
 	{"leader_epoch", "kcored_replica_leader_epoch", ""},
 	{"epoch_lag", "kcored_replica_epoch_lag", ""},
 	{"replica_last_err", "kcored_replica_info", `last_error=""`},

@@ -89,14 +89,14 @@ func (c *conn) writeSync(b []byte) error {
 	return nil
 }
 
-// cmdWait serves CORE.WAIT epoch [timeout-ms]: block until the served
-// epoch reaches the target, then reply with the epoch actually reached.
-// The served epoch is a watermark the connection parks on, woken when it
-// moves: on a replica the applied-stream watermark — the read-your-writes
-// primitive: a client that captured the leader's epoch after an acked
-// write WAITs on the replica before reading — and on a leader the
-// maintainer's published epoch (useful after async writes on another
-// connection). timeout-ms 0 or absent waits until server shutdown.
+// cmdWait serves CORE.WAIT epoch [timeout-ms]: block until the
+// maintainer's published epoch reaches the target, then reply with the
+// epoch actually reached. The connection parks on the epoch, woken when
+// it moves (Maintainer.WaitEpoch). A follower publishes at the leader's
+// epochs, so this is the read-your-writes primitive across nodes: a
+// client that captured the leader's epoch after an acked write WAITs on
+// the replica before reading; on a leader it waits out async writes on
+// another connection. timeout-ms 0 or absent waits until server shutdown.
 func cmdWait(c *conn, args [][]byte) bool {
 	target, ok := parseInt(args[1])
 	if !ok || target < 0 {
@@ -113,11 +113,7 @@ func cmdWait(c *conn, args [][]byte) bool {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 
-	wait := c.srv.m.WaitEpoch
-	if rep := c.srv.replica; rep != nil {
-		wait = rep.wm.Wait
-	}
-	epoch, reached := wait(uint64(target), timeout, c.srv.closeCh)
+	epoch, reached := c.srv.m.WaitEpoch(uint64(target), timeout, c.srv.closeCh)
 	switch {
 	case reached:
 		c.wr.WriteInt(int64(epoch))
