@@ -35,9 +35,11 @@ race:
 # RemoveVertex's one-batch removal behind a parked commit, the
 # FsyncAlways syncer's zero-allocation hand-off and its stop at Close,
 # recovery's whole-publication and epoch-chain rules, its commit rule (the
-# current generation is the newest checkpoint under its final name), and a
-# sync being the checkpoint it takes (its tap registered at that barrier)
-# under the race detector. The last two run one epoch space under the race
+# current generation is the newest checkpoint under its final name), a
+# sync being the checkpoint it takes, and a sync session reading the log:
+# it ships only published records, drains a backlog from disk, ends a
+# whole checkpoint behind, and wakes when the manager closes, under the
+# race detector. The last two run one epoch space under the race
 # detector: a follower publishes each leader state at the leader's epoch
 # (before its first bootstrap at 0, and past a vertex ceiling below the
 # leader's universe), and a leader killed and restarted under
@@ -48,7 +50,7 @@ engine-flake:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer|TestPinAcrossLowerLoad|TestEpochZeroPinHoldsItsSlot' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint' ./kcore ./persist
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint|TestSessionShipsOnlyPublished|TestSlowFollowerDropped|TestSyncClosedOnManagerClose' ./kcore ./persist
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestFollowerServesLeaderEpoch|TestFollowerWaitsForFirstBootstrap|TestFollowerBelowLeaderCeiling|TestFollowerRefusesEpochGap|TestFollowerReplaysLeaderBatches' ./server
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestReplicaResyncAfterLeaderKill' ./cmd/kcored
 

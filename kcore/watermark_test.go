@@ -194,7 +194,7 @@ func TestEpochMarkersFollowPublications(t *testing.T) {
 }
 
 // TestEpochMarkersAfterClose pins the post-Close synchronous path: it
-// keeps the contract, so a follower tap on a closed-but-usable
+// keeps the contract, so a follower reading the log of a closed-but-usable
 // maintainer stays consistent.
 func TestEpochMarkersAfterClose(t *testing.T) {
 	lg := &epochRecordingLog{}

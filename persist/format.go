@@ -108,6 +108,34 @@ func appendSegmentHeader(dst []byte, gen uint64) []byte {
 	return dst
 }
 
+// openSegment opens generation gen's AOF segment in dir for reading and
+// checks its header — magic, version and generation — leaving the file
+// at its first record. A header cut short fails with io.EOF or
+// io.ErrUnexpectedEOF, unwrapped. Both readers of the log, recovery and
+// a sync session, open segments here.
+func openSegment(dir string, gen uint64) (*os.File, error) {
+	path := segmentPath(dir, gen)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	var hdr [aofHeaderSize]byte
+	if _, err = io.ReadFull(f, hdr[:]); err == nil {
+		if m := binary.LittleEndian.Uint32(hdr[0:]); m != aofMagic {
+			err = fmt.Errorf("persist: %s: bad AOF magic %#x", path, m)
+		} else if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
+			err = fmt.Errorf("persist: %s: unsupported AOF version %d", path, v)
+		} else if hg := binary.LittleEndian.Uint64(hdr[8:]); hg != gen {
+			err = fmt.Errorf("persist: %s: header generation %d != %d", path, hg, gen)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
 // --- checkpoint files -------------------------------------------------------
 
 const (

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"strconv"
 	"time"
 
 	"repro/obs"
@@ -10,7 +9,7 @@ import (
 // RegisterMetrics adds the durability subsystem's metrics to reg: the
 // fsync (labeled with the fsync policy), commit-wait and checkpoint-pause
 // latency histograms plus scrape-time views of the counters Stats already
-// reports, and a per-follower buffered-bytes gauge series.
+// reports.
 func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.MustRegister(
 		p.fsyncLat,
@@ -46,33 +45,11 @@ func (p *Manager) RegisterMetrics(reg *obs.Registry) {
 				}
 				return []obs.Sample{s}
 			}),
-		obs.NewGaugeFunc("kcored_sync_followers", "Live replication follower taps.",
-			func() float64 {
-				p.mu.Lock()
-				defer p.mu.Unlock()
-				return float64(len(p.taps))
-			}),
-		obs.NewCounterFunc("kcored_sync_dropped_total", "Follower taps dropped by the slow-follower policy.",
+		obs.NewGaugeFunc("kcored_sync_followers", "Live replication sync sessions.",
+			func() float64 { return float64(p.syncsLive.Load()) }),
+		obs.NewCounterFunc("kcored_sync_dropped_total", "Sync sessions that ended a whole checkpoint behind (slow-follower policy).",
 			func() float64 { return float64(p.syncDropped.Load()) }),
 		obs.NewCounterFunc("kcored_syncs_started_total", "Follower sync sessions started.",
 			func() float64 { return float64(p.syncsStarted.Load()) }),
-		obs.NewGaugeSeriesFunc("kcored_sync_follower_buffered_bytes",
-			"Per-follower op-stream backlog (framed record bytes not yet streamed).",
-			func() []obs.Sample {
-				p.mu.Lock()
-				taps := append([]*tap(nil), p.taps...)
-				p.mu.Unlock()
-				out := make([]obs.Sample, len(taps))
-				for i, t := range taps {
-					t.mu.Lock()
-					buffered := len(t.buf)
-					t.mu.Unlock()
-					out[i] = obs.Sample{
-						Labels: []obs.Label{obs.L("follower", strconv.FormatInt(t.id, 10))},
-						Value:  float64(buffered),
-					}
-				}
-				return out
-			}),
 	)
 }

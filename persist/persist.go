@@ -31,11 +31,13 @@
 // The recovered graph is then reloaded at the recovered epoch
 // (Maintainer.Reload), whose one BZ decomposition is the only
 // recomputation paid, so the log's epochs run on across the restart. A
-// replication follower is handed its state the same way: CORE.SYNC takes a checkpoint and ships its committed
-// file, decoded by the same ReadCheckpoint, and the record tail after it
-// goes through the same StreamReader that replays the log — there is
-// one barrier that captures full state, one encoding of it, one record
-// kind, and one record reader (see stream.go).
+// replication follower is handed its state the same way: CORE.SYNC takes
+// a checkpoint and ships its committed file, decoded by the same
+// ReadCheckpoint, and then the log itself, read from the segments on disk
+// as far as the leader has published and decoded by the same
+// StreamReader that replays it — there is one barrier that captures full
+// state, one encoding of it, one record kind, one record reader, and one
+// copy of the op stream: the log (see stream.go).
 //
 // Wiring order matters (chicken-and-egg between Manager and Maintainer):
 //
@@ -121,11 +123,6 @@ type Options struct {
 	// CheckpointBytes is the same threshold in appended log bytes.
 	// 0 picks the default (256 MiB); negative disables it.
 	CheckpointBytes int64
-	// SyncBufferBytes bounds each replication follower tap's backlog of
-	// not-yet-streamed records; a tap exceeding it is dropped and its
-	// follower must re-sync (the slow-follower policy). 0 or negative
-	// picks the default (8 MiB).
-	SyncBufferBytes int64
 	// Logger receives recovery/checkpoint/error lines; nil uses the
 	// standard logger.
 	Logger *log.Logger
@@ -151,15 +148,18 @@ type Stats struct {
 	LastSave           time.Time     // completion time of the last checkpoint
 	LastSaveDuration   time.Duration // wall time of the last checkpoint
 	Fsync              Fsync
-	SyncFollowers      int    // live replication follower taps
-	SyncDropped        int64  // follower taps dropped by the slow-follower policy (lifetime)
+	SyncFollowers      int    // live replication sync sessions
+	SyncDropped        int64  // sync sessions that ended a whole checkpoint behind (lifetime)
 	Err                string // sticky append/checkpoint error ("" = healthy)
 }
 
 // Manager owns one durability directory: the open AOF segment, the
 // checkpoint worker, the fsync policy and, under FsyncAlways, the syncer
 // goroutine. It implements kcore.OpLog; attach it with kcore.WithOpLog
-// and activate it with Start. All methods are safe for concurrent use.
+// and activate it with Start. Its log is the only copy of the op stream:
+// a follower's sync session reads the segments on disk (StartSync), so
+// the append path does no per-follower work. All methods are safe for
+// concurrent use.
 type Manager struct {
 	dir  string
 	opts Options
@@ -176,17 +176,15 @@ type Manager struct {
 	opsSince   int64
 	bytesSince int64
 	err        error
-	taps       []*tap // replication follower fan-out (see stream.go)
 
-	// The FsyncAlways syncer: AppendBatch hands each written record to
-	// it and sets syncing; the syncer syncs the segment, fans the record
-	// out, clears syncing and broadcasts synced. While syncing, f and buf
-	// hold still: every path that would change them (the next append,
-	// rotateSegment, Close) first waits it out, so at most one sync is in
-	// flight.
+	// The FsyncAlways syncer: AppendBatch hands it the segment holding
+	// each written record and sets syncing; the syncer syncs the segment,
+	// clears syncing and broadcasts synced. While syncing, f holds still:
+	// every path that would change it (the next append, rotateSegment,
+	// Close) first waits it out, so at most one sync is in flight.
 	syncing    bool
 	synced     sync.Cond // L is &mu
-	syncReq    chan syncJob
+	syncReq    chan *os.File
 	syncerDone chan struct{}
 
 	// ckptMu serializes checkpoints (threshold-triggered, BGSave,
@@ -201,12 +199,12 @@ type Manager struct {
 
 	records       atomic.Int64
 	syncsStarted  atomic.Int64
+	syncsLive     atomic.Int64
 	syncDropped   atomic.Int64
 	appendedBytes atomic.Int64
 	checkpoints   atomic.Int64
 	lastSaveUnix  atomic.Int64
 	lastSaveDur   atomic.Int64
-	tapSeq        atomic.Int64
 
 	// fsyncLat times every AOF fsync (the FsyncAlways per-batch sync and
 	// the everysec background sync alike) — the durability subsystem's
@@ -222,13 +220,6 @@ type Manager struct {
 	commitWait *obs.Histogram
 }
 
-// syncJob is one written record awaiting its FsyncAlways sync: the
-// segment holding it and the publication it names.
-type syncJob struct {
-	f     *os.File
-	epoch uint64
-}
-
 // NewManager prepares a Manager over dir (created if absent). No files
 // are written until Start.
 func NewManager(dir string, opts Options) (*Manager, error) {
@@ -240,9 +231,6 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 	}
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = defaultCheckpointBytes
-	}
-	if opts.SyncBufferBytes <= 0 {
-		opts.SyncBufferBytes = defaultSyncBufferBytes
 	}
 	p := &Manager{
 		dir:     dir,
@@ -284,7 +272,7 @@ func (p *Manager) Start(m *kcore.Maintainer) error {
 		// Before the first segment opens: its first append hands off.
 		// Not p.loop, which blocks in CheckpointNow on the applier while
 		// the applier may be waiting in Commit.
-		p.syncReq = make(chan syncJob, 1)
+		p.syncReq = make(chan *os.File, 1)
 		p.syncerDone = make(chan struct{})
 		go p.syncer()
 	}
@@ -310,7 +298,6 @@ func (p *Manager) Close() error {
 	}
 	p.mu.Lock()
 	p.awaitSyncLocked()
-	p.killTapsLocked()
 	var err error
 	if p.f != nil {
 		err = p.f.Sync()
@@ -337,11 +324,10 @@ func (p *Manager) Close() error {
 // applier at the quiescent point, before the batch applies; Commit
 // follows before it publishes. A record still syncing from an append
 // that was never committed is synced first. Under FsyncAlways the
-// append hands the sync to the syncer, which fans the record out to the
-// replication taps once it is durable — so no follower holds a record
-// the leader's disk lacks — and Commit arms the checkpoint thresholds.
-// Under the other policies it fans out and arms them here. A failure is
-// recorded as the sticky error.
+// append hands the sync to the syncer and Commit arms the checkpoint
+// thresholds; under the other policies it arms them here. Followers read
+// the record off the segment once its epoch publishes, so the append
+// does nothing for them. A failure is recorded as the sticky error.
 func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -349,8 +335,7 @@ func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 	if p.f == nil || p.err != nil {
 		return
 	}
-	epoch := p.m.Epoch() + 1
-	p.buf = appendBatchRecord(p.buf[:0], epoch, removes, inserts)
+	p.buf = appendBatchRecord(p.buf[:0], p.m.Epoch()+1, removes, inserts)
 	if _, err := p.f.Write(p.buf); err != nil {
 		p.failLocked(fmt.Errorf("persist: append: %w", err))
 		return
@@ -362,12 +347,11 @@ func (p *Manager) AppendBatch(removes, inserts []graph.Edge) {
 	switch p.opts.Fsync {
 	case FsyncAlways:
 		p.syncing = true
-		p.syncReq <- syncJob{f: p.f, epoch: epoch} // buffered: at most one in flight
+		p.syncReq <- p.f // buffered: at most one in flight
 		return
 	case FsyncEverySec:
 		p.dirty = true
 	}
-	p.fanLocked(p.buf, epoch)
 	p.armCheckpointLocked()
 }
 
@@ -399,21 +383,18 @@ func (p *Manager) awaitSyncLocked() {
 }
 
 // syncer is the FsyncAlways sync worker: it syncs each handed-off
-// record's segment, fans the record out to the taps at once — a
-// follower's lag does not wait for the leader's engine round — and
-// wakes Commit. A failed sync trips the sticky error. It exits when
-// Close closes syncReq.
+// record's segment and wakes Commit. A failed sync trips the sticky
+// error. It exits when Close closes syncReq.
 func (p *Manager) syncer() {
 	defer close(p.syncerDone)
-	for job := range p.syncReq {
+	for f := range p.syncReq {
 		start := time.Now()
-		err := job.f.Sync()
+		err := f.Sync()
 		p.mu.Lock()
 		if err != nil {
 			p.failLocked(fmt.Errorf("persist: fsync: %w", err))
 		} else {
 			p.fsyncLat.ObserveDuration(time.Since(start))
-			p.fanLocked(p.buf, job.epoch)
 		}
 		p.syncing = false
 		p.synced.Broadcast()
@@ -436,13 +417,14 @@ func (p *Manager) armCheckpointLocked() {
 
 // failLocked records the first persistence error; the log is abandoned
 // (further appends are dropped) but serving continues — the operator
-// sees persist_err in CORE.STATS and this one loud log line.
+// sees persist_err in CORE.STATS and this one loud log line. Sync
+// sessions end at their next Wait, and followers re-sync from a healthy
+// leader instead.
 func (p *Manager) failLocked(err error) {
 	if p.err != nil {
 		return
 	}
 	p.err = err
-	p.killTapsLocked() // followers re-sync from a healthy leader instead
 	p.logf("persist: DISABLED after error: %v", err)
 }
 
@@ -458,10 +440,10 @@ func (p *Manager) CheckpointNow() error {
 	return err
 }
 
-// checkpoint is CheckpointNow. With follow set, the barrier also
-// registers a follower tap at the checkpoint's epoch, and once the
-// checkpoint is committed the returned session holds its file open — a
-// later checkpoint, which needs ckptMu, cannot delete it before.
+// checkpoint is CheckpointNow. With follow set, once the checkpoint is
+// committed the returned session holds its file and its generation's
+// segment open — a later checkpoint, which needs ckptMu, cannot delete
+// them before.
 func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
@@ -480,7 +462,6 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 		n          int
 		m          int64
 		f          *os.File
-		t          *tap
 		err        error
 	)
 	p.m.AtQuiescence(func(q kcore.QuiescentState) {
@@ -502,11 +483,7 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 		if f, err = writeCheckpointFile(p.dir, gen, epoch, g); err != nil {
 			return
 		}
-		if follow {
-			t = newTap(int(p.opts.SyncBufferBytes), epoch)
-			t.id = p.tapSeq.Add(1)
-		}
-		if err = p.rotateSegment(gen, t); err != nil {
+		if err = p.rotateSegment(gen); err != nil {
 			discardCheckpointFile(f)
 		}
 	})
@@ -522,7 +499,7 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 			return nil, err
 		}
 		p.mu.Lock()
-		p.failLocked(fmt.Errorf("persist: checkpoint: %w", err)) // kills t too
+		p.failLocked(fmt.Errorf("persist: checkpoint: %w", err))
 		p.mu.Unlock()
 		return nil, err
 	}
@@ -532,29 +509,20 @@ func (p *Manager) checkpoint(follow bool) (*SyncSession, error) {
 	p.lastSaveDur.Store(int64(time.Since(start)))
 	p.logf("persist: checkpoint gen %d: n=%d m=%d epoch=%d in %v",
 		gen, n, m, epoch, time.Since(start).Round(time.Millisecond))
-	if t == nil {
+	if !follow {
 		return nil, nil
 	}
-	ckpt, err := os.Open(checkpointPath(p.dir, gen))
-	if err != nil {
-		t.kill()
-		p.removeTap(t)
-		return nil, err
-	}
-	p.syncsStarted.Add(1)
-	size := int64(checkpointSize(uint64(n), uint64(m)))
-	return &SyncSession{Checkpoint: ckpt, Size: size, t: t, p: p}, nil
+	return p.openSession(gen, epoch, int64(checkpointSize(uint64(n), uint64(m))))
 }
 
 // rotateSegment syncs and closes the current segment and opens
-// generation gen's (p.gen+1), at the quiescent point, and adds t, when
-// not nil, to the fan-out in the same instant. From here on appends land
-// in the new generation, whose checkpoint file is written but not yet
-// committed; until its rename commits it, recovery replays the old
-// checkpoint plus both segments, so no window loses ops. The new
-// segment's directory entry is synced before any record in it can be
-// acked, since a file's fsync does not make its name durable.
-func (p *Manager) rotateSegment(gen uint64, t *tap) error {
+// generation gen's (p.gen+1), at the quiescent point. From here on
+// appends land in the new generation, whose checkpoint file is written
+// but not yet committed; until its rename commits it, recovery replays
+// the old checkpoint plus both segments, so no window loses ops. The new
+// segment's header and directory entry are synced before any record in
+// it can be acked, since a file's fsync does not make its name durable.
+func (p *Manager) rotateSegment(gen uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.awaitSyncLocked()
@@ -597,9 +565,6 @@ func (p *Manager) rotateSegment(gen uint64, t *tap) error {
 	}
 	p.f = f
 	p.gen = gen
-	if t != nil {
-		p.taps = append(p.taps, t)
-	}
 	p.opsSince = 0
 	p.bytesSince = 0
 	p.dirty = false
@@ -644,10 +609,10 @@ func (p *Manager) Err() error {
 // Stats returns the durability counters.
 func (p *Manager) Stats() Stats {
 	p.mu.Lock()
-	gen, opsSince, followers, err := p.gen, p.opsSince, len(p.taps), p.err
+	gen, opsSince, err := p.gen, p.opsSince, p.err
 	p.mu.Unlock()
 	s := Stats{
-		SyncFollowers:      followers,
+		SyncFollowers:      int(p.syncsLive.Load()),
 		SyncDropped:        p.syncDropped.Load(),
 		Gen:                gen,
 		Records:            p.records.Load(),

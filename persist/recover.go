@@ -2,7 +2,7 @@ package persist
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -85,7 +85,7 @@ func Recover(dir string) (*Result, error) {
 	}
 	for i, sg := range segs {
 		final := i == len(segs)-1
-		torn, err := replaySegment(segmentPath(dir, sg), sg, g, res)
+		torn, err := replaySegment(dir, sg, g, res)
 		if err != nil {
 			return nil, err
 		}
@@ -106,9 +106,9 @@ func Recover(dir string) (*Result, error) {
 	return res, nil
 }
 
-// replaySegment applies one AOF segment's valid records to g and returns
-// how many trailing bytes were discarded as torn/corrupt (0 for a clean
-// segment). File-level problems (unreadable, bad header magic) are
+// replaySegment applies generation gen's AOF segment's valid records to
+// g and returns how many trailing bytes were discarded as torn/corrupt (0
+// for a clean segment). File-level problems (unreadable, bad header) are
 // errors, and so is a record whose frame holds but whose payload does
 // not decode: the CRC vouches that the bytes are the ones written, so
 // such a record is a history this reader must not guess at. A frame
@@ -117,33 +117,27 @@ func Recover(dir string) (*Result, error) {
 // A record whose epoch is not the next one after the checkpoint's and
 // every record replayed so far stops replay there: it sets Truncated, and
 // the rest of the segment counts as torn.
-func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn int64, err error) {
-	f, err := os.Open(path)
+func replaySegment(dir string, gen uint64, g *graph.Graph, res *Result) (torn int64, err error) {
+	f, err := openSegment(dir, gen)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		// A segment torn inside its own header: the rotation fsyncs the
+		// header before any record, so this is only reachable for the
+		// segment created moments before a crash — drop it whole.
+		fi, err := os.Stat(segmentPath(dir, gen))
+		if err != nil {
+			return 0, err
+		}
+		return fi.Size(), nil
+	}
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	size := int64(0)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
 	}
 	br := newCountingReader(bufio.NewReaderSize(f, 64<<10))
-	var hdr [aofHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		// A segment torn inside its own header: the rotation fsyncs the
-		// header before any record, so this is only reachable for the
-		// segment created moments before a crash — drop it whole.
-		return size, nil
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != aofMagic {
-		return 0, fmt.Errorf("persist: %s: bad AOF magic %#x", path, m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
-		return 0, fmt.Errorf("persist: %s: unsupported AOF version %d", path, v)
-	}
-	if hg := binary.LittleEndian.Uint64(hdr[8:]); hg != gen {
-		return 0, fmt.Errorf("persist: %s: header generation %d != %d", path, hg, gen)
-	}
 	valid := int64(aofHeaderSize) // offset after the last fully-valid record
 	sr := NewStreamReader(br)
 	for {
@@ -153,19 +147,19 @@ func replaySegment(path string, gen uint64, g *graph.Graph, res *Result) (torn i
 		}
 		rec, err := sr.decode(p)
 		if err != nil {
-			return 0, fmt.Errorf("persist: %s at offset %d: %w", path, valid, err)
+			return 0, fmt.Errorf("persist: %s at offset %d: %w", f.Name(), valid, err)
 		}
 		if rec.Epoch != res.Epoch+1 {
 			res.Truncated = true
 			break
 		}
 		applyToGraph(g, rec)
-		valid = br.n
+		valid = aofHeaderSize + br.n
 		res.Epoch++
 		res.TailRecords++
 		res.TailEdges += int64(len(rec.Removes) + len(rec.Inserts))
 	}
-	return size - valid, nil
+	return fi.Size() - valid, nil
 }
 
 // countingReader tracks the absolute offset consumed from the underlying

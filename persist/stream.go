@@ -1,34 +1,40 @@
 package persist
 
-// Replication streaming: the Manager fans the same CRC-framed records it
-// appends to the AOF out to any number of follower taps, each fed after
-// the record is written — by the append itself, or under FsyncAlways by
-// the syncer once the record is synced — so leader disk and every
-// follower see one canonical stream, one record per publication, each
-// carrying its epoch. A
-// SyncSession is a checkpoint: StartSync takes one, registering the tap
-// at its barrier, so the tap's records are exactly the publications after
-// it. The session ships the committed checkpoint file first and then
-// drains the tap. A follower that has applied every record up to epoch E
-// serves reads at least as fresh as the leader's epoch E (CORE.WAIT).
+// Replication streaming: a follower's sync session reads the leader's
+// log, the one copy of the op stream. StartSync takes a checkpoint and,
+// before another checkpoint can delete them, opens that generation's
+// checkpoint file and AOF segment, whose first record is the publication
+// right after the checkpoint's epoch. The session ships the checkpoint
+// file first and then tails the segments on disk: Wait hands out the
+// records in log order, each once the maintainer has published its epoch
+// — one record per publication, each carrying its epoch — so a follower
+// trails the leader and never holds a state the leader does not serve.
+// The append path does no per-follower work, and the leader holds no
+// follower's backlog in memory. The leader does not judge the epochs it
+// ships; the follower checks that each record is the publication right
+// after its epoch.
 //
 // An idle session hands out a heartbeat: an empty batch record at the
-// tap's last epoch, which publishes nothing — so a quiet leader still
-// hands a fresh follower its epoch and a dead connection trips the
-// follower's read deadline.
+// epoch of the last record shipped, which publishes nothing — so a quiet
+// leader still hands a fresh follower its epoch and a dead connection
+// trips the follower's read deadline.
 //
-// Slow-follower policy: each tap buffers at most SyncBufferBytes of
-// not-yet-drained records; on overflow the tap is dropped (the session's
-// Wait returns ErrSlowFollower) and the follower re-bootstraps with a
-// fresh CORE.SYNC — the leader never blocks on a follower.
+// Slow-follower policy: a session keeps reading the segment it is in
+// through its open file after a checkpoint deletes it, but a segment
+// deleted before the session reached it means the follower is a whole
+// checkpoint behind: Wait returns ErrSlowFollower and the follower
+// re-bootstraps with a fresh CORE.SYNC. The leader never waits for a
+// follower.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"time"
@@ -36,211 +42,228 @@ import (
 	"repro/graph"
 )
 
-// defaultSyncBufferBytes bounds one follower tap's backlog (8 MiB ≈ one
-// million buffered edge ops) before the slow-follower policy drops it.
-const defaultSyncBufferBytes = 8 << 20
+// syncReadBytes is about the most one Wait hands out: it stops reading
+// at the first record boundary past it.
+const syncReadBytes = 256 << 10
 
 var (
-	// ErrSlowFollower reports that a follower tap overflowed its buffer
-	// and was dropped; the follower must re-bootstrap with a new sync.
+	// ErrSlowFollower reports that a sync session fell a whole checkpoint
+	// behind: the next segment it needed was already deleted. The follower
+	// must re-bootstrap with a new sync.
 	ErrSlowFollower = errors.New("persist: follower fell behind, sync dropped")
-	// ErrSyncClosed reports that the manager shut down or persistence
-	// failed while a sync session was live.
+	// ErrSyncClosed reports that the manager shut down, persistence
+	// failed, or the session was canceled or closed while it was live.
 	ErrSyncClosed = errors.New("persist: sync session closed")
 )
 
-// --- tap --------------------------------------------------------------------
-
-// tap is one follower's buffered view of the op stream. The append path
-// (the maintainer's applier goroutine, or the FsyncAlways syncer, under
-// Manager.mu) enqueues; the
-// follower's streamer goroutine drains via take-style swaps in
-// SyncSession.Wait. A tap never blocks the appender: when the streamer
-// cannot keep up the tap overflows and dies.
-type tap struct {
-	id        int64 // stable follower label for metrics
-	mu        sync.Mutex
-	buf       []byte
-	spare     []byte        // drained buffer handed back for reuse
-	notify    chan struct{} // capacity 1: "buf went non-empty / tap died"
-	lastEpoch uint64        // epoch of the newest enqueued record
-	max       int
-	overflow  bool
-	closed    bool
-}
-
-func newTap(max int, epoch uint64) *tap {
-	return &tap{notify: make(chan struct{}, 1), max: max, lastEpoch: epoch}
-}
-
-// enqueue appends one framed record, the publication at epoch. alive
-// reports whether the tap is still streamable afterwards; droppedNow is
-// true exactly once, on the call that overflowed it.
-func (t *tap) enqueue(rec []byte, epoch uint64) (alive, droppedNow bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || t.overflow {
-		return false, false
-	}
-	if len(t.buf)+len(rec) > t.max {
-		t.overflow = true
-		t.buf = nil
-		t.wakeLocked()
-		return false, true
-	}
-	t.buf = append(t.buf, rec...)
-	t.lastEpoch = epoch
-	t.wakeLocked()
-	return true, false
-}
-
-func (t *tap) wakeLocked() {
-	select {
-	case t.notify <- struct{}{}:
-	default:
-	}
-}
-
-// kill closes the tap (manager shutdown, persistence failure, or session
-// Close); any parked Wait wakes with ErrSyncClosed.
-func (t *tap) kill() {
-	t.mu.Lock()
-	t.closed = true
-	t.buf = nil
-	t.spare = nil
-	t.wakeLocked()
-	t.mu.Unlock()
-}
-
-// --- sync session -----------------------------------------------------------
-
 // SyncSession is one follower's live replication feed, returned by
-// Manager.StartSync: the checkpoint the sync took plus the tap carrying
-// every op after it. The caller streams Checkpoint first, then loops on
-// Wait, and must Close the session when the connection ends.
+// Manager.StartSync: the checkpoint the sync took plus a cursor into the
+// log after it. The caller streams Checkpoint first, then loops on Wait,
+// and must Close the session when the connection ends; Close must not
+// race a Wait.
 type SyncSession struct {
 	// Checkpoint is the committed checkpoint file of the generation the
 	// sync began, open at its start, and Size is its length
 	// (ReadCheckpoint decodes it). Its header carries that generation and
-	// the checkpoint epoch: the follower reloads at it, and the tap's
-	// first record is the publication right after it. The open file stays
-	// readable after a later checkpoint deletes it.
+	// the checkpoint epoch: the follower reloads at it, and the first
+	// record Wait hands out is the publication right after it. The open
+	// file stays readable after a later checkpoint deletes it.
 	Checkpoint *os.File
 	Size       int64
 
-	t    *tap
-	p    *Manager
-	idle []byte // the heartbeat Wait returns when idle
+	p *Manager
+
+	// The cursor: the segment of generation gen, read up to off, a record
+	// boundary; next is the epoch after the last record shipped.
+	seg  *os.File
+	gen  uint64
+	off  int64
+	next uint64
+
+	br  *bufio.Reader // over seg from off, refilled by each read
+	sr  StreamReader  // over br, teeing every byte it consumes into out
+	out bytes.Buffer  // what Wait returns, valid until its next call
+
+	stop      chan struct{} // Wait's one cancel, closed by StartSync's watcher
+	done      chan struct{} // closed by Close
+	closeOnce sync.Once
 }
 
-// Wait blocks until buffered records are available and returns them (a
-// concatenation of framed records, valid until the next Wait call). After
-// timeout with nothing buffered it returns a heartbeat: an empty batch
-// record at the epoch captured while the buffer was observed empty, so
-// every record up to it has already been handed out. Errors are terminal:
-// ErrSlowFollower (tap overflowed; re-sync) or ErrSyncClosed (manager
-// gone, or cancel fired).
-func (s *SyncSession) Wait(timeout time.Duration, cancel <-chan struct{}) ([]byte, error) {
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		tm := time.NewTimer(timeout)
-		defer tm.Stop()
-		deadline = tm.C
-	}
-	t := s.t
-	for {
-		t.mu.Lock()
-		if t.overflow {
-			t.mu.Unlock()
-			return nil, ErrSlowFollower
-		}
-		if t.closed {
-			t.mu.Unlock()
-			return nil, ErrSyncClosed
-		}
-		if len(t.buf) > 0 {
-			data := t.buf
-			t.buf = t.spare[:0]
-			t.spare = data
-			t.mu.Unlock()
-			return data, nil
-		}
-		idleEpoch := t.lastEpoch
-		t.mu.Unlock()
-		select {
-		case <-t.notify:
-		case <-deadline:
-			s.idle = appendBatchRecord(s.idle[:0], idleEpoch, nil, nil)
-			return s.idle, nil
-		case <-cancel:
-			return nil, ErrSyncClosed
-		}
-	}
-}
-
-// Close detaches the tap from the manager's fan-out and closes the
-// checkpoint file. Idempotent.
-func (s *SyncSession) Close() {
-	s.t.kill()
-	s.p.removeTap(s.t)
-	s.Checkpoint.Close()
-}
-
-// StartSync takes a checkpoint for a follower: its barrier also
-// registers the follower's tap, so the tap's op stream continues exactly
-// where the checkpoint ends, and the session holds the committed file.
-// Like any checkpoint it rotates the log and counts in Stats. The manager
-// must be started and healthy.
-func (p *Manager) StartSync() (*SyncSession, error) {
+// StartSync takes a checkpoint for a follower and returns the session
+// that ships it and then the log after it. Like any checkpoint it
+// rotates the log and counts in Stats. cancel (nil: never) ends the
+// session's Wait as the manager's Close and the session's own Close do.
+// The manager must be started and healthy.
+func (p *Manager) StartSync(cancel <-chan struct{}) (*SyncSession, error) {
 	if !p.started.Load() {
 		return nil, errors.New("persist: not started")
 	}
-	return p.checkpoint(true)
-}
-
-// removeTap drops t from the fan-out list.
-func (p *Manager) removeTap(t *tap) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, x := range p.taps {
-		if x == t {
-			p.taps = append(p.taps[:i], p.taps[i+1:]...)
-			return
+	s, err := p.checkpoint(true)
+	if err != nil {
+		return nil, err
+	}
+	// The watcher merges the session's three ends — cancel, the manager's
+	// Close and the session's — into stop, the one channel Wait parks on.
+	go func() {
+		select {
+		case <-cancel:
+		case <-p.quit:
+		case <-s.done:
 		}
-	}
+		close(s.stop)
+	}()
+	return s, nil
 }
 
-// fanLocked hands the framed record in rec, the publication at epoch, to
-// every live tap and compacts dead ones out of the list. Caller holds p.mu.
-func (p *Manager) fanLocked(rec []byte, epoch uint64) {
-	if len(p.taps) == 0 {
-		return
+// openSession opens generation gen's checkpoint, size bytes at epoch,
+// and its segment for a sync session. The caller holds ckptMu and has
+// just committed the checkpoint, so no later checkpoint has deleted
+// either file.
+func (p *Manager) openSession(gen, epoch uint64, size int64) (*SyncSession, error) {
+	ckpt, err := os.Open(checkpointPath(p.dir, gen))
+	if err != nil {
+		return nil, err
 	}
-	live := p.taps[:0]
-	for _, t := range p.taps {
-		alive, droppedNow := t.enqueue(rec, epoch)
-		if alive {
-			live = append(live, t)
+	seg, err := openSegment(p.dir, gen)
+	if err != nil {
+		ckpt.Close()
+		return nil, err
+	}
+	s := &SyncSession{
+		Checkpoint: ckpt,
+		Size:       size,
+		p:          p,
+		seg:        seg,
+		gen:        gen,
+		off:        aofHeaderSize,
+		next:       epoch + 1,
+		br:         bufio.NewReaderSize(nil, 64<<10),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+	}
+	s.sr.r = io.TeeReader(s.br, &s.out)
+	p.syncsStarted.Add(1)
+	p.syncsLive.Add(1)
+	return s, nil
+}
+
+// Wait returns the next records of the log whose epochs have published
+// (a concatenation of framed records, about syncReadBytes at most, valid
+// until the next Wait call), blocking until there is one. After timeout
+// with none (0: no timeout) it returns a heartbeat: an empty batch record
+// at the epoch of the last record shipped. Errors are terminal:
+// ErrSlowFollower (a whole checkpoint behind; re-sync), ErrSyncClosed
+// (canceled, closed, the manager gone or persistence failed), or a
+// corrupt log.
+func (s *SyncSession) Wait(timeout time.Duration) ([]byte, error) {
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	for {
+		select {
+		case <-s.stop:
+			return nil, ErrSyncClosed
+		default:
+		}
+		if s.p.Err() != nil {
+			return nil, ErrSyncClosed
+		}
+		pub := s.p.m.Epoch()
+		end, err := s.read(pub)
+		if err != nil {
+			return nil, err
+		}
+		if s.out.Len() > 0 {
+			return s.out.Bytes(), nil
+		}
+		if end && pub >= s.next {
+			// The segment ended with a published record still owed: a
+			// checkpoint rotated the log, and the record is in the next
+			// generation's segment.
+			if err := s.nextSegment(); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		if droppedNow {
-			p.syncDropped.Add(1)
+		var left time.Duration
+		if timeout > 0 {
+			if left = time.Until(deadline); left <= 0 {
+				return appendBatchRecord(s.out.Bytes(), s.next-1, nil, nil), nil
+			}
 		}
+		// Park until the owed record publishes or, when the read stopped
+		// at a later unpublished record past a gap in the log, the next.
+		s.p.m.WaitEpoch(max(s.next, pub+1), left, s.stop)
 	}
-	for i := len(live); i < len(p.taps); i++ {
-		p.taps[i] = nil
-	}
-	p.taps = live
 }
 
-// killTapsLocked closes every tap (shutdown / sticky failure); followers
-// notice and re-sync elsewhere. Caller holds p.mu.
-func (p *Manager) killTapsLocked() {
-	for i, t := range p.taps {
-		t.kill()
-		p.taps[i] = nil
+// read refills out with the records from the cursor on whose epochs are
+// at most pub, and moves the cursor past them. It reports whether it
+// stopped at the segment's end. A record that does not read whole is
+// still being written when pub is below next; past next it is corrupt,
+// since a record is written before its epoch publishes.
+func (s *SyncSession) read(pub uint64) (end bool, err error) {
+	s.out.Reset()
+	if _, err := s.seg.Seek(s.off, io.SeekStart); err != nil {
+		return false, err
 	}
-	p.taps = p.taps[:0]
+	s.br.Reset(s.seg)
+	for s.out.Len() < syncReadBytes {
+		mark := s.out.Len()
+		p, err := s.sr.frame()
+		if err == io.EOF {
+			end = true
+			break
+		}
+		var rec StreamRecord
+		if err == nil {
+			rec, err = s.sr.decode(p)
+		} else if pub < s.next {
+			s.out.Truncate(mark)
+			break
+		}
+		if err != nil {
+			return false, fmt.Errorf("persist: sync: %s at offset %d: %w",
+				segmentPath(s.p.dir, s.gen), s.off+int64(mark), err)
+		}
+		if rec.Epoch > pub {
+			s.out.Truncate(mark)
+			break
+		}
+		s.next = rec.Epoch + 1
+	}
+	s.off += int64(s.out.Len())
+	return end, nil
+}
+
+// nextSegment moves the cursor to the start of the next generation's
+// segment. One already deleted was superseded by a later checkpoint:
+// the session is a whole checkpoint behind.
+func (s *SyncSession) nextSegment() error {
+	f, err := openSegment(s.p.dir, s.gen+1)
+	if errors.Is(err, fs.ErrNotExist) {
+		s.p.syncDropped.Add(1)
+		return ErrSlowFollower
+	}
+	if err != nil {
+		return err
+	}
+	s.seg.Close()
+	s.seg, s.gen, s.off = f, s.gen+1, aofHeaderSize
+	return nil
+}
+
+// Close ends the session, returning once its watcher has exited, and
+// closes its files. Idempotent.
+func (s *SyncSession) Close() {
+	s.closeOnce.Do(func() {
+		close(s.done)
+		<-s.stop
+		s.Checkpoint.Close()
+		s.seg.Close()
+		s.p.syncsLive.Add(-1)
+	})
 }
 
 // --- record decoding --------------------------------------------------------

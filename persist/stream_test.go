@@ -17,6 +17,7 @@ import (
 	"repro/gen"
 	"repro/graph"
 	"repro/internal/bz"
+	"repro/kcore"
 )
 
 // drainSession drains sess until it idles — Wait hands out a heartbeat
@@ -27,7 +28,7 @@ func drainSession(t *testing.T, sess *SyncSession) ([]byte, uint64) {
 	var out []byte
 	var last uint64
 	for {
-		data, err := sess.Wait(50*time.Millisecond, nil)
+		data, err := sess.Wait(50 * time.Millisecond)
 		if err != nil {
 			t.Fatalf("Wait: %v", err)
 		}
@@ -101,7 +102,7 @@ func assertSameGraph(t *testing.T, got, want *graph.Graph) {
 	}
 }
 
-// TestSyncStream is the tap's contract: snapshot + streamed tail
+// TestSyncStream is the session's contract: snapshot + streamed tail
 // reconstructs the leader's exact graph, and the last record's epoch is
 // the leader's final epoch. The follower reads both off one reader, as
 // it does off its socket: ReadCheckpoint must stop exactly at the
@@ -113,7 +114,7 @@ func TestSyncStream(t *testing.T) {
 	defer m.Close()
 
 	syncEpoch := m.Epoch()
-	sess, err := mgr.StartSync()
+	sess, err := mgr.StartSync(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +151,8 @@ func TestSyncStream(t *testing.T) {
 
 // TestSyncIsCheckpoint: a sync takes a checkpoint and ships its file.
 // The session's payload is the file then current by name, the sync
-// counts as one checkpoint of a new generation, the tap's first record is
-// the publication right after the checkpoint's epoch, and the payload
+// counts as one checkpoint of a new generation, the first record shipped
+// is the publication right after the checkpoint's epoch, and the payload
 // still reads whole after a later checkpoint has deleted its generation.
 func TestSyncIsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
@@ -163,7 +164,7 @@ func TestSyncIsCheckpoint(t *testing.T) {
 	edges := m.Snapshot().M()
 
 	before := mgr.Stats()
-	sess, err := mgr.StartSync()
+	sess, err := mgr.StartSync(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +185,13 @@ func TestSyncIsCheckpoint(t *testing.T) {
 
 	m.InsertEdges([]graph.Edge{{U: 5, V: 150}})
 	m.Flush()
-	data, err := sess.Wait(time.Second, nil)
+	data, err := sess.Wait(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec, err := NewStreamReader(bytes.NewReader(data)).Next()
 	if err != nil || rec.Epoch != epoch+1 || !slices.Equal(rec.Inserts, []graph.Edge{{U: 5, V: 150}}) {
-		t.Fatalf("first tap record = %+v, %v; want the insert at epoch %d", rec, err, epoch+1)
+		t.Fatalf("first streamed record = %+v, %v; want the insert at epoch %d", rec, err, epoch+1)
 	}
 
 	if err := mgr.CheckpointNow(); err != nil {
@@ -217,7 +218,7 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 	defer mgr.Close()
 	defer m.Close()
 
-	sess, err := mgr.StartSync()
+	sess, err := mgr.StartSync(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestSyncIdlePingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		data, err := sess.Wait(20*time.Millisecond, nil)
+		data, err := sess.Wait(20 * time.Millisecond)
 		if epoch, ok := heartbeat(data); err != nil || !ok || epoch != want {
 			t.Fatalf("idle Wait %d = (%x, %v), want one empty batch record at sync epoch %d", i, data, err, want)
 		}
@@ -363,58 +364,197 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 	}
 }
 
-// TestSlowFollowerDropped: a follower that stops draining overflows its
-// bounded tap and is dropped without ever blocking the leader.
+// TestSlowFollowerDropped: a follower's backlog is the log on disk, and
+// the leader never waits for it. A session parked past 1 MiB of records
+// inside one generation later drains every one of them, epochs
+// contiguous, at about syncReadBytes per Wait; a session parked across
+// two checkpoints finds the segment it needs next deleted and ends with
+// ErrSlowFollower, while the leader keeps appending.
 func TestSlowFollowerDropped(t *testing.T) {
-	m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(50, 100, 3),
-		Options{Fsync: FsyncNo, SyncBufferBytes: 256})
-	defer mgr.Close()
-	defer m.Close()
-
-	sess, err := mgr.StartSync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if st := mgr.Stats(); st.SyncFollowers != 1 {
-		t.Fatalf("SyncFollowers = %d, want 1", st.SyncFollowers)
-	}
-
-	// Never drain; push well past 256 bytes of records.
-	edges := make([]graph.Edge, 64)
+	// 1 000 edges to vertices the base graph lacks: each batch logs an
+	// 8 KiB record, inserting them or removing them again.
+	edges := make([]graph.Edge, 1000)
 	for i := range edges {
-		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
+		edges[i] = graph.Edge{U: int32(i), V: int32(1000 + i)}
 	}
-	m.InsertEdges(edges)
-	m.Flush()
+	t.Run("within a generation", func(t *testing.T) {
+		m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(50, 100, 3),
+			Options{Fsync: FsyncNo, CheckpointOps: -1, CheckpointBytes: -1})
+		defer mgr.Close()
+		defer m.Close()
+		syncEpoch := m.Epoch()
+		sess, err := mgr.StartSync(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if st := mgr.Stats(); st.SyncFollowers != 1 {
+			t.Fatalf("SyncFollowers = %d, want 1", st.SyncFollowers)
+		}
+		gen0 := mgr.Stats().Gen
 
-	if _, err := sess.Wait(time.Second, nil); !errors.Is(err, ErrSlowFollower) {
-		t.Fatalf("Wait after overflow = %v, want ErrSlowFollower", err)
-	}
-	if st := mgr.Stats(); st.SyncFollowers != 0 || st.SyncDropped != 1 {
-		t.Fatalf("after drop: followers=%d dropped=%d, want 0/1", st.SyncFollowers, st.SyncDropped)
-	}
-	// The leader keeps appending fine.
-	m.InsertEdge(0, 30)
-	m.Flush()
-	if err := mgr.Err(); err != nil {
-		t.Fatalf("leader persistence broke after follower drop: %v", err)
+		// Never drain while the leader logs 140 records.
+		for i := 0; i < 70; i++ {
+			m.InsertEdges(edges)
+			m.RemoveEdges(edges)
+		}
+		last := m.Flush()
+		if st := mgr.Stats(); st.Gen != gen0 || st.AppendedBytes < 1<<20 {
+			t.Fatalf("leader at gen %d with %d log bytes, want gen %d and over 1 MiB", st.Gen, st.AppendedBytes, gen0)
+		}
+
+		want, waits := syncEpoch+1, 0
+		for {
+			data, err := sess.Wait(50 * time.Millisecond)
+			if err != nil {
+				t.Fatalf("Wait after %d records: %v", want-syncEpoch-1, err)
+			}
+			if e, ok := heartbeat(data); ok {
+				if e != last || want != last+1 {
+					t.Fatalf("idle at epoch %d having shipped up to %d, want both at %d", e, want-1, last)
+				}
+				break
+			}
+			waits++
+			if len(data) > syncReadBytes+recHeaderSize+batchHeaderSize+8*len(edges) {
+				t.Fatalf("one Wait returned %d bytes, want about %d at most", len(data), syncReadBytes)
+			}
+			sr := NewStreamReader(bytes.NewReader(data))
+			for {
+				rec, err := sr.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil || rec.Epoch != want || len(rec.Removes)+len(rec.Inserts) != len(edges) {
+					t.Fatalf("record at epoch %d (%v), want %d edges at epoch %d", rec.Epoch, err, len(edges), want)
+				}
+				want++
+			}
+		}
+		if waits < 4 {
+			t.Fatalf("drained in %d Waits, want at least 4 of about %d KiB", waits, syncReadBytes>>10)
+		}
+		if err := mgr.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("across two checkpoints", func(t *testing.T) {
+		m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(50, 100, 3), Options{Fsync: FsyncNo})
+		defer mgr.Close()
+		defer m.Close()
+		syncEpoch := m.Epoch()
+		sess, err := mgr.StartSync(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+
+		m.InsertEdges(edges)
+		if err := mgr.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		m.RemoveEdges(edges)
+		if err := mgr.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The sync's own segment is deleted but open: its record still
+		// ships. The next one was deleted before the session opened it.
+		data, err := sess.Wait(time.Second)
+		if rec, rerr := NewStreamReader(bytes.NewReader(data)).Next(); err != nil || rerr != nil || rec.Epoch != syncEpoch+1 {
+			t.Fatalf("first Wait = record at epoch %d (%v, %v), want the insert at epoch %d", rec.Epoch, err, rerr, syncEpoch+1)
+		}
+		if _, err := sess.Wait(time.Second); !errors.Is(err, ErrSlowFollower) {
+			t.Fatalf("Wait a whole checkpoint behind = %v, want ErrSlowFollower", err)
+		}
+		if st := mgr.Stats(); st.SyncFollowers != 1 || st.SyncDropped != 1 {
+			t.Fatalf("after the drop: followers=%d dropped=%d, want 1/1 until Close", st.SyncFollowers, st.SyncDropped)
+		}
+		sess.Close()
+		if st := mgr.Stats(); st.SyncFollowers != 0 || st.SyncDropped != 1 {
+			t.Fatalf("after Close: followers=%d dropped=%d, want 0/1", st.SyncFollowers, st.SyncDropped)
+		}
+		// The leader keeps appending fine.
+		m.InsertEdge(0, 30)
+		m.Flush()
+		if err := mgr.Err(); err != nil {
+			t.Fatalf("leader persistence broke after follower drop: %v", err)
+		}
+	})
+}
+
+// parkedCommit is a Manager as a maintainer's OpLog with every Commit
+// parked until the test releases it: the batch is logged — and, under
+// FsyncAlways, synced — but its epoch does not publish.
+type parkedCommit struct {
+	*Manager
+	parked, release chan struct{}
+}
+
+func (l parkedCommit) Commit() {
+	l.parked <- struct{}{}
+	<-l.release
+	l.Manager.Commit()
+}
+
+// TestSessionShipsOnlyPublished: a sync session ships a record only once
+// its epoch has published, so a follower never holds a state the leader
+// does not serve, whichever policy wrote the record to the log first.
+func TestSessionShipsOnlyPublished(t *testing.T) {
+	for _, policy := range []Fsync{FsyncNo, FsyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			mgr, err := NewManager(t.TempDir(), Options{Fsync: policy, Logger: testLogger(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lg := parkedCommit{mgr, make(chan struct{}), make(chan struct{})}
+			m := kcore.New(gen.ErdosRenyi(20, 40, 7), kcore.WithOpLog(lg))
+			defer mgr.Close()
+			defer m.Close()
+			if err := mgr.Start(m); err != nil {
+				t.Fatal(err)
+			}
+			epoch := m.Epoch()
+			sess, err := mgr.StartSync(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+
+			// Released once, and before m.Close if the test fails parked.
+			release := sync.OnceFunc(func() { close(lg.release) })
+			defer release()
+			done := make(chan struct{})
+			go func() { defer close(done); m.InsertEdge(1, 20) }()
+			<-lg.parked
+			data, err := sess.Wait(200 * time.Millisecond)
+			if e, ok := heartbeat(data); err != nil || !ok || e != epoch {
+				t.Fatalf("Wait while epoch %d is unpublished = (%x, %v), want only the heartbeat at epoch %d", epoch+1, data, err, epoch)
+			}
+			release()
+			<-done
+			data, err = sess.Wait(time.Second)
+			rec, rerr := NewStreamReader(bytes.NewReader(data)).Next()
+			if err != nil || rerr != nil || rec.Epoch != epoch+1 || !slices.Equal(rec.Inserts, []graph.Edge{{U: 1, V: 20}}) {
+				t.Fatalf("Wait after the publication = %+v (%v, %v), want the insert at epoch %d", rec, err, rerr, epoch+1)
+			}
+		})
 	}
 }
 
-// TestSyncClosedOnManagerClose: Close kills live taps so a parked
-// streamer wakes with a terminal error instead of hanging.
+// TestSyncClosedOnManagerClose: the manager's Close wakes a parked Wait
+// with a terminal error instead of leaving it hanging.
 func TestSyncClosedOnManagerClose(t *testing.T) {
 	m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(20, 40, 5), Options{Fsync: FsyncNo})
 	defer m.Close()
 
-	sess, err := mgr.StartSync()
+	sess, err := mgr.StartSync(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := sess.Wait(10*time.Second, nil)
+		_, err := sess.Wait(10 * time.Second)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -429,7 +569,7 @@ func TestSyncClosedOnManagerClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait still parked after manager Close")
 	}
-	if _, err := mgr.StartSync(); err == nil {
+	if _, err := mgr.StartSync(nil); err == nil {
 		t.Fatal("StartSync succeeded on a closed manager")
 	}
 }

@@ -26,22 +26,23 @@ const syncChunk = 256 << 10
 //	<endless CRC-framed records: one batch per publication, each with its epoch>
 //
 // The generation and the checkpoint epoch travel only in the checkpoint
-// header. A sync is a checkpoint whose barrier also registers the tap,
-// so the record stream starts exactly where the checkpoint ends — no
-// segment replay, no gap, no overlap. The stream is what the session's
-// Wait returns, written as is: the records, or after a second's silence
-// a heartbeat, an empty batch record at the last epoch. After the
-// handshake the connection belongs to the stream until the follower
-// disconnects, the follower falls too far behind (bounded tap
-// overflows), or the server shuts down; it never returns to command
-// dispatch.
+// header. A sync is a checkpoint, and the session reads the log from
+// that checkpoint's generation on, so the record stream starts exactly
+// where the checkpoint ends — no gap, no overlap — and carries only
+// published epochs. The stream is what the session's Wait returns,
+// written as is: the records, or after a second's silence a heartbeat,
+// an empty batch record at the last epoch shipped. After the handshake
+// the connection belongs to the stream until the follower disconnects
+// or stalls a write past syncWriteTimeout, the follower falls a whole
+// checkpoint behind, or the server shuts down; it never returns to
+// command dispatch.
 func cmdSync(c *conn, args [][]byte) bool {
 	p := c.srv.persist
 	if p == nil {
 		c.writeError("ERR replication requires persistence (start kcored with -dir)")
 		return false
 	}
-	sess, err := p.StartSync()
+	sess, err := p.StartSync(c.srv.closeCh)
 	if err != nil {
 		c.writeError("ERR " + err.Error())
 		return false
@@ -64,9 +65,9 @@ func cmdSync(c *conn, args [][]byte) bool {
 		left -= n
 	}
 	for {
-		// Slow-follower overflow, shutdown or a failed write: drop the
+		// A whole checkpoint behind, shutdown or a failed write: drop the
 		// connection; the follower notices and re-bootstraps.
-		data, err := sess.Wait(time.Second, c.srv.closeCh)
+		data, err := sess.Wait(time.Second)
 		if err != nil || c.writeSync(data) != nil {
 			return true
 		}
