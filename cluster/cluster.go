@@ -356,40 +356,21 @@ func mgetRecv(conn *client.Conn, sent, want int, sink func(j int, k int32)) erro
 // with (per-shard-local) core number k across the universe [0, N).
 //
 // Each shard reports its owned band only (CORE.HIST 0 W — mirrors are
-// the owning shard's business) alongside its CORE.N; the bins merge by
-// element-wise sum. Bin 0 is then compensated by N − Σ min(N_i, W_i):
-// universe ids that exist on no shard (holes under the high-water mark)
-// are isolated by construction, and owned-band vertices a shard grew
-// beyond the cluster N (mirror-band growth pulling the owned band
-// along) are isolated too — both differ from a single-node oracle only
-// in bin 0, by exactly that count.
+// the owning shard's business), and the reply's sum is the shard's
+// owned-vertex count min(N_i, W_i); the bins merge by element-wise sum.
+// Bin 0 is then compensated by N − Σ min(N_i, W_i): universe ids that
+// exist on no shard (holes under the high-water mark) are isolated by
+// construction, and owned-band vertices a shard grew beyond the cluster
+// N (mirror-band growth pulling the owned band along) are isolated too
+// — both differ from a single-node oracle only in bin 0, by exactly
+// that count.
 func (c *Cluster) Hist() ([]int64, error) {
-	n := c.m.NumShards()
-	hists := make([][]int64, n)
-	existing := make([]int64, n)
+	hists := make([][]int64, c.m.NumShards())
 	err := c.scatter(c.allShards(), func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
-			w := c.m.Shard(i).Width()
-			if err := conn.Send("CORE.HIST", 0, w); err != nil {
-				return err
-			}
-			if err := conn.Send("CORE.N"); err != nil {
-				return err
-			}
-			if err := conn.Flush(); err != nil {
-				return err
-			}
-			h, err := client.Ints(conn.Receive())
-			if err != nil {
-				return err
-			}
-			ni, err := client.Int(conn.Receive())
-			if err != nil {
-				return err
-			}
-			hists[i] = h
-			existing[i] = min(ni, int64(w))
-			return nil
+			var err error
+			hists[i], err = client.Ints(conn.Do("CORE.HIST", 0, c.m.Shard(i).Width()))
+			return err
 		})
 	})
 	if err != nil {
@@ -397,14 +378,14 @@ func (c *Cluster) Hist() ([]int64, error) {
 	}
 	merged := []int64{0}
 	var sum int64
-	for i := range hists {
-		for k, v := range hists[i] {
+	for _, h := range hists {
+		for k, v := range h {
 			for k >= len(merged) {
 				merged = append(merged, 0)
 			}
 			merged[k] += v
+			sum += v
 		}
-		sum += existing[i]
 	}
 	merged[0] += c.N() - sum
 	// Trim trailing zero bins a compensated merge can leave (e.g. a
@@ -441,24 +422,17 @@ func (c *Cluster) MaxCore() (int32, error) {
 
 // KVert counts vertices with core number ≥ k: for k ≤ 0 every universe
 // vertex qualifies (holes are core-0 vertices, so only N answers this
-// exactly); for k ≥ 1 the per-shard owned-band counts sum.
+// exactly, with no I/O); for k ≥ 1 it is Hist's suffix sum from bin k.
 func (c *Cluster) KVert(k int32) (int64, error) {
 	if k <= 0 {
 		return c.N(), nil
 	}
-	counts := make([]int64, c.m.NumShards())
-	err := c.scatter(c.allShards(), func(i int) error {
-		return c.withLeader(i, func(conn *client.Conn) error {
-			var err error
-			counts[i], err = client.Int(conn.Do("CORE.KVERT", k, 0, c.m.Shard(i).Width()))
-			return err
-		})
-	})
+	hist, err := c.Hist()
 	if err != nil {
 		return 0, err
 	}
 	var sum int64
-	for _, v := range counts {
+	for _, v := range hist[min(int(k), len(hist)):] {
 		sum += v
 	}
 	return sum, nil

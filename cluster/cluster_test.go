@@ -244,7 +244,7 @@ func verify(t *testing.T, c *cluster.Cluster, o *cluster.Oracle) {
 	if err != nil || mx != o.MaxCore() {
 		t.Fatalf("MaxCore = %d, %v; oracle %d", mx, err, o.MaxCore())
 	}
-	for k := int32(0); k <= mx+1; k++ {
+	for k := int32(-1); k <= mx+1; k++ {
 		n, err := c.KVert(k)
 		if err != nil || n != o.KVert(k) {
 			t.Fatalf("KVert(%d) = %d, %v; oracle %d", k, n, err, o.KVert(k))

@@ -114,7 +114,7 @@ func clusterDrill(t *testing.T, alg string) {
 	if err != nil || mx != o.MaxCore() {
 		t.Fatalf("maxcore = %d, %v; oracle %d", mx, err, o.MaxCore())
 	}
-	for _, k := range []int32{0, 1, mx, mx + 1} {
+	for k := int32(-1); k <= mx+1; k++ {
 		if n, err := c.KVert(k); err != nil || n != o.KVert(k) {
 			t.Fatalf("kvert(%d) = %d, %v; oracle %d", k, n, err, o.KVert(k))
 		}

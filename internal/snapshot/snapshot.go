@@ -132,10 +132,10 @@ func (v *View) ForEachPage(fn func(start int32, page []int32)) {
 // dst[:0] so repeat callers pay no allocation once the bin slice is warm.
 // The range is clamped to [0, N); the result always has at least one bin
 // and its last bin is nonzero unless only bin 0 is populated, matching
-// Hist's shape. This is the owned-band primitive of the cluster's
-// scatter-gather aggregates: a shard restricted to its owned id range
-// reports a histogram that excludes its mirror band, so the router's
-// bin-wise sum counts every vertex exactly once. O(hi-lo) page scans.
+// Hist's shape. This is the owned-band read behind CORE.HIST lo hi: a
+// shard restricted to its owned id range reports a histogram that
+// excludes its mirror band, so the router's bin-wise sum counts every
+// vertex exactly once. O(hi-lo) page scans.
 func (v *View) HistRangeInto(dst []int64, lo, hi int32) []int64 {
 	if lo < 0 {
 		lo = 0
@@ -159,39 +159,6 @@ func (v *View) HistRangeInto(dst []int64, lo, hi int32) []int64 {
 		}
 	}
 	return dst
-}
-
-// CountCoresAtLeast counts the vertices in the id range [lo, hi) with
-// core number >= k (k <= 0 counts every existing vertex of the range).
-// The range is clamped to [0, N). O(hi-lo), allocation-free — the
-// range-restricted CORE.KVERT the cluster router sums across shards.
-func (v *View) CountCoresAtLeast(k, lo, hi int32) int64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if int(hi) > v.N {
-		hi = int32(v.N)
-	}
-	if hi <= lo {
-		return 0
-	}
-	if k <= 0 {
-		return int64(hi - lo)
-	}
-	var count int64
-	for u := lo; u < hi; {
-		pg := v.pages[u>>PageBits]
-		end := (u &^ pageMask) + int32(len(pg))
-		if end > hi {
-			end = hi
-		}
-		for ; u < end; u++ {
-			if pg[u&pageMask] >= k {
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // PubStats counts publications by what they did. DirtyPages accumulates

@@ -2,6 +2,7 @@ package kcore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -165,6 +166,13 @@ func TestMaxVerticesCeiling(t *testing.T) {
 	if n := m.AddVertices(1); n != 40 || len(lg.ops) != logged || m.Epoch() != epoch {
 		t.Fatalf("AddVertices at the ceiling = %d, logged %d records, epoch %d -> %d; want 40, none, unmoved",
 			n, len(lg.ops)-logged, epoch, m.Epoch())
+	}
+	// A k near math.MaxInt clamps to the ceiling rather than overflowing
+	// N+k into a negative target that grows nothing.
+	huge := New(graph.New(10), WithMaxVertices(100))
+	defer huge.Close()
+	if n := huge.AddVertices(math.MaxInt); n != 100 || huge.N() != 100 {
+		t.Fatalf("AddVertices(MaxInt) = %d, N = %d; want the ceiling 100", n, huge.N())
 	}
 	// The ceiling never cuts below an already-bigger construction graph.
 	bigBase := gen.ErdosRenyi(50, 150, 306)

@@ -567,7 +567,8 @@ func (m *Maintainer) Submit(pd *Pending, removes, inserts []graph.Edge) {
 func (m *Maintainer) AddVertices(k int) int {
 	var n int
 	m.barrier(func() {
-		if target := min(m.eng.g.N()+max(k, 0), m.eng.cfg.maxN); target > m.eng.g.N() {
+		cur := m.eng.g.N()
+		if target := cur + min(max(k, 0), m.eng.cfg.maxN-cur); target > cur {
 			last := int32(target - 1)
 			m.pipe.apply(m.eng, nil, []graph.Edge{{U: last, V: last}})
 		}
@@ -757,13 +758,6 @@ func (s Snapshot) HistogramRange(lo, hi int32) []int64 {
 // callers that aggregate repeatedly and hold a bin buffer.
 func (s Snapshot) HistogramRangeInto(dst []int64, lo, hi int32) []int64 {
 	return s.v.HistRangeInto(dst, lo, hi)
-}
-
-// CountCoresAtLeast counts vertices in the id range [lo, hi), clamped to
-// [0, N), whose core number is at least k (k <= 0 counts every existing
-// vertex of the range) — the range-restricted CORE.KVERT.
-func (s Snapshot) CountCoresAtLeast(k, lo, hi int32) int64 {
-	return s.v.CountCoresAtLeast(k, lo, hi)
 }
 
 // Decompose computes core numbers from scratch with the linear-time BZ

@@ -58,7 +58,7 @@ func init() {
 	register(&command{name: "CORE.REMOVE", minArgs: 3, maxArgs: -1, family: famWrite, denyOnReplica: true, fn: cmdRemove})
 	register(&command{name: "CORE.MAXCORE", minArgs: 1, maxArgs: 1, family: famRead, fn: cmdMaxCore})
 	register(&command{name: "CORE.HIST", minArgs: 1, maxArgs: 3, family: famAggregate, fn: cmdHist})
-	register(&command{name: "CORE.KVERT", minArgs: 2, maxArgs: 4, family: famAggregate, fn: cmdKVert})
+	register(&command{name: "CORE.KVERT", minArgs: 2, maxArgs: 2, family: famAggregate, fn: cmdKVert})
 	register(&command{name: "CORE.GROW", minArgs: 2, maxArgs: 2, family: famAdmin, denyOnReplica: true, fn: cmdGrow})
 	register(&command{name: "CORE.FLUSH", minArgs: 1, maxArgs: 1, family: famAdmin, fn: cmdFlush})
 	register(&command{name: "CORE.EPOCH", minArgs: 1, maxArgs: 1, family: famRead, fn: cmdEpoch})
@@ -189,40 +189,20 @@ func cmdHist(c *conn, args [][]byte) bool {
 	return false
 }
 
-// cmdKVert serves CORE.KVERT k [lo hi]: how many vertices are in the
-// k-core (core number >= k). Without a range it is summed off the
-// snapshot histogram in O(MaxCore); with an id range [lo, hi) it is an
-// O(hi-lo) scan counting only that range — the cluster's owned-band
-// form, summed across shards.
+// cmdKVert serves CORE.KVERT k: how many vertices are in the k-core
+// (core number >= k), summed off the snapshot histogram in O(MaxCore).
 func cmdKVert(c *conn, args [][]byte) bool {
 	k, ok := parseInt(args[1])
 	if !ok {
 		c.writeErrArg("invalid core value", args[1])
 		return false
 	}
-	switch len(args) {
-	case 2:
-		hist := c.snapshot().Histogram()
-		var count int64
-		for cv := max(k, 0); cv < int64(len(hist)); cv++ {
-			count += hist[cv]
-		}
-		c.wr.WriteInt(count)
-	case 4:
-		lo, ok := c.argVertex(args[2])
-		if !ok {
-			return false
-		}
-		hi, ok := c.argVertex(args[3])
-		if !ok {
-			return false
-		}
-		kk := int32(min(max(k, 0), int64(1<<31-1)))
-		c.wr.WriteInt(c.snapshot().CountCoresAtLeast(kk, lo, hi))
-	default:
-		c.writeError("ERR CORE.KVERT takes k or k plus an id range: CORE.KVERT k [lo hi]")
-		return false
+	hist := c.snapshot().Histogram()
+	var count int64
+	for cv := max(k, 0); cv < int64(len(hist)); cv++ {
+		count += hist[cv]
 	}
+	c.wr.WriteInt(count)
 	return false
 }
 

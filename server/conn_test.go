@@ -173,7 +173,7 @@ func TestHeldWriteDoesNotStallOtherConns(t *testing.T) {
 		"CORE.EPOCH":   {"CORE.EPOCH"},
 		"CORE.N":       {"CORE.N"},
 		"CORE.HIST":    {"CORE.HIST", "CORE.HIST 0 100"},
-		"CORE.KVERT":   {"CORE.KVERT 2", "CORE.KVERT 2 0 100"},
+		"CORE.KVERT":   {"CORE.KVERT 2"},
 		"QUIT":         {"QUIT"},
 	}
 	var names []string

@@ -52,10 +52,10 @@ type ReplicaOptions struct {
 // (denyOnReplica).
 //
 // The loop reconnects forever with backoff. Every (re)connect is a full
-// re-bootstrap: the leader's stream has no resume cursor — by design,
-// since a follower that fell behind was dropped precisely because
-// buffering its backlog was unbounded, and a snapshot is cheap next to
-// that backlog.
+// re-bootstrap: a leader's sync session starts at the checkpoint it
+// takes, never at the follower's own epoch, so there is nothing to
+// resume from. Starting the session's log cursor at the follower's
+// epoch instead is ROADMAP "Parked: partial resync".
 type Replica struct {
 	srv    *Server
 	leader string
