@@ -30,7 +30,7 @@ race:
 # and the reclamation hammer, a pin held across a Load at a lower epoch and
 # a pin at epoch 0, under the race detector.
 # The next two run the lock-free OM readers and the graph's reserved
-# concurrent AddEdge under the race detector. The last runs the log's
+# concurrent AddEdge under the race detector. The next runs the log's
 # commit contract (append before apply, commit before publish) and
 # RemoveVertex's one-batch removal behind a parked commit, the
 # FsyncAlways syncer's zero-allocation hand-off and its stop at Close,
@@ -39,11 +39,17 @@ race:
 # sync being the checkpoint it takes, and a sync session reading the log:
 # it ships only published records, drains a backlog from disk, ends a
 # whole checkpoint behind, and wakes when the manager closes, under the
-# race detector. The last two run one epoch space under the race
+# race detector. The next two run one epoch space under the race
 # detector: a follower publishes each leader state at the leader's epoch
 # (before its first bootstrap at 0, and past a vertex ceiling below the
 # leader's universe), and a leader killed and restarted under
 # -aof-fsync always resumes at the epoch it recovered.
+# The last runs the two batches that spend their rebuild budget (DESIGN.md,
+# "The rebuild budget"), in pcore and on the product path, under the race
+# detector: the workers' shared Σ|V+|
+# and stop flag are the one state the rule adds between them, a worker that
+# sees the flag stops between edges while the other finishes its edge, and
+# the rebuild after the join reads both workers' adjacency and core writes.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
@@ -53,6 +59,7 @@ engine-flake:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint|TestSessionShipsOnlyPublished|TestSlowFollowerDropped|TestSyncClosedOnManagerClose' ./kcore ./persist
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestFollowerServesLeaderEpoch|TestFollowerWaitsForFirstBootstrap|TestFollowerBelowLeaderCeiling|TestFollowerRefusesEpochGap|TestFollowerReplaysLeaderBatches' ./server
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestReplicaResyncAfterLeaderKill' ./cmd/kcored
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestBudgetSpentFinishesWithRebuild|TestSparsePrefillBoundsTraversal' ./internal/pcore/ ./kcore
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

@@ -105,6 +105,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"kcored_pipeline_ops_total",
 		"kcored_batches_total",
 		"kcored_publishes_total",
+		"kcore_engine_rebuilds_total",
 		"kcore_pipeline_stage_seconds_bucket",
 		"kcored_aof_fsync_seconds_count",
 		"kcored_aof_commit_wait_seconds_count",
@@ -125,6 +126,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !found {
 			t.Errorf("metric family %q missing from %s", fam, url)
 		}
+	}
+	// The bursts above are a few dozen edges on a small graph, far below
+	// the floor of an insertion batch's traversal budget.
+	if v := after["kcore_engine_rebuilds_total"]; v != 0 {
+		t.Errorf("kcore_engine_rebuilds_total = %g after small bursts, want 0", v)
 	}
 	for _, fam := range readmeFamilies(t) {
 		if !hasFamily(after, fam) && !hasFamily(follower, fam) {

@@ -118,10 +118,8 @@ func (st *State) Grow(n int) {
 	}
 }
 
-// NewState initializes the state from g: core numbers and the initial
-// k-order come from the BZ algorithm (its peeling sequence is a valid
-// k-order by construction), d⁺out is derived from the order, and every mcd
-// starts empty.
+// NewState initializes the state from g: it allocates the per-vertex
+// arrays and lets Rebuild fill them in.
 func NewState(g *graph.Graph) *State {
 	n := g.N()
 	st := &State{
@@ -133,11 +131,31 @@ func NewState(g *graph.Graph) *State {
 		S:     make([]atomic.Uint32, n),
 		T:     make([]atomic.Int32, n),
 		Locks: make([]spin.Lock, n),
-		slab:  om.NewSlab(n),
 	}
+	st.rebuild(nil)
+	return st
+}
+
+// Rebuild recomputes the whole state from the current graph, in place and
+// in O(n + m): core numbers and the k-order come from the BZ algorithm (its
+// peeling sequence is a valid k-order by construction), d⁺out is derived
+// from that order, every mcd starts empty, Din and T are cleared, and the
+// k-order lists live on a fresh slab. It appends to changed every vertex
+// whose core number it changed and returns the result. Must run at
+// quiescence; no pointer into the old lists may be used afterwards.
+func (st *State) Rebuild(changed []int32) []int32 {
+	st.rebuild(&changed)
+	return changed
+}
+
+// rebuild is Rebuild; a nil changed records nothing (NewState's case, where
+// every vertex starts at core 0 and nobody reads the old numbers).
+func (st *State) rebuild(changed *[]int32) {
+	g := st.G
+	n := st.N()
 	cores, order := bz.Decompose(g)
-	maxCore := bz.MaxCore(cores)
-	lists := make([]*om.List, maxCore+1)
+	st.slab = om.NewSlab(n)
+	lists := make([]*om.List, bz.MaxCore(cores)+1)
 	for k := range lists {
 		lists[k] = om.NewList(st.slab, 0)
 	}
@@ -146,7 +164,12 @@ func NewState(g *graph.Graph) *State {
 	for i, v := range order {
 		pos[v] = int32(i)
 	}
+	clear(st.Din)
+	clear(st.T)
 	for v := 0; v < n; v++ {
+		if changed != nil && st.Core[v].Load() != cores[v] {
+			*changed = append(*changed, int32(v))
+		}
 		st.Core[v].Store(cores[v])
 		st.Mcd[v].Store(McdEmpty)
 		dout := int32(0)
@@ -162,7 +185,6 @@ func NewState(g *graph.Graph) *State {
 	for _, v := range order {
 		lists[cores[v]].InsertAtTail(v)
 	}
-	return st
 }
 
 // N returns the number of vertices.

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/kcore"
 )
 
 func tinyConfig(buf *bytes.Buffer) Config {
@@ -200,7 +202,7 @@ func TestRunContentionOutput(t *testing.T) {
 	var buf bytes.Buffer
 	RunContention(tinyConfig(&buf))
 	out := buf.String()
-	if !strings.Contains(out, "aborts/edge") || !strings.Contains(out, "BA") {
+	if !strings.Contains(out, "aborts/edge") || !strings.Contains(out, "ins rebuilds") || !strings.Contains(out, "BA") {
 		t.Fatalf("contention output malformed:\n%s", out)
 	}
 }
@@ -215,4 +217,46 @@ func TestRunMemoryOutput(t *testing.T) {
 	if !strings.Contains(out, "core.State OM") || !strings.Contains(out, "kcore.New total") {
 		t.Fatalf("memory output malformed:\n%s", out)
 	}
+}
+
+// The insert batches behind the CI-scale Fig. 4–6 curves — each suite
+// graph's batch, Fig. 5's 1x–10x batches and Fig. 6's consecutive groups —
+// never spend the engine's traversal budget, so those curves time
+// Algorithm 7 and not the rebuild that would finish such a batch.
+func TestPaperBatchesNeverRebuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every suite workload")
+	}
+	cfg := DefaultConfig(nil)
+	_, base := cfg.Scale.params()
+	workers := cfg.Workers[len(cfg.Workers)-1]
+	ourI := paperSeries[0]
+	batches := 0
+	check := func(what string, res kcore.BatchResult) {
+		t.Helper()
+		batches++
+		if res.Contention.Rebuilds != 0 {
+			t.Fatalf("%s: the insert batch finished with a rebuild", what)
+		}
+	}
+	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
+		w := BuildWorkload(sg, base, cfg.Seed)
+		check(sg.Name, ourI.start(w, workers)(w.Batch))
+	}
+	suite, err := SuiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sg := range suite {
+		for _, mult := range []int{2, 4, 6, 8, 10} {
+			w := BuildWorkload(sg, base*mult, cfg.Seed)
+			check(fmt.Sprintf("%s %dx", sg.Name, mult), ourI.start(w, workers)(w.Batch))
+		}
+		w := BuildWorkload(sg, base*10, cfg.Seed)
+		step := ourI.start(w, workers)
+		for gi := 0; gi+base <= len(w.Batch); gi += base {
+			check(fmt.Sprintf("%s group at %d", sg.Name, gi), step(w.Batch[gi:gi+base]))
+		}
+	}
+	t.Logf("%d insert batches, none rebuilt", batches)
 }

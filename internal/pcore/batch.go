@@ -8,6 +8,7 @@ package pcore
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/core"
@@ -34,7 +35,31 @@ type Engine struct {
 	// one bit per vertex, all clear between batches. It is the engine's
 	// one per-vertex buffer (n/8 bytes); run sizes it to the State.
 	seen []uint64
+
+	// budget is the Σ|V+| an insertion batch may traverse before it
+	// finishes with a rebuild (see InsertEdges); 0 while a removal batch,
+	// which is not budgeted, runs. spent is the batch's Σ|V+| as the
+	// workers have published it, and stop is set once spent passes budget.
+	budget int64
+	spent  atomic.Int64
+	stop   atomic.Bool
 }
+
+// The rebuild budget of an insertion batch, in |V+| (DESIGN.md, "The
+// rebuild budget"): (n+m)/budgetDiv, but at least minBudget. A rebuild costs
+// about what traversing (n+m)/27 vertices does, so budgetDiv = 8 leaves a
+// margin of 3 over the break-even point; the floor keeps small graphs, where
+// a batch traverses a large share of n+m as a matter of course, on
+// Algorithm 7.
+const (
+	budgetDiv = 8
+	minBudget = 1 << 14
+)
+
+// publishEvery is how much |V+|, at most, a worker sums locally before it
+// adds it to the engine's shared total: a 2-worker burst of ten thousand
+// edges publishes about ten times.
+const publishEvery = 1024
 
 // New returns an engine over st with max(workers, 1) workers.
 func New(st *core.State, workers int) *Engine {
@@ -48,17 +73,24 @@ func New(st *core.State, workers int) *Engine {
 	return e
 }
 
+// Rebuilt is the Sizes entry of an inserted edge that no worker traversed:
+// the batch spent its budget first, and the rebuild that finished it
+// applied the edge.
+const Rebuilt int32 = -2
+
 // Batch reports what one batch did. Its slices alias buffers the engine
 // reuses: they are valid until the engine's next batch.
 type Batch struct {
 	// Sizes is aligned with the batch's edges: -1 where the edge changed
-	// nothing (self-loop, duplicate insertion, absent removal), otherwise
-	// the size of the operation's searching set — |V+| for an insertion
-	// (the Fig. 1 histogram), |V*| for a removal (where V+ = V*, §6.5).
+	// nothing (self-loop, duplicate insertion, absent removal), Rebuilt
+	// where the batch's closing rebuild applied it, otherwise the size of
+	// the operation's searching set — |V+| for an insertion (the Fig. 1
+	// histogram), |V*| for a removal (where V+ = V*, §6.5).
 	Sizes []int32
 	// Changed holds, per worker, the V* of every edge that worker applied,
 	// concatenated: the vertices whose core number the batch moved (one
-	// entry per move, so a vertex moved twice appears twice).
+	// entry per move, so a vertex moved twice appears twice). A rebuild
+	// appends every vertex whose core number it changed to worker 0's.
 	Changed [][]int32
 	// Metrics are this batch's contention and work counters.
 	Metrics Metrics
@@ -68,7 +100,7 @@ type Batch struct {
 func (b Batch) Applied() int {
 	n := 0
 	for _, s := range b.Sizes {
-		if s >= 0 {
+		if s >= 0 || s == Rebuilt {
 			n++
 		}
 	}
@@ -79,34 +111,47 @@ func (b Batch) Applied() int {
 // algorithm (Algorithm 7 per edge). The graph reserves room for the batch
 // before the workers fork, so their concurrent AddEdge calls never move
 // its adjacency arena.
+//
+// The batch may traverse max((n+m)/budgetDiv, minBudget) vertices in total,
+// counted in |V+|. Once it has spent that, the workers take no further
+// edge, and the batch finishes with one rebuild of the whole state
+// (core.State.Rebuild) instead: traversal while it is cheaper than a
+// recompute, then one recompute.
 func (e *Engine) InsertEdges(edges []graph.Edge) Batch {
-	e.ws[0].st.G.Reserve(edges)
+	g := e.ws[0].st.G
+	e.budget = max((int64(g.N())+g.M())/budgetDiv, minBudget)
+	g.Reserve(edges)
 	return e.run(edges, (*worker).insertEdge)
 }
 
 // RemoveEdges removes a batch of edges with the Parallel-Order removal
-// algorithm (Algorithm 8 per edge).
+// algorithm (Algorithm 8 per edge). Removal is not budgeted: every vertex
+// in its V* is a core number that moves (§4.2.3).
 func (e *Engine) RemoveEdges(edges []graph.Edge) Batch {
+	e.budget = 0
 	return e.run(edges, (*worker).removeEdge)
 }
 
 // run executes one batch in two fork-join phases: every worker applies its
 // share of the edges, and once all have quiesced every worker repairs the
-// d⁺out of its share of what was repositioned. The calling goroutine is
-// worker 0, so a one-worker engine starts no goroutine at all.
+// d⁺out of its share of what was repositioned — or, if the batch spent its
+// budget, one rebuild finishes it. The calling goroutine is worker 0, so a
+// one-worker engine starts no goroutine at all.
 func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32) Batch {
 	if e.sizes = keep(e.sizes); cap(e.sizes) < len(edges) {
 		e.sizes = make([]int32, len(edges))
 	}
 	sizes := e.sizes[:len(edges)]
+	e.spent.Store(0)
+	e.stop.Store(false)
 	for pi := 1; pi < len(e.ws); pi++ {
 		e.wg.Add(1)
 		go func(pi int) {
 			defer e.wg.Done()
-			e.ws[pi].applyShare(edges, sizes, pi, len(e.ws), apply)
+			e.ws[pi].applyShare(e, edges, sizes, pi, apply)
 		}(pi)
 	}
-	e.ws[0].applyShare(edges, sizes, 0, len(e.ws), apply)
+	e.ws[0].applyShare(e, edges, sizes, 0, apply)
 	e.wg.Wait()
 
 	// A batch is one long computation on the caller's goroutine, which a
@@ -115,6 +160,45 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 	// this P — a connection's reads beside a serving node's applier —
 	// runs now, not a whole repair pass later.
 	runtime.Gosched()
+	rebuilt := e.stop.Load()
+	if rebuilt {
+		e.rebuild(edges, sizes)
+	} else {
+		e.repair()
+	}
+	for _, w := range e.ws {
+		w.repair, w.targets = keep(w.repair), keep(w.targets)
+	}
+
+	b := Batch{Sizes: sizes, Changed: e.changed}
+	for i, w := range e.ws {
+		b.Changed[i] = w.changed
+		b.Metrics.add(w.m)
+	}
+	if rebuilt {
+		b.Metrics.Rebuilds = 1
+	}
+	return b
+}
+
+// rebuild finishes a batch that spent its budget: it adds the edges no
+// worker took to the graph and recomputes the state from it. The rebuild
+// sets every d⁺out, so the repair pass is skipped.
+func (e *Engine) rebuild(edges []graph.Edge, sizes []int32) {
+	st := e.ws[0].st
+	for _, w := range e.ws {
+		for i := w.next; i < len(edges); i += len(e.ws) {
+			sizes[i] = -1
+			if st.G.AddEdge(edges[i].U, edges[i].V) {
+				sizes[i] = Rebuilt
+			}
+		}
+	}
+	e.ws[0].changed = st.Rebuild(e.ws[0].changed)
+}
+
+// repair runs the batch-end d⁺out repair (repairDout) on every worker.
+func (e *Engine) repair() {
 	if n := e.ws[0].st.N(); len(e.seen)*64 < n {
 		e.seen = make([]uint64, (n+63)/64)
 	}
@@ -127,16 +211,6 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 	}
 	e.ws[0].repairDout(e, 0)
 	e.wg.Wait()
-	for _, w := range e.ws {
-		w.repair, w.targets = keep(w.repair), keep(w.targets)
-	}
-
-	b := Batch{Sizes: sizes, Changed: e.changed}
-	for i, w := range e.ws {
-		b.Changed[i] = w.changed
-		b.Metrics.add(w.m)
-	}
-	return b
 }
 
 // scratchKeep is the largest capacity, in entries, at which a scratch buffer
@@ -181,6 +255,12 @@ type worker struct {
 	sameLevel bool
 	// changed is the concatenated V* of the edges this worker applied.
 	changed []int32
+	// next is the first edge of the worker's share it did not take: past
+	// the end of the batch unless the budget stopped it.
+	next int
+	// unspent is the |V+| the worker has summed since it last added to the
+	// engine's spent, and spentSeen the total that addition returned.
+	unspent, spentSeen int64
 
 	// per edge
 	k         int32
@@ -198,12 +278,35 @@ func newWorker(st *core.State) *worker {
 }
 
 // applyShare runs the worker's static share of the batch: edges pi,
-// pi+stride, and so on.
-func (p *worker) applyShare(edges []graph.Edge, sizes []int32, pi, stride int, apply func(*worker, int32, int32) int32) {
+// pi+stride, and so on, until it is done or the batch's budget is spent.
+// An edge the worker has started always finishes.
+func (p *worker) applyShare(e *Engine, edges []graph.Edge, sizes []int32, pi int, apply func(*worker, int32, int32) int32) {
 	p.m = Metrics{}
 	p.changed = keep(p.changed)
-	for i := pi; i < len(edges); i += stride {
+	p.unspent, p.spentSeen = 0, 0
+	i := pi
+	for ; i < len(edges) && !e.stop.Load(); i += len(e.ws) {
 		sizes[i] = apply(p, edges[i].U, edges[i].V)
+		if e.budget > 0 && sizes[i] > 0 {
+			p.spend(e, int64(sizes[i]))
+		}
+	}
+	p.next = i
+}
+
+// spend counts one traversal of vplus vertices against the batch's budget.
+// The worker adds to the shared total only every publishEvery, or when its
+// own view of the total — exact with one worker — passes the budget; it
+// sets stop once the shared total has.
+func (p *worker) spend(e *Engine, vplus int64) {
+	p.unspent += vplus
+	if p.unspent < publishEvery && p.spentSeen+p.unspent <= e.budget {
+		return
+	}
+	p.spentSeen = e.spent.Add(p.unspent)
+	p.unspent = 0
+	if p.spentSeen > e.budget {
+		e.stop.Store(true)
 	}
 }
 

@@ -29,6 +29,9 @@ type Metrics struct {
 	// repair: every repositioned vertex plus the neighbors recordMove
 	// selected, each counted once.
 	RepairTargets int64
+	// Rebuilds is 1 if the batch spent its budget and finished with a
+	// rebuild of the state, else 0 (Engine.InsertEdges).
+	Rebuilds int64
 }
 
 func (m *Metrics) add(o Metrics) {

@@ -21,7 +21,8 @@ import (
 // and the FuzzMixedBatch differential fuzzer.
 type Engine interface {
 	// ApplyInsert applies one insertion batch and adds what it did to res:
-	// Applied, ChangedVertices (Σ|V*|), VPlusSizes (Order engines only),
+	// Applied, ChangedVertices (Σ|V*|, plus the vertices a rebuild moved),
+	// VPlusSizes (Order engines only),
 	// Contention, and — appended to res.changed — every vertex whose core
 	// number it moved. A vertex moved more than once may be appended more
 	// than once; a vertex whose core number moved must appear.
@@ -135,9 +136,12 @@ func (e *parallelOrderEngine) ApplyRemove(edges []graph.Edge, res *BatchResult) 
 func (r *BatchResult) addBatch(b pcore.Batch) {
 	r.wantSizes(len(b.Sizes))
 	for _, size := range b.Sizes {
-		if size >= 0 {
+		switch {
+		case size >= 0:
 			r.Applied++
 			r.VPlusSizes = append(r.VPlusSizes, int(size))
+		case size == pcore.Rebuilt:
+			r.Applied++
 		}
 	}
 	for _, vstar := range b.Changed {
@@ -149,6 +153,7 @@ func (r *BatchResult) addBatch(b pcore.Batch) {
 	r.Contention.RemovalRedos += b.Metrics.RemovalRedos
 	r.Contention.Evictions += b.Metrics.Evictions
 	r.Contention.RepairTargets += b.Metrics.RepairTargets
+	r.Contention.Rebuilds += b.Metrics.Rebuilds
 }
 
 // wantSizes makes VPlusSizes non-nil, with room for hint more entries: the

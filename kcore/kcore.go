@@ -198,8 +198,11 @@ type BatchResult struct {
 	// caused in total.
 	ChangedVertices int
 	// VPlusSizes holds per-edge |V+| (insertions with the Order engines)
-	// or |V*| (removals) — the data behind the paper's Fig. 1 histogram.
-	// Nil for the Traversal/JoinEdgeSet engines.
+	// or |V*| (removals) — the data behind the paper's Fig. 1 histogram —
+	// for the edges the engine traversed: an insertion batch that spent
+	// its rebuild budget (Contention.Rebuilds) applied the rest of its
+	// edges by one rebuild, and they count in Applied only. Nil for the
+	// Traversal/JoinEdgeSet engines.
 	VPlusSizes []int
 	// Duration is the wall-clock time of the batch.
 	Duration time.Duration
@@ -216,8 +219,9 @@ type BatchResult struct {
 	// (zero value for the other engines): how often conditional locks
 	// aborted, priority queues rebuilt their label snapshots, and removal
 	// propagations re-ran — the observable footprint of the paper's
-	// blocking-chain analysis (§4) — and how many vertices the batch-end
-	// d⁺out repair recomputed.
+	// blocking-chain analysis (§4) — how many vertices the batch-end
+	// d⁺out repair recomputed, and whether the batch finished with a
+	// rebuild.
 	Contention Contention
 }
 
@@ -229,6 +233,7 @@ type Contention struct {
 	RemovalRedos  int64 // removal propagation redo rounds (Algorithm 8)
 	Evictions     int64 // Backward repositionings
 	RepairTargets int64 // d⁺out recomputations of the batch-end repair
+	Rebuilds      int64 // 1 if the insertion batch spent its budget and finished with a rebuild
 }
 
 // engine owns the maintenance Engine implementation and the snapshot
@@ -472,6 +477,7 @@ type ServingStats struct {
 	BatchedOps    int64 // caller ops covered by those batches
 	CanceledOps   int64 // ops annihilated by coalescing
 	Flushes       int64 // barrier ops executed
+	Rebuilds      int64 // insertion batches that spent their budget and finished with a rebuild
 	UpdateLatency stats.Percentiles
 
 	// Snapshot publication counters: how each epoch was produced.
@@ -500,6 +506,7 @@ func (m *Maintainer) ServingStats() ServingStats {
 		BatchedOps:         m.pipe.batchedOps.Load(),
 		CanceledOps:        m.pipe.canceledOps.Load(),
 		Flushes:            m.pipe.flushes.Load(),
+		Rebuilds:           m.pipe.rebuilds.Load(),
 		UpdateLatency:      stats.EstimatePercentiles(ul.Count(), ul.Quantile, 1e3),
 		FullPublishes:      p.Full,
 		DeltaPublishes:     p.Delta,

@@ -44,6 +44,7 @@ type pipeline struct {
 	batchedOps  atomic.Int64 // caller ops those batches covered
 	canceledOps atomic.Int64 // edge ops superseded by a later op within one drain
 	flushes     atomic.Int64 // barrier ops executed (Flush, Check, AtQuiescence)
+	rebuilds    atomic.Int64 // batches the engine finished with a rebuild (Contention.Rebuilds)
 
 	pm *PipelineMetrics
 
@@ -236,6 +237,7 @@ func (p *pipeline) apply(eng *engine, removes, inserts []graph.Edge) BatchResult
 		if len(inserts) > 0 {
 			eng.impl.ApplyInsert(inserts, res)
 		}
+		p.rebuilds.Add(res.Contention.Rebuilds)
 		// No epoch advances and no future completes before the commit.
 		eng.commitLog()
 		res.Duration = time.Since(start)

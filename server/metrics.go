@@ -180,6 +180,8 @@ func (s *Server) register(reg *obs.Registry) {
 			func() float64 { return float64(s.m.ServingStats().DirtyPages) }),
 		obs.NewCounterFunc("kcored_recycled_pages_total", "Snapshot pages publication reused from snapshots no reader could reach.",
 			func() float64 { return float64(s.m.ServingStats().RecycledPages) }),
+		obs.NewCounterFunc("kcore_engine_rebuilds_total", "Insertion batches that spent their traversal budget and finished with one BZ rebuild.",
+			func() float64 { return float64(s.m.ServingStats().Rebuilds) }),
 	)
 
 	s.m.PipelineMetrics().Register(reg)
