@@ -31,8 +31,7 @@ race:
 # a pin at epoch 0, under the race detector.
 # The next two run the lock-free OM readers and the graph's reserved
 # concurrent AddEdge under the race detector. The next runs the log's
-# commit contract (append before apply, commit before publish) and
-# RemoveVertex's one-batch removal behind a parked commit, the
+# commit contract (append before apply, commit before publish), the
 # FsyncAlways syncer's zero-allocation hand-off and its stop at Close,
 # recovery's whole-publication and epoch-chain rules, its commit rule (the
 # current generation is the newest checkpoint under its final name), a
@@ -53,10 +52,10 @@ race:
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestCloseFallback|TestWriteFlightAllocs|TestReclaimHammer|TestPinAcrossLowerLoad|TestEpochZeroPinHoldsItsSlot' ./kcore ./internal/snapshot/
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestAsync|TestPendingReuse|TestFinishedOpIsGarbage|TestUseAfterClose|TestWriteFlightAllocs|TestReclaimHammer|TestPinAcrossLowerLoad|TestEpochZeroPinHoldsItsSlot' ./kcore ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./internal/om/
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestConcurrent' ./graph/
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestRemoveVertexIsOneBatch|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint|TestSessionShipsOnlyPublished|TestSlowFollowerDropped|TestSyncClosedOnManagerClose' ./kcore ./persist
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestCommitGatesPublication|TestAppendBatchZeroAlloc|TestCloseStopsSyncer|TestTornLogRecoversPublishedEpoch|TestRecoverStopsAtEpochGap|TestCrashBetweenRotationAndManifest|TestSyncIsCheckpoint|TestSessionShipsOnlyPublished|TestSlowFollowerDropped|TestSyncClosedOnManagerClose' ./kcore ./persist
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestFollowerServesLeaderEpoch|TestFollowerWaitsForFirstBootstrap|TestFollowerBelowLeaderCeiling|TestFollowerRefusesEpochGap|TestFollowerReplaysLeaderBatches' ./server
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestReplicaResyncAfterLeaderKill' ./cmd/kcored
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestBudgetSpentFinishesWithRebuild|TestSparsePrefillBoundsTraversal' ./internal/pcore/ ./kcore

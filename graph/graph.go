@@ -379,12 +379,6 @@ func (g *Graph) pull(v, w int32) bool {
 	return false
 }
 
-// AddVertex appends an isolated vertex and returns its id.
-func (g *Graph) AddVertex() int32 {
-	g.recs = append(g.recs, rec{})
-	return int32(len(g.recs) - 1)
-}
-
 // AddVertices appends k isolated vertices and returns the id of the first
 // (the current N when k <= 0). Amortized O(1) per vertex: the record table
 // grows geometrically like any append.

@@ -160,9 +160,9 @@ func TestGrowAndAddVertices(t *testing.T) {
 
 func TestAddVertex(t *testing.T) {
 	g := New(2)
-	id := g.AddVertex()
+	id := g.AddVertices(1)
 	if id != 2 || g.N() != 3 {
-		t.Fatalf("AddVertex returned %d, N=%d", id, g.N())
+		t.Fatalf("AddVertices(1) returned %d, N=%d", id, g.N())
 	}
 	if !g.AddEdge(2, 0) {
 		t.Fatal("edge to new vertex must work")

@@ -76,10 +76,6 @@ func (h *orderHeap) refreshIfStale() {
 	heap.Init(h)
 }
 
-// TraceFn, when non-nil, receives event lines from the sequential insertion
-// (test instrumentation only).
-var TraceFn func(format string, args ...any)
-
 // insertRun carries the per-operation scratch state of one sequential edge
 // insertion: V*, V+, the priority queue Q and the Backward queue R.
 type insertRun struct {
@@ -136,16 +132,10 @@ func (st *State) InsertEdgeSeq(u, v int32) InsertStats {
 			}
 		}
 		st.Din[w] = din
-		if TraceFn != nil {
-			TraceFn("dequeue w=%d din=%d dout=%d deg=%d k=%d", w, din, st.Dout[w].Load(), st.G.Degree(w), k)
-		}
 		switch {
 		case din+st.Dout[w].Load() > k:
 			run.forward(w)
 		case din > 0:
-			if TraceFn != nil {
-				TraceFn("BACKWARD trigger w=%d din=%d dout=%d", w, din, st.Dout[w].Load())
-			}
 			run.backward(w)
 		default:
 			// w cannot be in V+; skip.

@@ -36,19 +36,13 @@ func audit(v *View, mdl *model) string {
 	if int(v.MaxCore) != len(mdl.hist)-1 || !slices.Equal(v.Hist, mdl.hist) {
 		return "histogram"
 	}
-	bad := ""
-	p := 0
-	v.ForEachPage(func(_ int32, page []int32) {
-		if bad == "" && (p >= len(mdl.sums) || pageSum(page) != mdl.sums[p]) {
-			bad = "page"
-		}
-		p++
-	})
-	if bad == "" && p != len(mdl.sums) {
-		bad = "page count"
+	if len(v.pages) != len(mdl.sums) {
+		return "page count"
 	}
-	if bad != "" {
-		return bad
+	for p, page := range v.pages {
+		if pageSum(page) != mdl.sums[p] {
+			return "page"
+		}
 	}
 	// The core numbers themselves, counted against the histogram. A loop
 	// bounded by the pages' lengths: a table recycled under the audit may

@@ -117,16 +117,6 @@ func (v *View) CoresInto(dst []int32) []int32 {
 	return dst
 }
 
-// ForEachPage calls fn once per page in vertex order: start is the id of
-// the page's first vertex and page its core numbers (page[i] belongs to
-// vertex start+i). The allocation-free way to scan all cores sequentially;
-// fn must treat page as read-only.
-func (v *View) ForEachPage(fn func(start int32, page []int32)) {
-	for p, pg := range v.pages {
-		fn(int32(p)<<PageBits, pg)
-	}
-}
-
 // HistRangeInto computes the core histogram of the id range [lo, hi) —
 // hist[k] = vertices in the range with core number k — appending into
 // dst[:0] so repeat callers pay no allocation once the bin slice is warm.

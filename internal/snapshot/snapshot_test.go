@@ -206,16 +206,14 @@ func checkModel(t *testing.T, v *View, cores []int32, m int64) {
 	if v.N != len(cores) || v.M != m {
 		t.Fatalf("N=%d M=%d, want N=%d M=%d", v.N, v.M, len(cores), m)
 	}
-	pages := 0
-	v.ForEachPage(func(start int32, page []int32) {
-		lo := int(start)
+	for p, page := range v.pages {
+		lo := p << PageBits
 		if hi := min(lo+PageSize, len(cores)); !slices.Equal(page, cores[lo:hi]) {
-			t.Fatalf("page %d reads wrong (len %d, want %d)", pages, len(page), hi-lo)
+			t.Fatalf("page %d reads wrong (len %d, want %d)", p, len(page), hi-lo)
 		}
-		pages++
-	})
-	if want := (len(cores) + PageSize - 1) / PageSize; pages != want {
-		t.Fatalf("%d pages, want %d", pages, want)
+	}
+	if want := (len(cores) + PageSize - 1) / PageSize; len(v.pages) != want {
+		t.Fatalf("%d pages, want %d", len(v.pages), want)
 	}
 	hist := []int64{0}
 	for _, c := range cores {

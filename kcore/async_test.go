@@ -166,19 +166,25 @@ func TestAsyncWaitOnAnotherGoroutine(t *testing.T) {
 	}
 }
 
-// TestAsyncAfterClose verifies Pendings keep working once the pipeline
-// is shut down: submission applies synchronously, Wait returns the
-// result.
+// TestAsyncAfterClose: a Pending submitted before Close is applied by the
+// drain Close waits for, and its Wait answers after Close; submitting it
+// again after Close panics instead of applying.
 func TestAsyncAfterClose(t *testing.T) {
 	g := gen.ErdosRenyi(100, 200, 2)
+	e := gen.SampleNonEdges(g, 1, 3)[0]
 	m := New(g)
+	pd := insertAsync(m, []graph.Edge{e})
 	m.Close()
-	pd := insertAsync(m, []graph.Edge{{U: 5, V: 7}})
-	res := pd.Wait()
-	if res.Coalesced != 1 {
-		t.Fatalf("post-Close async result = %+v, want Coalesced 1", res)
+	if res := pd.Wait(); res.Coalesced != 1 || res.Applied != 1 {
+		t.Fatalf("pre-Close async result = %+v, want the edge applied", res)
 	}
-	if err := m.Check(); err != nil {
-		t.Fatalf("invariants: %v", err)
+	if m.Epoch() != 2 || m.CoreOf(e.U) == 0 {
+		t.Fatalf("after Close: epoch %d, core(%d) %d", m.Epoch(), e.U, m.CoreOf(e.U))
 	}
+	defer func() {
+		if r := recover(); r != "kcore: Maintainer used after Close" {
+			t.Fatalf("Submit after Close: recovered %v", r)
+		}
+	}()
+	insertAsync(m, []graph.Edge{{U: 5, V: 8}})
 }

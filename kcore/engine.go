@@ -13,8 +13,7 @@ import (
 // growth, and quiescent reads of the core numbers it maintains. Publication
 // and epochs are the serving layer's (see engine.publishAfter); an engine
 // knows nothing of snapshots. All methods
-// are called from one goroutine at a time (the pipeline's applier, or
-// mu-serialized callers after Close).
+// are called from one goroutine, the pipeline's applier.
 //
 // Engines register in engineRegistry rather than being supplied by callers;
 // every registered engine is exercised by the cross-engine conformance suite

@@ -31,29 +31,6 @@ func ExampleMaintainer_InsertEdges() {
 	// Output: 6 3
 }
 
-// Extracting the densest region after maintenance.
-func ExampleMaintainer_KCoreSubgraph() {
-	g := graph.MustFromEdges(5, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, // triangle
-		{U: 3, V: 0}, {U: 4, V: 3}, // tail
-	})
-	m := kcore.New(g)
-	sub, members := m.KCoreSubgraph(2)
-	fmt.Println(sub.N(), sub.M(), members)
-	// Output: 3 3 [0 1 2]
-}
-
-// Removing a vertex is a batch removal of its incident edges (§3.2).
-func ExampleMaintainer_RemoveVertex() {
-	g := graph.MustFromEdges(4, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 0},
-	})
-	m := kcore.New(g)
-	res := m.RemoveVertex(0)
-	fmt.Println(res.Applied, m.CoreNumbers())
-	// Output: 3 [0 1 1 0]
-}
-
 // Choosing a different maintenance engine.
 func ExampleWithAlgorithm() {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})

@@ -3,6 +3,7 @@ package kcore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -187,24 +188,72 @@ func TestMaxVerticesCeiling(t *testing.T) {
 	}
 }
 
-// TestRemoveVertexUnseen: vertex removal outside the universe is a
-// no-op, consistent with unseen-edge removals.
-func TestRemoveVertexUnseen(t *testing.T) {
-	m := New(gen.ErdosRenyi(20, 60, 307))
-	defer m.Close()
-	for _, v := range []int32{-3, 20, 1000} {
-		if res := m.RemoveVertex(v); res.Applied != 0 {
-			t.Fatalf("RemoveVertex(%d) applied %d edges", v, res.Applied)
-		}
-	}
-	if m.N() != 20 {
-		t.Fatalf("N = %d after unseen removals, want 20", m.N())
-	}
-	if res := m.RemoveVertex(5); res.Applied == 0 {
-		t.Fatal("in-universe RemoveVertex must strip incident edges")
-	}
-	if err := m.Check(); err != nil {
-		t.Fatal(err)
+// TestMaintenanceHistoryMatchesDecompose: on every engine, after a
+// history that grows the universe (inserts naming unseen ids,
+// AddVertices) and removes edges, the published cores, N, MaxCore and
+// histogram are BZ's on a mirror graph that saw the same history. The
+// engine-level conformance suite grows by insert endpoints only; this
+// history also runs AddVertices' growth batch through the pipeline.
+func TestMaintenanceHistoryMatchesDecompose(t *testing.T) {
+	base := gen.ErdosRenyi(200, 800, 3)
+	for _, alg := range allAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			m := New(base.Clone(), WithAlgorithm(alg), WithWorkers(4))
+			defer m.Close()
+			mirror := base.Clone()
+			insert := func(edges []graph.Edge) {
+				m.InsertEdges(edges)
+				for _, e := range edges {
+					mirror.Grow(int(max(e.U, e.V)) + 1)
+					mirror.AddEdge(e.U, e.V)
+				}
+			}
+			remove := func(edges []graph.Edge) {
+				m.RemoveEdges(edges)
+				for _, e := range edges {
+					mirror.RemoveEdge(e.U, e.V)
+				}
+			}
+
+			insert(gen.SampleNonEdges(mirror, 100, 4))
+			for _, batch := range gen.VertexArrivals(mirror.N(), 20, 4, 5) {
+				insert(batch)
+			}
+			// A 7-clique on pre-allocated ids lifts the top core above the
+			// random graph's; removals then thin both.
+			first := int32(mirror.N())
+			if got := m.AddVertices(7); got != int(first)+7 {
+				t.Fatalf("AddVertices(7) = %d, want %d", got, first+7)
+			}
+			mirror.AddVertices(7)
+			var clique []graph.Edge
+			for u := first; u < first+7; u++ {
+				for v := u + 1; v < first+7; v++ {
+					clique = append(clique, graph.Edge{U: u, V: v})
+				}
+			}
+			insert(clique)
+			remove(gen.SampleEdges(mirror, 150, 6))
+			remove([]graph.Edge{{U: first, V: first + 1}})
+
+			want := Decompose(mirror)
+			if mx := bz.MaxCore(want); m.N() != mirror.N() || m.MaxCore() != mx {
+				t.Fatalf("N=%d MaxCore=%d, mirror N=%d MaxCore=%d", m.N(), m.MaxCore(), mirror.N(), mx)
+			}
+			if got := m.CoreNumbers(); !slices.Equal(got, want) {
+				t.Fatal("cores differ from Decompose of the mirror")
+			}
+			hist := make([]int64, m.MaxCore()+1)
+			for _, c := range want {
+				hist[c]++
+			}
+			if got := m.CoreHistogram(); !slices.Equal(got, hist) {
+				t.Fatalf("CoreHistogram = %v, want %v", got, hist)
+			}
+			if err := m.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -76,7 +76,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/graph"
@@ -119,8 +118,8 @@ type config struct {
 
 // OpLog receives the canonical op stream of a Maintainer — the hook the
 // durability subsystem (package persist) taps. Every method is called at
-// a quiescent point by the goroutine applying the batch (the pipeline's
-// applier, or a mu-serialized caller after Close), so implementations
+// a quiescent point by the pipeline's applier, the one goroutine that
+// applies batches for the Maintainer's whole life, so implementations
 // need no internal ordering logic; calls arrive in exactly the order the
 // engine applies ops.
 //
@@ -237,9 +236,8 @@ type Contention struct {
 }
 
 // engine owns the maintenance Engine implementation and the snapshot
-// publisher its batches feed. Exactly one goroutine drives it at a time: the
-// pipeline's applier while the pipeline is open, otherwise callers
-// serialized by mu; queries only load pub's current view. It deliberately
+// publisher its batches feed. One goroutine drives it: the pipeline's
+// applier; queries only load pub's current view. It deliberately
 // holds no reference back to the Maintainer handle, so an abandoned
 // Maintainer can be collected (a runtime cleanup then stops the applier).
 type engine struct {
@@ -249,7 +247,6 @@ type engine struct {
 	coreOf func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
 	pub    snapshot.Publisher // the read snapshots; see publishAfter
 	wm     epochWatermark     // pub's epoch, set after every publication
-	mu     sync.Mutex         // serializes post-Close synchronous applies
 	// res is the report of the batch being applied, zero between batches
 	// but for res.changed, the scratch carried from one to the next. It
 	// lives here and not on the applier's stack because the engines take
@@ -324,8 +321,12 @@ func (m *Maintainer) Reload(g *graph.Graph, epoch uint64) {
 }
 
 // Close stops the update pipeline after finishing every already-enqueued
-// op. Closing is idempotent. The Maintainer stays usable: later updates
-// apply synchronously (serialized, uncoalesced), queries are unaffected.
+// op. Closing is idempotent. Reads keep answering from the last published
+// snapshot (CoreOf, Snapshot, Epoch, N, ServingStats, WaitEpoch and the
+// rest), but every later update or barrier — InsertEdges, Submit,
+// AddVertices, Flush, Check, AtQuiescence, Reload — panics with "kcore:
+// Maintainer used after Close": stop whatever submits (a server, a
+// replica, a persist.Manager) before closing the Maintainer.
 func (m *Maintainer) Close() { m.pipe.close(true) }
 
 // Graph returns the underlying graph. Treat it as read-only, and only
@@ -462,7 +463,7 @@ func (m *Maintainer) AtQuiescence(fn func(QuiescentState)) {
 // ordered after every previously enqueued op. fn must not call Maintainer
 // update methods (the applier would deadlock waiting on itself).
 func (m *Maintainer) barrier(fn func()) {
-	m.pipe.submit(m.eng, new(Pending), nil, nil, fn).Wait()
+	m.pipe.submit(new(Pending), nil, nil, fn).Wait()
 }
 
 // ServingStats is a point-in-time view of the serving layer: pipeline
@@ -556,7 +557,7 @@ func (m *Maintainer) RemoveEdges(edges []graph.Edge) BatchResult {
 // has returned; one still owed panics. Blocks only when the op queue is
 // full (backpressure).
 func (m *Maintainer) Submit(pd *Pending, removes, inserts []graph.Edge) {
-	m.pipe.submit(m.eng, pd, removes, inserts, nil)
+	m.pipe.submit(pd, removes, inserts, nil)
 }
 
 // AddVertices grows the vertex universe by k fresh isolated vertices
@@ -751,18 +752,14 @@ func (s Snapshot) MaxCore() int32 { return s.v.MaxCore }
 // shared and read-only.
 func (s Snapshot) Histogram() []int64 { return s.v.Hist }
 
-// HistogramRange computes the core histogram restricted to the id range
-// [lo, hi), clamped to [0, N) — hist[k] counts the range's vertices with
-// core number k. An O(hi-lo) scan of the paged view (Histogram is the
-// O(1) whole-graph read). This is the owned-band aggregate a sharded
-// cluster sums bin-wise: restricted to a shard's owned id range it
-// excludes the mirror band, so merged bins count each vertex once.
-func (s Snapshot) HistogramRange(lo, hi int32) []int64 {
-	return s.v.HistRangeInto(nil, lo, hi)
-}
-
-// HistogramRangeInto is HistogramRange appending into dst[:0], for
-// callers that aggregate repeatedly and hold a bin buffer.
+// HistogramRangeInto computes the core histogram restricted to the id
+// range [lo, hi), clamped to [0, N) — hist[k] counts the range's vertices
+// with core number k — appending into dst[:0], so a caller that
+// aggregates repeatedly holds one bin buffer. An O(hi-lo) scan of the
+// paged view (Histogram is the O(1) whole-graph read). This is the
+// owned-band aggregate a sharded cluster sums bin-wise: restricted to a
+// shard's owned id range it excludes the mirror band, so merged bins
+// count each vertex once.
 func (s Snapshot) HistogramRangeInto(dst []int64, lo, hi int32) []int64 {
 	return s.v.HistRangeInto(dst, lo, hi)
 }

@@ -1,6 +1,7 @@
 package kcore
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,5 +132,46 @@ func TestReaderPinsUntilUnpin(t *testing.T) {
 	}
 	if st := m.ServingStats(); st.RecycledPages == 0 {
 		t.Fatalf("no page recycled in %d dirty pages", st.DirtyPages)
+	}
+}
+
+// TestHistogramRange pins the range-restricted aggregate CORE.HIST lo hi
+// serves against brute force: for [lo, hi) windows (clamped, inverted,
+// and beyond-N included), HistogramRangeInto's bins — into one reused
+// buffer, as a server connection calls it — must match a direct scan of
+// the core array.
+func TestHistogramRange(t *testing.T) {
+	m := New(gen.ErdosRenyi(3000, 12000, 7))
+	defer m.Close()
+	s := m.Snapshot()
+	cores := s.CoreNumbers()
+	n := int32(s.N())
+
+	windows := [][2]int32{
+		{0, n}, {0, 0}, {n, n}, {100, 100}, {0, 1}, {n - 1, n},
+		{500, 1500}, {1023, 1025}, {1024, 2048}, // page boundaries
+		{2900, n + 500}, {-5, 40}, {2000, 1000}, // clamped / inverted
+	}
+	var got []int64
+	for _, w := range windows {
+		lo, hi := w[0], w[1]
+		clo, chi := max(lo, 0), min(hi, n)
+		want := []int64{0}
+		for v := clo; v < chi; v++ {
+			c := cores[v]
+			for int(c) >= len(want) {
+				want = append(want, 0)
+			}
+			want[c]++
+		}
+		got = s.HistogramRangeInto(got, lo, hi)
+		if !slices.Equal(got, want) {
+			t.Fatalf("HistogramRangeInto(%d,%d) = %v, want %v", lo, hi, got, want)
+		}
+	}
+
+	// Whole-graph consistency: the [0, N) range histogram is the Histogram.
+	if ranged := s.HistogramRangeInto(nil, 0, n); !slices.Equal(ranged, s.Histogram()) {
+		t.Fatalf("range [0,N) = %v, Histogram = %v", ranged, s.Histogram())
 	}
 }

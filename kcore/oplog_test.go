@@ -139,16 +139,24 @@ func TestOpLogReplayRebuildsGraph(t *testing.T) {
 	}
 }
 
-// TestOpLogAfterClose verifies the synchronous post-Close path
-// logs ops too.
+// TestOpLogAfterClose: the batch Close drains is logged like any other,
+// and an update after Close panics without reaching the log.
 func TestOpLogAfterClose(t *testing.T) {
 	logd := &recordingLog{}
 	base := gen.ErdosRenyi(50, 100, 3)
 	m := New(base.Clone(), WithOpLog(logd))
 	m.InsertEdge(1, 2)
+	var pd Pending
+	m.Submit(&pd, []graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 3, V: 4}})
 	m.Close()
-	m.InsertEdge(3, 4) // post-Close path
-	m.RemoveEdge(1, 2)
+	pd.Wait()
+	func() {
+		defer func() { recover() }()
+		m.InsertEdge(5, 6)
+	}()
+	if len(logd.ops) != 2 {
+		t.Fatalf("%d batches logged, want the 2 applied before Close", len(logd.ops))
+	}
 	assertGraphEqual(t, logd.replay(base), m.Graph())
 }
 
@@ -200,8 +208,7 @@ func (l *gatedLog) Commit() {
 // Commit is parked the maintainer still reads E and the pre-batch cores
 // and the batch's future has not completed; once Commit returns, the
 // batch publishes at E+1 and the future completes. AddVertices commits
-// its growth the same way, so appends and commits alternate strictly —
-// on the pipeline and on the post-Close path alike.
+// its growth the same way, so appends and commits alternate strictly.
 func TestCommitGatesPublication(t *testing.T) {
 	lg := &gatedLog{
 		appended:   make(chan uint64, 1),
@@ -267,8 +274,7 @@ func TestCommitGatesPublication(t *testing.T) {
 			t.Fatalf("N = %d, want %d (published=%v)", m.N(), want, published)
 		}
 	})
-	m.Close()
-	gate("remove after Close", func() {
+	gate("remove", func() {
 		m.Submit(&pd, []graph.Edge{{U: 0, V: 2}}, nil)
 		pd.Wait()
 	}, flip([]int32{2, 2, 2}, []int32{1, 1, 1}))
@@ -282,68 +288,5 @@ func TestCommitGatesPublication(t *testing.T) {
 		if want := [2]string{"append", "commit"}[i%2]; c != want {
 			t.Fatalf("call %d is %s, want %s: %v", i, c, want, lg.calls)
 		}
-	}
-}
-
-// parkedLog records the op stream like recordingLog, and its first
-// Commit parks the applier until release is closed.
-type parkedLog struct {
-	recordingLog
-	parked, release chan struct{}
-	once            sync.Once
-}
-
-func (l *parkedLog) Commit() { l.once.Do(func() { close(l.parked); <-l.release }) }
-
-// TestRemoveVertexIsOneBatch: RemoveVertex reads v's adjacency and
-// removes it at one quiescent point, so an insert at v enqueued after
-// the call cannot land between the two — v is isolated in the state the
-// removal publishes. The applier is parked on an earlier insert while
-// the removal and then an insert (v, w) queue up behind it; replaying
-// the log up to the removal's batch must leave v with no edge.
-func TestRemoveVertexIsOneBatch(t *testing.T) {
-	const v, w = 0, 5
-	base := graph.MustFromEdges(8, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}})
-	lg := &parkedLog{parked: make(chan struct{}), release: make(chan struct{})}
-	m := New(base.Clone(), WithOpLog(lg))
-	defer m.Close()
-	var releaseOnce sync.Once
-	release := func() { releaseOnce.Do(func() { close(lg.release) }) }
-	defer release() // before Close: the applier must be able to finish
-
-	var first, insert Pending
-	m.Submit(&first, nil, []graph.Edge{{U: 3, V: 4}})
-	<-lg.parked
-	enqueued := m.ServingStats().Enqueued
-	removed := make(chan BatchResult, 1)
-	go func() { removed <- m.RemoveVertex(v) }()
-	for m.ServingStats().Enqueued == enqueued {
-		time.Sleep(time.Millisecond)
-	}
-	m.Submit(&insert, nil, []graph.Edge{{U: v, V: w}})
-	release()
-	first.Wait()
-	insert.Wait()
-	if res := <-removed; res.Applied != 2 {
-		t.Fatalf("RemoveVertex applied %d edges, want 2", res.Applied)
-	}
-
-	lg.mu.Lock()
-	i := slices.IndexFunc(lg.ops, func(op loggedOp) bool { return len(op.removes) > 0 })
-	if i < 0 {
-		lg.mu.Unlock()
-		t.Fatal("no removal batch logged")
-	}
-	upToRemoval := &recordingLog{ops: lg.ops[:i+1]}
-	lg.mu.Unlock()
-	if adj := upToRemoval.replay(base).Adj(v); len(adj) != 0 {
-		t.Fatalf("vertex %d has edges to %v where its removal publishes, want none", v, adj)
-	}
-	m.Flush()
-	if !m.Graph().HasEdge(v, w) {
-		t.Fatalf("the insert (%d,%d) enqueued after the removal is lost", v, w)
-	}
-	if err := m.Check(); err != nil {
-		t.Fatal(err)
 	}
 }

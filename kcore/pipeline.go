@@ -48,7 +48,7 @@ type pipeline struct {
 
 	pm *PipelineMetrics
 
-	co coalescer // process-only: the applier, then post-Close callers under eng.mu
+	co coalescer // the applier's
 }
 
 func newPipeline(pm *PipelineMetrics) *pipeline {
@@ -70,9 +70,10 @@ func newPipeline(pm *PipelineMetrics) *pipeline {
 // The future is the caller's: Submit fills it in, and once its Wait has
 // returned the same Pending may be submitted again, so a caller that
 // recycles its futures submits without allocating.
-// Submitting a Pending whose previous op has not been waited panics. The
-// op completes without a channel: done is a one-count WaitGroup the
-// applier (or the post-Close path of submit) releases after writing res.
+// Submitting a Pending whose previous op has not been waited panics, and so
+// does submitting to a closed Maintainer. The op completes without a
+// channel: done is a one-count WaitGroup the applier releases after
+// writing res.
 // Wait is idempotent, and any one goroutine may call it, not only the
 // submitter; it is not safe for concurrent use, so hand a Pending to at
 // most one waiter. The zero value is ready to submit.
@@ -105,28 +106,21 @@ func (pd *Pending) Wait() BatchResult {
 	return pd.res
 }
 
-// submit fills op in and enqueues it without waiting, returning op. After
-// Close the caller runs the applier's own process on the lone op,
-// serialized by eng.mu, before submit returns (Wait then just hands back
-// the result), so a Maintainer keeps working, single-threaded, once its
-// pipeline is shut down.
-func (p *pipeline) submit(eng *engine, op *Pending, removes, inserts []graph.Edge, fn func()) *Pending {
+// submit fills op in and enqueues it without waiting, returning op. The
+// applier is the engine's only driver, so submit panics once the pipeline
+// is closed.
+func (p *pipeline) submit(op *Pending, removes, inserts []graph.Edge, fn func()) *Pending {
 	if op.p != nil && !op.waited {
 		panic("kcore: Pending submitted again before its Wait returned")
+	}
+	p.mu.RLock()
+	if p.closed {
+		p.mu.RUnlock()
+		panic("kcore: Maintainer used after Close")
 	}
 	op.removes, op.inserts, op.fn, op.waited = removes, inserts, fn, false
 	op.p, op.enq = p, time.Now()
 	op.done.Add(1)
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		<-p.exited // the applier still owns the engine until it returns
-		eng.mu.Lock()
-		p.queueDepth.Add(1) // process takes it back when it finishes op
-		p.process(eng, []*Pending{op})
-		eng.mu.Unlock()
-		return op
-	}
 	p.queueDepth.Add(1)
 	p.ops <- op
 	// Incremented after the send: once a reader of the counter observes

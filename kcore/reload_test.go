@@ -63,7 +63,7 @@ func TestReloadMidChurn(t *testing.T) {
 				pending := churn(churnN, seed)
 				var before ServingStats
 				var logged int
-				pending = append(pending, m.pipe.submit(m.eng, new(Pending), nil, nil, func() {
+				pending = append(pending, m.pipe.submit(new(Pending), nil, nil, func() {
 					before = m.ServingStats()
 					lg.mu.Lock()
 					logged = len(lg.events)

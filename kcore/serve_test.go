@@ -325,24 +325,43 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	}
 }
 
-// TestCloseFallback: after Close, updates must keep working synchronously
-// and remain visible to queries; Close must be idempotent.
-func TestCloseFallback(t *testing.T) {
+// TestUseAfterClose: Close is idempotent, reads keep answering from the
+// last published snapshot, and every update or barrier panics — the
+// applier is the engine's only driver, so nothing may apply once it has
+// exited.
+func TestUseAfterClose(t *testing.T) {
 	m := New(graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}))
+	m.InsertEdge(0, 2)
 	m.Close()
 	m.Close() // idempotent
-	res := m.InsertEdge(0, 2)
-	if res.Applied != 1 || res.Coalesced != 1 {
-		t.Fatalf("post-close insert: %+v", res)
+	epoch := m.Epoch()
+	if m.CoreOf(0) != 2 || m.N() != 3 || m.Snapshot().MaxCore() != 2 || m.ServingStats().Epoch != epoch {
+		t.Fatalf("reads after Close: core %d, N %d, stats %+v", m.CoreOf(0), m.N(), m.ServingStats())
 	}
-	if m.CoreOf(0) != 2 {
-		t.Fatalf("post-close snapshot stale: core = %d", m.CoreOf(0))
+	if got, ok := m.WaitEpoch(epoch, time.Millisecond, nil); !ok || got != epoch {
+		t.Fatalf("WaitEpoch(%d) after Close = %d, %v", epoch, got, ok)
 	}
-	if err := m.Check(); err != nil {
-		t.Fatal(err)
+	for name, use := range map[string]func(){
+		"InsertEdge":   func() { m.InsertEdge(0, 3) },
+		"RemoveEdges":  func() { m.RemoveEdges([]graph.Edge{{U: 0, V: 1}}) },
+		"Submit":       func() { m.Submit(new(Pending), nil, []graph.Edge{{U: 0, V: 1}}) },
+		"AddVertices":  func() { m.AddVertices(1) },
+		"Flush":        func() { m.Flush() },
+		"Check":        func() { m.Check() },
+		"AtQuiescence": func() { m.AtQuiescence(func(QuiescentState) {}) },
+		"Reload":       func() { m.Reload(graph.New(1), epoch) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "kcore: Maintainer used after Close" {
+					t.Errorf("%s after Close: recovered %v", name, r)
+				}
+			}()
+			use()
+		}()
 	}
-	if m.RemoveEdge(0, 2).Applied != 1 {
-		t.Fatal("post-close remove failed")
+	if m.Epoch() != epoch || m.CoreOf(0) != 2 {
+		t.Fatalf("a refused update moved the state: epoch %d, core %d", m.Epoch(), m.CoreOf(0))
 	}
 }
 
@@ -407,7 +426,7 @@ func TestWriteFlightAllocs(t *testing.T) {
 	park := func() { entered <- struct{}{}; <-gate }
 	pend := make([]Pending, len(closing))
 	flight := func(remove bool) {
-		m.pipe.submit(m.eng, new(Pending), nil, nil, park)
+		m.pipe.submit(new(Pending), nil, nil, park)
 		<-entered // the applier's drain holds the barrier alone; the next one takes all 8
 		for i := range closing {
 			if remove {

@@ -193,23 +193,29 @@ func TestEpochMarkersFollowPublications(t *testing.T) {
 	}
 }
 
-// TestEpochMarkersAfterClose pins the post-Close synchronous path: it
-// keeps the contract, so a follower reading the log of a closed-but-usable
-// maintainer stays consistent.
+// TestEpochMarkersAfterClose: the batch Close drains keeps the contract —
+// one log call, then one publication at +1 — and after Close nothing
+// logs or publishes: an update panics before it reaches the log.
 func TestEpochMarkersAfterClose(t *testing.T) {
 	lg := &epochRecordingLog{}
 	m := New(graph.New(10), WithOpLog(lg))
 	lg.m = m
-	m.Close()
 	start := m.Epoch()
 
 	m.InsertEdges([]graph.Edge{{U: 0, V: 1}})
 	m.AddVertices(2)
-	m.RemoveEdges([]graph.Edge{{U: 0, V: 1}})
-	assertOnePublicationPerCall(t, lg.snapshot(), start, m.Epoch())
+	var pd Pending
+	m.Submit(&pd, []graph.Edge{{U: 0, V: 1}}, nil)
+	m.Close()
+	pd.Wait()
+	final := m.Epoch()
+	assertOnePublicationPerCall(t, lg.snapshot(), start, final)
 
-	m.Submit(new(Pending), []graph.Edge{{U: 3, V: 40}}, []graph.Edge{{U: -1, V: 2}})
-	if n, e := len(lg.snapshot()), m.Epoch(); n != 3 || e != start+3 {
-		t.Fatalf("an out-of-range Submit after Close: %d calls at epoch %d, want 3 at %d", n, e, start+3)
+	func() {
+		defer func() { recover() }()
+		m.Submit(new(Pending), nil, []graph.Edge{{U: 3, V: 4}})
+	}()
+	if n, e := len(lg.snapshot()), m.Epoch(); n != 3 || e != final {
+		t.Fatalf("a Submit after Close: %d calls at epoch %d, want 3 at %d", n, e, final)
 	}
 }

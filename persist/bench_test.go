@@ -69,10 +69,10 @@ func TestCloseStopsSyncer(t *testing.T) {
 		}
 		m.InsertEdge(1, 40)
 		m.AddVertices(2)
-		m.Close()
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)
 		}
+		m.Close()
 		return weak.Make(m)
 	}()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -154,10 +154,10 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 	}
 	mt.Flush()
-	mt.Close()
 	if err := mgr.Close(); err != nil {
 		b.Fatal(err)
 	}
+	mt.Close()
 
 	// Arm 2 fixture: the same base graph as a text edge list (what
 	// kcored -load reads).
@@ -234,10 +234,10 @@ func BenchmarkRecover(b *testing.B) {
 				}
 			}
 			m.Flush()
-			m.Close()
 			if err := mgr.Close(); err != nil {
 				b.Fatal(err)
 			}
+			m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := Recover(dir)

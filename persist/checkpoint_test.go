@@ -181,10 +181,10 @@ func TestCheckpointFailureIsSticky(t *testing.T) {
 func TestCorruptCheckpointHeader(t *testing.T) {
 	dir := t.TempDir()
 	m, mgr := startManaged(t, dir, gen.ErdosRenyi(500, 2000, 9), Options{Fsync: FsyncAlways})
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	path := checkpointPath(dir, mgr.Stats().Gen)
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -99,10 +99,10 @@ func TestCheckpointOnlyRecovery(t *testing.T) {
 	dir := t.TempDir()
 	base := gen.ErdosRenyi(500, 2000, 9)
 	m, mgr := startManaged(t, dir, base.Clone(), Options{Fsync: FsyncAlways})
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	res := assertRecoverMatches(t, dir, base)
 	if res.TailRecords != 0 || res.TornBytes != 0 || res.Segments != 1 {
 		t.Fatalf("unexpected tail: %+v", res)
@@ -138,10 +138,10 @@ func TestLogReplayRecovery(t *testing.T) {
 	}
 	m.Flush()
 	live := m.Graph().Clone()
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	res := assertRecoverMatches(t, dir, live)
 	if res.TailRecords == 0 {
 		t.Fatal("expected log records to replay")
@@ -181,10 +181,10 @@ func TestThresholdRotation(t *testing.T) {
 		t.Fatalf("expected rotations, got %d checkpoints", st.Checkpoints)
 	}
 	live := m.Graph().Clone()
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	assertRecoverMatches(t, dir, live)
 
 	// Stale generations must be gone: exactly the current generation's
@@ -216,10 +216,10 @@ func buildDirWithTail(t *testing.T) (dir string, full *graph.Graph, seg string) 
 	}
 	m.Flush()
 	full = m.Graph().Clone()
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	return dir, full, segmentPath(dir, mgr.Stats().Gen)
 }
 
@@ -334,10 +334,10 @@ func TestTornLogRecoversPublishedEpoch(t *testing.T) {
 	// A removal beside an insertion that grows the universe.
 	m.Submit(&a, []graph.Edge{present(2)}, []graph.Edge{{U: 6, V: 70}})
 	publish(a.Wait(), 1)
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	if len(published) != 4 {
 		t.Fatalf("%d distinct published edge sets, want 4", len(published))
 	}
@@ -469,10 +469,10 @@ func TestRecoverStopsAtEpochGap(t *testing.T) {
 			afterFirst = m.Graph().Clone()
 		}
 	}
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	seg := segmentPath(dir, mgr.Stats().Gen)
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -519,10 +519,10 @@ func TestCrashBetweenRotationAndManifest(t *testing.T) {
 	}
 	m.Flush()
 	live := m.Graph().Clone()
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	res := assertRecoverMatches(t, dir, live)
 	if res.Segments != 1 {
 		t.Fatalf("clean recovery crossed %d segments", res.Segments)
@@ -577,10 +577,10 @@ func TestCrashBetweenRotationAndManifest(t *testing.T) {
 			m.InsertEdge(1, 2)
 			m.Flush()
 			genG, epoch := mgr.Stats().Gen, m.Epoch()
-			m.Close()
 			if err := mgr.Close(); err != nil {
 				t.Fatal(err)
 			}
+			m.Close()
 			// Segment G+1, opened at the rotation, with two more inserts.
 			next := appendSegmentHeader(nil, genG+1)
 			next = appendBatchRecord(next, epoch+1, nil, []graph.Edge{{U: 3, V: 4}, {U: 5, V: 6}})
@@ -610,10 +610,10 @@ func TestRestartResumesGenerations(t *testing.T) {
 	m1.InsertEdge(0, 30)
 	m1.Flush()
 	gen1 := mgr1.Stats().Gen
-	m1.Close()
 	if err := mgr1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m1.Close()
 
 	res1, err := Recover(dir)
 	if err != nil {
@@ -626,10 +626,10 @@ func TestRestartResumesGenerations(t *testing.T) {
 	m2.InsertEdge(1, 31)
 	m2.Flush()
 	live := m2.Graph().Clone()
-	m2.Close()
 	if err := mgr2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m2.Close()
 	if !live.HasEdge(0, 30) || !live.HasEdge(1, 31) {
 		t.Fatal("state lost across restart")
 	}
@@ -662,10 +662,10 @@ func TestStatsAndBGSave(t *testing.T) {
 	} else if st.LastSave.IsZero() {
 		t.Fatal("LastSave is zero after checkpoint")
 	}
-	m.Close()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 }
 
 func TestParseFsync(t *testing.T) {

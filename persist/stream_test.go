@@ -110,8 +110,8 @@ func assertSameGraph(t *testing.T, got, want *graph.Graph) {
 func TestSyncStream(t *testing.T) {
 	base := gen.ErdosRenyi(100, 300, 11)
 	m, mgr := startManaged(t, t.TempDir(), base.Clone(), Options{Fsync: FsyncNo})
-	defer mgr.Close()
 	defer m.Close()
+	defer mgr.Close()
 
 	syncEpoch := m.Epoch()
 	sess, err := mgr.StartSync(nil)
@@ -157,8 +157,8 @@ func TestSyncStream(t *testing.T) {
 func TestSyncIsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	m, mgr := startManaged(t, dir, gen.ErdosRenyi(200, 600, 13), Options{Fsync: FsyncAlways})
-	defer mgr.Close()
 	defer m.Close()
+	defer mgr.Close()
 	m.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}})
 	epoch := m.Flush()
 	edges := m.Snapshot().M()
@@ -215,8 +215,8 @@ func TestSyncIsCheckpoint(t *testing.T) {
 // quiet, so a follower of a quiet leader can still satisfy CORE.WAIT.
 func TestSyncIdlePingEpoch(t *testing.T) {
 	m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(20, 40, 1), Options{Fsync: FsyncNo})
-	defer mgr.Close()
 	defer m.Close()
+	defer mgr.Close()
 
 	sess, err := mgr.StartSync(nil)
 	if err != nil {
@@ -380,8 +380,8 @@ func TestSlowFollowerDropped(t *testing.T) {
 	t.Run("within a generation", func(t *testing.T) {
 		m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(50, 100, 3),
 			Options{Fsync: FsyncNo, CheckpointOps: -1, CheckpointBytes: -1})
-		defer mgr.Close()
 		defer m.Close()
+		defer mgr.Close()
 		syncEpoch := m.Epoch()
 		sess, err := mgr.StartSync(nil)
 		if err != nil {
@@ -440,8 +440,8 @@ func TestSlowFollowerDropped(t *testing.T) {
 	})
 	t.Run("across two checkpoints", func(t *testing.T) {
 		m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(50, 100, 3), Options{Fsync: FsyncNo})
-		defer mgr.Close()
 		defer m.Close()
+		defer mgr.Close()
 		syncEpoch := m.Epoch()
 		sess, err := mgr.StartSync(nil)
 		if err != nil {
@@ -509,8 +509,8 @@ func TestSessionShipsOnlyPublished(t *testing.T) {
 			}
 			lg := parkedCommit{mgr, make(chan struct{}), make(chan struct{})}
 			m := kcore.New(gen.ErdosRenyi(20, 40, 7), kcore.WithOpLog(lg))
-			defer mgr.Close()
 			defer m.Close()
+			defer mgr.Close()
 			if err := mgr.Start(m); err != nil {
 				t.Fatal(err)
 			}
@@ -653,8 +653,8 @@ func TestCheckpointHammer(t *testing.T) {
 // rotating an identical generation.
 func TestBackgroundCheckpointCoalesces(t *testing.T) {
 	m, mgr := startManaged(t, t.TempDir(), gen.ErdosRenyi(30, 60, 2), Options{Fsync: FsyncNo})
-	defer mgr.Close()
 	defer m.Close()
+	defer mgr.Close()
 
 	// No ops since Start's initial checkpoint: BGSave must coalesce away.
 	if err := mgr.BGSave(); err != nil {

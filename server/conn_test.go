@@ -51,7 +51,7 @@ func readWithin(t *testing.T, nc net.Conn, rd *resp.Reader, d time.Duration, wha
 // middle of the next command.
 func TestReplyDoesNotWaitForNextFrame(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(50, 100, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	nc, rd := rawDial(t, addr)
 
@@ -80,7 +80,7 @@ func TestCommandLargerThanQueryBuffer(t *testing.T) {
 	g := gen.ErdosRenyi(n, 8000, 13)
 	fresh, _ := bz.Decompose(g.Clone())
 	m := kcore.New(g)
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 
@@ -140,7 +140,7 @@ func TestHeldWriteDoesNotStallOtherConns(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(lg.release) }) }
 	m := kcore.New(g, kcore.WithOpLog(lg))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	defer release() // before Close: the applier must be able to finish
 	_, addr := startServer(t, m)
 
@@ -234,7 +234,7 @@ func TestWaitThenPipelinedReads(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	m := kcore.New(g)
-	defer m.Close()
+	t.Cleanup(m.Close)
 	srv, addr := startServer(t, m)
 
 	waiter, wrd := rawDial(t, addr)
@@ -297,7 +297,7 @@ func TestWaitThenPipelinedReads(t *testing.T) {
 // gone afterwards.
 func TestShutdownWithIdleConns(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(200, 600, 9))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	before := runtime.NumGoroutine()
 
 	srv := New(m)
@@ -358,7 +358,7 @@ func TestConnScratchIsolation(t *testing.T) {
 	g := gen.ErdosRenyi(n, 8000, 7)
 	fresh, _ := bz.Decompose(g.Clone())
 	m := kcore.New(g, kcore.WithWorkers(2))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 
 	const (
@@ -430,7 +430,7 @@ func TestConnScratchIsolation(t *testing.T) {
 func TestMalformedWriteInBurst(t *testing.T) {
 	const n = 64
 	m := kcore.New(graph.MustFromEdges(n, nil), kcore.WithWorkers(1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	mirror := graph.New(n)
 	var out bytes.Buffer
 	c := &conn{srv: New(m), wr: resp.NewWriterSize(&out, 16<<10)}
@@ -574,7 +574,7 @@ func TestParkedConnReleasesItsPin(t *testing.T) {
 		base = append(base, graph.Edge{U: a, V: a + 1}, graph.Edge{U: a + 1, V: a + 2})
 	}
 	m := kcore.New(graph.MustFromEdges(pages*pageSize, base), kcore.WithWorkers(1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	srv, addr := startServer(t, m)
 	writer := dial(t, addr)
 	closed := make([]bool, pages)

@@ -43,7 +43,7 @@ func TestServeAllEnginesConcurrent(t *testing.T) {
 			baseEdges := base.Edges()
 			pool := gen.SampleNonEdges(base, nClients*perCli, 43)
 			m := kcore.New(base, kcore.WithAlgorithm(alg), kcore.WithWorkers(4))
-			defer m.Close()
+			t.Cleanup(m.Close)
 			srv, addr := startServer(t, m)
 
 			var wg sync.WaitGroup
@@ -216,7 +216,7 @@ func sweepCores(t *testing.T, c *client.Conn, n int) []int32 {
 // mainly interesting under -race.
 func TestConcurrentReadersDuringWrites(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(2000, 8000, 9), kcore.WithWorkers(2))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 
 	var wg sync.WaitGroup

@@ -32,7 +32,7 @@ func TestMetricsScrapeDuringChurn(t *testing.T) {
 			base := gen.ErdosRenyi(n, m, 11)
 			pool := gen.SampleNonEdges(base, 256, 12)
 			mnt := kcore.New(base, kcore.WithAlgorithm(alg), kcore.WithWorkers(2))
-			defer mnt.Close()
+			t.Cleanup(mnt.Close)
 			srv, addr := startServer(t, mnt, WithSlowlog(0, 32))
 
 			reg := obs.NewRegistry()
@@ -133,7 +133,7 @@ func TestMetricsScrapeDuringChurn(t *testing.T) {
 // but not the running total, and the subcommand grammar is enforced.
 func TestSlowlogCommand(t *testing.T) {
 	mnt := kcore.New(gen.ErdosRenyi(300, 1000, 3), kcore.WithWorkers(1))
-	defer mnt.Close()
+	t.Cleanup(mnt.Close)
 	_, addr := startServer(t, mnt, WithSlowlog(0, 8))
 	c := dial(t, addr)
 
@@ -196,7 +196,7 @@ func TestSlowlogCommand(t *testing.T) {
 // latency histograms.
 func TestStatsObservabilityFields(t *testing.T) {
 	mnt := kcore.New(gen.ErdosRenyi(300, 1000, 5), kcore.WithWorkers(1))
-	defer mnt.Close()
+	t.Cleanup(mnt.Close)
 	_, addr := startServer(t, mnt)
 	c := dial(t, addr)
 

@@ -80,7 +80,7 @@ func TestBGSaveAndLastSave(t *testing.T) {
 // fail cleanly instead of panicking.
 func TestPersistenceNotConfigured(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(50, 100, 3))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 	for _, cmd := range []string{"CORE.BGSAVE", "CORE.LASTSAVE"} {
@@ -122,7 +122,7 @@ func TestAcceptRetriesTransient(t *testing.T) {
 	for _, errno := range []syscall.Errno{syscall.EMFILE, syscall.ENFILE, syscall.ECONNABORTED} {
 		t.Run(errno.Error(), func(t *testing.T) {
 			m := kcore.New(gen.ErdosRenyi(50, 100, 9))
-			defer m.Close()
+			t.Cleanup(m.Close)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -151,7 +151,7 @@ func TestAcceptRetriesTransient(t *testing.T) {
 // the retry loop must not spin on permanent failures.
 func TestAcceptFatalError(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(10, 20, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -209,10 +209,14 @@ func (s *Server) Serve(ln net.Listener) error {
 			return ErrServerClosed
 		}
 		s.conns[c] = struct{}{}
+		// Counted under mu with the closing check: a Close that sets
+		// closing after this section waits for c, and one that set it
+		// before makes Serve return above, so no Wait runs beside an Add
+		// from zero.
+		s.inFlight.Add(1)
 		s.mu.Unlock()
 		s.metrics.connsTotal.Inc()
 		s.metrics.connsActive.Add(1)
-		s.inFlight.Add(1)
 		go func() {
 			defer func() {
 				s.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestCommandSurface(t *testing.T) {
 	g := gen.ErdosRenyi(500, 2000, 7)
 	fresh, _ := bz.Decompose(g.Clone())
 	m := kcore.New(g, kcore.WithWorkers(2))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 
@@ -174,7 +175,7 @@ func TestCommandSurface(t *testing.T) {
 
 func TestErrorReplies(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(100, 300, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 
@@ -224,7 +225,7 @@ func TestErrorReplies(t *testing.T) {
 // earlier write.
 func TestPipelinedWritesCoalesce(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(1000, 3000, 3), kcore.WithWorkers(2))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	srv, addr := startServer(t, m)
 	c := dial(t, addr)
 
@@ -275,7 +276,7 @@ func TestPipelinedWritesCoalesce(t *testing.T) {
 // flight must end with the edge absent, every time.
 func TestInterleavedPipelineOrdering(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(100, 0, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 
@@ -308,7 +309,7 @@ func TestInterleavedPipelineOrdering(t *testing.T) {
 // before the error frame, or every later reply is misattributed.
 func TestErrorReplyOrderInPipeline(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(100, 0, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 
@@ -342,7 +343,7 @@ func errText(err error) string {
 
 func TestProtocolErrorClosesConn(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(50, 100, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	srv, addr := startServer(t, m)
 
 	nc, err := net.Dial("tcp", addr)
@@ -370,7 +371,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 
 func TestInlineCommands(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(50, 100, 1))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 
 	nc, err := net.Dial("tcp", addr)
@@ -397,7 +398,7 @@ func TestInlineCommands(t *testing.T) {
 // frame, and the listener refuses new work.
 func TestGracefulShutdown(t *testing.T) {
 	m := kcore.New(gen.ErdosRenyi(500, 1500, 5))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	srv := New(m)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -460,6 +461,51 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestCloseBesideAccepts: Close waits for the goroutine of every
+// connection Serve accepted. Serve counts a connection in flight inside
+// the critical section that checks closing, so Close's wait can neither
+// miss a connection accepted beside it nor race the count's increment
+// from zero (the race detector reports the latter). Each round closes a
+// server that is accepting its first, held connection while eight
+// clients dial.
+func TestCloseBesideAccepts(t *testing.T) {
+	m := kcore.New(gen.ErdosRenyi(50, 150, 3))
+	t.Cleanup(m.Close)
+	for round := 0; round < 200; round++ {
+		srv := New(m)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		addr := ln.Addr().String()
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		held, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("round %d: dial: %v", round, err)
+		}
+		var dialers sync.WaitGroup
+		for range 8 {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				if nc, err := net.Dial("tcp", addr); err == nil {
+					nc.Close()
+				}
+			}()
+		}
+		srv.Close()
+		if err := <-served; err != ErrServerClosed {
+			t.Fatalf("round %d: Serve returned %v, want ErrServerClosed", round, err)
+		}
+		if n := srv.Stats().ConnsActive; n != 0 {
+			t.Fatalf("round %d: %d connections still open after Close", round, n)
+		}
+		dialers.Wait()
+		held.Close()
+	}
+}
+
 // TestRangeAggregates pins the id-range form of CORE.HIST — the
 // per-shard owned-band scan the cluster router's Hist and KVert merge —
 // and that CORE.KVERT takes no range.
@@ -467,7 +513,7 @@ func TestRangeAggregates(t *testing.T) {
 	g := gen.ErdosRenyi(500, 2000, 11)
 	fresh, _ := bz.Decompose(g.Clone())
 	m := kcore.New(g, kcore.WithWorkers(2))
-	defer m.Close()
+	t.Cleanup(m.Close)
 	_, addr := startServer(t, m)
 	c := dial(t, addr)
 

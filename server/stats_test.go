@@ -128,7 +128,7 @@ var followerKeys = []movedKey{
 // label.
 func TestStatsReplyIsTheRegistry(t *testing.T) {
 	plain := kcore.New(gen.ErdosRenyi(100, 300, 3), kcore.WithWorkers(2))
-	defer plain.Close()
+	t.Cleanup(plain.Close)
 	plainSrv, plainAddr := startServer(t, plain)
 
 	mgr, err := persist.NewManager(t.TempDir(), persist.Options{Fsync: persist.FsyncNo})
