@@ -55,16 +55,23 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 			endpoints = append(endpoints, int32(u), int32(v))
 		}
 	}
+	// Targets are attached in the order they are drawn — the map is only
+	// the membership test — so the endpoint multiset, and with it every
+	// later draw, follows from the seed alone.
+	chosen := make(map[int32]bool, k)
+	targets := make([]int32, 0, k)
 	for v := k + 1; v < n; v++ {
-		chosen := map[int32]bool{}
-		for len(chosen) < k {
+		clear(chosen)
+		targets = targets[:0]
+		for len(targets) < k {
 			t := endpoints[rng.Intn(len(endpoints))]
 			if t == int32(v) || chosen[t] {
 				continue
 			}
 			chosen[t] = true
+			targets = append(targets, t)
 		}
-		for t := range chosen {
+		for _, t := range targets {
 			edges = append(edges, graph.Edge{U: int32(v), V: t})
 			endpoints = append(endpoints, int32(v), t)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,34 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical graphs")
+	}
+}
+
+// TestGeneratorsDeterministic builds every seeded generator's output twice
+// from one seed: a generator that ranges over a map, or reads any other
+// source of order than its seed, gives two different outputs.
+func TestGeneratorsDeterministic(t *testing.T) {
+	base := ErdosRenyi(300, 1200, 3)
+	for _, tc := range []struct {
+		name  string
+		build func(seed int64) any
+	}{
+		{"ErdosRenyi", func(s int64) any { return ErdosRenyi(500, 2000, s).Edges() }},
+		{"BarabasiAlbert", func(s int64) any { return BarabasiAlbert(2000, 4, s).Edges() }},
+		{"RMAT", func(s int64) any { return RMAT(10, 3000, s).Edges() }},
+		{"WattsStrogatz", func(s int64) any { return WattsStrogatz(500, 3, 0.2, s).Edges() }},
+		{"PowerLawCluster", func(s int64) any { return PowerLawCluster(2000, 8, 2.4, s).Edges() }},
+		{"TemporalStream", func(s int64) any { return TemporalStream(base, s) }},
+		{"VertexArrivals", func(s int64) any { return VertexArrivals(100, 200, 4, s) }},
+		{"SampleEdges", func(s int64) any { return SampleEdges(base, 400, s) }},
+		{"SampleNonEdges", func(s int64) any { return SampleNonEdges(base, 400, s) }},
+		{"CrossRangeEdges", func(s int64) any { return CrossRangeEdges(3000, 3, 1000, 0.1, s) }},
+	} {
+		for _, seed := range []int64{1, 2} {
+			if a, b := tc.build(seed), tc.build(seed); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s(seed %d): two builds differ", tc.name, seed)
+			}
+		}
 	}
 }
 

@@ -34,11 +34,26 @@ const (
 // Decompose computes the core number of every vertex of g and the peeling
 // order (a valid k-order) in O(m + n) time with the bin-sort construction.
 func Decompose(g *graph.Graph) (core []int32, order []int32) {
+	return peel(g, nil)
+}
+
+// DecomposeDout is Decompose that also returns d⁺out in the peeling order
+// (Definition 3.7): dout[v] counts v's neighbors peeled after v. The peel
+// counts them as it goes — they are exactly the neighbors still unpeeled
+// when v is — so the k-order's out-degrees cost no second adjacency pass.
+func DecomposeDout(g *graph.Graph) (core, order, dout []int32) {
+	dout = make([]int32, g.N())
+	core, order = peel(g, dout)
+	return core, order, dout
+}
+
+// peel is the bin-sort BZ loop behind Decompose and DecomposeDout; a nil
+// dout records no out-degrees.
+func peel(g *graph.Graph, dout []int32) (core []int32, order []int32) {
 	n := g.N()
 	core = make([]int32, n)
-	order = make([]int32, 0, n)
 	if n == 0 {
-		return core, order
+		return core, []int32{}
 	}
 	deg := make([]int32, n)
 	maxDeg := int32(0)
@@ -59,8 +74,11 @@ func Decompose(g *graph.Graph) (core []int32, order []int32) {
 		bin[d] = start
 		start += cnt
 	}
-	vert := make([]int32, n) // vertices sorted by current degree
-	pos := make([]int32, n)  // position of each vertex in vert
+	// vert holds the vertices sorted by current degree; its prefix up to
+	// the vertex being peeled is the peeling order, which no later swap
+	// touches, so it is returned as order.
+	vert := make([]int32, n)
+	pos := make([]int32, n) // position of each vertex in vert
 	for v := 0; v < n; v++ {
 		pos[v] = bin[deg[v]]
 		vert[pos[v]] = int32(v)
@@ -71,13 +89,13 @@ func Decompose(g *graph.Graph) (core []int32, order []int32) {
 	}
 	bin[0] = 0
 
-	for i := 0; i < n; i++ {
+	for i := int32(0); i < int32(n); i++ {
 		v := vert[i]
-		core[v] = deg[v]
-		order = append(order, v)
+		dv := deg[v]
+		core[v] = dv
+		out := int32(0)
 		for _, u := range g.Adj(v) {
-			if deg[u] > deg[v] {
-				du := deg[u]
+			if du := deg[u]; du > dv {
 				pu := pos[u]
 				pw := bin[du]
 				w := vert[pw]
@@ -87,10 +105,19 @@ func Decompose(g *graph.Graph) (core []int32, order []int32) {
 				}
 				bin[du]++
 				deg[u]--
+				out++
+			} else if pos[u] > i {
+				// Unpeeled at v's own degree: the other unpeeled
+				// neighbors are those of higher degree, counted
+				// above; a peeled one sits before i.
+				out++
 			}
 		}
+		if dout != nil {
+			dout[v] = out
+		}
 	}
-	return core, order
+	return core, vert
 }
 
 // DecomposeWithStrategy computes core numbers and a peeling order using

@@ -94,3 +94,42 @@ func (st *State) CheckInvariants() error {
 	}
 	return nil
 }
+
+// CheckPeelOrder verifies that the k-order is the one a rebuild lays out
+// from the current graph: the walk O_0, O_1, ... is BZ's peeling order
+// stably partitioned by core number. With CheckInvariants, which counts
+// every d⁺out over that walk, it pins the whole state a rebuild leaves. It
+// holds after NewState or Rebuild until the next update moves a vertex. For
+// tests.
+func (st *State) CheckPeelOrder() error {
+	cores, order := bz.Decompose(st.G)
+	start := make([]int, bz.MaxCore(cores)+2)
+	for _, c := range cores {
+		start[c+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	want := make([]int32, len(order))
+	for _, v := range order {
+		want[start[cores[v]]] = v
+		start[cores[v]]++
+	}
+	var walk []int32
+	for k := int32(0); k <= st.MaxCoreValue(); k++ {
+		items, err := st.List(k).Check()
+		if err != nil {
+			return fmt.Errorf("list O_%d: %w", k, err)
+		}
+		walk = append(walk, items...)
+	}
+	if len(walk) != len(want) {
+		return fmt.Errorf("lists hold %d vertices, want %d", len(walk), len(want))
+	}
+	for i, v := range want {
+		if walk[i] != v {
+			return fmt.Errorf("k-order position %d holds %d, the peeling order %d", i, walk[i], v)
+		}
+	}
+	return nil
+}

@@ -137,12 +137,13 @@ func NewState(g *graph.Graph) *State {
 }
 
 // Rebuild recomputes the whole state from the current graph, in place and
-// in O(n + m): core numbers and the k-order come from the BZ algorithm (its
-// peeling sequence is a valid k-order by construction), d⁺out is derived
-// from that order, every mcd starts empty, Din and T are cleared, and the
-// k-order lists live on a fresh slab. It appends to changed every vertex
-// whose core number it changed and returns the result. Must run at
-// quiescence; no pointer into the old lists may be used afterwards.
+// in O(n + m): core numbers, the k-order and d⁺out come from one BZ peel
+// (its peeling sequence is a valid k-order by construction, and it counts
+// each vertex's later neighbors as it goes), every mcd starts empty, Din
+// and T are cleared, and the k-order lists are laid out on a fresh slab. It
+// appends to changed every vertex whose core number it changed and returns
+// the result. Must run at quiescence; no pointer into the old lists may be
+// used afterwards.
 func (st *State) Rebuild(changed []int32) []int32 {
 	st.rebuild(&changed)
 	return changed
@@ -151,19 +152,22 @@ func (st *State) Rebuild(changed []int32) []int32 {
 // rebuild is Rebuild; a nil changed records nothing (NewState's case, where
 // every vertex starts at core 0 and nobody reads the old numbers).
 func (st *State) rebuild(changed *[]int32) {
-	g := st.G
 	n := st.N()
-	cores, order := bz.Decompose(g)
+	cores, order, dout := bz.DecomposeDout(st.G)
+	// Core numbers never decrease along the peeling order, so O_k is the
+	// run of it at core k, in peeling order.
 	st.slab = om.NewSlab(n)
 	lists := make([]*om.List, bz.MaxCore(cores)+1)
+	lo := 0
 	for k := range lists {
-		lists[k] = om.NewList(st.slab, 0)
+		hi := lo
+		for hi < n && cores[order[hi]] == int32(k) {
+			hi++
+		}
+		lists[k] = om.NewListOf(st.slab, 0, order[lo:hi])
+		lo = hi
 	}
 	st.lists.Store(lists)
-	pos := make([]int32, n)
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
 	clear(st.Din)
 	clear(st.T)
 	for v := 0; v < n; v++ {
@@ -172,18 +176,7 @@ func (st *State) rebuild(changed *[]int32) {
 		}
 		st.Core[v].Store(cores[v])
 		st.Mcd[v].Store(McdEmpty)
-		dout := int32(0)
-		for _, w := range g.Adj(int32(v)) {
-			if pos[v] < pos[w] {
-				dout++
-			}
-		}
-		st.Dout[v].Store(dout)
-	}
-	// Append vertices to their core's list in peeling order; within one
-	// core value the peeling order is the k-order O_k.
-	for _, v := range order {
-		lists[cores[v]].InsertAtTail(v)
+		st.Dout[v].Store(dout[v])
 	}
 }
 
@@ -316,13 +309,20 @@ func (st *State) ComputeMCD(u int32) int32 {
 // the store is atomic and writing the empty sentinel is always safe.
 func (st *State) InvalidateMcd(v int32) { st.Mcd[v].Store(McdEmpty) }
 
-// RecomputeDout recomputes and stores d⁺out(v) from the current k-order, in
-// O(deg(v)) order comparisons. Must run at quiescence (batch end) or while
-// every neighbor position that can move is stable.
+// RecomputeDout recomputes and stores d⁺out(v) from the current k-order:
+// one Core read per neighbor, plus one label read per neighbor that shares
+// v's core, compared against v's position read once. The reads skip the
+// order-change protocol, so it must run at quiescence (batch end): no
+// vertex moves while it runs. Concurrent calls for distinct vertices are
+// safe — each writes only its own d⁺out.
 func (st *State) RecomputeDout(v int32) {
+	cv := st.Core[v].Load()
+	pos := st.List(cv).Positions()
+	key := pos.Key(v)
+	core := st.Core
 	dout := int32(0)
 	for _, x := range st.G.Adj(v) {
-		if st.BeforeSeq(v, x) {
+		if cx := core[x].Load(); cx > cv || cx == cv && pos.After(x, key) {
 			dout++
 		}
 	}

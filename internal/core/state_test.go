@@ -282,19 +282,6 @@ func TestComputeMCDDropStatusWindow(t *testing.T) {
 	}
 }
 
-func TestRecomputeDout(t *testing.T) {
-	g := gen.ErdosRenyi(80, 240, 5)
-	st := NewState(g)
-	for v := int32(0); v < 80; v++ {
-		want := st.Dout[v].Load()
-		st.Dout[v].Store(-99)
-		st.RecomputeDout(v)
-		if got := st.Dout[v].Load(); got != want {
-			t.Fatalf("RecomputeDout(%d) = %d, want %d", v, got, want)
-		}
-	}
-}
-
 func TestInvalidateMcd(t *testing.T) {
 	st := NewState(graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1}}))
 	st.Mcd[0].Store(1)

@@ -8,6 +8,10 @@
 //   - InsertAfter(x, y): insert y right after x. Amortized O(1), locked.
 //   - Delete(x): remove x. O(1), locked.
 //
+// Two more serve passes over a whole quiescent list: NewListOf lays a
+// sequence out in one pass, and Positions compares positions without the
+// seqlock.
+//
 // Items are int32 ids. Their records live in a Slab shared by every List
 // built on it — four parallel arrays indexed by id, no pointers — and an id
 // sits in at most one of those lists at a time: moving an item between lists
@@ -144,6 +148,44 @@ func NewList(s *Slab, groupCap int) *List {
 	return l
 }
 
+// NewListOf returns a list over s holding items, which must be free, in the
+// given order. It lays the list out in one pass, with no lock and no split:
+// each group holds half its capacity, as every group but the last does after
+// appending the items one by one, so insertions into the new list split
+// groups as often as into an appended one; the relabelling code then spreads
+// the top and bottom labels evenly.
+func NewListOf(s *Slab, groupCap int, items []int32) *List {
+	l := NewList(s, groupCap)
+	half := l.groupCap / 2
+	g, gr := int32(0), l.grp(0)
+	prev := sentinel
+	for _, x := range items {
+		if s.group[x].Load() != none {
+			panic("om: NewListOf of item already in a list")
+		}
+		if gr.count == half {
+			ng := l.newGroup()
+			n := l.grp(ng)
+			n.prev, n.next = g, none
+			n.first, n.count = x, 0
+			gr.next = ng
+			g, gr = ng, n
+		}
+		s.group[x].Store(g)
+		s.prev[x], s.next[x] = prev, none
+		*l.nextp(prev) = x
+		gr.count++
+		prev = x
+	}
+	l.last = prev
+	l.size = len(items)
+	l.renumberAllGroups()
+	for g := int32(0); g != none; g = l.grp(g).next {
+		l.renumberGroupLocked(l.grp(g))
+	}
+	return l
+}
+
 // grp returns group g's record; for holders of l.mu, whose g is always
 // one of this list's.
 func (l *List) grp(g int32) *group {
@@ -257,6 +299,45 @@ func (l *List) Order(x, y int32) bool {
 			return r
 		}
 	}
+}
+
+// Positions reads the positions of a quiescent list's items: it skips
+// Order's seqlock validation, so it is only for passes during which no
+// InsertAfter, Delete or relabel runs on the list. A pass that compares many
+// items against one takes the one's Key once and asks After for the rest.
+type Positions struct {
+	group []atomic.Int32
+	label []atomic.Uint64
+	pages []*groupPage
+}
+
+// Positions returns the position reader of l.
+func (l *List) Positions() Positions {
+	return Positions{group: l.s.group, label: l.s.label, pages: *l.pages.Load()}
+}
+
+// Key is an item's position: its group and that group's top label, and its
+// bottom label.
+type Key struct {
+	group       int32
+	top, bottom uint64
+}
+
+// Key returns the position of x, which must be linked into the list.
+func (p *Positions) Key(x int32) Key {
+	g := p.group[x].Load()
+	return Key{group: g, top: p.pages[g>>pageBits][g&pageMask].label.Load(), bottom: p.label[x].Load()}
+}
+
+// After reports whether x, which must be linked into the list, follows the
+// item at position k. It reads x's bottom label only when x shares k's
+// group, and the group's top label only when it does not.
+func (p *Positions) After(x int32, k Key) bool {
+	g := p.group[x].Load()
+	if g == k.group {
+		return p.label[x].Load() > k.bottom
+	}
+	return p.pages[g>>pageBits][g&pageMask].label.Load() > k.top
 }
 
 // Labels returns a snapshot (top label, bottom label) of x plus the list

@@ -47,8 +47,8 @@ type Engine struct {
 
 // The rebuild budget of an insertion batch, in |V+| (DESIGN.md, "The
 // rebuild budget"): (n+m)/budgetDiv, but at least minBudget. A rebuild costs
-// about what traversing (n+m)/27 vertices does, so budgetDiv = 8 leaves a
-// margin of 3 over the break-even point; the floor keeps small graphs, where
+// about what traversing (n+m)/30 vertices does, so budgetDiv = 8 leaves a
+// margin of 3.7 over the break-even point; the floor keeps small graphs, where
 // a batch traverses a large share of n+m as a matter of course, on
 // Algorithm 7.
 const (
@@ -369,8 +369,10 @@ func (p *worker) recordMove(w, k int32) {
 // engine's bit set has index congruent to pi modulo the number of workers:
 // no two workers touch one word, and a vertex is recomputed once however
 // often and by however many workers it was recorded. Cost: one pass over the
-// recorded entries plus Σ deg(t) order comparisons over the distinct targets
-// t — the moved vertices and their neighborhoods; with sameLevel, |targets| ≤
+// recorded entries plus one adjacency scan per distinct target t — the moved
+// vertices and their neighborhoods — in which each entry costs one Core read,
+// and one label read if it shares t's core (RecomputeDout reads plainly: no
+// vertex moves until every worker is done); with sameLevel, |targets| ≤
 // Σ_{w moved} (1 + |{x ∈ N(w) : core(x) = level of the move}|) and a neighbor
 // at another level — the hub next to a low-core vertex — is never scanned.
 func (p *worker) repairDout(e *Engine, pi int) {

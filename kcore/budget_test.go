@@ -66,6 +66,16 @@ func TestSparsePrefillBoundsTraversal(t *testing.T) {
 				t.Fatalf("w=%d batch %d: Applied %d, want %d", workers, bi, res.Applied, applied)
 			}
 			rebuilds += res.Contention.Rebuilds
+			if res.Contention.Rebuilds > 0 {
+				// A batch that finished with a rebuild leaves BZ's
+				// peeling order as its k-order; m.Check below counts
+				// every d⁺out over it.
+				var err error
+				m.barrier(func() { err = m.eng.impl.(*parallelOrderEngine).CheckPeelOrder() })
+				if err != nil {
+					t.Fatalf("w=%d batch %d, rebuilt: %v", workers, bi, err)
+				}
+			}
 			if workers == 1 && len(res.VPlusSizes) > 0 {
 				sum := int64(0)
 				for _, s := range res.VPlusSizes {
