@@ -16,7 +16,7 @@ import (
 // operations to the owning shard(s), batches each burst per shard into
 // pipelined multi-pair commands, and runs the global aggregates as
 // parallel scatter-gather with deterministic merges. It is safe for
-// concurrent use; per-session read-your-writes lives in Session.
+// concurrent use.
 type Cluster struct {
 	m     *ShardMap
 	pools []*client.Pool // leader pool per shard
@@ -33,8 +33,7 @@ type Cluster struct {
 	obs *routerMetrics
 }
 
-// dialTimeout bounds every dial to a shard endpoint: the leader pools'
-// and a Session's pinned read connections.
+// dialTimeout bounds every dial to a shard leader.
 const dialTimeout = 5 * time.Second
 
 // chunkPairs bounds how many edge pairs (or ids) ride in one multi-pair
@@ -60,9 +59,6 @@ func Connect(m *ShardMap) *Cluster {
 	}
 	return c
 }
-
-// Map returns the routing table.
-func (c *Cluster) Map() *ShardMap { return c.m }
 
 // Close closes every shard pool.
 func (c *Cluster) Close() error {
@@ -143,10 +139,9 @@ func (c *Cluster) routeEdges(edges []graph.Edge) [][]int32 {
 
 // InsertEdges routes one write burst: each edge to its owning shard(s),
 // each shard's share as chunked multi-pair CORE.INSERTs in a single
-// pipelined flush with a trailing CORE.EPOCH (the covering epoch is how
-// sessions get read-your-writes for free). Shards are written in
-// parallel. If epochs is non-nil (len NumShards), each written shard's
-// covering epoch is stored there.
+// pipelined flush. Shards are written in parallel. The router no longer
+// fills epochs; the parameter stays only for existing callers, which pass
+// nil.
 func (c *Cluster) InsertEdges(edges []graph.Edge, epochs []uint64) error {
 	if err := c.checkEdges(edges); err != nil {
 		return err
@@ -156,7 +151,7 @@ func (c *Cluster) InsertEdges(edges []graph.Edge, epochs []uint64) error {
 			c.advanceHWM(n)
 		}
 	}
-	return c.writeRouted("CORE.INSERT", c.routeEdges(edges), epochs)
+	return c.writeRouted("CORE.INSERT", c.routeEdges(edges))
 }
 
 // RemoveEdges routes one removal burst the same way (removals of absent
@@ -165,13 +160,13 @@ func (c *Cluster) RemoveEdges(edges []graph.Edge, epochs []uint64) error {
 	if err := c.checkEdges(edges); err != nil {
 		return err
 	}
-	return c.writeRouted("CORE.REMOVE", c.routeEdges(edges), epochs)
+	return c.writeRouted("CORE.REMOVE", c.routeEdges(edges))
 }
 
 // writeRouted ships per-shard pair buffers: one pooled connection per
-// touched shard, the buffer as chunked multi-pair commands plus a
-// CORE.EPOCH, one flush, all replies received in order.
-func (c *Cluster) writeRouted(cmd string, bufs [][]int32, epochs []uint64) error {
+// touched shard, the buffer as chunked multi-pair commands, one flush,
+// all replies received in order.
+func (c *Cluster) writeRouted(cmd string, bufs [][]int32) error {
 	var touched []int
 	for i, b := range bufs {
 		if len(b) > 0 {
@@ -193,9 +188,6 @@ func (c *Cluster) writeRouted(cmd string, bufs [][]int32, epochs []uint64) error
 				}
 				sent++
 			}
-			if err := conn.Send("CORE.EPOCH"); err != nil {
-				return err
-			}
 			if err := conn.Flush(); err != nil {
 				return err
 			}
@@ -203,13 +195,6 @@ func (c *Cluster) writeRouted(cmd string, bufs [][]int32, epochs []uint64) error
 				if _, err := conn.Receive(); err != nil {
 					return err
 				}
-			}
-			e, err := client.Int(conn.Receive())
-			if err != nil {
-				return err
-			}
-			if epochs != nil {
-				epochs[i] = uint64(e)
 			}
 			return nil
 		})

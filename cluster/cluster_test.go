@@ -2,18 +2,17 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
 
-	"repro/client"
 	"repro/cluster"
 	"repro/gen"
 	"repro/graph"
 	"repro/kcore"
-	"repro/persist"
 	"repro/server"
 )
 
@@ -87,6 +86,11 @@ func TestShardMapValidation(t *testing.T) {
 	if _, err := cluster.EqualRanges(2, [][]string{{"a"}, {"b"}, {"c"}}); err == nil {
 		t.Fatal("capacity below shard count accepted")
 	}
+	for _, group := range [][]string{{}, {"a", "b"}} {
+		if _, err := cluster.EqualRanges(10, [][]string{{"x"}, group}); err == nil {
+			t.Fatalf("address group %q accepted: a shard is its leader alone", group)
+		}
+	}
 }
 
 // TestShardMapMirrors pins the deterministic local-id layout: owned ids
@@ -138,8 +142,9 @@ func TestShardMapMirrors(t *testing.T) {
 
 // churn drives a randomized mixed insert/remove/grow stream through the
 // router and the Oracle in lockstep, in pipelined per-shard bursts.
-func churn(t *testing.T, c *cluster.Cluster, o *cluster.Oracle, edges []graph.Edge, seed int64) {
+func churn(t *testing.T, c *cluster.Cluster, m *cluster.ShardMap, o *cluster.Oracle, edges []graph.Edge, seed int64) {
 	t.Helper()
+	capacity := int(m.Cap())
 	rng := rand.New(rand.NewSource(seed))
 	var inserted []graph.Edge
 	apply := func(ins bool, batch []graph.Edge) {
@@ -172,13 +177,13 @@ func churn(t *testing.T, c *cluster.Cluster, o *cluster.Oracle, edges []graph.Ed
 			}
 			apply(false, rm)
 		case 1: // remove edges that may never have existed (drop semantics)
-			u := int32(rng.Intn(int(c.Map().Cap())))
-			v := int32(rng.Intn(int(c.Map().Cap())))
+			u := int32(rng.Intn(capacity))
+			v := int32(rng.Intn(capacity))
 			if u != v {
 				apply(false, []graph.Edge{{U: u, V: v}})
 			}
 		case 2: // explicit growth
-			n := int32(rng.Intn(int(c.Map().Cap()))) + 1
+			n := int32(rng.Intn(capacity)) + 1
 			if _, err := c.Grow(n); err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +277,7 @@ func TestClusterConformance(t *testing.T) {
 				o := cluster.NewOracle(m)
 				seed := int64(shards)*100 + int64(cross*100)
 				edges := gen.CrossRangeEdges(capacity, shards, 1500, cross, seed)
-				churn(t, c, o, edges, seed+1)
+				churn(t, c, m, o, edges, seed+1)
 				verify(t, c, o)
 
 				if cross == 0 {
@@ -311,7 +316,7 @@ func TestClusterConformance(t *testing.T) {
 func TestClusterRecover(t *testing.T) {
 	c, m := startCluster(t, 3, 300)
 	o := cluster.NewOracle(m)
-	churn(t, c, o, gen.CrossRangeEdges(300, 3, 400, 0.3, 5), 6)
+	churn(t, c, m, o, gen.CrossRangeEdges(300, 3, 400, 0.3, 5), 6)
 	if _, err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +339,8 @@ func TestClusterRecover(t *testing.T) {
 	if err := fresh.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.N() != c.N() {
-		t.Fatalf("recovered N = %d, want %d", fresh.N(), c.N())
+	if fresh.N() != c.N() || fresh.N() != o.N() {
+		t.Fatalf("recovered N = %d, want %d (oracle %d)", fresh.N(), c.N(), o.N())
 	}
 }
 
@@ -373,8 +378,8 @@ func TestShardOutage(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: no error with shard 1 down", op)
 		}
-		se, ok := cluster.AsShardError(err)
-		if !ok {
+		var se *cluster.ShardError
+		if !errors.As(err, &se) {
 			t.Fatalf("%s: error %v is not a ShardError", op, err)
 		}
 		if se.Shard != 1 || se.Addr != addr1 {
@@ -398,158 +403,72 @@ func TestShardOutage(t *testing.T) {
 	}
 }
 
-// startReplicatedShard boots a persistent leader plus one follower and
-// returns (leaderAddr, replicaAddr).
-func startReplicatedShard(t *testing.T) (string, string) {
-	t.Helper()
-	mgr, err := persist.NewManager(t.TempDir(), persist.Options{Fsync: persist.FsyncNo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := kcore.New(graph.New(0), kcore.WithOpLog(mgr), kcore.WithWorkers(2))
-	t.Cleanup(func() { mgr.Close(); m.Close() })
-	if err := mgr.Start(m); err != nil {
-		t.Fatal(err)
-	}
-	lsrv := server.New(m, server.WithPersistence(mgr))
-	lln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go lsrv.Serve(lln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		lsrv.Shutdown(ctx)
-	})
-
-	rsrv := server.New(kcore.New(graph.New(0), kcore.WithWorkers(2)))
-	rep := server.NewReplica(rsrv, lln.Addr().String(), server.ReplicaOptions{})
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rsrv.Maintainer().Close() })
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		rsrv.Shutdown(ctx)
-	})
-	t.Cleanup(rep.Close)
-	rep.Start()
-	go rsrv.Serve(rln)
-	return lln.Addr().String(), rln.Addr().String()
-}
-
-// TestSessionReadYourWrites runs a session over a replicated 2-shard
-// cluster: every write captures a per-shard epoch vector, every read is
-// gated on the shard's replica, so reads through the session are never
-// stale with respect to the session's own writes — and after Wait, even
-// fresh connections to the replicas observe them.
-func TestSessionReadYourWrites(t *testing.T) {
-	const capacity = 200
-	l0, r0 := startReplicatedShard(t)
-	l1, r1 := startReplicatedShard(t)
-	m, err := cluster.EqualRanges(capacity, [][]string{{l0, r0}, {l1, r1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cluster.Connect(m)
-	defer c.Close()
-	o := cluster.NewOracle(m)
-
-	s := c.NewSession()
-	defer s.Close()
-	if s.ReadAddr(0) != r0 || s.ReadAddr(1) != r1 {
-		t.Fatalf("session reads pinned to %s/%s, want replicas %s/%s",
-			s.ReadAddr(0), s.ReadAddr(1), r0, r1)
-	}
-
-	rng := rand.New(rand.NewSource(77))
-	edges := gen.CrossRangeEdges(capacity, 2, 600, 0.4, 78)
-	for off := 0; off < len(edges); off += 40 {
-		batch := edges[off:min(off+40, len(edges))]
-		if err := s.InsertEdges(batch); err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range batch {
-			o.ApplyInsert(e.U, e.V)
-		}
-		// Read endpoints the batch just touched — through the session they
-		// must already reflect it, replica lag notwithstanding.
-		want := o.Cores()
-		probe := make([]int32, 0, 8)
-		for range 8 {
-			probe = append(probe, batch[rng.Intn(len(batch))].U)
-		}
-		got, err := s.MGet(probe)
+// TestRoutedWriteSendsOnlyWrites pins a routed write's wire traffic: each
+// shard it touches receives exactly its share as chunked CORE.INSERT or
+// CORE.REMOVE commands, one per ChunkPairs pairs, and no other command.
+func TestRoutedWriteSendsOnlyWrites(t *testing.T) {
+	const capacity = 200 // shard 0 owns [0, 100), shard 1 [100, 200)
+	c, _ := startCluster(t, 2, capacity)
+	c.DisableHealthPings() // a PING is a read command too
+	type families struct{ read, write float64 }
+	counts := func() [2]families {
+		t.Helper()
+		stats, err := c.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, g := range probe {
-			if got[i] != want[g] {
-				t.Fatalf("session read core(%d) = %d, oracle %d (stale replica read?)", g, got[i], want[g])
+		var out [2]families
+		for _, st := range stats {
+			out[st.Shard] = families{
+				read:  st.Server[`kcored_commands_total{family="read"}`],
+				write: st.Server[`kcored_commands_total{family="write"}`],
 			}
 		}
+		return out
 	}
 
-	// Cross-shard barrier: after Wait, a *fresh* plain connection to each
-	// replica observes every session write.
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
+	// More pairs than one command carries, all owned by shard 0.
+	var big []graph.Edge
+	for u := int32(0); len(big) <= cluster.ChunkPairs; u++ {
+		for v := u + 1; v < 100 && len(big) <= cluster.ChunkPairs; v++ {
+			big = append(big, graph.Edge{U: u, V: v})
+		}
 	}
-	want := o.Cores()
-	for i, raddr := range []string{r0, r1} {
-		rc, err := client.Dial(raddr, client.WithDialTimeout(5*time.Second))
+	writes := []struct {
+		insert bool
+		edges  []graph.Edge
+		chunks [2]float64 // commands each shard must receive
+	}{
+		{true, []graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}}, [2]float64{1, 0}},
+		{true, []graph.Edge{{U: 101, V: 102}}, [2]float64{0, 1}},
+		{true, []graph.Edge{{U: 5, V: 150}, {U: 6, V: 7}}, [2]float64{1, 1}}, // a cross-shard edge lands on both
+		{false, []graph.Edge{{U: 1, V: 2}, {U: 101, V: 102}}, [2]float64{1, 1}},
+		{false, []graph.Edge{{U: 150, V: 5}}, [2]float64{1, 1}},
+		{true, big, [2]float64{2, 0}},
+		{false, big, [2]float64{2, 0}},
+	}
+	before := counts()
+	var want [2]float64
+	for i, w := range writes {
+		var err error
+		if w.insert {
+			err = c.InsertEdges(w.edges, nil)
+		} else {
+			err = c.RemoveEdges(w.edges, nil)
+		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("write %d: %v", i, err)
 		}
-		defer rc.Close()
-		sh := m.Shard(i)
-		for g := sh.Lo; g < min(sh.Hi, int32(o.N())); g++ {
-			k, err := client.Int(rc.Do("CORE.GET", m.Local(i, g)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int32(k) != want[g] {
-				t.Fatalf("replica %d core(%d) = %d after Wait, oracle %d", i, g, k, want[g])
-			}
-		}
+		want[0] += w.chunks[0]
+		want[1] += w.chunks[1]
 	}
-}
-
-// TestOneShardSessionReadYourWrites: a Session over one replicated shard
-// writes to the leader and reads its own writes off the follower, every
-// round. The second read of a round follows no write, so it runs without
-// a WAIT gate and still answers consistently.
-func TestOneShardSessionReadYourWrites(t *testing.T) {
-	l, r := startReplicatedShard(t)
-	m, err := cluster.EqualRanges(1024, [][]string{{l, r}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cluster.Connect(m)
-	defer c.Close()
-	s := c.NewSession()
-	defer s.Close()
-	s.WaitTimeout = 15 * time.Second
-	if s.ReadAddr(0) != r {
-		t.Fatalf("session reads pinned to %s, want the replica %s", s.ReadAddr(0), r)
-	}
-	for i := 0; i < 20; i++ {
-		u, v := int32(500+2*i), int32(501+2*i)
-		if err := s.InsertEdges([]graph.Edge{{U: u, V: v}}); err != nil {
-			t.Fatalf("round %d write: %v", i, err)
+	after := counts()
+	for i := range after {
+		if d := after[i].read - before[i].read; d != 0 {
+			t.Errorf("shard %d: %d routed writes moved the read-command count by %v, want 0", i, len(writes), d)
 		}
-		k, err := s.Get(u)
-		if err != nil {
-			t.Fatalf("round %d read: %v", i, err)
-		}
-		if k < 1 {
-			t.Fatalf("round %d: replica read core[%d] = %d — stale", i, u, k)
-		}
-		if k2, err := s.Get(v); err != nil || k2 < 1 {
-			t.Fatalf("round %d ungated read = %d, %v", i, k2, err)
+		if d := after[i].write - before[i].write; d != want[i] {
+			t.Errorf("shard %d: write-command count rose by %v, want %v (one per chunk)", i, d, want[i])
 		}
 	}
 }

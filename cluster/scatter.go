@@ -25,13 +25,6 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// AsShardError unwraps err to a *ShardError if one is in its chain.
-func AsShardError(err error) (*ShardError, bool) {
-	var se *ShardError
-	ok := errors.As(err, &se)
-	return se, ok
-}
-
 // scatter runs fn(i) concurrently for every shard index in shards and
 // joins the failures, each wrapped as a ShardError carrying the shard's
 // leader address. One slow or dead shard never blocks the others from

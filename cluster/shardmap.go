@@ -6,12 +6,10 @@ import (
 )
 
 // Shard is one member of a ShardMap: the contiguous global-id range it
-// owns and the addresses serving it (a leader, plus optional read
-// replicas following it via CORE.SYNC).
+// owns and the address of the leader serving it.
 type Shard struct {
-	Lo, Hi   int32    // owned global-id range [Lo, Hi)
-	Leader   string   // leader address (writes, and reads by default)
-	Replicas []string // optional read replicas
+	Lo, Hi int32  // owned global-id range [Lo, Hi)
+	Leader string // leader address (every read and write)
 }
 
 // Width returns the number of ids the shard owns.
@@ -63,8 +61,8 @@ func NewShardMap(shards []Shard) (*ShardMap, error) {
 
 // EqualRanges builds a ShardMap splitting [0, capacity) into
 // len(addrs) near-equal contiguous ranges (the first capacity mod n
-// shards get one extra id). Each addrs[i] is a shard's address group:
-// leader first, then replicas.
+// shards get one extra id). addrs[i] is shard i's address group, which
+// must hold the shard leader's address alone.
 func EqualRanges(capacity int32, addrs [][]string) (*ShardMap, error) {
 	n := int32(len(addrs))
 	if n == 0 {
@@ -72,6 +70,11 @@ func EqualRanges(capacity int32, addrs [][]string) (*ShardMap, error) {
 	}
 	if capacity < n {
 		return nil, fmt.Errorf("cluster: capacity %d below shard count %d", capacity, n)
+	}
+	for i, group := range addrs {
+		if len(group) != 1 {
+			return nil, fmt.Errorf("cluster: shard %d has %d addresses, want its leader alone", i, len(group))
+		}
 	}
 	shards := make([]Shard, n)
 	w, extra := capacity/n, capacity%n
@@ -81,7 +84,7 @@ func EqualRanges(capacity int32, addrs [][]string) (*ShardMap, error) {
 		if int32(i) < extra {
 			hi++
 		}
-		shards[i] = Shard{Lo: lo, Hi: hi, Leader: addrs[i][0], Replicas: append([]string(nil), addrs[i][1:]...)}
+		shards[i] = Shard{Lo: lo, Hi: hi, Leader: addrs[i][0]}
 		lo = hi
 	}
 	return NewShardMap(shards)

@@ -4,8 +4,8 @@
 // write to the shard(s) that own its endpoints, and global reads run as
 // parallel scatter-gather with deterministic merges. There is no
 // coordinator process — the topology is static configuration, the
-// router is a library, and each shard is a stock kcored (optionally
-// with its own replicas from the replication layer).
+// router is a library, and each shard is a stock kcored leader that
+// serves every routed read and write.
 //
 // # Sharding model
 //

@@ -44,10 +44,12 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 		panic("gen: BarabasiAlbert needs n > k")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	edges := make([]graph.Edge, 0, int64(n-k)*int64(k))
+	// The seed clique's k(k+1)/2 edges, then k per later vertex.
+	m := int64(k)*int64(k+1)/2 + int64(n-k-1)*int64(k)
+	edges := make([]graph.Edge, 0, m)
 	// Repeated-endpoints trick: targets proportional to degree by sampling
 	// uniformly from the endpoint multiset.
-	endpoints := make([]int32, 0, 2*len(edges))
+	endpoints := make([]int32, 0, 2*m)
 	// Seed clique over the first k+1 vertices.
 	for u := 0; u <= k; u++ {
 		for v := u + 1; v <= k; v++ {

@@ -207,18 +207,6 @@ func TestMaxCoreAndHistogram(t *testing.T) {
 	}
 }
 
-func TestVerify(t *testing.T) {
-	g := gen.ErdosRenyi(100, 300, 6)
-	core, _ := Decompose(g)
-	if !Verify(g, core) {
-		t.Fatal("Verify rejected correct cores")
-	}
-	core[0]++
-	if Verify(g, core) {
-		t.Fatal("Verify accepted corrupted cores")
-	}
-}
-
 // Property: decomposition agrees with the naive oracle on random graphs.
 func TestQuickDecomposeAgainstNaive(t *testing.T) {
 	f := func(seed int64) bool {
@@ -266,4 +254,130 @@ func BenchmarkAblationTieStrategy(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TieStrategy selects which vertex to peel when several share the minimal
+// current degree (paper §3.3.1).
+type TieStrategy int
+
+const (
+	// SmallDegreeFirst prefers vertices with smaller initial degree; the
+	// paper's experiments use this strategy as it "consistently has the
+	// best performance".
+	SmallDegreeFirst TieStrategy = iota
+	// LargeDegreeFirst prefers vertices with larger initial degree.
+	LargeDegreeFirst
+	// RandomTie picks uniformly among the candidates.
+	RandomTie
+)
+
+// DecomposeWithStrategy computes core numbers and a peeling order using
+// bucket queues with an explicit tie strategy. Core numbers are identical to
+// Decompose for every strategy; only the emitted k-order instance differs.
+// seed is used by RandomTie only.
+func DecomposeWithStrategy(g *graph.Graph, strat TieStrategy, seed int64) (core []int32, order []int32) {
+	n := g.N()
+	core = make([]int32, n)
+	order = make([]int32, 0, n)
+	if n == 0 {
+		return core, order
+	}
+	rng := rand.New(rand.NewSource(seed))
+	deg := make([]int32, n)
+	orig := make([]int32, n)
+	maxDeg := int32(0)
+	for v := 0; v < n; v++ {
+		deg[v] = int32(g.Degree(int32(v)))
+		orig[v] = deg[v]
+		if deg[v] > maxDeg {
+			maxDeg = deg[v]
+		}
+	}
+	buckets := make([][]int32, maxDeg+1)
+	for v := 0; v < n; v++ {
+		buckets[deg[v]] = append(buckets[deg[v]], int32(v))
+	}
+	removed := make([]bool, n)
+	processed := 0
+	d := int32(0)
+	for processed < n {
+		if d > maxDeg {
+			break
+		}
+		b := buckets[d]
+		if len(b) == 0 {
+			d++
+			continue
+		}
+		// Pick the candidate per strategy. Entries may be stale
+		// (vertex degree has changed); skip those lazily.
+		idx := -1
+		switch strat {
+		case SmallDegreeFirst, LargeDegreeFirst:
+			var best int32
+			for i, v := range b {
+				if removed[v] || deg[v] != d {
+					continue
+				}
+				if idx == -1 ||
+					(strat == SmallDegreeFirst && orig[v] < best) ||
+					(strat == LargeDegreeFirst && orig[v] > best) {
+					idx, best = i, orig[v]
+				}
+			}
+		case RandomTie:
+			liveCount := 0
+			for _, v := range b {
+				if !removed[v] && deg[v] == d {
+					liveCount++
+				}
+			}
+			if liveCount > 0 {
+				target := rng.Intn(liveCount)
+				for i, v := range b {
+					if removed[v] || deg[v] != d {
+						continue
+					}
+					if target == 0 {
+						idx = i
+						break
+					}
+					target--
+				}
+			}
+		}
+		if idx == -1 {
+			buckets[d] = b[:0]
+			d++
+			continue
+		}
+		v := b[idx]
+		b[idx] = b[len(b)-1]
+		buckets[d] = b[:len(b)-1]
+		removed[v] = true
+		core[v] = d
+		order = append(order, v)
+		processed++
+		for _, u := range g.Adj(v) {
+			if !removed[u] && deg[u] > d {
+				deg[u]--
+				buckets[deg[u]] = append(buckets[deg[u]], u)
+				if deg[u] < d {
+					panic("bz: degree fell below current level")
+				}
+			}
+		}
+	}
+	return core, order
+}
+
+// DistinctCores counts non-empty histogram bins.
+func DistinctCores(core []int32) int {
+	n := 0
+	for _, c := range CoreHistogram(core) {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -305,10 +305,6 @@ func (st *State) ComputeMCD(u int32) int32 {
 	return mcd
 }
 
-// InvalidateMcd clears the stored mcd of v. Callers need not hold v's lock:
-// the store is atomic and writing the empty sentinel is always safe.
-func (st *State) InvalidateMcd(v int32) { st.Mcd[v].Store(McdEmpty) }
-
 // RecomputeDout recomputes and stores d⁺out(v) from the current k-order:
 // one Core read per neighbor, plus one label read per neighbor that shares
 // v's core, compared against v's position read once. The reads skip the

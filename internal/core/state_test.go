@@ -282,15 +282,6 @@ func TestComputeMCDDropStatusWindow(t *testing.T) {
 	}
 }
 
-func TestInvalidateMcd(t *testing.T) {
-	st := NewState(graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1}}))
-	st.Mcd[0].Store(1)
-	st.InvalidateMcd(0)
-	if st.Mcd[0].Load() != McdEmpty {
-		t.Fatal("InvalidateMcd must store the empty sentinel")
-	}
-}
-
 func TestCoreNumbersSnapshot(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
 	st := NewState(g)

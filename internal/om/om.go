@@ -126,8 +126,8 @@ type List struct {
 	head      int32         // the sentinel's successor
 	last      int32         // last item in list order (the sentinel if empty)
 	groupCap  int32
-	size      int // number of user items (sentinel excluded)
-	relabels  uint64
+	size      int     // number of user items (sentinel excluded)
+	relabels  uint64  // splits and rebalances, read by the tests
 	walked    []int32 // rebalance scratch
 }
 
@@ -256,14 +256,6 @@ func (l *List) Len() int {
 // in progress. The versioned priority queue of Algorithm 9 uses this to keep
 // cached labels coherent.
 func (l *List) Version() uint64 { return l.ver.Load() }
-
-// Relabels returns the number of relabel events (splits and rebalances) the
-// list has performed; exposed for tests and ablation benchmarks.
-func (l *List) Relabels() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.relabels
-}
 
 // Order reports whether x precedes y in the list. x and y must both be
 // linked into this list for the duration of the call (enforced by the

@@ -750,3 +750,11 @@ func TestHeadTailChurnOrderConsistency(t *testing.T) {
 		}
 	}
 }
+
+// Relabels returns the number of relabel events (splits and rebalances) the
+// list has performed.
+func (l *List) Relabels() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.relabels
+}

@@ -83,9 +83,6 @@ func (st *State) CoreNumbers() []int32 {
 	return out
 }
 
-// MCDOf returns the maintained max-core degree of v (for tests).
-func (st *State) MCDOf(v int32) int32 { return st.mcd[v].Load() }
-
 func (st *State) computeMCD(v int32) int32 {
 	cv := st.core[v].Load()
 	m := int32(0)

@@ -82,8 +82,8 @@ func TestGrowMintsIsolatedVertices(t *testing.T) {
 		t.Fatalf("N=%d G.N=%d, want 10", len(st.core), st.G.N())
 	}
 	for v := int32(3); v < 10; v++ {
-		if st.CoreOf(v) != 0 || st.MCDOf(v) != 0 {
-			t.Fatalf("new vertex %d: core %d mcd %d, want 0/0", v, st.CoreOf(v), st.MCDOf(v))
+		if st.CoreOf(v) != 0 || st.mcd[v].Load() != 0 {
+			t.Fatalf("new vertex %d: core %d mcd %d, want 0/0", v, st.CoreOf(v), st.mcd[v].Load())
 		}
 	}
 	mustCheck(t, st, "after growth")
