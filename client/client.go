@@ -165,6 +165,35 @@ func (c *Conn) Receive() (resp.Value, error) {
 	return v, nil
 }
 
+// ReceiveInts reads the next reply, which must be an array of integers
+// (CORE.MGET's), and hands each element to sink with its index instead
+// of building a Value tree and an []int64 the way Ints(Receive()) does:
+// the cluster router decodes a shard's reply straight into its caller's
+// result with it. A server error reply is a *ServerError and a reply of
+// another kind a plain error; neither poisons the connection. A malformed
+// or truncated reply, an array element that is not an integer included,
+// does.
+func (c *Conn) ReceiveInts(sink func(i int, v int64)) error {
+	if c.err != nil {
+		return c.err
+	}
+	v, err := c.rd.ReadIntArray(sink)
+	if err != nil {
+		return c.fatal(fmt.Errorf("client: receive: %w", err))
+	}
+	if c.pending > 0 {
+		c.pending--
+	}
+	switch v.Kind {
+	case resp.Array:
+		return nil
+	case resp.Error:
+		return &ServerError{Msg: string(v.Str)}
+	default:
+		return fmt.Errorf("client: expected array reply, got %v", v.Kind)
+	}
+}
+
 // Do is the round-trip path: Send(cmd, args…), Flush, then Receive every
 // outstanding reply, returning the last one — cmd's own. Errors on
 // earlier pipelined replies surface here too (first one wins), so a

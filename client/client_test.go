@@ -242,3 +242,53 @@ func TestSendInt32sAllocs(t *testing.T) {
 		t.Fatalf("SendInt32s: %.2f allocations per command, want 0", allocs)
 	}
 }
+
+// replyConn serves canned reply bytes to a Conn's reads.
+type replyConn struct {
+	net.Conn
+	in *strings.Reader
+}
+
+func (r *replyConn) Read(p []byte) (int, error) { return r.in.Read(p) }
+func (r *replyConn) Close() error               { return nil }
+
+// TestReceiveInts pins ReceiveInts against each reply shape: an integer
+// array reaches the sink in order, an error reply and a reply of another
+// kind are errors that leave the connection usable, and an array with a
+// non-integer element poisons it. On a warm Conn it allocates nothing.
+func TestReceiveInts(t *testing.T) {
+	c := client.NewConn(&replyConn{in: strings.NewReader(
+		"*3\r\n:5\r\n:0\r\n:-2\r\n" + "-ERR nope\r\n" + ":7\r\n" + "*2\r\n:1\r\n+x\r\n")})
+	var got []int64
+	sink := func(i int, v int64) {
+		if i != len(got) {
+			t.Fatalf("sink got index %d after %d elements", i, len(got))
+		}
+		got = append(got, v)
+	}
+	if err := c.ReceiveInts(sink); err != nil || len(got) != 3 || got[0] != 5 || got[1] != 0 || got[2] != -2 {
+		t.Fatalf("array reply: %v, %v", got, err)
+	}
+	var se *client.ServerError
+	if err := c.ReceiveInts(sink); !errors.As(err, &se) || se.Msg != "ERR nope" || c.Err() != nil {
+		t.Fatalf("error reply: %v (conn %v)", err, c.Err())
+	}
+	if err := c.ReceiveInts(sink); err == nil || c.Err() != nil {
+		t.Fatalf("integer reply: %v (conn %v)", err, c.Err())
+	}
+	if err := c.ReceiveInts(func(int, int64) {}); err == nil || c.Err() == nil {
+		t.Fatalf("array with a simple string: %v, conn not poisoned", err)
+	}
+
+	const reply = "*4\r\n:1\r\n:2\r\n:3\r\n:4\r\n"
+	c = client.NewConn(&replyConn{in: strings.NewReader(strings.Repeat(reply, 1001))})
+	var sum int64
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := c.ReceiveInts(func(_ int, v int64) { sum += v }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || sum != 1001*10 {
+		t.Fatalf("ReceiveInts: %.2f allocations per reply (sum %d), want 0", allocs, sum)
+	}
+}

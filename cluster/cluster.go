@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,6 +30,9 @@ type Cluster struct {
 	// router-local state: a fresh router over an existing cluster starts
 	// at the value Connect recovers from the shards' owned bands.
 	hwm atomic.Int64
+
+	// scratch recycles *routeScratch, one per call in flight.
+	scratch sync.Pool
 
 	obs *routerMetrics
 }
@@ -57,6 +61,7 @@ func Connect(m *ShardMap) *Cluster {
 		}
 		c.every[i] = i
 	}
+	c.scratch.New = func() any { return newRouteScratch(c) }
 	return c
 }
 
@@ -120,21 +125,19 @@ func (c *Cluster) checkEdges(edges []graph.Edge) error {
 	return nil
 }
 
-// routeEdges groups a burst into per-shard flattened local-id pair
+// routeEdges groups a burst into s's per-shard flattened local-id pair
 // buffers: an intra-shard edge lands once on its owner; a cross-shard
 // edge lands on both owners, the remote endpoint translated through the
 // deterministic mirror mapping so both shards see it — and so the
 // matching remove routes to the same local pair with no shared state.
-func (c *Cluster) routeEdges(edges []graph.Edge) [][]int32 {
-	bufs := make([][]int32, c.m.NumShards())
+func (c *Cluster) routeEdges(s *routeScratch, edges []graph.Edge) {
 	for _, e := range edges {
 		a, b := c.m.Owner(e.U), c.m.Owner(e.V)
-		bufs[a] = append(bufs[a], c.m.LocalFor(a, e.U), c.m.LocalFor(a, e.V))
+		s.bufs[a] = append(s.bufs[a], c.m.LocalFor(a, e.U), c.m.LocalFor(a, e.V))
 		if b != a {
-			bufs[b] = append(bufs[b], c.m.LocalFor(b, e.U), c.m.LocalFor(b, e.V))
+			s.bufs[b] = append(s.bufs[b], c.m.LocalFor(b, e.U), c.m.LocalFor(b, e.V))
 		}
 	}
-	return bufs
 }
 
 // InsertEdges routes one write burst: each edge to its owning shard(s),
@@ -151,7 +154,7 @@ func (c *Cluster) InsertEdges(edges []graph.Edge, epochs []uint64) error {
 			c.advanceHWM(n)
 		}
 	}
-	return c.writeRouted("CORE.INSERT", c.routeEdges(edges))
+	return c.writeRouted("CORE.INSERT", edges)
 }
 
 // RemoveEdges routes one removal burst the same way (removals of absent
@@ -160,44 +163,47 @@ func (c *Cluster) RemoveEdges(edges []graph.Edge, epochs []uint64) error {
 	if err := c.checkEdges(edges); err != nil {
 		return err
 	}
-	return c.writeRouted("CORE.REMOVE", c.routeEdges(edges))
+	return c.writeRouted("CORE.REMOVE", edges)
 }
 
-// writeRouted ships per-shard pair buffers: one pooled connection per
-// touched shard, the buffer as chunked multi-pair commands, one flush,
-// all replies received in order.
-func (c *Cluster) writeRouted(cmd string, bufs [][]int32) error {
-	var touched []int
-	for i, b := range bufs {
-		if len(b) > 0 {
-			touched = append(touched, i)
-		}
-	}
+// writeRouted routes edges into per-shard pair buffers and ships them,
+// one shard per scatter leg.
+func (c *Cluster) writeRouted(cmd string, edges []graph.Edge) error {
+	s := c.getScratch()
+	defer c.putScratch(s)
+	c.routeEdges(s, edges)
+	touched := s.touchedShards()
 	if len(touched) == 0 {
 		return nil
 	}
-	chunk := 2 * chunkPairs
-	return c.scatter(touched, func(i int) error {
-		return c.withLeader(i, func(conn *client.Conn) error {
-			buf := bufs[i]
-			sent := 0
-			for off := 0; off < len(buf); off += chunk {
-				end := min(off+chunk, len(buf))
-				if err := conn.SendInt32s(cmd, buf[off:end]); err != nil {
-					return err
-				}
-				sent++
-			}
-			if err := conn.Flush(); err != nil {
+	s.cmd = cmd
+	return c.scatterWith(s, touched, s.writeLeg)
+}
+
+// writeShard ships shard i's share of a write: one pooled connection,
+// the pairs as chunked multi-pair commands, one flush, all replies
+// received in order.
+func (s *routeScratch) writeShard(i int) error {
+	buf, cmd := s.bufs[i], s.cmd
+	return s.c.withLeader(i, func(conn *client.Conn) error {
+		const chunk = 2 * chunkPairs
+		sent := 0
+		for off := 0; off < len(buf); off += chunk {
+			end := min(off+chunk, len(buf))
+			if err := conn.SendInt32s(cmd, buf[off:end]); err != nil {
 				return err
 			}
-			for range sent {
-				if _, err := conn.Receive(); err != nil {
-					return err
-				}
+			sent++
+		}
+		if err := conn.Flush(); err != nil {
+			return err
+		}
+		for range sent {
+			if _, err := conn.Receive(); err != nil {
+				return err
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 }
 
@@ -247,94 +253,69 @@ func (c *Cluster) Get(g int32) (int32, error) {
 // MGet returns the core numbers of the given global vertex ids, in
 // input order: ids are grouped by owning shard, each shard's share runs
 // as chunked CORE.MGETs in one pipelined flush, shards in parallel, and
-// the replies are scattered back into input positions.
+// the replies are decoded straight into their input positions.
 func (c *Cluster) MGet(ids []int32) ([]int32, error) {
-	locals, positions, err := c.groupByOwner(ids)
-	if err != nil {
+	s := c.getScratch()
+	defer c.putScratch(s)
+	if err := c.groupByOwner(s, ids); err != nil {
 		return nil, err
 	}
-	out := make([]int32, len(ids))
-	var touched []int
-	for i := range locals {
-		if len(locals[i]) > 0 {
-			touched = append(touched, i)
-		}
-	}
-	err = c.scatter(touched, func(i int) error {
-		return c.withLeader(i, func(conn *client.Conn) error {
-			return mgetInto(conn, locals[i], func(j int, k int32) {
-				out[positions[i][j]] = k
-			})
-		})
-	})
-	if err != nil {
+	s.out = make([]int32, len(ids))
+	if err := c.scatterWith(s, s.touchedShards(), s.mgetLeg); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return s.out, nil
 }
 
-// groupByOwner splits ids by owning shard: locals[i] holds shard i's
-// local ids and positions[i] their indices in ids. An id outside the
-// map's capacity is an error.
-func (c *Cluster) groupByOwner(ids []int32) (locals [][]int32, positions [][]int, err error) {
-	locals = make([][]int32, c.m.NumShards())
-	positions = make([][]int, c.m.NumShards())
-	for pos, g := range ids {
+// groupByOwner splits ids by owning shard into s: bufs[i] holds shard
+// i's local ids and pos[i] their indices in ids. An id outside the map's
+// capacity is an error.
+func (c *Cluster) groupByOwner(s *routeScratch, ids []int32) error {
+	for p, g := range ids {
 		if !c.m.InRange(g) {
-			return nil, nil, fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
+			return fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
 		}
 		i := c.m.Owner(g)
-		locals[i] = append(locals[i], c.m.Local(i, g))
-		positions[i] = append(positions[i], pos)
-	}
-	return locals, positions, nil
-}
-
-// mgetInto runs one shard's CORE.MGET share — chunked, one flush — and
-// hands each core number to sink with its index in locals.
-func mgetInto(conn *client.Conn, locals []int32, sink func(j int, k int32)) error {
-	sent, err := mgetSend(conn, locals)
-	if err != nil {
-		return err
-	}
-	if err := conn.Flush(); err != nil {
-		return err
-	}
-	return mgetRecv(conn, sent, len(locals), sink)
-}
-
-// mgetSend buffers one shard's CORE.MGET share as chunked commands
-// (no flush) and returns how many replies will be owed.
-func mgetSend(conn *client.Conn, locals []int32) (int, error) {
-	sent := 0
-	for off := 0; off < len(locals); off += chunkPairs {
-		end := min(off+chunkPairs, len(locals))
-		if err := conn.SendInt32s("CORE.MGET", locals[off:end]); err != nil {
-			return 0, err
-		}
-		sent++
-	}
-	return sent, nil
-}
-
-// mgetRecv receives the owed CORE.MGET replies and feeds each core
-// number to sink with its running index.
-func mgetRecv(conn *client.Conn, sent, want int, sink func(j int, k int32)) error {
-	j := 0
-	for range sent {
-		ks, err := client.Ints(conn.Receive())
-		if err != nil {
-			return err
-		}
-		for _, k := range ks {
-			sink(j, int32(k))
-			j++
-		}
-	}
-	if j != want {
-		return fmt.Errorf("cluster: CORE.MGET returned %d values for %d ids", j, want)
+		s.bufs[i] = append(s.bufs[i], c.m.Local(i, g))
+		s.pos[i] = append(s.pos[i], p)
 	}
 	return nil
+}
+
+// mgetShard runs shard i's CORE.MGET share on one pooled connection —
+// chunked, one flush — and writes each core number to its position in
+// the result.
+func (s *routeScratch) mgetShard(i int) error {
+	locals, pos, out := s.bufs[i], s.pos[i], s.out
+	return s.c.withLeader(i, func(conn *client.Conn) error {
+		sent := 0
+		for off := 0; off < len(locals); off += chunkPairs {
+			end := min(off+chunkPairs, len(locals))
+			if err := conn.SendInt32s("CORE.MGET", locals[off:end]); err != nil {
+				return err
+			}
+			sent++
+		}
+		if err := conn.Flush(); err != nil {
+			return err
+		}
+		j := 0
+		for range sent {
+			err := conn.ReceiveInts(func(_ int, k int64) {
+				if j < len(pos) {
+					out[pos[j]] = int32(k)
+				}
+				j++
+			})
+			if err != nil {
+				return err
+			}
+		}
+		if j != len(locals) {
+			return fmt.Errorf("cluster: CORE.MGET returned %d values for %d ids", j, len(locals))
+		}
+		return nil
+	})
 }
 
 // Hist returns the cluster core-number histogram: bin k counts vertices

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -403,6 +404,27 @@ func TestShardOutage(t *testing.T) {
 	}
 }
 
+// TestMGetRejectsLongReply pins MGet against a shard that answers more
+// core numbers than it was asked for: the call fails with a ShardError
+// naming that shard, where indexing positions past the shard's share
+// would panic.
+func TestMGetRejectsLongReply(t *testing.T) {
+	m, err := cluster.EqualRanges(200, [][]string{{startCannedShard(t, 0)}, {startCannedShard(t, 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.Connect(m)
+	defer c.Close()
+	_, err = c.MGet([]int32{1, 150, 2, 151})
+	var se *cluster.ShardError
+	if !errors.As(err, &se) || se.Shard != 1 {
+		t.Fatalf("MGet over a shard with a long reply: %v, want a ShardError for shard 1", err)
+	}
+	if got, err := c.MGet([]int32{3, 1}); err != nil || got[0] != 3 || got[1] != 1 {
+		t.Fatalf("MGet on the sound shard alone = %v, %v", got, err)
+	}
+}
+
 // TestRoutedWriteSendsOnlyWrites pins a routed write's wire traffic: each
 // shard it touches receives exactly its share as chunked CORE.INSERT or
 // CORE.REMOVE commands, one per ChunkPairs pairs, and no other command.
@@ -471,4 +493,108 @@ func TestRoutedWriteSendsOnlyWrites(t *testing.T) {
 			t.Errorf("shard %d: write-command count rose by %v, want %v (one per chunk)", i, d, want[i])
 		}
 	}
+}
+
+// TestConcurrentRoutedCalls routes writes and MGets from several
+// goroutines through one router at once, so that calls in flight together
+// each hold a pooled scratch of their own. Caller g writes only edges
+// among the vertices v with v mod callers = g, so the cores of those
+// vertices follow from its own writes alone: after every acked write it
+// reads them all back, in a fresh order, and holds them to an Oracle of
+// its own writes. At the end every served core is held to one Oracle of
+// every caller's writes.
+func TestConcurrentRoutedCalls(t *testing.T) {
+	const (
+		capacity = 600 // shard 0 owns [0, 300), shard 1 [300, 600)
+		callers  = 6
+		rounds   = 40
+	)
+	c, m := startCluster(t, 2, capacity)
+	type write struct {
+		insert bool
+		edges  []graph.Edge
+	}
+	logs := make([][]write, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			o := cluster.NewOracle(m)
+			var own []int32
+			for v := int32(g); v < capacity; v += callers {
+				own = append(own, v)
+			}
+			var live []graph.Edge
+			for r := range rounds {
+				w := write{insert: r%3 != 2 || len(live) == 0}
+				if w.insert {
+					for range 16 {
+						if u, v := own[rng.Intn(len(own))], own[rng.Intn(len(own))]; u != v {
+							w.edges = append(w.edges, graph.Edge{U: u, V: v})
+						}
+					}
+					live = append(live, w.edges...)
+				} else {
+					for range 8 {
+						w.edges = append(w.edges, live[rng.Intn(len(live))])
+					}
+				}
+				var err error
+				if w.insert {
+					err = c.InsertEdges(w.edges, nil)
+				} else {
+					err = c.RemoveEdges(w.edges, nil)
+				}
+				if err != nil {
+					t.Errorf("caller %d, round %d: %v", g, r, err)
+					return
+				}
+				for _, e := range w.edges {
+					if w.insert {
+						o.ApplyInsert(e.U, e.V)
+					} else {
+						o.ApplyRemove(e.U, e.V)
+					}
+				}
+				logs[g] = append(logs[g], w)
+
+				rng.Shuffle(len(own), func(i, j int) { own[i], own[j] = own[j], own[i] })
+				got, err := c.MGet(own)
+				if err != nil {
+					t.Errorf("caller %d, round %d: MGet: %v", g, r, err)
+					return
+				}
+				want := o.Cores()
+				for j, v := range own {
+					var k int32
+					if int(v) < len(want) {
+						k = want[v]
+					}
+					if got[j] != k {
+						t.Errorf("caller %d, round %d: core(%d) = %d, its oracle %d", g, r, v, got[j], k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	o := cluster.NewOracle(m)
+	for _, log := range logs {
+		for _, w := range log {
+			for _, e := range w.edges {
+				if w.insert {
+					o.ApplyInsert(e.U, e.V)
+				} else {
+					o.ApplyRemove(e.U, e.V)
+				}
+			}
+		}
+	}
+	verify(t, c, o)
 }

@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/client"
@@ -33,29 +33,54 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // shard bounds it), and each per-shard leg counts against its shard's
 // request/error counters.
 func (c *Cluster) scatter(shards []int, fn func(shard int) error) error {
+	s := c.getScratch()
+	err := c.scatterWith(s, shards, fn)
+	c.putScratch(s)
+	return err
+}
+
+// scatterWith is scatter on a routed call's own scratch s, which holds
+// the fan-out's state as well.
+func (c *Cluster) scatterWith(s *routeScratch, shards []int, fn func(shard int) error) error {
 	start := time.Now()
-	err := c.doScatter(shards, fn)
+	err := s.doScatter(shards, fn)
 	c.obs.fanout.ObserveDuration(time.Since(start))
 	return err
 }
 
-func (c *Cluster) doScatter(shards []int, fn func(shard int) error) error {
-	if len(shards) == 1 {
-		// The common single-shard case (routed op, or a one-shard map)
-		// skips the goroutine round trip entirely.
-		return c.runShard(shards[0], fn)
+// doScatter starts a goroutine for every leg but the last, which runs on
+// the calling goroutine, and waits for them all. The legs find their
+// function, shards and error slots in s, and claim their index from
+// s.next, so spawning one allocates nothing.
+func (s *routeScratch) doScatter(shards []int, fn func(shard int) error) error {
+	last := len(shards) - 1
+	switch last {
+	case -1:
+		return nil
+	case 0:
+		return s.c.runShard(shards[0], fn)
 	}
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for k, i := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = c.runShard(i, fn)
-		}()
+	s.fn, s.shards = fn, shards
+	s.errs = slices.Grow(s.errs[:0], len(shards))[:len(shards)]
+	s.next.Store(0)
+	s.wg.Add(last)
+	for range last {
+		go s.goLeg()
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	s.errs[last] = s.c.runShard(shards[last], fn)
+	s.wg.Wait()
+	err := errors.Join(s.errs...)
+	clear(s.errs)
+	s.fn, s.shards = nil, nil
+	return err
+}
+
+// leg runs one spawned scatter leg: the next unclaimed of the shards
+// before the last.
+func (s *routeScratch) leg() {
+	defer s.wg.Done()
+	k := int(s.next.Add(1) - 1)
+	s.errs[k] = s.c.runShard(s.shards[k], s.fn)
 }
 
 // runShard runs one scatter leg against shard i, counting the request

@@ -30,4 +30,13 @@
 // exact for a router configured so related vertices land on one shard).
 // The Oracle type is the executable specification of these semantics;
 // the conformance suite holds every served value byte-equal to it.
+//
+// # Allocation
+//
+// A routed call borrows its working memory (per-shard buffers and the
+// scatter's state) from a pool the Cluster keeps, and decodes each
+// shard's CORE.MGET reply straight into its result with
+// client.Conn.ReceiveInts, which builds no reply Value. Once the pool is
+// warm, a routed write allocates nothing and an MGet allocates only the
+// slice it returns; BenchmarkRouterAllocs pins both.
 package cluster

@@ -65,7 +65,59 @@ func FuzzRESP(f *testing.F) {
 		fuzzCommands(t, data)
 		fuzzValues(t, data)
 		diffParserReader(t, data)
+		diffIntArrayValue(t, data)
 	})
+}
+
+// diffIntArrayValue holds ReadIntArray to ReadValue on the same replies:
+// an array of integers hands sink exactly ReadValue's elements, an array
+// holding anything else is an error, any other reply is the same Value,
+// and a read ReadValue rejects is rejected too.
+func diffIntArrayValue(t *testing.T, data []byte) {
+	rv := NewReader(bytes.NewReader(data))
+	ri := NewReader(bytes.NewReader(data))
+	for range 128 {
+		want, werr := rv.ReadValue()
+		var got []int64
+		v, err := ri.ReadIntArray(func(i int, n int64) {
+			if i != len(got) {
+				t.Fatalf("sink got index %d after %d elements", i, len(got))
+			}
+			got = append(got, n)
+		})
+		if werr != nil {
+			if err == nil {
+				t.Fatalf("ReadValue failed (%v), ReadIntArray read %v", werr, v)
+			}
+			checkReadErr(t, err)
+			return
+		}
+		if want.Kind != Array {
+			if err != nil || !valueEqual(v, want) {
+				t.Fatalf("ReadIntArray = %v, %v; ReadValue %v", v, err, want)
+			}
+			continue
+		}
+		allInts := true
+		for _, e := range want.Array {
+			allInts = allInts && e.Kind == Integer
+		}
+		if !allInts {
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("array %v with a non-integer element: ReadIntArray err %v", want, err)
+			}
+			return
+		}
+		if err != nil || v.Kind != Array || len(got) != len(want.Array) {
+			t.Fatalf("ReadIntArray = %v, %v with %d elements; ReadValue %v", v, err, len(got), want)
+		}
+		for i, e := range want.Array {
+			if got[i] != e.Int {
+				t.Fatalf("element %d: sink got %d, ReadValue %d", i, got[i], e.Int)
+			}
+		}
+	}
 }
 
 // argsBomb builds one command of n one-byte args — the many-args shape

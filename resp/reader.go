@@ -208,18 +208,12 @@ func (r *Reader) readValue(depth int) (Value, error) {
 		}
 		return Value{Kind: Bulk, Str: body}, nil
 	case '*':
-		n, err := r.readInt()
+		n, err := r.readArrayLen()
 		if err != nil {
 			return Value{}, err
 		}
 		if n == -1 {
 			return Value{Kind: Nil}, nil
-		}
-		if n < 0 {
-			return Value{}, protoErrorf("negative array length %d", n)
-		}
-		if n > MaxArrayLen {
-			return Value{}, protoErrorf("array length %d exceeds limit %d", n, MaxArrayLen)
 		}
 		elems := make([]Value, 0, min(n, 64))
 		for i := int64(0); i < n; i++ {
@@ -233,6 +227,65 @@ func (r *Reader) readValue(depth int) (Value, error) {
 	default:
 		return Value{}, protoErrorf("unexpected frame byte %q", c)
 	}
+}
+
+// ReadIntArray reads one reply as ReadValue does, except that an array
+// reply is not built: each of its elements, which must all be integers,
+// goes to sink with its index, and the Value returned for the array is
+// Value{Kind: Array} with no elements. It decodes a CORE.MGET reply
+// straight into the caller's result. The array header is bounded as
+// ReadValue bounds it; an element of any other kind is a *ProtocolError,
+// because the rest of the array is left unread. A reply that is not an
+// array is returned whole, as ReadValue returns it.
+func (r *Reader) ReadIntArray(sink func(i int, n int64)) (Value, error) {
+	c, err := r.br.ReadByte()
+	if err != nil {
+		return Value{}, err
+	}
+	if c != '*' {
+		if err := r.br.UnreadByte(); err != nil {
+			return Value{}, err
+		}
+		return r.readValue(0)
+	}
+	n, err := r.readArrayLen()
+	if err != nil {
+		return Value{}, err
+	}
+	if n == -1 {
+		return Value{Kind: Nil}, nil
+	}
+	for i := range int(n) {
+		c, err := r.br.ReadByte()
+		if err != nil {
+			return Value{}, unexpectedEOF(err)
+		}
+		if c != ':' {
+			return Value{}, protoErrorf("array element %d: frame byte %q, want an integer", i, c)
+		}
+		v, err := r.readInt()
+		if err != nil {
+			return Value{}, err
+		}
+		sink(i, v)
+	}
+	return Value{Kind: Array}, nil
+}
+
+// readArrayLen reads a reply array's declared length (its '*' already
+// consumed), bounded by MaxArrayLen; -1 is the null array.
+func (r *Reader) readArrayLen() (int64, error) {
+	n, err := r.readInt()
+	if err != nil {
+		return 0, err
+	}
+	if n < -1 {
+		return 0, protoErrorf("negative array length %d", n)
+	}
+	if n > MaxArrayLen {
+		return 0, protoErrorf("array length %d exceeds limit %d", n, MaxArrayLen)
+	}
+	return n, nil
 }
 
 // readStatusLine reads a simple-string or error payload into a fresh
