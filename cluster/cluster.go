@@ -143,9 +143,9 @@ func (c *Cluster) routeEdges(s *routeScratch, edges []graph.Edge) {
 // InsertEdges routes one write burst: each edge to its owning shard(s),
 // each shard's share as chunked multi-pair CORE.INSERTs in a single
 // pipelined flush. Shards are written in parallel. The router no longer
-// fills epochs; the parameter stays only for existing callers, which pass
-// nil.
-func (c *Cluster) InsertEdges(edges []graph.Edge, epochs []uint64) error {
+// fills epochs: the variadic parameter is ignored and stays only so that
+// callers which still pass nil compile; new callers leave it out.
+func (c *Cluster) InsertEdges(edges []graph.Edge, epochs ...[]uint64) error {
 	if err := c.checkEdges(edges); err != nil {
 		return err
 	}
@@ -159,7 +159,7 @@ func (c *Cluster) InsertEdges(edges []graph.Edge, epochs []uint64) error {
 
 // RemoveEdges routes one removal burst the same way (removals of absent
 // edges are dropped by the engine and never grow the universe).
-func (c *Cluster) RemoveEdges(edges []graph.Edge, epochs []uint64) error {
+func (c *Cluster) RemoveEdges(edges []graph.Edge, epochs ...[]uint64) error {
 	if err := c.checkEdges(edges); err != nil {
 		return err
 	}

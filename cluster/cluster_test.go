@@ -151,9 +151,9 @@ func churn(t *testing.T, c *cluster.Cluster, m *cluster.ShardMap, o *cluster.Ora
 	apply := func(ins bool, batch []graph.Edge) {
 		var err error
 		if ins {
-			err = c.InsertEdges(batch, nil)
+			err = c.InsertEdges(batch)
 		} else {
-			err = c.RemoveEdges(batch, nil)
+			err = c.RemoveEdges(batch)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -360,7 +360,7 @@ func TestShardOutage(t *testing.T) {
 	c := cluster.Connect(m)
 	defer c.Close()
 
-	if err := c.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 150, V: 151}}, nil); err != nil {
+	if err := c.InsertEdges([]graph.Edge{{U: 1, V: 2}, {U: 150, V: 151}}); err != nil {
 		t.Fatal(err)
 	}
 	stop1()
@@ -369,7 +369,7 @@ func TestShardOutage(t *testing.T) {
 	if k, err := c.Get(1); err != nil || k != 1 {
 		t.Fatalf("Get(1) after outage = %d, %v", k, err)
 	}
-	if err := c.InsertEdges([]graph.Edge{{U: 3, V: 4}}, nil); err != nil {
+	if err := c.InsertEdges([]graph.Edge{{U: 3, V: 4}}); err != nil {
 		t.Fatalf("insert into live range: %v", err)
 	}
 
@@ -389,9 +389,9 @@ func TestShardOutage(t *testing.T) {
 	}
 	_, err = c.Get(150)
 	wantShardErr(err, "Get(150)")
-	err = c.InsertEdges([]graph.Edge{{U: 150, V: 152}}, nil)
+	err = c.InsertEdges([]graph.Edge{{U: 150, V: 152}})
 	wantShardErr(err, "insert into dead range")
-	err = c.InsertEdges([]graph.Edge{{U: 5, V: 150}}, nil)
+	err = c.InsertEdges([]graph.Edge{{U: 5, V: 150}})
 	wantShardErr(err, "cross insert touching dead range")
 	_, err = c.Hist()
 	wantShardErr(err, "Hist")
@@ -474,9 +474,9 @@ func TestRoutedWriteSendsOnlyWrites(t *testing.T) {
 	for i, w := range writes {
 		var err error
 		if w.insert {
-			err = c.InsertEdges(w.edges, nil)
+			err = c.InsertEdges(w.edges)
 		} else {
-			err = c.RemoveEdges(w.edges, nil)
+			err = c.RemoveEdges(w.edges)
 		}
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -543,9 +543,9 @@ func TestConcurrentRoutedCalls(t *testing.T) {
 				}
 				var err error
 				if w.insert {
-					err = c.InsertEdges(w.edges, nil)
+					err = c.InsertEdges(w.edges)
 				} else {
-					err = c.RemoveEdges(w.edges, nil)
+					err = c.RemoveEdges(w.edges)
 				}
 				if err != nil {
 					t.Errorf("caller %d, round %d: %v", g, r, err)

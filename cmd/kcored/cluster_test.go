@@ -49,7 +49,7 @@ func clusterDrill(t *testing.T, alg string) {
 	pool := gen.CrossRangeEdges(capacity, shards, bursts*batch, 0.2, seed+1)
 	for b := 0; b < bursts; b++ {
 		chunk := pool[b*batch : (b+1)*batch]
-		if err := c.InsertEdges(chunk, nil); err != nil {
+		if err := c.InsertEdges(chunk); err != nil {
 			t.Fatalf("routed insert: %v", err)
 		}
 		for _, e := range chunk {
@@ -61,7 +61,7 @@ func clusterDrill(t *testing.T, alg string) {
 			for i := range rm {
 				rm[i] = pool[rng.Intn((b+1)*batch)]
 			}
-			if err := c.RemoveEdges(rm, nil); err != nil {
+			if err := c.RemoveEdges(rm); err != nil {
 				t.Fatalf("routed remove: %v", err)
 			}
 			for _, e := range rm {

@@ -6,6 +6,7 @@
 package pcore
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,11 +18,11 @@ import (
 // Engine runs Parallel-Order batches over one State with a fixed set of
 // workers (Algorithm 5: a batch is partitioned statically and each worker
 // processes its share one edge at a time, no preprocessing). The workers and
-// all their scratch live here across batches, so a batch allocates nothing
-// per edge; every buffer but the repair pass's bit set is sized by what
-// operations touched (|V+|, moves, batch length), not by the number of
-// vertices, and none of those outlives its operation above scratchKeep
-// entries.
+// all their scratch live here across batches, so a warm batch allocates
+// nothing but its forks' goroutines: every buffer but the bit set seen is
+// sized by what operations touched (|V+|, moves, batch length), not by the
+// number of vertices. Per-edge scratch is kept up to scratchKeep entries,
+// per-batch buffers up to twice what the last batch used (KeepBatch).
 //
 // One goroutine drives an Engine at a time, and insertion and removal
 // batches never overlap — the paper's algorithms assume it (§4) and the
@@ -31,10 +32,21 @@ type Engine struct {
 	wg      sync.WaitGroup
 	sizes   []int32
 	changed [][]int32
-	// seen is the repair pass's set of vertices already taken as targets,
-	// one bit per vertex, all clear between batches. It is the engine's
-	// one per-vertex buffer (n/8 bytes); run sizes it to the State.
+	// seen is one bit per vertex, all clear between batches, with two
+	// roles (DESIGN.md, "The repair pass"). While the workers apply the
+	// batch it marks the vertices a move has repositioned (recordMove);
+	// in the repair pass it marks the targets already recomputed. It is
+	// the engine's one per-vertex buffer (n/8 bytes); run sizes it to the
+	// State.
 	seen []uint64
+	// shareMask is workers-1 when the number of workers is a power of two,
+	// else -1: a vertex's word of seen is then assigned to a worker by a
+	// mask rather than a division (owner).
+	shareMask int
+	// sameLevel narrows the repair pass to the neighbors at the level of
+	// the move (repairDout). Only this package's tests set it; DESIGN.md,
+	// "The repair pass", says why New leaves it off.
+	sameLevel bool
 
 	// budget is the Σ|V+| an insertion batch may traverse before it
 	// finishes with a rebuild (see InsertEdges); 0 while a removal batch,
@@ -66,9 +78,13 @@ func New(st *core.State, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	e := &Engine{ws: make([]*worker, workers), changed: make([][]int32, workers)}
+	e := &Engine{ws: make([]*worker, workers), changed: make([][]int32, workers), shareMask: -1}
+	if workers&(workers-1) == 0 {
+		e.shareMask = workers - 1
+	}
 	for i := range e.ws {
 		e.ws[i] = newWorker(st)
+		e.ws[i].e = e
 	}
 	return e
 }
@@ -138,10 +154,14 @@ func (e *Engine) RemoveEdges(edges []graph.Edge) Batch {
 // budget, one rebuild finishes it. The calling goroutine is worker 0, so a
 // one-worker engine starts no goroutine at all.
 func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32) Batch {
-	if e.sizes = keep(e.sizes); cap(e.sizes) < len(edges) {
+	if e.sizes = KeepBatch(e.sizes); cap(e.sizes) < len(edges) {
 		e.sizes = make([]int32, len(edges))
 	}
-	sizes := e.sizes[:len(edges)]
+	e.sizes = e.sizes[:len(edges)]
+	sizes := e.sizes
+	if n := e.ws[0].st.N(); len(e.seen)*64 < n {
+		e.seen = make([]uint64, (n+63)/64)
+	}
 	e.spent.Store(0)
 	e.stop.Store(false)
 	for pi := 1; pi < len(e.ws); pi++ {
@@ -167,7 +187,7 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 		e.repair()
 	}
 	for _, w := range e.ws {
-		w.repair, w.targets = keep(w.repair), keep(w.targets)
+		w.moved = KeepBatch(w.moved)
 	}
 
 	b := Batch{Sizes: sizes, Changed: e.changed}
@@ -183,9 +203,15 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 
 // rebuild finishes a batch that spent its budget: it adds the edges no
 // worker took to the graph and recomputes the state from it. The rebuild
-// sets every d⁺out, so the repair pass is skipped.
+// sets every d⁺out, so the repair pass is skipped; it clears the marks the
+// moves left in seen instead.
 func (e *Engine) rebuild(edges []graph.Edge, sizes []int32) {
 	st := e.ws[0].st
+	for _, w := range e.ws {
+		for _, mv := range w.moved {
+			e.seen[mv.v>>6] = 0
+		}
+	}
 	for _, w := range e.ws {
 		for i := w.next; i < len(edges); i += len(e.ws) {
 			sizes[i] = -1
@@ -199,9 +225,6 @@ func (e *Engine) rebuild(edges []graph.Edge, sizes []int32) {
 
 // repair runs the batch-end d⁺out repair (repairDout) on every worker.
 func (e *Engine) repair() {
-	if n := e.ws[0].st.N(); len(e.seen)*64 < n {
-		e.seen = make([]uint64, (n+63)/64)
-	}
 	for pi := 1; pi < len(e.ws); pi++ {
 		e.wg.Add(1)
 		go func(pi int) {
@@ -213,17 +236,32 @@ func (e *Engine) repair() {
 	e.wg.Wait()
 }
 
-// scratchKeep is the largest capacity, in entries, at which a scratch buffer
-// is carried over to the next operation or batch. What the common case needs
+// scratchKeep is the largest capacity, in entries, at which a per-edge
+// scratch buffer is carried over to the next operation, and the least at
+// which a per-batch buffer is (KeepBatch). What the common case needs
 // (Fig. 1: |V+| ≤ 10 for almost every edge) is then never reallocated, while
-// the buffers of the rare huge traversal or batch — which amortize their own
+// the buffers of the rare huge traversal — which amortize their own
 // allocation — are garbage once it is over, so a worker's footprint does not
 // ratchet up to its high-water mark.
 const scratchKeep = 1024
 
-// keep returns buf emptied for reuse, or nil if it has outgrown scratchKeep.
+// keep returns the per-edge buffer buf emptied for reuse, or nil if it has
+// outgrown scratchKeep.
 func keep[T any](buf []T) []T {
 	if cap(buf) > scratchKeep {
+		return nil
+	}
+	return buf[:0]
+}
+
+// KeepBatch returns the per-batch buffer buf, whose length is what the batch
+// just over used, emptied for the next batch — or nil if its capacity is
+// more than max(scratchKeep, 2·len(buf)). A run of like-sized batches then
+// reuses one buffer, while the one a single huge batch grew is dropped once
+// a batch that used less than half of it is over, instead of pinning its
+// high-water mark.
+func KeepBatch[T any](buf []T) []T {
+	if cap(buf) > max(scratchKeep, 2*len(buf)) {
 		return nil
 	}
 	return buf[:0]
@@ -237,22 +275,17 @@ func keep[T any](buf []T) []T {
 // never reallocates (DESIGN.md, "Worker scratch").
 type worker struct {
 	st *core.State
+	e  *Engine
 
 	// per batch
 	m Metrics
-	// repair collects every vertex this worker repositioned — promoted
-	// into O_{k+1}, dropped into O_{k-1}, evicted within O_k — and the
-	// neighbors recordMove's rule selects; repairDout recomputes their
-	// d⁺out when the batch is quiescent. Neighbors are recorded at the
-	// move because edges can be removed later in the batch, hiding an
-	// affected neighbor from a batch-end adjacency scan.
-	repair []int32
-	// targets is the share of all workers' repair sets that this worker
-	// recomputes (repairDout), each vertex once.
-	targets []int32
-	// sameLevel narrows recordMove to the neighbors at the level of the
-	// move. No engine sets it yet: see recordMove.
-	sameLevel bool
+	// moved lists every vertex this worker repositioned — promoted into
+	// O_{k+1}, dropped into O_{k-1}, evicted within O_k — with the level k
+	// of the move, and, at level anyLevel, every endpoint of a removed
+	// edge whose other endpoint had already moved (recordMove,
+	// recordRemoval). repairDout expands it into the batch's repair
+	// targets when the batch is quiescent.
+	moved []move
 	// changed is the concatenated V* of the edges this worker applied.
 	changed []int32
 	// next is the first edge of the worker's share it did not take: past
@@ -282,7 +315,7 @@ func newWorker(st *core.State) *worker {
 // An edge the worker has started always finishes.
 func (p *worker) applyShare(e *Engine, edges []graph.Edge, sizes []int32, pi int, apply func(*worker, int32, int32) int32) {
 	p.m = Metrics{}
-	p.changed = keep(p.changed)
+	p.changed = KeepBatch(p.changed)
 	p.unspent, p.spentSeen = 0, 0
 	i := pi
 	for ; i < len(edges) && !e.stop.Load(); i += len(e.ws) {
@@ -318,81 +351,176 @@ func (p *worker) resetScratch() {
 	p.rq = keep(p.rq)
 }
 
-// recordMove adds w, which this worker has just repositioned at level k and
-// still holds locked (so its adjacency is stable), to the repair set together
-// with its neighbors — all of them, or with sameLevel only those whose core
-// number is k.
+// move is one entry of a worker's moved list: a vertex and the level of its
+// move, or anyLevel for a vertex recorded alone.
+type move struct{ v, level int32 }
+
+// anyLevel is the level of a moved-list entry that names a repair target
+// but no neighborhood to expand.
+const anyLevel int32 = -1
+
+// recordMove records that this worker has just repositioned w at level k.
+// The worker still holds w locked, so the mark it sets in the engine's seen
+// set is visible to every later holder of w's lock — in particular to a
+// removal of one of w's edges later in the batch (recordRemoval).
 //
-// Only the level-k neighbors can have flipped. A move at level k is a promotion from O_k to
-// the head of O_{k+1}, a drop from O_k to the tail of O_{k-1}, or an eviction
-// to a later place inside O_k. A neighbor x that never moves during the batch
-// keeps one core number c throughout, so whenever it is read here it reads c:
-// if c < k-1 or c > k+1, x is on the same side of w before and after; if
-// c = k+1, w either stays below O_{k+1} or enters it at the head, in front of
-// every vertex that does not move; if c = k-1, w either stays above O_{k-1}
-// or enters it at the tail, behind every vertex that does not move. That
-// leaves c = k, which is recorded. A neighbor that does move during the
-// batch, before or after this read, is recorded by its own mover. And d⁺out
-// of a vertex recorded by nobody is only ever changed by the insertion or
-// removal of one of its own edges, under both endpoint locks, which is exact.
-//
-// The whole neighborhood is a superset of that, so both settings are exact;
-// it is also what makes one low-core vertex beside a hub cost the hub's
-// adjacency scan. This package's tests run with sameLevel on; New leaves it
-// off, because switching it on multiplies write throughput by 2 to 7 and the
-// benchmark's spread check, an absolute band around the parent's median,
-// cannot judge a change of that size (CHANGES.md, PRs 12 and 23, say how to
-// land it).
+// Only w and its neighbors can need their d⁺out recomputed, and of the
+// neighbors only those at level k: a move at level k is a promotion from
+// O_k to the head of O_{k+1}, a drop from O_k to the tail of O_{k-1}, or an
+// eviction to a later place inside O_k. A neighbor x that never moves
+// during the batch keeps one core number c throughout: if c < k-1 or
+// c > k+1, x is on the same side of w before and after; if c = k+1, w either
+// stays below O_{k+1} or enters it at the head, in front of every vertex
+// that does not move; if c = k-1, w either stays above O_{k-1} or enters it
+// at the tail, behind every vertex that does not move. That leaves c = k. A
+// neighbor that does move during the batch is recorded by its own mover.
+// And d⁺out of a vertex recorded by nobody is only ever changed by the
+// insertion or removal of one of its own edges, under both endpoint locks,
+// which is exact. The neighborhood is read when the batch is quiescent
+// (repairDout), not here, so the move costs one entry, not a copy of w's
+// adjacency.
 func (p *worker) recordMove(w, k int32) {
-	st := p.st
-	p.repair = append(p.repair, w)
-	if p.sameLevel {
-		for _, x := range st.G.Adj(w) {
-			if st.Core[x].Load() == k {
-				p.repair = append(p.repair, x)
-			}
-		}
-	} else {
-		p.repair = append(p.repair, st.G.Adj(w)...)
+	p.moved = append(p.moved, move{w, k})
+	atomic.OrUint64(&p.e.seen[w>>6], 1<<(w&63))
+}
+
+// recordRemoval runs when this worker, holding both endpoint locks, removes
+// the edge (u, v). An endpoint that has moved earlier in the batch may have
+// flipped the edge's orientation without the other endpoint's d⁺out
+// following; once the edge is gone, the batch-end expansion of the mover's
+// adjacency no longer reaches the other endpoint, so it is recorded here.
+// The move marked its vertex under the lock this worker now holds, so the
+// mark is seen exactly when the move came first.
+func (p *worker) recordRemoval(u, v int32) {
+	if p.e.movedEarlier(u) {
+		p.moved = append(p.moved, move{v, anyLevel})
+	}
+	if p.e.movedEarlier(v) {
+		p.moved = append(p.moved, move{u, anyLevel})
 	}
 }
 
-// repairDout recomputes d⁺out for worker pi's share of the repair sets, once
-// every worker has quiesced. Within a batch each worker maintains d⁺out
-// incrementally as Algorithm 7 prescribes; what this pass settles is the
-// orientation of edges whose endpoints were repositioned by different
-// workers — their relative order at the head of O_{k+1} (or the tail of
-// O_{k-1}) is decided by lock interleaving and is only observable now — and
-// of the edges a drop flips, which removal leaves to this pass altogether.
+// movedEarlier reports whether a move of this batch has marked v. The
+// caller holds v's lock.
+func (e *Engine) movedEarlier(v int32) bool {
+	return atomic.LoadUint64(&e.seen[v>>6])&(1<<(v&63)) != 0
+}
+
+// repairDout recomputes d⁺out for worker pi's share of the batch's repair
+// targets, once every worker has quiesced. Within a batch each worker
+// maintains d⁺out incrementally as Algorithm 7 prescribes; what this pass
+// settles is the orientation of edges whose endpoints were repositioned by
+// different workers — their relative order at the head of O_{k+1} (or the
+// tail of O_{k-1}) is decided by lock interleaving and is only observable
+// now — and of the edges a drop flips, which removal leaves to this pass
+// altogether.
 //
-// Worker pi takes, out of every worker's set, the vertices whose word of the
-// engine's bit set has index congruent to pi modulo the number of workers:
-// no two workers touch one word, and a vertex is recomputed once however
-// often and by however many workers it was recorded. Cost: one pass over the
-// recorded entries plus one adjacency scan per distinct target t — the moved
-// vertices and their neighborhoods — in which each entry costs one Core read,
-// and one label read if it shares t's core (RecomputeDout reads plainly: no
-// vertex moves until every worker is done); with sameLevel, |targets| ≤
-// Σ_{w moved} (1 + |{x ∈ N(w) : core(x) = level of the move}|) and a neighbor
-// at another level — the hub next to a low-core vertex — is never scanned.
+// The targets are every worker's moved list expanded: each moved vertex w,
+// its neighbors now — all of them, or with sameLevel those whose core
+// number is the level of the move (recordMove says why that is enough) —
+// and the endpoints recordRemoval named. Worker pi takes the targets whose
+// word of the engine's bit set has index congruent to pi modulo the number
+// of workers, so no two workers touch one word. It clears the marks the
+// moves left in its words, walks the expansion once to mark its targets,
+// and then recomputes each marked target once and clears its mark — by
+// walking the expansion again, or, when that walk was longer than the
+// worker's share of the bit set, by scanning the share's words, which
+// visits the targets in id order. Either way a vertex is recomputed once
+// however often and by however many workers it was named, and the bit set
+// is clear again at the end. Cost: one or two walks over the moved
+// vertices' adjacencies, at most min(walk, n/64/workers) word reads, and
+// one adjacency scan per distinct target t, in which each entry costs one
+// Core read, and one label read if it shares t's core (RecomputeDout reads
+// plainly: no vertex moves until every worker is done); with sameLevel a
+// neighbor at another level — the hub next to a low-core vertex — is never
+// scanned.
 func (p *worker) repairDout(e *Engine, pi int) {
-	targets := p.targets[:0]
 	for _, w := range e.ws {
-		for _, v := range w.repair {
-			word, bit := int(v>>6), uint64(1)<<(v&63)
-			if word%len(e.ws) == pi && e.seen[word]&bit == 0 {
-				e.seen[word] |= bit
-				targets = append(targets, v)
+		for _, mv := range w.moved {
+			if e.owner(mv.v) == pi {
+				e.seen[mv.v>>6] = 0
 			}
 		}
 	}
-	for _, v := range targets {
-		if traceFn != nil {
-			traceFn(traceRepair, v)
-		}
-		p.st.RecomputeDout(v)
-		e.seen[v>>6] = 0
+	scan := p.expand(e, pi, true) > int64(len(e.seen)/len(e.ws))
+	if traceFn != nil {
+		traceFn(traceRepairScan, scan)
 	}
-	p.targets = targets
-	p.m.RepairTargets = int64(len(targets))
+	if scan {
+		p.m.RepairTargets = p.recomputeMarked(e, pi)
+	} else {
+		p.m.RepairTargets = p.expand(e, pi, false)
+	}
+}
+
+// owner returns the worker whose share of seen holds v's word.
+func (e *Engine) owner(v int32) int {
+	if e.shareMask >= 0 {
+		return int(v>>6) & e.shareMask
+	}
+	return int(v>>6) % len(e.ws)
+}
+
+// expand walks the batch's repair sources — every worker's moved list,
+// each moved vertex with its neighborhood — and visits the targets in
+// worker pi's share. With mark it marks each one and returns how many
+// entries named one; without, it recomputes each marked one, clears its
+// mark and returns the number recomputed.
+func (p *worker) expand(e *Engine, pi int, mark bool) int64 {
+	n := int64(0)
+	for _, w := range e.ws {
+		for _, mv := range w.moved {
+			n += p.visit(e, pi, mv.v, mark)
+			if mv.level == anyLevel {
+				continue
+			}
+			for _, x := range p.st.G.Adj(mv.v) {
+				if !e.sameLevel || p.st.Core[x].Load() == mv.level {
+					n += p.visit(e, pi, x, mark)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// visit is expand's step for one named vertex v; it returns what expand
+// counts.
+func (p *worker) visit(e *Engine, pi int, v int32, mark bool) int64 {
+	if e.owner(v) != pi {
+		return 0
+	}
+	word, bit := v>>6, uint64(1)<<(v&63)
+	if mark {
+		e.seen[word] |= bit
+		return 1
+	}
+	if e.seen[word]&bit == 0 {
+		return 0
+	}
+	e.seen[word] &^= bit
+	p.recompute(v)
+	return 1
+}
+
+// recomputeMarked recomputes every target marked in worker pi's words of
+// seen, in id order, clears the words, and returns the number recomputed.
+func (p *worker) recomputeMarked(e *Engine, pi int) int64 {
+	n := int64(0)
+	for word := pi; word < len(e.seen); word += len(e.ws) {
+		for b := e.seen[word]; b != 0; b &= b - 1 {
+			p.recompute(int32(word<<6 + bits.TrailingZeros64(b)))
+			n++
+		}
+		e.seen[word] = 0
+	}
+	return n
+}
+
+// recompute recomputes one repair target's d⁺out.
+func (p *worker) recompute(v int32) {
+	if traceFn != nil {
+		traceFn(traceRepair, v)
+	}
+	p.st.RecomputeDout(v)
 }

@@ -5,15 +5,13 @@ import (
 	"repro/internal/core"
 )
 
-// newSameLevel returns an engine whose workers repair by the same-level rule
-// (worker.recordMove), which New leaves off. Every test that goes through the
+// newSameLevel returns an engine that repairs by the same-level rule
+// (worker.recordMove, Engine.repairDout), which New leaves off. Every test that goes through the
 // helpers below asserts I2 under it; the engines kcore builds, and the tests
 // there, run the whole-neighborhood rule.
 func newSameLevel(st *core.State, workers int) *Engine {
 	e := New(st, workers)
-	for _, w := range e.ws {
-		w.sameLevel = true
-	}
+	e.sameLevel = true
 	return e
 }
 

@@ -43,6 +43,7 @@ func (p *worker) removeEdge(u, v int32) int32 {
 	} else {
 		st.Dout[v].Add(-1)
 	}
+	p.recordRemoval(u, v)
 	st.G.RemoveEdge(u, v) // line 4
 
 	droppedU, droppedV := false, false

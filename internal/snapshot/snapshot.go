@@ -18,13 +18,15 @@
 // A page, page table or histogram lives through a run of epochs: it
 // enters the views at epoch b and is last in the view of epoch r, which
 // the next publication replaces it in. That publication retires it. A
-// retired object is reclaimed — poisoned (pages and histograms filled with
-// -1, tables cleared) and put on a capped free list that later
-// publications take from before they allocate — once no reader can reach
-// it: no Reader is pinned at an epoch in [b, r] and no View of an epoch
-// >= b has ever escaped through Current. An object that cannot be
-// reclaimed goes to the garbage collector. So a View a reader holds never
-// changes while the reader may use it: for the escaping accessor Current
+// retired object is reclaimed once no reader can reach it: no Reader is
+// pinned at an epoch in [b, r] and no View of an epoch >= b has ever
+// escaped through Current. Reclaiming poisons it (pages and histograms
+// filled with -1, tables cleared) and puts it on a capped free list that
+// later publications take from before they allocate. The page list holds
+// up to the current View's page count, so a warm publication that dirties
+// every page allocates none. An object that cannot be reclaimed, or finds
+// its list full, goes to the garbage collector. So a View a reader holds
+// never changes while the reader may use it: for the escaping accessor Current
 // that is forever, for a Reader's Pin until its Unpin.
 package snapshot
 
@@ -47,11 +49,11 @@ const (
 
 	pageMask = PageSize - 1
 
-	// The free lists' caps: 64 pages (256 KiB) is four times what one
-	// delta publication dirties on the serving benchmarks (≈ 8 to 16
-	// pages), and a publication retires at most one table and one
-	// histogram.
-	maxFreePages  = 64
+	// The free lists' caps. The page list has none of its own: it holds
+	// at most the current View's page count (reclaim), which is what the
+	// largest delta publication — one that dirties every page — retires,
+	// so at most one extra copy of the core array. A publication retires
+	// at most one table and one histogram.
 	maxFreeTables = 2
 	maxFreeHists  = 2
 	// pinSlots caps the Readers pinned at once; past it a Pin escapes. A
@@ -308,6 +310,10 @@ func (p *Publisher) Load(cores []int32, m int64, epoch uint64) uint64 {
 		p.retire(retiree{born: p.histBorn, hist: old.Hist})
 	}
 	numPages := (len(cores) + PageSize - 1) / PageSize
+	if len(p.freePages) > numPages { // a smaller universe: keep the cap
+		clear(p.freePages[numPages:])
+		p.freePages = p.freePages[:numPages]
+	}
 	pages := p.takeTable(numPages)
 	for i := range pages {
 		lo := i << PageBits
@@ -531,10 +537,12 @@ func (p *Publisher) retire(o retiree) {
 }
 
 // reclaim poisons o and puts it on its free list, or leaves it to the
-// garbage collector when the list is full.
+// garbage collector when the list is full. The page list is full at the
+// current View's page count (len(pageBorn)): a publication that dirties
+// every page then takes every page from it.
 func (p *Publisher) reclaim(o retiree) {
 	switch {
-	case o.page != nil && cap(o.page) == PageSize && len(p.freePages) < maxFreePages:
+	case o.page != nil && cap(o.page) == PageSize && len(p.freePages) < len(p.pageBorn):
 		pg := o.page[:PageSize]
 		fill(pg, poison)
 		p.freePages = append(p.freePages, pg)
@@ -582,22 +590,27 @@ func (p *Publisher) takePage(n int) []int32 {
 
 // takeTable returns a page table of length n with unspecified entries.
 func (p *Publisher) takeTable(n int) [][]int32 {
-	for i, t := range p.freeTables {
-		if cap(t) >= n {
-			p.freeTables = slices.Delete(p.freeTables, i, i+1)
-			return t[:n]
-		}
-	}
-	return make([][]int32, n)
+	return takeFit(&p.freeTables, n)[:n]
 }
 
 // takeHist returns an empty histogram with room for n bins.
 func (p *Publisher) takeHist(n int) []int64 {
-	for i, h := range p.freeHists {
-		if cap(h) >= n {
-			p.freeHists = slices.Delete(p.freeHists, i, i+1)
-			return h[:0]
+	return takeFit(&p.freeHists, n)[:0]
+}
+
+// takeFit pops entries off the free list *free until one has capacity for
+// n, and allocates one if none does. An entry too short for n is dropped,
+// not skipped: tables and histograms grow with the graph and its largest
+// core, so one left behind by an earlier, smaller view would hold a slot
+// of the capped list for good, and with every slot so held each retired
+// object would go to the garbage collector and each publication allocate.
+func takeFit[T any](free *[][]T, n int) []T {
+	for k := len(*free) - 1; k >= 0; k-- {
+		s := (*free)[k]
+		*free = slices.Delete(*free, k, k+1)
+		if cap(s) >= n {
+			return s
 		}
 	}
-	return make([]int64, 0, n)
+	return make([]T, n)
 }

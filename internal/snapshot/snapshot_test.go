@@ -408,3 +408,66 @@ func TestCoresIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("CoresInto %v", out)
 	}
 }
+
+// TestPublishEveryPageRecycled: once warm, a delta publication that dirties
+// every page of a view — here 100, more than any fixed cap would hold —
+// takes every page it clones from the free list, so a burst that touches
+// the whole core array allocates no page.
+func TestPublishEveryPageRecycled(t *testing.T) {
+	const pages = 100
+	n := pages * PageSize
+	cores := make([]int32, n)
+	var p Publisher
+	p.Load(make([]int32, n), 0, 1)
+	onePerPage := make([]int32, pages)
+	for i := range onePerPage {
+		onePerPage[i] = int32(i * PageSize)
+	}
+	for round := range 4 {
+		for _, v := range onePerPage {
+			cores[v] = int32(round%2 + 1)
+		}
+		before := p.Stats()
+		p.Publish(n, 0, onePerPage, coresOf(cores))
+		st := p.Stats()
+		if d := st.DirtyPages - before.DirtyPages; d != pages {
+			t.Fatalf("round %d: %d dirty pages, want %d", round, d, pages)
+		}
+		// Load's pages are the caller's array, never recycled, so the
+		// free list first holds pages at the third publication.
+		if r := st.Recycled - before.Recycled; round >= 2 && r != pages {
+			t.Fatalf("round %d: %d of %d dirty pages recycled, want all", round, r, pages)
+		}
+	}
+	if h := p.Head(); h.MaxCore != 2 {
+		t.Fatalf("max core %d, want 2", h.MaxCore)
+	}
+}
+
+// TestPublishAllocsAfterHistGrowth: the histograms a rising largest core
+// leaves on the free list are each too short for the next one. They must
+// not hold the list's slots: once the core stops rising, a warm delta
+// publication allocates its View and nothing else — its page, table and
+// histogram are the ones the publication before it retired.
+func TestPublishAllocsAfterHistGrowth(t *testing.T) {
+	n := 2 * PageSize
+	cores := make([]int32, n)
+	of := coresOf(cores)
+	var p Publisher
+	p.Load(make([]int32, n), 0, 1)
+	changed := []int32{0}
+	for c := int32(1); c <= 8; c++ {
+		cores[0] = c
+		p.Publish(n, 0, changed, of)
+	}
+	flip := []int32{1}
+	publish := func() {
+		cores[1] ^= 1
+		p.Publish(n, 0, flip, of)
+	}
+	publish()
+	publish()
+	if got := testing.AllocsPerRun(20, publish); got > 1 {
+		t.Fatalf("%.1f allocations per warm delta publication, want 1 (the View)", got)
+	}
+}

@@ -80,6 +80,7 @@ import (
 
 	"repro/graph"
 	"repro/internal/bz"
+	"repro/internal/pcore"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
@@ -253,10 +254,6 @@ type engine struct {
 	// its address through an interface.
 	res BatchResult
 }
-
-// changedKeep is the largest changed-vertex scratch, in entries, carried
-// over to the next batch: the buffer one huge batch grew is dropped.
-const changedKeep = 1024
 
 // Maintainer tracks core numbers of one dynamic graph. Create it with New;
 // all methods are safe for concurrent use. Updates serialize through the
@@ -624,13 +621,12 @@ func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
 // copy-on-write publication of the batch's raw report, which grows the
 // snapshot to any universe prepareBatch grew and patches only the vertices
 // whose core moved — O(|V*| + dirtyPages·PageSize), not O(n).
-// The report is dead after publication; the buffer one huge batch grew is
-// not kept.
+// The report is dead after publication; its buffer is kept for the next
+// batch by the engine's per-batch rule (pcore.KeepBatch), so the one a
+// single huge batch grew is not.
 func (eng *engine) publishAfter(res *BatchResult) {
 	eng.wm.set(eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf))
-	if cap(res.changed) > changedKeep {
-		res.changed = nil
-	}
+	res.changed = pcore.KeepBatch(res.changed)
 }
 
 func (eng *engine) check() error { return eng.impl.Check() }
