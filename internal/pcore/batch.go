@@ -35,14 +35,10 @@ type Engine struct {
 	// seen is one bit per vertex, all clear between batches, with two
 	// roles (DESIGN.md, "The repair pass"). While the workers apply the
 	// batch it marks the vertices a move has repositioned (recordMove);
-	// in the repair pass it marks the targets already recomputed. It is
-	// the engine's one per-vertex buffer (n/8 bytes); run sizes it to the
-	// State.
+	// in the repair pass it marks the targets, which a scan of the words
+	// then recomputes and clears (repairDout). It is the engine's one
+	// per-vertex buffer (n/8 bytes); run sizes it to the State.
 	seen []uint64
-	// shareMask is workers-1 when the number of workers is a power of two,
-	// else -1: a vertex's word of seen is then assigned to a worker by a
-	// mask rather than a division (owner).
-	shareMask int
 	// sameLevel narrows the repair pass to the neighbors at the level of
 	// the move (repairDout). Only this package's tests set it; DESIGN.md,
 	// "The repair pass", says why New leaves it off.
@@ -78,10 +74,7 @@ func New(st *core.State, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	e := &Engine{ws: make([]*worker, workers), changed: make([][]int32, workers), shareMask: -1}
-	if workers&(workers-1) == 0 {
-		e.shareMask = workers - 1
-	}
+	e := &Engine{ws: make([]*worker, workers), changed: make([][]int32, workers)}
 	for i := range e.ws {
 		e.ws[i] = newWorker(st)
 		e.ws[i].e = e
@@ -168,10 +161,10 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 		e.wg.Add(1)
 		go func(pi int) {
 			defer e.wg.Done()
-			e.ws[pi].applyShare(e, edges, sizes, pi, apply)
+			e.ws[pi].applyShare(edges, sizes, pi, apply)
 		}(pi)
 	}
-	e.ws[0].applyShare(e, edges, sizes, 0, apply)
+	e.ws[0].applyShare(edges, sizes, 0, apply)
 	e.wg.Wait()
 
 	// A batch is one long computation on the caller's goroutine, which a
@@ -229,10 +222,10 @@ func (e *Engine) repair() {
 		e.wg.Add(1)
 		go func(pi int) {
 			defer e.wg.Done()
-			e.ws[pi].repairDout(e, pi)
+			e.ws[pi].repairDout(pi)
 		}(pi)
 	}
-	e.ws[0].repairDout(e, 0)
+	e.ws[0].repairDout(0)
 	e.wg.Wait()
 }
 
@@ -313,7 +306,8 @@ func newWorker(st *core.State) *worker {
 // applyShare runs the worker's static share of the batch: edges pi,
 // pi+stride, and so on, until it is done or the batch's budget is spent.
 // An edge the worker has started always finishes.
-func (p *worker) applyShare(e *Engine, edges []graph.Edge, sizes []int32, pi int, apply func(*worker, int32, int32) int32) {
+func (p *worker) applyShare(edges []graph.Edge, sizes []int32, pi int, apply func(*worker, int32, int32) int32) {
+	e := p.e
 	p.m = Metrics{}
 	p.changed = KeepBatch(p.changed)
 	p.unspent, p.spentSeen = 0, 0
@@ -321,7 +315,7 @@ func (p *worker) applyShare(e *Engine, edges []graph.Edge, sizes []int32, pi int
 	for ; i < len(edges) && !e.stop.Load(); i += len(e.ws) {
 		sizes[i] = apply(p, edges[i].U, edges[i].V)
 		if e.budget > 0 && sizes[i] > 0 {
-			p.spend(e, int64(sizes[i]))
+			p.spend(int64(sizes[i]))
 		}
 	}
 	p.next = i
@@ -331,7 +325,8 @@ func (p *worker) applyShare(e *Engine, edges []graph.Edge, sizes []int32, pi int
 // The worker adds to the shared total only every publishEvery, or when its
 // own view of the total — exact with one worker — passes the budget; it
 // sets stop once the shared total has.
-func (p *worker) spend(e *Engine, vplus int64) {
+func (p *worker) spend(vplus int64) {
+	e := p.e
 	p.unspent += vplus
 	if p.unspent < publishEvery && p.spentSeen+p.unspent <= e.budget {
 		return
@@ -421,20 +416,18 @@ func (e *Engine) movedEarlier(v int32) bool {
 // and the endpoints recordRemoval named. Worker pi takes the targets whose
 // word of the engine's bit set has index congruent to pi modulo the number
 // of workers, so no two workers touch one word. It clears the marks the
-// moves left in its words, walks the expansion once to mark its targets,
-// and then recomputes each marked target once and clears its mark — by
-// walking the expansion again, or, when that walk was longer than the
-// worker's share of the bit set, by scanning the share's words, which
-// visits the targets in id order. Either way a vertex is recomputed once
-// however often and by however many workers it was named, and the bit set
-// is clear again at the end. Cost: one or two walks over the moved
-// vertices' adjacencies, at most min(walk, n/64/workers) word reads, and
-// one adjacency scan per distinct target t, in which each entry costs one
-// Core read, and one label read if it shares t's core (RecomputeDout reads
-// plainly: no vertex moves until every worker is done); with sameLevel a
-// neighbor at another level — the hub next to a low-core vertex — is never
-// scanned.
-func (p *worker) repairDout(e *Engine, pi int) {
+// moves left in its words, walks the expansion to mark its targets, and then
+// scans its words, recomputing each marked target in id order and clearing
+// the words as it goes. A vertex is thus recomputed once however often and
+// by however many workers it was named, and the bit set is clear again at
+// the end. Cost: one walk over the moved vertices' adjacencies, n/64/workers
+// word reads, and one adjacency scan per distinct target t, in which each
+// entry costs one Core read, and one label read if it shares t's core
+// (RecomputeDout reads plainly: no vertex moves until every worker is done);
+// with sameLevel a neighbor at another level — the hub next to a low-core
+// vertex — is never scanned.
+func (p *worker) repairDout(pi int) {
+	e := p.e
 	for _, w := range e.ws {
 		for _, mv := range w.moved {
 			if e.owner(mv.v) == pi {
@@ -442,79 +435,44 @@ func (p *worker) repairDout(e *Engine, pi int) {
 			}
 		}
 	}
-	scan := p.expand(e, pi, true) > int64(len(e.seen)/len(e.ws))
-	if traceFn != nil {
-		traceFn(traceRepairScan, scan)
-	}
-	if scan {
-		p.m.RepairTargets = p.recomputeMarked(e, pi)
-	} else {
-		p.m.RepairTargets = p.expand(e, pi, false)
-	}
-}
-
-// owner returns the worker whose share of seen holds v's word.
-func (e *Engine) owner(v int32) int {
-	if e.shareMask >= 0 {
-		return int(v>>6) & e.shareMask
-	}
-	return int(v>>6) % len(e.ws)
-}
-
-// expand walks the batch's repair sources — every worker's moved list,
-// each moved vertex with its neighborhood — and visits the targets in
-// worker pi's share. With mark it marks each one and returns how many
-// entries named one; without, it recomputes each marked one, clears its
-// mark and returns the number recomputed.
-func (p *worker) expand(e *Engine, pi int, mark bool) int64 {
-	n := int64(0)
 	for _, w := range e.ws {
 		for _, mv := range w.moved {
-			n += p.visit(e, pi, mv.v, mark)
+			e.mark(pi, mv.v)
 			if mv.level == anyLevel {
 				continue
 			}
 			for _, x := range p.st.G.Adj(mv.v) {
 				if !e.sameLevel || p.st.Core[x].Load() == mv.level {
-					n += p.visit(e, pi, x, mark)
+					e.mark(pi, x)
 				}
 			}
 		}
 	}
-	return n
-}
-
-// visit is expand's step for one named vertex v; it returns what expand
-// counts.
-func (p *worker) visit(e *Engine, pi int, v int32, mark bool) int64 {
-	if e.owner(v) != pi {
-		return 0
-	}
-	word, bit := v>>6, uint64(1)<<(v&63)
-	if mark {
-		e.seen[word] |= bit
-		return 1
-	}
-	if e.seen[word]&bit == 0 {
-		return 0
-	}
-	e.seen[word] &^= bit
-	p.recompute(v)
-	return 1
-}
-
-// recomputeMarked recomputes every target marked in worker pi's words of
-// seen, in id order, clears the words, and returns the number recomputed.
-func (p *worker) recomputeMarked(e *Engine, pi int) int64 {
 	n := int64(0)
 	for word := pi; word < len(e.seen); word += len(e.ws) {
-		for b := e.seen[word]; b != 0; b &= b - 1 {
+		b := e.seen[word]
+		if b == 0 {
+			continue
+		}
+		e.seen[word] = 0
+		for ; b != 0; b &= b - 1 {
 			p.recompute(int32(word<<6 + bits.TrailingZeros64(b)))
 			n++
 		}
-		e.seen[word] = 0
 	}
-	return n
+	p.m.RepairTargets = n
+}
+
+// owner returns the worker whose share of seen holds v's word.
+func (e *Engine) owner(v int32) int {
+	return int(v>>6) % len(e.ws)
+}
+
+// mark sets v's bit in seen if v's word is in worker pi's share.
+func (e *Engine) mark(pi int, v int32) {
+	if e.owner(v) == pi {
+		e.seen[v>>6] |= 1 << (v & 63)
+	}
 }
 
 // recompute recomputes one repair target's d⁺out.

@@ -202,11 +202,5 @@ func (q *pqueue) dequeue() (int32, bool) {
 // code paths. Installed only by tests; nil in production use.
 var traceFn func(format string, args ...any)
 
-// traceRepair is the event format of one batch-end d⁺out recomputation,
-// and traceRepairScan that of a worker's repair pass, whose argument tells
-// whether it recomputed its targets by scanning its words of the bit set
-// (true) or by walking the expansion again (false).
-const (
-	traceRepair     = "repair dout[%d]"
-	traceRepairScan = "repair pass by scan: %v"
-)
+// traceRepair is the event format of one batch-end d⁺out recomputation.
+const traceRepair = "repair dout[%d]"

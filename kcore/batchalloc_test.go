@@ -39,13 +39,17 @@ func TestWarmBatchAllocs(t *testing.T) {
 				perBatch := testing.AllocsPerRun(10, round) / 2
 				t.Logf("%.1f allocations per warm %d-edge batch (%d moves a round)", perBatch, size, moved/11)
 				// Per batch: the future, the result's VPlusSizes and
-				// the View, plus with two workers the two forks'
+				// the View (3), plus with two workers the two forks'
 				// goroutine closures and what the runtime allocates
-				// for the goroutines themselves.
-				const maxPerBatch = 8
+				// for the goroutines themselves (4 more); one of
+				// slack at each worker count.
+				maxPerBatch := 4.0
+				if workers == 2 {
+					maxPerBatch = 8
+				}
 				if perBatch > maxPerBatch {
-					t.Fatalf("%.1f allocations per warm %d-edge batch, want at most %d whatever the size",
-						perBatch, size, maxPerBatch)
+					t.Fatalf("%.1f allocations per warm %d-edge batch at w=%d, want at most %.0f whatever the size",
+						perBatch, size, workers, maxPerBatch)
 				}
 				if err := m.Check(); err != nil {
 					t.Fatal(err)
