@@ -15,7 +15,7 @@ import (
 //	   most its core number, and the stored Dout matches;
 //	I3 every stored (non-empty) mcd matches Definition 3.8;
 //	I4 each OM list is structurally sound and holds exactly the vertices
-//	   of its core value; Din, S and T are quiescent (0 / even).
+//	   of its core value; S and T are quiescent (even / 0).
 //
 // It must only be called with no maintenance operation in flight.
 func (st *State) CheckInvariants() error {
@@ -66,9 +66,6 @@ func (st *State) CheckInvariants() error {
 		}
 		if c := st.Core[v].Load(); dout > c {
 			return fmt.Errorf("I2: dout[%d] = %d exceeds core %d (invalid k-order)", v, dout, c)
-		}
-		if st.Din[v] != 0 {
-			return fmt.Errorf("I4: din[%d] = %d at quiescence", v, st.Din[v])
 		}
 		if s := st.S[v].Load(); s&1 != 0 {
 			return fmt.Errorf("I4: s[%d] = %d odd at quiescence", v, s)

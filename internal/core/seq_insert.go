@@ -77,7 +77,8 @@ func (h *orderHeap) refreshIfStale() {
 }
 
 // insertRun carries the per-operation scratch state of one sequential edge
-// insertion: V*, V+, the priority queue Q and the Backward queue R.
+// insertion: V*, V+, the candidate in-degrees d*in, the priority queue Q and
+// the Backward queue R.
 type insertRun struct {
 	st     *State
 	k      int32
@@ -85,7 +86,8 @@ type insertRun struct {
 	inQ    map[int32]bool
 	vstar  []int32 // candidate set in discovery (= k-) order
 	inStar map[int32]bool
-	done   map[int32]bool // V+ \ V*: confirmed non-candidates, final
+	din    map[int32]int32 // d*in of the members of V*
+	done   map[int32]bool  // V+ \ V*: confirmed non-candidates, final
 	vplus  []int32
 }
 
@@ -117,6 +119,7 @@ func (st *State) InsertEdgeSeq(u, v int32) InsertStats {
 		q:      newOrderHeap(st, st.List(k)),
 		inQ:    map[int32]bool{},
 		inStar: map[int32]bool{},
+		din:    map[int32]int32{},
 		done:   map[int32]bool{},
 	}
 	w := u
@@ -131,12 +134,11 @@ func (st *State) InsertEdgeSeq(u, v int32) InsertStats {
 				din++
 			}
 		}
-		st.Din[w] = din
 		switch {
 		case din+st.Dout[w].Load() > k:
-			run.forward(w)
+			run.forward(w, din)
 		case din > 0:
-			run.backward(w)
+			run.backward(w, din)
 		default:
 			// w cannot be in V+; skip.
 		}
@@ -172,12 +174,13 @@ func (r *insertRun) dequeue() (int32, bool) {
 	return 0, false
 }
 
-// forward adds w to V* and schedules its same-core successors (Algorithm 7,
-// Forward).
-func (r *insertRun) forward(w int32) {
+// forward adds w, with candidate in-degree din, to V* and schedules its
+// same-core successors (Algorithm 7, Forward).
+func (r *insertRun) forward(w, din int32) {
 	st := r.st
 	r.vstar = append(r.vstar, w)
 	r.inStar[w] = true
+	r.din[w] = din
 	r.vplus = append(r.vplus, w)
 	for _, x := range st.G.Adj(w) {
 		if st.Core[x].Load() == r.k && !r.inQ[x] && !r.inStar[x] && !r.done[x] && st.BeforeSeq(w, x) {
@@ -187,10 +190,11 @@ func (r *insertRun) forward(w int32) {
 	}
 }
 
-// backward confirms w ∉ V* and evicts every member of V* whose potential
-// degree no longer exceeds k, repositioning evicted vertices after w in O_k
-// (Algorithm 7, Backward with DoPre/DoPost).
-func (r *insertRun) backward(w int32) {
+// backward confirms w, with candidate in-degree din, ∉ V* and evicts every
+// member of V* whose potential degree no longer exceeds k, repositioning
+// evicted vertices after w in O_k (Algorithm 7, Backward with
+// DoPre/DoPost).
+func (r *insertRun) backward(w, din int32) {
 	st := r.st
 	list := st.List(r.k)
 	r.vplus = append(r.vplus, w)
@@ -199,8 +203,7 @@ func (r *insertRun) backward(w int32) {
 	var rq []int32
 	inR := map[int32]bool{}
 	r.doPre(w, &rq, inR)
-	st.Dout[w].Add(st.Din[w])
-	st.Din[w] = 0
+	st.Dout[w].Add(din)
 	for len(rq) > 0 {
 		u := rq[0]
 		rq = rq[1:]
@@ -213,8 +216,8 @@ func (r *insertRun) backward(w int32) {
 		list.InsertAfter(pre, u)
 		st.EndOrderChange(u)
 		pre = u
-		st.Dout[u].Add(st.Din[u])
-		st.Din[u] = 0
+		st.Dout[u].Add(r.din[u])
+		delete(r.din, u)
 	}
 }
 
@@ -226,7 +229,7 @@ func (r *insertRun) doPre(u int32, rq *[]int32, inR map[int32]bool) {
 	for _, x := range st.G.Adj(u) {
 		if r.inStar[x] && st.BeforeSeq(x, u) {
 			st.Dout[x].Add(-1)
-			if st.Din[x]+st.Dout[x].Load() <= r.k && !inR[x] {
+			if r.din[x]+st.Dout[x].Load() <= r.k && !inR[x] {
 				inR[x] = true
 				*rq = append(*rq, x)
 			}
@@ -239,9 +242,9 @@ func (r *insertRun) doPre(u int32, rq *[]int32, inR map[int32]bool) {
 func (r *insertRun) doPost(u int32, rq *[]int32, inR map[int32]bool) {
 	st := r.st
 	for _, x := range st.G.Adj(u) {
-		if r.inStar[x] && st.Din[x] > 0 && st.BeforeSeq(u, x) {
-			st.Din[x]--
-			if st.Din[x]+st.Dout[x].Load() <= r.k && !inR[x] {
+		if r.inStar[x] && r.din[x] > 0 && st.BeforeSeq(u, x) {
+			r.din[x]--
+			if r.din[x]+st.Dout[x].Load() <= r.k && !inR[x] {
 				inR[x] = true
 				*rq = append(*rq, x)
 			}
@@ -249,8 +252,8 @@ func (r *insertRun) doPost(u int32, rq *[]int32, inR map[int32]bool) {
 	}
 }
 
-// commit promotes the surviving candidates: core k → k+1, d*in reset, and
-// each vertex moves from O_k to the head of O_{k+1} preserving the relative
+// commit promotes the surviving candidates: core k → k+1, and each vertex
+// moves from O_k to the head of O_{k+1} preserving the relative
 // k-order of V* (Algorithm 7 lines 14-16).
 func (r *insertRun) commit() {
 	st := r.st
@@ -269,7 +272,6 @@ func (r *insertRun) commit() {
 		}
 		st.BeginOrderChange(w)
 		st.Core[w].Store(r.k + 1)
-		st.Din[w] = 0
 		from.Delete(w)
 		if anchor < 0 {
 			to.InsertAtHead(w)

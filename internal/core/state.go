@@ -1,10 +1,12 @@
 // Package core holds the shared core-maintenance state — core numbers, the
 // k-order (one OM list per core value, Definition 3.5), remaining
-// out-degrees d⁺out, candidate in-degrees d*in, max-core degrees mcd, the
-// per-vertex status counters s and t, and the per-vertex locks — plus the
-// sequential Simplified-Order insertion (Algorithm 2) and removal
-// (Algorithm 3) algorithms. The parallel algorithms in internal/pcore
-// operate on the same State.
+// out-degrees d⁺out, max-core degrees mcd, the per-vertex status counters s
+// and t, and the per-vertex locks — plus the sequential Simplified-Order
+// insertion (Algorithm 2) and removal (Algorithm 3) algorithms. The parallel
+// algorithms in internal/pcore operate on the same State. The candidate
+// in-degree d*in (Definition 3.6) is not state: it is nonzero only inside
+// the one insertion traversal that holds its vertex, so each traversal
+// keeps it in its own scratch.
 package core
 
 import (
@@ -30,8 +32,8 @@ const McdEmpty int32 = -1
 // atomic. Dout and Mcd are atomic too: commit phases adjust the Dout of
 // unlocked survivor neighbors and invalidate the Mcd of unlocked neighbors
 // (safe because insertion and removal batches never overlap and neither
-// phase reads the other structure). Din and the adjacency of G are only
-// touched while holding the vertex's entry in Locks.
+// phase reads the other structure). The adjacency of G is only touched while
+// holding the vertex's entry in Locks.
 //
 // The vertex universe is growable: Grow appends fresh vertices at
 // quiescence. The per-vertex slices, the OM slab included, are re-sliced or
@@ -45,9 +47,6 @@ type State struct {
 	// Dout[v] is the remaining out-degree d⁺out (Definition 3.7): at
 	// quiescence, the number of neighbors that follow v in k-order.
 	Dout []atomic.Int32
-	// Din[v] is the candidate in-degree d*in (Definition 3.6); nonzero
-	// only while v is being traversed by an insertion.
-	Din []int32
 	// Mcd[v] is the max-core degree (Definition 3.8) or McdEmpty.
 	Mcd []atomic.Int32
 	// S[v] is the order-change status: odd while v's k-order position is
@@ -105,7 +104,6 @@ func (st *State) Grow(n int) {
 	st.G.Grow(n)
 	st.Core = grow.Slice(st.Core, n)
 	st.Dout = grow.Slice(st.Dout, n)
-	st.Din = grow.Slice(st.Din, n)
 	st.Mcd = grow.Slice(st.Mcd, n)
 	st.S = grow.Slice(st.S, n)
 	st.T = grow.Slice(st.T, n)
@@ -126,7 +124,6 @@ func NewState(g *graph.Graph) *State {
 		G:     g,
 		Core:  make([]atomic.Int32, n),
 		Dout:  make([]atomic.Int32, n),
-		Din:   make([]int32, n),
 		Mcd:   make([]atomic.Int32, n),
 		S:     make([]atomic.Uint32, n),
 		T:     make([]atomic.Int32, n),
@@ -139,8 +136,8 @@ func NewState(g *graph.Graph) *State {
 // Rebuild recomputes the whole state from the current graph, in place and
 // in O(n + m): core numbers, the k-order and d⁺out come from one BZ peel
 // (its peeling sequence is a valid k-order by construction, and it counts
-// each vertex's later neighbors as it goes), every mcd starts empty, Din
-// and T are cleared, and the k-order lists are laid out on a fresh slab. It
+// each vertex's later neighbors as it goes), every mcd starts empty, T is
+// cleared, and the k-order lists are laid out on a fresh slab. It
 // appends to changed every vertex whose core number it changed and returns
 // the result. Must run at quiescence; no pointer into the old lists may be
 // used afterwards.
@@ -168,7 +165,6 @@ func (st *State) rebuild(changed *[]int32) {
 		lo = hi
 	}
 	st.lists.Store(lists)
-	clear(st.Din)
 	clear(st.T)
 	for v := 0; v < n; v++ {
 		if changed != nil && st.Core[v].Load() != cores[v] {

@@ -91,7 +91,7 @@ func kOrder(t *testing.T, st *State, n int32) ([]int32, [][2]uint64) {
 }
 
 // TestStateFootprint prices what NewState keeps per vertex on a ring, where
-// every vertex sits in O_2: seven 4-byte scalar arrays, a 20-byte OM slab
+// every vertex sits in O_2: six 4-byte scalar arrays, a 16-byte OM slab
 // record and about a byte of OM groups. It reads the process's live heap,
 // so it must not run beside other tests.
 func TestStateFootprint(t *testing.T) {
@@ -107,8 +107,8 @@ func TestStateFootprint(t *testing.T) {
 	runtime.KeepAlive(st)
 	perVertex := float64(int64(after)-int64(before)) / n
 	t.Logf("NewState keeps %.1f B per vertex", perVertex)
-	if perVertex > 52 {
-		t.Fatalf("NewState keeps %.1f B per vertex, want <= 52", perVertex)
+	if perVertex > 44 {
+		t.Fatalf("NewState keeps %.1f B per vertex, want <= 44", perVertex)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // input (benchmark/inputs.go, full scale: PowerLawCluster(200 000, 14.2,
 // 2.4) from graph seed 1): the live heap each owner adds as kcore.New's
 // path builds it, in bytes per vertex and per adjacency entry. The scalar
-// row is the seven 4-byte per-vertex arrays of core.State; the OM row is
+// row is the six 4-byte per-vertex arrays of core.State; the OM row is
 // the rest of core.NewState.
 func RunMemory(cfg Config) {
 	const n = 200_000
@@ -41,10 +41,10 @@ func RunMemory(cfg Config) {
 		}
 		fmt.Fprintf(tw, "%s\t%.2f\t%.1f\t%s\n", name, float64(bytes)/(1<<20), float64(bytes)/n, e)
 	}
-	scalars := int64(7 * 4 * n)
+	scalars := int64(6 * 4 * n)
 	row("graph, pristine", delta(h0, h1), true)
 	row("graph, engine clone", delta(h1, h2), true)
-	row("core.State scalars (Core Dout Din Mcd S T Locks)", scalars, false)
+	row("core.State scalars (Core Dout Mcd S T Locks)", scalars, false)
 	row("core.State OM (k-order lists)", delta(h2, h3)-scalars, false)
 	row("rest of kcore.New (engine, snapshot, pipeline)", delta(h2, h4)-delta(h2, h3), false)
 	row("kcore.New total", delta(h2, h4), false)

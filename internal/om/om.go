@@ -13,19 +13,24 @@
 // seqlock.
 //
 // Items are int32 ids. Their records live in a Slab shared by every List
-// built on it — four parallel arrays indexed by id, no pointers — and an id
-// sits in at most one of those lists at a time: moving an item between lists
-// is Delete from one and InsertAfter into the other. Each List keeps its own
-// sentinel under a reserved id.
+// built on it — four parallel arrays indexed by id, 16 bytes an id, no
+// pointers — and an id sits in at most one of those lists at a time: moving
+// an item between lists is Delete from one and InsertAfter into the other.
+// Each List keeps its own sentinel under a reserved id.
 //
 // Items are stored in bottom-level groups; groups form the top-level list.
 // Every item carries a bottom label (its position inside its group) and every
 // group carries a top label. x precedes y iff (Lt(x), Lb(x)) < (Lt(y), Lb(y))
-// lexicographically. When an insertion finds no label space, a relabel is
-// triggered: a full group splits in two, and when there is no top-label gap
-// for the new group, successor group labels are rebalanced with the j²
-// threshold walk described in the paper. Groups are per-list records
-// addressed by int32 index, kept in fixed-size pages that never move.
+// lexicographically. The two levels have their own label spans: a top label
+// orders every group of the list and takes 62 bits, while a bottom label
+// orders at most a group's capacity of items and takes 32 — the Θ(log n)
+// bits a two-level list needs there. When an insertion finds no label space,
+// a relabel is triggered: a group with no bottom-label gap at the insertion
+// point is renumbered evenly, a full group splits in two, and when there is
+// no top-label gap for the new group, successor group labels are rebalanced
+// with the j² threshold walk described in the paper. Groups are per-list
+// records addressed by int32 index, kept in fixed-size pages that never move;
+// a list's table of pages grows by a share of itself, in chunks.
 //
 // Concurrency contract (matching the parallel OM of [26] at the granularity
 // discussed in DESIGN.md): structural operations (InsertAfter, Delete, and
@@ -47,9 +52,15 @@ import (
 )
 
 const (
-	// labelSpan bounds both top (group) and bottom (item) labels. Labels
-	// live in [0, labelSpan); midpoint insertion never overflows uint64.
+	// labelSpan bounds top (group) labels: they live in [0, labelSpan), so
+	// midpoint insertion never overflows uint64.
 	labelSpan uint64 = 1 << 62
+	// bottomSpan bounds bottom (item) labels, which live in [0, bottomSpan)
+	// and are stored in 32 bits. A group holds at most groupCap items, so
+	// an even renumbering leaves gaps of at least bottomSpan/(groupCap+1):
+	// about 26 midpoint insertions at one spot of a fresh group before the
+	// group is renumbered. Midpoints are computed in uint64.
+	bottomSpan uint64 = 1 << 32
 
 	// DefaultGroupCap is the default maximum number of items per group.
 	// The paper sizes groups at Θ(log N); 48 covers N well beyond 10^9
@@ -65,12 +76,15 @@ const (
 	// A group page holds 1<<pageBits group records of 24 bytes.
 	pageBits = 5
 	pageMask = 1<<pageBits - 1
+	// A full group table grows by 1/tableGrowDiv of its pages (at least
+	// one), allocated as one chunk and published with one table header.
+	tableGrowDiv = 2
 )
 
 // Slab holds the item records of every List built on it: id x's bottom
-// label, list neighbours and group index, 20 bytes in four parallel arrays.
+// label, list neighbours and group index, 16 bytes in four parallel arrays.
 type Slab struct {
-	label      []atomic.Uint64
+	label      []atomic.Uint32
 	prev, next []int32
 	group      []atomic.Int32 // index into the holding list's groups, or none
 }
@@ -116,32 +130,34 @@ type List struct {
 	mu  sync.Mutex
 	ver atomic.Uint64 // seqlock: odd while a relabel is in progress
 
-	// pages is the group table. A split may append a page; pages never
-	// move, so a lock-free reader holding an older table reads live groups.
+	// pages is the group table. A split may append a chunk of pages;
+	// pages never move, so a lock-free reader holding an older table reads
+	// live groups.
 	pages  atomic.Pointer[[]*groupPage]
 	groups int32 // group records handed out so far
 	free   int32 // first emptied group awaiting reuse by split, or none
 
-	headLabel atomic.Uint64 // the sentinel's bottom label
+	headLabel atomic.Uint32 // the sentinel's bottom label
 	head      int32         // the sentinel's successor
 	last      int32         // last item in list order (the sentinel if empty)
 	groupCap  int32
-	size      int     // number of user items (sentinel excluded)
-	relabels  uint64  // splits and rebalances, read by the tests
-	walked    []int32 // rebalance scratch
+	size      int    // number of user items (sentinel excluded)
+	relabels  uint64 // splits and bottom renumbers, read by the tests
+	renumbers uint64 // bottom renumbers outside a split, read by the tests
 }
 
 // NewList returns an empty list over s whose groups hold at most groupCap
 // items; groupCap <= 0 selects DefaultGroupCap.
 func NewList(s *Slab, groupCap int) *List {
-	if groupCap <= 0 {
-		groupCap = DefaultGroupCap
-	}
-	if groupCap < 4 {
-		groupCap = 4
-	}
-	l := &List{s: s, groupCap: int32(groupCap), free: none, head: none, last: sentinel}
+	return sizedList(s, groupCap, 1)
+}
+
+// sizedList is NewList with a group table sized for the given number of
+// groups.
+func sizedList(s *Slab, groupCap, groups int) *List {
+	l := &List{s: s, groupCap: capOf(groupCap), free: none, head: none, last: sentinel}
 	l.pages.Store(&[]*groupPage{})
+	l.addPages((groups + pageMask) >> pageBits)
 	g := l.grp(l.newGroup()) // group 0
 	g.prev, g.next = none, none
 	g.first, g.count = sentinel, 1
@@ -155,8 +171,9 @@ func NewList(s *Slab, groupCap int) *List {
 // groups as often as into an appended one; the relabelling code then spreads
 // the top and bottom labels evenly.
 func NewListOf(s *Slab, groupCap int, items []int32) *List {
-	l := NewList(s, groupCap)
-	half := l.groupCap / 2
+	half := capOf(groupCap) / 2
+	// The sentinel and the items fill groups of half each.
+	l := sizedList(s, groupCap, (len(items)+int(half))/int(half))
 	g, gr := int32(0), l.grp(0)
 	prev := sentinel
 	for _, x := range items {
@@ -186,6 +203,14 @@ func NewListOf(s *Slab, groupCap int, items []int32) *List {
 	return l
 }
 
+// capOf returns the group capacity a list built with groupCap uses.
+func capOf(groupCap int) int32 {
+	if groupCap <= 0 {
+		return DefaultGroupCap
+	}
+	return int32(max(groupCap, 4))
+}
+
 // grp returns group g's record; for holders of l.mu, whose g is always
 // one of this list's.
 func (l *List) grp(g int32) *group {
@@ -193,20 +218,31 @@ func (l *List) grp(g int32) *group {
 }
 
 // newGroup hands out an unlinked group record: an emptied one if any,
-// else a fresh one, appending a page when the table is full. Caller holds
-// l.mu and, once the list exists, an odd seqlock — a lock-free reader may
-// still hold the index of an emptied group.
+// else a fresh one, growing the table when it is full. Caller holds l.mu
+// and, once the list exists, an odd seqlock — a lock-free reader may still
+// hold the index of an emptied group.
 func (l *List) newGroup() int32 {
 	if g := l.free; g != none {
 		l.free = l.grp(g).next
 		return g
 	}
-	if pages := *l.pages.Load(); int(l.groups) == len(pages)<<pageBits {
-		pages = append(pages, new(groupPage))
-		l.pages.Store(&pages)
+	if n := len(*l.pages.Load()); int(l.groups) == n<<pageBits {
+		l.addPages(max(1, n/tableGrowDiv))
 	}
 	l.groups++
 	return l.groups - 1
+}
+
+// addPages appends n fresh pages, allocated as one chunk, to the group
+// table and publishes the longer table. A reader of the older table never
+// reads past its length, so appending into its spare capacity is safe.
+func (l *List) addPages(n int) {
+	chunk := make([]groupPage, n)
+	pages := *l.pages.Load()
+	for i := range chunk {
+		pages = append(pages, &chunk[i])
+	}
+	l.pages.Store(&pages)
 }
 
 // groupLabel reads group g's top label in the table pages for a lock-free
@@ -222,7 +258,7 @@ func groupLabel(pages []*groupPage, g int32) uint64 {
 }
 
 // label returns x's bottom label.
-func (l *List) label(x int32) *atomic.Uint64 {
+func (l *List) label(x int32) *atomic.Uint32 {
 	if x == sentinel {
 		return &l.headLabel
 	}
@@ -299,7 +335,7 @@ func (l *List) Order(x, y int32) bool {
 // items against one takes the one's Key once and asks After for the rest.
 type Positions struct {
 	group []atomic.Int32
-	label []atomic.Uint64
+	label []atomic.Uint32
 	pages []*groupPage
 }
 
@@ -311,14 +347,15 @@ func (l *List) Positions() Positions {
 // Key is an item's position: its group and that group's top label, and its
 // bottom label.
 type Key struct {
-	group       int32
-	top, bottom uint64
+	top    uint64
+	group  int32
+	bottom uint32
 }
 
 // Key returns the position of x, which must be linked into the list.
 func (p *Positions) Key(x int32) Key {
 	g := p.group[x].Load()
-	return Key{group: g, top: p.pages[g>>pageBits][g&pageMask].label.Load(), bottom: p.label[x].Load()}
+	return Key{top: p.pages[g>>pageBits][g&pageMask].label.Load(), group: g, bottom: p.label[x].Load()}
 }
 
 // After reports whether x, which must be linked into the list, follows the
@@ -346,7 +383,7 @@ func (l *List) Labels(x int32) (lt, lb, ver uint64, ok bool) {
 		return 0, 0, v, false
 	}
 	lt = groupLabel(*l.pages.Load(), g)
-	lb = l.s.label[x].Load()
+	lb = uint64(l.s.label[x].Load())
 	if l.ver.Load() != v {
 		return 0, 0, v, false
 	}
@@ -376,20 +413,20 @@ func (l *List) insertAfterLocked(x, y int32) {
 	}
 	// Bottom-label space between x and its successor within the group.
 	nx := *l.nextp(x)
-	bound := labelSpan
+	bound := bottomSpan
 	if nx != none && s.group[nx].Load() == g {
-		bound = s.label[nx].Load()
+		bound = uint64(s.label[nx].Load())
 	}
-	if bound-l.label(x).Load() < 2 {
+	if bound-uint64(l.label(x).Load()) < 2 {
 		l.renumberGroup(g)
 		if nx != none && s.group[nx].Load() == g {
-			bound = s.label[nx].Load()
+			bound = uint64(s.label[nx].Load())
 		} else {
-			bound = labelSpan
+			bound = bottomSpan
 		}
 	}
-	xl := l.label(x).Load()
-	s.label[y].Store(xl + (bound-xl)/2)
+	xl := uint64(l.label(x).Load())
+	s.label[y].Store(uint32(xl + (bound-xl)/2))
 	s.group[y].Store(g)
 	s.prev[y] = x
 	s.next[y] = nx
@@ -525,6 +562,7 @@ func (l *List) renumberGroup(g int32) {
 	l.ver.Add(1)
 	defer l.ver.Add(1)
 	l.relabels++
+	l.renumbers++
 	l.renumberGroupLocked(l.grp(g))
 }
 
@@ -532,42 +570,42 @@ func (l *List) renumberGroupLocked(gr *group) {
 	if gr.count == 0 {
 		return
 	}
-	gap := labelSpan / uint64(gr.count+1)
+	gap := bottomSpan / uint64(gr.count+1)
 	lb := gap
 	// The sentinel must keep the smallest label in its group; even
 	// distribution starting at `gap` preserves relative order, and the
 	// sentinel, being first, receives the smallest label anyway.
 	for it, i := gr.first, int32(0); i < gr.count; it, i = *l.nextp(it), i+1 {
-		l.label(it).Store(lb)
+		l.label(it).Store(uint32(lb))
 		lb += gap
 	}
 }
 
 // rebalance makes top-label room after g using the paper's walk: traverse
 // successors g' until L(g') − L(g) > j² (j groups walked), then spread the
-// walked groups' labels evenly in the opened range. Caller holds l.mu and
-// the seqlock is already odd.
+// walked groups' labels evenly in the opened range, walking them a second
+// time rather than keeping a list of them. Caller holds l.mu and the seqlock
+// is already odd.
 func (l *List) rebalance(g int32) {
 	base := l.grp(g).label.Load()
-	walked := l.walked[:0]
+	walked := uint64(0)
 	cur := l.grp(g).next
 	bound := labelSpan
 	for cur != none {
-		j := uint64(len(walked) + 1)
+		j := walked + 1
 		if lc := l.grp(cur).label.Load(); lc-base > j*j {
 			bound = lc
 			break
 		}
-		walked = append(walked, cur)
+		walked++
 		cur = l.grp(cur).next
 	}
-	l.walked = walked
-	if len(walked) == 0 {
+	if walked == 0 {
 		// Immediate successor already has a j²-sized gap; nothing to
 		// move (the caller re-reads labels).
 		return
 	}
-	gap := (bound - base) / uint64(len(walked)+1)
+	gap := (bound - base) / (walked + 1)
 	if gap < 2 {
 		// Label space after g is exhausted locally; renumber every
 		// group evenly across the whole span. Rare fallback.
@@ -575,7 +613,7 @@ func (l *List) rebalance(g int32) {
 		return
 	}
 	lb := base + gap
-	for _, w := range walked {
+	for w, i := l.grp(g).next, uint64(0); i < walked; w, i = l.grp(w).next, i+1 {
 		l.grp(w).label.Store(lb)
 		lb += gap
 	}
@@ -624,7 +662,7 @@ func (l *List) Check() ([]int32, error) {
 			return nil, fmt.Errorf("om: broken group back-link")
 		}
 		it := gr.first
-		var prevLabel uint64
+		var prevLabel uint32
 		for i := int32(0); i < gr.count; i++ {
 			if it == none {
 				return nil, fmt.Errorf("om: group count exceeds items")

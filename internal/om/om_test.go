@@ -758,3 +758,92 @@ func (l *List) Relabels() uint64 {
 	defer l.mu.Unlock()
 	return l.relabels
 }
+
+// A list's group table grows by a share of itself, so growing one list by 64
+// pages takes a few table chunks, not one page and one table header each.
+func TestGroupTableGrowthAllocs(t *testing.T) {
+	const groups = 65 << pageBits // one page at NewList, 64 grown
+	s := NewSlab(4 * groups)
+	allocs := testing.AllocsPerRun(1, func() {
+		l := NewList(s, 4)
+		n := int32(0)
+		for ; l.groups < groups; n++ {
+			l.InsertAtTail(n)
+		}
+		for x := int32(0); x < n; x++ {
+			l.Delete(x)
+		}
+	})
+	t.Logf("growing one list by 64 pages: %.0f allocations", allocs)
+	if allocs > 40 {
+		t.Fatalf("growing one list by 64 pages allocates %.0f times, want <= 40", allocs)
+	}
+}
+
+// NewListOf sizes its group table once, for exactly the groups it lays out.
+func TestNewListOfTableExact(t *testing.T) {
+	for _, size := range []int{0, 23, 24, 100, 767, 768, 5000} {
+		s := NewSlab(size)
+		items := make([]int32, size)
+		for i := range items {
+			items[i] = int32(i)
+		}
+		l := NewListOf(s, 0, items)
+		if got, want := len(*l.pages.Load()), int(l.groups+pageMask)>>pageBits; got != want {
+			t.Fatalf("size %d: %d groups in %d pages, want %d", size, l.groups, got, want)
+		}
+	}
+}
+
+// Bottom labels take 32 bits, so a fresh group allows about 26 midpoint
+// insertions at one spot before it must be renumbered. One list at the
+// default group capacity takes 100 000 head insertions, 100 000 insertions
+// after one fixed anchor, and then 100 000 moves of an item of the anchor's
+// group to right after the anchor — the pattern of an eviction, which keeps
+// the group's count and so halves one gap until it is exhausted — with a
+// full Check every 1 000 operations.
+func TestBottomLabelExhaustion(t *testing.T) {
+	const n = 100_000
+	if testing.Short() {
+		t.Skip("300 full checks of a 200 000-item list")
+	}
+	l := newList(0, 2*n)
+	check := func(phase string, i int) {
+		if i%1000 != 0 {
+			return
+		}
+		if _, err := l.Check(); err != nil {
+			t.Fatalf("%s, operation %d: %v", phase, i, err)
+		}
+	}
+	phase := func(name string, ops func(i int)) {
+		before := l.renumbers
+		for i := 1; i <= n; i++ {
+			ops(i)
+			check(name, i)
+		}
+		t.Logf("%s: %d group renumbers, %.5f per operation", name, l.renumbers-before, float64(l.renumbers-before)/n)
+	}
+	phase("head insertions", func(i int) { l.InsertAtHead(int32(i - 1)) })
+	anchor := int32(n / 2)
+	phase("insertions after one anchor", func(i int) { l.InsertAfter(anchor, int32(n+i-1)) })
+	renumbered := l.renumbers
+	s := l.s
+	phase("moves after one anchor", func(int) {
+		// The item two after the anchor, in the anchor's group, moves
+		// in between the anchor and its successor.
+		g := s.group[anchor].Load()
+		x := s.next[s.next[anchor]]
+		if s.group[x].Load() != g {
+			t.Fatalf("anchor %d has fewer than two successors in its group", anchor)
+		}
+		l.Delete(x)
+		l.InsertAfter(anchor, x)
+	})
+	if l.renumbers == renumbered {
+		t.Fatal("100 000 moves after one anchor never renumbered its group")
+	}
+	if _, err := l.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

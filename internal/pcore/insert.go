@@ -54,15 +54,14 @@ func (p *worker) insertEdge(u, v int32) int32 {
 				din++
 			}
 		}
-		st.Din[w] = din
 		if traceFn != nil {
 			traceFn("p=%p process %d din=%d dout=%d k=%d", p, w, din, st.Dout[w].Load(), k)
 		}
 		switch {
 		case din+st.Dout[w].Load() > k:
-			p.forward(w) // line 10; w stays locked
+			p.forward(w, din) // line 10; w stays locked
 		case din > 0:
-			p.backward(w) // line 11; w stays locked (member of V+)
+			p.backward(w, din) // line 11; w stays locked (member of V+)
 		default:
 			st.Locks[w].Unlock() // line 11: w ∉ V+
 		}
@@ -76,13 +75,14 @@ func (p *worker) insertEdge(u, v int32) int32 {
 	return int32(len(p.vstar) + len(p.confirmed)) // |V+|
 }
 
-// forward adds the locked vertex w to V* and schedules its same-core
-// successors (Algorithm 7 lines 18-21). Successors are examined without
-// locking them — only V+ is locked.
-func (p *worker) forward(w int32) {
+// forward adds the locked vertex w, with candidate in-degree din, to V* and
+// schedules its same-core successors (Algorithm 7 lines 18-21). Successors
+// are examined without locking them — only V+ is locked.
+func (p *worker) forward(w, din int32) {
 	st := p.st
 	p.vstar = append(p.vstar, w)
 	p.mk.set(w, mStar)
+	p.mk.setDin(w, din)
 	if traceFn != nil {
 		traceFn("p=%p forward %d (k=%d)", p, w, p.k)
 	}
@@ -96,11 +96,12 @@ func (p *worker) forward(w int32) {
 	}
 }
 
-// backward confirms the locked w as a non-candidate and evicts every V*
-// member whose potential degree fell to k, moving evicted vertices after the
-// advancing anchor `pre` inside O_k (Algorithm 7 lines 22-31). All touched
-// vertices are members of V+ and therefore already locked by this worker.
-func (p *worker) backward(w int32) {
+// backward confirms the locked w, with candidate in-degree din, as a
+// non-candidate and evicts every V* member whose potential degree fell to k,
+// moving evicted vertices after the advancing anchor `pre` inside O_k
+// (Algorithm 7 lines 22-31). All touched vertices are members of V+ and
+// therefore already locked by this worker.
+func (p *worker) backward(w, din int32) {
 	st := p.st
 	list := st.List(p.k)
 	p.mk.set(w, mDone)
@@ -111,8 +112,7 @@ func (p *worker) backward(w int32) {
 	pre := w
 	p.rq = p.rq[:0]
 	p.doPre(w)
-	st.Dout[w].Add(st.Din[w])
-	st.Din[w] = 0
+	st.Dout[w].Add(din)
 	for head := 0; head < len(p.rq); head++ {
 		u := p.rq[head]
 		p.mk.unset(u, mStar)
@@ -129,8 +129,7 @@ func (p *worker) backward(w int32) {
 		p.recordMove(u, p.k)
 		p.m.Evictions++
 		pre = u
-		st.Dout[u].Add(st.Din[u])
-		st.Din[u] = 0
+		st.Dout[u].Add(p.mk.din(u))
 	}
 }
 
@@ -151,7 +150,7 @@ func (p *worker) doPre(u int32) {
 // leaves V* for good, so mInR never needs clearing within the operation.
 func (p *worker) evictIfSpent(x int32) {
 	st := p.st
-	if st.Din[x]+st.Dout[x].Load() <= p.k && !p.mk.has(x, mInR) {
+	if p.mk.din(x)+st.Dout[x].Load() <= p.k && !p.mk.has(x, mInR) {
 		p.mk.set(x, mInR)
 		p.rq = append(p.rq, x)
 	}
@@ -162,8 +161,11 @@ func (p *worker) evictIfSpent(x int32) {
 func (p *worker) doPost(u int32) {
 	st := p.st
 	for _, x := range st.G.Adj(u) {
-		if p.mk.has(x, mStar) && st.Din[x] > 0 && st.Before(u, x) {
-			st.Din[x]--
+		if !p.mk.has(x, mStar) {
+			continue
+		}
+		if din := p.mk.din(x); din > 0 && st.Before(u, x) {
+			p.mk.setDin(x, din-1)
 			p.evictIfSpent(x)
 		}
 	}
@@ -196,7 +198,6 @@ func (p *worker) promote() {
 		st.CommitMu.Lock()
 		st.BeginOrderChange(w)
 		st.Core[w].Store(p.k + 1)
-		st.Din[w] = 0
 		from.Delete(w)
 		if anchor < 0 {
 			to.InsertAtHead(w)

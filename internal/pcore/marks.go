@@ -9,12 +9,15 @@ const (
 	mSeen                     // removal: in A_p, already visited by this propagation
 )
 
-// marks maps the vertices one edge operation has touched to flag bits: V*,
-// V+ \ V*, Q_p, R and A_p membership in one open-addressed table. It stays on
-// the worker across operations, and reset costs O(vertices marked), not
-// O(capacity) — clearing a Go map costs its capacity, so one operation that
-// traversed ten thousand vertices would tax every later one that traverses
-// two (Fig. 1: almost all do).
+// marks maps the vertices one edge operation has touched to flag bits — V*,
+// V+ \ V*, Q_p, R and A_p membership — and each member of V* to its
+// candidate in-degree d*in (Definition 3.6), in one open-addressed table.
+// d*in is only ever read or written by the worker holding its vertex's lock,
+// and is nonzero only during the operation, so it is scratch, not state. The
+// table stays on the worker across operations, and reset costs O(vertices
+// marked), not O(capacity) — clearing a Go map costs its capacity, so one
+// operation that traversed ten thousand vertices would tax every later one
+// that traverses two (Fig. 1: almost all do).
 type marks struct {
 	slots []markSlot
 	used  []int32 // occupied slot indices
@@ -23,6 +26,7 @@ type marks struct {
 
 type markSlot struct {
 	key   int32 // vertex + 1; 0 marks an empty slot
+	din   int32 // d*in while the vertex is a member of V*
 	flags uint8
 }
 
@@ -61,6 +65,17 @@ func (m *marks) set(v int32, f uint8) {
 	}
 	m.slots[i].flags |= f
 }
+
+// din returns v's candidate in-degree (0 if v was never given one).
+func (m *marks) din(v int32) int32 {
+	if len(m.used) == 0 {
+		return 0
+	}
+	return m.slots[m.find(v)].din
+}
+
+// setDin sets the candidate in-degree of v, which must be marked.
+func (m *marks) setDin(v, d int32) { m.slots[m.find(v)].din = d }
 
 // unset clears f from v's flags; the entry itself stays until reset.
 func (m *marks) unset(v int32, f uint8) {

@@ -55,7 +55,7 @@ type ReplicaOptions struct {
 // re-bootstrap: a leader's sync session starts at the checkpoint it
 // takes, never at the follower's own epoch, so there is nothing to
 // resume from. Starting the session's log cursor at the follower's
-// epoch instead is ROADMAP "Parked: partial resync".
+// epoch instead is ROADMAP item 21.
 type Replica struct {
 	srv    *Server
 	leader string
