@@ -87,7 +87,7 @@ func (c *Cluster) Recover() error {
 				return err
 			}
 			s := c.m.Shard(i)
-			owned := min(n, int64(s.Width()))
+			owned := min(n, int64(s.width()))
 			if owned > 0 {
 				tops[i] = int64(s.Lo) + owned
 			}
@@ -118,7 +118,7 @@ func (c *Cluster) N() int64 { return c.hwm.Load() }
 // checkEdges validates that every endpoint is routable.
 func (c *Cluster) checkEdges(edges []graph.Edge) error {
 	for _, e := range edges {
-		if !c.m.InRange(e.U) || !c.m.InRange(e.V) {
+		if !c.m.inRange(e.U) || !c.m.inRange(e.V) {
 			return fmt.Errorf("cluster: edge (%d,%d) outside id capacity %d", e.U, e.V, c.m.Cap())
 		}
 	}
@@ -216,7 +216,7 @@ func (c *Cluster) Grow(n int32) (int64, error) {
 	}
 	err := c.scatter(c.allShards(), func(i int) error {
 		s := c.m.Shard(i)
-		wantLocal := min(max(n-s.Lo, 0), s.Width())
+		wantLocal := min(max(n-s.Lo, 0), s.width())
 		if wantLocal == 0 {
 			return nil
 		}
@@ -238,16 +238,6 @@ func (c *Cluster) Grow(n int32) (int64, error) {
 	}
 	c.advanceHWM(int64(n))
 	return c.N(), nil
-}
-
-// Get returns the core number of global vertex g — a single routed read
-// on the owning shard.
-func (c *Cluster) Get(g int32) (int32, error) {
-	out, err := c.MGet([]int32{g})
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
 }
 
 // MGet returns the core numbers of the given global vertex ids, in
@@ -272,11 +262,11 @@ func (c *Cluster) MGet(ids []int32) ([]int32, error) {
 // capacity is an error.
 func (c *Cluster) groupByOwner(s *routeScratch, ids []int32) error {
 	for p, g := range ids {
-		if !c.m.InRange(g) {
+		if !c.m.inRange(g) {
 			return fmt.Errorf("cluster: vertex %d outside id capacity %d", g, c.m.Cap())
 		}
 		i := c.m.Owner(g)
-		s.bufs[i] = append(s.bufs[i], c.m.Local(i, g))
+		s.bufs[i] = append(s.bufs[i], c.m.local(i, g))
 		s.pos[i] = append(s.pos[i], p)
 	}
 	return nil
@@ -335,7 +325,7 @@ func (c *Cluster) Hist() ([]int64, error) {
 	err := c.scatter(c.allShards(), func(i int) error {
 		return c.withLeader(i, func(conn *client.Conn) error {
 			var err error
-			hists[i], err = client.Ints(conn.Do("CORE.HIST", 0, c.m.Shard(i).Width()))
+			hists[i], err = client.Ints(conn.Do("CORE.HIST", 0, c.m.Shard(i).width()))
 			return err
 		})
 	})

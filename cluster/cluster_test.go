@@ -96,7 +96,7 @@ func TestShardMapValidation(t *testing.T) {
 
 // TestShardMapMirrors pins the deterministic local-id layout: owned ids
 // and the two mirror bands partition [0, Cap) injectively, and
-// MirrorOrigin inverts MirrorLocal.
+// MirrorOrigin inverts mirrorLocal.
 func TestShardMapMirrors(t *testing.T) {
 	m, err := cluster.EqualRanges(100, [][]string{{"a"}, {"b"}, {"c"}}) // ranges [0,34) [34,67) [67,100)
 	if err != nil {
@@ -223,12 +223,12 @@ func verify(t *testing.T, c *cluster.Cluster, o *cluster.Oracle) {
 		if g < 0 {
 			continue
 		}
-		k, err := c.Get(g)
+		k, err := c.MGet([]int32{g})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k != want[g] {
-			t.Fatalf("GET core(%d) = %d, oracle %d", g, k, want[g])
+		if k[0] != want[g] {
+			t.Fatalf("MGET core(%d) = %d, oracle %d", g, k[0], want[g])
 		}
 	}
 
@@ -366,8 +366,8 @@ func TestShardOutage(t *testing.T) {
 	stop1()
 
 	// Shard 0's range keeps serving: reads and writes.
-	if k, err := c.Get(1); err != nil || k != 1 {
-		t.Fatalf("Get(1) after outage = %d, %v", k, err)
+	if k, err := c.MGet([]int32{1}); err != nil || k[0] != 1 {
+		t.Fatalf("MGet(1) after outage = %v, %v", k, err)
 	}
 	if err := c.InsertEdges([]graph.Edge{{U: 3, V: 4}}); err != nil {
 		t.Fatalf("insert into live range: %v", err)
@@ -387,8 +387,8 @@ func TestShardOutage(t *testing.T) {
 			t.Fatalf("%s: ShardError names shard %d (%s), want 1 (%s)", op, se.Shard, se.Addr, addr1)
 		}
 	}
-	_, err = c.Get(150)
-	wantShardErr(err, "Get(150)")
+	_, err = c.MGet([]int32{150})
+	wantShardErr(err, "MGet(150)")
 	err = c.InsertEdges([]graph.Edge{{U: 150, V: 152}})
 	wantShardErr(err, "insert into dead range")
 	err = c.InsertEdges([]graph.Edge{{U: 5, V: 150}})
@@ -399,8 +399,8 @@ func TestShardOutage(t *testing.T) {
 	wantShardErr(err, "Check")
 
 	// And still: the live range is unaffected afterwards.
-	if k, err := c.Get(3); err != nil || k != 1 {
-		t.Fatalf("Get(3) = %d, %v", k, err)
+	if k, err := c.MGet([]int32{3}); err != nil || k[0] != 1 {
+		t.Fatalf("MGet(3) = %v, %v", k, err)
 	}
 }
 

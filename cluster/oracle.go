@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"maps"
+	"slices"
+
 	"repro/graph"
 	"repro/internal/bz"
 )
@@ -50,18 +53,6 @@ func (o *Oracle) Grow(n int32) { o.n = max(o.n, n) }
 // N returns the universe size the cluster must report.
 func (o *Oracle) N() int64 { return int64(o.n) }
 
-// M returns the global simple-edge count.
-func (o *Oracle) M() int { return len(o.edges) }
-
-// Edges returns the global edge set (normalized, unordered).
-func (o *Oracle) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(o.edges))
-	for e := range o.edges {
-		out = append(out, e)
-	}
-	return out
-}
-
 // shardGraph rebuilds shard i's local graph: every global edge with an
 // endpoint in the shard's owned range, endpoints translated exactly as
 // the router translates them (owned → owned band, remote → mirror
@@ -99,7 +90,7 @@ func (o *Oracle) Cores() []int32 {
 // GlobalCores returns the single-node ground truth: core numbers of the
 // global graph, computed by the offline decomposition.
 func (o *Oracle) GlobalCores() []int32 {
-	core, _ := bz.Decompose(graph.MustFromEdges(int(o.n), o.Edges()))
+	core, _ := bz.Decompose(graph.MustFromEdges(int(o.n), slices.Collect(maps.Keys(o.edges))))
 	return core
 }
 

@@ -12,8 +12,8 @@ type Shard struct {
 	Leader string // leader address (every read and write)
 }
 
-// Width returns the number of ids the shard owns.
-func (s Shard) Width() int32 { return s.Hi - s.Lo }
+// width returns the number of ids the shard owns.
+func (s Shard) width() int32 { return s.Hi - s.Lo }
 
 // ShardMap is the static routing table: contiguous ranges covering
 // [0, Cap) in order, one per shard. It is immutable after construction
@@ -106,18 +106,18 @@ func (m *ShardMap) Owner(g int32) int {
 	return sort.Search(len(m.shards), func(i int) bool { return m.shards[i].Hi > g })
 }
 
-// InRange reports whether g is routable (within [0, Cap)).
-func (m *ShardMap) InRange(g int32) bool { return g >= 0 && g < m.cap }
+// inRange reports whether g is routable (within [0, Cap)).
+func (m *ShardMap) inRange(g int32) bool { return g >= 0 && g < m.cap }
 
-// Local translates global id g, owned by shard i, to its local id.
-func (m *ShardMap) Local(i int, g int32) int32 { return g - m.shards[i].Lo }
+// local translates global id g, owned by shard i, to its local id.
+func (m *ShardMap) local(i int, g int32) int32 { return g - m.shards[i].Lo }
 
 // Global translates shard i's owned local id back to its global id.
 func (m *ShardMap) Global(i int, local int32) int32 { return local + m.shards[i].Lo }
 
-// MirrorLocal translates a remote global id g (not owned by shard i) to
+// mirrorLocal translates a remote global id g (not owned by shard i) to
 // the local id it mirrors to on shard i.
-func (m *ShardMap) MirrorLocal(i int, g int32) int32 {
+func (m *ShardMap) mirrorLocal(i int, g int32) int32 {
 	s := m.shards[i]
 	if g < s.Lo {
 		return (s.Hi - s.Lo) + g
@@ -126,16 +126,16 @@ func (m *ShardMap) MirrorLocal(i int, g int32) int32 {
 }
 
 // LocalFor translates any routable global id to shard i's local id:
-// owned ids through Local, remote ids through MirrorLocal.
+// owned ids through local, remote ids through mirrorLocal.
 func (m *ShardMap) LocalFor(i int, g int32) int32 {
 	s := m.shards[i]
 	if g >= s.Lo && g < s.Hi {
 		return g - s.Lo
 	}
-	return m.MirrorLocal(i, g)
+	return m.mirrorLocal(i, g)
 }
 
-// MirrorOrigin inverts MirrorLocal: for a local id on shard i, it
+// MirrorOrigin inverts mirrorLocal: for a local id on shard i, it
 // returns the remote global id it mirrors, or (0, false) if the local
 // id is in the owned band (not a mirror).
 func (m *ShardMap) MirrorOrigin(i int, local int32) (int32, bool) {

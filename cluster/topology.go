@@ -14,7 +14,7 @@
 // [0, Hi_i−Lo_i) (global g ↦ g−Lo_i). A cross-shard edge (u, v) is
 // applied on both owning shards, with the remote endpoint mirrored into
 // a reserved local band by a deterministic, stateless mapping (see
-// ShardMap.MirrorLocal) — so any router instance, with no shared state,
+// ShardMap.mirrorLocal) — so any router instance, with no shared state,
 // routes the insert and the matching remove to the same local ids.
 //
 // # Core-number semantics

@@ -78,7 +78,7 @@ func clusterDrill(t *testing.T, alg string) {
 	if _, err := c.Flush(); err != nil {
 		t.Fatalf("cluster flush: %v", err)
 	}
-	t.Logf("%d shards (alg=%s): churned %d bursts (oracle: n=%d m=%d)", shards, alg, bursts, o.N(), o.M())
+	t.Logf("%d shards (alg=%s): churned %d bursts (oracle: n=%d)", shards, alg, bursts, o.N())
 
 	want := o.Cores()
 	ids := make([]int32, o.N())

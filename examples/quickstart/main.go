@@ -15,6 +15,7 @@ func main() {
 	// A path 0-1-2 plus an isolated vertex 3: everything is core <= 1.
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	m := kcore.New(g) // ParallelOrder engine, 1 worker by default
+	defer m.Close()
 
 	fmt.Println("initial cores:", m.CoreNumbers()) // [1 1 1 0]
 
@@ -31,8 +32,12 @@ func main() {
 
 	// Removal maintains cores too.
 	m.RemoveEdge(0, 1)
-	fmt.Println("after remove:", m.CoreNumbers())
-	fmt.Println("max core:", m.MaxCore())
+	fmt.Println("after remove:", m.CoreNumbers()) // [2 2 2 2]
+
+	// A snapshot is one immutable view: its epoch, max core and core
+	// numbers all belong to the same published state.
+	s := m.Snapshot()
+	fmt.Println("snapshot: epoch", s.Epoch(), "max core", s.MaxCore(), "core of 3", s.CoreOf(3))
 
 	// Check() recomputes from scratch and compares — handy in tests.
 	if err := m.Check(); err != nil {

@@ -199,7 +199,7 @@ func PowerLawCluster(n int, avgDeg float64, exponent float64, seed int64) *graph
 	for i := 0; i+1 < len(stubs); i += 2 {
 		edges = append(edges, graph.Edge{U: stubs[i], V: stubs[i+1]})
 	}
-	return graph.MustFromEdges(n, edges) // FromEdges strips loops and multi-edges
+	return graph.MustFromEdges(n, edges) // MustFromEdges strips loops and multi-edges
 }
 
 // TemporalEdge is an edge with an integer timestamp, modeling the KONECT

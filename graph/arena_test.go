@@ -20,7 +20,7 @@ func liveHeap() int64 {
 }
 
 // TestGraphFootprint pins what a graph costs: a record per vertex and
-// 4 bytes per adjacency entry, for FromEdges's graph and for its Clone,
+// 4 bytes per adjacency entry, for fromEdges's graph and for its Clone,
 // with no per-vertex header and no append slack. Not parallel: it
 // measures the live heap.
 func TestGraphFootprint(t *testing.T) {
@@ -39,7 +39,7 @@ func TestGraphFootprint(t *testing.T) {
 	for _, x := range []struct {
 		name  string
 		bytes int64
-	}{{"FromEdges", h1 - h0}, {"Clone", h2 - h1}} {
+	}{{"fromEdges", h1 - h0}, {"Clone", h2 - h1}} {
 		t.Logf("%s: %d B for %d vertices and %d entries: %.2f B/vertex + 4 B/entry, or %d B/vertex + %.2f B/entry",
 			x.name, x.bytes, n, entries,
 			float64(x.bytes-4*entries)/n, RecordBytes, float64(x.bytes-int64(RecordBytes)*n)/float64(entries))

@@ -81,20 +81,20 @@ func New(n int) *Graph {
 }
 
 // MaxVertexID bounds the vertex ids data-driven construction accepts
-// (FromEdges growth, ReadEdgeList parsing): one corrupt id in an edge
+// (fromEdges growth, ReadEdgeList parsing): one corrupt id in an edge
 // list must produce an error, not a universe-sized allocation. Callers
 // that really want a larger pre-sized universe ask for it explicitly
 // with New or Grow.
 const MaxVertexID = 1<<28 - 1
 
-// FromEdges builds a graph with at least n vertices from an edge list,
+// fromEdges builds a graph with at least n vertices from an edge list,
 // silently dropping self-loops and duplicate edges (paper §6.2: "all of the
 // self-loops and repeated edges are removed"). Endpoints beyond n grow the
 // vertex universe to cover them — edge lists over an open id space Just
 // Work — while a negative endpoint, or one beyond MaxVertexID, is a
 // malformed input and returns an error. The arena is built exact-fit in
 // one allocation.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
+func fromEdges(n int, edges []Edge) (*Graph, error) {
 	for _, e := range edges {
 		if e.U < 0 || e.V < 0 {
 			return nil, fmt.Errorf("graph: negative vertex id in edge (%d,%d)", e.U, e.V)
@@ -127,10 +127,10 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
-// MustFromEdges is FromEdges for edge lists known to be well-formed
+// MustFromEdges is fromEdges for edge lists known to be well-formed
 // (generators, literals in tests); it panics on a negative endpoint.
 func MustFromEdges(n int, edges []Edge) *Graph {
-	g, err := FromEdges(n, edges)
+	g, err := fromEdges(n, edges)
 	if err != nil {
 		panic(err)
 	}
@@ -538,7 +538,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return FromEdges(int(maxID)+1, edges)
+	return fromEdges(int(maxID)+1, edges)
 }
 
 // WriteEdgeList writes the graph as "u v" lines in canonical order.

@@ -104,8 +104,8 @@ func TestFromEdgesRejectsNegative(t *testing.T) {
 		{{0, 1}, {3, -7}},
 		{{-4, -4}},
 	} {
-		if g, err := FromEdges(5, edges); err == nil {
-			t.Fatalf("FromEdges(%v) = %v, want error", edges, g)
+		if g, err := fromEdges(5, edges); err == nil {
+			t.Fatalf("fromEdges(%v) = %v, want error", edges, g)
 		}
 		func() {
 			defer func() {
@@ -119,7 +119,7 @@ func TestFromEdgesRejectsNegative(t *testing.T) {
 }
 
 func TestFromEdgesGrowsPastN(t *testing.T) {
-	g, err := FromEdges(2, []Edge{{0, 1}, {1, 7}})
+	g, err := fromEdges(2, []Edge{{0, 1}, {1, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

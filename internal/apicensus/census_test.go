@@ -1,297 +1,596 @@
-// Package apicensus keeps the module's exported API to what the module
-// calls. TestExportCensus lists every exported top-level name and every
-// exported method declared in a non-main package outside benchmark/,
-// counts the uses of each in the module's non-test files, and holds the
-// names without a use outside benchmark/ to allowlist.txt.
+// Package apicensus holds the module's product code to what a binary runs.
+// TestExportCensus type-checks every package of the module with go/parser
+// and go/types (the standard library through the compiler's export data,
+// go/importer), then follows the program from its roots:
 //
-// Uses are matched by name, with go/parser and go/ast only (no type
-// checker):
+//   - roots: every main function under cmd/, examples/ and benchmark/,
+//     every init function, and every package-level var initializer (an
+//     init function or an initializer runs whenever its package is linked);
+//   - edges: every object that a reached declaration uses, as go/types
+//     resolves it, so a method is reached by a call on its own type and
+//     never by another method that shares its name;
+//   - an interface method call reaches every method of that name that the
+//     module declares: class-hierarchy analysis (Dean, Grove & Chambers,
+//     ECOOP 1995).
 //
-//   - a top-level name X of package p counts a use for every p.X in
-//     another package (p being the name the file imports p under) and
-//     for every bare X in p's own files;
-//   - a method M counts a use for every selector .M anywhere, whatever
-//     its receiver, since which type a selector picks needs types.
+// A non-test func, method, var, const or type outside benchmark/ that no
+// root reaches fails the test, unless allowlist.txt lists it with its
+// reason. An allowlisted declaration that a product root now reaches, or
+// that no longer exists, fails it too.
 //
-// So the census undercounts the unused: two methods that share a name
-// keep each other alive, as does a local or a field that shares a
-// top-level name. A name it reports unused has no caller; a name it
-// reports used may still have none.
+// Two lists are logged and never fail: the declarations that only
+// benchmark/'s roots reach (a benchmark-only change cannot edit the
+// allowlist, so calling product code from benchmark/ must not turn the
+// census red), and the exported names that no other package, and no other
+// package's tests, refer to (each can be unexported). A benchmark-only
+// change that drops benchmark/'s last call to a declaration does leave it
+// unreached, which fails: delete or allowlist it in a product change
+// first.
+//
+// What the census cannot see: calls made through reflection or
+// //go:linkname, and the methods that the standard library calls through
+// its own interfaces. Those are exempt by name (stdMethods): such a method
+// is reached with its receiver type.
 package apicensus
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// modulePath is the module's import path prefix (go.mod).
-const modulePath = "repro"
-
 // benchDir is the benchmark's directory: its declarations are not
-// counted, and its uses are counted apart.
+// censused, and what only its roots reach is logged apart.
 const benchDir = "benchmark"
 
-// Reasons an allowlisted name may give for having no caller outside
-// benchmark/.
+// rootDirs hold the programs whose main functions are roots.
+var rootDirs = []string{"cmd", "examples", benchDir}
+
+// Reasons an allowlisted declaration may give for being unreached.
 const (
 	reasonTestHelper = "cross-package test helper"
-	reasonBenchmark  = "called only by benchmark/"
 	reasonRouterAPI  = "router API, pinned against the Oracle"
 )
 
 // stdMethods are methods that the standard library calls through its
-// interfaces (error, fmt.Stringer, sort and heap, io, http.Handler), so a
-// missing selector says nothing about them.
+// interfaces (error, fmt.Stringer, sort and heap, io, http.Handler), so no
+// call in the module shows that they run.
 var stdMethods = map[string]bool{
 	"Error": true, "Unwrap": true, "String": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Read": true, "Write": true, "ServeHTTP": true,
 }
 
-// pkgFiles is one directory's parsed non-test files.
-type pkgFiles struct {
-	dir   string // slash path relative to the module root
-	name  string // package name
-	files []*ast.File
-}
-
-// decl is one exported name: key is "dir.Name" or "dir.Recv.Method".
-type decl struct {
-	key, dir, name string
-	method         bool
-	ident          *ast.Ident
-}
-
 func TestExportCensus(t *testing.T) {
-	root, err := filepath.Abs("../..")
+	c, err := runCensus("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := parseModule(t, root)
-	decls := exported(pkgs)
-	uses, benchUses := countUses(pkgs, decls)
 	allow := readAllowlist(t, "allowlist.txt")
-
-	declared, unused := map[string]bool{}, 0
-	for _, d := range decls {
-		declared[d.key] = true
-		if uses[d.key] > 0 {
-			if reason, ok := allow[d.key]; ok {
-				t.Errorf("%s is allowlisted (%s) but has %d non-test uses outside %s/: delete its allowlist line",
-					d.key, reason, uses[d.key], benchDir)
-			}
-			continue
-		}
-		unused++
-		reason, ok := allow[d.key]
-		switch {
-		case !ok && benchUses[d.key] > 0:
-			t.Errorf("%s is called only by %s/: add it to allowlist.txt with the reason %q, or stop exporting it",
-				d.key, benchDir, reasonBenchmark)
-		case !ok:
-			t.Errorf("%s has no non-test caller: delete it, or add it to allowlist.txt with its reason", d.key)
-		case benchUses[d.key] > 0 && reason != reasonBenchmark:
-			t.Errorf("%s is allowlisted as %q but %s/ calls it: its reason is %q", d.key, reason, benchDir, reasonBenchmark)
-		case reason == reasonBenchmark && benchUses[d.key] == 0:
-			t.Logf("%s is allowlisted as %q but no longer has a caller there: it can be deleted", d.key, reason)
+	for _, d := range c.unreached {
+		if _, ok := allow[d.key]; !ok {
+			t.Errorf("%s (%s) is reached from no main: delete it, or add it to allowlist.txt with its reason", d.key, d.pos)
 		}
 	}
 	for key, reason := range allow {
-		if !declared[key] {
+		switch d := c.decls[key]; {
+		case d == nil:
 			t.Errorf("%s is allowlisted (%s) but no longer declared: delete its allowlist line", key, reason)
+		case slices.Contains(c.benchOnly, d):
+			t.Logf("%s is allowlisted (%s) but %s/ reaches it", key, reason, benchDir)
+		case !slices.Contains(c.unreached, d):
+			t.Errorf("%s is allowlisted (%s) but now reached: delete its allowlist line", key, reason)
 		}
 	}
-	t.Logf("%d exported names, %d without a caller outside %s/", len(decls), unused, benchDir)
+	lines := 0
+	for _, d := range c.benchOnly {
+		lines += d.lines
+		t.Logf("reached only through %s/: %s (%d lines)", benchDir, d.key, d.lines)
+	}
+	for _, d := range c.unexport {
+		t.Logf("only its own package refers to: %s", d.key)
+	}
+	t.Logf("%d declarations: %d unreached, %d (%d lines) reached only through %s/, %d exported names only their own package refers to",
+		len(c.decls), len(c.unreached), len(c.benchOnly), lines, benchDir, len(c.unexport))
 }
 
-// parseModule parses the non-test Go files of every package directory
-// under root, skipping testdata and hidden directories.
-func parseModule(t *testing.T, root string) []*pkgFiles {
-	t.Helper()
-	var pkgs []*pkgFiles
-	byDir := map[string]*pkgFiles{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		p := byDir[rel]
-		if p == nil {
-			p = &pkgFiles{dir: rel, name: f.Name.Name}
-			byDir[rel] = p
-			pkgs = append(pkgs, p)
-		}
-		p.files = append(p.files, f)
-		return nil
-	})
+// TestCensusFixture runs the census on testdata/fixture, a module with one
+// case per rule; its comments say what each declaration tests.
+func TestCensusFixture(t *testing.T) {
+	c, err := runCensus("testdata/fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs
+	want := map[string][]string{
+		"unreached": {"lib.T.M", "lib.orphan"},
+		"benchOnly": {"lib.ForBench"},
+		"unexport":  {"lib.Internal"},
+	}
+	got := map[string][]string{
+		"unreached": keys(c.unreached), "benchOnly": keys(c.benchOnly), "unexport": keys(c.unexport),
+	}
+	for list, w := range want {
+		if !slices.Equal(got[list], w) {
+			t.Errorf("%s = %v, want %v", list, got[list], w)
+		}
+	}
 }
 
-// inBench reports whether a package directory lies under benchmark/.
-func inBench(dir string) bool { return dir == benchDir || strings.HasPrefix(dir, benchDir+"/") }
-
-// exported lists the exported top-level names and exported methods of
-// every non-main package outside benchmark/, less stdMethods.
-func exported(pkgs []*pkgFiles) []decl {
-	var out []decl
-	for _, p := range pkgs {
-		if p.name == "main" || inBench(p.dir) {
-			continue
-		}
-		add := func(id *ast.Ident, recv string) {
-			if !id.IsExported() {
-				return
-			}
-			if recv == "" {
-				out = append(out, decl{key: p.dir + "." + id.Name, dir: p.dir, name: id.Name, ident: id})
-			} else if !stdMethods[id.Name] {
-				out = append(out, decl{key: p.dir + "." + recv + "." + id.Name, dir: p.dir, name: id.Name, method: true, ident: id})
-			}
-		}
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					add(d.Name, recvName(d))
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						switch s := s.(type) {
-						case *ast.TypeSpec:
-							add(s.Name, "")
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								add(n, "")
-							}
-						}
-					}
-				}
-			}
-		}
+func keys(ds []*decl) []string {
+	var out []string
+	for _, d := range ds {
+		out = append(out, d.key)
 	}
 	return out
 }
 
-// recvName returns a method's receiver type name, or "" for a function.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
+// decl is one package-level declaration of a non-test file.
+type decl struct {
+	key   string // "dir.Name", or "dir.Type.Method" for a method
+	dir   string // package directory, slash-separated, relative to the module root
+	pos   token.Position
+	lines int
+	obj   types.Object
+	node  ast.Node // what reaching it walks: its FuncDecl, TypeSpec or ValueSpec
+	viaIf bool     // an interface method call names it
+}
+
+// census is what runCensus found, each list sorted by key.
+type census struct {
+	decls     map[string]*decl // outside benchmark/, by key
+	unreached []*decl          // reached from no root
+	benchOnly []*decl          // reached only from benchmark/'s roots
+	unexport  []*decl          // exported, reached, and no other package or its tests refer to it
+}
+
+// runCensus type-checks the module at root and follows it from its roots.
+func runCensus(root string) (*census, error) {
+	l, err := load(root)
+	if err != nil {
+		return nil, err
 	}
-	x := fd.Recv.List[0].Type
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
+	product := l.reach(l.roots, nil)
+	all := l.reach(l.benchRoots, product)
+	c := &census{decls: map[string]*decl{}}
+	for _, d := range l.decls {
+		if inDir(d.dir, benchDir) {
+			continue
 		}
+		c.decls[d.key] = d
+		switch {
+		case !all[d]:
+			c.unreached = append(c.unreached, d)
+			continue
+		case !product[d]:
+			c.benchOnly = append(c.benchOnly, d)
+		}
+		if d.obj.Exported() && d.obj.Pkg().Name() != "main" && !l.foreign[d.key] && !d.viaIf && !stdMethods[d.obj.Name()] {
+			c.unexport = append(c.unexport, d)
+		}
+	}
+	for _, ds := range [][]*decl{c.unreached, c.benchOnly, c.unexport} {
+		slices.SortFunc(ds, func(a, b *decl) int { return strings.Compare(a.key, b.key) })
+	}
+	return c, nil
+}
+
+// loader type-checks a module's packages once each, so that every object
+// has one identity, and indexes their declarations.
+type loader struct {
+	fset    *token.FileSet
+	root    string
+	modPath string
+	bps     map[string]*build.Package // the module's, by directory
+	std     types.Importer
+	pkgs    map[string]*types.Package // the module's, by import path
+	info    *types.Info               // one for every package checked
+	decls   map[types.Object]*decl
+	byName  map[string][]*decl          // methods by name: an interface call's targets
+	exempt  map[*types.TypeName][]*decl // stdMethods by receiver type
+	foreign map[string]bool             // keys another package, or its tests, refer to
+
+	roots, benchRoots []ast.Node
+}
+
+func load(root string) (*loader, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	l := &loader{
+		fset:    token.NewFileSet(),
+		root:    root,
+		modPath: modulePath(mod),
+		bps:     map[string]*build.Package{},
+		pkgs:    map[string]*types.Package{},
+		info:    &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+		decls:   map[types.Object]*decl{},
+		byName:  map[string][]*decl{},
+		exempt:  map[*types.TypeName][]*decl{},
+		foreign: map[string]bool{},
+	}
+	var dirs []string
+	std := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(path, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		dir := filepath.ToSlash(rel)
+		dirs = append(dirs, dir)
+		l.bps[dir] = bp
+		for _, imps := range [][]string{bp.Imports, bp.TestImports, bp.XTestImports} {
+			for _, imp := range imps {
+				if _, ok := l.moduleDir(imp); !ok {
+					std[imp] = true
+				}
+			}
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if l.std, err = stdImporter(l.fset, std); err != nil {
+		return nil, err
+	}
+	for _, dir := range dirs {
+		if _, err := l.Import(l.importPath(dir)); err != nil {
+			return nil, err
+		}
+		if err := l.checkTests(dir, l.bps[dir]); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// stdImporter reads the standard library from the compiler's export data,
+// finding every package that the module imports in one go list run; the
+// gc importer's own lookup runs go list once per package.
+func stdImporter(fset *token.FileSet, paths map[string]bool) (types.Importer, error) {
+	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	for path := range paths {
+		args = append(args, path)
+	}
+	out, err := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, " ")
+		export[path] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("%s is not a standard package the module imports", path)
+		}
+		return os.Open(file)
+	}), nil
+}
+
+// modulePath reads the module line of a go.mod file.
+func modulePath(mod []byte) string {
+	for _, line := range strings.Split(string(mod), "\n") {
+		if path, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(path)
+		}
+	}
+	return ""
+}
+
+func (l *loader) importPath(dir string) string {
+	if dir == "." {
+		return l.modPath
+	}
+	return l.modPath + "/" + dir
+}
+
+// moduleDir returns the directory of a module import path, or false for
+// a path outside the module.
+func (l *loader) moduleDir(path string) (string, bool) {
+	if path == l.modPath {
+		return ".", true
+	}
+	return strings.CutPrefix(path, l.modPath+"/")
+}
+
+// Import returns a package of the standard library from its export data,
+// and a package of the module from its source, checking it on first use.
+func (l *loader) Import(path string) (*types.Package, error) {
+	dir, ok := l.moduleDir(path)
+	if !ok {
+		return l.std.Import(path)
+	}
+	if p := l.pkgs[path]; p != nil {
+		return p, nil
+	}
+	bp := l.bps[dir]
+	if bp == nil {
+		return nil, fmt.Errorf("no package in %s", dir)
+	}
+	files, err := l.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	p, err := l.check(path, files, l)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	l.index(dir, p, files)
+	return p, nil
+}
+
+func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(l.root, dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// check type-checks one package into l.info. It returns the package even
+// when it has type errors, with every error.
+func (l *loader) check(path string, files []*ast.File, imp types.Importer) (*types.Package, error) {
+	var errs []error
+	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
+	p, _ := conf.Check(path, l.fset, files, l.info)
+	return p, errors.Join(errs...)
+}
+
+// index records the package's declarations, its roots, and the objects of
+// other packages that its files refer to.
+func (l *loader) index(dir string, p *types.Package, files []*ast.File) {
+	rootsOf := &l.roots
+	if inDir(dir, benchDir) {
+		rootsOf = &l.benchRoots
+	}
+	add := func(id *ast.Ident, node ast.Node) {
+		obj := l.info.Defs[id]
+		if obj == nil || obj.Name() == "_" {
+			return
+		}
+		d := l.declare(dir, obj, node)
+		if tn := recvOf(obj); tn != nil {
+			l.byName[id.Name] = append(l.byName[id.Name], d)
+			if stdMethods[id.Name] {
+				l.exempt[tn] = append(l.exempt[tn], d)
+			}
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				switch {
+				case d.Recv == nil && d.Name.Name == "init":
+					*rootsOf = append(*rootsOf, d)
+				case d.Recv == nil && d.Name.Name == "main" && p.Name() == "main" && inRootDir(dir):
+					*rootsOf = append(*rootsOf, d)
+				default:
+					add(d.Name, d)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s)
+					case *ast.ValueSpec:
+						if d.Tok == token.VAR && len(s.Values) > 0 {
+							*rootsOf = append(*rootsOf, s)
+						}
+						for _, n := range s.Names {
+							add(n, s)
+						}
+					}
+				}
+			}
+		}
+		l.markForeign(p, f)
 	}
 }
 
-// countUses counts, per declaration key, its uses in non-test files
-// outside benchmark/ and, apart, in benchmark/.
-func countUses(pkgs []*pkgFiles, decls []decl) (uses, benchUses map[string]int) {
-	uses, benchUses = map[string]int{}, map[string]int{}
-	declIdents := map[*ast.Ident]bool{}
-	topLevel := map[string]map[string]string{} // pkg dir → name → key
-	methods := map[string][]string{}           // method name → keys
-	for _, d := range decls {
-		declIdents[d.ident] = true
-		if d.method {
-			methods[d.name] = append(methods[d.name], d.key)
-			continue
-		}
-		if topLevel[d.dir] == nil {
-			topLevel[d.dir] = map[string]string{}
-		}
-		topLevel[d.dir][d.name] = d.key
+func (l *loader) declare(dir string, obj types.Object, node ast.Node) *decl {
+	d := &decl{
+		key:   objKey(dir, obj),
+		dir:   dir,
+		pos:   l.fset.Position(node.Pos()),
+		lines: l.fset.Position(node.End()).Line - l.fset.Position(node.Pos()).Line + 1,
+		obj:   obj,
+		node:  node,
 	}
-	pkgName := map[string]string{} // import path → package name
-	for _, p := range pkgs {
-		pkgName[modulePath+"/"+p.dir] = p.name
-	}
-	for _, p := range pkgs {
-		count := uses
-		if inBench(p.dir) {
-			count = benchUses
+	l.decls[obj] = d
+	return d
+}
+
+// markForeign records the module objects that file f, of package p,
+// refers to outside p.
+func (l *loader) markForeign(p *types.Package, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
 		}
-		for _, f := range p.files {
-			imports := map[string]string{} // local name → package dir
-			for _, im := range f.Imports {
-				path := strings.Trim(im.Path.Value, `"`)
-				name, ok := pkgName[path]
-				if !ok {
-					continue
-				}
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = strings.TrimPrefix(path, modulePath+"/")
+		obj := origin(l.info.Uses[id])
+		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() == p.Path() {
+			return true
+		}
+		if dir, ok := l.moduleDir(obj.Pkg().Path()); ok {
+			l.foreign[objKey(dir, obj)] = true
+		}
+		return true
+	})
+}
+
+// checkTests type-checks a directory's test files, only to learn which
+// exported names other packages' tests refer to: the package with its
+// in-package tests, then its external test package against that. Type
+// errors are dropped: go test rebuilds every package that the external
+// tests import and that imports the package under test against its test
+// variant, and this check does not, so an external test that passes one
+// through the other fails to type here (go vet checks the tests).
+func (l *loader) checkTests(dir string, bp *build.Package) error {
+	path := l.importPath(dir)
+	self := l.pkgs[path]
+	if len(bp.TestGoFiles) > 0 {
+		files, err := l.parse(dir, append(slices.Clip(bp.GoFiles), bp.TestGoFiles...))
+		if err != nil {
+			return err
+		}
+		self, _ = l.check(path, files, l)
+		for _, f := range files {
+			l.markForeign(self, f)
+		}
+	}
+	if len(bp.XTestGoFiles) == 0 {
+		return nil
+	}
+	files, err := l.parse(dir, bp.XTestGoFiles)
+	if err != nil {
+		return err
+	}
+	imp := importerFunc(func(p string) (*types.Package, error) {
+		if p == path {
+			return self, nil
+		}
+		return l.Import(p)
+	})
+	xp, _ := l.check(path+"_test", files, imp)
+	for _, f := range files {
+		l.markForeign(xp, f)
+	}
+	return nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// reach returns every declaration reached from roots, or from a
+// declaration already in from.
+func (l *loader) reach(roots []ast.Node, from map[*decl]bool) map[*decl]bool {
+	seen := map[*decl]bool{}
+	for d := range from {
+		seen[d] = true
+	}
+	queue := slices.Clone(roots)
+	visit := func(d *decl) {
+		if !seen[d] {
+			seen[d] = true
+			queue = append(queue, d.node)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
 			}
-			selected := map[*ast.Ident]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					selected[n.Sel] = true
-					if x, ok := n.X.(*ast.Ident); ok {
-						if dir, ok := imports[x.Name]; ok {
-							if key, ok := topLevel[dir][n.Sel.Name]; ok {
-								count[key]++
-							}
-							return false
-						}
-					}
-					for _, key := range methods[n.Sel.Name] {
-						count[key]++
-					}
-				case *ast.Ident:
-					if !selected[n] && !declIdents[n] {
-						if key, ok := topLevel[p.dir][n.Name]; ok {
-							count[key]++
-						}
-					}
+			obj := origin(l.info.Uses[id])
+			if fn, ok := obj.(*types.Func); ok && isAbstract(fn) {
+				for _, d := range l.byName[fn.Name()] {
+					d.viaIf = true
+					visit(d)
 				}
 				return true
-			})
-		}
+			}
+			if d := l.decls[obj]; d != nil {
+				visit(d)
+				if tn, ok := obj.(*types.TypeName); ok {
+					for _, m := range l.exempt[tn] {
+						visit(m)
+					}
+				}
+			}
+			return true
+		})
 	}
-	return uses, benchUses
+	return seen
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// isAbstract reports whether fn is an interface's method.
+func isAbstract(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// recvOf returns the receiver type of a concrete method, else nil.
+func recvOf(obj types.Object) *types.TypeName {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || types.IsInterface(recv.Type()) {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj()
+}
+
+// objKey is the census key of a package-level object or a method.
+func objKey(dir string, obj types.Object) string {
+	if tn := recvOf(obj); tn != nil {
+		return dir + "." + tn.Name() + "." + obj.Name()
+	}
+	return dir + "." + obj.Name()
+}
+
+func inDir(dir, parent string) bool { return dir == parent || strings.HasPrefix(dir, parent+"/") }
+
+func inRootDir(dir string) bool {
+	return slices.ContainsFunc(rootDirs, func(r string) bool { return inDir(dir, r) })
 }
 
 // readAllowlist reads "key reason" lines; blank lines and lines starting
-// with # are skipped, and every reason must be one of the three above.
+// with # are skipped, and every reason must be one of the two above.
 func readAllowlist(t *testing.T, path string) map[string]string {
 	t.Helper()
 	f, err := os.Open(path)
@@ -308,11 +607,8 @@ func readAllowlist(t *testing.T, path string) map[string]string {
 		}
 		key, reason, _ := strings.Cut(text, " ")
 		reason = strings.TrimSpace(reason)
-		switch reason {
-		case reasonTestHelper, reasonBenchmark, reasonRouterAPI:
-		default:
-			t.Errorf("%s:%d: %s: reason %q is not one of %q, %q, %q",
-				path, line, key, reason, reasonTestHelper, reasonBenchmark, reasonRouterAPI)
+		if reason != reasonTestHelper && reason != reasonRouterAPI {
+			t.Errorf("%s:%d: %s: reason %q is not %q or %q", path, line, key, reason, reasonTestHelper, reasonRouterAPI)
 		}
 		if _, dup := allow[key]; dup {
 			t.Errorf("%s:%d: %s listed twice", path, line, key)

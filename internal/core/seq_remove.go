@@ -18,10 +18,10 @@ func (st *State) RemoveEdgeSeq(u, v int32) RemoveStats {
 	// Ensure both endpoints have a known mcd that still counts the edge
 	// (Algorithm 8 line 3 runs CheckMCD before the removal).
 	if st.Mcd[u].Load() == McdEmpty {
-		st.Mcd[u].Store(st.ComputeMCD(u))
+		st.Mcd[u].Store(st.computeMCD(u))
 	}
 	if st.Mcd[v].Load() == McdEmpty {
-		st.Mcd[v].Store(st.ComputeMCD(v))
+		st.Mcd[v].Store(st.computeMCD(v))
 	}
 	// The earlier endpoint loses the out-edge u ↦ v.
 	if st.BeforeSeq(u, v) {
@@ -107,11 +107,11 @@ func (r *removeRun) propagate() {
 				continue
 			}
 			if st.Mcd[x].Load() == McdEmpty {
-				// ComputeMCD counts w via the in-flight rule
+				// computeMCD counts w via the in-flight rule
 				// (core = k-1, dropping from k), so the
 				// decrement below is always backed by a
 				// counted neighbor.
-				st.Mcd[x].Store(st.ComputeMCD(x))
+				st.Mcd[x].Store(st.computeMCD(x))
 			}
 			r.doMCD(x)
 		}

@@ -284,12 +284,12 @@ func DroppingFrom(t, level int32) bool {
 	return t&(1<<tStatusBits-1) != 0 && t>>tStatusBits == level
 }
 
-// ComputeMCD returns the max-core degree of u per Definition 3.8 evaluated
+// computeMCD returns the max-core degree of u per Definition 3.8 evaluated
 // against current core numbers plus the in-flight rule of Algorithm 8
 // (CheckMCD): a neighbor with core = core(u)−1 that is still propagating
 // its drop from core(u) is counted because it has not yet delivered its
 // decrement to u. Pure computation; the caller decides where to store it.
-func (st *State) ComputeMCD(u int32) int32 {
+func (st *State) computeMCD(u int32) int32 {
 	cu := st.Core[u].Load()
 	mcd := int32(0)
 	for _, v := range st.G.Adj(u) {

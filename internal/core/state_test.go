@@ -230,22 +230,22 @@ func TestComputeMCDDefinition(t *testing.T) {
 	})
 	st := NewState(g)
 	// Vertex 0 (core 2): neighbors 1,2 (core 2 >= 2) and 3 (core 1): mcd 2.
-	if got := st.ComputeMCD(0); got != 2 {
+	if got := st.computeMCD(0); got != 2 {
 		t.Fatalf("mcd(0) = %d, want 2", got)
 	}
 	// Vertex 3 (core 1): neighbors 0 (core 2) and 4 (core 1): mcd 2.
-	if got := st.ComputeMCD(3); got != 2 {
+	if got := st.computeMCD(3); got != 2 {
 		t.Fatalf("mcd(3) = %d, want 2", got)
 	}
 	// In-flight rule: a neighbor mid-drop from cu (core = cu-1, t in
 	// flight from cu) counts.
 	st.T[1].Store(DropStatus(2, 2))
 	st.Core[1].Store(1)
-	if got := st.ComputeMCD(0); got != 2 {
+	if got := st.computeMCD(0); got != 2 {
 		t.Fatalf("mcd(0) with in-flight neighbor = %d, want 2", got)
 	}
 	st.T[1].Store(0)
-	if got := st.ComputeMCD(0); got != 1 {
+	if got := st.computeMCD(0); got != 1 {
 		t.Fatalf("mcd(0) after neighbor settled = %d, want 1", got)
 	}
 }
@@ -263,21 +263,21 @@ func TestComputeMCDDropStatusWindow(t *testing.T) {
 	st := NewState(g)
 	// Vertex 3 (core 1) begins to drop to core 0: t first.
 	st.T[3].Store(DropStatus(1, 2))
-	if got := st.ComputeMCD(0); got != 2 {
+	if got := st.computeMCD(0); got != 2 {
 		t.Fatalf("level-2 recount in the window of a 1->0 drop: mcd(0) = %d, want 2", got)
 	}
-	if got := st.ComputeMCD(4); got != 1 {
+	if got := st.computeMCD(4); got != 1 {
 		t.Fatalf("level-1 recount in the window: mcd(4) = %d, want 1", got)
 	}
 	st.Core[3].Store(0)
-	if got := st.ComputeMCD(0); got != 2 {
+	if got := st.computeMCD(0); got != 2 {
 		t.Fatalf("level-2 recount after the core store: mcd(0) = %d, want 2", got)
 	}
-	if got := st.ComputeMCD(4); got != 1 {
+	if got := st.computeMCD(4); got != 1 {
 		t.Fatalf("level-1 recount of a neighbor in flight from level 1: mcd(4) = %d, want 1", got)
 	}
 	st.T[3].Store(0)
-	if got := st.ComputeMCD(4); got != 0 {
+	if got := st.computeMCD(4); got != 0 {
 		t.Fatalf("mcd(4) after neighbor settled = %d, want 0", got)
 	}
 }

@@ -22,17 +22,17 @@ var benchGraphs = []string{"livej", "roadNet-CA", "ER", "BA"}
 
 const benchSeed = 42
 
-func suiteWorkload(b *testing.B, name string, batch int) Workload {
+func suiteWorkload(b *testing.B, name string, batch int) workload {
 	b.Helper()
-	sgs, err := SuiteByName(ScaleCI, benchSeed, name)
+	sgs, err := suiteByName(scaleCI, benchSeed, name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return BuildWorkload(sgs[0], batch, benchSeed)
+	return buildWorkload(sgs[0], batch, benchSeed)
 }
 
 // benchSeries times step(w.Batch) on a fresh start of s per iteration.
-func benchSeries(b *testing.B, s series, w Workload, workers int) {
+func benchSeries(b *testing.B, s series, w workload, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		step := s.start(w, workers)
@@ -44,7 +44,7 @@ func benchSeries(b *testing.B, s series, w Workload, workers int) {
 // BenchmarkTable2Decompose measures the static BZ decomposition of every
 // suite graph — the initialization cost every maintainer pays once.
 func BenchmarkTable2Decompose(b *testing.B) {
-	for _, sg := range Suite(ScaleCI, benchSeed) {
+	for _, sg := range Suite(scaleCI, benchSeed) {
 		g := sg.Build()
 		b.Run(sg.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -25,10 +25,10 @@ func RunContention(cfg Config) {
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Graph\tins aborts/edge\tins Q-rebuilds/edge\tins evictions/edge\trem aborts/edge\trem redos/edge\tins repair targets/edge\trem repair targets/edge\tins rebuilds")
 	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
-		w := BuildWorkload(sg, batchSize, cfg.Seed)
+		w := buildWorkload(sg, batchSize, cfg.Seed)
 		per := func(x int64) float64 { return float64(x) / float64(len(w.Batch)) }
 
-		stIns := core.NewState(w.WithoutBatch())
+		stIns := core.NewState(w.withoutBatch())
 		ins := pcore.New(stIns, workers).InsertEdges(w.Batch).Metrics
 
 		stRem := core.NewState(w.Base.Clone())

@@ -18,7 +18,7 @@ func tinyConfig(buf *bytes.Buffer) Config {
 }
 
 func TestSuiteShape(t *testing.T) {
-	suite := Suite(ScaleCI, 1)
+	suite := Suite(scaleCI, 1)
 	if len(suite) != 16 {
 		t.Fatalf("suite has %d graphs, want 16 (Table 2)", len(suite))
 	}
@@ -46,8 +46,8 @@ func TestSuiteShape(t *testing.T) {
 }
 
 func TestSuiteDeterministic(t *testing.T) {
-	a := Suite(ScaleCI, 7)[0].Build()
-	b := Suite(ScaleCI, 7)[0].Build()
+	a := Suite(scaleCI, 7)[0].Build()
+	b := Suite(scaleCI, 7)[0].Build()
 	if a.N() != b.N() || a.M() != b.M() {
 		t.Fatal("same seed must produce the same graph")
 	}
@@ -60,19 +60,19 @@ func TestSuiteDeterministic(t *testing.T) {
 }
 
 func TestSuiteByName(t *testing.T) {
-	got, err := SuiteByName(ScaleCI, 1, "BA", "ER")
+	got, err := suiteByName(scaleCI, 1, "BA", "ER")
 	if err != nil || len(got) != 2 || got[0].Name != "BA" || got[1].Name != "ER" {
-		t.Fatalf("SuiteByName: %v %v", got, err)
+		t.Fatalf("suiteByName: %v %v", got, err)
 	}
-	if _, err := SuiteByName(ScaleCI, 1, "nope"); err == nil {
+	if _, err := suiteByName(scaleCI, 1, "nope"); err == nil {
 		t.Fatal("unknown name must error")
 	}
 }
 
 func TestBuildWorkload(t *testing.T) {
-	suite := Suite(ScaleCI, 1)
+	suite := Suite(scaleCI, 1)
 	for _, sg := range []SuiteGraph{suite[0], suite[12]} { // one static, one temporal
-		w := BuildWorkload(sg, 200, 5)
+		w := buildWorkload(sg, 200, 5)
 		if len(w.Batch) != 200 {
 			t.Fatalf("%s: batch %d", sg.Name, len(w.Batch))
 		}
@@ -81,9 +81,9 @@ func TestBuildWorkload(t *testing.T) {
 				t.Fatalf("%s: batch edge %v not in base", sg.Name, e)
 			}
 		}
-		without := w.WithoutBatch()
+		without := w.withoutBatch()
 		if without.M() != w.Base.M()-int64(len(w.Batch)) {
-			t.Fatalf("%s: WithoutBatch m=%d", sg.Name, without.M())
+			t.Fatalf("%s: withoutBatch m=%d", sg.Name, without.M())
 		}
 	}
 }
@@ -159,7 +159,7 @@ func TestRunFig4AndTable3(t *testing.T) {
 }
 
 func TestParseScale(t *testing.T) {
-	for _, s := range []Scale{ScaleCI, ScaleMedium, ScaleFull} {
+	for _, s := range []Scale{scaleCI, scaleMedium, scaleFull} {
 		if got, err := ParseScale(string(s)); err != nil || got != s {
 			t.Fatalf("ParseScale(%q) = %q, %v", s, got, err)
 		}
@@ -240,19 +240,19 @@ func TestPaperBatchesNeverRebuild(t *testing.T) {
 		}
 	}
 	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
-		w := BuildWorkload(sg, base, cfg.Seed)
+		w := buildWorkload(sg, base, cfg.Seed)
 		check(sg.Name, ourI.start(w, workers)(w.Batch))
 	}
-	suite, err := SuiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
+	suite, err := suiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sg := range suite {
 		for _, mult := range []int{2, 4, 6, 8, 10} {
-			w := BuildWorkload(sg, base*mult, cfg.Seed)
+			w := buildWorkload(sg, base*mult, cfg.Seed)
 			check(fmt.Sprintf("%s %dx", sg.Name, mult), ourI.start(w, workers)(w.Batch))
 		}
-		w := BuildWorkload(sg, base*10, cfg.Seed)
+		w := buildWorkload(sg, base*10, cfg.Seed)
 		step := ourI.start(w, workers)
 		for gi := 0; gi+base <= len(w.Batch); gi += base {
 			check(fmt.Sprintf("%s group at %d", sg.Name, gi), step(w.Batch[gi:gi+base]))

@@ -24,7 +24,7 @@ type Config struct {
 // DefaultConfig returns CI-scale settings: worker counts 1..16, 3 repeats.
 func DefaultConfig(out io.Writer) Config {
 	return Config{
-		Scale:   ScaleCI,
+		Scale:   scaleCI,
 		Workers: []int{1, 2, 4, 8, 16},
 		Repeats: 3,
 		Seed:    42,
@@ -69,16 +69,16 @@ var paperSeries = []series{
 // start builds the maintainer s starts from — w without its batch for an
 // insertion, all of w for a removal — and returns the step that applies a
 // batch to it.
-func (s series) start(w Workload, workers int) func([]graph.Edge) kcore.BatchResult {
+func (s series) start(w workload, workers int) func([]graph.Edge) kcore.BatchResult {
 	opts := []kcore.Option{kcore.WithAlgorithm(s.alg), kcore.WithWorkers(workers)}
 	if s.insert {
-		return kcore.New(w.WithoutBatch(), opts...).InsertEdges
+		return kcore.New(w.withoutBatch(), opts...).InsertEdges
 	}
 	return kcore.New(w.Base.Clone(), opts...).RemoveEdges
 }
 
 // measureSeries times step(w.Batch) on a fresh start of s, repeats times.
-func measureSeries(repeats int, s series, w Workload, workers int) stats.Summary {
+func measureSeries(repeats int, s series, w workload, workers int) stats.Summary {
 	return measure(repeats, func() func() {
 		step := s.start(w, workers)
 		return func() { step(w.Batch) }
@@ -115,7 +115,7 @@ func RunFig1(cfg Config) {
 	remHist := stats.NewHistogram([]int{10, 100, 1000})
 	ourI, ourR := paperSeries[0], paperSeries[1]
 	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
-		w := BuildWorkload(sg, batchSize, cfg.Seed)
+		w := buildWorkload(sg, batchSize, cfg.Seed)
 		insHist.AddAll(ourI.start(w, 16)(w.Batch).VPlusSizes)
 		remHist.AddAll(ourR.start(w, 16)(w.Batch).VPlusSizes)
 	}
@@ -151,7 +151,7 @@ func RunFig4(cfg Config) []Fig4Point {
 	var points []Fig4Point
 	cfg.printf("Fig. 4 — running time (ms) vs workers, batch = %d edges, %d repeats\n", batchSize, cfg.Repeats)
 	for _, sg := range Suite(cfg.Scale, cfg.Seed) {
-		w := BuildWorkload(sg, batchSize, cfg.Seed)
+		w := buildWorkload(sg, batchSize, cfg.Seed)
 		cfg.printf("\n%s:\n", sg.Name)
 		tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "workers\tOurI\tOurR\tJEI\tJER")
@@ -222,7 +222,7 @@ func RunFig5(cfg Config) {
 	_, base := cfg.Scale.params()
 	workers := cfg.Workers[len(cfg.Workers)-1]
 	sizes := []int{1, 2, 4, 6, 8, 10}
-	suite, err := SuiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
+	suite, err := suiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
 	if err != nil {
 		panic(err)
 	}
@@ -234,7 +234,7 @@ func RunFig5(cfg Config) {
 		var baselines [4]float64
 		for _, mult := range sizes {
 			size := base * mult
-			w := BuildWorkload(sg, size, cfg.Seed)
+			w := buildWorkload(sg, size, cfg.Seed)
 			var ratios [4]float64
 			for i, s := range paperSeries {
 				sum := measureSeries(cfg.Repeats, s, w, workers)
@@ -259,18 +259,18 @@ func RunFig5(cfg Config) {
 func RunFig6(cfg Config) {
 	_, batchSize := cfg.Scale.params()
 	groups := 10
-	if cfg.Scale == ScaleFull {
+	if cfg.Scale == scaleFull {
 		groups = 50
 	}
 	workers := cfg.Workers[len(cfg.Workers)-1]
-	suite, err := SuiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
+	suite, err := suiteByName(cfg.Scale, cfg.Seed, fig5Graphs...)
 	if err != nil {
 		panic(err)
 	}
 	cfg.printf("Fig. 6 — per-group running time (ms), %d disjoint groups of %d edges, %d workers\n",
 		groups, batchSize, workers)
 	for _, sg := range suite {
-		w := BuildWorkload(sg, batchSize*groups, cfg.Seed)
+		w := buildWorkload(sg, batchSize*groups, cfg.Seed)
 		if len(w.Batch) < batchSize*groups {
 			groups = len(w.Batch) / batchSize
 		}

@@ -20,20 +20,20 @@ import (
 type Scale string
 
 const (
-	// ScaleCI: ~2k vertices per graph, 1k-edge batches. Seconds.
-	ScaleCI Scale = "ci"
-	// ScaleMedium: ~20k vertices, 10k-edge batches. Minutes.
-	ScaleMedium Scale = "medium"
-	// ScaleFull: paper-scale 1M vertices, 100k-edge batches. Hours on a
+	// scaleCI: ~2k vertices per graph, 1k-edge batches. Seconds.
+	scaleCI Scale = "ci"
+	// scaleMedium: ~20k vertices, 10k-edge batches. Minutes.
+	scaleMedium Scale = "medium"
+	// scaleFull: paper-scale 1M vertices, 100k-edge batches. Hours on a
 	// laptop; intended for real multicore machines.
-	ScaleFull Scale = "full"
+	scaleFull Scale = "full"
 )
 
 // ParseScale converts a command-line scale name to a Scale; a name that is
 // not one of ci, medium and full is an error.
 func ParseScale(s string) (Scale, error) {
 	switch sc := Scale(s); sc {
-	case ScaleCI, ScaleMedium, ScaleFull:
+	case scaleCI, scaleMedium, scaleFull:
 		return sc, nil
 	}
 	return "", fmt.Errorf("unknown scale %q (want ci|medium|full)", s)
@@ -42,9 +42,9 @@ func ParseScale(s string) (Scale, error) {
 // params returns (n, batch) for a scale.
 func (s Scale) params() (int, int) {
 	switch s {
-	case ScaleMedium:
+	case scaleMedium:
 		return 20000, 10000
-	case ScaleFull:
+	case scaleFull:
 		return 1000000, 100000
 	default:
 		return 2000, 1000
@@ -104,8 +104,8 @@ func Suite(scale Scale, seed int64) []SuiteGraph {
 	}
 }
 
-// SuiteByName returns the named suite entries, in the given order.
-func SuiteByName(scale Scale, seed int64, names ...string) ([]SuiteGraph, error) {
+// suiteByName returns the named suite entries, in the given order.
+func suiteByName(scale Scale, seed int64, names ...string) ([]SuiteGraph, error) {
 	all := Suite(scale, seed)
 	var out []SuiteGraph
 	for _, name := range names {
@@ -132,19 +132,19 @@ func log2ceil(n int) int {
 	return s
 }
 
-// Workload is a pair of edge batches for one graph: Insert is applied to a
+// workload is a pair of edge batches for one graph: Insert is applied to a
 // graph missing those edges; Remove is applied to the full graph. For
 // temporal graphs the batch is the latest contiguous slice of the stream.
-type Workload struct {
+type workload struct {
 	// Base is the graph the removal batch applies to; the insertion run
 	// starts from Base minus the batch.
 	Base  *graph.Graph
 	Batch []graph.Edge
 }
 
-// BuildWorkload samples a batch of `size` edges of sg's graph (time-sliced
+// buildWorkload samples a batch of `size` edges of sg's graph (time-sliced
 // for temporal graphs, uniform otherwise).
-func BuildWorkload(sg SuiteGraph, size int, seed int64) Workload {
+func buildWorkload(sg SuiteGraph, size int, seed int64) workload {
 	g := sg.Build()
 	var batch []graph.Edge
 	if sg.Temporal {
@@ -158,12 +158,12 @@ func BuildWorkload(sg SuiteGraph, size int, seed int64) Workload {
 	} else {
 		batch = gen.SampleEdges(g, size, seed)
 	}
-	return Workload{Base: g, Batch: batch}
+	return workload{Base: g, Batch: batch}
 }
 
-// WithoutBatch returns a copy of the base graph with the batch removed —
+// withoutBatch returns a copy of the base graph with the batch removed —
 // the starting point of an insertion measurement.
-func (w Workload) WithoutBatch() *graph.Graph {
+func (w workload) withoutBatch() *graph.Graph {
 	g := w.Base.Clone()
 	for _, e := range w.Batch {
 		g.RemoveEdge(e.U, e.V)

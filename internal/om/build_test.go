@@ -54,7 +54,7 @@ func checkAgainst(t *testing.T, l *List, ref []int32, rng *rand.Rand, context st
 // rebalance the groups that follow.
 func TestNewListOfAgainstReference(t *testing.T) {
 	const steps, hotspot = 1500, 3000
-	for _, size := range []int{0, 1, DefaultGroupCap - 1, DefaultGroupCap, DefaultGroupCap + 1, 10_000} {
+	for _, size := range []int{0, 1, defaultGroupCap - 1, defaultGroupCap, defaultGroupCap + 1, 10_000} {
 		rng := rand.New(rand.NewSource(int64(size)))
 		s := NewSlab(size + steps + hotspot)
 		items := make([]int32, size)

@@ -62,10 +62,10 @@ const (
 	// group is renumbered. Midpoints are computed in uint64.
 	bottomSpan uint64 = 1 << 32
 
-	// DefaultGroupCap is the default maximum number of items per group.
+	// defaultGroupCap is the default maximum number of items per group.
 	// The paper sizes groups at Θ(log N); 48 covers N well beyond 10^9
 	// while keeping splits cheap.
-	DefaultGroupCap = 48
+	defaultGroupCap = 48
 
 	// none is the null item and group index; a free id's group reads none.
 	none int32 = -1
@@ -147,7 +147,7 @@ type List struct {
 }
 
 // NewList returns an empty list over s whose groups hold at most groupCap
-// items; groupCap <= 0 selects DefaultGroupCap.
+// items; groupCap <= 0 selects defaultGroupCap.
 func NewList(s *Slab, groupCap int) *List {
 	return sizedList(s, groupCap, 1)
 }
@@ -206,7 +206,7 @@ func NewListOf(s *Slab, groupCap int, items []int32) *List {
 // capOf returns the group capacity a list built with groupCap uses.
 func capOf(groupCap int) int32 {
 	if groupCap <= 0 {
-		return DefaultGroupCap
+		return defaultGroupCap
 	}
 	return int32(max(groupCap, 4))
 }

@@ -105,17 +105,6 @@ type Batch struct {
 	Metrics Metrics
 }
 
-// Applied counts the edges of the batch that changed the graph.
-func (b Batch) Applied() int {
-	n := 0
-	for _, s := range b.Sizes {
-		if s >= 0 || s == Rebuilt {
-			n++
-		}
-	}
-	return n
-}
-
 // InsertEdges inserts a batch of edges with the Parallel-Order insertion
 // algorithm (Algorithm 7 per edge). The graph reserves room for the batch
 // before the workers fork, so their concurrent AddEdge calls never move

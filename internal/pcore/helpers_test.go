@@ -32,3 +32,14 @@ func newPQueue(st *core.State, k int32) *pqueue {
 	q.reset(k)
 	return q
 }
+
+// Applied counts the edges of the batch that changed the graph.
+func (b Batch) Applied() int {
+	n := 0
+	for _, s := range b.Sizes {
+		if s >= 0 || s == Rebuilt {
+			n++
+		}
+	}
+	return n
+}

@@ -39,13 +39,13 @@ import (
 )
 
 const (
-	// PageBits is the log2 of the page size: pages hold 1024 core numbers
+	// pageBits is the log2 of the page size: pages hold 1024 core numbers
 	// (4 KiB). Small pages bound the write amplification of scattered
 	// changed sets — a delta touching p distinct pages clones p·4 KiB —
 	// while the page table stays negligible (n/1024 pointers).
-	PageBits = 10
+	pageBits = 10
 	// PageSize is the number of vertices per page.
-	PageSize = 1 << PageBits
+	PageSize = 1 << pageBits
 
 	pageMask = PageSize - 1
 
@@ -101,7 +101,7 @@ type View struct {
 
 // CoreOf returns the core number of v: one shift+mask page lookup, O(1).
 func (v *View) CoreOf(u int32) int32 {
-	return v.pages[u>>PageBits][u&pageMask]
+	return v.pages[u>>pageBits][u&pageMask]
 }
 
 // CoresInto materializes the paged core array into dst, which is grown if
@@ -114,7 +114,7 @@ func (v *View) CoresInto(dst []int32) []int32 {
 		dst = dst[:v.N]
 	}
 	for p, pg := range v.pages {
-		copy(dst[p<<PageBits:], pg)
+		copy(dst[p<<pageBits:], pg)
 	}
 	return dst
 }
@@ -137,7 +137,7 @@ func (v *View) HistRangeInto(dst []int64, lo, hi int32) []int64 {
 	}
 	dst = append(dst[:0], 0)
 	for u := lo; u < hi; {
-		pg := v.pages[u>>PageBits]
+		pg := v.pages[u>>pageBits]
 		end := (u &^ pageMask) + int32(len(pg))
 		if end > hi {
 			end = hi
@@ -316,7 +316,7 @@ func (p *Publisher) Load(cores []int32, m int64, epoch uint64) uint64 {
 	}
 	pages := p.takeTable(numPages)
 	for i := range pages {
-		lo := i << PageBits
+		lo := i << pageBits
 		hi := lo + PageSize
 		if hi > len(cores) {
 			hi = len(cores)
@@ -370,7 +370,7 @@ func (p *Publisher) Publish(n int, m int64, changed []int32, coreOf func(int32) 
 	if grown {
 		cloneTable((n + PageSize - 1) / PageSize)
 		// fullLen returns the length page i must have to cover n.
-		fullLen := func(i int) int { return min(n-i<<PageBits, PageSize) }
+		fullLen := func(i int) int { return min(n-i<<pageBits, PageSize) }
 		if last := len(old.pages) - 1; last >= 0 && len(old.pages[last]) < fullLen(last) {
 			// The old last page was short (old.N not page-aligned): clone
 			// and zero-extend it, leaving the shared original untouched.
@@ -393,7 +393,7 @@ func (p *Publisher) Publish(n int, m int64, changed []int32, coreOf func(int32) 
 	dirty := 0
 	for _, v := range changed {
 		core := coreOf(v)
-		pi, off := v>>PageBits, v&pageMask
+		pi, off := v>>pageBits, v&pageMask
 		oldCore := pages[pi][off]
 		if oldCore == core {
 			continue

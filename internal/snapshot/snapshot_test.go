@@ -207,7 +207,7 @@ func checkModel(t *testing.T, v *View, cores []int32, m int64) {
 		t.Fatalf("N=%d M=%d, want N=%d M=%d", v.N, v.M, len(cores), m)
 	}
 	for p, page := range v.pages {
-		lo := p << PageBits
+		lo := p << pageBits
 		if hi := min(lo+PageSize, len(cores)); !slices.Equal(page, cores[lo:hi]) {
 			t.Fatalf("page %d reads wrong (len %d, want %d)", p, len(page), hi-lo)
 		}

@@ -98,8 +98,8 @@ func NewHistogram(bounds []int) *Histogram {
 	}
 }
 
-// Add counts one observation.
-func (h *Histogram) Add(x int) {
+// add counts one observation.
+func (h *Histogram) add(x int) {
 	h.Total++
 	for i, b := range h.Bounds {
 		if x <= b {
@@ -113,7 +113,7 @@ func (h *Histogram) Add(x int) {
 // AddAll counts a slice of observations.
 func (h *Histogram) AddAll(xs []int) {
 	for _, x := range xs {
-		h.Add(x)
+		h.add(x)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestQuickHistogramConservation(t *testing.T) {
 	f := func(xs []uint16) bool {
 		h := NewHistogram([]int{1, 10, 100, 1000})
 		for _, x := range xs {
-			h.Add(int(x))
+			h.add(int(x))
 		}
 		var sum int64
 		for _, c := range h.Counts {

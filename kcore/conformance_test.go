@@ -12,7 +12,7 @@ import (
 
 // The cross-engine conformance suite: one table of scripted
 // insert/remove/mixed scenarios, each run through every registered engine
-// via the Engine interface. After every batch the engine's cores must be
+// via the batchEngine interface. After every batch the engine's cores must be
 // byte-equal to a fresh BZ decomposition of a mirror graph, the vertices
 // the engine reported must cover every vertex whose core moved (delta
 // snapshot publication depends on that; repeats are allowed), and
@@ -216,7 +216,7 @@ func TestEngineConformanceRandomized(t *testing.T) {
 	base := gen.ErdosRenyi(n, 480, 113)
 	mirror := base.Clone()
 	algs := Algorithms()
-	engines := make([]Engine, len(algs))
+	engines := make([]batchEngine, len(algs))
 	for i, alg := range algs {
 		engines[i] = newEngine(alg, base.Clone(), 3)
 	}

@@ -130,7 +130,7 @@ func TestOldViewStableDuringPublishes(t *testing.T) {
 	defer m.Close()
 
 	held := m.Snapshot()
-	want := held.CoreNumbers()
+	want := held.CoresInto(nil)
 	wantMax, wantM := held.MaxCore(), held.M()
 	wantHist := append([]int64(nil), held.Histogram()...)
 
@@ -213,7 +213,7 @@ func TestHugeBatchPublishesCopyOnWrite(t *testing.T) {
 		mirror := base.Clone()
 		m := New(base, WithAlgorithm(alg), WithWorkers(2))
 		held := m.Snapshot()
-		heldCores := held.CoreNumbers()
+		heldCores := held.CoresInto(nil)
 		before := m.ServingStats()
 
 		res := m.InsertEdges(clique)
@@ -236,7 +236,7 @@ func TestHugeBatchPublishesCopyOnWrite(t *testing.T) {
 		if got := m.CoreNumbers(); !slices.Equal(got, truth) {
 			t.Fatalf("%v: served cores %v, want %v", alg, got, truth)
 		}
-		if got := held.CoreNumbers(); !slices.Equal(got, heldCores) || held.MaxCore() != 2 {
+		if got := held.CoresInto(nil); !slices.Equal(got, heldCores) || held.MaxCore() != 2 {
 			t.Fatalf("%v: the publication changed a view held from before it: %v", alg, got)
 		}
 		if err := m.Check(); err != nil {
@@ -252,7 +252,7 @@ func TestHugeBatchPublishesCopyOnWrite(t *testing.T) {
 		mirror = base.Clone()
 		m = New(base, WithAlgorithm(alg), WithWorkers(2))
 		held = m.Snapshot()
-		heldCores = held.CoreNumbers()
+		heldCores = held.CoresInto(nil)
 		before = m.ServingStats()
 		for i, apply := range []func([]graph.Edge) BatchResult{m.InsertEdges, m.RemoveEdges, m.InsertEdges} {
 			if res := apply(closing); res.Applied != len(closing) || res.ChangedVertices < 3*pages {
@@ -273,7 +273,7 @@ func TestHugeBatchPublishesCopyOnWrite(t *testing.T) {
 		if got := m.CoreNumbers(); !slices.Equal(got, truth) {
 			t.Fatalf("%v: served cores after the whole-graph deltas differ from BZ", alg)
 		}
-		if got := held.CoreNumbers(); !slices.Equal(got, heldCores) {
+		if got := held.CoresInto(nil); !slices.Equal(got, heldCores) {
 			t.Fatalf("%v: a whole-graph delta changed a view held from before it", alg)
 		}
 		if err := m.Check(); err != nil {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/traversal"
 )
 
-// Engine is what a maintenance engine owes the serving layer: batch
+// batchEngine is what a maintenance engine owes the serving layer: batch
 // application that adds its report straight into the caller's BatchResult,
 // growth, and quiescent reads of the core numbers it maintains. Publication
 // and epochs are the serving layer's (see engine.publishAfter); an engine
@@ -18,7 +18,7 @@ import (
 // Engines register in engineRegistry rather than being supplied by callers;
 // every registered engine is exercised by the cross-engine conformance suite
 // and the FuzzMixedBatch differential fuzzer.
-type Engine interface {
+type batchEngine interface {
 	// ApplyInsert applies one insertion batch and adds what it did to res:
 	// Applied, ChangedVertices (Σ|V*|, plus the vertices a rebuild moved),
 	// VPlusSizes (Order engines only),
@@ -45,7 +45,7 @@ type Engine interface {
 
 // orderState and traversalState give the two maintenance states (core.State
 // for the Order family, traversal.State for the Traversal family) the names
-// Engine uses for what they already do; Grow and CoreOf are the states' own.
+// batchEngine uses for what they already do; Grow and CoreOf are the states' own.
 // Both states own every per-vertex array an engine needs, so growing the
 // state grows the whole engine: the pcore workers keep only per-edge scratch
 // and the JES scheduler only per-batch level groups — neither holds N-sized
@@ -68,7 +68,7 @@ func (s traversalState) Check() error   { return s.CheckInvariants() }
 var engineRegistry = []struct {
 	alg  Algorithm
 	name string
-	make func(g *graph.Graph, workers int) Engine
+	make func(g *graph.Graph, workers int) batchEngine
 }{
 	{ParallelOrder, "ParallelOrder", newParallelOrderEngine},
 	{SequentialOrder, "SequentialOrder", newSequentialOrderEngine},
@@ -101,7 +101,7 @@ func algorithmName(a Algorithm) string {
 // values fall back to the default engine — a deliberate behavior change:
 // the old switch dispatch gave out-of-range Algorithm values an order
 // state whose updates then silently matched no case and were dropped.
-func newEngine(alg Algorithm, g *graph.Graph, workers int) Engine {
+func newEngine(alg Algorithm, g *graph.Graph, workers int) batchEngine {
 	for _, r := range engineRegistry {
 		if r.alg == alg {
 			return r.make(g, workers)
@@ -117,7 +117,7 @@ type parallelOrderEngine struct {
 	eng *pcore.Engine
 }
 
-func newParallelOrderEngine(g *graph.Graph, workers int) Engine {
+func newParallelOrderEngine(g *graph.Graph, workers int) batchEngine {
 	st := core.NewState(g)
 	return &parallelOrderEngine{orderState{st}, pcore.New(st, workers)}
 }
@@ -175,7 +175,7 @@ func (r *BatchResult) addOp(vstar []int32) {
 
 type sequentialOrderEngine struct{ orderState }
 
-func newSequentialOrderEngine(g *graph.Graph, _ int) Engine {
+func newSequentialOrderEngine(g *graph.Graph, _ int) batchEngine {
 	return &sequentialOrderEngine{orderState{core.NewState(g)}}
 }
 
@@ -203,7 +203,7 @@ func (e *sequentialOrderEngine) ApplyRemove(edges []graph.Edge, res *BatchResult
 
 type traversalEngine struct{ traversalState }
 
-func newTraversalEngine(g *graph.Graph, _ int) Engine {
+func newTraversalEngine(g *graph.Graph, _ int) batchEngine {
 	return &traversalEngine{traversalState{traversal.NewState(g)}}
 }
 
@@ -230,7 +230,7 @@ type joinEdgeSetEngine struct {
 	workers int
 }
 
-func newJoinEdgeSetEngine(g *graph.Graph, workers int) Engine {
+func newJoinEdgeSetEngine(g *graph.Graph, workers int) batchEngine {
 	return &joinEdgeSetEngine{traversalState{traversal.NewState(g)}, workers}
 }
 

@@ -11,7 +11,7 @@ import (
 // FuzzMixedBatch is the native differential fuzzer over the engine
 // registry: the input bytes decode into a script of mixed insert/remove
 // batches over a small growable graph, every registered engine applies
-// the same script through the Engine interface, and after every batch
+// the same script through the batchEngine interface, and after every batch
 // each engine's cores must be byte-equal to a fresh BZ decomposition of a
 // mirror graph (and the engines' reports must cover the moved vertices —
 // the contract delta snapshot publication rests on). A seed corpus lives
@@ -40,7 +40,7 @@ func FuzzMixedBatch(f *testing.F) {
 		base := gen.ErdosRenyi(n, 96, 1234)
 		mirror := base.Clone()
 		algs := Algorithms()
-		engines := make([]Engine, len(algs))
+		engines := make([]batchEngine, len(algs))
 		for i, alg := range algs {
 			engines[i] = newEngine(alg, base.Clone(), 3)
 		}

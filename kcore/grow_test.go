@@ -274,7 +274,7 @@ func TestHeldViewsStableAcrossGrowth(t *testing.T) {
 
 			held := m.Snapshot()
 			wantN := held.N()
-			wantCores := held.CoreNumbers()
+			wantCores := held.CoresInto(nil)
 
 			var wg sync.WaitGroup
 			stop := make(chan struct{})

@@ -25,7 +25,7 @@ func TestJESHeldViewStableDuringBatches(t *testing.T) {
 	defer m.Close()
 
 	held := m.Snapshot()
-	want := held.CoreNumbers()
+	want := held.CoresInto(nil)
 	wantMax, wantM := held.MaxCore(), held.M()
 	wantHist := append([]int64(nil), held.Histogram()...)
 

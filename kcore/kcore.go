@@ -236,7 +236,7 @@ type Contention struct {
 	Rebuilds      int64 // 1 if the insertion batch spent its budget and finished with a rebuild
 }
 
-// engine owns the maintenance Engine implementation and the snapshot
+// engine owns the maintenance batchEngine implementation and the snapshot
 // publisher its batches feed. One goroutine drives it: the pipeline's
 // applier; queries only load pub's current view. It deliberately
 // holds no reference back to the Maintainer handle, so an abandoned
@@ -244,7 +244,7 @@ type Contention struct {
 type engine struct {
 	cfg    config
 	g      *graph.Graph
-	impl   Engine             // registered implementation for cfg.alg
+	impl   batchEngine        // registered implementation for cfg.alg
 	coreOf func(int32) int32  // impl.CoreOf, bound once so publishAfter allocates no method value
 	pub    snapshot.Publisher // the read snapshots; see publishAfter
 	wm     epochWatermark     // pub's epoch, set after every publication
@@ -658,7 +658,7 @@ func (eng *engine) commitLog() {
 // the batch's own publication (publishAfter), so growth adds no epoch.
 // Removals never grow — an edge at an unseen vertex is necessarily
 // absent, so such ops are dropped like any other absent removal. Ops
-// naming a negative vertex id (malformed, mirroring graph.FromEdges
+// naming a negative vertex id (malformed, mirroring graph.fromEdges
 // which rejects them) or one at or beyond the ceiling are dropped from
 // both halves.
 func (eng *engine) prepareBatch(removes, inserts []graph.Edge) ([]graph.Edge, []graph.Edge) {
@@ -731,14 +731,9 @@ func (s Snapshot) M() int64 { return s.v.M }
 // CoreOf returns the core number of v: one page-table lookup, O(1).
 func (s Snapshot) CoreOf(v int32) int32 { return s.v.CoreOf(v) }
 
-// CoreNumbers materializes the paged core numbers into a fresh slice.
-// Since the paged-view rewrite this is a materialization (an O(n) copy),
-// not a shared internal slice; callers that materialize repeatedly should
-// hold a buffer and use CoresInto instead.
-func (s Snapshot) CoreNumbers() []int32 { return s.v.CoresInto(nil) }
-
 // CoresInto materializes the paged core numbers into dst (grown if its
-// capacity is short) and returns it, avoiding a fresh allocation per call.
+// capacity is short) and returns it: an O(n) copy, so a caller that
+// materializes repeatedly holds one buffer.
 func (s Snapshot) CoresInto(dst []int32) []int32 { return s.v.CoresInto(dst) }
 
 // MaxCore returns the largest core number.

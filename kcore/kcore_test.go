@@ -144,7 +144,7 @@ func TestHistogramRange(t *testing.T) {
 	m := New(gen.ErdosRenyi(3000, 12000, 7))
 	defer m.Close()
 	s := m.Snapshot()
-	cores := s.CoreNumbers()
+	cores := s.CoresInto(nil)
 	n := int32(s.N())
 
 	windows := [][2]int32{

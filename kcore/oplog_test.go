@@ -258,7 +258,7 @@ func TestCommitGatesPublication(t *testing.T) {
 			if published {
 				want = post
 			}
-			if got := m.Snapshot().CoreNumbers()[:3]; !slices.Equal(got, want) {
+			if got := m.Snapshot().CoresInto(nil)[:3]; !slices.Equal(got, want) {
 				t.Fatalf("cores %v, want %v (published=%v)", got, want, published)
 			}
 		}

@@ -59,7 +59,7 @@ func TestReloadMidChurn(t *testing.T) {
 			reload := func(g *graph.Graph, epoch uint64, churnN int32, seed int64) {
 				t.Helper()
 				held := m.Snapshot()
-				heldCores := held.CoreNumbers()
+				heldCores := held.CoresInto(nil)
 				pending := churn(churnN, seed)
 				var before ServingStats
 				var logged int

@@ -6,21 +6,21 @@ import (
 	"net/http/pprof"
 )
 
-// Handler serves a registry's metrics in text exposition format.
-func Handler(reg *Registry) http.Handler {
+// handler serves a registry's metrics in text exposition format.
+func handler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
 }
 
-// NewMux builds the observability mux: /metrics plus the standard
+// newMux builds the observability mux: /metrics plus the standard
 // net/http/pprof endpoints under /debug/pprof/. pprof is mounted on
 // this private mux explicitly (not http.DefaultServeMux) so enabling
 // metrics never leaks profiling onto some other listener.
-func NewMux(reg *Registry) *http.ServeMux {
+func newMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(reg))
+	mux.Handle("/metrics", handler(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -42,7 +42,7 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, hs: &http.Server{Handler: NewMux(reg)}}
+	s := &Server{ln: ln, hs: &http.Server{Handler: newMux(reg)}}
 	go s.hs.Serve(ln)
 	return s, nil
 }

@@ -260,9 +260,9 @@ func NewHistogram(name, help string, scale float64, bounds []int64, labels ...La
 	return h
 }
 
-// DurationBounds returns the default latency bucket upper bounds in
+// durationBounds returns the default latency bucket upper bounds in
 // nanoseconds: 100ns to 10s, roughly geometric.
-func DurationBounds() []int64 {
+func durationBounds() []int64 {
 	return []int64{
 		100, 250, 500, // ns
 		1_000, 2_500, 5_000, 10_000, 25_000, 50_000, // µs range
@@ -274,9 +274,9 @@ func DurationBounds() []int64 {
 }
 
 // NewDurationHistogram builds a histogram over nanoseconds, exported in
-// seconds, with DurationBounds buckets.
+// seconds, with durationBounds buckets.
 func NewDurationHistogram(name, help string, labels ...Label) *Histogram {
-	return NewHistogram(name, help, 1e-9, DurationBounds(), labels...)
+	return NewHistogram(name, help, 1e-9, durationBounds(), labels...)
 }
 
 // Observe records one observation of v raw units.

@@ -22,7 +22,7 @@ package persist
 // Slow-follower policy: a session keeps reading the segment it is in
 // through its open file after a checkpoint deletes it, but a segment
 // deleted before the session reached it means the follower is a whole
-// checkpoint behind: Wait returns ErrSlowFollower and the follower
+// checkpoint behind: Wait returns errSlowFollower and the follower
 // re-bootstraps with a fresh CORE.SYNC. The leader never waits for a
 // follower.
 
@@ -47,13 +47,13 @@ import (
 const syncReadBytes = 256 << 10
 
 var (
-	// ErrSlowFollower reports that a sync session fell a whole checkpoint
+	// errSlowFollower reports that a sync session fell a whole checkpoint
 	// behind: the next segment it needed was already deleted. The follower
 	// must re-bootstrap with a new sync.
-	ErrSlowFollower = errors.New("persist: follower fell behind, sync dropped")
-	// ErrSyncClosed reports that the manager shut down, persistence
+	errSlowFollower = errors.New("persist: follower fell behind, sync dropped")
+	// errSyncClosed reports that the manager shut down, persistence
 	// failed, or the session was canceled or closed while it was live.
-	ErrSyncClosed = errors.New("persist: sync session closed")
+	errSyncClosed = errors.New("persist: sync session closed")
 )
 
 // SyncSession is one follower's live replication feed, returned by
@@ -152,7 +152,7 @@ func (p *Manager) openSession(gen, epoch uint64, size int64) (*SyncSession, erro
 // until the next Wait call), blocking until there is one. After timeout
 // with none (0: no timeout) it returns a heartbeat: an empty batch record
 // at the epoch of the last record shipped. Errors are terminal:
-// ErrSlowFollower (a whole checkpoint behind; re-sync), ErrSyncClosed
+// errSlowFollower (a whole checkpoint behind; re-sync), errSyncClosed
 // (canceled, closed, the manager gone or persistence failed), or a
 // corrupt log.
 func (s *SyncSession) Wait(timeout time.Duration) ([]byte, error) {
@@ -163,11 +163,11 @@ func (s *SyncSession) Wait(timeout time.Duration) ([]byte, error) {
 	for {
 		select {
 		case <-s.stop:
-			return nil, ErrSyncClosed
+			return nil, errSyncClosed
 		default:
 		}
 		if s.p.Err() != nil {
-			return nil, ErrSyncClosed
+			return nil, errSyncClosed
 		}
 		pub := s.p.m.Epoch()
 		end, err := s.read(pub)
@@ -244,7 +244,7 @@ func (s *SyncSession) nextSegment() error {
 	f, err := openSegment(s.p.dir, s.gen+1)
 	if errors.Is(err, fs.ErrNotExist) {
 		s.p.syncDropped.Add(1)
-		return ErrSlowFollower
+		return errSlowFollower
 	}
 	if err != nil {
 		return err

@@ -369,7 +369,7 @@ func TestGrowBeyondIDRangeRejected(t *testing.T) {
 // inside one generation later drains every one of them, epochs
 // contiguous, at about syncReadBytes per Wait; a session parked across
 // two checkpoints finds the segment it needs next deleted and ends with
-// ErrSlowFollower, while the leader keeps appending.
+// errSlowFollower, while the leader keeps appending.
 func TestSlowFollowerDropped(t *testing.T) {
 	// 1 000 edges to vertices the base graph lacks: each batch logs an
 	// 8 KiB record, inserting them or removing them again.
@@ -464,8 +464,8 @@ func TestSlowFollowerDropped(t *testing.T) {
 		if rec, rerr := NewStreamReader(bytes.NewReader(data)).Next(); err != nil || rerr != nil || rec.Epoch != syncEpoch+1 {
 			t.Fatalf("first Wait = record at epoch %d (%v, %v), want the insert at epoch %d", rec.Epoch, err, rerr, syncEpoch+1)
 		}
-		if _, err := sess.Wait(time.Second); !errors.Is(err, ErrSlowFollower) {
-			t.Fatalf("Wait a whole checkpoint behind = %v, want ErrSlowFollower", err)
+		if _, err := sess.Wait(time.Second); !errors.Is(err, errSlowFollower) {
+			t.Fatalf("Wait a whole checkpoint behind = %v, want errSlowFollower", err)
 		}
 		if st := mgr.Stats(); st.SyncFollowers != 1 || st.SyncDropped != 1 {
 			t.Fatalf("after the drop: followers=%d dropped=%d, want 1/1 until Close", st.SyncFollowers, st.SyncDropped)
@@ -563,8 +563,8 @@ func TestSyncClosedOnManagerClose(t *testing.T) {
 	}
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrSyncClosed) {
-			t.Fatalf("Wait after Close = %v, want ErrSyncClosed", err)
+		if !errors.Is(err, errSyncClosed) {
+			t.Fatalf("Wait after Close = %v, want errSyncClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait still parked after manager Close")

@@ -31,7 +31,7 @@ type Command struct {
 }
 
 // arenaShrinkCap bounds how much arena capacity one oversized command
-// (up to MaxBulkLen per argument) leaves pinned on an idle connection:
+// (up to maxBulkLen per argument) leaves pinned on an idle connection:
 // above it, the next read restarts from a fresh small arena.
 const arenaShrinkCap = 64 << 10
 

@@ -61,7 +61,7 @@ func TestReadCommandSteadyStateZeroAlloc(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(20, func() {
 		src.Reset(burst)
-		r.Reset(src)
+		r.br.Reset(src)
 		for i := 0; i < 64; i++ {
 			if err := r.ReadCommand(&cmd); err != nil {
 				t.Fatalf("ReadCommand: %v", err)

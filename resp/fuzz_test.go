@@ -52,14 +52,14 @@ func FuzzRESP(f *testing.F) {
 	// lines between frames, and an over-limit unterminated line.
 	f.Add([]byte("  CORE.GET \t 7 \r\n\r\nQUIT\n"))
 	f.Add([]byte("PING" + strings.Repeat(" x", 300) + "\r\n"))
-	f.Add([]byte(strings.Repeat("z", MaxInlineLen+3)))
+	f.Add([]byte(strings.Repeat("z", maxInlineLen+3)))
 	// Scratch-boundary cases for the arena path: an arg exactly at the
 	// arena's initial growth size (256), one straddling it, and a frame at
 	// the argument-count limit shape (many tiny args in one command).
 	f.Add([]byte("*2\r\n$4\r\nECHO\r\n$256\r\n" + strings.Repeat("a", 256) + "\r\n"))
 	f.Add([]byte("*2\r\n$255\r\n" + strings.Repeat("b", 255) + "\r\n$2\r\ncd\r\n"))
 	f.Add([]byte(argsBomb(64)))
-	f.Add([]byte("*1048577\r\n$1\r\nx\r\n")) // MaxCommandArgs+1 declared
+	f.Add([]byte("*1048577\r\n$1\r\nx\r\n")) // maxCommandArgs+1 declared
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzCommands(t, data)

@@ -92,8 +92,8 @@ func (p *Parser) parseOne(buf []byte, cmd *Command) (int, error) {
 		if n < 0 {
 			return 0, protoErrorf("negative multibulk count %d", n)
 		}
-		if n > MaxCommandArgs {
-			return 0, protoErrorf("multibulk count %d exceeds limit %d", n, MaxCommandArgs)
+		if n > maxCommandArgs {
+			return 0, protoErrorf("multibulk count %d exceeds limit %d", n, maxCommandArgs)
 		}
 		p.nargs = int(n)
 		p.pos, p.scan = next, next
@@ -119,8 +119,8 @@ func (p *Parser) parseOne(buf []byte, cmd *Command) (int, error) {
 			if n < 0 {
 				return 0, protoErrorf("negative bulk length %d in command", n)
 			}
-			if n > MaxBulkLen {
-				return 0, protoErrorf("bulk length %d exceeds limit %d", n, MaxBulkLen)
+			if n > maxBulkLen {
+				return 0, protoErrorf("bulk length %d exceeds limit %d", n, maxBulkLen)
 			}
 			p.bulkLen = int(n)
 			p.pos, p.scan = next, next
@@ -149,7 +149,7 @@ func (p *Parser) parseOne(buf []byte, cmd *Command) (int, error) {
 // parseInline handles a whole inline command line; tokens are zero-copy
 // views into buf, mirroring Reader.readInline's splitting rules.
 func (p *Parser) parseInline(buf []byte, cmd *Command) (int, error) {
-	line, next, err := p.line(buf, 0, MaxInlineLen)
+	line, next, err := p.line(buf, 0, maxInlineLen)
 	if err != nil {
 		return 0, err
 	}

@@ -28,11 +28,6 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, size)}
 }
 
-// Reset discards buffered data and state and switches the Reader to read
-// from r, keeping the internal buffer (the sibling of bufio.Reader.Reset,
-// for connection reuse without reallocation).
-func (r *Reader) Reset(rd io.Reader) { r.br.Reset(rd) }
-
 // ReadCommand reads one client command into cmd: either a multibulk frame
 // ("*2\r\n$4\r\nPING\r\n$2\r\nhi\r\n", what every real client sends) or
 // an inline command ("PING hi\r\n", for netcat-style debugging). The
@@ -71,8 +66,8 @@ func (r *Reader) readCommandOnce(cmd *Command) error {
 	if n < 0 {
 		return protoErrorf("negative multibulk count %d", n)
 	}
-	if n > MaxCommandArgs {
-		return protoErrorf("multibulk count %d exceeds limit %d", n, MaxCommandArgs)
+	if n > maxCommandArgs {
+		return protoErrorf("multibulk count %d exceeds limit %d", n, maxCommandArgs)
 	}
 	// Arguments land in the arena one at a time: a huge declared count
 	// with no payload behind it must fail on read, not on allocation.
@@ -102,8 +97,8 @@ func (r *Reader) readBulkArg(cmd *Command) error {
 	if n < 0 {
 		return protoErrorf("negative bulk length %d in command", n)
 	}
-	if n > MaxBulkLen {
-		return protoErrorf("bulk length %d exceeds limit %d", n, MaxBulkLen)
+	if n > maxBulkLen {
+		return protoErrorf("bulk length %d exceeds limit %d", n, maxBulkLen)
 	}
 	if _, err := io.ReadFull(r.br, cmd.grow(int(n))); err != nil {
 		return unexpectedEOF(err)
@@ -115,8 +110,8 @@ func (r *Reader) readBulkArg(cmd *Command) error {
 // readBulkBody reads n payload bytes plus the trailing CRLF into a fresh
 // caller-owned slice (the reply path, where values outlive the read).
 func (r *Reader) readBulkBody(n int64) ([]byte, error) {
-	if n > MaxBulkLen {
-		return nil, protoErrorf("bulk length %d exceeds limit %d", n, MaxBulkLen)
+	if n > maxBulkLen {
+		return nil, protoErrorf("bulk length %d exceeds limit %d", n, maxBulkLen)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.br, buf); err != nil {
@@ -131,7 +126,7 @@ func (r *Reader) readBulkBody(n int64) ([]byte, error) {
 // readInline parses a whitespace-separated inline command line. Tokens
 // are copied into the arena exactly once, straight off the line view.
 func (r *Reader) readInline(cmd *Command) error {
-	line, err := r.readLine(MaxInlineLen)
+	line, err := r.readLine(maxInlineLen)
 	if err != nil {
 		return err
 	}
@@ -162,8 +157,8 @@ func (r *Reader) ReadValue() (Value, error) {
 }
 
 func (r *Reader) readValue(depth int) (Value, error) {
-	if depth > MaxDepth {
-		return Value{}, protoErrorf("reply nesting exceeds depth %d", MaxDepth)
+	if depth > maxDepth {
+		return Value{}, protoErrorf("reply nesting exceeds depth %d", maxDepth)
 	}
 	c, err := r.br.ReadByte()
 	if err != nil {
@@ -273,7 +268,7 @@ func (r *Reader) ReadIntArray(sink func(i int, n int64)) (Value, error) {
 }
 
 // readArrayLen reads a reply array's declared length (its '*' already
-// consumed), bounded by MaxArrayLen; -1 is the null array.
+// consumed), bounded by maxArrayLen; -1 is the null array.
 func (r *Reader) readArrayLen() (int64, error) {
 	n, err := r.readInt()
 	if err != nil {
@@ -282,8 +277,8 @@ func (r *Reader) readArrayLen() (int64, error) {
 	if n < -1 {
 		return 0, protoErrorf("negative array length %d", n)
 	}
-	if n > MaxArrayLen {
-		return 0, protoErrorf("array length %d exceeds limit %d", n, MaxArrayLen)
+	if n > maxArrayLen {
+		return 0, protoErrorf("array length %d exceeds limit %d", n, maxArrayLen)
 	}
 	return n, nil
 }
@@ -294,7 +289,7 @@ func (r *Reader) readArrayLen() (int64, error) {
 // so no compliant peer produces one and accepting it would break the
 // codec's round-trip property (FuzzRESP).
 func (r *Reader) readStatusLine() ([]byte, error) {
-	line, err := r.readLine(MaxInlineLen)
+	line, err := r.readLine(maxInlineLen)
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,8 @@
 // The protocol carries declared lengths ("$1000000000\r\n…"), so a
 // malformed or adversarial peer could ask the codec to allocate
 // arbitrarily. Every declared length is bounded before any allocation
-// (MaxBulkLen for bulk payloads, MaxArrayLen for array headers, and
-// nested-array depth by MaxDepth), mirroring the graph.MaxVertexID
+// (maxBulkLen for bulk payloads, maxArrayLen for array headers, and
+// nested-array depth by maxDepth), mirroring the graph.MaxVertexID
 // discipline: corrupt input yields a *ProtocolError, never a panic or an
 // unbounded allocation. FuzzRESP pins this down.
 package resp
@@ -27,24 +27,24 @@ import "fmt"
 // Wire-format limits. Out-of-bounds declared lengths fail with a
 // *ProtocolError before anything is allocated.
 const (
-	// MaxBulkLen bounds one bulk-string payload (64 MiB, far above any
+	// maxBulkLen bounds one bulk-string payload (64 MiB, far above any
 	// CORE.* frame but small enough that a corrupt length cannot wedge a
 	// connection goroutine in a huge allocation).
-	MaxBulkLen = 64 << 20
-	// MaxArrayLen bounds one declared reply array. A CORE.MGET sweep
+	maxBulkLen = 64 << 20
+	// maxArrayLen bounds one declared reply array. A CORE.MGET sweep
 	// reply carries one integer per vertex, so the bound tracks the
 	// vertex-universe ceiling.
-	MaxArrayLen = 1 << 26
-	// MaxCommandArgs bounds one inbound command's multibulk count —
-	// tighter than MaxArrayLen (Redis uses the same 1M figure) because a
+	maxArrayLen = 1 << 26
+	// maxCommandArgs bounds one inbound command's multibulk count —
+	// tighter than maxArrayLen (Redis uses the same 1M figure) because a
 	// server parses commands from untrusted peers before any
 	// application-level validation can run.
-	MaxCommandArgs = 1 << 20
-	// MaxInlineLen bounds one inline-command line.
-	MaxInlineLen = 64 << 10
-	// MaxDepth bounds nested reply arrays. The k-core protocol never
+	maxCommandArgs = 1 << 20
+	// maxInlineLen bounds one inline-command line.
+	maxInlineLen = 64 << 10
+	// maxDepth bounds nested reply arrays. The k-core protocol never
 	// nests deeper than one level; a deeply nested frame is an attack.
-	MaxDepth = 8
+	maxDepth = 8
 )
 
 // ProtocolError reports malformed wire data. A server closes the

@@ -87,8 +87,8 @@ func TestReadCommandMalformed(t *testing.T) {
 		"*1\r\n$2\r\nabcd",                 // missing CRLF after payload
 		"*x\r\n",                           // non-numeric count
 		"*1\r\n$999999999999999999999\r\n", // overflowing length
-		"*1\r\n$70000000\r\n",              // bulk beyond MaxBulkLen
-		"*99999999999\r\n",                 // count beyond MaxArrayLen
+		"*1\r\n$70000000\r\n",              // bulk beyond maxBulkLen
+		"*99999999999\r\n",                 // count beyond maxArrayLen
 	}
 	for _, wire := range cases {
 		r := NewReader(strings.NewReader(wire))
@@ -180,7 +180,7 @@ func TestReadValueMalformed(t *testing.T) {
 		"$-2\r\n",      // negative non-null bulk
 		"*-2\r\n",      // negative non-null array
 		"*2\r\n:1\r\n", // truncated array
-		strings.Repeat("*1\r\n", MaxDepth+2) + ":1\r\n", // nesting bomb
+		strings.Repeat("*1\r\n", maxDepth+2) + ":1\r\n", // nesting bomb
 	}
 	for _, wire := range cases {
 		r := NewReader(strings.NewReader(wire))
@@ -200,7 +200,7 @@ func TestHugeDeclaredLengthDoesNotAllocate(t *testing.T) {
 	if err := r.ReadCommand(&cmd); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	// Beyond MaxCommandArgs the count itself is the protocol error.
+	// Beyond maxCommandArgs the count itself is the protocol error.
 	r = NewReader(strings.NewReader("*10000000\r\n"))
 	var pe *ProtocolError
 	if err := r.ReadCommand(&cmd); !errors.As(err, &pe) {
@@ -218,4 +218,38 @@ func valueEqual(a, b Value) bool {
 		}
 	}
 	return true
+}
+
+// nullReply is the null bulk reply.
+var nullReply = []byte("$-1\r\n")
+
+// WriteNull writes the interned null bulk reply "$-1\r\n".
+func (w *Writer) WriteNull() error {
+	_, err := w.bw.Write(nullReply)
+	return err
+}
+
+// WriteValue writes v in wire format — the inverse of Reader.ReadValue,
+// for the tests and the fuzzer to round-trip replies.
+func (w *Writer) WriteValue(v Value) error {
+	switch v.Kind {
+	case SimpleString:
+		return w.WriteSimple(string(v.Str))
+	case Error:
+		return w.WriteError(string(v.Str))
+	case Integer:
+		return w.WriteInt(v.Int)
+	case Bulk:
+		return w.WriteBulk(v.Str)
+	case Array:
+		w.WriteArrayHeader(len(v.Array))
+		var err error
+		for _, e := range v.Array {
+			err = w.WriteValue(e)
+		}
+		return err
+	case Nil:
+		return w.WriteNull()
+	}
+	return protoErrorf("cannot encode Kind %v", v.Kind)
 }

@@ -9,7 +9,6 @@ import "strconv"
 var (
 	okReply   = []byte("+OK\r\n")
 	pongReply = []byte("+PONG\r\n")
-	nullReply = []byte("$-1\r\n")
 )
 
 // smallIntCacheSize bounds the pre-encoded integer-reply cache. Core

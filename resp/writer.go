@@ -132,12 +132,6 @@ func (w *Writer) WriteBulkString(s string) error {
 	return err
 }
 
-// WriteNull writes the interned null bulk reply "$-1\r\n".
-func (w *Writer) WriteNull() error {
-	_, err := w.bw.Write(nullReply)
-	return err
-}
-
 // WriteArrayHeader writes "*<n>\r\n"; the caller then writes n elements.
 func (w *Writer) WriteArrayHeader(n int) error {
 	w.bw.WriteByte('*')
@@ -154,31 +148,6 @@ func (w *Writer) WriteCommand(name string, args ...[]byte) error {
 		err = w.WriteBulk(a)
 	}
 	return err
-}
-
-// WriteValue writes v in wire format — the inverse of Reader.ReadValue,
-// used by tests and the fuzzer to round-trip replies.
-func (w *Writer) WriteValue(v Value) error {
-	switch v.Kind {
-	case SimpleString:
-		return w.WriteSimple(string(v.Str))
-	case Error:
-		return w.WriteError(string(v.Str))
-	case Integer:
-		return w.WriteInt(v.Int)
-	case Bulk:
-		return w.WriteBulk(v.Str)
-	case Array:
-		w.WriteArrayHeader(len(v.Array))
-		var err error
-		for _, e := range v.Array {
-			err = w.WriteValue(e)
-		}
-		return err
-	case Nil:
-		return w.WriteNull()
-	}
-	return protoErrorf("cannot encode Kind %v", v.Kind)
 }
 
 func (w *Writer) writeIntLine(n int64) error {

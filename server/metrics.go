@@ -7,8 +7,8 @@ import (
 	"repro/obs"
 )
 
-// Version is the server's reported version (kcored_info{version=...}).
-const Version = "0.10.0"
+// version is the server's reported version (kcored_info{version=...}).
+const version = "0.10.0"
 
 // cmdFamily buckets the command table for instrumentation: per-family
 // counters and latency histograms, so the hot read path pays one
@@ -124,7 +124,7 @@ func (s *Server) register(reg *obs.Registry) {
 		role = "replica"
 	}
 	info := obs.NewGauge("kcored_info", "Build and topology info; the value is always 1.",
-		obs.L("version", Version),
+		obs.L("version", version),
 		obs.L("engine", s.m.Algorithm().String()),
 		obs.L("role", role),
 		obs.L("workers", strconv.Itoa(s.m.Workers())))

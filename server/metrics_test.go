@@ -208,7 +208,7 @@ func TestStatsObservabilityFields(t *testing.T) {
 	}
 	st := statsMap(t, c)
 	for _, s := range [][2]string{
-		{"kcored_info", `version="` + Version + `"`},
+		{"kcored_info", `version="` + version + `"`},
 		{"kcored_info", `engine="` + kcore.ParallelOrder.String() + `"`},
 		{"kcored_uptime_seconds", ""},
 		{"kcored_inflight_writes", ""},

@@ -197,7 +197,7 @@ func (r *Replica) syncOnce() error {
 
 	r.leaderEpoch.Store(epoch)
 
-	m := r.srv.Maintainer()
+	m := r.srv.maintainer()
 	m.Reload(g, epoch)
 	r.syncs.Add(1)
 	r.connected.Store(true)

@@ -55,7 +55,7 @@ func startReplicaServer(t *testing.T, leaderAddr string, opts ...kcore.Option) (
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(func() { srv.Maintainer().Close() })
+	t.Cleanup(func() { srv.maintainer().Close() })
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -183,7 +183,7 @@ func TestReplicationConverges(t *testing.T) {
 // session counts its sync, and a batch before the pipeline counts it.
 func waitApplied(t *testing.T, srv *Server, epoch uint64) {
 	t.Helper()
-	m := srv.Maintainer()
+	m := srv.maintainer()
 	if got, ok := m.WaitEpoch(epoch, 15*time.Second, nil); !ok {
 		t.Fatalf("follower epoch %d never reached leader epoch %d", got, epoch)
 	}
@@ -210,7 +210,7 @@ func TestFollowerReplaysLeaderBatches(t *testing.T) {
 	}
 	m, leaderAddr := startLeaderServer(t, g, persist.Options{Fsync: persist.FsyncNo})
 	srvR, _ := startReplicaServer(t, leaderAddr)
-	mR := srvR.Maintainer()
+	mR := srvR.maintainer()
 	waitApplied(t, srvR, m.Flush())
 	lead0, fol0 := m.ServingStats(), mR.ServingStats()
 
@@ -257,7 +257,7 @@ func TestFollowerRefusesEpochGap(t *testing.T) {
 	removes := g.Edges()[:20]
 	m, mgr, leaderAddr := startLeader(t, g, persist.Options{Fsync: persist.FsyncNo})
 	srvR, _ := startReplicaServer(t, leaderAddr)
-	rep, mR := srvR.replica, srvR.Maintainer()
+	rep, mR := srvR.replica, srvR.maintainer()
 	waitApplied(t, srvR, m.Flush())
 	syncs := rep.syncs.Load()
 
@@ -708,7 +708,7 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	go srv1.Serve(ln)
 
 	srvR, repAddr := startReplicaServer(t, leaderAddr)
-	mR := srvR.Maintainer()
+	mR := srvR.maintainer()
 	rc := dial(t, repAddr)
 	// Thirty single-edge batches carry the first leader's epochs well past
 	// the successor's.
@@ -780,7 +780,7 @@ func TestReplicaResyncAfterLeaderRestart(t *testing.T) {
 	if _, err := client.Int(rc.Do("CORE.WAIT", int64(epoch2), 15000)); err != nil {
 		t.Fatalf("WAIT on successor: %v", err)
 	}
-	if srvR.Maintainer() != mR {
+	if srvR.maintainer() != mR {
 		t.Fatal("the re-bootstrap replaced the follower's maintainer")
 	}
 	if e, err := client.Int(rc.Do("CORE.EPOCH")); err != nil || e != int64(epoch2) {

@@ -136,9 +136,9 @@ func (s *Server) Stats() ServeStats {
 	}
 }
 
-// Maintainer returns the maintainer this server fronts: the one New was
+// maintainer returns the maintainer this server fronts: the one New was
 // given, for the server's whole life.
-func (s *Server) Maintainer() *kcore.Maintainer { return s.m }
+func (s *Server) maintainer() *kcore.Maintainer { return s.m }
 
 // Addr returns the listening address, or nil before Serve.
 func (s *Server) Addr() net.Addr {
