@@ -43,12 +43,16 @@ race:
 # (before its first bootstrap at 0, and past a vertex ceiling below the
 # leader's universe), and a leader killed and restarted under
 # -aof-fsync always resumes at the epoch it recovered.
-# The last runs the two batches that spend their rebuild budget (DESIGN.md,
+# The next runs the two batches that spend their rebuild budget (DESIGN.md,
 # "The rebuild budget"), in pcore and on the product path, under the race
 # detector: the workers' shared Σ|V+|
 # and stop flag are the one state the rule adds between them, a worker that
 # sees the flag stops between edges while the other finishes its edge, and
 # the rebuild after the join reads both workers' adjacency and core writes.
+# The last line runs the commit-lock and repair-pass tests under the race
+# detector: the workers mark the repair targets into one shared bit set and
+# must all have marked before any scans its words (DESIGN.md, "The repair
+# pass"), and the commit lock is a spin lock whose waiters never park.
 engine-flake:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/pcore/ ./internal/core/ ./internal/snapshot/
 	GOMAXPROCS=2 $(GO) test -count=5 -run 'TestEngineConformance|TestRepairTargetsReported' ./kcore
@@ -59,6 +63,7 @@ engine-flake:
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestFollowerServesLeaderEpoch|TestFollowerWaitsForFirstBootstrap|TestFollowerBelowLeaderCeiling|TestFollowerRefusesEpochGap|TestFollowerReplaysLeaderBatches' ./server
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestReplicaResyncAfterLeaderKill' ./cmd/kcored
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run 'TestBudgetSpentFinishesWithRebuild|TestSparsePrefillBoundsTraversal' ./internal/pcore/ ./kcore
+	GOMAXPROCS=2 $(GO) test -race -count=5 -run 'TestCommitRace|TestLargerScaleInsert|TestRepair' ./internal/pcore/
 
 # The process drills are go test cases in cmd/kcored, on one fixture
 # (harness_test.go): each spawns real kcored processes, so each skips

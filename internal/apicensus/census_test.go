@@ -23,9 +23,11 @@
 // allowlist, so calling product code from benchmark/ must not turn the
 // census red), and the exported names that no other package, and no other
 // package's tests, refer to (each can be unexported). A benchmark-only
-// change that drops benchmark/'s last call to a declaration does leave it
-// unreached, which fails: delete or allowlist it in a product change
-// first.
+// change that drops benchmark/'s last call to a declaration leaves it
+// unreached, which fails unless the allowlist already names it with the
+// reason "called only by benchmark/": a product change lists such a
+// declaration, with everything only it reaches, so that a later
+// benchmark-only change may drop the call.
 //
 // What the census cannot see: calls made through reflection or
 // //go:linkname, and the methods that the standard library calls through
@@ -63,7 +65,10 @@ var rootDirs = []string{"cmd", "examples", benchDir}
 const (
 	reasonTestHelper = "cross-package test helper"
 	reasonRouterAPI  = "router API, pinned against the Oracle"
+	reasonBenchOnly  = "called only by " + benchDir + "/"
 )
+
+var reasons = []string{reasonTestHelper, reasonRouterAPI, reasonBenchOnly}
 
 // stdMethods are methods that the standard library calls through its
 // interfaces (error, fmt.Stringer, sort and heap, io, http.Handler), so no
@@ -79,21 +84,12 @@ func TestExportCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allow := readAllowlist(t, "allowlist.txt")
-	for _, d := range c.unreached {
-		if _, ok := allow[d.key]; !ok {
-			t.Errorf("%s (%s) is reached from no main: delete it, or add it to allowlist.txt with its reason", d.key, d.pos)
-		}
+	fails, notes := c.check(readAllowlist(t, "allowlist.txt"))
+	for _, f := range fails {
+		t.Error(f)
 	}
-	for key, reason := range allow {
-		switch d := c.decls[key]; {
-		case d == nil:
-			t.Errorf("%s is allowlisted (%s) but no longer declared: delete its allowlist line", key, reason)
-		case slices.Contains(c.benchOnly, d):
-			t.Logf("%s is allowlisted (%s) but %s/ reaches it", key, reason, benchDir)
-		case !slices.Contains(c.unreached, d):
-			t.Errorf("%s is allowlisted (%s) but now reached: delete its allowlist line", key, reason)
-		}
+	for _, n := range notes {
+		t.Log(n)
 	}
 	lines := 0
 	for _, d := range c.benchOnly {
@@ -107,15 +103,44 @@ func TestExportCensus(t *testing.T) {
 		len(c.decls), len(c.unreached), len(c.benchOnly), lines, benchDir, len(c.unexport))
 }
 
+// check holds the census to an allowlist: it returns a failure for every
+// unreached declaration the allowlist does not name and for every line
+// whose declaration a product root reaches or that is no longer declared,
+// and a note for every line, other than one called only by benchmark/,
+// whose declaration benchmark/ reaches.
+func (c *census) check(allow map[string]string) (fails, notes []string) {
+	for _, d := range c.unreached {
+		if _, ok := allow[d.key]; !ok {
+			fails = append(fails, fmt.Sprintf("%s (%s) is reached from no main: delete it, or add it to allowlist.txt with its reason", d.key, d.pos))
+		}
+	}
+	for key, reason := range allow {
+		switch d := c.decls[key]; {
+		case d == nil:
+			fails = append(fails, fmt.Sprintf("%s is allowlisted (%s) but no longer declared: delete its allowlist line", key, reason))
+		case slices.Contains(c.benchOnly, d):
+			if reason != reasonBenchOnly {
+				notes = append(notes, fmt.Sprintf("%s is allowlisted (%s) but %s/ reaches it", key, reason, benchDir))
+			}
+		case !slices.Contains(c.unreached, d):
+			fails = append(fails, fmt.Sprintf("%s is allowlisted (%s) but now reached: delete its allowlist line", key, reason))
+		}
+	}
+	slices.Sort(fails)
+	slices.Sort(notes)
+	return fails, notes
+}
+
 // TestCensusFixture runs the census on testdata/fixture, a module with one
-// case per rule; its comments say what each declaration tests.
+// case per rule; its comments say what each declaration tests, and its
+// allowlist.txt what each line does.
 func TestCensusFixture(t *testing.T) {
 	c, err := runCensus("testdata/fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"unreached": {"lib.T.M", "lib.orphan"},
+		"unreached": {"lib.Dropped", "lib.T.M", "lib.orphan"},
 		"benchOnly": {"lib.ForBench"},
 		"unexport":  {"lib.Internal"},
 	}
@@ -126,6 +151,11 @@ func TestCensusFixture(t *testing.T) {
 		if !slices.Equal(got[list], w) {
 			t.Errorf("%s = %v, want %v", list, got[list], w)
 		}
+	}
+	fails, notes := c.check(readAllowlist(t, "testdata/fixture/allowlist.txt"))
+	wantFails := []string{"lib.Exported is allowlisted (called only by benchmark/) but now reached: delete its allowlist line"}
+	if !slices.Equal(fails, wantFails) || len(notes) != 0 {
+		t.Errorf("check: failures %q, notes %q; want failures %q and no notes", fails, notes, wantFails)
 	}
 }
 
@@ -590,7 +620,7 @@ func inRootDir(dir string) bool {
 }
 
 // readAllowlist reads "key reason" lines; blank lines and lines starting
-// with # are skipped, and every reason must be one of the two above.
+// with # are skipped, and every reason must be one of reasons.
 func readAllowlist(t *testing.T, path string) map[string]string {
 	t.Helper()
 	f, err := os.Open(path)
@@ -607,8 +637,8 @@ func readAllowlist(t *testing.T, path string) map[string]string {
 		}
 		key, reason, _ := strings.Cut(text, " ")
 		reason = strings.TrimSpace(reason)
-		if reason != reasonTestHelper && reason != reasonRouterAPI {
-			t.Errorf("%s:%d: %s: reason %q is not %q or %q", path, line, key, reason, reasonTestHelper, reasonRouterAPI)
+		if !slices.Contains(reasons, reason) {
+			t.Errorf("%s:%d: %s: reason %q is not one of %q", path, line, key, reason, reasons)
 		}
 		if _, dup := allow[key]; dup {
 			t.Errorf("%s:%d: %s listed twice", path, line, key)

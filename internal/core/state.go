@@ -80,9 +80,14 @@ type State struct {
 	// linearization and the final k-order is invalid — dout exceeds the
 	// core number — which later in-batch decisions then build on,
 	// over-promoting vertices (the TestLargerScaleInsert I1/I2 failures).
-	// The section is a handful of index updates; commits into the same
-	// level at the same instant are rare, so contention is negligible.
-	CommitMu sync.Mutex
+	//
+	// The section is a handful of index updates, so a wait for it is
+	// short, but a waiter parked on a sync.Mutex costs a wake-up longer
+	// than the section itself: with two workers the parked ones left a
+	// quarter of the apply phase off-CPU. So it is the engine's own spin
+	// lock, whose waiter yields and retries (spin.Lock.Lock) and never
+	// parks.
+	CommitMu spin.Lock
 
 	// slab holds every vertex's k-order record, in whichever list O_k
 	// currently links it; the lists name vertices by id.

@@ -202,7 +202,8 @@ func TestRunContentionOutput(t *testing.T) {
 	var buf bytes.Buffer
 	RunContention(tinyConfig(&buf))
 	out := buf.String()
-	if !strings.Contains(out, "aborts/edge") || !strings.Contains(out, "ins rebuilds") || !strings.Contains(out, "BA") {
+	if !strings.Contains(out, "aborts/edge") || !strings.Contains(out, "ins rebuilds") ||
+		!strings.Contains(out, "rem commit waits/edge") || !strings.Contains(out, "BA") {
 		t.Fatalf("contention output malformed:\n%s", out)
 	}
 }

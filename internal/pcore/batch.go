@@ -35,10 +35,15 @@ type Engine struct {
 	// seen is one bit per vertex, all clear between batches, with two
 	// roles (DESIGN.md, "The repair pass"). While the workers apply the
 	// batch it marks the vertices a move has repositioned (recordMove);
-	// in the repair pass it marks the targets, which a scan of the words
-	// then recomputes and clears (repairDout). It is the engine's one
+	// in the repair pass it marks the targets, which include every moved
+	// vertex (so the moves' marks stay), and a scan of the words then
+	// recomputes and clears them (repairDout). It is the engine's one
 	// per-vertex buffer (n/8 bytes); run sizes it to the State.
 	seen []uint64
+	// walked counts the workers that have finished the repair pass's
+	// walk (repairDout): no worker scans its words before every worker
+	// has marked its targets. repair resets it.
+	walked atomic.Int32
 	// sameLevel narrows the repair pass to the neighbors at the level of
 	// the move (repairDout). Only this package's tests set it; DESIGN.md,
 	// "The repair pass", says why New leaves it off.
@@ -207,6 +212,7 @@ func (e *Engine) rebuild(edges []graph.Edge, sizes []int32) {
 
 // repair runs the batch-end d⁺out repair (repairDout) on every worker.
 func (e *Engine) repair() {
+	e.walked.Store(0)
 	for pi := 1; pi < len(e.ws); pi++ {
 		e.wg.Add(1)
 		go func(pi int) {
@@ -327,6 +333,15 @@ func (p *worker) spend(vplus int64) {
 	}
 }
 
+// lockCommit acquires core.State.CommitMu, counting an acquisition that
+// had to wait.
+func (p *worker) lockCommit() {
+	if !p.st.CommitMu.TryLock() {
+		p.m.CommitWaits++
+		p.st.CommitMu.Lock()
+	}
+}
+
 // resetScratch empties the per-edge scratch for the next searching operation.
 func (p *worker) resetScratch() {
 	p.mk.reset()
@@ -402,43 +417,46 @@ func (e *Engine) movedEarlier(v int32) bool {
 // The targets are every worker's moved list expanded: each moved vertex w,
 // its neighbors now — all of them, or with sameLevel those whose core
 // number is the level of the move (recordMove says why that is enough) —
-// and the endpoints recordRemoval named. Worker pi takes the targets whose
-// word of the engine's bit set has index congruent to pi modulo the number
-// of workers, so no two workers touch one word. It clears the marks the
-// moves left in its words, walks the expansion to mark its targets, and then
-// scans its words, recomputing each marked target in id order and clearing
-// the words as it goes. A vertex is thus recomputed once however often and
-// by however many workers it was named, and the bit set is clear again at
-// the end. Cost: one walk over the moved vertices' adjacencies, n/64/workers
-// word reads, and one adjacency scan per distinct target t, in which each
-// entry costs one Core read, and one label read if it shares t's core
-// (RecomputeDout reads plainly: no vertex moves until every worker is done);
-// with sameLevel a neighbor at another level — the hub next to a low-core
+// and the endpoints recordRemoval named. The pass has two halves, split by
+// a barrier. First worker pi walks entries pi, pi+W, pi+2W, … of every
+// worker's moved list (W workers) and marks what they expand to in the
+// engine's bit set; the marks the moves left there stay, since every moved
+// vertex is a target. Then, once every worker has walked, worker pi scans
+// the words whose index is congruent to pi modulo W, recomputing each
+// marked target in id order and clearing the words as it goes. A vertex is
+// thus recomputed once however often and by however many workers it was
+// named, and the bit set is clear again at the end. Cost: one walk over the
+// moved vertices' adjacencies, shared by the workers, n/64/W word reads,
+// and one adjacency scan per distinct target t, in which each entry costs
+// one Core read, and one label read if it shares t's core (RecomputeDout
+// reads plainly: no vertex moves until every worker is done); with
+// sameLevel a neighbor at another level — the hub next to a low-core
 // vertex — is never scanned.
 func (p *worker) repairDout(pi int) {
 	e := p.e
+	stride := len(e.ws)
 	for _, w := range e.ws {
-		for _, mv := range w.moved {
-			if e.owner(mv.v) == pi {
-				e.seen[mv.v>>6] = 0
-			}
-		}
-	}
-	for _, w := range e.ws {
-		for _, mv := range w.moved {
-			e.mark(pi, mv.v)
+		for j := pi; j < len(w.moved); j += stride {
+			mv := w.moved[j]
+			e.mark(mv.v)
 			if mv.level == anyLevel {
 				continue
 			}
 			for _, x := range p.st.G.Adj(mv.v) {
 				if !e.sameLevel || p.st.Core[x].Load() == mv.level {
-					e.mark(pi, x)
+					e.mark(x)
 				}
 			}
 		}
 	}
+	// The barrier: an arrival count whose waiters yield like a spin lock's,
+	// inside the repair fork, so it allocates nothing.
+	e.walked.Add(1)
+	for e.walked.Load() < int32(stride) {
+		runtime.Gosched()
+	}
 	n := int64(0)
-	for word := pi; word < len(e.seen); word += len(e.ws) {
+	for word := pi; word < len(e.seen); word += stride {
 		b := e.seen[word]
 		if b == 0 {
 			continue
@@ -452,15 +470,14 @@ func (p *worker) repairDout(pi int) {
 	p.m.RepairTargets = n
 }
 
-// owner returns the worker whose share of seen holds v's word.
-func (e *Engine) owner(v int32) int {
-	return int(v>>6) % len(e.ws)
-}
-
-// mark sets v's bit in seen if v's word is in worker pi's share.
-func (e *Engine) mark(pi int, v int32) {
-	if e.owner(v) == pi {
-		e.seen[v>>6] |= 1 << (v & 63)
+// mark sets v's bit in seen. The workers of the repair walk mark
+// concurrently, and a vertex is often marked already — it moved, or
+// another move named it — so a set bit costs one load and only a clear one
+// an atomic OR.
+func (e *Engine) mark(v int32) {
+	word, bit := &e.seen[v>>6], uint64(1)<<(v&63)
+	if atomic.LoadUint64(word)&bit == 0 {
+		atomic.OrUint64(word, bit)
 	}
 }
 

@@ -2,6 +2,7 @@ package pcore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,6 +108,71 @@ func TestRepairAfterRemovingFlippedEdge(t *testing.T) {
 				t.Fatalf("cores x %d, w %d; want 2 and 1", cx, cw)
 			}
 			mustCheck(t, st, fmt.Sprintf("w=%d sameLevel=%v", workers, sameLevel))
+		}
+	}
+}
+
+// The repair pass recomputes each target once per batch, however many
+// workers share its walk and however many moves name the target: every
+// worker walks a share of every moved list and marks into one bit set,
+// and only after all have walked does each scan its own words. Removal and
+// insertion batches alternate on a power-law graph under the
+// whole-neighborhood rule that New ships. At one worker the targets are
+// pinned to the counts the pass gave when each worker walked every moved
+// list alone and cleared the moves' marks first: the shared walk and the
+// marks it keeps name the same targets. Under -race a scan that starts
+// before every worker has walked races with the walk's marks.
+func TestRepairRecomputesEachTargetOnce(t *testing.T) {
+	base := gen.PowerLawCluster(6000, 10, 2.4, 11)
+	batch := gen.SampleEdges(base, 600, 12)
+	want1 := []int64{3121, 3181, 3121, 3181, 3121, 3181}
+	defer func() { traceFn = nil }()
+	for _, workers := range []int{1, 2, 3} {
+		st := core.NewState(base.Clone())
+		e := New(st, workers)
+		var mu sync.Mutex
+		recomputes := map[int32]int{}
+		traceFn = func(format string, args ...any) {
+			if format == traceRepair {
+				mu.Lock()
+				recomputes[args[0].(int32)]++
+				mu.Unlock()
+			}
+		}
+		var got []int64
+		for round := 0; round < 3; round++ {
+			for _, insert := range []bool{false, true} {
+				clear(recomputes)
+				apply := e.RemoveEdges
+				if insert {
+					apply = e.InsertEdges
+				}
+				m := apply(batch).Metrics
+				if m.Rebuilds != 0 || m.RepairTargets == 0 {
+					t.Fatalf("w=%d round %d insert=%v: %d rebuilds, %d repair targets; the batch must end in a repair",
+						workers, round, insert, m.Rebuilds, m.RepairTargets)
+				}
+				for v, c := range recomputes {
+					if c > 1 {
+						t.Fatalf("w=%d round %d insert=%v: vertex %d recomputed %d times", workers, round, insert, v, c)
+					}
+				}
+				if int64(len(recomputes)) != m.RepairTargets {
+					t.Fatalf("w=%d round %d insert=%v: %d vertices recomputed, RepairTargets %d",
+						workers, round, insert, len(recomputes), m.RepairTargets)
+				}
+				if workers == 1 && m.CommitWaits != 0 {
+					t.Fatalf("w=1 round %d insert=%v: %d commit waits, want 0", round, insert, m.CommitWaits)
+				}
+				got = append(got, m.RepairTargets)
+				if err := st.CheckInvariants(); err != nil {
+					t.Fatalf("w=%d round %d insert=%v: %v", workers, round, insert, err)
+				}
+			}
+		}
+		t.Logf("w=%d: repair targets per batch %v", workers, got)
+		if workers == 1 && !slices.Equal(got, want1) {
+			t.Fatalf("w=1: repair targets per batch %v, want %v", got, want1)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func (p *worker) promote() {
 		// core.State.CommitMu): a worker that observes the new core
 		// number linearizes after this promotion, and the head placement
 		// is only valid if w is already in the list when that happens.
-		st.CommitMu.Lock()
+		p.lockCommit()
 		st.BeginOrderChange(w)
 		st.Core[w].Store(p.k + 1)
 		from.Delete(w)

@@ -25,6 +25,9 @@ type Metrics struct {
 	// Promotions and Drops count core-number changes applied.
 	Promotions int64
 	Drops      int64
+	// CommitWaits counts acquisitions of core.State.CommitMu whose first
+	// attempt found it held by another worker (promotions and drops).
+	CommitWaits int64
 	// RepairTargets counts the d⁺out recomputations of the batch-end
 	// repair: every repositioned vertex plus the neighbors recordMove
 	// selected, each counted once.
@@ -41,5 +44,6 @@ func (m *Metrics) add(o Metrics) {
 	m.Evictions += o.Evictions
 	m.Promotions += o.Promotions
 	m.Drops += o.Drops
+	m.CommitWaits += o.CommitWaits
 	m.RepairTargets += o.RepairTargets
 }

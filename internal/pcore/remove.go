@@ -168,7 +168,7 @@ func (p *worker) doMCD(x int32) bool {
 	// old deferred-to-commit move let a later observer reach the tail
 	// first, inverting it.)
 	st.T[x].Store(core.DropStatus(p.k, 2))
-	st.CommitMu.Lock()
+	p.lockCommit()
 	st.BeginOrderChange(x)
 	st.Core[x].Store(p.k - 1)
 	st.List(p.k).Delete(x)

@@ -4,7 +4,7 @@
 // The paper synchronizes workers with per-vertex locks implemented by the
 // compare-and-swap primitive. Three flavors are needed:
 //
-//   - lock / tryLock / Unlock: a plain test-and-set spin lock.
+//   - Lock / TryLock / Unlock: a plain test-and-set spin lock.
 //   - LockIf: the conditional lock of Algorithm 4 — acquire only while a
 //     caller-supplied condition holds, and abort (instead of blocking
 //     forever) once the condition turns false.
@@ -26,16 +26,17 @@ type Lock struct {
 	v atomic.Uint32
 }
 
-// lock acquires l, busy-waiting until it is free. Between failed attempts it
-// yields the processor so single-core test environments make progress.
-func (l *Lock) lock() {
+// Lock acquires l, busy-waiting until it is free. Between failed attempts it
+// yields the processor so single-core test environments make progress. A
+// waiter never parks: it stays runnable, so the release costs no wake-up.
+func (l *Lock) Lock() {
 	for !l.v.CompareAndSwap(0, 1) {
 		runtime.Gosched()
 	}
 }
 
-// tryLock attempts to acquire l without waiting and reports success.
-func (l *Lock) tryLock() bool {
+// TryLock attempts to acquire l without waiting and reports success.
+func (l *Lock) TryLock() bool {
 	return l.v.CompareAndSwap(0, 1)
 }
 
@@ -56,7 +57,7 @@ func (l *Lock) Locked() bool {
 // LockIf implements the conditional lock of Algorithm 4: it acquires l only
 // while cond() holds. It returns true when the lock was acquired with cond()
 // still true afterwards; it returns false — without holding the lock — as
-// soon as cond() is observed false. Unlike lock, LockIf never busy-waits on
+// soon as cond() is observed false. Unlike Lock, LockIf never busy-waits on
 // a lock whose condition has been invalidated, which is the mechanism that
 // breaks blocking cycles in parallel edge removal (paper §4.2.2).
 func (l *Lock) LockIf(cond func() bool) bool {
@@ -82,8 +83,8 @@ func LockPair(a, b *Lock) {
 		panic("spin: LockPair with identical locks")
 	}
 	for {
-		a.lock()
-		if b.tryLock() {
+		a.Lock()
+		if b.TryLock() {
 			return
 		}
 		a.Unlock()

@@ -9,7 +9,7 @@ import (
 
 func TestLockUnlock(t *testing.T) {
 	var l Lock
-	l.lock()
+	l.Lock()
 	if !l.Locked() {
 		t.Fatal("lock should be held")
 	}
@@ -31,14 +31,14 @@ func TestUnlockOfUnlockedPanics(t *testing.T) {
 
 func TestTryLock(t *testing.T) {
 	var l Lock
-	if !l.tryLock() {
+	if !l.TryLock() {
 		t.Fatal("TryLock on free lock must succeed")
 	}
-	if l.tryLock() {
+	if l.TryLock() {
 		t.Fatal("TryLock on held lock must fail")
 	}
 	l.Unlock()
-	if !l.tryLock() {
+	if !l.TryLock() {
 		t.Fatal("TryLock after Unlock must succeed")
 	}
 }
@@ -53,7 +53,7 @@ func TestLockMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				l.lock()
+				l.Lock()
 				counter++
 				l.Unlock()
 			}
@@ -108,7 +108,7 @@ func TestLockIfUnblocksOnConditionChange(t *testing.T) {
 	var l Lock
 	var cond atomic.Bool
 	cond.Store(true)
-	l.lock() // hold so the waiter spins
+	l.Lock() // hold so the waiter spins
 
 	done := make(chan bool, 1)
 	go func() {

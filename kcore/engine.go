@@ -151,6 +151,7 @@ func (r *BatchResult) addBatch(b pcore.Batch) {
 	r.Contention.QueueRebuilds += b.Metrics.QueueRebuilds
 	r.Contention.RemovalRedos += b.Metrics.RemovalRedos
 	r.Contention.Evictions += b.Metrics.Evictions
+	r.Contention.CommitWaits += b.Metrics.CommitWaits
 	r.Contention.RepairTargets += b.Metrics.RepairTargets
 	r.Contention.Rebuilds += b.Metrics.Rebuilds
 }

@@ -217,11 +217,11 @@ type BatchResult struct {
 	changed []int32
 	// Contention reports the parallel engine's synchronization counters
 	// (zero value for the other engines): how often conditional locks
-	// aborted, priority queues rebuilt their label snapshots, and removal
-	// propagations re-ran — the observable footprint of the paper's
-	// blocking-chain analysis (§4) — how many vertices the batch-end
-	// d⁺out repair recomputed, and whether the batch finished with a
-	// rebuild.
+	// aborted, priority queues rebuilt their label snapshots, removal
+	// propagations re-ran and promotions or drops waited for the commit
+	// lock — the observable footprint of the paper's blocking-chain
+	// analysis (§4) — how many vertices the batch-end d⁺out repair
+	// recomputed, and whether the batch finished with a rebuild.
 	Contention Contention
 }
 
@@ -232,6 +232,7 @@ type Contention struct {
 	QueueRebuilds int64 // priority-queue label re-snapshots (Algorithm 9)
 	RemovalRedos  int64 // removal propagation redo rounds (Algorithm 8)
 	Evictions     int64 // Backward repositionings
+	CommitWaits   int64 // commit-lock acquisitions that found it held
 	RepairTargets int64 // d⁺out recomputations of the batch-end repair
 	Rebuilds      int64 // 1 if the insertion batch spent its budget and finished with a rebuild
 }

@@ -17,6 +17,7 @@ import (
 // Under the whole-neighborhood rule that pcore.New ships it is also the hub and
 // every leaf (3601 targets for 600 moves); once the same-level rule is the
 // engine's, the bound to assert here is RepairTargets <= 3*(moves+evictions).
+// The commit-wait count reaches the report too, and reads 0 at one worker.
 func TestRepairTargetsReported(t *testing.T) {
 	const ring, clique, leaves = 600, 8, 5
 	hub := int32(ring)
@@ -54,6 +55,10 @@ func TestRepairTargetsReported(t *testing.T) {
 				if res.ChangedVertices < ring {
 					t.Fatalf("w=%d round %d insert=%v: %d moves, the whole ring (%d) should move",
 						workers, round, insert, res.ChangedVertices, ring)
+				}
+				// One worker never finds the commit lock held.
+				if got := res.Contention.CommitWaits; workers == 1 && got != 0 {
+					t.Fatalf("w=1 round %d insert=%v: %d commit waits, want 0", round, insert, got)
 				}
 				if got := res.Contention.RepairTargets; got < int64(res.ChangedVertices) {
 					t.Fatalf("w=%d round %d insert=%v: %d repair targets for %d moved vertices",
