@@ -159,11 +159,7 @@ func main() {
 	srv := server.New(m, srvOpts...)
 	var rep *server.Replica
 	if *replicaOf != "" {
-		var logger *log.Logger
-		if !*quiet {
-			logger = log.Default()
-		}
-		rep = server.NewReplica(srv, *replicaOf, server.ReplicaOptions{Logger: logger})
+		rep = server.NewReplica(srv, *replicaOf)
 	}
 	if *metricsAddr != "" {
 		// The registry records the server's role: it is built after

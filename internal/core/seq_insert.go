@@ -196,7 +196,6 @@ func (r *insertRun) forward(w, din int32) {
 // DoPre/DoPost).
 func (r *insertRun) backward(w, din int32) {
 	st := r.st
-	list := st.List(r.k)
 	r.vplus = append(r.vplus, w)
 	r.done[w] = true
 	pre := w
@@ -211,10 +210,7 @@ func (r *insertRun) backward(w, din int32) {
 		r.done[u] = true
 		r.doPre(u, &rq, inR)
 		r.doPost(u, &rq, inR)
-		st.BeginOrderChange(u)
-		list.Delete(u)
-		list.InsertAfter(pre, u)
-		st.EndOrderChange(u)
+		st.Relocate(u, r.k, r.k, pre)
 		pre = u
 		st.Dout[u].Add(r.din[u])
 		delete(r.din, u)
@@ -254,31 +250,15 @@ func (r *insertRun) doPost(u int32, rq *[]int32, inR map[int32]bool) {
 
 // commit promotes the surviving candidates: core k → k+1, and each vertex
 // moves from O_k to the head of O_{k+1} preserving the relative
-// k-order of V* (Algorithm 7 lines 14-16).
+// k-order of V* (Algorithm 7 lines 14-16). Relocate empties the mcd values
+// the promotions make stale.
 func (r *insertRun) commit() {
-	st := r.st
-	from := st.List(r.k)
-	to := st.List(r.k + 1)
-	anchor := int32(-1) // none yet: the first survivor goes to the head
+	anchor := Head // the first survivor goes to the head
 	for _, w := range r.vstar {
 		if !r.inStar[w] {
 			continue // evicted by backward
 		}
-		// Stale mcd values of w and its neighbors refer to the old
-		// core number; drop them for lazy recomputation.
-		st.Mcd[w].Store(McdEmpty)
-		for _, x := range st.G.Adj(w) {
-			st.Mcd[x].Store(McdEmpty)
-		}
-		st.BeginOrderChange(w)
-		st.Core[w].Store(r.k + 1)
-		from.Delete(w)
-		if anchor < 0 {
-			to.InsertAtHead(w)
-		} else {
-			to.InsertAfter(anchor, w)
-		}
+		r.st.Relocate(w, r.k, r.k+1, anchor)
 		anchor = w
-		st.EndOrderChange(w)
 	}
 }

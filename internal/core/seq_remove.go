@@ -134,7 +134,6 @@ func (r *removeRun) commit() {
 		return
 	}
 	from := st.List(r.k)
-	to := st.List(r.k - 1)
 	for _, w := range r.vstar {
 		for _, x := range st.G.Adj(w) {
 			if st.Core[x].Load() == r.k && !r.inStar(x) &&
@@ -142,9 +141,6 @@ func (r *removeRun) commit() {
 				st.Dout[x].Add(-1)
 			}
 		}
-		st.BeginOrderChange(w)
-		from.Delete(w)
-		to.InsertAtTail(w)
-		st.EndOrderChange(w)
+		st.Relocate(w, r.k, r.k-1, Tail)
 	}
 }

@@ -11,7 +11,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/graph"
@@ -61,38 +60,13 @@ type State struct {
 	// Locks[v] is the per-vertex CAS spin lock.
 	Locks []spin.Lock
 
-	// CommitMu serializes cross-worker core-level moves: every transfer
-	// of a vertex between k-order lists that changes its core number
-	// (insertion commit's promotion to the head of O_{k+1}, removal's
-	// drop to the tail of O_{k-1}) must store the new core number AND
-	// relocate the OM item inside one CommitMu critical section.
-	//
-	// Why: other workers linearize their operations against a promotion
-	// by observing Core[w] (the forward filter, the queue discard check,
-	// the LockIf predicate) — a worker that sees the new core number
-	// treats the move as complete. The head-of-O_{k+1} placement rule is
-	// only valid under that linearization: whoever promotes later must
-	// end up earlier in the list. If the core store and the list insert
-	// can interleave with another commit into the same list (observed in
-	// the wild under GOMAXPROCS=2: worker A preempted between publishing
-	// core(w)=k+1 and inserting w, worker B promoting an adjacent vertex
-	// in between), the list order inverts relative to the observed
-	// linearization and the final k-order is invalid — dout exceeds the
-	// core number — which later in-batch decisions then build on,
-	// over-promoting vertices (the TestLargerScaleInsert I1/I2 failures).
-	//
-	// The section is a handful of index updates, so a wait for it is
-	// short, but a waiter parked on a sync.Mutex costs a wake-up longer
-	// than the section itself: with two workers the parked ones left a
-	// quarter of the apply phase off-CPU. So it is the engine's own spin
-	// lock, whose waiter yields and retries (spin.Lock.Lock) and never
-	// parks.
-	CommitMu spin.Lock
+	// commitMu serializes the level moves of Relocate, whose doc says why.
+	commitMu spin.Lock
 
 	// slab holds every vertex's k-order record, in whichever list O_k
 	// currently links it; the lists name vertices by id.
 	slab  *om.Slab
-	mu    sync.Mutex   // guards list growth
+	mu    spin.Lock    // guards list growth
 	lists atomic.Value // []*om.List, one per core number
 }
 
@@ -263,14 +237,77 @@ func (st *State) Before(u, v int32) bool {
 	}
 }
 
-// BeginOrderChange marks v's k-order as in flux (odd s); EndOrderChange
-// publishes the new position. Every Delete/Insert pair that moves a vertex
-// must be bracketed by these, together with any core-number change, so that
-// Before never observes a half-updated (core, position) pair.
-func (st *State) BeginOrderChange(v int32) { st.S[v].Add(1) }
+// Head and Tail are the placements of Relocate that name no vertex: the
+// head and the tail of the target list.
+const (
+	Head int32 = -1
+	Tail int32 = -2
+)
 
-// EndOrderChange completes a BeginOrderChange.
-func (st *State) EndOrderChange(v int32) { st.S[v].Add(1) }
+// Relocate moves v from O_from to O_to and places it right after `after`, a
+// vertex of O_to, or at Head or Tail. It is the one place a vertex changes
+// its k-order position, and it reports whether it had to wait for the
+// commit lock.
+//
+// The move is bracketed by v's order-change status (odd S while it runs,
+// Algorithm 6), so Before never observes a half-updated (core, position)
+// pair. A promotion (to > from) first empties the mcd of v and of its
+// neighbors, which refer to v's old core number.
+//
+// A level move (from != to) stores the new core number AND moves the list
+// item inside one critical section of the commit lock; a move within one
+// list (an eviction) takes no commit lock. Why: other workers linearize
+// their operations against a promotion or a drop by observing Core[v] (the
+// forward filter, the queue discard check, the LockIf predicate) — a worker
+// that sees the new core number treats the move as complete. The placement
+// rules (a promotion to the head of O_{k+1}, a drop to the tail of
+// O_{k-1}) are only valid under that linearization: whoever moves later
+// must end up earlier at the head, later at the tail. If the core store and
+// the list move could interleave with another level move into the same
+// list (observed in the wild under GOMAXPROCS=2: worker A preempted between
+// publishing core(w)=k+1 and inserting w, worker B promoting an adjacent
+// vertex in between), the list order would invert relative to the observed
+// linearization and the final k-order would be invalid — dout exceeds the
+// core number — which later in-batch decisions then build on,
+// over-promoting vertices (the TestLargerScaleInsert I1/I2 failures).
+//
+// The section is a handful of index updates, so a wait for it is short,
+// but a waiter parked on a mutex costs a wake-up longer than the section
+// itself: with two workers the parked ones left a quarter of the apply
+// phase off-CPU. So it is the engine's own spin lock, whose waiter yields
+// and retries (spin.Lock.Lock) and never parks.
+func (st *State) Relocate(v, from, to, after int32) (waited bool) {
+	if to > from {
+		st.Mcd[v].Store(McdEmpty)
+		for _, x := range st.G.Adj(v) {
+			st.Mcd[x].Store(McdEmpty)
+		}
+	}
+	src, dst := st.List(from), st.List(to)
+	level := from != to
+	if level && !st.commitMu.TryLock() {
+		waited = true
+		st.commitMu.Lock()
+	}
+	st.S[v].Add(1)
+	if level {
+		st.Core[v].Store(to)
+	}
+	src.Delete(v)
+	switch after {
+	case Head:
+		dst.InsertAtHead(v)
+	case Tail:
+		dst.InsertAtTail(v)
+	default:
+		dst.InsertAfter(after, v)
+	}
+	st.S[v].Add(1)
+	if level {
+		st.commitMu.Unlock()
+	}
+	return waited
+}
 
 // tStatusBits is the width of the propagation status in a packed T value;
 // the level a vertex is dropping from sits above it.

@@ -3,8 +3,10 @@ package core
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/gen"
 	"repro/graph"
@@ -175,7 +177,7 @@ func TestBeforeMatchesBeforeSeqAtQuiescence(t *testing.T) {
 func TestBeforeWaitsForOrderChange(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	st := NewState(g)
-	st.BeginOrderChange(0)
+	st.S[0].Add(1) // odd: a move of 0 is in flight
 	done := make(chan bool, 1)
 	go func() {
 		done <- st.Before(0, 2) // must block until the change ends
@@ -185,8 +187,131 @@ func TestBeforeWaitsForOrderChange(t *testing.T) {
 		t.Fatal("Before returned while the order change was in flight")
 	default:
 	}
-	st.EndOrderChange(0)
+	st.S[0].Add(1)
 	<-done // must complete now
+}
+
+// TestRelocate moves vertices to every placement Relocate offers and checks
+// the k-order, the order-change status, the core numbers and the mcd values
+// after each move. Then, holding the commit lock, it checks that an
+// eviction neither waits for the lock nor reports a wait, and that a level
+// move waits until the lock is released and reports it.
+func TestRelocate(t *testing.T) {
+	// A triangle 0-1-2 (core 2), an edge 3-4 (core 1) and the isolated 5.
+	g := graph.MustFromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
+	st := NewState(g)
+	const mcd = 7 // a known mcd, which only a promotion empties
+	for _, m := range []struct {
+		name               string
+		v, from, to, after int32
+	}{
+		{"promotion to the head", 5, 0, 1, Head},
+		{"promotion after a vertex", 3, 1, 2, 0},
+		{"drop to the tail", 1, 2, 1, Tail},
+		{"eviction after a vertex", 4, 1, 1, 5},
+		{"eviction to the head", 1, 1, 1, Head},
+		{"eviction to the tail", 5, 1, 1, Tail},
+	} {
+		for x := range st.Mcd {
+			st.Mcd[x].Store(mcd)
+		}
+		if st.Relocate(m.v, m.from, m.to, m.after) {
+			t.Fatalf("%s: reported a wait for a free commit lock", m.name)
+		}
+		checkRelocated(t, st, m.name, m.v, m.to, m.after)
+		for x := range st.Mcd {
+			want := int32(mcd)
+			if m.to > m.from && (int32(x) == m.v || st.G.HasEdge(int32(x), m.v)) {
+				want = McdEmpty
+			}
+			if got := st.Mcd[x].Load(); got != want {
+				t.Fatalf("%s: mcd[%d] = %d, want %d", m.name, x, got, want)
+			}
+		}
+	}
+
+	st.List(3) // grown here, so that the level move below only waits for the commit lock
+	st.commitMu.Lock()
+	evicted := make(chan bool, 1)
+	go func() { evicted <- st.Relocate(4, 1, 1, Head) }()
+	select {
+	case waited := <-evicted:
+		if waited {
+			t.Fatal("an eviction reported a commit-lock wait")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an eviction blocked on the commit lock")
+	}
+	checkRelocated(t, st, "eviction under the commit lock", 4, 1, Head)
+
+	promoted := make(chan bool, 1)
+	go func() { promoted <- st.Relocate(0, 2, 3, Head) }()
+	waitForCommitLock(t)
+	select {
+	case <-promoted:
+		t.Fatal("a level move finished while the commit lock was held")
+	default:
+	}
+	if s, c := st.S[0].Load(), st.CoreOf(0); s%2 != 0 || c != 2 {
+		t.Fatalf("a level move entered its section without the commit lock: S = %d, core %d", s, c)
+	}
+	st.commitMu.Unlock()
+	if !<-promoted {
+		t.Fatal("a level move that waited for the commit lock did not report it")
+	}
+	checkRelocated(t, st, "promotion after a wait", 0, 3, Head)
+}
+
+// checkRelocated fails t unless v's order-change status is even, its core
+// number is to, and it is in O_to at the placement `after` names and in no
+// other list, every list passing its structural check.
+func checkRelocated(t *testing.T, st *State, name string, v, to, after int32) {
+	t.Helper()
+	if s := st.S[v].Load(); s%2 != 0 {
+		t.Fatalf("%s: S[%d] = %d is odd", name, v, s)
+	}
+	if c := st.CoreOf(v); c != to {
+		t.Fatalf("%s: core(%d) = %d, want %d", name, v, c, to)
+	}
+	for k := int32(0); k <= st.MaxCoreValue(); k++ {
+		items, err := st.List(k).Check()
+		if err != nil {
+			t.Fatalf("%s: O_%d: %v", name, k, err)
+		}
+		i := slices.Index(items, v)
+		if k != to {
+			if i >= 0 {
+				t.Fatalf("%s: O_%d = %v still holds %d", name, k, items, v)
+			}
+			continue
+		}
+		switch {
+		case i < 0 || slices.Contains(items[i+1:], v):
+			t.Fatalf("%s: O_%d = %v does not hold %d exactly once", name, k, items, v)
+		case after == Head && i != 0,
+			after == Tail && i != len(items)-1,
+			after >= 0 && (i == 0 || items[i-1] != after):
+			t.Fatalf("%s: O_%d = %v, want %d placed at %d", name, k, items, v, after)
+		}
+	}
+}
+
+// waitForCommitLock returns once some goroutine is waiting for the commit
+// lock inside Relocate: its stack shows spin.Lock.Lock called from
+// Relocate, which only happens after its TryLock failed.
+func waitForCommitLock(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, gr := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(gr, "spin.(*Lock).Lock") && strings.Contains(gr, "core.(*State).Relocate") {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+	t.Fatal("no goroutine waits for the commit lock in Relocate")
 }
 
 func TestListGrowth(t *testing.T) {

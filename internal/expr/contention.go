@@ -17,8 +17,8 @@ import (
 // claim measurable. Its "ins rebuilds" column counts insert batches that
 // spent their traversal budget and finished with a rebuild (0 or 1 per
 // graph): a 1 means the row measured BZ, not Algorithm 7. The two after it
-// count the promotions and drops that found the commit lock
-// (core.State.CommitMu) held by another worker: 0 with one worker.
+// count the promotions and drops whose core.State.Relocate found the commit
+// lock held by another worker: 0 with one worker.
 func RunContention(cfg Config) {
 	_, batchSize := cfg.Scale.params()
 	workers := cfg.Workers[len(cfg.Workers)-1]

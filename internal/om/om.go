@@ -34,21 +34,23 @@
 //
 // Concurrency contract (matching the parallel OM of [26] at the granularity
 // discussed in DESIGN.md): structural operations (InsertAfter, Delete, and
-// the relabels they trigger) serialize on a per-list mutex; Order is
-// lock-free and validates its label reads against a seqlock-style version
-// counter that relabels bump (odd while a relabel is in flight). Callers that
-// move an item between lists must prevent concurrent Order calls on that item
-// via their own protocol — the core maintenance algorithms do this with the
-// per-vertex status counter s (Algorithm 6). Slab.Grow runs alone.
+// the relabels they trigger) serialize on a per-list spin lock (spin.Lock,
+// whose waiter yields and never parks); Order is lock-free and validates
+// its label reads against a seqlock-style version counter that relabels
+// bump (odd while a relabel is in flight). Callers that move an item between
+// lists must prevent concurrent Order calls on that item via their own
+// protocol — the core maintenance algorithms do this with the per-vertex
+// status counter s (Algorithm 6), in core.State.Relocate. Slab.Grow runs
+// alone.
 package om
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/grow"
+	"repro/internal/spin"
 )
 
 const (
@@ -127,7 +129,7 @@ type groupPage [1 << pageBits]group
 // List is an order-maintenance list over a Slab. Use NewList to create one.
 type List struct {
 	s   *Slab
-	mu  sync.Mutex
+	mu  spin.Lock
 	ver atomic.Uint64 // seqlock: odd while a relabel is in progress
 
 	// pages is the group table. A split may append a chunk of pages;

@@ -180,7 +180,7 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 	b := Batch{Sizes: sizes, Changed: e.changed}
 	for i, w := range e.ws {
 		b.Changed[i] = w.changed
-		b.Metrics.add(w.m)
+		b.Metrics.Add(w.m)
 	}
 	if rebuilt {
 		b.Metrics.Rebuilds = 1
@@ -330,15 +330,6 @@ func (p *worker) spend(vplus int64) {
 	p.unspent = 0
 	if p.spentSeen > e.budget {
 		e.stop.Store(true)
-	}
-}
-
-// lockCommit acquires core.State.CommitMu, counting an acquisition that
-// had to wait.
-func (p *worker) lockCommit() {
-	if !p.st.CommitMu.TryLock() {
-		p.m.CommitWaits++
-		p.st.CommitMu.Lock()
 	}
 }
 

@@ -9,13 +9,13 @@ import (
 )
 
 // TestCommitRaceRegression replays the shrunk instance that exposed the
-// commit linearization race fixed by core.State.CommitMu (most readily
-// under GOMAXPROCS=2 with -race): worker A, preempted between publishing
-// core(w)=k+1 and inserting w at the head of O_{k+1}, let worker B
-// promote an adjacent vertex into the same list in between — the list
-// order then inverted relative to the linearization other workers
-// derived from Core loads and lock aborts, leaving a final k-order with
-// dout > core (I2) and, when later edges of the batch built on it,
+// commit linearization race fixed by core.State.Relocate's commit lock
+// (most readily under GOMAXPROCS=2 with -race): worker A, preempted
+// between publishing core(w)=k+1 and inserting w at the head of O_{k+1},
+// let worker B promote an adjacent vertex into the same list in between —
+// the list order then inverted relative to the linearization other
+// workers derived from Core loads and lock aborts, leaving a final k-order
+// with dout > core (I2) and, when later edges of the batch built on it,
 // over-promoted core numbers (I1). Before the fix this instance failed
 // within a few thousand trials; the loop is sized to stay cheap in the
 // suite while still giving the interleaving thousands of chances under

@@ -103,7 +103,6 @@ func (p *worker) forward(w, din int32) {
 // therefore already locked by this worker.
 func (p *worker) backward(w, din int32) {
 	st := p.st
-	list := st.List(p.k)
 	p.mk.set(w, mDone)
 	p.confirmed = append(p.confirmed, w)
 	if traceFn != nil {
@@ -122,10 +121,7 @@ func (p *worker) backward(w, din int32) {
 		if traceFn != nil {
 			traceFn("p=%p   evict %d after %d", p, u, pre)
 		}
-		st.BeginOrderChange(u)
-		list.Delete(u)
-		list.InsertAfter(pre, u)
-		st.EndOrderChange(u)
+		st.Relocate(u, p.k, p.k, pre)
 		p.recordMove(u, p.k)
 		p.m.Evictions++
 		pre = u
@@ -173,40 +169,22 @@ func (p *worker) doPost(u int32) {
 
 // promote commits the surviving candidates (Algorithm 7 lines 14-17): each
 // moves to the head of O_{k+1} preserving V*'s relative order (anchor
-// chaining), with core number and position published atomically under the
-// order-change status. Every lock this worker still holds is released.
+// chaining), its core number and position published as one unit by
+// core.State.Relocate. Every lock this worker still holds is released.
 func (p *worker) promote() {
 	st := p.st
-	from := st.List(p.k)
-	to := st.List(p.k + 1)
-	anchor := int32(-1) // none yet: the first survivor goes to the head
+	anchor := core.Head // the first survivor goes to the head
 	for _, w := range p.vstar {
 		if !p.mk.has(w, mStar) {
 			continue // evicted by backward
 		}
-		st.Mcd[w].Store(core.McdEmpty)
-		for _, x := range st.G.Adj(w) {
-			st.Mcd[x].Store(core.McdEmpty)
-		}
 		if traceFn != nil {
 			traceFn("p=%p commit %d -> core %d (head of O_%d)", p, w, p.k+1, p.k+1)
 		}
-		// The core store and the list move publish as one unit (see
-		// core.State.CommitMu): a worker that observes the new core
-		// number linearizes after this promotion, and the head placement
-		// is only valid if w is already in the list when that happens.
-		p.lockCommit()
-		st.BeginOrderChange(w)
-		st.Core[w].Store(p.k + 1)
-		from.Delete(w)
-		if anchor < 0 {
-			to.InsertAtHead(w)
-		} else {
-			to.InsertAfter(anchor, w)
+		if st.Relocate(w, p.k, p.k+1, anchor) {
+			p.m.CommitWaits++
 		}
 		anchor = w
-		st.EndOrderChange(w)
-		st.CommitMu.Unlock()
 		p.recordMove(w, p.k)
 		p.changed = append(p.changed, w)
 		p.m.Promotions++

@@ -25,8 +25,8 @@ type Metrics struct {
 	// Promotions and Drops count core-number changes applied.
 	Promotions int64
 	Drops      int64
-	// CommitWaits counts acquisitions of core.State.CommitMu whose first
-	// attempt found it held by another worker (promotions and drops).
+	// CommitWaits counts the promotions and drops whose core.State.Relocate
+	// found the commit lock held by another worker.
 	CommitWaits int64
 	// RepairTargets counts the d⁺out recomputations of the batch-end
 	// repair: every repositioned vertex plus the neighbors recordMove
@@ -37,7 +37,8 @@ type Metrics struct {
 	Rebuilds int64
 }
 
-func (m *Metrics) add(o Metrics) {
+// Add adds every counter of o to m.
+func (m *Metrics) Add(o Metrics) {
 	m.LockAborts += o.LockAborts
 	m.QueueRebuilds += o.QueueRebuilds
 	m.RemovalRedos += o.RemovalRedos
@@ -46,4 +47,5 @@ func (m *Metrics) add(o Metrics) {
 	m.Drops += o.Drops
 	m.CommitWaits += o.CommitWaits
 	m.RepairTargets += o.RepairTargets
+	m.Rebuilds += o.Rebuilds
 }

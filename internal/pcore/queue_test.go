@@ -82,11 +82,7 @@ func TestPQueueDiscardsPromotedVertices(t *testing.T) {
 	q.enqueue(1)
 	q.enqueue(2)
 	// Simulate a promotion by another worker: vertex 1 leaves level 1.
-	st.BeginOrderChange(1)
-	st.Core[1].Store(2)
-	st.List(1).Delete(1)
-	st.List(2).InsertAtHead(1)
-	st.EndOrderChange(1)
+	st.Relocate(1, 1, 2, core.Head)
 	got := drain(t, st, q)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("drained %v, want [2] (1 was promoted)", got)
@@ -100,13 +96,9 @@ func TestPQueueRefreshAfterRelabel(t *testing.T) {
 	q.enqueue(2)
 	// Force relabels of O_1 by churning items at the head: position
 	// changes of OTHER vertices plus version bumps.
-	list := st.List(1)
 	// Move vertex 0 back and forth within the list to churn versions.
 	for i := 0; i < 500; i++ {
-		st.BeginOrderChange(0)
-		list.Delete(0)
-		list.InsertAtHead(0)
-		st.EndOrderChange(0)
+		st.Relocate(0, 1, 1, core.Head)
 	}
 	q.dirty = true // as Algorithm 10 would have marked it
 	got := drain(t, st, q)

@@ -158,23 +158,15 @@ func (p *worker) doMCD(x int32) bool {
 		panic("pcore: mcd fell below core away from removal level")
 	}
 	// Line 22: ⟨core ← k-1; t ← 2⟩ published t-first so no observer sees
-	// a dropped-but-untracked vertex. The core store and the OM
-	// relocation to the tail of O_{k-1} publish as one unit (see
-	// core.State.CommitMu): a worker that observes the lowered core
-	// number — another removal's mcd count or conditional lock —
-	// linearizes its own drops after this one, and the tail placement is
-	// only a valid peeling position if x is already at the tail when
-	// that happens. (The drop cascade order is the peeling order; the
-	// old deferred-to-commit move let a later observer reach the tail
-	// first, inverting it.)
+	// a dropped-but-untracked vertex. core.State.Relocate publishes the
+	// core number and the move to the tail of O_{k-1} as one unit: the
+	// drop cascade order is the peeling order, and a move deferred to
+	// commit let a later observer — another removal's mcd count or
+	// conditional lock — reach the tail first, inverting it.
 	st.T[x].Store(core.DropStatus(p.k, 2))
-	p.lockCommit()
-	st.BeginOrderChange(x)
-	st.Core[x].Store(p.k - 1)
-	st.List(p.k).Delete(x)
-	st.List(p.k - 1).InsertAtTail(x)
-	st.EndOrderChange(x)
-	st.CommitMu.Unlock()
+	if st.Relocate(x, p.k, p.k-1, core.Tail) {
+		p.m.CommitWaits++
+	}
 	st.Mcd[x].Store(core.McdEmpty) // line 23
 	p.vstar = append(p.vstar, x)   // line 24
 	p.rq = append(p.rq, x)

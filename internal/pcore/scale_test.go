@@ -12,7 +12,7 @@ import (
 // counts. It flaked for several PRs under -race with multiple workers
 // (I1/I2 invariant failures, easiest to hit at GOMAXPROCS=2): the commit
 // linearization race now pinned by TestCommitRaceRegression and fixed by
-// core.State.CommitMu.
+// the commit lock of core.State.Relocate.
 func TestLargerScaleInsert(t *testing.T) {
 	base := gen.ErdosRenyi(2000, 8000, 3)
 	batch := gen.ErdosRenyi(2000, 500, 9).Edges() // overlaps base edges

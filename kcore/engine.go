@@ -147,13 +147,7 @@ func (r *BatchResult) addBatch(b pcore.Batch) {
 		r.ChangedVertices += len(vstar)
 		r.changed = append(r.changed, vstar...)
 	}
-	r.Contention.LockAborts += b.Metrics.LockAborts
-	r.Contention.QueueRebuilds += b.Metrics.QueueRebuilds
-	r.Contention.RemovalRedos += b.Metrics.RemovalRedos
-	r.Contention.Evictions += b.Metrics.Evictions
-	r.Contention.CommitWaits += b.Metrics.CommitWaits
-	r.Contention.RepairTargets += b.Metrics.RepairTargets
-	r.Contention.Rebuilds += b.Metrics.Rebuilds
+	r.Contention.Add(b.Metrics)
 }
 
 // wantSizes makes VPlusSizes non-nil, with room for hint more entries: the

@@ -225,17 +225,9 @@ type BatchResult struct {
 	Contention Contention
 }
 
-// Contention is the set of synchronization counters of one ParallelOrder
-// batch; see BatchResult.Contention.
-type Contention struct {
-	LockAborts    int64 // conditional locks abandoned on a core change
-	QueueRebuilds int64 // priority-queue label re-snapshots (Algorithm 9)
-	RemovalRedos  int64 // removal propagation redo rounds (Algorithm 8)
-	Evictions     int64 // Backward repositionings
-	CommitWaits   int64 // commit-lock acquisitions that found it held
-	RepairTargets int64 // d⁺out recomputations of the batch-end repair
-	Rebuilds      int64 // 1 if the insertion batch spent its budget and finished with a rebuild
-}
+// Contention is the set of synchronization and work counters of one
+// ParallelOrder batch; see BatchResult.Contention and pcore.Metrics.
+type Contention = pcore.Metrics
 
 // engine owns the maintenance batchEngine implementation and the snapshot
 // publisher its batches feed. One goroutine drives it: the pipeline's

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"slices"
 	"strings"
@@ -18,11 +17,6 @@ import (
 	"repro/persist"
 	"repro/resp"
 )
-
-// ReplicaOptions configures a follower.
-type ReplicaOptions struct {
-	Logger *log.Logger // nil = silent
-}
 
 // Replica keeps a Server in follower mode: it bootstraps from a leader's
 // CORE.SYNC snapshot by reloading the server's one maintainer in place
@@ -59,7 +53,6 @@ type ReplicaOptions struct {
 type Replica struct {
 	srv    *Server
 	leader string
-	opts   ReplicaOptions
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -80,14 +73,14 @@ type Replica struct {
 // NewReplica puts srv into follower mode, replicating from the leader at
 // leaderAddr ("host:port"): it reloads srv's maintainer with the empty
 // graph at epoch 0, discarding its graph, and every bootstrap reloads it
-// again. Call Start to begin syncing and Close to stop. Must be called
-// before the server serves traffic.
-func NewReplica(srv *Server, leaderAddr string, opts ReplicaOptions) *Replica {
+// again. The follower logs through srv's logger (WithLogger). Call Start to
+// begin syncing and Close to stop. Must be called before the server serves
+// traffic.
+func NewReplica(srv *Server, leaderAddr string) *Replica {
 	srv.m.Reload(graph.New(0), 0)
 	r := &Replica{
 		srv:    srv,
 		leader: leaderAddr,
-		opts:   opts,
 		quit:   make(chan struct{}),
 	}
 	srv.replica = r
@@ -128,7 +121,7 @@ func (r *Replica) loop() {
 		if err != nil {
 			msg := err.Error()
 			r.lastErr.Store(&msg)
-			r.logf("replica: sync from %s: %v (retry in %v)", r.leader, err, backoff)
+			r.srv.logf("replica: sync from %s: %v (retry in %v)", r.leader, err, backoff)
 		}
 		// A session that streamed for a while earned a fresh backoff.
 		if time.Since(start) > 10*time.Second {
@@ -202,7 +195,7 @@ func (r *Replica) syncOnce() error {
 	r.syncs.Add(1)
 	r.connected.Store(true)
 	r.lastErr.Store(nil)
-	r.logf("replica: synced gen %d epoch %d from %s (n=%d m=%d)", gen, epoch, r.leader, g.N(), g.M())
+	r.srv.logf("replica: synced gen %d epoch %d from %s (n=%d m=%d)", gen, epoch, r.leader, g.N(), g.M())
 
 	// The tail: each record is one leader publication, at the epoch it
 	// names. The record at the maintainer's epoch + 1 applies as one
@@ -305,10 +298,4 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 		obs.NewGaugeFunc("kcored_replica_epoch_lag", "Newest leader epoch seen minus kcored_epoch, clamped at 0 (apply backlog).",
 			func() float64 { return float64(r.epochLag()) }),
 	)
-}
-
-func (r *Replica) logf(format string, args ...any) {
-	if r.opts.Logger != nil {
-		r.opts.Logger.Printf(format, args...)
-	}
 }

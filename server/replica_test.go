@@ -49,8 +49,8 @@ func startLeader(t *testing.T, g *graph.Graph, popts persist.Options) (*kcore.Ma
 // its maintainer built with opts.
 func startReplicaServer(t *testing.T, leaderAddr string, opts ...kcore.Option) (*Server, string) {
 	t.Helper()
-	srv := New(kcore.New(graph.New(0), append([]kcore.Option{kcore.WithWorkers(2)}, opts...)...))
-	rep := NewReplica(srv, leaderAddr, ReplicaOptions{})
+	srv := New(kcore.New(graph.New(0), append([]kcore.Option{kcore.WithWorkers(2)}, opts...)...), WithLogger(nil))
+	rep := NewReplica(srv, leaderAddr)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -36,8 +36,9 @@ import (
 // Option configures a Server.
 type Option func(*Server)
 
-// WithLogger sets the connection-error logger; the default logs through
-// the standard library's default logger. Pass nil to silence.
+// WithLogger sets the logger of connection errors and, on a follower, of
+// the replication loop; the default logs through the standard library's
+// default logger. Pass nil to silence.
 func WithLogger(l *log.Logger) Option { return func(s *Server) { s.logger = l; s.logSet = true } }
 
 // WithConnShards is accepted and ignored: every connection is served by
