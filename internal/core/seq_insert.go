@@ -1,94 +1,55 @@
 package core
 
-import (
-	"container/heap"
+import "repro/internal/om"
 
-	"repro/internal/om"
-)
-
-// orderHeap is a min-heap of vertices keyed by k-order labels, the
-// sequential stand-in for the versioned priority queue Q (§5). Labels are
-// snapshotted at push; sequential operation never relabels concurrently, but
-// a relabel triggered by this very operation's own OM inserts can invalidate
-// them, so the heap re-reads labels when the list version changed.
-type orderHeap struct {
-	st   *State
-	list *om.List
-	ver  uint64
-	vs   []int32
-	lt   []uint64
-	lb   []uint64
+// seqScratch is the per-operation scratch of the sequential engine
+// (InsertEdgeSeq, RemoveEdgeSeq): the same flag table, label heap and keep
+// rule a pcore worker runs on, kept on the State across operations, so a
+// warm operation allocates nothing.
+type seqScratch struct {
+	k         int32
+	mk        Marks     // Q, V*, V+ \ V*, R membership and d*in
+	q         LabelHeap // Q, labels read at list version ver
+	list      *om.List  // O_k
+	ver       uint64
+	vstar     []int32 // V* in discovery order; insertion: evicted members included
+	confirmed int     // insertion: Backward triggers, the members of V+ that never joined V*
+	rq        []int32 // R: Backward's eviction queue / removal's propagation queue
 }
 
-func newOrderHeap(st *State, list *om.List) *orderHeap {
-	return &orderHeap{st: st, list: list, ver: list.Version()}
+// reset empties the scratch for an operation at level k.
+func (r *seqScratch) reset(st *State, k int32) {
+	r.k = k
+	r.mk.Reset()
+	r.q = Keep(r.q)
+	r.list = st.List(k)
+	r.ver = r.list.Version()
+	r.vstar = Keep(r.vstar)
+	r.confirmed = 0
+	r.rq = Keep(r.rq)
 }
 
-func (h *orderHeap) Len() int { return len(h.vs) }
-func (h *orderHeap) Less(i, j int) bool {
-	if h.lt[i] != h.lt[j] {
-		return h.lt[i] < h.lt[j]
-	}
-	return h.lb[i] < h.lb[j]
-}
-func (h *orderHeap) Swap(i, j int) {
-	h.vs[i], h.vs[j] = h.vs[j], h.vs[i]
-	h.lt[i], h.lt[j] = h.lt[j], h.lt[i]
-	h.lb[i], h.lb[j] = h.lb[j], h.lb[i]
-}
-func (h *orderHeap) Push(x any) {
-	v := x.(int32)
-	lt, lb, _, _ := h.list.Labels(v)
-	h.vs = append(h.vs, v)
-	h.lt = append(h.lt, lt)
-	h.lb = append(h.lb, lb)
-}
-func (h *orderHeap) Pop() any {
-	n := len(h.vs) - 1
-	v := h.vs[n]
-	h.vs, h.lt, h.lb = h.vs[:n], h.lt[:n], h.lb[:n]
-	return v
+// push queues v with its current labels.
+func (r *seqScratch) push(v int32) {
+	r.refreshIfStale()
+	lt, lb, _, _ := r.list.Labels(v)
+	r.q.Push(LabelEntry{V: v, Lt: lt, Lb: lb})
 }
 
-func (h *orderHeap) push(v int32) {
-	h.refreshIfStale()
-	heap.Push(h, v)
-}
-
-func (h *orderHeap) pop() int32 {
-	h.refreshIfStale()
-	return heap.Pop(h).(int32)
-}
-
-// refreshIfStale re-snapshots every cached label and re-heapifies when the
-// underlying list relabeled since the last snapshot — the sequential version
-// of Algorithm 9's update_version.
-func (h *orderHeap) refreshIfStale() {
-	v := h.list.Version()
-	if v == h.ver {
+// refreshIfStale re-reads every queued label and re-heapifies when the list
+// relabeled since the labels were read — the sequential version of
+// Algorithm 9's update_version. Sequential operation never relabels
+// concurrently, but this very operation's evictions can.
+func (r *seqScratch) refreshIfStale() {
+	v := r.list.Version()
+	if v == r.ver {
 		return
 	}
-	h.ver = v
-	for i, vtx := range h.vs {
-		lt, lb, _, _ := h.list.Labels(vtx)
-		h.lt[i], h.lb[i] = lt, lb
+	r.ver = v
+	for i, e := range r.q {
+		r.q[i].Lt, r.q[i].Lb, _, _ = r.list.Labels(e.V)
 	}
-	heap.Init(h)
-}
-
-// insertRun carries the per-operation scratch state of one sequential edge
-// insertion: V*, V+, the candidate in-degrees d*in, the priority queue Q and
-// the Backward queue R.
-type insertRun struct {
-	st     *State
-	k      int32
-	q      *orderHeap
-	inQ    map[int32]bool
-	vstar  []int32 // candidate set in discovery (= k-) order
-	inStar map[int32]bool
-	din    map[int32]int32 // d*in of the members of V*
-	done   map[int32]bool  // V+ \ V*: confirmed non-candidates, final
-	vplus  []int32
+	r.q.Heapify()
 }
 
 // InsertEdgeSeq inserts the undirected edge (u, v) and restores all
@@ -113,15 +74,8 @@ func (st *State) InsertEdgeSeq(u, v int32) InsertStats {
 	if st.Dout[u].Load() <= k {
 		return InsertStats{Applied: true}
 	}
-	run := &insertRun{
-		st:     st,
-		k:      k,
-		q:      newOrderHeap(st, st.List(k)),
-		inQ:    map[int32]bool{},
-		inStar: map[int32]bool{},
-		din:    map[int32]int32{},
-		done:   map[int32]bool{},
-	}
+	r := &st.seq
+	r.reset(st, k)
 	w := u
 	for {
 		// d*in(w): predecessors of w currently in V* (Algorithm 7
@@ -130,43 +84,39 @@ func (st *State) InsertEdgeSeq(u, v int32) InsertStats {
 		// not automatically a predecessor of every later dequeue.
 		din := int32(0)
 		for _, x := range st.G.Adj(w) {
-			if run.inStar[x] && st.BeforeSeq(x, w) {
+			if r.mk.Has(x, MStar) && st.BeforeSeq(x, w) {
 				din++
 			}
 		}
 		switch {
 		case din+st.Dout[w].Load() > k:
-			run.forward(w, din)
+			r.forward(st, w, din)
 		case din > 0:
-			run.backward(w, din)
+			r.backward(st, w, din)
 		default:
 			// w cannot be in V+; skip.
 		}
-		next, ok := run.dequeue()
+		next, ok := r.dequeue(st)
 		if !ok {
 			break
 		}
 		w = next
 	}
-	run.commit()
-	stats := InsertStats{Applied: true, VPlus: len(run.vplus)}
-	for _, x := range run.vstar {
-		if run.inStar[x] {
-			stats.Changed = append(stats.Changed, x)
-		}
-	}
-	stats.VStar = len(stats.Changed)
-	return stats
+	vplus := len(r.vstar) + r.confirmed
+	changed := r.promote(st)
+	return InsertStats{Applied: true, VPlus: vplus, VStar: len(changed), Changed: changed}
 }
 
 // dequeue pops the smallest-k-order vertex with core number k, discarding
 // entries whose core changed (cannot happen sequentially, kept for symmetry
 // with Algorithm 11).
-func (r *insertRun) dequeue() (int32, bool) {
-	for r.q.Len() > 0 {
-		v := r.q.pop()
-		delete(r.inQ, v)
-		if r.st.Core[v].Load() != r.k || r.done[v] || r.inStar[v] {
+func (r *seqScratch) dequeue(st *State) (int32, bool) {
+	for len(r.q) > 0 {
+		r.refreshIfStale()
+		v := r.q[0].V
+		r.q.Pop()
+		r.mk.Unset(v, MQueued)
+		if st.Core[v].Load() != r.k || r.mk.Has(v, MDone|MStar) {
 			continue
 		}
 		return v, true
@@ -176,16 +126,14 @@ func (r *insertRun) dequeue() (int32, bool) {
 
 // forward adds w, with candidate in-degree din, to V* and schedules its
 // same-core successors (Algorithm 7, Forward).
-func (r *insertRun) forward(w, din int32) {
-	st := r.st
+func (r *seqScratch) forward(st *State, w, din int32) {
 	r.vstar = append(r.vstar, w)
-	r.inStar[w] = true
-	r.din[w] = din
-	r.vplus = append(r.vplus, w)
+	r.mk.Set(w, MStar)
+	r.mk.SetDin(w, din)
 	for _, x := range st.G.Adj(w) {
-		if st.Core[x].Load() == r.k && !r.inQ[x] && !r.inStar[x] && !r.done[x] && st.BeforeSeq(w, x) {
-			r.inQ[x] = true
-			r.q.push(x)
+		if st.Core[x].Load() == r.k && !r.mk.Has(x, MQueued|MStar|MDone) && st.BeforeSeq(w, x) {
+			r.mk.Set(x, MQueued)
+			r.push(x)
 		}
 	}
 }
@@ -194,71 +142,75 @@ func (r *insertRun) forward(w, din int32) {
 // member of V* whose potential degree no longer exceeds k, repositioning
 // evicted vertices after w in O_k (Algorithm 7, Backward with
 // DoPre/DoPost).
-func (r *insertRun) backward(w, din int32) {
-	st := r.st
-	r.vplus = append(r.vplus, w)
-	r.done[w] = true
+func (r *seqScratch) backward(st *State, w, din int32) {
+	r.confirmed++
+	r.mk.Set(w, MDone)
 	pre := w
-	var rq []int32
-	inR := map[int32]bool{}
-	r.doPre(w, &rq, inR)
+	r.rq = r.rq[:0]
+	r.doPre(st, w)
 	st.Dout[w].Add(din)
-	for len(rq) > 0 {
-		u := rq[0]
-		rq = rq[1:]
-		delete(r.inStar, u)
-		r.done[u] = true
-		r.doPre(u, &rq, inR)
-		r.doPost(u, &rq, inR)
+	for head := 0; head < len(r.rq); head++ {
+		u := r.rq[head]
+		r.mk.Unset(u, MStar)
+		r.mk.Set(u, MDone)
+		r.doPre(st, u)
+		r.doPost(st, u)
 		st.Relocate(u, r.k, r.k, pre)
 		pre = u
-		st.Dout[u].Add(r.din[u])
-		delete(r.din, u)
+		st.Dout[u].Add(r.mk.Din(u))
 	}
 }
 
 // doPre: u leaves (or never joins) V*, so each predecessor x ∈ V* loses the
-// out-edge x ↦ u from its remaining out-degree; evict x when its potential
-// drops to k or below.
-func (r *insertRun) doPre(u int32, rq *[]int32, inR map[int32]bool) {
-	st := r.st
+// out-edge x ↦ u from its remaining out-degree.
+func (r *seqScratch) doPre(st *State, u int32) {
 	for _, x := range st.G.Adj(u) {
-		if r.inStar[x] && st.BeforeSeq(x, u) {
+		if r.mk.Has(x, MStar) && st.BeforeSeq(x, u) {
 			st.Dout[x].Add(-1)
-			if r.din[x]+st.Dout[x].Load() <= r.k && !inR[x] {
-				inR[x] = true
-				*rq = append(*rq, x)
-			}
+			r.evictIfSpent(st, x)
 		}
 	}
 }
 
 // doPost: u leaves V*, so each successor x ∈ V* with a candidate in-degree
-// loses the in-edge u ↦ x; evict x when its potential drops.
-func (r *insertRun) doPost(u int32, rq *[]int32, inR map[int32]bool) {
-	st := r.st
+// loses the in-edge u ↦ x.
+func (r *seqScratch) doPost(st *State, u int32) {
 	for _, x := range st.G.Adj(u) {
-		if r.inStar[x] && r.din[x] > 0 && st.BeforeSeq(u, x) {
-			r.din[x]--
-			if r.din[x]+st.Dout[x].Load() <= r.k && !inR[x] {
-				inR[x] = true
-				*rq = append(*rq, x)
-			}
+		if !r.mk.Has(x, MStar) {
+			continue
+		}
+		if din := r.mk.Din(x); din > 0 && st.BeforeSeq(u, x) {
+			r.mk.SetDin(x, din-1)
+			r.evictIfSpent(st, x)
 		}
 	}
 }
 
-// commit promotes the surviving candidates: core k → k+1, and each vertex
-// moves from O_k to the head of O_{k+1} preserving the relative
-// k-order of V* (Algorithm 7 lines 14-16). Relocate empties the mcd values
-// the promotions make stale.
-func (r *insertRun) commit() {
+// evictIfSpent schedules the V* member x for eviction, once, when its
+// potential degree d*in + d⁺out no longer exceeds k.
+func (r *seqScratch) evictIfSpent(st *State, x int32) {
+	if r.mk.Din(x)+st.Dout[x].Load() <= r.k && !r.mk.Has(x, MInR) {
+		r.mk.Set(x, MInR)
+		r.rq = append(r.rq, x)
+	}
+}
+
+// promote commits the surviving candidates: core k → k+1, and each vertex
+// moves from O_k to the head of O_{k+1} preserving the relative k-order of
+// V* (Algorithm 7 lines 14-16). Relocate empties the mcd values the
+// promotions make stale. It compacts the survivors to the front of vstar and
+// returns them.
+func (r *seqScratch) promote(st *State) []int32 {
 	anchor := Head // the first survivor goes to the head
+	n := 0
 	for _, w := range r.vstar {
-		if !r.inStar[w] {
+		if !r.mk.Has(w, MStar) {
 			continue // evicted by backward
 		}
-		r.st.Relocate(w, r.k, r.k+1, anchor)
+		st.Relocate(w, r.k, r.k+1, anchor)
 		anchor = w
+		r.vstar[n] = w
+		n++
 	}
+	return r.vstar[:n]
 }

@@ -31,47 +31,38 @@ func (st *State) RemoveEdgeSeq(u, v int32) RemoveStats {
 	}
 	st.G.RemoveEdge(u, v)
 
-	run := &removeRun{st: st, k: k, starIdx: map[int32]int{}}
+	r := &st.seq
+	r.reset(st, k)
 	// The removed edge was counted in an endpoint's mcd iff the other
 	// endpoint's core is at least as large (Definition 3.8).
 	if cv >= cu {
-		run.doMCD(u)
+		r.doMCD(st, u)
 	}
 	if cu >= cv {
-		run.doMCD(v)
+		r.doMCD(st, v)
 	}
-	run.propagate()
-	run.commit()
+	r.propagate(st)
 	// Dropped vertices changed list and position; their d⁺out is
 	// recomputed from the settled order (their neighbors' flips were
-	// applied incrementally in commit).
-	for _, w := range run.vstar {
+	// applied at drop time).
+	for _, w := range r.vstar {
 		st.RecomputeDout(w)
 	}
-	// run.vstar is freshly allocated per call, so it can be handed out.
-	return RemoveStats{Applied: true, VStar: len(run.vstar), Changed: run.vstar}
-}
-
-// removeRun carries the per-operation scratch state of one sequential edge
-// removal: the propagation queue R and the candidate set V*.
-type removeRun struct {
-	st      *State
-	k       int32
-	rq      []int32
-	vstar   []int32
-	starIdx map[int32]int // discovery index within vstar
-}
-
-func (r *removeRun) inStar(x int32) bool {
-	_, ok := r.starIdx[x]
-	return ok
+	return RemoveStats{Applied: true, VStar: len(r.vstar), Changed: r.vstar}
 }
 
 // doMCD decrements x's mcd for one lost qualifying neighbor; when the mcd
 // falls below the core number, x's core drops to k-1 and x joins V* and the
 // propagation queue (Algorithm 8, DoMCD).
-func (r *removeRun) doMCD(x int32) {
-	st := r.st
+//
+// The drop moves x from O_k to the tail of O_{k-1} at once, as pcore's does:
+// the drops cascade in a valid peeling order at level k-1 (a vertex drops
+// only after the neighbors whose drops caused it). Just before the move,
+// every level-k neighbor that precedes x in O_k loses its out-edge to x,
+// which now precedes it. That is exact for every vertex that does not drop:
+// a neighbor that drops later in the same removal has its d⁺out recomputed
+// anyway, and one that dropped earlier no longer reads core k.
+func (r *seqScratch) doMCD(st *State, x int32) {
 	mcd := st.Mcd[x].Add(-1)
 	cx := st.Core[x].Load()
 	if mcd >= cx {
@@ -86,9 +77,13 @@ func (r *removeRun) doMCD(x int32) {
 	// the parallel version) must never observe core = k-1 with t = 0 for
 	// an in-flight vertex.
 	st.T[x].Store(DropStatus(r.k, 2))
-	st.Core[x].Store(r.k - 1)
+	for _, y := range st.G.Adj(x) {
+		if st.Core[y].Load() == r.k && r.list.Order(y, x) {
+			st.Dout[y].Add(-1)
+		}
+	}
+	st.Relocate(x, r.k, r.k-1, Tail)
 	st.Mcd[x].Store(McdEmpty)
-	r.starIdx[x] = len(r.vstar)
 	r.vstar = append(r.vstar, x)
 	r.rq = append(r.rq, x)
 }
@@ -96,11 +91,9 @@ func (r *removeRun) doMCD(x int32) {
 // propagate drains the queue: every dequeued vertex walks its neighbors at
 // the removal level, refreshing and decrementing their mcd (Algorithm 8
 // lines 8-16 with a single worker, so the redo branch t > 0 never fires).
-func (r *removeRun) propagate() {
-	st := r.st
-	for len(r.rq) > 0 {
-		w := r.rq[0]
-		r.rq = r.rq[1:]
+func (r *seqScratch) propagate(st *State) {
+	for head := 0; head < len(r.rq); head++ {
+		w := r.rq[head]
 		st.T[w].Add(-1) // 2 -> 1: propagating
 		for _, x := range st.G.Adj(w) {
 			if st.Core[x].Load() != r.k {
@@ -113,34 +106,8 @@ func (r *removeRun) propagate() {
 				// counted neighbor.
 				st.Mcd[x].Store(st.computeMCD(x))
 			}
-			r.doMCD(x)
+			r.doMCD(st, x)
 		}
 		st.T[w].Store(0) // 1 -> idle: done
-	}
-}
-
-// commit repositions V*: every dropped vertex moves from O_k to the tail of
-// O_{k-1} in discovery order — the order the drops cascaded, which is a
-// valid peeling order at level k-1 (a vertex drops only after the neighbors
-// whose drops caused it; appending in the old O_k order can place a late
-// finisher after an early one and break d⁺out ≤ core). Each move flips the
-// out-edge of every surviving level-k neighbor that used to precede w; the
-// dropped vertices' own Dout is recomputed wholesale by the caller once the
-// order has settled. OM deletion is deferred to this point so the old order
-// is still observable for the flips.
-func (r *removeRun) commit() {
-	st := r.st
-	if len(r.vstar) == 0 {
-		return
-	}
-	from := st.List(r.k)
-	for _, w := range r.vstar {
-		for _, x := range st.G.Adj(w) {
-			if st.Core[x].Load() == r.k && !r.inStar(x) &&
-				from.Order(x, w) {
-				st.Dout[x].Add(-1)
-			}
-		}
-		st.Relocate(w, r.k, r.k-1, Tail)
 	}
 }

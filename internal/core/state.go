@@ -3,10 +3,16 @@
 // out-degrees d⁺out, max-core degrees mcd, the per-vertex status counters s
 // and t, and the per-vertex locks — plus the sequential Simplified-Order
 // insertion (Algorithm 2) and removal (Algorithm 3) algorithms. The parallel
-// algorithms in internal/pcore operate on the same State. The candidate
-// in-degree d*in (Definition 3.6) is not state: it is nonzero only inside
-// the one insertion traversal that holds its vertex, so each traversal
-// keeps it in its own scratch.
+// algorithms in internal/pcore operate on the same State.
+//
+// Both Order engines run on one kind of per-operation scratch, defined here
+// (scratch.go): a flag table for V*, V+ \ V*, Q and R that also holds the
+// candidate in-degree d*in (Definition 3.6), a label heap for Q, and one
+// rule for which buffers survive the operation. d*in is not state: it is
+// nonzero only inside the one insertion traversal that holds its vertex. A
+// pcore worker keeps its scratch across edges; the sequential engine keeps
+// its own on the State, so InsertEdgeSeq and RemoveEdgeSeq are not safe for
+// concurrent use on one State.
 package core
 
 import (
@@ -68,6 +74,9 @@ type State struct {
 	slab  *om.Slab
 	mu    spin.Lock    // guards list growth
 	lists atomic.Value // []*om.List, one per core number
+
+	// seq is the sequential engine's per-operation scratch.
+	seq seqScratch
 }
 
 // Grow extends the vertex universe to at least n vertices. New vertices
@@ -370,7 +379,9 @@ type InsertStats struct {
 	VPlus   int  // |V+|: vertices traversed
 	VStar   int  // |V*|: vertices whose core number increased
 	// Changed is V* itself — the vertices whose core number this
-	// insertion raised.
+	// insertion raised. It aliases the State's scratch: it is valid
+	// until the State's next sequential operation, so a caller that
+	// keeps it copies it.
 	Changed []int32
 }
 
@@ -380,6 +391,7 @@ type RemoveStats struct {
 	Applied bool // false: edge was absent, nothing changed
 	VStar   int  // |V*|: vertices whose core number decreased
 	// Changed is V* itself — the vertices whose core number this removal
-	// lowered.
+	// lowered, in the order they dropped. It aliases the State's scratch,
+	// like InsertStats.Changed.
 	Changed []int32
 }

@@ -21,8 +21,8 @@ import (
 // all their scratch live here across batches, so a warm batch allocates
 // nothing but its forks' goroutines: every buffer but the bit set seen is
 // sized by what operations touched (|V+|, moves, batch length), not by the
-// number of vertices. Per-edge scratch is kept up to scratchKeep entries,
-// per-batch buffers up to twice what the last batch used (KeepBatch).
+// number of vertices. Per-edge scratch is kept by core.Keep, per-batch
+// buffers by core.KeepBatch.
 //
 // One goroutine drives an Engine at a time, and insertion and removal
 // batches never overlap — the paper's algorithms assume it (§4) and the
@@ -141,7 +141,7 @@ func (e *Engine) RemoveEdges(edges []graph.Edge) Batch {
 // budget, one rebuild finishes it. The calling goroutine is worker 0, so a
 // one-worker engine starts no goroutine at all.
 func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32) Batch {
-	if e.sizes = KeepBatch(e.sizes); cap(e.sizes) < len(edges) {
+	if e.sizes = core.KeepBatch(e.sizes); cap(e.sizes) < len(edges) {
 		e.sizes = make([]int32, len(edges))
 	}
 	e.sizes = e.sizes[:len(edges)]
@@ -174,7 +174,7 @@ func (e *Engine) run(edges []graph.Edge, apply func(*worker, int32, int32) int32
 		e.repair()
 	}
 	for _, w := range e.ws {
-		w.moved = KeepBatch(w.moved)
+		w.moved = core.KeepBatch(w.moved)
 	}
 
 	b := Batch{Sizes: sizes, Changed: e.changed}
@@ -224,37 +224,6 @@ func (e *Engine) repair() {
 	e.wg.Wait()
 }
 
-// scratchKeep is the largest capacity, in entries, at which a per-edge
-// scratch buffer is carried over to the next operation, and the least at
-// which a per-batch buffer is (KeepBatch). What the common case needs
-// (Fig. 1: |V+| ≤ 10 for almost every edge) is then never reallocated, while
-// the buffers of the rare huge traversal — which amortize their own
-// allocation — are garbage once it is over, so a worker's footprint does not
-// ratchet up to its high-water mark.
-const scratchKeep = 1024
-
-// keep returns the per-edge buffer buf emptied for reuse, or nil if it has
-// outgrown scratchKeep.
-func keep[T any](buf []T) []T {
-	if cap(buf) > scratchKeep {
-		return nil
-	}
-	return buf[:0]
-}
-
-// KeepBatch returns the per-batch buffer buf, whose length is what the batch
-// just over used, emptied for the next batch — or nil if its capacity is
-// more than max(scratchKeep, 2·len(buf)). A run of like-sized batches then
-// reuses one buffer, while the one a single huge batch grew is dropped once
-// a batch that used less than half of it is over, instead of pinning its
-// high-water mark.
-func KeepBatch[T any](buf []T) []T {
-	if cap(buf) > max(scratchKeep, 2*len(buf)) {
-		return nil
-	}
-	return buf[:0]
-}
-
 // worker is one of the engine's workers: it executes InsertEdge_p
 // (Algorithm 7) and RemoveEdge_p (Algorithm 8) for its share of each batch.
 // All of it is private to the worker — shared state is reached through st
@@ -286,7 +255,7 @@ type worker struct {
 	// per edge
 	k         int32
 	q         pqueue
-	mk        marks
+	mk        core.Marks
 	vstar     []int32 // V* in discovery (= k-) order, evicted members included
 	confirmed []int32 // Backward triggers: V+ \ V* members that never joined V*
 	rq        []int32 // R: Backward's eviction queue / removal's propagation queue
@@ -304,7 +273,7 @@ func newWorker(st *core.State) *worker {
 func (p *worker) applyShare(edges []graph.Edge, sizes []int32, pi int, apply func(*worker, int32, int32) int32) {
 	e := p.e
 	p.m = Metrics{}
-	p.changed = KeepBatch(p.changed)
+	p.changed = core.KeepBatch(p.changed)
 	p.unspent, p.spentSeen = 0, 0
 	i := pi
 	for ; i < len(edges) && !e.stop.Load(); i += len(e.ws) {
@@ -335,10 +304,10 @@ func (p *worker) spend(vplus int64) {
 
 // resetScratch empties the per-edge scratch for the next searching operation.
 func (p *worker) resetScratch() {
-	p.mk.reset()
-	p.vstar = keep(p.vstar)
-	p.confirmed = keep(p.confirmed)
-	p.rq = keep(p.rq)
+	p.mk.Reset()
+	p.vstar = core.Keep(p.vstar)
+	p.confirmed = core.Keep(p.confirmed)
+	p.rq = core.Keep(p.rq)
 }
 
 // move is one entry of a worker's moved list: a vertex and the level of its

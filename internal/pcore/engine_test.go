@@ -253,44 +253,3 @@ func TestCheckMCDIgnoresDropFromOtherLevel(t *testing.T) {
 		t.Fatalf("a level-2 recount touched t[3]: %d", got)
 	}
 }
-
-func TestMarks(t *testing.T) {
-	var m marks
-	if m.get(5) != 0 {
-		t.Fatal("empty table must report no flags")
-	}
-	for v := int32(0); v < 1000; v++ {
-		m.set(v*7, mStar)
-		if v%3 == 0 {
-			m.set(v*7, mQueued)
-		}
-	}
-	m.unset(21, mStar)
-	for v := int32(0); v < 1000; v++ {
-		want := mStar
-		if v%3 == 0 {
-			want |= mQueued
-		}
-		if v == 3 {
-			want &^= mStar
-		}
-		if got := m.get(v * 7); got != want {
-			t.Fatalf("flags(%d) = %b, want %b", v*7, got, want)
-		}
-		if v%7 != 0 && m.get(v) != 0 {
-			t.Fatalf("unmarked %d has flags", v)
-		}
-	}
-	m.reset()
-	if len(m.used) != 0 || m.get(7) != 0 {
-		t.Fatal("reset must clear every flag")
-	}
-	// A table grown far beyond scratchKeep entries is dropped by reset.
-	for v := int32(0); v < 4*scratchKeep; v++ {
-		m.set(v, mDone)
-	}
-	m.reset()
-	if m.slots != nil {
-		t.Fatalf("reset kept a %d-slot table", len(m.slots))
-	}
-}

@@ -28,7 +28,7 @@ func RemoveEdges(st *core.State, edges []graph.Edge, workers int) Batch {
 // newPQueue returns a stand-alone queue aimed at level k, with marks and
 // metrics of its own (a worker's queue shares the worker's).
 func newPQueue(st *core.State, k int32) *pqueue {
-	q := &pqueue{st: st, m: &Metrics{}, mk: &marks{}}
+	q := &pqueue{st: st, m: &Metrics{}, mk: &core.Marks{}}
 	q.reset(k)
 	return q
 }

@@ -50,7 +50,7 @@ func (p *worker) insertEdge(u, v int32) int32 {
 		// locked by us, w is locked by us: the comparison is stable.
 		din := int32(0)
 		for _, x := range st.G.Adj(w) {
-			if p.mk.has(x, mStar) && st.Before(x, w) {
+			if p.mk.Has(x, core.MStar) && st.Before(x, w) {
 				din++
 			}
 		}
@@ -81,13 +81,13 @@ func (p *worker) insertEdge(u, v int32) int32 {
 func (p *worker) forward(w, din int32) {
 	st := p.st
 	p.vstar = append(p.vstar, w)
-	p.mk.set(w, mStar)
-	p.mk.setDin(w, din)
+	p.mk.Set(w, core.MStar)
+	p.mk.SetDin(w, din)
 	if traceFn != nil {
 		traceFn("p=%p forward %d (k=%d)", p, w, p.k)
 	}
 	for _, x := range st.G.Adj(w) {
-		if st.Core[x].Load() == p.k && !p.mk.has(x, mQueued|mStar|mDone) && st.Before(w, x) {
+		if st.Core[x].Load() == p.k && !p.mk.Has(x, core.MQueued|core.MStar|core.MDone) && st.Before(w, x) {
 			if traceFn != nil {
 				traceFn("p=%p   enqueue %d", p, x)
 			}
@@ -103,7 +103,7 @@ func (p *worker) forward(w, din int32) {
 // therefore already locked by this worker.
 func (p *worker) backward(w, din int32) {
 	st := p.st
-	p.mk.set(w, mDone)
+	p.mk.Set(w, core.MDone)
 	p.confirmed = append(p.confirmed, w)
 	if traceFn != nil {
 		traceFn("p=%p backward %d (k=%d)", p, w, p.k)
@@ -114,8 +114,8 @@ func (p *worker) backward(w, din int32) {
 	st.Dout[w].Add(din)
 	for head := 0; head < len(p.rq); head++ {
 		u := p.rq[head]
-		p.mk.unset(u, mStar)
-		p.mk.set(u, mDone)
+		p.mk.Unset(u, core.MStar)
+		p.mk.Set(u, core.MDone)
 		p.doPre(u)
 		p.doPost(u)
 		if traceFn != nil {
@@ -125,7 +125,7 @@ func (p *worker) backward(w, din int32) {
 		p.recordMove(u, p.k)
 		p.m.Evictions++
 		pre = u
-		st.Dout[u].Add(p.mk.din(u))
+		st.Dout[u].Add(p.mk.Din(u))
 	}
 }
 
@@ -134,7 +134,7 @@ func (p *worker) backward(w, din int32) {
 func (p *worker) doPre(u int32) {
 	st := p.st
 	for _, x := range st.G.Adj(u) {
-		if p.mk.has(x, mStar) && st.Before(x, u) {
+		if p.mk.Has(x, core.MStar) && st.Before(x, u) {
 			st.Dout[x].Add(-1)
 			p.evictIfSpent(x)
 		}
@@ -143,11 +143,11 @@ func (p *worker) doPre(u int32) {
 
 // evictIfSpent schedules the V* member x for eviction, once, when its
 // potential degree d*in + d⁺out no longer exceeds k. An evicted vertex
-// leaves V* for good, so mInR never needs clearing within the operation.
+// leaves V* for good, so core.MInR never needs clearing within the operation.
 func (p *worker) evictIfSpent(x int32) {
 	st := p.st
-	if p.mk.din(x)+st.Dout[x].Load() <= p.k && !p.mk.has(x, mInR) {
-		p.mk.set(x, mInR)
+	if p.mk.Din(x)+st.Dout[x].Load() <= p.k && !p.mk.Has(x, core.MInR) {
+		p.mk.Set(x, core.MInR)
 		p.rq = append(p.rq, x)
 	}
 }
@@ -157,11 +157,11 @@ func (p *worker) evictIfSpent(x int32) {
 func (p *worker) doPost(u int32) {
 	st := p.st
 	for _, x := range st.G.Adj(u) {
-		if !p.mk.has(x, mStar) {
+		if !p.mk.Has(x, core.MStar) {
 			continue
 		}
-		if din := p.mk.din(x); din > 0 && st.Before(u, x) {
-			p.mk.setDin(x, din-1)
+		if din := p.mk.Din(x); din > 0 && st.Before(u, x) {
+			p.mk.SetDin(x, din-1)
 			p.evictIfSpent(x)
 		}
 	}
@@ -175,7 +175,7 @@ func (p *worker) promote() {
 	st := p.st
 	anchor := core.Head // the first survivor goes to the head
 	for _, w := range p.vstar {
-		if !p.mk.has(w, mStar) {
+		if !p.mk.Has(w, core.MStar) {
 			continue // evicted by backward
 		}
 		if traceFn != nil {

@@ -7,36 +7,22 @@ import (
 	"repro/internal/om"
 )
 
-// pqEntry caches a vertex with the [Lt, Lb, s] snapshot taken at enqueue
-// time (§5): the labels order the heap, the status s detects stale
-// positions at dequeue.
-type pqEntry struct {
-	v      int32
-	lt, lb uint64
-	s      uint32
-}
-
-func (a pqEntry) less(b pqEntry) bool {
-	if a.lt != b.lt {
-		return a.lt < b.lt
-	}
-	return a.lb < b.lb
-}
-
 // pqueue is the private min-priority queue Q_p of one insertion worker. It
 // is single-owner: only its worker touches it, so the queue itself needs no
 // locks; all synchronization happens through the OM list version and the
 // per-vertex status counters. The queue lives on its worker across
-// operations (reset re-aims it at a level); membership is the mQueued flag
-// in the worker's marks, which also tell it which vertices the worker
-// already holds.
+// operations (reset re-aims it at a level); membership is the core.MQueued
+// flag in the worker's marks, which also tell it which vertices the worker
+// already holds. The heap itself is core.LabelHeap, which the sequential
+// engine's queue uses too; what is the parallel queue's own is the version
+// and status checks around it and the conditional lock at dequeue.
 type pqueue struct {
 	st    *core.State
 	m     *Metrics
-	mk    *marks
+	mk    *core.Marks
 	k     int32
 	list  *om.List
-	es    []pqEntry // binary min-heap on (lt, lb)
+	h     core.LabelHeap // Q_p, each entry with the [Lt, Lb, s] snapshot of its enqueue (§5)
 	ver   uint64
 	dirty bool // Q.ver = ∅ in the paper: labels must be re-snapshotted
 }
@@ -46,52 +32,18 @@ type pqueue struct {
 func (q *pqueue) reset(k int32) {
 	q.k = k
 	q.list = q.st.List(k)
-	q.es = keep(q.es)
+	q.h = core.Keep(q.h)
 	q.ver = q.list.Version()
 	q.dirty = q.ver&1 == 1
 }
 
 // contains reports whether v currently sits in the queue.
-func (q *pqueue) contains(v int32) bool { return q.mk.has(v, mQueued) }
-
-func (q *pqueue) push(e pqEntry) {
-	q.es = append(q.es, e)
-	i := len(q.es) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.es[i].less(q.es[parent]) {
-			break
-		}
-		q.es[i], q.es[parent] = q.es[parent], q.es[i]
-		i = parent
-	}
-}
+func (q *pqueue) contains(v int32) bool { return q.mk.Has(v, core.MQueued) }
 
 // pop removes the minimum entry.
 func (q *pqueue) pop() {
-	n := len(q.es) - 1
-	q.mk.unset(q.es[0].v, mQueued)
-	q.es[0] = q.es[n]
-	q.es = q.es[:n]
-	q.siftDown(0)
-}
-
-func (q *pqueue) siftDown(i int) {
-	n := len(q.es)
-	for {
-		min := i
-		if l := 2*i + 1; l < n && q.es[l].less(q.es[min]) {
-			min = l
-		}
-		if r := 2*i + 2; r < n && q.es[r].less(q.es[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.es[i], q.es[min] = q.es[min], q.es[i]
-		i = min
-	}
+	q.mk.Unset(q.h[0].V, core.MQueued)
+	q.h.Pop()
 }
 
 // enqueue adds v with a label/status snapshot (Algorithm 10). If the
@@ -101,10 +53,10 @@ func (q *pqueue) enqueue(v int32) {
 	if q.contains(v) {
 		return
 	}
-	q.mk.set(v, mQueued)
+	q.mk.Set(v, core.MQueued)
 	s := q.st.S[v].Load()
 	lt, lb, ver, ok := q.list.Labels(v)
-	q.push(pqEntry{v: v, lt: lt, lb: lb, s: s})
+	q.h.Push(core.LabelEntry{V: v, Lt: lt, Lb: lb, S: s})
 	if !ok || ver != q.ver || s&1 == 1 || q.st.S[v].Load() != s {
 		q.dirty = true
 	}
@@ -123,32 +75,30 @@ func (q *pqueue) refresh() {
 		}
 		stable := true
 		w := 0
-		for _, e := range q.es {
-			if q.st.Core[e.v].Load() != q.k {
-				q.mk.unset(e.v, mQueued) // promoted by another worker; drop
+		for _, e := range q.h {
+			if q.st.Core[e.V].Load() != q.k {
+				q.mk.Unset(e.V, core.MQueued) // promoted by another worker; drop
 				continue
 			}
-			s := q.st.S[e.v].Load()
+			s := q.st.S[e.V].Load()
 			if s&1 == 1 {
 				stable = false
 				break
 			}
-			lt, lb, lver, ok := q.list.Labels(e.v)
-			if !ok || lver != ver || q.st.S[e.v].Load() != s {
+			lt, lb, lver, ok := q.list.Labels(e.V)
+			if !ok || lver != ver || q.st.S[e.V].Load() != s {
 				stable = false
 				break
 			}
-			q.es[w] = pqEntry{v: e.v, lt: lt, lb: lb, s: s}
+			q.h[w] = core.LabelEntry{V: e.V, Lt: lt, Lb: lb, S: s}
 			w++
 		}
 		if !stable || q.list.Version() != ver {
 			runtime.Gosched()
 			continue
 		}
-		q.es = q.es[:w]
-		for i := w/2 - 1; i >= 0; i-- {
-			q.siftDown(i)
-		}
+		q.h = q.h[:w]
+		q.h.Heapify()
 		q.ver = ver
 		q.dirty = false
 		return
@@ -157,41 +107,42 @@ func (q *pqueue) refresh() {
 
 // dequeue pops the vertex with minimal k-order whose core number is still k,
 // returning it LOCKED (Algorithm 11). Vertices the worker already holds
-// (members of V+, marked mStar or mDone) are discarded defensively rather
-// than self-deadlocked on. ok is false when no qualifying vertex remains.
+// (members of V+, marked core.MStar or core.MDone) are discarded
+// defensively rather than self-deadlocked on. ok is false when no
+// qualifying vertex remains.
 func (q *pqueue) dequeue() (int32, bool) {
-	for len(q.es) > 0 {
+	for len(q.h) > 0 {
 		if q.dirty {
 			q.refresh()
 			continue
 		}
-		e := q.es[0]
-		if own := q.mk.has(e.v, mStar|mDone); own || q.st.Core[e.v].Load() != q.k {
+		e := q.h[0]
+		if own := q.mk.Has(e.V, core.MStar|core.MDone); own || q.st.Core[e.V].Load() != q.k {
 			if traceFn != nil {
-				traceFn("q=%p discard %d (own=%v core=%d k=%d)", q.st, e.v, own, q.st.Core[e.v].Load(), q.k)
+				traceFn("q=%p discard %d (own=%v core=%d k=%d)", q.st, e.V, own, q.st.Core[e.V].Load(), q.k)
 			}
 			q.pop()
 			continue
 		}
 		// Conditional lock: busy-wait only while v can still be a
 		// candidate at level k; abort if another worker promotes it.
-		if !q.st.Locks[e.v].LockIf(func() bool { return q.st.Core[e.v].Load() == q.k }) {
+		if !q.st.Locks[e.V].LockIf(func() bool { return q.st.Core[e.V].Load() == q.k }) {
 			q.m.LockAborts++
 			if traceFn != nil {
-				traceFn("q=%p lockif-abort %d (core=%d k=%d)", q.st, e.v, q.st.Core[e.v].Load(), q.k)
+				traceFn("q=%p lockif-abort %d (core=%d k=%d)", q.st, e.V, q.st.Core[e.V].Load(), q.k)
 			}
 			q.pop()
 			continue
 		}
 		// Locked. If v's order changed since the snapshot, the heap
 		// may have served the wrong minimum: release and rebuild.
-		if q.st.S[e.v].Load() != e.s {
-			q.st.Locks[e.v].Unlock()
+		if q.st.S[e.V].Load() != e.S {
+			q.st.Locks[e.V].Unlock()
 			q.dirty = true
 			continue
 		}
 		q.pop()
-		return e.v, true
+		return e.V, true
 	}
 	return 0, false
 }

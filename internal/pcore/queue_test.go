@@ -115,7 +115,7 @@ func TestPQueueOwnVerticesSkipped(t *testing.T) {
 	q := newPQueue(st, 1)
 	q.enqueue(1)
 	q.enqueue(2)
-	q.mk.set(1, mDone) // the worker already holds 1
+	q.mk.Set(1, core.MDone) // the worker already holds 1
 	v, ok := q.dequeue()
 	if !ok || v != 2 {
 		t.Fatalf("got %d, want 2 (1 is own)", v)

@@ -65,11 +65,11 @@ func (p *worker) removeEdge(u, v int32) int32 {
 	propagating := core.DropStatus(k, 1)
 	for head := 0; head < len(p.rq); head++ {
 		w := p.rq[head]
-		p.mk.reset() // A_p (mSeen): per vertex, persists across its redo rounds (line 16)
+		p.mk.Reset() // A_p (core.MSeen): per vertex, persists across its redo rounds (line 16)
 		for {
 			st.T[w].Add(-1) // line 10: 2 -> 1
 			for _, x := range st.G.Adj(w) {
-				if st.Core[x].Load() != k || p.mk.has(x, mSeen) {
+				if st.Core[x].Load() != k || p.mk.Has(x, core.MSeen) {
 					continue
 				}
 				// Conditional lock (line 12): give up as soon
@@ -80,7 +80,7 @@ func (p *worker) removeEdge(u, v int32) int32 {
 					if !p.doMCD(x) {
 						st.Locks[x].Unlock() // line 25
 					}
-					p.mk.set(x, mSeen) // line 14
+					p.mk.Set(x, core.MSeen) // line 14
 				} else {
 					p.m.LockAborts++
 				}

@@ -8,20 +8,31 @@ import (
 	"repro/internal/snapshot"
 )
 
-// A warm ParallelOrder batch allocates only what it returns, whatever its
-// size: the engine's per-edge and per-batch scratch, its repair pass, the
-// applier's report buffer and the snapshot pages it publishes into are all
-// carried from one batch to the next. What remains per batch is its future
-// and result (the VPlusSizes slice), the published View and, with two
-// workers, the goroutines of the apply and repair forks — the same for 256
-// edges as for 4 096.
+// A warm Order batch allocates only what it returns, whatever its size: the
+// engine's per-edge and per-batch scratch, its repair pass, the applier's
+// report buffer and the snapshot pages it publishes into are all carried
+// from one batch to the next. What remains per batch is its future and
+// result (the VPlusSizes slice), the published View and, with two workers,
+// the goroutines of the apply and repair forks — the same for 256 edges as
+// for 4 096. SequentialOrder runs on the same per-operation scratch as a
+// ParallelOrder worker (kept on its State), so it is held to the one-worker
+// bound.
 func TestWarmBatchAllocs(t *testing.T) {
 	// Twenty full pages: a short last page is never recycled.
 	base := gen.PowerLawCluster(20*snapshot.PageSize, 10, 2.4, 5)
-	for _, workers := range []int{1, 2} {
+	for _, c := range []struct {
+		name    string
+		alg     Algorithm
+		workers int
+	}{
+		{"w1", ParallelOrder, 1},
+		{"w2", ParallelOrder, 2},
+		{"SequentialOrder", SequentialOrder, 1},
+	} {
+		workers := c.workers
 		for _, size := range []int{256, 4096} {
-			t.Run(fmt.Sprintf("w%d/%d", workers, size), func(t *testing.T) {
-				m := New(base.Clone(), WithAlgorithm(ParallelOrder), WithWorkers(workers))
+			t.Run(fmt.Sprintf("%s/%d", c.name, size), func(t *testing.T) {
+				m := New(base.Clone(), WithAlgorithm(c.alg), WithWorkers(workers))
 				defer m.Close()
 				batch := gen.SampleEdges(base, size, int64(size))
 				moved := 0
@@ -48,8 +59,8 @@ func TestWarmBatchAllocs(t *testing.T) {
 					maxPerBatch = 8
 				}
 				if perBatch > maxPerBatch {
-					t.Fatalf("%.1f allocations per warm %d-edge batch at w=%d, want at most %.0f whatever the size",
-						perBatch, size, workers, maxPerBatch)
+					t.Fatalf("%.1f allocations per warm %d-edge %s batch at w=%d, want at most %.0f whatever the size",
+						perBatch, size, algorithmName(c.alg), workers, maxPerBatch)
 				}
 				if err := m.Check(); err != nil {
 					t.Fatal(err)

@@ -142,7 +142,7 @@ func TestEngineConformance(t *testing.T) {
 				mirror := base.Clone()
 				eng := newEngine(alg, base, 4)
 
-				prev := eng.Cores()
+				prev := eng.CoreNumbers()
 				for i, step := range steps {
 					var s BatchResult
 					if step.insert {
@@ -167,7 +167,7 @@ func TestEngineConformance(t *testing.T) {
 					}
 
 					truth, _ := bz.Decompose(mirror)
-					got := eng.Cores()
+					got := eng.CoreNumbers()
 					if len(got) != len(truth) {
 						t.Fatalf("step %d: %d cores, want %d", i, len(got), len(truth))
 					}
@@ -195,7 +195,7 @@ func TestEngineConformance(t *testing.T) {
 					}
 					prev = got
 				}
-				if err := eng.Check(); err != nil {
+				if err := eng.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -245,7 +245,7 @@ func TestEngineConformanceRandomized(t *testing.T) {
 			} else {
 				eng.ApplyRemove(batch, new(BatchResult))
 			}
-			got := eng.Cores()
+			got := eng.CoreNumbers()
 			for v := range truth {
 				if got[v] != truth[v] {
 					t.Fatalf("round %d: %v core[%d] = %d, want %d", round, algs[i], v, got[v], truth[v])
@@ -254,7 +254,7 @@ func TestEngineConformanceRandomized(t *testing.T) {
 		}
 	}
 	for i, eng := range engines {
-		if err := eng.Check(); err != nil {
+		if err := eng.CheckInvariants(); err != nil {
 			t.Fatalf("%v: %v", algs[i], err)
 		}
 	}

@@ -18,6 +18,14 @@ import (
 // Engines register in engineRegistry rather than being supplied by callers;
 // every registered engine is exercised by the cross-engine conformance suite
 // and the FuzzMixedBatch differential fuzzer.
+//
+// Every engine embeds its maintenance state — *core.State for the Order
+// family, *traversal.State for the Traversal family — whose Grow, CoreOf,
+// CoreNumbers and CheckInvariants are the batchEngine methods. Both states
+// own every per-vertex array an engine needs, so growing the state grows the
+// whole engine: the pcore workers keep only per-edge scratch and the JES
+// scheduler only per-batch level groups — neither holds N-sized state that
+// could go stale across a Grow.
 type batchEngine interface {
 	// ApplyInsert applies one insertion batch and adds what it did to res:
 	// Applied, ChangedVertices (Σ|V*|, plus the vertices a rebuild moved),
@@ -35,30 +43,13 @@ type batchEngine interface {
 	// CoreOf returns the quiescent core number of v — what snapshot
 	// publication reads for each reported vertex.
 	CoreOf(v int32) int32
-	// Cores materializes the quiescent core numbers — O(n), for
+	// CoreNumbers materializes the quiescent core numbers — O(n), for
 	// conformance checks and the snapshot load.
-	Cores() []int32
-	// Check verifies the engine's invariants against a fresh
+	CoreNumbers() []int32
+	// CheckInvariants verifies the engine's invariants against a fresh
 	// decomposition; O(n + m), for tests and debugging.
-	Check() error
+	CheckInvariants() error
 }
-
-// orderState and traversalState give the two maintenance states (core.State
-// for the Order family, traversal.State for the Traversal family) the names
-// batchEngine uses for what they already do; Grow and CoreOf are the states' own.
-// Both states own every per-vertex array an engine needs, so growing the
-// state grows the whole engine: the pcore workers keep only per-edge scratch
-// and the JES scheduler only per-batch level groups — neither holds N-sized
-// state that could go stale across a Grow.
-type orderState struct{ *core.State }
-
-func (s orderState) Cores() []int32 { return s.CoreNumbers() }
-func (s orderState) Check() error   { return s.CheckInvariants() }
-
-type traversalState struct{ *traversal.State }
-
-func (s traversalState) Cores() []int32 { return s.CoreNumbers() }
-func (s traversalState) Check() error   { return s.CheckInvariants() }
 
 // engineRegistry is the registration table — the single dispatch point
 // between Algorithm values and engine implementations. Adding an engine
@@ -113,13 +104,13 @@ func newEngine(alg Algorithm, g *graph.Graph, workers int) batchEngine {
 // --- ParallelOrder ---------------------------------------------------------
 
 type parallelOrderEngine struct {
-	orderState
+	*core.State
 	eng *pcore.Engine
 }
 
 func newParallelOrderEngine(g *graph.Graph, workers int) batchEngine {
 	st := core.NewState(g)
-	return &parallelOrderEngine{orderState{st}, pcore.New(st, workers)}
+	return &parallelOrderEngine{st, pcore.New(st, workers)}
 }
 
 func (e *parallelOrderEngine) ApplyInsert(edges []graph.Edge, res *BatchResult) {
@@ -168,10 +159,10 @@ func (r *BatchResult) addOp(vstar []int32) {
 
 // --- SequentialOrder -------------------------------------------------------
 
-type sequentialOrderEngine struct{ orderState }
+type sequentialOrderEngine struct{ *core.State }
 
 func newSequentialOrderEngine(g *graph.Graph, _ int) batchEngine {
-	return &sequentialOrderEngine{orderState{core.NewState(g)}}
+	return &sequentialOrderEngine{core.NewState(g)}
 }
 
 func (e *sequentialOrderEngine) ApplyInsert(edges []graph.Edge, res *BatchResult) {
@@ -196,10 +187,10 @@ func (e *sequentialOrderEngine) ApplyRemove(edges []graph.Edge, res *BatchResult
 
 // --- Traversal -------------------------------------------------------------
 
-type traversalEngine struct{ traversalState }
+type traversalEngine struct{ *traversal.State }
 
 func newTraversalEngine(g *graph.Graph, _ int) batchEngine {
-	return &traversalEngine{traversalState{traversal.NewState(g)}}
+	return &traversalEngine{traversal.NewState(g)}
 }
 
 func (e *traversalEngine) ApplyInsert(edges []graph.Edge, res *BatchResult) {
@@ -221,12 +212,12 @@ func (e *traversalEngine) ApplyRemove(edges []graph.Edge, res *BatchResult) {
 // --- JoinEdgeSet -----------------------------------------------------------
 
 type joinEdgeSetEngine struct {
-	traversalState
+	*traversal.State
 	workers int
 }
 
 func newJoinEdgeSetEngine(g *graph.Graph, workers int) batchEngine {
-	return &joinEdgeSetEngine{traversalState{traversal.NewState(g)}, workers}
+	return &joinEdgeSetEngine{traversal.NewState(g), workers}
 }
 
 func (e *joinEdgeSetEngine) ApplyInsert(edges []graph.Edge, res *BatchResult) {

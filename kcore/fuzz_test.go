@@ -47,7 +47,7 @@ func FuzzMixedBatch(f *testing.F) {
 
 		prev := make([][]int32, len(engines))
 		for i, eng := range engines {
-			prev[i] = eng.Cores()
+			prev[i] = eng.CoreNumbers()
 		}
 		var removes, inserts []graph.Edge
 		flush := func() {
@@ -88,7 +88,7 @@ func FuzzMixedBatch(f *testing.F) {
 				if len(inserts) > 0 {
 					eng.ApplyInsert(inserts, &res)
 				}
-				got := eng.Cores()
+				got := eng.CoreNumbers()
 				for v := range truth {
 					if got[v] != truth[v] {
 						t.Fatalf("%v: core[%d] = %d, want %d (removes %v inserts %v)",
@@ -129,7 +129,7 @@ func FuzzMixedBatch(f *testing.F) {
 		}
 		flush()
 		for i, eng := range engines {
-			if err := eng.Check(); err != nil {
+			if err := eng.CheckInvariants(); err != nil {
 				t.Fatalf("%v: %v", algs[i], err)
 			}
 		}

@@ -80,6 +80,7 @@ import (
 
 	"repro/graph"
 	"repro/internal/bz"
+	"repro/internal/core"
 	"repro/internal/pcore"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
@@ -598,7 +599,7 @@ func (eng *engine) load(g *graph.Graph, epoch uint64) {
 	eng.g = g
 	eng.impl = newEngine(eng.cfg.alg, g, eng.cfg.workers)
 	eng.coreOf = eng.impl.CoreOf
-	eng.wm.set(eng.pub.Load(eng.impl.Cores(), g.M(), epoch))
+	eng.wm.set(eng.pub.Load(eng.impl.CoreNumbers(), g.M(), epoch))
 }
 
 // view returns the current published snapshot (never nil: New publishes
@@ -615,14 +616,14 @@ func (eng *engine) head() snapshot.Head { return eng.pub.Head() }
 // snapshot to any universe prepareBatch grew and patches only the vertices
 // whose core moved — O(|V*| + dirtyPages·PageSize), not O(n).
 // The report is dead after publication; its buffer is kept for the next
-// batch by the engine's per-batch rule (pcore.KeepBatch), so the one a
+// batch by the engine's per-batch rule (core.KeepBatch), so the one a
 // single huge batch grew is not.
 func (eng *engine) publishAfter(res *BatchResult) {
 	eng.wm.set(eng.pub.Publish(eng.g.N(), eng.g.M(), res.changed, eng.coreOf))
-	res.changed = pcore.KeepBatch(res.changed)
+	res.changed = core.KeepBatch(res.changed)
 }
 
-func (eng *engine) check() error { return eng.impl.Check() }
+func (eng *engine) check() error { return eng.impl.CheckInvariants() }
 
 // logBatch hands one non-empty canonical post-scan batch to the attached
 // OpLog, before the engine applies it (write-ahead: the record exists
